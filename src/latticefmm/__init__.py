@@ -1,27 +1,22 @@
 """Fast free-space solver for the discrete Poisson equation on Z^2."""
 
-from .config import RunConfig, cache_dir
+from .config import RunConfig
 from .green import (
     GreensTable,
-    TableChecksumError,
     apply_discrete_laplacian,
     default_table,
     phi,
     phi_asymptotic,
-    phi_quadrature,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig",
-    "cache_dir",
     "GreensTable",
-    "TableChecksumError",
     "apply_discrete_laplacian",
     "default_table",
     "phi",
     "phi_asymptotic",
-    "phi_quadrature",
     "__version__",
 ]

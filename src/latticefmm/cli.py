@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: phi, solve, direct, defect, bench, selftest, cache.
+Subcommands: phi, solve, direct, defect, bench, selftest.
 All CSV is comma-separated with no header unless --header is given, and
 numeric output uses repr-exact %.17g so identical inputs give
-byte-identical files.
+byte-identical files.  Invalid input (a ValueError from the library)
+exits with an ``error: ...`` message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RunConfig, cache_dir
+from .config import DEFAULT_SEED, RunConfig
 from .defect import DefectSpec, apply_S, solve_defect
 from .fmm import fmm_apply
 from .green import (
     GreensTable,
-    TableChecksumError,
     apply_discrete_laplacian,
     default_table,
     phi,
     phi_asymptotic,
-    phi_quadrature,
 )
 from .oracle import direct_sum
 from .skeleton import shared_chain
@@ -193,35 +192,8 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    cfg = RunConfig.from_env(rtable=args.rtable)
-    directory = cache_dir()
-    if args.action == "build":
-        default_table(cfg.rtable)
-        print(f"table ready: {directory / f'phi_table_R{cfg.rtable}.bin'}")
-        return 0
-    removed = 0
-    if directory.is_dir():
-        for f in sorted(directory.glob("phi_table_R*")):
-            f.unlink()
-            removed += 1
-    print(f"removed {removed} cache file(s) from {directory}")
-    return 0
-
-
 def _selftest_checks(cfg):
     """Yield (name, passed, detail) for the desk-scale suite."""
-    # Verify the on-disk table before default_table() can silently rebuild it.
-    path = cache_dir() / f"phi_table_R{cfg.rtable}.bin"
-    if path.exists():
-        try:
-            GreensTable.load(path)
-            yield "table-checksum", True, path.name
-        except TableChecksumError as e:
-            yield "table-checksum", False, str(e)
-    else:
-        default_table(cfg.rtable)
-        yield "table-checksum", True, f"built {path.name}"
     table = default_table(cfg.rtable)
 
     err = max(
@@ -240,9 +212,10 @@ def _selftest_checks(cfg):
             res = max(res, abs(got - want))
     yield "laplacian-identity", res <= 1e-12, f"max residual {res:.2e}"
 
+    wide = GreensTable.build(32)
     far = 0.0
     for m in [(31, 0), (31, 7), (32, 17), (25, 25)]:
-        far = max(far, abs(phi_quadrature(*m) - phi_asymptotic(*m)))
+        far = max(far, abs(wide.lookup(*m) - phi_asymptotic(*m)))
     yield "asymptotic-match", far <= 1e-12, f"max gap {far:.2e}"
 
     chain = shared_chain(cfg.eps, 32, table, per_edge=cfg.proxy_per_edge)
@@ -384,17 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.set_defaults(func=_cmd_selftest)
 
-    p = sub.add_parser("cache", help="manage the Green-function table cache")
-    p.add_argument("action", choices=["build", "clear"])
-    p.add_argument("--rtable", type=int, default=None)
-    p.set_defaults(func=_cmd_cache)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,28 @@
-"""Run configuration: defaults, environment overrides, cache location.
+"""Run configuration: defaults, accepted ranges, environment overrides.
 
 Precedence for every knob is flags > environment > defaults.  The
-environment variables are ``LFMM_EPS``, ``LFMM_NLEAF`` and
-``LFMM_CACHE_DIR``.
+environment variables are ``LFMM_EPS`` and ``LFMM_NLEAF``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
 DEFAULT_RTABLE = 30
 DEFAULT_PROXY_PER_EDGE = 40
 DEFAULT_SEED = 0
+
+# Open interval of accepted accuracy targets, for RunConfig and fmm_apply.
+EPS_RANGE = (1e-14, 1e-2)
+
+
+def check_eps(eps: float) -> None:
+    lo, hi = EPS_RANGE
+    if not lo < eps < hi:
+        raise ValueError(f"eps must lie in ({lo:g}, {hi:g}), got {eps}")
 
 
 @dataclass
@@ -27,8 +34,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not (1e-14 < self.eps < 1e-2):
-            raise ValueError(f"eps must lie in (1e-14, 1e-2), got {self.eps}")
+        check_eps(self.eps)
         if self.nleaf < 1:
             raise ValueError(f"nleaf must be >= 1, got {self.nleaf}")
         if self.rtable < 3:
@@ -51,10 +57,3 @@ class RunConfig:
                 values[key] = val
         return cls(**values)
 
-
-def cache_dir() -> Path:
-    """Directory for the Green-function table and operator caches."""
-    root = os.environ.get("LFMM_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "latticefmm"

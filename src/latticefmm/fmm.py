@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_PROXY_PER_EDGE
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_PROXY_PER_EDGE, check_eps
 from .green import GreensTable, default_table
 from .skeleton import kernel_matrix, shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree, morton_key
@@ -58,6 +58,8 @@ def _merge_targets(points, charges, targets):
         raise ValueError("points must be a nonempty (N, 2) integer array")
     if pts.shape[0] != q.shape[0]:
         raise ValueError("points and charges length mismatch")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("charges must be finite")
     if targets is None:
         return pts, q, None
     tgt = np.asarray(targets, dtype=np.int64).reshape(-1, 2)
@@ -297,8 +299,12 @@ def fmm_apply(
     evaluation points (they are added as zero-charge nodes, and coinciding
     source/target points are fine).  ``stats``, if given, is filled with
     run counters (tree depth, stored operator entries, wall time).
+
+    Raises ValueError for eps outside ``config.EPS_RANGE``, non-finite
+    charges, duplicate sources, or a coordinate extent above 2**31.
     """
     t0 = time.perf_counter()
+    check_eps(eps)
     if table is None:
         table = default_table()
     all_pts, q_full, tgt_rows = _merge_targets(points, charges, targets)

@@ -1,21 +1,16 @@
 """Green's function of the 5-point discrete Laplacian on the integer lattice.
 
 The fundamental solution ``phi`` satisfies ``A phi = delta`` at the origin,
-where ``A`` is the stencil ``4 u(m) - sum of the four nearest neighbours``.
-It has the Fourier representation
+where ``A`` is the stencil ``4 u(m) - sum of the four nearest neighbours``,
+normalised so that phi(0,0) = 0.  Every value has the exact form A + B/pi
+with rational A and B.  Two evaluation paths are provided:
 
-    phi(m) = 1/(4 pi^2) * int_{[-pi,pi]^2} (cos(t.m) - 1) / sigma(t) dt,
-    sigma(t) = 4 sin^2(t1/2) + 4 sin^2(t2/2),
-
-normalised so that phi(0,0) = 0.  Three evaluation paths are provided:
-
-* ``phi_quadrature`` -- adaptive panel quadrature of the integral, accurate
-  to ~1e-15 absolute (correctly rounded for |m|_inf <= 8).  Used to build
-  tables; too slow for inner loops.
+* ``GreensTable`` -- phi on the octant |m|_inf <= radius, built in-process
+  from the exact stencil recurrence in integer arithmetic and rounded
+  correctly to float64; 8-fold symmetry lookup.
 * ``phi_asymptotic`` -- large-|m| expansion, certified below 1e-12 absolute
-  for |m| > 30 (in practice ~1e-14 or better).
-* ``GreensTable`` -- precomputed octant table for small |m|, with 8-fold
-  symmetry lookup.
+  for |m| > 30 (in practice ~1e-15), evaluated as a polynomial in 1/|m|^2
+  and cos(4 theta).
 
 ``phi`` dispatches between the table and the expansion and is the evaluator
 the rest of the package uses.
@@ -23,198 +18,12 @@ the rest of the package uses.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from collections.abc import Mapping
-from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_RTABLE, cache_dir
-
-# Absolute accuracy of a freshly built table entry (quadrature error).
-TABLE_BUILD_TOL = 1e-13
-
-# Euclidean radius beyond which phi_asymptotic is certified to 1e-12.
-ASYMPTOTIC_RADIUS = 30.0
-
-_GAUSS_ORDER = 20
-
-# For |m|_inf below this cutoff the quadrature runs in extended precision
-# with a 28-point rule, which lands every value on the correctly rounded
-# double (so the 16-significant-digit prints match the closed forms, e.g.
-# phi(1,1) = -0.3183098861837907).  float64 Gauss nodes alone put a ~2e-16
-# relative floor under any rule, hence the longdouble node polish below.
-_SMALL_M_MAX = 8
-_GAUSS_ORDER_SMALL = 28
-_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int = _GAUSS_ORDER):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule_longdouble(order: int = _GAUSS_ORDER_SMALL):
-    """Gauss-Legendre rule with nodes polished to longdouble accuracy.
-
-    Newton steps on P_n pull the float64 seed nodes onto the extended-
-    precision roots; weights then follow from 2/((1-x^2) P_n'(x)^2).
-    """
-    x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
-    for _ in range(3):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for k in range(2, order + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = order * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = order * (x * p1 - p0) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x, w
-
-
-def _integrand(t1, t2, m1: int, m2: int):
-    # Cancellation-free form of (cos(t.m) - 1)/sigma(t): the numerator is
-    # written as -2 sin^2((t.m)/2) so small-|t| values lose no precision.
-    num = -2.0 * np.sin(0.5 * (t1 * m1 + t2 * m2)) ** 2
-    den = 4.0 * np.sin(0.5 * t1) ** 2 + 4.0 * np.sin(0.5 * t2) ** 2
-    return num / den
-
-
-@lru_cache(maxsize=64)
-def _offcenter_panels(n: int):
-    """Tensor Gauss nodes/weights for the n*n panel grid minus the centre panel.
-
-    n must be odd so a single panel straddles the origin; that panel is
-    integrated separately (the integrand is merely continuous there, not
-    smooth).  Returns flattened arrays (T1, T2, W).
-    """
-    x, w = _gauss_rule()
-    a = np.pi / n
-    centers = -np.pi + a * (2 * np.arange(n) + 1)
-    mid = (n - 1) // 2
-    t1 = []
-    t2 = []
-    ww = []
-    nodes = a * x
-    w2d = a * a * np.outer(w, w).ravel()
-    g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
-    g1 = g1.ravel()
-    g2 = g2.ravel()
-    for i in range(n):
-        for j in range(n):
-            if i == mid and j == mid:
-                continue
-            t1.append(centers[i] + g1)
-            t2.append(centers[j] + g2)
-            ww.append(w2d)
-    return np.concatenate(t1), np.concatenate(t2), np.concatenate(ww)
-
-
-def _rect_quad(lo1, hi1, lo2, hi2, m1, m2, rule=None):
-    x, w = rule if rule is not None else _gauss_rule()
-    c1 = 0.5 * (lo1 + hi1)
-    h1 = 0.5 * (hi1 - lo1)
-    c2 = 0.5 * (lo2 + hi2)
-    h2 = 0.5 * (hi2 - lo2)
-    t1 = c1 + h1 * x
-    t2 = c2 + h2 * x
-    vals = _integrand(t1[:, None], t2[None, :], m1, m2)
-    return h1 * h2 * (w @ vals @ w)
-
-
-def _center_panel(a, m1: int, m2: int, rule=None, stop=1e-15, max_annuli=25):
-    """Integral over the origin panel [-a,a]^2 by telescoping annuli.
-
-    The square is split into dyadic annuli Omega_k = [-b,b]^2 \\ [-b/2,b/2]^2
-    with b = a 2^-k, each covered by 8 rectangles on which the integrand is
-    smooth.  The annulus contributions decay geometrically with ratio ~1/4
-    (the integrand is bounded, the area shrinks 4x), so one Richardson step
-    S_k + tau_k/3 estimates the limit; iteration stops once that estimate
-    settles below ``stop``.  Arithmetic follows the dtype of ``a``.
-    """
-    partial = 0 * a
-    prev = None
-    for k in range(max_annuli):
-        b = a * 0.5**k
-        hh = 0.5 * b
-        rects = (
-            (-hh, hh, hh, b),
-            (-hh, hh, -b, -hh),
-            (-b, -hh, -hh, hh),
-            (hh, b, -hh, hh),
-            (hh, b, hh, b),
-            (-b, -hh, hh, b),
-            (-b, -hh, -b, -hh),
-            (hh, b, -b, -hh),
-        )
-        tau = sum(_rect_quad(*r, m1, m2, rule=rule) for r in rects)
-        partial = partial + tau
-        acc = partial + tau / 3.0
-        if prev is not None and abs(acc - prev) < stop:
-            return acc
-        prev = acc
-    return acc
-
-
-def _phi_quadrature_small(m1: int, m2: int, n: int) -> float:
-    # Extended-precision twin of the float64 path in phi_quadrature; the
-    # panel count n is tiny here, so plain loops are cheap.
-    rule = _gauss_rule_longdouble()
-    a = _PI_LONG / n
-    if n == 1:
-        off = np.longdouble(0.0)
-    else:
-        centers = -_PI_LONG + a * (2 * np.arange(n, dtype=np.longdouble) + 1)
-        mid = (n - 1) // 2
-        off = np.longdouble(0.0)
-        for i in range(n):
-            for j in range(n):
-                if i == mid and j == mid:
-                    continue
-                off += _rect_quad(
-                    centers[i] - a, centers[i] + a,
-                    centers[j] - a, centers[j] + a,
-                    m1, m2, rule=rule,
-                )
-    ctr = _center_panel(
-        a, m1, m2, rule=rule, stop=np.longdouble("1e-19"), max_annuli=40
-    )
-    return float((off + ctr) / (4.0 * _PI_LONG * _PI_LONG))
-
-
-def phi_quadrature(m1: int, m2: int) -> float:
-    """Evaluate phi(m) by direct quadrature of the Fourier integral.
-
-    The oscillation scale of the integrand is 1/|m|, so the domain is cut
-    into n*n panels with n odd and >= |m|; 20-point tensor Gauss then
-    resolves each panel to machine precision.  Values with |m|_inf <= 8
-    take the extended-precision path and come back correctly rounded.
-    """
-    m1 = int(m1)
-    m2 = int(m2)
-    if m1 == 0 and m2 == 0:
-        return 0.0
-    n = max(math.ceil(math.hypot(m1, m2)), 1)
-    if n % 2 == 0:
-        n += 1
-    if max(abs(m1), abs(m2)) <= _SMALL_M_MAX:
-        return _phi_quadrature_small(m1, m2, n)
-    t1, t2, w = _offcenter_panels(n)
-    off = float(w @ _integrand(t1, t2, m1, m2))
-    ctr = _center_panel(np.pi / n, m1, m2)
-    return float(off + ctr) / (4.0 * np.pi**2)
-
+from .config import DEFAULT_RTABLE
 
 # --- large-|m| expansion -------------------------------------------------
 #
@@ -252,47 +61,140 @@ _CALIBRATED_TERMS = (
 )
 
 
+def _tail_polynomials() -> list[np.ndarray]:
+    """Monomial coefficients (lowest first) of S_j(c), j = 1..6.
+
+    The expansion beyond its logarithmic lead is sum_j S_j(c) / |m|^(2j)
+    with c = cos(4 theta), since cos(4 k theta) = T_k(c).  In Chebyshev
+    form S_1 = T_1/(24 pi) and S_2 = (18 T_1 + 25 T_2)/(480 pi) are the
+    closed-form terms; S_3..S_6 are the calibrated ones.
+    """
+    cheb = np.zeros((6, 7))
+    cheb[0, 1] = 1.0 / (24.0 * np.pi)
+    cheb[1, 1] = 18.0 / (480.0 * np.pi)
+    cheb[1, 2] = 25.0 / (480.0 * np.pi)
+    for j, k, c in _CALIBRATED_TERMS:
+        cheb[j - 1, k] = c
+    return [
+        np.polynomial.chebyshev.cheb2poly(row[: j + 1])
+        for j, row in enumerate(cheb, start=1)
+    ]
+
+
+_TAIL_POLYS = _tail_polynomials()
+_LOG_LEAD = np.euler_gamma + 1.5 * math.log(2.0)
+
+
 def phi_asymptotic(m1, m2):
     """Large-|m| expansion of phi.  Vectorized; valid for |m| > 30.
 
-    Accepts scalars or arrays; must not be called with m = 0.
+    Accepts scalars or arrays; must not be called with m = 0.  Only
+    polynomial arithmetic follows the log: c = cos(4 theta) is
+    (x^4 - 6 x^2 y^2 + y^4)/r^4, and both sums run by Horner's rule.
     """
     x = np.asarray(m1, dtype=float)
     y = np.asarray(m2, dtype=float)
-    r2 = x * x + y * y
-    out = -(0.5 * np.log(r2) + np.euler_gamma + 1.5 * math.log(2.0)) / (2.0 * np.pi)
-    r4 = r2 * r2
-    r6 = r4 * r2
     x2 = x * x
     y2 = y * y
-    p4 = x2 * x2 - 6.0 * x2 * y2 + y2 * y2
-    out = out + p4 / (24.0 * np.pi * r6)
-    x4 = x2 * x2
-    y4 = y2 * y2
-    p8 = (
-        43.0 * x4 * x4
-        - 772.0 * x4 * x2 * y2
-        + 1570.0 * x4 * y4
-        - 772.0 * x2 * y4 * y2
-        + 43.0 * y4 * y4
-    )
-    out = out + p8 / (480.0 * np.pi * r6 * r6)
-    theta = np.arctan2(y, x)
-    for j, k, c in _CALIBRATED_TERMS:
-        term = c / r2**j if k == 0 else c * np.cos(4.0 * k * theta) / r2**j
-        out = out + term
+    r2 = x2 + y2
+    u = 1.0 / r2
+    c = (x2 * x2 - 6.0 * x2 * y2 + y2 * y2) * (u * u)
+    tail = 0.0
+    for coeffs in reversed(_TAIL_POLYS):
+        s = coeffs[-1]
+        for ck in coeffs[-2::-1]:
+            s = s * c + ck
+        tail = (tail + s) * u
+    out = tail - (0.5 * np.log(r2) + _LOG_LEAD) / (2.0 * np.pi)
     if np.ndim(m1) == 0 and np.ndim(m2) == 0:
         return float(out)
     return out
 
 
 # --- precomputed table ---------------------------------------------------
+#
+# Write phi(n, k) = a/4 + b/(L pi) with L = lcm(1, 3, ..., 2R - 1).  The
+# seeds phi(1, 0) = -1/4 and the diagonal closed form
+#
+#     phi(n, n) = -(1/pi) * sum_{k=1..n} 1/(2k - 1)
+#
+# make a and b integers, and the stencil recurrence combines them with
+# integer weights, so the whole octant is exact in Python ints.  Each
+# entry is then one correctly rounded int division against a rational pi.
 
-_TABLE_MAGIC = b"LGFTAB01"
+# Bits of pi beyond the size of the largest |b|: the error that the rational
+# pi puts on an entry stays below 2**-128, far under its last place
+# (|phi| >= 1/4 off the origin).
+_PI_GUARD_BITS = 128
 
 
-class TableChecksumError(ValueError):
-    """Raised when a stored table fails its sidecar integrity check."""
+def _pi_scaled(bits: int) -> int:
+    """pi * 2**bits to within a few units, by Machin's formula in integers:
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    guard = 32
+    one = 1 << (bits + guard)
+
+    def atan_inv(x: int) -> int:
+        power = total = one // x
+        n = 1
+        while power:
+            power //= x * x
+            term = power // (2 * n + 1)
+            total += -term if n % 2 else term
+            n += 1
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> guard
+
+
+def _octant_exact(radius: int) -> tuple[int, list[int], list[int]]:
+    """(L, a, b) with phi(n, k) = a/4 + b/(L pi), flat in table order.
+
+    Works column by column in n.  The stencil identity at (n-1, k)
+    expresses phi(n, k) from columns n-1 and n-2; symmetry across the axis
+    and the diagonal closes the boundary cases, and the diagonal entry
+    comes from the closed form.
+    """
+    lcm = math.lcm(*range(1, 2 * radius, 2))
+    cols = [([0], [0])]
+    if radius >= 1:
+        cols.append(([-1, 0], [0, -lcm]))
+    diag = -lcm
+    for n in range(2, radius + 1):
+        (pa, pb), (qa, qb) = cols[n - 1], cols[n - 2]
+        a = [0] * (n + 1)
+        b = [0] * (n + 1)
+        # Stencil at (n-1, 0): its neighbours (n-1, +-1) coincide.
+        a[0] = 4 * pa[0] - qa[0] - 2 * pa[1]
+        b[0] = 4 * pb[0] - qb[0] - 2 * pb[1]
+        for k in range(1, n - 1):
+            a[k] = 4 * pa[k] - qa[k] - pa[k + 1] - pa[k - 1]
+            b[k] = 4 * pb[k] - qb[k] - pb[k + 1] - pb[k - 1]
+        # Stencil at (n-1, n-1): its neighbours (n, n-1) and (n-1, n)
+        # coincide, as do (n-2, n-1) and (n-1, n-2).
+        a[n - 1] = 2 * pa[n - 1] - pa[n - 2]
+        b[n - 1] = 2 * pb[n - 1] - pb[n - 2]
+        diag -= lcm // (2 * n - 1)
+        b[n] = diag
+        cols.append((a, b))
+    return (
+        lcm,
+        [v for a, _ in cols for v in a],
+        [v for _, b in cols for v in b],
+    )
+
+
+def _round_octant(lcm: int, a: list[int], b: list[int], pi_bits: int) -> np.ndarray:
+    """float64 of a/4 + b/(L pi) with pi = P/2**pi_bits:
+    (a L P + 4 b 2**pi_bits) / (4 L P), one correctly rounded division."""
+    p = _pi_scaled(pi_bits)
+    q = 1 << pi_bits
+    den = 4 * lcm * p
+    return np.array([(ai * lcm * p + 4 * bi * q) / den for ai, bi in zip(a, b)])
+
+
+def _pi_bits(b: list[int]) -> int:
+    return max(map(abs, b)).bit_length() + _PI_GUARD_BITS
 
 
 class GreensTable:
@@ -313,12 +215,11 @@ class GreensTable:
 
     @classmethod
     def build(cls, radius: int = DEFAULT_RTABLE) -> "GreensTable":
-        vals = np.empty((radius + 1) * (radius + 2) // 2)
-        for m1 in range(radius + 1):
-            base = m1 * (m1 + 1) // 2
-            for m2 in range(m1 + 1):
-                vals[base + m2] = phi_quadrature(m1, m2)
-        return cls(radius, vals)
+        """Exact octant, every entry the correctly rounded double."""
+        if radius < 0:
+            raise ValueError(f"table radius must be >= 0, got {radius}")
+        lcm, a, b = _octant_exact(radius)
+        return cls(radius, _round_octant(lcm, a, b, _pi_bits(b)))
 
     def lookup(self, m1, m2):
         """Vectorized phi for points with |m|_inf <= radius."""
@@ -338,73 +239,15 @@ class GreensTable:
             self._grid = self.lookup(m[:, None], m[None, :])
         return self._grid
 
-    # Serialization: <radius>.bin holds the magic, radius and octant in
-    # little-endian binary; a JSON sidecar records the build tolerance and
-    # a sha256 of the binary payload so corruption is detectable.
-
-    def file_stem(self) -> str:
-        return f"phi_table_R{self.radius}"
-
-    def save(self, directory) -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = (
-            _TABLE_MAGIC
-            + struct.pack("<q", self.radius)
-            + self.octant.astype("<f8").tobytes()
-        )
-        bin_path = directory / (self.file_stem() + ".bin")
-        bin_path.write_bytes(payload)
-        sidecar = {
-            "radius": self.radius,
-            "build_tolerance": TABLE_BUILD_TOL,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        (directory / (self.file_stem() + ".json")).write_text(
-            json.dumps(sidecar, indent=2) + "\n"
-        )
-        return bin_path
-
-    @classmethod
-    def load(cls, bin_path) -> "GreensTable":
-        bin_path = Path(bin_path)
-        payload = bin_path.read_bytes()
-        sidecar_path = bin_path.with_suffix(".json")
-        if not sidecar_path.exists():
-            raise TableChecksumError(f"table-checksum: missing sidecar {sidecar_path}")
-        sidecar = json.loads(sidecar_path.read_text())
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != sidecar.get("sha256"):
-            raise TableChecksumError(
-                f"table-checksum: sha256 mismatch for {bin_path.name}"
-            )
-        if payload[:8] != _TABLE_MAGIC:
-            raise TableChecksumError(f"table-checksum: bad magic in {bin_path.name}")
-        (radius,) = struct.unpack("<q", payload[8:16])
-        octant = np.frombuffer(payload[16:], dtype="<f8").copy()
-        return cls(radius, octant)
-
 
 _default_tables: dict[int, GreensTable] = {}
 
 
 def default_table(radius: int = DEFAULT_RTABLE) -> GreensTable:
-    """Shared table instance: loaded from the cache dir, else built and saved."""
+    """Shared table instance, built in-process on first use."""
     table = _default_tables.get(radius)
     if table is None:
-        path = cache_dir() / f"phi_table_R{radius}.bin"
-        if path.exists():
-            try:
-                table = GreensTable.load(path)
-            except TableChecksumError:
-                table = None
-        if table is None:
-            table = GreensTable.build(radius)
-            try:
-                table.save(cache_dir())
-            except OSError:
-                pass  # read-only cache dir: keep the in-memory table
-        _default_tables[radius] = table
+        table = _default_tables[radius] = GreensTable.build(radius)
     return table
 
 

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest root side: Morton keys interleave two coordinates into a signed
+# 64-bit integer, so each relative coordinate must fit in 31 bits.
+MAX_ROOT_SIDE = 1 << 31
+
 
 def _part1by1(v):
     v = np.asarray(v, dtype=np.uint64)
@@ -113,8 +117,12 @@ class QuadTree:
         self.nleaf = int(nleaf)
         n = pts.shape[0]
 
-        self.anchor = pts.min(axis=0)
-        extent = int((pts - self.anchor).max()) + 1
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        extent = max(int(hi[0]) - int(lo[0]), int(hi[1]) - int(lo[1])) + 1
+        if extent > MAX_ROOT_SIDE:
+            raise ValueError(f"coordinate extent {extent} exceeds 2**31")
+        self.anchor = lo
         side = 1
         while side < extent:
             side *= 2

@@ -1,14 +1,4 @@
-import os
-
 import pytest
-
-
-def pytest_configure(config):
-    # Keep test-built tables and operator caches out of the user cache.
-    if "LFMM_CACHE_DIR" not in os.environ:
-        import tempfile
-
-        os.environ["LFMM_CACHE_DIR"] = tempfile.mkdtemp(prefix="lfmm-test-cache-")
 
 
 @pytest.fixture(scope="session")

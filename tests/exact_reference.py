@@ -1,8 +1,9 @@
 """Exact rational reference values for the lattice Green's function.
 
-Independent of the package's quadrature/expansion code paths: every value
-phi(m) is of the form A + B/pi with rational A, B, generated by the
-five-point stencil recurrence seeded with the closed-form diagonal
+Written independently of the package's integer-scaled table build, as its
+bit-for-bit reference: every value phi(m) is of the form A + B/pi with
+rational A, B, generated by the five-point stencil recurrence seeded with
+the closed-form diagonal
 
     phi(n, n) = -(1/pi) * sum_{k=1..n} 1/(2k - 1).
 

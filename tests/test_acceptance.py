@@ -18,10 +18,11 @@ from latticefmm.green import (
     apply_discrete_laplacian,
     phi,
     phi_asymptotic,
-    phi_quadrature,
 )
 from latticefmm.oracle import direct_sum
 from latticefmm.skeleton import shared_chain
+
+from phi_reference import phi_quadrature
 
 
 @pytest.fixture

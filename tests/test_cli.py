@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from latticefmm.cli import _bench_points, main
-from latticefmm.config import cache_dir
 from latticefmm.defect import DefectSpec, solve_defect
 from latticefmm.oracle import direct_sum
 
@@ -132,7 +131,7 @@ def test_bench_rejects_bad_inputs(capsys):
 def test_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     src = _write_sources(tmp_path, [(0, 0, 1.0), (3, 3, 1.0)])
     monkeypatch.setenv("LFMM_EPS", "0.5")  # out of range: env must be read
-    with pytest.raises(ValueError, match="eps must lie in"):
+    with pytest.raises(SystemExit, match="error: eps must lie in"):
         main(["solve", src])
     rc, _ = run_cli(capsys, "solve", src, "--eps", "1e-10")  # flag wins
     assert rc == 0
@@ -142,9 +141,11 @@ def test_selftest_passes(capsys):
     rc, out = run_cli(capsys, "selftest")
     assert rc == 0
     assert "FAIL" not in out
-    for name in ("known-values", "laplacian-identity", "rank-band",
-                 "fmm-vs-direct", "defect-residual", "table-checksum"):
+    for name in ("known-values", "laplacian-identity", "asymptotic-match",
+                 "rank-band", "fmm-vs-direct", "defect-empty",
+                 "defect-residual", "inverse-identity"):
         assert f"PASS  {name}" in out
+    assert out.count("PASS  ") == 8
 
 
 def test_selftest_loose_eps_passes(capsys):
@@ -153,27 +154,23 @@ def test_selftest_loose_eps_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_detects_corrupted_table(capsys):
-    path = cache_dir() / "phi_table_R30.bin"
-    assert path.exists()
-    blob = bytearray(path.read_bytes())
-    blob[60] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    try:
-        rc, out = run_cli(capsys, "selftest")
-        assert rc == 1
-        assert "FAIL  table-checksum" in out
-    finally:
-        blob[60] ^= 0xFF
-        path.write_bytes(bytes(blob))
-
-
-def test_cache_build_and_clear(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("LFMM_CACHE_DIR", str(tmp_path / "fresh"))
-    monkeypatch.setattr("latticefmm.green._default_tables", {})
-    rc, out = run_cli(capsys, "cache", "build", "--rtable", "4")
+def test_selftest_writes_no_files(capsys, monkeypatch, tmp_path):
+    home = tmp_path / "home"
+    xdg = tmp_path / "xdg-cache"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    monkeypatch.setattr("latticefmm.green._default_tables", {})  # force a build
+    rc, _ = run_cli(capsys, "selftest")
     assert rc == 0
-    assert (tmp_path / "fresh" / "phi_table_R4.bin").exists()
-    rc, out = run_cli(capsys, "cache", "clear")
-    assert rc == 0 and "removed 2" in out
-    assert not list((tmp_path / "fresh").glob("phi_table_*"))
+    assert list(home.rglob("*")) == [] and list(xdg.rglob("*")) == []
+
+
+def test_invalid_input_exits_with_error(tmp_path):
+    src = _write_sources(tmp_path, [(0, 0, 1.0), (3, 3, float("nan"))])
+    with pytest.raises(SystemExit, match="^error: charges must be finite$"):
+        main(["solve", src])
+    dup = _write_sources(tmp_path, [(0, 0, 1.0), (0, 0, 2.0)])
+    with pytest.raises(SystemExit, match="^error: duplicate lattice points$"):
+        main(["solve", dup])

@@ -120,6 +120,32 @@ def test_duplicate_sources_rejected():
         fmm_apply([(0, 0), (0, 0)], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_charges_rejected(bad):
+    with pytest.raises(ValueError, match="charges must be finite"):
+        fmm_apply([(0, 0), (5, 1), (9, 9)], [1.0, bad, 2.0])
+
+
+def test_extent_limit(table):
+    # Morton keys hold 31 bits per coordinate: extent 2**31 is the largest.
+    far = 2**31 - 1
+    pts = np.array([(0, 0), (far, 3), (7, far), (far, far), (40, 41)])
+    q = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
+    u = fmm_apply(pts, q, table=table)
+    assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-9
+    for edge in (2**31, 2**33):
+        wide = pts.copy()
+        wide[1, 0] = edge
+        with pytest.raises(ValueError, match="extent"):
+            fmm_apply(wide, q, table=table)
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-2, 0.5, np.nan])
+def test_eps_range_enforced(eps):
+    with pytest.raises(ValueError, match="eps must lie in"):
+        fmm_apply([(0, 0), (5, 1)], [1.0, 2.0], eps=eps)
+
+
 def test_solve_wrapper(table):
     rng = np.random.default_rng(2)
     pts, q = random_sources(rng, 64, 500)

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from latticefmm import green
 from latticefmm.green import (
     GreensTable,
-    TableChecksumError,
     apply_discrete_laplacian,
     phi,
     phi_asymptotic,
-    phi_quadrature,
 )
 
 from exact_reference import exact_octant
+from phi_reference import phi_asymptotic_trig, phi_quadrature
 
 # Closed forms forced by the defining equation (stencil + symmetry).
 KNOWN_VALUES = [
@@ -79,6 +79,18 @@ def test_asymptotic_matches_exact_far_out():
         assert phi_asymptotic(*m) == pytest.approx(exact[m], abs=1e-13)
 
 
+def test_asymptotic_matches_trig_form():
+    # The polynomial form (Chebyshev in cos 4 theta, Horner in 1/r^2)
+    # against the arctan2/cos form of the same expansion.
+    ax = np.arange(-120, 121)
+    x, y = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
+    far = np.hypot(x, y) > 30
+    x = np.concatenate([x[far], [10**6, 12345, -98765]])
+    y = np.concatenate([y[far], [1, -54321, 4321]])
+    gap = np.max(np.abs(phi_asymptotic(x, y) - phi_asymptotic_trig(x, y)))
+    assert gap <= 1e-14
+
+
 def test_asymptotic_vectorized():
     xs = np.array([31, 40, 52])
     ys = np.array([7, -12, 0])
@@ -88,8 +100,36 @@ def test_asymptotic_vectorized():
 
 
 def test_table_matches_quadrature(table):
+    # The quadrature is accurate to ~2e-15 absolute away from small |m|.
     for m1, m2 in [(0, 0), (1, 0), (7, 3), (30, 30), (30, 0), (17, 16)]:
-        assert table.lookup(m1, m2) == phi_quadrature(m1, m2)
+        assert table.lookup(m1, m2) == pytest.approx(
+            phi_quadrature(m1, m2), abs=3e-15
+        )
+
+
+@pytest.mark.parametrize("radius", [30, 64])
+def test_table_matches_exact_recurrence(radius):
+    t = GreensTable.build(radius)
+    exact = exact_octant(radius)
+    want = [exact[(n, k)] for n in range(radius + 1) for k in range(n + 1)]
+    assert t.octant.size == len(want)
+    assert t.octant.tolist() == want  # bit for bit
+
+
+def test_table_pi_precision():
+    # Doubling the digits of the rational pi changes no entry.
+    lcm, a, b = green._octant_exact(64)
+    bits = green._pi_bits(b)
+    base = green._round_octant(lcm, a, b, bits)
+    assert np.array_equal(green._round_octant(lcm, a, b, 2 * bits), base)
+    assert np.array_equal(GreensTable.build(64).octant, base)
+
+
+def test_table_build_small_and_invalid():
+    assert GreensTable.build(0).octant.tolist() == [0.0]
+    assert GreensTable.build(1).octant.tolist() == [0.0, -0.25, -1.0 / math.pi]
+    with pytest.raises(ValueError, match="radius"):
+        GreensTable.build(-1)
 
 
 def test_table_symmetry_lookup(table):
@@ -107,24 +147,6 @@ def test_table_lookup_vectorized_and_bounds(table):
     assert out.shape == (3,)
     with pytest.raises(ValueError):
         table.lookup(31, 0)
-
-
-def test_table_roundtrip(tmp_path):
-    t = GreensTable.build(radius=5)
-    bin_path = t.save(tmp_path)
-    back = GreensTable.load(bin_path)
-    assert back.radius == 5
-    assert np.array_equal(back.octant, t.octant)
-
-
-def test_table_checksum_detects_corruption(tmp_path):
-    t = GreensTable.build(radius=4)
-    bin_path = t.save(tmp_path)
-    raw = bytearray(bin_path.read_bytes())
-    raw[-3] ^= 0xFF
-    bin_path.write_bytes(bytes(raw))
-    with pytest.raises(TableChecksumError, match="table-checksum"):
-        GreensTable.load(bin_path)
 
 
 def test_phi_dispatch_scalar_and_array(table):
