@@ -65,6 +65,8 @@ def _read_sources(path):
     if not rows:
         raise SystemExit("error: no source rows given")
     pts = np.array([(m1, m2) for m1, m2, _ in rows], dtype=np.int64)
+    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        raise SystemExit("error: duplicate lattice points")
     q = np.array([qv for _, _, qv in rows])
     return pts, q
 

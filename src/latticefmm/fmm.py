@@ -6,6 +6,15 @@ translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
 T_tfi), with directly summed near-field corrections from the Green table.
 
+The near field (each leaf against itself and its eight neighbours) takes
+one of two paths per leaf pair, chosen by occupancy.  A pair whose point
+counts satisfy ct * cs >= s^2 (s the leaf side) is a stencil product: both
+leaves are scattered onto the dense s x s stencil and one s^2 x s^2 block
+of phi per neighbour offset is applied to all such pairs in one GEMM.
+Every other pair is expanded point pair by point pair and summed from the
+table.  A block costs about s^4 multiply-adds and a point pair about s^2
+flop-equivalents, so the paths break even near ct * cs = s^2.
+
 Only occupied boxes are touched; all per-level work is batched into dense
 matrix products over Morton-sorted arrays.
 """
@@ -18,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_PROXY_PER_EDGE, check_eps
 from .green import GreensTable, default_table
-from .skeleton import kernel_matrix, shared_chain
+from .skeleton import DENSE_CANDIDATE_MAX_SIDE, kernel_matrix, shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree, morton_key
 
 # Largest number of merged points solved by a single dense product when the
@@ -45,9 +54,11 @@ _OFFSET_PARITY_VALID = np.array(
 
 def _leaf_side_cap(table: GreensTable) -> int:
     # Near-field displacements must stay inside the table: keep the leaf
-    # side at most R_table/3, rounded down to a power of two.
+    # side at most R_table/3, rounded down to a power of two.  The upward
+    # pass scatters leaf charges onto the full s x s stencil, which only
+    # dense-candidate skeletons (side <= 8) interpolate from.
     third = max(table.radius // 3, 1)
-    return 1 << (third.bit_length() - 1)
+    return min(1 << (third.bit_length() - 1), DENSE_CANDIDATE_MAX_SIDE)
 
 
 def _merge_targets(points, charges, targets):
@@ -73,7 +84,11 @@ def _merge_targets(points, charges, targets):
 
 
 class FmmRun:
-    """One assembled solve: tree + operators + bookkeeping counters."""
+    """One assembled solve: tree + operators + bookkeeping counters.
+
+    The tree must be at least two levels deep; shallower trees have no
+    interaction lists and ``fmm_apply`` sums them directly.
+    """
 
     def __init__(
         self,
@@ -87,11 +102,12 @@ class FmmRun:
         self.table = table
         self.per_edge = per_edge
         self.leaf_side = tree.side_of(tree.L)
-        self.chain = None
-        if tree.L >= 2:
-            self.chain = shared_chain(eps, self.leaf_side, table, per_edge)
-            self.chain.ensure(tree.side_of(2))
+        self.chain = shared_chain(eps, self.leaf_side, table, per_edge)
+        self.chain.ensure(tree.side_of(2))
+        self.times: dict[str, float] = {}
         self.near_pairs = 0
+        self.near_gemm_blocks = 0
+        self.near_ragged_pairs = 0
         self.leaf_ofs_entries = 0
 
     def _ops(self, level: int):
@@ -199,7 +215,7 @@ class FmmRun:
         interp = self._ops(self.tree.L).skeleton.interp
         return np.einsum("ij,ji->i", inc_leaf[slot_of_point], interp[:, lin])
 
-    def _near_field(self, q_sorted, counts, slot_of_point):
+    def _near_field(self, q_sorted, counts, slot_of_point, lin):
         tree = self.tree
         lvl = tree.L
         codes = tree.codes[lvl]
@@ -210,9 +226,11 @@ class FmmRun:
         u = np.zeros(n_pts)
         grid = self.table.dense_grid()
         radius = self.table.radius
-        if lvl > 0 and 2 * self.leaf_side - 1 > radius:
+        s = self.leaf_side
+        if 2 * s - 1 > radius:
             raise AssertionError("near-field displacement would exceed the table")
         starts = ptr[:-1]
+        stencil_pairs = []
         for dx, dy in _NEAR_OFFSETS:
             sx = rx + dx
             sy = ry + dy
@@ -231,6 +249,14 @@ class FmmRun:
             cs = counts[s_slots]
             tot = ct * cs
             self.near_pairs += int(tot.sum())
+            # Well-filled pairs go to the stencil GEMMs (see module docstring).
+            gemm = tot >= s * s
+            if np.any(gemm):
+                stencil_pairs.append((dx, dy, t_slots[gemm], s_slots[gemm]))
+                self.near_gemm_blocks += int(np.count_nonzero(gemm))
+            ragged = ~gemm
+            t_slots, s_slots, cs, tot = t_slots[ragged], s_slots[ragged], cs[ragged], tot[ragged]
+            self.near_ragged_pairs += int(tot.sum())
             # Expand ragged block pairs in bounded chunks.
             block_end = np.cumsum(tot)
             chunk = 1 << 22
@@ -251,20 +277,62 @@ class FmmRun:
                 vals = grid[du[:, 0] + radius, du[:, 1] + radius] * q_sorted[qdx]
                 u += np.bincount(p, weights=vals, minlength=n_pts)
                 lo_b = hi_b
+        if stencil_pairs:
+            u += self._near_stencil(q_sorted, slot_of_point, lin, stencil_pairs)
+        return u
+
+    def _near_stencil(self, q_sorted, slot_of_point, lin, stencil_pairs):
+        """Near field of well-filled leaf pairs as one GEMM per offset.
+
+        Only leaves that take part in some pair are scattered onto the
+        dense s x s stencil.  Block K_d[i, j] = phi(loc_i - loc_j - s*d)
+        maps source stencil charges to target stencil potentials.
+        """
+        s = self.leaf_side
+        radius = self.table.radius
+        grid = self.table.dense_grid()
+        used = np.unique(
+            np.concatenate([np.concatenate(p[2:]) for p in stencil_pairs])
+        )
+        row = np.full(len(self.tree.codes[self.tree.L]), -1)
+        row[used] = np.arange(len(used))
+        pt_row = row[slot_of_point]
+        scattered = np.flatnonzero(pt_row >= 0)
+        qd = np.zeros((len(used), s * s))
+        qd[pt_row[scattered], lin[scattered]] = q_sorted[scattered]
+        ud = np.zeros_like(qd)
+        loc = np.arange(s * s)
+        ddx = (loc // s)[:, None] - (loc // s)[None, :] + radius
+        ddy = (loc % s)[:, None] - (loc % s)[None, :] + radius
+        for dx, dy, t_slots, s_slots in stencil_pairs:
+            k_d = grid[ddx - s * dx, ddy - s * dy]
+            # Each target has one neighbour per offset: rows are distinct.
+            ud[row[t_slots]] += qd[row[s_slots]] @ k_d.T
+        u = np.zeros(len(q_sorted))
+        u[scattered] = ud[pt_row[scattered], lin[scattered]]
         return u
 
     def apply(self, q_full) -> np.ndarray:
         tree = self.tree
+        clock = time.perf_counter
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
         counts, slot_of_point, lin = self._leaf_geometry()
-        if tree.L >= 2:
-            outgoing = self._upward(q_sorted, slot_of_point, lin)
-            incoming = self._interactions(outgoing)
-            inc_leaf = self._downward(incoming)
-            u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
-        else:
-            u_sorted = np.zeros(len(q_sorted))
-        u_sorted += self._near_field(q_sorted, counts, slot_of_point)
+        t0 = clock()
+        outgoing = self._upward(q_sorted, slot_of_point, lin)
+        t1 = clock()
+        incoming = self._interactions(outgoing)
+        t2 = clock()
+        inc_leaf = self._downward(incoming)
+        u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
+        t3 = clock()
+        u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin)
+        t4 = clock()
+        self.times = {
+            "t_upward": t1 - t0,
+            "t_ifo": t2 - t1,
+            "t_downward": t3 - t2,
+            "t_near": t4 - t3,
+        }
         out = np.empty_like(u_sorted)
         out[tree.order] = u_sorted
         return out
@@ -280,7 +348,19 @@ class FmmRun:
         return self.leaf_ofs_entries + self.near_pairs
 
     def shared_operator_entries(self) -> int:
-        return self.chain.stored_entries() if self.chain is not None else 0
+        return self.chain.stored_entries()
+
+    def counters(self) -> dict:
+        """Operator entries, per-pass seconds and near-field work of the
+        last ``apply``."""
+        return {
+            "op_entries": self.stored_operator_entries(),
+            "shared_op_entries": self.shared_operator_entries(),
+            **self.times,
+            "near_pairs": self.near_pairs,
+            "near_gemm_blocks": self.near_gemm_blocks,
+            "near_ragged_pairs": self.near_ragged_pairs,
+        }
 
 
 def fmm_apply(
@@ -298,41 +378,55 @@ def fmm_apply(
     Evaluated at the source points by default; pass ``targets`` for other
     evaluation points (they are added as zero-charge nodes, and coinciding
     source/target points are fine).  ``stats``, if given, is filled with
-    run counters (tree depth, stored operator entries, wall time).
+    run counters: tree depth, stored operator entries, wall time, seconds
+    per pass (``t_tree``, ``t_upward``, ``t_ifo``, ``t_downward``,
+    ``t_near``) and near-field work (``near_pairs`` point pairs, of which
+    ``near_ragged_pairs`` were summed pair by pair and the rest in
+    ``near_gemm_blocks`` stencil block products).
 
     Raises ValueError for eps outside ``config.EPS_RANGE``, non-finite
     charges, duplicate sources, or a coordinate extent above 2**31.
     """
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     check_eps(eps)
     if table is None:
         table = default_table()
     all_pts, q_full, tgt_rows = _merge_targets(points, charges, targets)
+    t1 = clock()
     tree = build_tree(all_pts, nleaf=nleaf, max_leaf_side=_leaf_side_cap(table))
+    t_tree = clock() - t1
+    n_all = all_pts.shape[0]
     if tree.L < 2:
         # No interaction lists exist this shallow; the domain is tiny, so
         # sum directly.
-        if all_pts.shape[0] > _DENSE_FALLBACK_LIMIT:
+        if n_all > _DENSE_FALLBACK_LIMIT:
             raise ValueError("dense fallback too large")
+        t1 = clock()
         u_all = kernel_matrix(all_pts, all_pts, table) @ q_full
-        run = None
+        counters = {
+            "op_entries": n_all**2,
+            "shared_op_entries": 0,
+            "t_upward": 0.0,
+            "t_ifo": 0.0,
+            "t_downward": 0.0,
+            "t_near": clock() - t1,
+            "near_pairs": n_all**2,
+            "near_gemm_blocks": 0,
+            "near_ragged_pairs": n_all**2,
+        }
     else:
         run = FmmRun(tree, eps, table, per_edge)
         u_all = run.apply(q_full)
+        counters = run.counters()
     if stats is not None:
         stats["n_source"] = int(np.asarray(points).shape[0])
-        stats["n_points"] = int(all_pts.shape[0])
+        stats["n_points"] = int(n_all)
         stats["levels"] = tree.L + 1
         stats["root_side"] = tree.root_side
-        stats["op_entries"] = (
-            run.stored_operator_entries()
-            if run is not None
-            else all_pts.shape[0] ** 2
-        )
-        stats["shared_op_entries"] = (
-            run.shared_operator_entries() if run is not None else 0
-        )
-        stats["wall_time"] = time.perf_counter() - t0
+        stats["t_tree"] = t_tree
+        stats.update(counters)
+        stats["wall_time"] = clock() - t0
     if tgt_rows is None:
         return u_all
     return u_all[tgt_rows]

@@ -131,41 +131,49 @@ class QuadTree:
 
         rel = pts - self.anchor
         deep_keys = morton_key(rel[:, 0], rel[:, 1])
-        if np.unique(deep_keys).size != n:
+        # One sort serves every level: a box at level l is a run of sorted
+        # deep keys that agree above bit 2*(logs - l).  Adjacent keys part
+        # at the first level l with (a ^ b) >= 4**(logs - l).
+        self.order = np.argsort(deep_keys)
+        sorted_deep = deep_keys[self.order]
+        self.rel_sorted = rel[self.order]
+        if np.any(sorted_deep[1:] == sorted_deep[:-1]):
             raise ValueError("duplicate lattice points")
+        powers = np.int64(1) << (2 * np.arange(logs + 1, dtype=np.int64))
 
-        # Smallest L with every leaf occupancy <= nleaf.
+        def split_level(a, b):
+            return logs - (np.searchsorted(powers, a ^ b, side="right") - 1)
+
+        # Smallest L with every leaf occupancy <= nleaf: points nleaf apart
+        # in sorted order must lie in different boxes.
         level = 0
-        for level in range(logs + 1):
-            keys = deep_keys >> np.int64(2 * (logs - level))
-            _, counts = np.unique(keys, return_counts=True)
-            if counts.max() <= self.nleaf:
-                break
+        if n > self.nleaf:
+            apart = split_level(sorted_deep[self.nleaf :], sorted_deep[: -self.nleaf])
+            level = int(apart.max())
         if max_leaf_side is not None:
             floor_level = logs - max(int(max_leaf_side).bit_length() - 1, 0)
             level = max(level, min(floor_level, logs))
         self.L = level
 
-        self.order = np.argsort(deep_keys, kind="stable")
-        sorted_deep = deep_keys[self.order]
-        self.rel_sorted = rel[self.order]
-
-        # Per-level occupied boxes.  Sorting by deep key groups every level
-        # contiguously, so one permutation serves all levels.
+        # Per-level occupied boxes, from the levels at which adjacent
+        # sorted keys part.  A box's parent changes where the keys also
+        # part one level up.
+        split = split_level(sorted_deep[1:], sorted_deep[:-1])
         self.codes = []
         self.ptr = []
         self.coords = []
-        for lvl in range(self.L + 1):
-            keys = sorted_deep >> np.int64(2 * (logs - lvl))
-            codes, starts = np.unique(keys, return_index=True)
-            self.codes.append(codes)
-            self.ptr.append(np.append(starts, n))
-            self.coords.append(morton_decode(codes))
         self.parent_index = [None]
-        for lvl in range(1, self.L + 1):
-            self.parent_index.append(
-                np.searchsorted(self.codes[lvl - 1], self.codes[lvl] >> np.int64(2))
+        for lvl in range(self.L + 1):
+            starts = np.concatenate([[0], np.flatnonzero(split <= lvl) + 1])
+            shift = logs - lvl
+            self.codes.append(sorted_deep[starts] >> np.int64(2 * shift))
+            self.ptr.append(np.append(starts, n))
+            self.coords.append(
+                (self.rel_sorted[starts, 0] >> shift, self.rel_sorted[starts, 1] >> shift)
             )
+            if lvl > 0:
+                new_parent = split[starts[1:] - 1] < lvl
+                self.parent_index.append(np.concatenate([[0], np.cumsum(new_parent)]))
 
     # -- geometry ----------------------------------------------------------
 

@@ -172,5 +172,6 @@ def test_invalid_input_exits_with_error(tmp_path):
     with pytest.raises(SystemExit, match="^error: charges must be finite$"):
         main(["solve", src])
     dup = _write_sources(tmp_path, [(0, 0, 1.0), (0, 0, 2.0)])
-    with pytest.raises(SystemExit, match="^error: duplicate lattice points$"):
-        main(["solve", dup])
+    for cmd in ("solve", "direct"):
+        with pytest.raises(SystemExit, match="^error: duplicate lattice points$"):
+            main([cmd, dup])

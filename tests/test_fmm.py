@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticefmm.fmm import direct_near_field, estimate_complexity, fmm_apply, solve
-from latticefmm.green import phi
+from latticefmm.green import GreensTable, phi
 from latticefmm.oracle import dense_solve_truncated, direct_sum
 from latticefmm.tree import build_tree
 
@@ -152,6 +154,9 @@ def test_solve_wrapper(table):
     assert np.array_equal(solve(pts, q), fmm_apply(pts, q))
 
 
+PASS_TIMES = ("t_tree", "t_upward", "t_ifo", "t_downward", "t_near")
+
+
 def test_stats_reported(table):
     rng = np.random.default_rng(17)
     pts, q = random_sources(rng, 500, 1 << 14)
@@ -161,6 +166,134 @@ def test_stats_reported(table):
     assert stats["levels"] >= 3
     assert stats["op_entries"] > 0
     assert stats["wall_time"] > 0
+    for key in PASS_TIMES:
+        assert stats[key] >= 0.0
+    assert sum(stats[key] for key in PASS_TIMES) <= stats["wall_time"]
+    assert stats["near_gemm_blocks"] == 0
+    assert stats["near_ragged_pairs"] == stats["near_pairs"] > 0
+
+    # 4 x 4 full leaves: 10 x 10 ordered (target, source) neighbour pairs.
+    full = {}
+    fmm_apply(grid_points(32), np.ones(32 * 32), table=table, stats=full)
+    assert full["near_gemm_blocks"] == 100
+    assert full["near_pairs"] == 100 * 64 * 64
+    assert full["near_ragged_pairs"] == 0
+
+
+def grid_points(n):
+    g = np.arange(n)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+@pytest.mark.parametrize(
+    "regime,paths",
+    [("full", {"gemm"}), ("quarter", {"gemm", "ragged"}), ("sparse", {"ragged"})],
+)
+def test_near_field_paths_match_direct(regime, paths, table):
+    """Every leaf pair full, occupancy around the GEMM threshold, ~1 per leaf."""
+    rng = np.random.default_rng(43)
+    if regime == "full":
+        pts = grid_points(48)
+    elif regime == "quarter":
+        flat = rng.choice(256 * 256, size=256 * 256 // 4, replace=False)
+        pts = np.column_stack([flat // 256, flat % 256])
+    else:
+        pts, _ = random_sources(rng, 3000, 1 << 14)
+    q = rng.standard_normal(len(pts))
+    stats = {}
+    u = fmm_apply(pts, q, table=table, stats=stats)
+    used = set()
+    if stats["near_gemm_blocks"]:
+        used.add("gemm")
+    if stats["near_ragged_pairs"]:
+        used.add("ragged")
+    assert used == paths
+    rows = np.sort(rng.choice(len(pts), size=min(len(pts), 600), replace=False))
+    ref = direct_sum(pts, q, targets=pts[rows], table=table)
+    assert rel_l2(u[rows], ref) <= 1e-9
+
+
+_SIDES = ((1, 0), (0, 1), (1, 1), (1, -1))
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _shift(draw):
+    # Multiples of the leaf side 8 keep leaf alignment; coordinates go negative.
+    return 8 * np.array(draw(st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20))))
+
+
+@st.composite
+def adversarial_sets(draw):
+    """(points, charges, targets or None): one box, or collinear points,
+    optionally with targets on top of and beside the sources."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # every point in one 8 x 8 box
+        flat = rng.choice(64, size=draw(st.integers(1, 64)), replace=False)
+        pts = np.column_stack([flat // 8, flat % 8])
+    else:  # a row, a column or a diagonal
+        step = draw(st.integers(1, 40))
+        direction = np.array(draw(st.sampled_from(_SIDES)))
+        pts = np.arange(draw(st.integers(2, 200)))[:, None] * step * direction
+    pts = pts + _shift(draw)
+    q = rng.standard_normal(len(pts))
+    targets = None
+    if draw(st.booleans()):
+        extra = pts[rng.integers(0, len(pts), size=5)] + rng.integers(-3, 4, size=(5, 2))
+        targets = np.vstack([pts[: len(pts) // 2 + 1], extra])
+    return pts, q, targets
+
+
+@st.composite
+def leaf_pairs(draw):
+    """(points, charges, GEMM block count): two neighbour 8 x 8 leaves whose
+    counts ct * cs sit just below or at the threshold s^2 = 64."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ct = draw(st.one_of(st.integers(6, 10), st.integers(1, 64)))  # weight ct ~ s
+    cs = draw(st.sampled_from(sorted({max(63 // ct, 1), min(-(-64 // ct), 64)})))
+    dx, dy = draw(st.sampled_from(_SIDES))
+    a = rng.choice(64, size=ct, replace=False)
+    b = rng.choice(64, size=cs, replace=False)
+    # Two far points pin the tree anchor to a multiple of 8 and make the
+    # tree deep enough for 8 x 8 leaves; they have no neighbours.
+    pts = np.vstack([
+        np.column_stack([8 + a // 8, 8 + a % 8]),
+        np.column_stack([8 + 8 * dx + b // 8, 8 + 8 * dy + b % 8]),
+        [(-1024, 0), (0, -1024)],
+    ]) + _shift(draw)
+    blocks = 2 * (ct * cs >= 64) + (ct >= 8) + (cs >= 8)
+    return pts, rng.standard_normal(len(pts)), blocks
+
+
+def assert_matches_direct(pts, q, targets=None, stats=None):
+    u = fmm_apply(pts, q, targets=targets, stats=stats)
+    ref = direct_sum(pts, q, targets=targets)
+    assert np.linalg.norm(u - ref) <= 1e-9 * max(np.linalg.norm(ref), np.linalg.norm(q))
+
+
+@_PROPERTY
+@given(adversarial_sets())
+def test_property_matches_direct(case):
+    assert_matches_direct(*case)
+
+
+@_PROPERTY
+@given(leaf_pairs())
+def test_property_leaf_pair_paths(case):
+    pts, q, blocks = case
+    stats = {}
+    assert_matches_direct(pts, q, stats=stats)
+    assert stats["near_gemm_blocks"] == blocks
+
+
+def test_large_table_clamps_leaf_side():
+    # A radius-48 table would allow 16 x 16 leaves; the leaf side stays 8.
+    table48 = GreensTable.build(48)
+    rng = np.random.default_rng(0)
+    pts = np.unique(rng.integers(0, 2000, size=(3200, 2)), axis=0)[:3000]
+    q = rng.standard_normal(len(pts))
+    u = fmm_apply(pts, q, table=table48)
+    assert rel_l2(u, direct_sum(pts, q, table=table48)) <= 1e-9
 
 
 def test_direct_near_field_single_box(table):
