@@ -106,7 +106,6 @@ def _cmd_solve(args) -> int:
         eps=cfg.eps,
         nleaf=cfg.nleaf,
         table=default_table(cfg.rtable),
-        per_edge=cfg.proxy_per_edge,
     )
     _emit_potentials(targets if targets is not None else pts, u, args.header)
     return 0
@@ -183,9 +182,7 @@ def _cmd_bench(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         pts = _bench_points(args.distribution, n, args.alpha, rng)
         q = rng.standard_normal(pts.shape[0])
-        kwargs = dict(
-            eps=cfg.eps, nleaf=cfg.nleaf, table=table, per_edge=cfg.proxy_per_edge
-        )
+        kwargs = dict(eps=cfg.eps, nleaf=cfg.nleaf, table=table)
         fmm_apply(pts, q, **kwargs)  # warm the operator cache
         stats: dict = {}
         fmm_apply(pts, q, stats=stats, **kwargs)
@@ -220,7 +217,7 @@ def _selftest_checks(cfg):
         far = max(far, abs(wide.lookup(*m) - phi_asymptotic(*m)))
     yield "asymptotic-match", far <= 1e-12, f"max gap {far:.2e}"
 
-    chain = shared_chain(cfg.eps, 32, table, per_edge=cfg.proxy_per_edge)
+    chain = shared_chain(cfg.eps, 8, table)  # the chain fmm_apply uses
     chain.ensure(32)
     rank = chain.ops[32].skeleton.rank
     if cfg.eps <= 1e-9:
@@ -236,7 +233,7 @@ def _selftest_checks(cfg):
     rng = np.random.default_rng(cfg.seed)
     pts = np.unique(rng.integers(0, 1024, size=(360, 2)), axis=0)[:300]
     q = rng.standard_normal(pts.shape[0])
-    u = fmm_apply(pts, q, eps=cfg.eps, table=table, per_edge=cfg.proxy_per_edge)
+    u = fmm_apply(pts, q, eps=cfg.eps, table=table)
     ref = direct_sum(pts, q, table=table)
     rel = np.linalg.norm(u - ref) / np.linalg.norm(ref)
     tol = max(10.0 * cfg.eps, 1e-12)

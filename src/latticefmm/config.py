@@ -12,7 +12,6 @@ from dataclasses import dataclass
 DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
 DEFAULT_RTABLE = 30
-DEFAULT_PROXY_PER_EDGE = 40
 DEFAULT_SEED = 0
 
 # Open interval of accepted accuracy targets, for RunConfig and fmm_apply.
@@ -30,7 +29,6 @@ class RunConfig:
     eps: float = DEFAULT_EPS
     nleaf: int = DEFAULT_NLEAF
     rtable: int = DEFAULT_RTABLE
-    proxy_per_edge: int = DEFAULT_PROXY_PER_EDGE
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):

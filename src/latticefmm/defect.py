@@ -21,6 +21,9 @@ potential is then recovered anywhere as u = v - S(B v + mu).
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -41,8 +44,9 @@ class DefectSpec:
     A unit bar (|a-b|_1 = 1) exists in the perfect lattice with
     conductivity 1, so delta >= -1, with -1 meaning full removal.  Longer
     links do not pre-exist, so their delta must be nonnegative.  Repeated
-    pairs accumulate.  A node whose four unit bars are all fully removed is
-    disconnected and rejected.
+    pairs accumulate.  Every delta must be finite.  A region that the
+    removed bars cut off from the rest of the lattice has an undetermined
+    potential, and is rejected as disconnected.
     """
 
     def __init__(self, bars):
@@ -55,8 +59,11 @@ class DefectSpec:
             key = (a, b) if a <= b else (b, a)
             combined[key] = combined.get(key, 0.0) + float(dc)
         self.bars = [(a, b, dc) for (a, b), dc in sorted(combined.items())]
-        removed: dict[tuple, int] = {}
+        removed = set()
+        added: dict[tuple, list] = {}
         for a, b, dc in self.bars:
+            if not math.isfinite(dc):
+                raise ValueError(f"bar {a}-{b}: delta {dc} is not finite")
             unit = abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
             if unit:
                 if dc < -1.0:
@@ -64,20 +71,51 @@ class DefectSpec:
                         f"bar {a}-{b}: delta {dc} below full removal (-1)"
                     )
                 if dc == -1.0:
-                    removed[a] = removed.get(a, 0) + 1
-                    removed[b] = removed.get(b, 0) + 1
+                    removed.add((a, b))
             elif dc < 0.0:
                 raise ValueError(
                     f"added link {a}-{b} must have nonnegative delta, got {dc}"
                 )
-        for node, count in removed.items():
-            if count >= 4:
-                raise ValueError(f"node {node} is fully disconnected")
+            elif dc > 0.0:
+                added.setdefault(a, []).append(b)
+                added.setdefault(b, []).append(a)
+        _reject_islands(removed, added)
         self.nodes = sorted({p for a, b, _ in self.bars for p in (a, b)})
         self._node_pos = {p: i for i, p in enumerate(self.nodes)}
 
     def __len__(self) -> int:
         return len(self.bars)
+
+
+def _reject_islands(removed: set, added: dict) -> None:
+    """Raise ValueError if some nodes form a finite component of the lattice
+    without the ``removed`` bars (sorted node pairs) plus the ``added`` links.
+
+    An island must be cut off by removed bars, so it holds an endpoint of
+    one.  An island of n nodes is cut off by at least 4 sqrt(n) bars (the
+    lattice isoperimetric inequality), so a search from an endpoint that
+    reaches more than len(removed)**2 / 16 nodes has left every island.
+    """
+    max_island = len(removed) ** 2 // 16
+    unbounded: set = set()
+    for start in sorted({p for bar in removed for p in bar}):
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            if p in unbounded or len(seen) > max_island:
+                unbounded |= seen
+                break
+            steps = [(p[0] + dx, p[1] + dy) for dx, dy in _UNIT_STEPS]
+            for q in steps + added.get(p, []):
+                bar = (p, q) if p <= q else (q, p)
+                if q not in seen and bar not in removed:
+                    seen.add(q)
+                    queue.append(q)
+        else:
+            raise ValueError(
+                f"node {start} lies in a disconnected region of size {len(seen)}"
+            )
 
 
 def apply_B(spec: DefectSpec, w) -> dict:
@@ -134,6 +172,8 @@ def solve_defect(
     solved by unrestarted GMRES to relative residual tol; all queried
     nodes are then evaluated in one S application.
     """
+    if not (math.isfinite(far[0]) and math.isfinite(far[1])):
+        raise ValueError(f"far field must be finite, got {tuple(far)}")
     if tol < 10 * eps:
         raise ValueError(f"tol {tol} must be at least 10x the summation eps {eps}")
     if table is None:

@@ -25,45 +25,60 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_PROXY_PER_EDGE, check_eps
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_eps
 from .green import GreensTable, default_table
-from .skeleton import DENSE_CANDIDATE_MAX_SIDE, kernel_matrix, shared_chain
-from .tree import INTERACTION_OFFSETS, QuadTree, build_tree, morton_key
-
-# Largest number of merged points solved by a single dense product when the
-# tree is too shallow for any interaction list to exist.
-_DENSE_FALLBACK_LIMIT = 1 << 20
+from .skeleton import shared_chain
+from .tree import (
+    INTERACTION_OFFSETS,
+    OFFSET_PARITY_VALID,
+    QuadTree,
+    build_tree,
+    morton_key,
+)
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
-# valid[d][py][px]: whether interaction offset d applies to a box whose
-# rank coordinates have parity (px, py) (parents must end up adjacent).
-_OFFSET_PARITY_VALID = np.array(
-    [
-        [
-            [
-                -1 <= (px + dx) // 2 <= 1 and -1 <= (py + dy) // 2 <= 1
-                for px in (0, 1)
-            ]
-            for py in (0, 1)
-        ]
-        for dx, dy in INTERACTION_OFFSETS
-    ]
-)
+# Largest leaf side, however wide the table: each near-field stencil block
+# has s^4 entries, and the leaf ID takes all s^2 positions as candidates.
+_MAX_LEAF_SIDE = 8
 
 
 def _leaf_side_cap(table: GreensTable) -> int:
     # Near-field displacements must stay inside the table: keep the leaf
-    # side at most R_table/3, rounded down to a power of two.  The upward
-    # pass scatters leaf charges onto the full s x s stencil, which only
-    # dense-candidate skeletons (side <= 8) interpolate from.
+    # side at most R_table/3, rounded down to a power of two.
     third = max(table.radius // 3, 1)
-    return min(1 << (third.bit_length() - 1), DENSE_CANDIDATE_MAX_SIDE)
+    return min(1 << (third.bit_length() - 1), _MAX_LEAF_SIDE)
+
+
+def _shifted_slots(tree: QuadTree, level: int, dx: int, dy: int, mask=True):
+    """Boxes at ``level`` (within ``mask``) whose (dx, dy) neighbour box is
+    occupied: their slots and the neighbour's slots."""
+    codes = tree.codes[level]
+    rx, ry = tree.coords[level]
+    side_boxes = 1 << level
+    sx = rx + dx
+    sy = ry + dy
+    valid = mask & (sx >= 0) & (sx < side_boxes) & (sy >= 0) & (sy < side_boxes)
+    keys = morton_key(sx[valid], sy[valid])
+    j = np.searchsorted(codes, keys)
+    j[j >= len(codes)] = 0
+    found = codes[j] == keys
+    return np.flatnonzero(valid)[found], j[found]
+
+
+def _lattice_points(values, what: str) -> np.ndarray:
+    raw = np.asarray(values)
+    # NaN and inf cast to arbitrary integers; the comparison rejects them.
+    with np.errstate(invalid="ignore"):
+        pts = raw.astype(np.int64, copy=False)
+    if not np.array_equal(pts, raw):
+        raise ValueError(f"{what} must have integer coordinates")
+    return pts
 
 
 def _merge_targets(points, charges, targets):
     """Union source and extra target points; extra rows carry zero charge."""
-    pts = np.asarray(points, dtype=np.int64)
+    pts = _lattice_points(points, "points")
     q = np.asarray(charges, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (N, 2) integer array")
@@ -73,7 +88,7 @@ def _merge_targets(points, charges, targets):
         raise ValueError("charges must be finite")
     if targets is None:
         return pts, q, None
-    tgt = np.asarray(targets, dtype=np.int64).reshape(-1, 2)
+    tgt = _lattice_points(targets, "targets").reshape(-1, 2)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("duplicate lattice points")
     stacked = np.vstack([pts, tgt])
@@ -86,23 +101,16 @@ def _merge_targets(points, charges, targets):
 class FmmRun:
     """One assembled solve: tree + operators + bookkeeping counters.
 
-    The tree must be at least two levels deep; shallower trees have no
-    interaction lists and ``fmm_apply`` sums them directly.
+    A tree under two levels has no interaction lists: every leaf neighbours
+    every other, so ``apply`` sums the near field alone.
     """
 
-    def __init__(
-        self,
-        tree: QuadTree,
-        eps: float,
-        table: GreensTable,
-        per_edge: int = DEFAULT_PROXY_PER_EDGE,
-    ):
+    def __init__(self, tree: QuadTree, eps: float, table: GreensTable):
         self.tree = tree
         self.eps = eps
         self.table = table
-        self.per_edge = per_edge
         self.leaf_side = tree.side_of(tree.L)
-        self.chain = shared_chain(eps, self.leaf_side, table, per_edge)
+        self.chain = shared_chain(eps, self.leaf_side, table)
         self.chain.ensure(tree.side_of(2))
         self.times: dict[str, float] = {}
         self.near_pairs = 0
@@ -170,27 +178,15 @@ class FmmRun:
         incoming = {}
         for lvl in range(2, tree.L + 1):
             ops = self._ops(lvl)
-            side_boxes = 1 << lvl
-            codes = tree.codes[lvl]
             rx, ry = tree.coords[lvl]
             parity_x = (rx & 1).astype(np.int64)
             parity_y = (ry & 1).astype(np.int64)
             inc = np.zeros_like(outgoing[lvl])
             for d, (dx, dy) in enumerate(INTERACTION_OFFSETS):
-                valid = _OFFSET_PARITY_VALID[d][parity_y, parity_x]
-                sx = rx + dx
-                sy = ry + dy
-                valid &= (sx >= 0) & (sx < side_boxes) & (sy >= 0) & (sy < side_boxes)
-                if not np.any(valid):
-                    continue
-                keys = morton_key(sx[valid], sy[valid])
-                j = np.searchsorted(codes, keys)
-                j[j >= len(codes)] = 0
-                found = codes[j] == keys
-                if not np.any(found):
-                    continue
-                rows = np.flatnonzero(valid)[found]
-                inc[rows] += outgoing[lvl][j[found]] @ ops.t_ifo[d].T
+                mask = OFFSET_PARITY_VALID[d][parity_y, parity_x]
+                rows, j = _shifted_slots(tree, lvl, dx, dy, mask)
+                if len(rows):
+                    inc[rows] += outgoing[lvl][j] @ ops.t_ifo[d].T
             incoming[lvl] = inc
             if lvl > 2:
                 del outgoing[lvl]
@@ -217,11 +213,7 @@ class FmmRun:
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin):
         tree = self.tree
-        lvl = tree.L
-        codes = tree.codes[lvl]
-        rx, ry = tree.coords[lvl]
-        side_boxes = 1 << lvl
-        ptr = tree.ptr[lvl]
+        ptr = tree.ptr[tree.L]
         n_pts = len(q_sorted)
         u = np.zeros(n_pts)
         grid = self.table.dense_grid()
@@ -232,19 +224,9 @@ class FmmRun:
         starts = ptr[:-1]
         stencil_pairs = []
         for dx, dy in _NEAR_OFFSETS:
-            sx = rx + dx
-            sy = ry + dy
-            valid = (sx >= 0) & (sx < side_boxes) & (sy >= 0) & (sy < side_boxes)
-            if not np.any(valid):
+            t_slots, s_slots = _shifted_slots(tree, tree.L, dx, dy)
+            if not len(t_slots):
                 continue
-            keys = morton_key(sx[valid], sy[valid])
-            j = np.searchsorted(codes, keys)
-            j[j >= len(codes)] = 0
-            found = codes[j] == keys
-            if not np.any(found):
-                continue
-            t_slots = np.flatnonzero(valid)[found]
-            s_slots = j[found]
             ct = counts[t_slots]
             cs = counts[s_slots]
             tot = ct * cs
@@ -318,13 +300,17 @@ class FmmRun:
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
         counts, slot_of_point, lin = self._leaf_geometry()
         t0 = clock()
-        outgoing = self._upward(q_sorted, slot_of_point, lin)
-        t1 = clock()
-        incoming = self._interactions(outgoing)
-        t2 = clock()
-        inc_leaf = self._downward(incoming)
-        u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
-        t3 = clock()
+        if tree.L < 2:
+            t1 = t2 = t3 = t0
+            u_sorted = np.zeros(len(q_sorted))
+        else:
+            outgoing = self._upward(q_sorted, slot_of_point, lin)
+            t1 = clock()
+            incoming = self._interactions(outgoing)
+            t2 = clock()
+            inc_leaf = self._downward(incoming)
+            u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
+            t3 = clock()
         u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin)
         t4 = clock()
         self.times = {
@@ -337,25 +323,19 @@ class FmmRun:
         out[tree.order] = u_sorted
         return out
 
-    def stored_operator_entries(self) -> int:
-        """Operator data instantiated for this problem (O(N_source)).
-
-        Counts the per-point leaf interpolation columns and the near-field
-        pair interactions.  The model-box translation operators are shared
-        process-wide across problems (see ``shared_operator_entries``) and
-        are not attributed to any single run.
-        """
-        return self.leaf_ofs_entries + self.near_pairs
-
-    def shared_operator_entries(self) -> int:
-        return self.chain.stored_entries()
-
     def counters(self) -> dict:
         """Operator entries, per-pass seconds and near-field work of the
-        last ``apply``."""
+        last ``apply``.
+
+        ``op_entries`` is the operator data instantiated for this problem
+        (O(N_source)): the per-point leaf interpolation columns and the
+        near-field pair interactions.  The model-box translation operators
+        are shared process-wide across problems and are counted apart, as
+        ``shared_op_entries``.
+        """
         return {
-            "op_entries": self.stored_operator_entries(),
-            "shared_op_entries": self.shared_operator_entries(),
+            "op_entries": self.leaf_ofs_entries + self.near_pairs,
+            "shared_op_entries": self.chain.stored_entries(),
             **self.times,
             "near_pairs": self.near_pairs,
             "near_gemm_blocks": self.near_gemm_blocks,
@@ -370,7 +350,6 @@ def fmm_apply(
     eps: float = DEFAULT_EPS,
     nleaf: int = DEFAULT_NLEAF,
     table: GreensTable | None = None,
-    per_edge: int = DEFAULT_PROXY_PER_EDGE,
     stats: dict | None = None,
 ):
     """Potentials u_i = sum_j phi(m_i - m_j) q_j.
@@ -385,7 +364,8 @@ def fmm_apply(
     ``near_gemm_blocks`` stencil block products).
 
     Raises ValueError for eps outside ``config.EPS_RANGE``, non-finite
-    charges, duplicate sources, or a coordinate extent above 2**31.
+    charges, non-integer coordinates, duplicate sources, or a coordinate
+    extent above 2**31.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -396,90 +376,16 @@ def fmm_apply(
     t1 = clock()
     tree = build_tree(all_pts, nleaf=nleaf, max_leaf_side=_leaf_side_cap(table))
     t_tree = clock() - t1
-    n_all = all_pts.shape[0]
-    if tree.L < 2:
-        # No interaction lists exist this shallow; the domain is tiny, so
-        # sum directly.
-        if n_all > _DENSE_FALLBACK_LIMIT:
-            raise ValueError("dense fallback too large")
-        t1 = clock()
-        u_all = kernel_matrix(all_pts, all_pts, table) @ q_full
-        counters = {
-            "op_entries": n_all**2,
-            "shared_op_entries": 0,
-            "t_upward": 0.0,
-            "t_ifo": 0.0,
-            "t_downward": 0.0,
-            "t_near": clock() - t1,
-            "near_pairs": n_all**2,
-            "near_gemm_blocks": 0,
-            "near_ragged_pairs": n_all**2,
-        }
-    else:
-        run = FmmRun(tree, eps, table, per_edge)
-        u_all = run.apply(q_full)
-        counters = run.counters()
+    run = FmmRun(tree, eps, table)
+    u_all = run.apply(q_full)
     if stats is not None:
         stats["n_source"] = int(np.asarray(points).shape[0])
-        stats["n_points"] = int(n_all)
+        stats["n_points"] = int(all_pts.shape[0])
         stats["levels"] = tree.L + 1
         stats["root_side"] = tree.root_side
         stats["t_tree"] = t_tree
-        stats.update(counters)
+        stats.update(run.counters())
         stats["wall_time"] = clock() - t0
     if tgt_rows is None:
         return u_all
     return u_all[tgt_rows]
-
-
-def solve(points, charges, eps: float = DEFAULT_EPS, nleaf: int = DEFAULT_NLEAF):
-    """Library entry point: potentials at the source points."""
-    return fmm_apply(points, charges, eps=eps, nleaf=nleaf)
-
-
-def direct_near_field(tree: QuadTree, box_id: int, charges, table=None):
-    """Near-field partial potentials for one leaf box (debug/validation).
-
-    Returns (point_indices, partial_u): the box's points (original indexing)
-    and the directly summed contribution of sources in the box itself and
-    its neighbor leaves.
-    """
-    if table is None:
-        table = default_table()
-    box = tree.box_by_id(box_id)
-    if box.level != tree.L:
-        raise ValueError("near field is defined on leaf boxes")
-    q = np.asarray(charges, dtype=np.float64)
-    t_idx = box.point_index
-    t_pts = tree.points[t_idx]
-    u = np.zeros(len(t_idx))
-    level, rx, ry = tree.locate_id(box_id)
-    near_ids = [box_id] + tree.neighbor_ids(level, rx, ry)
-    for sid in near_ids:
-        s_idx = tree.box_by_id(sid).point_index
-        if s_idx.size == 0:
-            continue
-        s_pts = tree.points[s_idx]
-        u += kernel_matrix(t_pts, s_pts, table) @ q[s_idx]
-    return t_idx, u
-
-
-def estimate_complexity(runs) -> dict:
-    """Least-squares slope of log wall-time against log problem size.
-
-    runs: iterable of (n_source, wall_time) pairs from geometrically
-    increasing problem sizes; at least 3 are required.
-    """
-    data = sorted((int(n), float(t)) for n, t in runs)
-    if len(data) < 3:
-        raise ValueError("insufficient data points: need at least 3 runs")
-    n = np.array([d[0] for d in data], dtype=float)
-    t = np.array([d[1] for d in data], dtype=float)
-    if np.any(n <= 0) or np.any(t <= 0):
-        raise ValueError("sizes and timings must be positive")
-    slope, intercept = np.polyfit(np.log(n), np.log(t), 1)
-    return {
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "runs": data,
-    }

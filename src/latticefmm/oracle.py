@@ -1,7 +1,7 @@
-"""Reference implementations used for validation: O(N^2) direct summation
-and a small windowed dense convolution.
+"""O(N^2) direct summation: the reference the fast summation is checked
+against, and the sum the defect solver uses for small defects.
 
-These are deliberately simple and deterministic.  ``direct_sum`` computes
+It is deliberately simple and deterministic.  ``direct_sum`` computes
 each potential as an exactly rounded sum (``math.fsum``) of its N kernel
 terms, so results are independent of summation order and reproducible
 bit-for-bit across runs.
@@ -10,13 +10,10 @@ bit-for-bit across runs.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
 from .green import GreensTable, default_table, phi
-
-DENSE_SOLVE_MAX_UNKNOWNS = 3000
 
 
 def direct_sum(points, charges, targets=None, table: GreensTable | None = None):
@@ -37,52 +34,3 @@ def direct_sum(points, charges, targets=None, table: GreensTable | None = None):
         vals = phi(tx - pts[:, 0], ty - pts[:, 1], table)
         out[i] = math.fsum(vals * q)
     return out
-
-
-def dense_kernel_matrix(points, table: GreensTable | None = None) -> np.ndarray:
-    """A_ij = phi(m_i - m_j); symmetric with zero diagonal."""
-    pts = np.asarray(points, dtype=np.int64)
-    if table is None:
-        table = default_table()
-    dx = pts[:, None, 0] - pts[None, :, 0]
-    dy = pts[:, None, 1] - pts[None, :, 1]
-    return phi(dx, dy, table)
-
-
-def dense_solve_truncated(
-    rhs: Mapping, window_radius: int, table: GreensTable | None = None
-) -> dict:
-    """Free-space convolution u = phi * f restricted to a square window.
-
-    rhs maps lattice points (tuples) to charges.  The window is the square
-    of max-norm radius window_radius around the rounded centroid of the
-    rhs support; all support points must fall inside it.  Desk-scale only:
-    the dense kernel matrix is assembled explicitly, so the window is
-    capped at 3000 unknowns.
-    """
-    if not rhs:
-        return {}
-    support = np.array(sorted(rhs.keys()), dtype=np.int64)
-    center = np.round(support.mean(axis=0)).astype(np.int64)
-    r = int(window_radius)
-    n_side = 2 * r + 1
-    if n_side * n_side > DENSE_SOLVE_MAX_UNKNOWNS:
-        raise ValueError(
-            f"window of {n_side * n_side} unknowns exceeds the "
-            f"{DENSE_SOLVE_MAX_UNKNOWNS} dense-solve cap"
-        )
-    if np.any(np.abs(support - center) > r):
-        raise ValueError("rhs support extends outside the window")
-    xs = np.arange(center[0] - r, center[0] + r + 1)
-    ys = np.arange(center[1] - r, center[1] + r + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    window = np.column_stack([gx.ravel(), gy.ravel()])
-    f = np.zeros(window.shape[0])
-    pos = {}
-    for i, (x, y) in enumerate(window):
-        pos[(int(x), int(y))] = i
-    for p, val in rhs.items():
-        f[pos[(int(p[0]), int(p[1]))]] = val
-    a = dense_kernel_matrix(window, table)
-    u = a @ f
-    return {(int(x), int(y)): float(v) for (x, y), v in zip(window, u)}

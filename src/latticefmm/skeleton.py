@@ -3,9 +3,9 @@
 Everything is built on origin-anchored *model boxes*, one per box side, and
 reused across the tree by translation invariance:
 
-* a leaf model box of side s takes all s^2 lattice positions as candidates
-  (for s <= 8; larger leaves fall back to the boundary ring, since interior
-  columns add nothing to the far-field range at that size);
+* a leaf model box of side s takes all s^2 lattice positions as candidates,
+  so the T_ofs of a leaf's points is the restriction of the ID to their
+  columns;
 * a parent model box takes the union of its four children's skeletons,
   shifted into the quadrants, as candidates;
 * candidates are compressed against a proxy surface - lattice points on
@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq, qr, solve_triangular
+from scipy.linalg import qr, solve_triangular
 
-from .config import DEFAULT_PROXY_PER_EDGE
 from .green import GreensTable, default_table, phi
 from .tree import INTERACTION_OFFSETS
 
-DENSE_CANDIDATE_MAX_SIDE = 8
+# Proxy lattice points per edge of the proxy square.
+_PROXY_PER_EDGE = 40
 
 
 def interpolative_decomposition(a: np.ndarray, eps: float):
@@ -59,14 +59,14 @@ def interpolative_decomposition(a: np.ndarray, eps: float):
     return perm[:k].astype(np.int64).copy(), t
 
 
-def proxy_points(side: int, per_edge: int = DEFAULT_PROXY_PER_EDGE) -> np.ndarray:
+def proxy_points(side: int) -> np.ndarray:
     """Lattice points on the boundary of [-side, 2*side]^2.
 
-    Up to per_edge positions per edge, equispaced then snapped to the
+    Up to _PROXY_PER_EDGE positions per edge, equispaced then snapped to the
     lattice (so kernel entries stay table-resolvable); corners dedupe.
     """
     lo, hi = -side, 2 * side
-    n = max(min(per_edge, 3 * side + 1), 2)
+    n = max(min(_PROXY_PER_EDGE, 3 * side + 1), 2)
     ticks = np.unique(np.round(np.linspace(lo, hi, n)).astype(np.int64))
     pts = set()
     for t in ticks:
@@ -79,15 +79,6 @@ def dense_candidates(side: int) -> np.ndarray:
     g = np.arange(side)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()]).astype(np.int64)
-
-
-def boundary_candidates(side: int) -> np.ndarray:
-    if side < 2:
-        return dense_candidates(side)
-    pts = set()
-    for t in range(side):
-        pts.update(((t, 0), (t, side - 1), (0, t), (side - 1, t)))
-    return np.array(sorted(pts), dtype=np.int64)
 
 
 def kernel_matrix(targets, sources, table: GreensTable | None = None) -> np.ndarray:
@@ -105,7 +96,6 @@ class LevelSkeleton:
     points: np.ndarray  # (k, 2) skeleton positions, box-anchored
     interp: np.ndarray  # (k, n_candidates) ID interpolation matrix
     candidates: np.ndarray  # (n_candidates, 2)
-    dense: bool  # candidates cover every lattice position
 
     @property
     def rank(self) -> int:
@@ -122,29 +112,19 @@ def build_level_skeleton(
     table: GreensTable | None = None,
     eps: float = 1e-10,
     child: LevelSkeleton | None = None,
-    per_edge: int = DEFAULT_PROXY_PER_EDGE,
 ) -> LevelSkeleton:
     """Skeletonize one model box; pass the child level's skeleton to move up."""
     if child is None:
-        if side <= DENSE_CANDIDATE_MAX_SIDE:
-            cand = dense_candidates(side)
-            dense = True
-        else:
-            cand = boundary_candidates(side)
-            dense = False
+        cand = dense_candidates(side)
     else:
         if 2 * child.side != side:
             raise ValueError(f"child side {child.side} does not halve {side}")
         cand = np.concatenate(
             [child.points + np.array(s) for s in _quadrant_shifts(side)]
         )
-        dense = False
-    prox = proxy_points(side, per_edge)
-    a = kernel_matrix(prox, cand, table)
+    a = kernel_matrix(proxy_points(side), cand, table)
     idx, t = interpolative_decomposition(a, eps)
-    return LevelSkeleton(
-        side=side, points=cand[idx], interp=t, candidates=cand, dense=dense
-    )
+    return LevelSkeleton(side=side, points=cand[idx], interp=t, candidates=cand)
 
 
 def build_t_ofo(parent: LevelSkeleton, child: LevelSkeleton) -> np.ndarray:
@@ -177,29 +157,6 @@ def build_t_ifo(
     return out
 
 
-def build_leaf_t_ofs(
-    leaf: LevelSkeleton,
-    positions: np.ndarray,
-    table: GreensTable | None = None,
-    per_edge: int = DEFAULT_PROXY_PER_EDGE,
-) -> np.ndarray:
-    """T_ofs for one leaf occupancy: maps charges at `positions` (box-anchored
-    (n,2) coordinates) to skeleton charges.
-
-    Dense-candidate leaves restrict ID columns (exact and cheap); boundary
-    leaves solve a least-squares replication problem on the proxy surface.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if leaf.dense:
-        lin = positions[:, 0] * leaf.side + positions[:, 1]
-        return leaf.interp[:, lin]
-    prox = proxy_points(leaf.side, per_edge)
-    a_skel = kernel_matrix(prox, leaf.points, table)
-    a_pos = kernel_matrix(prox, positions, table)
-    sol, *_ = lstsq(a_skel, a_pos)
-    return sol
-
-
 @dataclass
 class LevelOperators:
     skeleton: LevelSkeleton
@@ -217,17 +174,10 @@ class OperatorChain:
     T_ifi blocks are the transposes of T_ofo.
     """
 
-    def __init__(
-        self,
-        eps: float,
-        leaf_side: int,
-        table: GreensTable | None = None,
-        per_edge: int = DEFAULT_PROXY_PER_EDGE,
-    ):
+    def __init__(self, eps: float, leaf_side: int, table: GreensTable | None = None):
         self.eps = float(eps)
         self.leaf_side = int(leaf_side)
         self.table = table if table is not None else default_table()
-        self.per_edge = per_edge
         self.ops: dict[int, LevelOperators] = {}
 
     def ensure(self, top_side: int) -> None:
@@ -238,10 +188,7 @@ class OperatorChain:
             cur = self.ops.get(side)
             if cur is None:
                 child_skel = child_ops.skeleton if child_ops is not None else None
-                skel = build_level_skeleton(
-                    side, self.table, self.eps, child=child_skel,
-                    per_edge=self.per_edge,
-                )
+                skel = build_level_skeleton(side, self.table, self.eps, child=child_skel)
                 cur = LevelOperators(
                     skeleton=skel, t_ifo=build_t_ifo(skel, self.table)
                 )
@@ -264,17 +211,14 @@ _chain_memo: dict[tuple, OperatorChain] = {}
 
 
 def shared_chain(
-    eps: float,
-    leaf_side: int,
-    table: GreensTable | None = None,
-    per_edge: int = DEFAULT_PROXY_PER_EDGE,
+    eps: float, leaf_side: int, table: GreensTable | None = None
 ) -> OperatorChain:
     """Process-wide memo of operator chains (model boxes are tree-agnostic)."""
     if table is None:
         table = default_table()
-    key = (float(eps), int(leaf_side), int(per_edge), table.radius)
+    key = (float(eps), int(leaf_side), table.radius)
     chain = _chain_memo.get(key)
     if chain is None:
-        chain = OperatorChain(eps, leaf_side, table=table, per_edge=per_edge)
+        chain = OperatorChain(eps, leaf_side, table=table)
         _chain_memo[key] = chain
     return chain

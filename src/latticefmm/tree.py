@@ -1,16 +1,11 @@
-"""Uniform quadtree over lattice points: numbering, neighbor and interaction lists.
+"""Uniform quadtree over lattice points, and the interaction-list offsets.
 
-Boxes are numbered breadth-first from 1 (the root).  Within a level, boxes
-follow Morton order with x varying fastest: the four children of a box come
-in the order (0,0), (1,0), (0,1), (1,1) of (dx, dy).  Only occupied boxes
-are materialized in per-level arrays; list queries treat the full uniform
-tree geometrically, so empty boxes have valid ids and lists too.
+Within a level, boxes follow Morton order with x varying fastest: the four
+children of a box come in the order (0,0), (1,0), (0,1), (1,1) of (dx, dy).
+Only occupied boxes are materialized, in per-level arrays.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +47,10 @@ def morton_decode(key):
     )
 
 
-def level_offset(level: int) -> int:
-    """First box id at a level: 1, 2, 6, 22, 86, ..."""
-    return (4**level - 1) // 3 + 1
+def _parents_adjacent(parity: int, delta: int) -> bool:
+    # Along one axis: a box with rank coordinate parity `parity` and the box
+    # `delta` boxes away have parents at most one box apart.
+    return -1 <= (parity + delta) // 2 <= 1
 
 
 def _enumerate_interaction_offsets():
@@ -67,33 +63,25 @@ def _enumerate_interaction_offsets():
                 for dy in range(-3, 4):
                     if max(abs(dx), abs(dy)) < 2:
                         continue
-                    if -1 <= (px + dx) // 2 <= 1 and -1 <= (py + dy) // 2 <= 1:
+                    if _parents_adjacent(px, dx) and _parents_adjacent(py, dy):
                         offs.add((dx, dy))
     return tuple(sorted(offs))
 
 
 #: All distinct interaction-list offsets (row-major over (dx, dy)).
 INTERACTION_OFFSETS = _enumerate_interaction_offsets()
-K_IFO = len(INTERACTION_OFFSETS)
-_OFFSET_INDEX = {d: i + 1 for i, d in enumerate(INTERACTION_OFFSETS)}
 
-
-@dataclass
-class TreeBox:
-    id: int
-    level: int
-    center: tuple  # half-integer lattice coordinates
-    side: int
-    parent: int | None
-    children: list
-    point_index: np.ndarray  # indices into the original point array
-
-
-@dataclass
-class BoxLists:
-    children: list
-    neighbors: list
-    interaction: list
+#: OFFSET_PARITY_VALID[d][py][px]: whether interaction offset d applies to a
+#: box whose rank coordinates have parity (px, py).
+OFFSET_PARITY_VALID = np.array(
+    [
+        [
+            [_parents_adjacent(px, dx) and _parents_adjacent(py, dy) for px in (0, 1)]
+            for py in (0, 1)
+        ]
+        for dx, dy in INTERACTION_OFFSETS
+    ]
+)
 
 
 class QuadTree:
@@ -175,168 +163,9 @@ class QuadTree:
                 new_parent = split[starts[1:] - 1] < lvl
                 self.parent_index.append(np.concatenate([[0], np.cumsum(new_parent)]))
 
-    # -- geometry ----------------------------------------------------------
-
     def side_of(self, level: int) -> int:
         return self.root_side >> level
-
-    def n_levels(self) -> int:
-        return self.L + 1
-
-    def total_boxes(self) -> int:
-        return level_offset(self.L + 1) - 1
-
-    def box_id(self, level: int, rx: int, ry: int) -> int:
-        return level_offset(level) + int(morton_key(rx, ry))
-
-    def locate_id(self, bid: int):
-        """Inverse of box_id: (level, rx, ry) of a box id."""
-        if bid < 1 or bid > self.total_boxes():
-            raise ValueError(f"box id {bid} out of range")
-        level = 0
-        while level_offset(level + 1) <= bid:
-            level += 1
-        rank = bid - level_offset(level)
-        rx, ry = morton_decode(rank)
-        return level, int(rx), int(ry)
-
-    def box_anchor(self, level: int, rx: int, ry: int):
-        s = self.side_of(level)
-        return self.anchor[0] + s * rx, self.anchor[1] + s * ry
-
-    def _occupied_slot(self, level: int, rx: int, ry: int):
-        key = int(morton_key(rx, ry))
-        i = int(np.searchsorted(self.codes[level], key))
-        if i < len(self.codes[level]) and self.codes[level][i] == key:
-            return i
-        return None
-
-    def box_by_id(self, bid: int) -> TreeBox:
-        level, rx, ry = self.locate_id(bid)
-        s = self.side_of(level)
-        ax, ay = self.box_anchor(level, rx, ry)
-        parent = None
-        if level > 0:
-            parent = self.box_id(level - 1, rx // 2, ry // 2)
-        children = []
-        if level < self.L:
-            children = [
-                self.box_id(level + 1, 2 * rx + dx, 2 * ry + dy)
-                for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))
-            ]
-            children.sort()
-        slot = self._occupied_slot(level, rx, ry)
-        if slot is None:
-            idx = np.empty(0, dtype=np.int64)
-        else:
-            idx = self.order[self.ptr[level][slot] : self.ptr[level][slot + 1]]
-        return TreeBox(
-            id=bid,
-            level=level,
-            center=(ax + s / 2, ay + s / 2),
-            side=s,
-            parent=parent,
-            children=children,
-            point_index=idx,
-        )
-
-    # -- Definition-style lists ---------------------------------------------
-
-    def neighbor_ids(self, level: int, rx: int, ry: int) -> list:
-        n_side = 1 << level
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                sx, sy = rx + dx, ry + dy
-                if 0 <= sx < n_side and 0 <= sy < n_side:
-                    out.append(self.box_id(level, sx, sy))
-        out.sort()
-        return out
-
-    def interaction_ids(self, level: int, rx: int, ry: int) -> list:
-        n_side = 1 << level
-        out = []
-        for dx, dy in INTERACTION_OFFSETS:
-            sx, sy = rx + dx, ry + dy
-            if not (0 <= sx < n_side and 0 <= sy < n_side):
-                continue
-            if abs(sx // 2 - rx // 2) <= 1 and abs(sy // 2 - ry // 2) <= 1:
-                out.append(self.box_id(level, sx, sy))
-        out.sort()
-        return out
-
-    def lists_for(self, bid: int) -> BoxLists:
-        level, rx, ry = self.locate_id(bid)
-        box = self.box_by_id(bid)
-        return BoxLists(
-            children=box.children,
-            neighbors=self.neighbor_ids(level, rx, ry),
-            interaction=self.interaction_ids(level, rx, ry),
-        )
-
-
-class _ListsMap(Mapping):
-    """Lazy BoxId -> BoxLists map over the full uniform tree."""
-
-    def __init__(self, tree: QuadTree):
-        self._tree = tree
-        self._n = tree.total_boxes()
-
-    def __getitem__(self, bid: int) -> BoxLists:
-        if not (1 <= bid <= self._n):
-            raise KeyError(bid)
-        return self._tree.lists_for(bid)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self):
-        return iter(range(1, self._n + 1))
 
 
 def build_tree(points, nleaf: int = 64, max_leaf_side: int | None = None) -> QuadTree:
     return QuadTree(points, nleaf=nleaf, max_leaf_side=max_leaf_side)
-
-
-def compute_lists(tree: QuadTree) -> Mapping:
-    return _ListsMap(tree)
-
-
-def relative_ifo_offset(tree: QuadTree, tau, sigma) -> int:
-    """Canonical 1-based index of sigma's offset relative to tau.
-
-    tau/sigma may be TreeBox objects or box ids.  Raises ValueError when
-    sigma is not in tau's interaction list.
-    """
-    tid = tau.id if isinstance(tau, TreeBox) else int(tau)
-    sid = sigma.id if isinstance(sigma, TreeBox) else int(sigma)
-    lt, tx, ty = tree.locate_id(tid)
-    ls, sx, sy = tree.locate_id(sid)
-    if lt != ls:
-        raise ValueError("boxes are on different levels")
-    delta = (sx - tx, sy - ty)
-    idx = _OFFSET_INDEX.get(delta)
-    if idx is None or abs(sx // 2 - tx // 2) > 1 or abs(sy // 2 - ty // 2) > 1:
-        raise ValueError(f"box {sid} is not in the interaction list of {tid}")
-    return idx
-
-
-def dump(tree: QuadTree) -> str:
-    """One line per box: `id level cx cy side parent [children] [nei] [int]`."""
-
-    def fmt_list(ids):
-        return "[" + ",".join(str(i) for i in ids) + "]"
-
-    lines = []
-    for bid in range(1, tree.total_boxes() + 1):
-        box = tree.box_by_id(bid)
-        lists = tree.lists_for(bid)
-        lines.append(
-            f"{box.id} {box.level} {box.center[0]:g} {box.center[1]:g} "
-            f"{box.side} {box.parent if box.parent is not None else '-'} "
-            f"{fmt_list(lists.children)} {fmt_list(lists.neighbors)} "
-            f"{fmt_list(lists.interaction)}"
-        )
-    return "\n".join(lines)

@@ -175,3 +175,10 @@ def test_invalid_input_exits_with_error(tmp_path):
     for cmd in ("solve", "direct"):
         with pytest.raises(SystemExit, match="^error: duplicate lattice points$"):
             main([cmd, dup])
+    bars = tmp_path / "bars.csv"
+    bars.write_text("0,0,1,0,-1\n")
+    with pytest.raises(SystemExit, match="^error: far field must be finite"):
+        main(["defect", "--bars", str(bars), "--farfield", "nan,0"])
+    bars.write_text("0,0,1,0,inf\n")
+    with pytest.raises(SystemExit, match="^error: bar .* is not finite$"):
+        main(["defect", "--bars", str(bars), "--farfield", "1,0"])

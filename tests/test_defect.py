@@ -3,7 +3,9 @@ import pytest
 
 from latticefmm.defect import DefectSpec, apply_B, apply_S, solve_defect
 from latticefmm.green import apply_discrete_laplacian, phi
-from latticefmm.oracle import dense_kernel_matrix, dense_solve_truncated
+from latticefmm.skeleton import kernel_matrix
+
+from fmm_reference import dense_solve_truncated
 
 
 def removed_bar_spec():
@@ -79,6 +81,44 @@ def test_spec_validation():
         )
 
 
+def cut_out(nodes):
+    """Bars removing every unit bar between ``nodes`` and the rest."""
+    inside = set(nodes)
+    return [
+        (p, q, -1.0)
+        for p in nodes
+        for q in ((p[0] + 1, p[1]), (p[0] - 1, p[1]), (p[0], p[1] + 1), (p[0], p[1] - 1))
+        if q not in inside
+    ]
+
+
+def test_disconnected_regions_rejected():
+    # A two-node island, and a 3 x 3 block whose centre keeps all four bars.
+    block = [(x, y) for x in range(3) for y in range(3)]
+    for nodes, size in (([(0, 0), (1, 0)], 2), (block, 9)):
+        with pytest.raises(ValueError, match=f"disconnected region of size {size}$"):
+            DefectSpec(cut_out(nodes))
+
+
+def test_reconnected_node_accepted(table):
+    # All four bars of (0, 0) removed, but an added link keeps it attached:
+    # no current flows through the dead end, so it takes (2, 3)'s level.
+    spec = DefectSpec(cut_out([(0, 0)]) + [((0, 0), (2, 3), 1.0)])
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=[(0, 0), (2, 3)], table=table)
+    assert np.isfinite(u[(0, 0)])
+    assert u[(0, 0)] == pytest.approx(u[(2, 3)], abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_input_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        DefectSpec([((0, 0), (1, 0), bad)])
+    with pytest.raises(ValueError, match="far field must be finite"):
+        solve_defect(removed_bar_spec(), (bad, 0.0))
+    with pytest.raises(ValueError, match="far field must be finite"):
+        solve_defect(DefectSpec([]), (1.0, bad), queries=[(0, 0)])
+
+
 def test_spec_accumulates_repeated_bars():
     spec = DefectSpec([((0, 0), (1, 0), -0.5), ((1, 0), (0, 0), -0.5)])
     assert len(spec) == 1
@@ -120,7 +160,7 @@ def test_strengthened_bar_matches_dense_formulation(table):
         b_mat[j, j] += dc
         b_mat[i, j] -= dc
         b_mat[j, i] -= dc
-    s_mat = dense_kernel_matrix(np.array(nodes), table)
+    s_mat = kernel_matrix(nodes, nodes, table)
     v_vec = np.array([p[0] for p in nodes], dtype=float)
     rhs = -b_mat @ s_mat @ b_mat @ v_vec
     mu = np.linalg.solve(np.eye(n) + b_mat @ s_mat, rhs)

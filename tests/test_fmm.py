@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefmm.fmm import direct_near_field, estimate_complexity, fmm_apply, solve
+from latticefmm.fmm import fmm_apply
 from latticefmm.green import GreensTable, phi
-from latticefmm.oracle import dense_solve_truncated, direct_sum
+from latticefmm.oracle import direct_sum
 from latticefmm.tree import build_tree
+
+from fmm_reference import dense_solve_truncated, direct_near_field, estimate_complexity
+from tree_reference import box_by_id, total_boxes
 
 
 def random_sources(rng, n, box):
@@ -65,10 +68,22 @@ def test_separate_targets(table):
 
 
 def test_shallow_tree_falls_back_to_dense(table):
-    pts = np.array([(0, 0), (3, 1), (7, 7), (2, 6), (5, 4)])
-    q = np.array([1.0, -2.0, 0.5, 0.25, 0.25])
-    u = fmm_apply(pts, q, table=table)
-    assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-13
+    # Under two levels there are no interaction lists: every leaf neighbours
+    # every other, and the near field alone is the whole sum.
+    rng = np.random.default_rng(19)
+    cases = [
+        (np.array([(0, 0), (3, 1), (7, 7), (2, 6), (5, 4)]), 1),
+        (np.array([(0, 0), (15, 15), (3, 12), (9, 2), (8, 8)]), 2),
+        (grid_points(16), 2),  # four full leaves: stencil GEMMs
+    ]
+    for pts, levels in cases:
+        q = rng.standard_normal(len(pts))
+        stats = {}
+        u = fmm_apply(pts, q, table=table, stats=stats)
+        assert stats["levels"] == levels
+        assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-13
+        assert stats["t_upward"] == stats["t_ifo"] == stats["t_downward"] == 0.0
+        assert stats["near_pairs"] == len(pts) ** 2
 
 
 def test_superposition(table):
@@ -128,6 +143,16 @@ def test_nonfinite_charges_rejected(bad):
         fmm_apply([(0, 0), (5, 1), (9, 9)], [1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.9, np.nan, np.inf])
+def test_non_integer_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="^points must have integer coordinates$"):
+        fmm_apply([(bad, 0), (3, 0)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^targets must have integer coordinates$"):
+        fmm_apply([(0, 0), (3, 0)], [1.0, 1.0], targets=[(0, 1), (bad, 0.2)])
+    integral = fmm_apply([(0.0, 0.0), (3.0, 0.0)], [1.0, 1.0], targets=[(0.0, 1.0)])
+    assert np.array_equal(integral, fmm_apply([(0, 0), (3, 0)], [1.0, 1.0], targets=[(0, 1)]))
+
+
 def test_extent_limit(table):
     # Morton keys hold 31 bits per coordinate: extent 2**31 is the largest.
     far = 2**31 - 1
@@ -146,12 +171,6 @@ def test_extent_limit(table):
 def test_eps_range_enforced(eps):
     with pytest.raises(ValueError, match="eps must lie in"):
         fmm_apply([(0, 0), (5, 1)], [1.0, 2.0], eps=eps)
-
-
-def test_solve_wrapper(table):
-    rng = np.random.default_rng(2)
-    pts, q = random_sources(rng, 64, 500)
-    assert np.array_equal(solve(pts, q), fmm_apply(pts, q))
 
 
 PASS_TIMES = ("t_tree", "t_upward", "t_ifo", "t_downward", "t_near")
@@ -313,8 +332,8 @@ def test_direct_near_field_adjacent_pair(table):
     tree = build_tree(pts, nleaf=1)
     assert tree.side_of(tree.L) <= 8
     leaf_id = None
-    for bid in range(1, tree.total_boxes() + 1):
-        box = tree.box_by_id(bid)
+    for bid in range(1, total_boxes(tree) + 1):
+        box = box_by_id(tree, bid)
         if box.level == tree.L and any(box.point_index == 1):
             leaf_id = bid
             break
@@ -332,8 +351,8 @@ def test_direct_near_field_random_leaf_pair(table):
     tree = build_tree(pts, nleaf=100, max_leaf_side=8)
     assert tree.side_of(tree.L) == 8
     lists_target = None
-    for bid in range(1, tree.total_boxes() + 1):
-        box = tree.box_by_id(bid)
+    for bid in range(1, total_boxes(tree) + 1):
+        box = box_by_id(tree, bid)
         if box.level == tree.L and box.point_index.size and tree.points[box.point_index][0, 0] < 8:
             lists_target = bid
             break

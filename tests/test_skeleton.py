@@ -3,8 +3,6 @@ import pytest
 
 from latticefmm.skeleton import (
     OperatorChain,
-    boundary_candidates,
-    build_leaf_t_ofs,
     build_level_skeleton,
     build_t_ifo,
     build_t_ofo,
@@ -60,7 +58,7 @@ def test_id_identity_matrix():
 
 
 def test_proxy_points_on_boundary():
-    pts = proxy_points(8, per_edge=40)
+    pts = proxy_points(8)
     lo, hi = -8, 16
     assert len(pts) == len(np.unique(pts, axis=0))
     on_edge = (pts[:, 0] == lo) | (pts[:, 0] == hi) | (pts[:, 1] == lo) | (pts[:, 1] == hi)
@@ -72,26 +70,23 @@ def test_proxy_points_on_boundary():
 
 
 def test_proxy_points_tiny_side():
-    pts = proxy_points(1, per_edge=40)
+    pts = proxy_points(1)
     assert len(pts) >= 4
     on_edge = (pts[:, 0] == -1) | (pts[:, 0] == 2) | (pts[:, 1] == -1) | (pts[:, 1] == 2)
     assert on_edge.all()
 
 
 def test_candidate_sets():
-    assert dense_candidates(8).shape == (64, 2)
-    assert boundary_candidates(8).shape == (28, 2)
-    assert boundary_candidates(1).shape == (1, 2)
-    ring = boundary_candidates(16)
-    assert ring.shape == (60, 2)
-    interior = (ring > 0).all(axis=1) & (ring < 15).all(axis=1)
-    assert not interior.any()
+    cand = dense_candidates(8)
+    assert cand.shape == (64, 2)
+    assert len(np.unique(cand, axis=0)) == 64
+    assert cand.min() == 0 and cand.max() == 7
+    assert dense_candidates(1).tolist() == [[0, 0]]
 
 
 def test_leaf_skeleton_rank_and_replication(table):
     rng = np.random.default_rng(7)
     skel = build_level_skeleton(8, table, eps=1e-10)
-    assert skel.dense
     assert 24 <= skel.rank <= 34
     q = rng.standard_normal(skel.candidates.shape[0])
     assert replication_error(skel, q, 8, rng, table) <= 5e-9
@@ -102,16 +97,6 @@ def test_leaf_skeleton_loose_eps_smaller_rank(table):
     loose = build_level_skeleton(8, table, eps=1e-6)
     assert loose.rank < tight.rank
     assert 14 <= loose.rank <= 30
-
-
-def test_boundary_leaf_skeleton_replication(table):
-    # side 16 leaf path: ring candidates, least-squares T_ofs
-    rng = np.random.default_rng(11)
-    skel = build_level_skeleton(16, table, eps=1e-10)
-    assert not skel.dense
-    assert 28 <= skel.rank <= 55
-    q = rng.standard_normal(skel.candidates.shape[0])
-    assert replication_error(skel, q, 16, rng, table) <= 5e-9
 
 
 def test_chain_ranks_stable(table):
@@ -162,12 +147,13 @@ def test_t_ifo_entries_match_kernel(table):
 
 
 def test_leaf_t_ofs_dense_restriction(table):
+    # The T_ofs of a partly filled leaf is the ID restricted to the columns
+    # of its points, as the FMM's upward pass applies it.
     rng = np.random.default_rng(5)
     skel = build_level_skeleton(8, table, eps=1e-10)
     sel = rng.choice(64, size=17, replace=False)
     positions = dense_candidates(8)[sel]
-    t_ofs = build_leaf_t_ofs(skel, positions, table)
-    assert t_ofs.shape == (skel.rank, 17)
+    t_ofs = skel.interp[:, positions[:, 0] * 8 + positions[:, 1]]
     assert np.array_equal(t_ofs, skel.interp[:, sel])
     # replication: compressed charges reproduce the far field
     q = rng.standard_normal(17)
@@ -175,19 +161,6 @@ def test_leaf_t_ofs_dense_restriction(table):
     exact = kernel_matrix(tgt, positions, table) @ q
     approx = kernel_matrix(tgt, skel.points, table) @ (t_ofs @ q)
     assert np.linalg.norm(exact - approx) <= 5e-9 * np.linalg.norm(exact)
-
-
-def test_leaf_t_ofs_boundary_least_squares(table):
-    rng = np.random.default_rng(13)
-    skel = build_level_skeleton(16, table, eps=1e-10)
-    positions = rng.integers(0, 16, size=(25, 2))
-    positions = np.unique(positions, axis=0)
-    t_ofs = build_leaf_t_ofs(skel, positions, table)
-    q = rng.standard_normal(positions.shape[0])
-    tgt = far_targets(16, rng)
-    exact = kernel_matrix(tgt, positions, table) @ q
-    approx = kernel_matrix(tgt, skel.points, table) @ (t_ofs @ q)
-    assert np.linalg.norm(exact - approx) <= 1e-8 * np.linalg.norm(exact)
 
 
 def test_shared_chain_memoized(table):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from latticefmm.tree import (
-    INTERACTION_OFFSETS,
+from latticefmm.tree import INTERACTION_OFFSETS, OFFSET_PARITY_VALID, build_tree
+
+from tree_reference import (
     K_IFO,
-    build_tree,
+    box_by_id,
+    box_id,
     compute_lists,
     dump,
+    interaction_ids,
     level_offset,
+    locate_id,
     relative_ifo_offset,
 )
 
@@ -28,15 +32,15 @@ def test_level_offsets():
 
 
 def test_root_children_ids_and_centers(dense8):
-    root = dense8.box_by_id(1)
+    root = box_by_id(dense8, 1)
     assert root.level == 0 and root.side == 8 and root.parent is None
     assert root.center == (4.0, 4.0)
     assert root.children == [2, 3, 4, 5]
     # children in (dx,dy) order (0,0),(1,0),(0,1),(1,1)
-    assert dense8.box_by_id(2).center == (2.0, 2.0)
-    assert dense8.box_by_id(3).center == (6.0, 2.0)
-    assert dense8.box_by_id(4).center == (2.0, 6.0)
-    assert dense8.box_by_id(5).center == (6.0, 6.0)
+    assert box_by_id(dense8, 2).center == (2.0, 2.0)
+    assert box_by_id(dense8, 3).center == (6.0, 2.0)
+    assert box_by_id(dense8, 4).center == (2.0, 6.0)
+    assert box_by_id(dense8, 5).center == (6.0, 6.0)
 
 
 def test_frozen_children_list(dense8):
@@ -65,18 +69,18 @@ def test_root_has_empty_lists(dense8):
 
 def test_locate_id_roundtrip(dense8):
     for bid in [1, 2, 5, 6, 21, 22, 37, 85]:
-        level, rx, ry = dense8.locate_id(bid)
-        assert dense8.box_id(level, rx, ry) == bid
+        level, rx, ry = locate_id(dense8, bid)
+        assert box_id(level, rx, ry) == bid
     with pytest.raises(ValueError):
-        dense8.locate_id(86)
+        locate_id(dense8, 86)
     with pytest.raises(ValueError):
-        dense8.locate_id(0)
+        locate_id(dense8, 0)
 
 
 def test_build_single_point():
     t = build_tree([(5, -3)], nleaf=1)
     assert t.L == 0 and t.root_side == 1
-    root = t.box_by_id(1)
+    root = box_by_id(t, 1)
     assert root.children == []
     assert list(root.point_index) == [0]
 
@@ -85,7 +89,7 @@ def test_build_four_corners():
     t = build_tree([(0, 0), (1, 0), (0, 1), (1, 1)], nleaf=1)
     assert t.L == 1 and t.root_side == 2
     for bid in (2, 3, 4, 5):
-        assert t.box_by_id(bid).point_index.size == 1
+        assert box_by_id(t, bid).point_index.size == 1
 
 
 def test_smallest_level_postcondition():
@@ -146,7 +150,7 @@ def test_max_leaf_side_forces_depth():
 def test_empty_box_has_empty_points():
     t = build_tree([(0, 0), (100, 100)], nleaf=1)
     assert t.L >= 1
-    assert t.box_by_id(3).point_index.size == 0
+    assert box_by_id(t, 3).point_index.size == 0
 
 
 def test_interaction_offsets_enumeration():
@@ -154,6 +158,22 @@ def test_interaction_offsets_enumeration():
     norms = {max(abs(dx), abs(dy)) for dx, dy in INTERACTION_OFFSETS}
     assert norms == {2, 3}
     assert list(INTERACTION_OFFSETS) == sorted(INTERACTION_OFFSETS)
+
+
+def test_parity_mask_matches_interaction_lists(dense8):
+    # The batched mask the FMM applies, box by box against the definition.
+    for level in (2, 3):
+        n_side = 1 << level
+        for rx in range(n_side):
+            for ry in range(n_side):
+                masked = sorted(
+                    box_id(level, rx + dx, ry + dy)
+                    for d, (dx, dy) in enumerate(INTERACTION_OFFSETS)
+                    if OFFSET_PARITY_VALID[d][ry & 1, rx & 1]
+                    and 0 <= rx + dx < n_side
+                    and 0 <= ry + dy < n_side
+                )
+                assert masked == interaction_ids(level, rx, ry)
 
 
 def test_list_symmetry(dense8):
@@ -168,9 +188,9 @@ def test_list_symmetry(dense8):
 def test_interaction_well_separated(dense8):
     lists = compute_lists(dense8)
     for bid in range(1, len(lists) + 1):
-        box = dense8.box_by_id(bid)
+        box = box_by_id(dense8, bid)
         for sid in lists[bid].interaction:
-            other = dense8.box_by_id(sid)
+            other = box_by_id(dense8, sid)
             gap = max(
                 abs(box.center[0] - other.center[0]),
                 abs(box.center[1] - other.center[1]),
@@ -185,13 +205,13 @@ def test_near_far_partition_exact(dense8):
     n_pts = dense8.points.shape[0]
     leaf_of = {}
     for bid in range(level_offset(3), level_offset(4)):
-        for j in dense8.box_by_id(bid).point_index:
+        for j in box_by_id(dense8, bid).point_index:
             leaf_of[int(j)] = bid
 
     def ancestors(bid):
         chain = [bid]
         while True:
-            parent = dense8.box_by_id(chain[-1]).parent
+            parent = box_by_id(dense8, chain[-1]).parent
             if parent is None:
                 return chain
             chain.append(parent)
@@ -214,9 +234,9 @@ def test_relative_ifo_offset_translation_invariant(dense8):
     lists = compute_lists(dense8)
     seen = {}
     for bid in range(level_offset(2), level_offset(4)):
-        level, rx, ry = dense8.locate_id(bid)
+        level, rx, ry = locate_id(dense8, bid)
         for sid in lists[bid].interaction:
-            _, sx, sy = dense8.locate_id(sid)
+            _, sx, sy = locate_id(dense8, sid)
             delta = (sx - rx, sy - ry)
             idx = relative_ifo_offset(dense8, bid, sid)
             assert 1 <= idx <= K_IFO
@@ -233,8 +253,8 @@ def test_relative_ifo_offset_negation(dense8):
     for sid in lists[bid].interaction:
         i = relative_ifo_offset(dense8, bid, sid)
         j = relative_ifo_offset(dense8, sid, bid)
-        level, rx, ry = dense8.locate_id(bid)
-        _, sx, sy = dense8.locate_id(sid)
+        level, rx, ry = locate_id(dense8, bid)
+        _, sx, sy = locate_id(dense8, sid)
         assert INTERACTION_OFFSETS[i - 1] == (sx - rx, sy - ry)
         assert INTERACTION_OFFSETS[j - 1] == (rx - sx, ry - sy)
 

@@ -1,0 +1,207 @@
+"""Box ids and interaction lists of a QuadTree, one box at a time.
+
+This is the definitional form of the geometry that ``latticefmm.fmm``
+evaluates in batches (the shifted-key lookups and the parity mask
+``tree.OFFSET_PARITY_VALID``); the tests use it as their reference.
+
+Boxes are numbered breadth-first from 1 (the root).  Within a level, ids
+follow Morton order with x varying fastest, so the four children of a box
+come in the order (0,0), (1,0), (0,1), (1,1) of (dx, dy).  Queries treat
+the full uniform tree geometrically, so empty boxes have valid ids and
+lists too.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass
+
+import numpy as np
+
+from latticefmm.tree import INTERACTION_OFFSETS, QuadTree, morton_decode, morton_key
+
+K_IFO = len(INTERACTION_OFFSETS)
+_OFFSET_INDEX = {d: i + 1 for i, d in enumerate(INTERACTION_OFFSETS)}
+
+
+@dataclass
+class TreeBox:
+    id: int
+    level: int
+    center: tuple  # half-integer lattice coordinates
+    side: int
+    parent: int | None
+    children: list
+    point_index: np.ndarray  # indices into the original point array
+
+
+@dataclass
+class BoxLists:
+    children: list
+    neighbors: list
+    interaction: list
+
+
+def level_offset(level: int) -> int:
+    """First box id at a level: 1, 2, 6, 22, 86, ..."""
+    return (4**level - 1) // 3 + 1
+
+
+def total_boxes(tree: QuadTree) -> int:
+    return level_offset(tree.L + 1) - 1
+
+
+def box_id(level: int, rx: int, ry: int) -> int:
+    return level_offset(level) + int(morton_key(rx, ry))
+
+
+def locate_id(tree: QuadTree, bid: int):
+    """Inverse of box_id: (level, rx, ry) of a box id."""
+    if bid < 1 or bid > total_boxes(tree):
+        raise ValueError(f"box id {bid} out of range")
+    level = 0
+    while level_offset(level + 1) <= bid:
+        level += 1
+    rank = bid - level_offset(level)
+    rx, ry = morton_decode(rank)
+    return level, int(rx), int(ry)
+
+
+def box_anchor(tree: QuadTree, level: int, rx: int, ry: int):
+    s = tree.side_of(level)
+    return tree.anchor[0] + s * rx, tree.anchor[1] + s * ry
+
+
+def _occupied_slot(tree: QuadTree, level: int, rx: int, ry: int):
+    key = int(morton_key(rx, ry))
+    i = int(np.searchsorted(tree.codes[level], key))
+    if i < len(tree.codes[level]) and tree.codes[level][i] == key:
+        return i
+    return None
+
+
+def box_by_id(tree: QuadTree, bid: int) -> TreeBox:
+    level, rx, ry = locate_id(tree, bid)
+    s = tree.side_of(level)
+    ax, ay = box_anchor(tree, level, rx, ry)
+    parent = None
+    if level > 0:
+        parent = box_id(level - 1, rx // 2, ry // 2)
+    children = []
+    if level < tree.L:
+        children = [
+            box_id(level + 1, 2 * rx + dx, 2 * ry + dy)
+            for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))
+        ]
+        children.sort()
+    slot = _occupied_slot(tree, level, rx, ry)
+    if slot is None:
+        idx = np.empty(0, dtype=np.int64)
+    else:
+        idx = tree.order[tree.ptr[level][slot] : tree.ptr[level][slot + 1]]
+    return TreeBox(
+        id=bid,
+        level=level,
+        center=(ax + s / 2, ay + s / 2),
+        side=s,
+        parent=parent,
+        children=children,
+        point_index=idx,
+    )
+
+
+def neighbor_ids(level: int, rx: int, ry: int) -> list:
+    n_side = 1 << level
+    out = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            sx, sy = rx + dx, ry + dy
+            if 0 <= sx < n_side and 0 <= sy < n_side:
+                out.append(box_id(level, sx, sy))
+    out.sort()
+    return out
+
+
+def interaction_ids(level: int, rx: int, ry: int) -> list:
+    n_side = 1 << level
+    out = []
+    for dx, dy in INTERACTION_OFFSETS:
+        sx, sy = rx + dx, ry + dy
+        if not (0 <= sx < n_side and 0 <= sy < n_side):
+            continue
+        if abs(sx // 2 - rx // 2) <= 1 and abs(sy // 2 - ry // 2) <= 1:
+            out.append(box_id(level, sx, sy))
+    out.sort()
+    return out
+
+
+def lists_for(tree: QuadTree, bid: int) -> BoxLists:
+    level, rx, ry = locate_id(tree, bid)
+    return BoxLists(
+        children=box_by_id(tree, bid).children,
+        neighbors=neighbor_ids(level, rx, ry),
+        interaction=interaction_ids(level, rx, ry),
+    )
+
+
+class _ListsMap(Mapping):
+    """Lazy BoxId -> BoxLists map over the full uniform tree."""
+
+    def __init__(self, tree: QuadTree):
+        self._tree = tree
+        self._n = total_boxes(tree)
+
+    def __getitem__(self, bid: int) -> BoxLists:
+        if not (1 <= bid <= self._n):
+            raise KeyError(bid)
+        return lists_for(self._tree, bid)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(range(1, self._n + 1))
+
+
+def compute_lists(tree: QuadTree) -> Mapping:
+    return _ListsMap(tree)
+
+
+def relative_ifo_offset(tree: QuadTree, tau, sigma) -> int:
+    """Canonical 1-based index of sigma's offset relative to tau.
+
+    tau/sigma may be TreeBox objects or box ids.  Raises ValueError when
+    sigma is not in tau's interaction list.
+    """
+    tid = tau.id if isinstance(tau, TreeBox) else int(tau)
+    sid = sigma.id if isinstance(sigma, TreeBox) else int(sigma)
+    lt, tx, ty = locate_id(tree, tid)
+    ls, sx, sy = locate_id(tree, sid)
+    if lt != ls:
+        raise ValueError("boxes are on different levels")
+    delta = (sx - tx, sy - ty)
+    idx = _OFFSET_INDEX.get(delta)
+    if idx is None or abs(sx // 2 - tx // 2) > 1 or abs(sy // 2 - ty // 2) > 1:
+        raise ValueError(f"box {sid} is not in the interaction list of {tid}")
+    return idx
+
+
+def dump(tree: QuadTree) -> str:
+    """One line per box: `id level cx cy side parent [children] [nei] [int]`."""
+
+    def fmt_list(ids):
+        return "[" + ",".join(str(i) for i in ids) + "]"
+
+    lines = []
+    for bid in range(1, total_boxes(tree) + 1):
+        box = box_by_id(tree, bid)
+        lists = lists_for(tree, bid)
+        lines.append(
+            f"{box.id} {box.level} {box.center[0]:g} {box.center[1]:g} "
+            f"{box.side} {box.parent if box.parent is not None else '-'} "
+            f"{fmt_list(lists.children)} {fmt_list(lists.neighbors)} "
+            f"{fmt_list(lists.interaction)}"
+        )
+    return "\n".join(lines)
