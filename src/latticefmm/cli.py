@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 import time
@@ -76,6 +77,11 @@ def _read_points(path, what):
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
+def _emit_stats(stats):
+    """One JSON line of run statistics on stderr (stdout keeps the CSV)."""
+    print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+
+
 def _emit_potentials(points, values, header):
     out = []
     if header:
@@ -99,6 +105,7 @@ def _cmd_solve(args) -> int:
     cfg = RunConfig.from_env(eps=args.eps, nleaf=args.nleaf)
     pts, q = _read_sources(args.input)
     targets = _read_points(args.targets, "target") if args.targets else None
+    stats = {} if args.stats else None
     u = fmm_apply(
         pts,
         q,
@@ -106,8 +113,11 @@ def _cmd_solve(args) -> int:
         eps=cfg.eps,
         nleaf=cfg.nleaf,
         table=default_table(cfg.rtable),
+        stats=stats,
     )
     _emit_potentials(targets if targets is not None else pts, u, args.header)
+    if stats is not None:
+        _emit_stats(stats)
     return 0
 
 
@@ -133,6 +143,7 @@ def _cmd_defect(args) -> int:
         raise SystemExit(f"error: --farfield wants 'c1,c2', got {args.farfield!r}")
     queries = _read_points(args.queries, "query") if args.queries else None
     spec = DefectSpec(bars)
+    stats = {} if args.stats else None
     u = solve_defect(
         spec,
         (c1, c2),
@@ -140,9 +151,12 @@ def _cmd_defect(args) -> int:
         queries=queries,
         eps=cfg.eps,
         table=default_table(cfg.rtable),
+        stats=stats,
     )
-    nodes = [tuple(p) for p in queries] if queries is not None else spec.nodes
+    nodes = [tuple(p) for p in queries.tolist()] if queries is not None else spec.nodes
     _emit_potentials(nodes, [u[p] for p in nodes], args.header)
+    if stats is not None:
+        _emit_stats(stats)
     return 0
 
 
@@ -321,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--nleaf", type=int, default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="write the run's counters and timings as one JSON line to stderr")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("direct", help="reference O(N^2) summation")
@@ -337,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--header", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="write the solve's path, iterations and timings as one JSON line to stderr")
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("bench", help="timing/memory rows for one load distribution")

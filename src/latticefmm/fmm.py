@@ -66,7 +66,9 @@ def _shifted_slots(tree: QuadTree, level: int, dx: int, dy: int, mask=True):
     return np.flatnonzero(valid)[found], j[found]
 
 
-def _lattice_points(values, what: str) -> np.ndarray:
+def lattice_points(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless every coordinate is
+    an integer (so NaN, inf and 0.5 are rejected, not truncated)."""
     raw = np.asarray(values)
     # NaN and inf cast to arbitrary integers; the comparison rejects them.
     with np.errstate(invalid="ignore"):
@@ -78,7 +80,7 @@ def _lattice_points(values, what: str) -> np.ndarray:
 
 def _merge_targets(points, charges, targets):
     """Union source and extra target points; extra rows carry zero charge."""
-    pts = _lattice_points(points, "points")
+    pts = lattice_points(points, "points")
     q = np.asarray(charges, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (N, 2) integer array")
@@ -88,7 +90,7 @@ def _merge_targets(points, charges, targets):
         raise ValueError("charges must be finite")
     if targets is None:
         return pts, q, None
-    tgt = _lattice_points(targets, "targets").reshape(-1, 2)
+    tgt = lattice_points(targets, "targets").reshape(-1, 2)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("duplicate lattice points")
     stacked = np.vstack([pts, tgt])
@@ -102,7 +104,8 @@ class FmmRun:
     """One assembled solve: tree + operators + bookkeeping counters.
 
     A tree under two levels has no interaction lists: every leaf neighbours
-    every other, so ``apply`` sums the near field alone.
+    every other, so ``apply`` sums the near field alone and no operator
+    chain is fetched.
     """
 
     def __init__(self, tree: QuadTree, eps: float, table: GreensTable):
@@ -110,8 +113,10 @@ class FmmRun:
         self.eps = eps
         self.table = table
         self.leaf_side = tree.side_of(tree.L)
-        self.chain = shared_chain(eps, self.leaf_side, table)
-        self.chain.ensure(tree.side_of(2))
+        self.chain = None
+        if tree.L >= 2:
+            self.chain = shared_chain(eps, self.leaf_side, table)
+            self.chain.ensure(tree.side_of(2))
         self.times: dict[str, float] = {}
         self.near_pairs = 0
         self.near_gemm_blocks = 0
@@ -300,7 +305,7 @@ class FmmRun:
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
         counts, slot_of_point, lin = self._leaf_geometry()
         t0 = clock()
-        if tree.L < 2:
+        if self.chain is None:
             t1 = t2 = t3 = t0
             u_sorted = np.zeros(len(q_sorted))
         else:
@@ -331,11 +336,11 @@ class FmmRun:
         (O(N_source)): the per-point leaf interpolation columns and the
         near-field pair interactions.  The model-box translation operators
         are shared process-wide across problems and are counted apart, as
-        ``shared_op_entries``.
+        ``shared_op_entries`` (0 for a tree under two levels, which uses none).
         """
         return {
             "op_entries": self.leaf_ofs_entries + self.near_pairs,
-            "shared_op_entries": self.chain.stored_entries(),
+            "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
             **self.times,
             "near_pairs": self.near_pairs,
             "near_gemm_blocks": self.near_gemm_blocks,

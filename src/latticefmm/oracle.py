@@ -1,5 +1,5 @@
 """O(N^2) direct summation: the reference the fast summation is checked
-against, and the sum the defect solver uses for small defects.
+against, and the sum ``defect.apply_S`` uses for a few charges.
 
 It is deliberately simple and deterministic.  ``direct_sum`` computes
 each potential as an exactly rounded sum (``math.fsum``) of its N kernel

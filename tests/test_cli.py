@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,35 @@ def test_defect_subcommand(tmp_path, capsys):
     )
     for p in want:
         assert got[p] == pytest.approx(want[p], abs=1e-12)
+
+
+def test_solve_stats_json_on_stderr(tmp_path, capsys):
+    src = _write_sources(tmp_path, [(0, 0, 1.0), (5, 3, -2.0), (40, 7, 0.5)])
+    rc = main(["solve", src])
+    plain = capsys.readouterr()
+    rc = main(["solve", src, "--stats"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out == plain.out and plain.err == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats["n_source"] == 3 and stats["levels"] >= 1
+    assert {"wall_time", "t_tree", "t_near", "op_entries"} <= set(stats)
+
+
+def test_defect_stats_json_on_stderr(tmp_path, capsys):
+    bars = tmp_path / "bars.csv"
+    bars.write_text("0,0,1,0,-1\n3,3,3,4,0.5\n")
+    rc = main(["defect", "--bars", str(bars), "--farfield", "1,0", "--stats"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and len(out.splitlines()) == 4
+    lines = err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert stats["bars"] == 2 and stats["nodes"] == 4
+    assert stats["path"] == "dense" and stats["iterations"] == 0
+    assert stats["residual_history"] == []
+    assert {"t_assemble", "t_solve", "t_eval", "wall_time"} <= set(stats)
 
 
 def test_bench_point_counts():

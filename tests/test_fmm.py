@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefmm import skeleton
 from latticefmm.fmm import fmm_apply
 from latticefmm.green import GreensTable, phi
 from latticefmm.oracle import direct_sum
@@ -79,11 +80,15 @@ def test_shallow_tree_falls_back_to_dense(table):
     for pts, levels in cases:
         q = rng.standard_normal(len(pts))
         stats = {}
+        memo_before = set(skeleton._chain_memo)
         u = fmm_apply(pts, q, table=table, stats=stats)
         assert stats["levels"] == levels
         assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-13
         assert stats["t_upward"] == stats["t_ifo"] == stats["t_downward"] == 0.0
         assert stats["near_pairs"] == len(pts) ** 2
+        # No operator chain is fetched, built or reported.
+        assert stats["shared_op_entries"] == 0
+        assert set(skeleton._chain_memo) == memo_before
 
 
 def test_superposition(table):
