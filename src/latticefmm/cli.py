@@ -20,14 +20,8 @@ import numpy as np
 
 from .config import DEFAULT_SEED, RunConfig
 from .defect import DefectSpec, apply_S, solve_defect
-from .fmm import fmm_apply
-from .green import (
-    GreensTable,
-    apply_discrete_laplacian,
-    default_table,
-    phi,
-    phi_asymptotic,
-)
+from .fmm import fmm_apply, lattice_points
+from .green import GreensTable, apply_discrete_laplacian, phi, phi_asymptotic
 from .oracle import direct_sum
 from .skeleton import shared_chain
 
@@ -65,7 +59,7 @@ def _read_sources(path):
     rows = _read_rows(path, lambda r: (int(r[0]), int(r[1]), float(r[2])), "source")
     if not rows:
         raise SystemExit("error: no source rows given")
-    pts = np.array([(m1, m2) for m1, m2, _ in rows], dtype=np.int64)
+    pts = lattice_points([(m1, m2) for m1, m2, _ in rows], "sources")
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise SystemExit("error: duplicate lattice points")
     q = np.array([qv for _, _, qv in rows])
@@ -74,7 +68,7 @@ def _read_sources(path):
 
 def _read_points(path, what):
     rows = _read_rows(path, lambda r: (int(r[0]), int(r[1])), what)
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return lattice_points(rows, f"{what}s").reshape(-1, 2)
 
 
 def _emit_stats(stats):
@@ -95,8 +89,7 @@ def _emit_potentials(points, values, header):
 # Subcommands
 
 def _cmd_phi(args) -> int:
-    cfg = RunConfig.from_env(rtable=args.rtable)
-    val = phi(args.m1, args.m2, table=default_table(cfg.rtable))
+    val = phi(args.m1, args.m2)
     print(f"{float(val):.16g}")
     return 0
 
@@ -112,7 +105,6 @@ def _cmd_solve(args) -> int:
         targets=targets,
         eps=cfg.eps,
         nleaf=cfg.nleaf,
-        table=default_table(cfg.rtable),
         stats=stats,
     )
     _emit_potentials(targets if targets is not None else pts, u, args.header)
@@ -122,10 +114,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_direct(args) -> int:
-    cfg = RunConfig.from_env()
     pts, q = _read_sources(args.input)
     targets = _read_points(args.targets, "target") if args.targets else None
-    u = direct_sum(pts, q, targets=targets, table=default_table(cfg.rtable))
+    u = direct_sum(pts, q, targets=targets)
     _emit_potentials(targets if targets is not None else pts, u, args.header)
     return 0
 
@@ -150,7 +141,6 @@ def _cmd_defect(args) -> int:
         tol=args.tol,
         queries=queries,
         eps=cfg.eps,
-        table=default_table(cfg.rtable),
         stats=stats,
     )
     nodes = [tuple(p) for p in queries.tolist()] if queries is not None else spec.nodes
@@ -183,7 +173,6 @@ def _bench_points(distribution, n, alpha, rng):
 
 def _cmd_bench(args) -> int:
     cfg = RunConfig.from_env(eps=args.eps, nleaf=args.nleaf, seed=args.seed)
-    table = default_table(cfg.rtable)
     sizes = []
     for tok in args.n.split(","):
         n = int(tok)
@@ -196,7 +185,7 @@ def _cmd_bench(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         pts = _bench_points(args.distribution, n, args.alpha, rng)
         q = rng.standard_normal(pts.shape[0])
-        kwargs = dict(eps=cfg.eps, nleaf=cfg.nleaf, table=table)
+        kwargs = dict(eps=cfg.eps, nleaf=cfg.nleaf)
         fmm_apply(pts, q, **kwargs)  # warm the operator cache
         stats: dict = {}
         fmm_apply(pts, q, stats=stats, **kwargs)
@@ -207,13 +196,11 @@ def _cmd_bench(args) -> int:
 
 def _selftest_checks(cfg):
     """Yield (name, passed, detail) for the desk-scale suite."""
-    table = default_table(cfg.rtable)
-
     err = max(
-        abs(phi(0, 0, table)),
-        abs(phi(1, 0, table) + 0.25),
-        abs(phi(1, 1, table) + 1.0 / math.pi),
-        abs(phi(2, 1, table) - (0.25 - 2.0 / math.pi)),
+        abs(phi(0, 0)),
+        abs(phi(1, 0) + 0.25),
+        abs(phi(1, 1) + 1.0 / math.pi),
+        abs(phi(2, 1) - (0.25 - 2.0 / math.pi)),
     )
     yield "known-values", err <= 1e-13, f"max err {err:.2e}"
 
@@ -221,7 +208,7 @@ def _selftest_checks(cfg):
     for x in range(-10, 11):
         for y in range(-10, 11):
             want = 1.0 if (x, y) == (0, 0) else 0.0
-            got = apply_discrete_laplacian(lambda p: phi(p[0], p[1], table), (x, y))
+            got = apply_discrete_laplacian(lambda p: phi(p[0], p[1]), (x, y))
             res = max(res, abs(got - want))
     yield "laplacian-identity", res <= 1e-12, f"max residual {res:.2e}"
 
@@ -231,7 +218,7 @@ def _selftest_checks(cfg):
         far = max(far, abs(wide.lookup(*m) - phi_asymptotic(*m)))
     yield "asymptotic-match", far <= 1e-12, f"max gap {far:.2e}"
 
-    chain = shared_chain(cfg.eps, 8, table)  # the chain fmm_apply uses
+    chain = shared_chain(cfg.eps, 8)  # the chain fmm_apply uses
     chain.ensure(32)
     rank = chain.ops[32].skeleton.rank
     if cfg.eps <= 1e-9:
@@ -247,21 +234,21 @@ def _selftest_checks(cfg):
     rng = np.random.default_rng(cfg.seed)
     pts = np.unique(rng.integers(0, 1024, size=(360, 2)), axis=0)[:300]
     q = rng.standard_normal(pts.shape[0])
-    u = fmm_apply(pts, q, eps=cfg.eps, table=table)
-    ref = direct_sum(pts, q, table=table)
+    u = fmm_apply(pts, q, eps=cfg.eps)
+    ref = direct_sum(pts, q)
     rel = np.linalg.norm(u - ref) / np.linalg.norm(ref)
     tol = max(10.0 * cfg.eps, 1e-12)
     yield "fmm-vs-direct", rel <= tol, f"rel l2 {rel:.2e} <= {tol:.0e}"
 
     queries = [(3, 4), (-2, 7)]
-    u_empty = solve_defect(DefectSpec([]), (1.0, 0.5), queries=queries, table=table)
+    u_empty = solve_defect(DefectSpec([]), (1.0, 0.5), queries=queries)
     drift = max(abs(u_empty[p] - (p[0] + 0.5 * p[1])) for p in queries)
     yield "defect-empty", drift == 0.0, f"drift {drift:.1e}"
 
     spec = DefectSpec([((0, 0), (1, 0), -1.0)])
     stol = max(1e-9, 10.0 * cfg.eps)
     grid = [(x, y) for x in range(-7, 8) for y in range(-7, 8)]
-    u_map = solve_defect(spec, (1.0, 0.0), tol=stol, queries=grid, eps=cfg.eps, table=table)
+    u_map = solve_defect(spec, (1.0, 0.0), tol=stol, queries=grid, eps=cfg.eps)
     bu = {}
     for (a, b, dc) in spec.bars:
         diff = dc * (u_map[a] - u_map[b])
@@ -288,7 +275,6 @@ def _selftest_checks(cfg):
         f_vals,
         np.array(w_nodes, dtype=np.int64),
         eps=cfg.eps,
-        table=table,
     )
     gap = max(abs(bv - w[p]) for p, bv in zip(w_nodes, back))
     yield "inverse-identity", gap <= max(1e-9, 10.0 * cfg.eps), f"max gap {gap:.2e}"
@@ -328,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="print the lattice Green function at one node")
     p.add_argument("m1", type=int)
     p.add_argument("m2", type=int)
-    p.add_argument("--rtable", type=int, default=None)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("solve", help="fast summation of phi against CSV charges")

@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
+# Radius of the one Green table phi reads.  The asymptotic expansion is
+# certified only for |m| > 30, so every point with |m|_inf > 30 is
+# necessarily in its certified range.
 DEFAULT_RTABLE = 30
 DEFAULT_SEED = 0
 
@@ -28,15 +31,12 @@ def check_eps(eps: float) -> None:
 class RunConfig:
     eps: float = DEFAULT_EPS
     nleaf: int = DEFAULT_NLEAF
-    rtable: int = DEFAULT_RTABLE
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         check_eps(self.eps)
         if self.nleaf < 1:
             raise ValueError(f"nleaf must be >= 1, got {self.nleaf}")
-        if self.rtable < 3:
-            raise ValueError(f"rtable must be >= 3, got {self.rtable}")
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":

@@ -45,9 +45,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .config import DEFAULT_EPS
 from .fmm import fmm_apply, lattice_points
-from .green import GreensTable, default_table
 from .oracle import direct_sum
 from .skeleton import kernel_matrix
+from .tree import check_extent
 
 # Below this many charges, S is summed directly instead of via the FMM.
 DIRECT_S_THRESHOLD = 600
@@ -178,22 +178,14 @@ def apply_B(spec: DefectSpec, w) -> dict:
     return out
 
 
-def apply_S(
-    points,
-    charges,
-    targets,
-    eps: float = DEFAULT_EPS,
-    table: GreensTable | None = None,
-) -> np.ndarray:
+def apply_S(points, charges, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
     """[S q](t) = sum_j phi(t - m_j) q_j at the requested targets."""
     pts = np.asarray(points, dtype=np.int64)
     if pts.shape[0] == 0:
         return np.zeros(np.asarray(targets).shape[0])
-    if table is None:
-        table = default_table()
     if pts.shape[0] <= DIRECT_S_THRESHOLD:
-        return direct_sum(pts, charges, targets=targets, table=table)
-    return fmm_apply(pts, charges, targets=targets, eps=eps, table=table)
+        return direct_sum(pts, charges, targets=targets)
+    return fmm_apply(pts, charges, targets=targets, eps=eps)
 
 
 def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
@@ -204,23 +196,23 @@ def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _bar_kernel(nodes, ia, ib, table) -> np.ndarray:
+def _bar_kernel(nodes, ia, ib) -> np.ndarray:
     """D S D^T, assembled in row blocks of bars."""
     m = len(ia)
     out = np.empty((m, m), order="F")  # LAPACK's order: no copy to factor it
     for rows in _row_blocks(m, len(nodes), per_row=2):
         r = rows.stop - rows.start
-        k_ab = kernel_matrix(nodes[np.concatenate([ia[rows], ib[rows]])], nodes, table)
+        k_ab = kernel_matrix(nodes[np.concatenate([ia[rows], ib[rows]])], nodes)
         ds = k_ab[:r] - k_ab[r:]  # (D S)[rows], one column per node
         out[rows] = ds[:, ia] - ds[:, ib]
     return out
 
 
-def _sum_at(targets, nodes, w, table) -> np.ndarray:
+def _sum_at(targets, nodes, w) -> np.ndarray:
     """(S w)(t) for charges w on nodes, by kernel blocks."""
     out = np.empty(len(targets))
     for rows in _row_blocks(len(targets), len(nodes)):
-        out[rows] = kernel_matrix(targets[rows], nodes, table) @ w
+        out[rows] = kernel_matrix(targets[rows], nodes) @ w
     return out
 
 
@@ -237,7 +229,6 @@ def solve_defect(
     tol: float = 1e-8,
     queries=None,
     eps: float = DEFAULT_EPS,
-    table: GreensTable | None = None,
     max_iter: int = 200,
     stats: dict | None = None,
 ) -> dict:
@@ -254,8 +245,8 @@ def solve_defect(
     the seconds ``t_assemble``, ``t_solve``, ``t_eval`` and ``wall_time``.
 
     Raises ValueError for a non-finite far field, non-integer query
-    coordinates or tol below 10 eps, and RuntimeError if the system is
-    singular or GMRES does not converge.
+    coordinates, a node and query extent above 2**31 or tol below 10 eps,
+    and RuntimeError if the system is singular or GMRES does not converge.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -263,8 +254,6 @@ def solve_defect(
         raise ValueError(f"far field must be finite, got {tuple(far)}")
     if tol < 10 * eps:
         raise ValueError(f"tol {tol} must be at least 10x the summation eps {eps}")
-    if table is None:
-        table = default_table()
     if queries is None:
         q_arr = np.array(spec.nodes, dtype=np.int64).reshape(-1, 2)
     else:
@@ -276,6 +265,7 @@ def solve_defect(
     t1 = t2 = clock()
     if len(spec):
         nodes, ia, ib, dc = spec.incidence()
+        check_extent(np.vstack([nodes, q_arr]))
 
         def d_transpose(z):  # bar values to node charges
             return np.bincount(ia, z, len(nodes)) - np.bincount(ib, z, len(nodes))
@@ -283,7 +273,7 @@ def solve_defect(
         v = c1 * nodes[:, 0] + c2 * nodes[:, 1]
         rhs = dc * (v[ia] - v[ib])  # C D v
         if path == "dense":
-            mat = _bar_kernel(nodes, ia, ib, table)
+            mat = _bar_kernel(nodes, ia, ib)
             mat *= dc[:, None]
             mat[np.diag_indices_from(mat)] += 1.0
             t1 = clock()
@@ -296,7 +286,7 @@ def solve_defect(
         else:
 
             def bar_operator(z):
-                s = apply_S(nodes, d_transpose(z), nodes, eps=eps, table=table)
+                s = apply_S(nodes, d_transpose(z), nodes, eps=eps)
                 return z + dc * (s[ia] - s[ib])
 
             op = LinearOperator((len(spec), len(spec)), matvec=bar_operator, dtype=np.float64)
@@ -318,9 +308,9 @@ def solve_defect(
         t2 = clock()
         w = d_transpose(z)
         if path == "dense":
-            u -= _sum_at(q_arr, nodes, w, table)
+            u -= _sum_at(q_arr, nodes, w)
         else:
-            u -= apply_S(nodes, w, q_arr, eps=eps, table=table)
+            u -= apply_S(nodes, w, q_arr, eps=eps)
     t3 = clock()
     if stats is not None:
         stats.update(

@@ -25,8 +25,8 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_eps
-from .green import GreensTable, default_table
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_eps
+from .green import default_table
 from .skeleton import shared_chain
 from .tree import (
     INTERACTION_OFFSETS,
@@ -38,16 +38,13 @@ from .tree import (
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
-# Largest leaf side, however wide the table: each near-field stencil block
-# has s^4 entries, and the leaf ID takes all s^2 positions as candidates.
+# Largest leaf side: each near-field stencil block has s^4 entries, and
+# the leaf ID takes all s^2 positions as candidates.
 _MAX_LEAF_SIDE = 8
 
-
-def _leaf_side_cap(table: GreensTable) -> int:
-    # Near-field displacements must stay inside the table: keep the leaf
-    # side at most R_table/3, rounded down to a power of two.
-    third = max(table.radius // 3, 1)
-    return min(1 << (third.bit_length() - 1), _MAX_LEAF_SIDE)
+# Near-field displacements between neighbouring leaves reach 2s - 1 per
+# axis, and the near field reads them from the Green table.
+assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the table"
 
 
 def _shifted_slots(tree: QuadTree, level: int, dx: int, dy: int, mask=True):
@@ -68,11 +65,16 @@ def _shifted_slots(tree: QuadTree, level: int, dx: int, dy: int, mask=True):
 
 def lattice_points(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; ValueError unless every coordinate is
-    an integer (so NaN, inf and 0.5 are rejected, not truncated)."""
+    an integer that fits in int64 (so NaN, inf, 0.5 and 2**64 are rejected,
+    not truncated or wrapped)."""
     raw = np.asarray(values)
-    # NaN and inf cast to arbitrary integers; the comparison rejects them.
-    with np.errstate(invalid="ignore"):
-        pts = raw.astype(np.int64, copy=False)
+    # NaN, inf and 2**63 (read as a float or uint64) cast to other
+    # integers; the comparison rejects them.  Larger ints do not cast.
+    try:
+        with np.errstate(invalid="ignore"):
+            pts = raw.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} must have coordinates that fit in int64") from None
     if not np.array_equal(pts, raw):
         raise ValueError(f"{what} must have integer coordinates")
     return pts
@@ -108,14 +110,13 @@ class FmmRun:
     chain is fetched.
     """
 
-    def __init__(self, tree: QuadTree, eps: float, table: GreensTable):
+    def __init__(self, tree: QuadTree, eps: float):
         self.tree = tree
         self.eps = eps
-        self.table = table
         self.leaf_side = tree.side_of(tree.L)
         self.chain = None
         if tree.L >= 2:
-            self.chain = shared_chain(eps, self.leaf_side, table)
+            self.chain = shared_chain(eps, self.leaf_side)
             self.chain.ensure(tree.side_of(2))
         self.times: dict[str, float] = {}
         self.near_pairs = 0
@@ -221,11 +222,9 @@ class FmmRun:
         ptr = tree.ptr[tree.L]
         n_pts = len(q_sorted)
         u = np.zeros(n_pts)
-        grid = self.table.dense_grid()
-        radius = self.table.radius
+        grid = default_table().dense_grid()
+        radius = DEFAULT_RTABLE
         s = self.leaf_side
-        if 2 * s - 1 > radius:
-            raise AssertionError("near-field displacement would exceed the table")
         starts = ptr[:-1]
         stencil_pairs = []
         for dx, dy in _NEAR_OFFSETS:
@@ -276,8 +275,8 @@ class FmmRun:
         maps source stencil charges to target stencil potentials.
         """
         s = self.leaf_side
-        radius = self.table.radius
-        grid = self.table.dense_grid()
+        radius = DEFAULT_RTABLE
+        grid = default_table().dense_grid()
         used = np.unique(
             np.concatenate([np.concatenate(p[2:]) for p in stencil_pairs])
         )
@@ -354,7 +353,6 @@ def fmm_apply(
     targets=None,
     eps: float = DEFAULT_EPS,
     nleaf: int = DEFAULT_NLEAF,
-    table: GreensTable | None = None,
     stats: dict | None = None,
 ):
     """Potentials u_i = sum_j phi(m_i - m_j) q_j.
@@ -368,20 +366,23 @@ def fmm_apply(
     ``near_ragged_pairs`` were summed pair by pair and the rest in
     ``near_gemm_blocks`` stencil block products).
 
+    Error contract: max_i |u_i - exact_i| <= eps * sum_j |q_j|.  The error
+    is bounded relative to the charges' l1 norm, not to |u|: charges that
+    cancel (zero-sum, or dipoles such as D^T z) give small potentials
+    whose relative error can far exceed eps.
+
     Raises ValueError for eps outside ``config.EPS_RANGE``, non-finite
-    charges, non-integer coordinates, duplicate sources, or a coordinate
-    extent above 2**31.
+    charges, non-integer coordinates or coordinates beyond int64, duplicate
+    sources, or a coordinate extent above 2**31.
     """
     clock = time.perf_counter
     t0 = clock()
     check_eps(eps)
-    if table is None:
-        table = default_table()
     all_pts, q_full, tgt_rows = _merge_targets(points, charges, targets)
     t1 = clock()
-    tree = build_tree(all_pts, nleaf=nleaf, max_leaf_side=_leaf_side_cap(table))
+    tree = build_tree(all_pts, nleaf=nleaf, max_leaf_side=_MAX_LEAF_SIDE)
     t_tree = clock() - t1
-    run = FmmRun(tree, eps, table)
+    run = FmmRun(tree, eps)
     u_all = run.apply(q_full)
     if stats is not None:
         stats["n_source"] = int(np.asarray(points).shape[0])

@@ -12,8 +12,9 @@ with rational A and B.  Two evaluation paths are provided:
   for |m| > 30 (in practice ~1e-15), evaluated as a polynomial in 1/|m|^2
   and cos(4 theta).
 
-``phi`` dispatches between the table and the expansion and is the evaluator
-the rest of the package uses.
+``phi`` dispatches between the radius-30 table and the expansion and is
+the evaluator the rest of the package uses.  The radius is fixed: the
+expansion is certified only beyond it.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ class GreensTable:
         ay = np.abs(np.asarray(m2, dtype=np.int64))
         hi = np.maximum(ax, ay)
         lo = np.minimum(ax, ay)
-        if np.any(hi > self.radius):
+        # lo < 0 only where |-2**63| wrapped negative in int64.
+        if np.any((hi > self.radius) | (lo < 0)):
             raise ValueError("point outside table radius")
         return self.octant[hi * (hi + 1) // 2 + lo]
 
@@ -240,31 +242,41 @@ class GreensTable:
         return self._grid
 
 
-_default_tables: dict[int, GreensTable] = {}
+_table: GreensTable | None = None
 
 
-def default_table(radius: int = DEFAULT_RTABLE) -> GreensTable:
-    """Shared table instance, built in-process on first use."""
-    table = _default_tables.get(radius)
-    if table is None:
-        table = _default_tables[radius] = GreensTable.build(radius)
-    return table
+def default_table() -> GreensTable:
+    """The table ``phi`` reads, of radius ``DEFAULT_RTABLE``; built in-process
+    on first use."""
+    global _table
+    if _table is None:
+        _table = GreensTable.build(DEFAULT_RTABLE)
+    return _table
 
 
-def phi(m1, m2, table: GreensTable | None = None):
+def phi(m1, m2):
     """phi(m) for arbitrary lattice points; scalar or vectorized.
 
-    Points inside the table radius use the table; the rest use the
-    asymptotic expansion (their Euclidean norm necessarily exceeds the
-    table radius, so the expansion is in its certified range).
+    Points with |m|_inf <= DEFAULT_RTABLE use the table.  The rest use the
+    asymptotic expansion: their Euclidean norm exceeds 30, so it is always
+    in its certified range.  Raises ValueError for a coordinate outside
+    int64.
     """
-    if table is None:
-        table = default_table()
-    x = np.asarray(m1, dtype=np.int64)
-    y = np.asarray(m2, dtype=np.int64)
+    try:
+        x = np.asarray(m1, dtype=np.int64)
+        y = np.asarray(m2, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("lattice coordinates must fit in int64") from None
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.broadcast_arrays(x, y)
-    near = np.maximum(np.abs(x), np.abs(y)) <= table.radius
+    table = default_table()
+    # As uint64, |-2**63| is 2**63; as int64 it wraps negative.
+    # One expression, so no temporary outlives it (phi runs in memory-capped
+    # kernel blocks).
+    near = (
+        np.maximum(np.abs(x).view(np.uint64), np.abs(y).view(np.uint64))
+        <= table.radius
+    )
     out = np.empty(x.shape, dtype=np.float64)
     if np.any(near):
         out[near] = table.lookup(x[near], y[near])

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .green import GreensTable, default_table, phi
+from .green import phi
 
 
-def direct_sum(points, charges, targets=None, table: GreensTable | None = None):
+def direct_sum(points, charges, targets=None):
     """u_i = sum_j phi(t_i - m_j) q_j by brute force.
 
     targets defaults to the source points themselves.  Self-terms cost
@@ -27,10 +27,8 @@ def direct_sum(points, charges, targets=None, table: GreensTable | None = None):
     if pts.shape[0] != q.shape[0]:
         raise ValueError("points and charges length mismatch")
     tgt = pts if targets is None else np.asarray(targets, dtype=np.int64)
-    if table is None:
-        table = default_table()
     out = np.empty(tgt.shape[0])
     for i, (tx, ty) in enumerate(tgt):
-        vals = phi(tx - pts[:, 0], ty - pts[:, 1], table)
+        vals = phi(tx - pts[:, 0], ty - pts[:, 1])
         out[i] = math.fsum(vals * q)
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
-from .green import GreensTable, default_table, phi
+from .green import phi
 from .tree import INTERACTION_OFFSETS
 
 # Proxy lattice points per edge of the proxy square.
@@ -81,11 +81,11 @@ def dense_candidates(side: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()]).astype(np.int64)
 
 
-def kernel_matrix(targets, sources, table: GreensTable | None = None) -> np.ndarray:
+def kernel_matrix(targets, sources) -> np.ndarray:
     """phi(t_i - s_j) for integer point sets."""
     t = np.asarray(targets, dtype=np.int64)
     s = np.asarray(sources, dtype=np.int64)
-    return phi(t[:, None, 0] - s[None, :, 0], t[:, None, 1] - s[None, :, 1], table)
+    return phi(t[:, None, 0] - s[None, :, 0], t[:, None, 1] - s[None, :, 1])
 
 
 @dataclass
@@ -108,10 +108,7 @@ def _quadrant_shifts(side: int):
 
 
 def build_level_skeleton(
-    side: int,
-    table: GreensTable | None = None,
-    eps: float = 1e-10,
-    child: LevelSkeleton | None = None,
+    side: int, eps: float = 1e-10, child: LevelSkeleton | None = None
 ) -> LevelSkeleton:
     """Skeletonize one model box; pass the child level's skeleton to move up."""
     if child is None:
@@ -122,7 +119,7 @@ def build_level_skeleton(
         cand = np.concatenate(
             [child.points + np.array(s) for s in _quadrant_shifts(side)]
         )
-    a = kernel_matrix(proxy_points(side), cand, table)
+    a = kernel_matrix(proxy_points(side), cand)
     idx, t = interpolative_decomposition(a, eps)
     return LevelSkeleton(side=side, points=cand[idx], interp=t, candidates=cand)
 
@@ -138,9 +135,7 @@ def build_t_ofo(parent: LevelSkeleton, child: LevelSkeleton) -> np.ndarray:
     return np.stack([parent.interp[:, q * kc : (q + 1) * kc] for q in range(4)])
 
 
-def build_t_ifo(
-    skel: LevelSkeleton, table: GreensTable | None = None
-) -> np.ndarray:
+def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     """(K_ifo, k, k) outgoing->incoming kernel blocks, one per offset.
 
     Entry [d, i, j] = phi(z_i - z_j - side*delta_d): the potential at
@@ -153,7 +148,7 @@ def build_t_ifo(
     dx = z[:, None, 0] - z[None, :, 0]
     dy = z[:, None, 1] - z[None, :, 1]
     for d, (ox, oy) in enumerate(INTERACTION_OFFSETS):
-        out[d] = phi(dx - skel.side * ox, dy - skel.side * oy, table)
+        out[d] = phi(dx - skel.side * ox, dy - skel.side * oy)
     return out
 
 
@@ -174,10 +169,9 @@ class OperatorChain:
     T_ifi blocks are the transposes of T_ofo.
     """
 
-    def __init__(self, eps: float, leaf_side: int, table: GreensTable | None = None):
+    def __init__(self, eps: float, leaf_side: int):
         self.eps = float(eps)
         self.leaf_side = int(leaf_side)
-        self.table = table if table is not None else default_table()
         self.ops: dict[int, LevelOperators] = {}
 
     def ensure(self, top_side: int) -> None:
@@ -188,10 +182,8 @@ class OperatorChain:
             cur = self.ops.get(side)
             if cur is None:
                 child_skel = child_ops.skeleton if child_ops is not None else None
-                skel = build_level_skeleton(side, self.table, self.eps, child=child_skel)
-                cur = LevelOperators(
-                    skeleton=skel, t_ifo=build_t_ifo(skel, self.table)
-                )
+                skel = build_level_skeleton(side, self.eps, child=child_skel)
+                cur = LevelOperators(skeleton=skel, t_ifo=build_t_ifo(skel))
                 if child_skel is not None:
                     cur.t_ofo = build_t_ofo(skel, child_skel)
                 self.ops[side] = cur
@@ -210,15 +202,11 @@ class OperatorChain:
 _chain_memo: dict[tuple, OperatorChain] = {}
 
 
-def shared_chain(
-    eps: float, leaf_side: int, table: GreensTable | None = None
-) -> OperatorChain:
+def shared_chain(eps: float, leaf_side: int) -> OperatorChain:
     """Process-wide memo of operator chains (model boxes are tree-agnostic)."""
-    if table is None:
-        table = default_table()
-    key = (float(eps), int(leaf_side), table.radius)
+    key = (float(eps), int(leaf_side))
     chain = _chain_memo.get(key)
     if chain is None:
-        chain = OperatorChain(eps, leaf_side, table=table)
+        chain = OperatorChain(eps, leaf_side)
         _chain_memo[key] = chain
     return chain

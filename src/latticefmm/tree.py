@@ -14,6 +14,17 @@ import numpy as np
 MAX_ROOT_SIDE = 1 << 31
 
 
+def check_extent(pts: np.ndarray) -> int:
+    """Side of the smallest square covering the (N, 2) int64 points;
+    ValueError above MAX_ROOT_SIDE."""
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    extent = max(int(hi[0]) - int(lo[0]), int(hi[1]) - int(lo[1])) + 1
+    if extent > MAX_ROOT_SIDE:
+        raise ValueError(f"coordinate extent {extent} exceeds 2**31")
+    return extent
+
+
 def _part1by1(v):
     v = np.asarray(v, dtype=np.uint64)
     v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
@@ -105,12 +116,8 @@ class QuadTree:
         self.nleaf = int(nleaf)
         n = pts.shape[0]
 
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        extent = max(int(hi[0]) - int(lo[0]), int(hi[1]) - int(lo[1])) + 1
-        if extent > MAX_ROOT_SIDE:
-            raise ValueError(f"coordinate extent {extent} exceeds 2**31")
-        self.anchor = lo
+        extent = check_extent(pts)
+        self.anchor = pts.min(axis=0)
         side = 1
         while side < extent:
             side *= 2

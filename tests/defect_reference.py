@@ -19,7 +19,7 @@ from latticefmm.defect import apply_B, apply_S
 
 
 def node_space_solve(
-    spec, far, tol=1e-8, queries=None, eps=DEFAULT_EPS, table=None, max_iter=200
+    spec, far, tol=1e-8, queries=None, eps=DEFAULT_EPS, max_iter=200
 ) -> dict:
     """Potential at the queries (default: the defect nodes), as a dict."""
     c1, c2 = float(far[0]), float(far[1])
@@ -30,7 +30,7 @@ def node_space_solve(
     bv_vec = np.array([bv[p] for p in nodes])
 
     def b_of_s(charge_vec):
-        s_vals = apply_S(node_arr, charge_vec, node_arr, eps=eps, table=table)
+        s_vals = apply_S(node_arr, charge_vec, node_arr, eps=eps)
         img = apply_B(spec, {p: s_vals[i] for i, p in enumerate(nodes)})
         return np.array([img[p] for p in nodes])
 
@@ -48,7 +48,7 @@ def node_space_solve(
     if info != 0:
         raise RuntimeError("node-space reference did not converge")
     correction = apply_S(
-        node_arr, bv_vec + mu, np.array(query_nodes, dtype=np.int64), eps=eps, table=table
+        node_arr, bv_vec + mu, np.array(query_nodes, dtype=np.int64), eps=eps
     )
     return {
         p: c1 * p[0] + c2 * p[1] - correction[i] for i, p in enumerate(query_nodes)

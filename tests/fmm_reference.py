@@ -11,7 +11,6 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from latticefmm.green import GreensTable, default_table
 from latticefmm.skeleton import kernel_matrix
 from latticefmm.tree import QuadTree
 
@@ -20,15 +19,13 @@ from tree_reference import box_by_id, locate_id, neighbor_ids
 DENSE_SOLVE_MAX_UNKNOWNS = 3000
 
 
-def direct_near_field(tree: QuadTree, box_id: int, charges, table=None):
+def direct_near_field(tree: QuadTree, box_id: int, charges):
     """Near-field partial potentials for one leaf box.
 
     Returns (point_indices, partial_u): the box's points (original indexing)
     and the directly summed contribution of sources in the box itself and
     its neighbor leaves.
     """
-    if table is None:
-        table = default_table()
     box = box_by_id(tree, box_id)
     if box.level != tree.L:
         raise ValueError("near field is defined on leaf boxes")
@@ -41,13 +38,11 @@ def direct_near_field(tree: QuadTree, box_id: int, charges, table=None):
         s_idx = box_by_id(tree, sid).point_index
         if s_idx.size == 0:
             continue
-        u += kernel_matrix(t_pts, tree.points[s_idx], table) @ q[s_idx]
+        u += kernel_matrix(t_pts, tree.points[s_idx]) @ q[s_idx]
     return t_idx, u
 
 
-def dense_solve_truncated(
-    rhs: Mapping, window_radius: int, table: GreensTable | None = None
-) -> dict:
+def dense_solve_truncated(rhs: Mapping, window_radius: int) -> dict:
     """Free-space convolution u = phi * f restricted to a square window.
 
     rhs maps lattice points (tuples) to charges.  The window is the square
@@ -77,7 +72,7 @@ def dense_solve_truncated(
     pos = {(int(x), int(y)): i for i, (x, y) in enumerate(window)}
     for p, val in rhs.items():
         f[pos[(int(p[0]), int(p[1]))]] = val
-    u = kernel_matrix(window, window, table) @ f
+    u = kernel_matrix(window, window) @ f
     return {(int(x), int(y)): float(v) for (x, y), v in zip(window, u)}
 
 

@@ -10,15 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from latticefmm.config import DEFAULT_EPS, DEFAULT_RTABLE
+from latticefmm.config import DEFAULT_EPS
 from latticefmm.defect import DefectSpec, apply_S, solve_defect
 from latticefmm.fmm import fmm_apply
-from latticefmm.green import (
-    GreensTable,
-    apply_discrete_laplacian,
-    phi,
-    phi_asymptotic,
-)
+from latticefmm.green import apply_discrete_laplacian, phi, phi_asymptotic
 from latticefmm.oracle import direct_sum
 from latticefmm.skeleton import shared_chain
 
@@ -37,13 +32,13 @@ def report(capsys):
 
 
 @pytest.fixture(scope="module")
-def scaling_runs(table):
+def scaling_runs():
     """One warm-timed run per size for the random distribution.
 
     Shared by the runtime-scaling and memory-scaling checks so the
     expensive solves happen once.
     """
-    shared_chain(DEFAULT_EPS, 8, table).ensure(2**16)  # precompute operators
+    shared_chain(DEFAULT_EPS, 8).ensure(2**16)  # precompute operators
     runs = []
     for exp in (14, 16, 18):
         n = 2**exp
@@ -53,20 +48,20 @@ def scaling_runs(table):
         pts = pts[:n]
         q = rng.standard_normal(n)
         stats: dict = {}
-        fmm_apply(pts, q, table=table, stats=stats)
+        fmm_apply(pts, q, stats=stats)
         runs.append(
             (n, stats["wall_time"], stats["op_entries"], stats["shared_op_entries"])
         )
     return runs
 
 
-def test_green_function_identity(report):
+def test_green_function_identity(report, monkeypatch):
+    monkeypatch.setattr("latticefmm.green._table", None)  # phi builds it, timed
     t0 = time.perf_counter()
-    table = GreensTable.build(DEFAULT_RTABLE)  # fresh build, timed
     half = 51
     ax = np.arange(-half, half + 1)
     m1, m2 = np.meshgrid(ax, ax, indexing="ij")
-    u = phi(m1, m2, table=table)
+    u = phi(m1, m2)
     lap = (
         4.0 * u[1:-1, 1:-1]
         - u[2:, 1:-1]
@@ -103,10 +98,10 @@ def test_asymptotic_accuracy(report):
     )
 
 
-def test_known_values(report, table):
-    e0 = abs(phi(0, 0, table))
-    e1 = abs(phi(1, 0, table) + 0.25)
-    e2 = abs(phi(1, 1, table) + 1.0 / math.pi)
+def test_known_values(report):
+    e0 = abs(phi(0, 0))
+    e1 = abs(phi(1, 0) + 0.25)
+    e2 = abs(phi(1, 1) + 1.0 / math.pi)
     report(
         "known values phi(0,0), phi(1,0), phi(1,1)",
         e0 <= 1e-14 and e1 <= 1e-14 and e2 <= 1e-13,
@@ -114,7 +109,7 @@ def test_known_values(report, table):
     )
 
 
-def test_fmm_oracle_equivalence(report, table):
+def test_fmm_oracle_equivalence(report):
     t0 = time.perf_counter()
     side = 2**15
     sizes = [100, 500, 2000]
@@ -124,8 +119,8 @@ def test_fmm_oracle_equivalence(report, table):
         rng = np.random.default_rng(1000 + trial)
         pts = np.unique(rng.integers(0, side, size=(2 * n, 2)), axis=0)[:n]
         q = rng.standard_normal(n)
-        u = fmm_apply(pts, q, eps=1e-10, table=table)
-        ref = direct_sum(pts, q, table=table)
+        u = fmm_apply(pts, q, eps=1e-10)
+        ref = direct_sum(pts, q)
         rel = float(np.linalg.norm(u - ref) / np.linalg.norm(ref))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -136,10 +131,10 @@ def test_fmm_oracle_equivalence(report, table):
     )
 
 
-def test_rank_band(report, table):
+def test_rank_band(report):
     ranks = {}
     for eps in (1e-10, 1e-6):
-        chain = shared_chain(eps, 8, table)  # the chain fmm_apply uses
+        chain = shared_chain(eps, 8)  # the chain fmm_apply uses
         chain.ensure(256)
         ranks[eps] = [chain.ops[s].skeleton.rank for s in (32, 64, 128, 256)]
     leaf10, leaf6 = ranks[1e-10][0], ranks[1e-6][0]
@@ -153,7 +148,7 @@ def test_rank_band(report, table):
     )
 
 
-def test_linear_scaling(report, table, scaling_runs):
+def test_linear_scaling(report, scaling_runs):
     fit = estimate_complexity([(n, t) for n, t, _, _ in scaling_runs])
     slope = fit["slope"]
 
@@ -163,8 +158,8 @@ def test_linear_scaling(report, table, scaling_runs):
     pts = np.unique(rng.integers(0, 10**6, size=(n_src + 500, 2)), axis=0)[:n_src]
     q = rng.standard_normal(n_src)
     sel = rng.choice(n_src, size=100, replace=False)
-    u = fmm_apply(pts, q, table=table)
-    ref = direct_sum(pts, q, targets=pts[sel], table=table)
+    u = fmm_apply(pts, q)
+    ref = direct_sum(pts, q, targets=pts[sel])
     spot = float(np.max(np.abs(u[sel] - ref)) / np.max(np.abs(ref)))
     times = ", ".join(
         f"2^{e}: {t:.2f}s" for e, (_, t, _, _) in zip((14, 16, 18), scaling_runs)
@@ -191,16 +186,16 @@ def test_memory_linearity(report, scaling_runs):
     )
 
 
-def test_defect_solver(report, table):
+def test_defect_solver(report):
     t0 = time.perf_counter()
     # (a) empty defect: exact pass-through of the far field
-    ua = solve_defect(DefectSpec([]), (1.0, -2.0), queries=[(7, 3)], table=table)
+    ua = solve_defect(DefectSpec([]), (1.0, -2.0), queries=[(7, 3)])
     exact_a = ua[(7, 3)] == 7.0 - 6.0
 
     # (b) single removed bar: perturbed equation residual within radius 20
     spec = DefectSpec([((0, 0), (1, 0), -1.0)])
     grid = [(x, y) for x in range(-21, 22) for y in range(-21, 22)]
-    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=grid, table=table)
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=grid)
     bu = {}
     for (a, b, dc) in spec.bars:
         d = dc * (u[a] - u[b])
@@ -227,7 +222,6 @@ def test_defect_solver(report, table):
         np.array(f_nodes, dtype=np.int64),
         f_vals,
         np.array(nodes, dtype=np.int64),
-        table=table,
     )
     sa_gap = float(max(abs(v - w[p]) for p, v in zip(nodes, back)))
     elapsed = time.perf_counter() - t0
@@ -239,7 +233,7 @@ def test_defect_solver(report, table):
     )
 
 
-def test_pde_residual(report, table):
+def test_pde_residual(report):
     sources = [(0, 0), (250, -97), (-333, 412)]
     charges = [1.0, -0.25, -0.75]  # zero net charge
     pts = np.array(sources, dtype=np.int64)
@@ -247,7 +241,7 @@ def test_pde_residual(report, table):
     for x, y in sources:
         stencil += [(x, y), (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
     tgts = np.array(sorted(set(stencil)), dtype=np.int64)
-    u = fmm_apply(pts, np.array(charges), targets=tgts, table=table)
+    u = fmm_apply(pts, np.array(charges), targets=tgts)
     u_map = {tuple(p): v for p, v in zip(tgts, u)}
     worst = max(
         abs(apply_discrete_laplacian(lambda p: u_map[p], s) - c)

@@ -5,6 +5,8 @@ import pytest
 
 from latticefmm.cli import _bench_points, main
 from latticefmm.defect import DefectSpec, solve_defect
+from latticefmm.fmm import fmm_apply, lattice_points
+from latticefmm.green import phi, phi_asymptotic
 from latticefmm.oracle import direct_sum
 
 
@@ -22,6 +24,46 @@ def test_phi_known_prints(capsys):
     assert out == "-0.3183098861837907\n"
     rc, out = run_cli(capsys, "phi", "-5", "3")
     assert out == run_cli(capsys, "phi", "3", "5")[1]
+
+
+def test_phi_has_no_table_radius_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "5", "0", "--rtable", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rtable 3" in capsys.readouterr().err
+
+
+def test_phi_at_int64_min_uses_expansion(capsys):
+    # |-2**63| does not fit in int64; the point is far, not near.
+    rc, out = run_cli(capsys, "phi", "--", str(-2**63), "0")
+    assert rc == 0 and out == f"{phi_asymptotic(-2.0**63, 0.0):.16g}\n"
+
+
+_BIG = 2**63
+_OVERFLOW = {
+    "phi": lambda tmp: phi(_BIG, 0),
+    "lattice_points": lambda tmp: lattice_points([(2**64, 0)], "points"),
+    "fmm_apply": lambda tmp: fmm_apply([(0, 0), (2**64, 0)], [1.0, 1.0]),
+    "solve_defect": lambda tmp: solve_defect(
+        DefectSpec([((2**62, 0), (2**62 + 1, 0), -1.0)]), (0, 0), queries=[(-2**62, 0)]
+    ),
+    "DefectSpec": lambda tmp: DefectSpec([((2**64, 0), (2**64 + 1, 0), -1.0)]),
+    "cli phi": lambda tmp: main(["phi", str(_BIG), "0"]),
+    "cli solve": lambda tmp: main(["solve", _write_sources(tmp, [(_BIG, 0, 1.0)])]),
+    "cli direct": lambda tmp: main(["direct", _write_sources(tmp, [(0, _BIG, 1.0)])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOW))
+def test_int64_overflow_rejected(case, tmp_path):
+    """Coordinates (or their differences) beyond int64 raise ValueError, and
+    the CLI turns it into an ``error:`` exit."""
+    if case.startswith("cli"):
+        with pytest.raises(SystemExit, match="^error: "):
+            _OVERFLOW[case](tmp_path)
+    else:
+        with pytest.raises(ValueError, match=r"int64|exceeds 2\*\*31"):
+            _OVERFLOW[case](tmp_path)
 
 
 def _write_sources(tmp_path, rows):
@@ -192,7 +234,7 @@ def test_selftest_writes_no_files(capsys, monkeypatch, tmp_path):
     xdg.mkdir()
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
-    monkeypatch.setattr("latticefmm.green._default_tables", {})  # force a build
+    monkeypatch.setattr("latticefmm.green._table", None)  # force a build
     rc, _ = run_cli(capsys, "selftest")
     assert rc == 0
     assert list(home.rglob("*")) == [] and list(xdg.rglob("*")) == []

@@ -104,11 +104,11 @@ def test_disconnected_regions_rejected():
             DefectSpec(cut_out(nodes))
 
 
-def test_reconnected_node_accepted(table):
+def test_reconnected_node_accepted():
     # All four bars of (0, 0) removed, but an added link keeps it attached:
     # no current flows through the dead end, so it takes (2, 3)'s level.
     spec = DefectSpec(cut_out([(0, 0)]) + [((0, 0), (2, 3), 1.0)])
-    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=[(0, 0), (2, 3)], table=table)
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=[(0, 0), (2, 3)])
     assert np.isfinite(u[(0, 0)])
     assert u[(0, 0)] == pytest.approx(u[(2, 3)], abs=1e-8)
 
@@ -134,25 +134,25 @@ def test_apply_S_unit_charge():
     assert u[0] == pytest.approx(phi(1, 1), abs=1e-13)
 
 
-def test_removed_bar_residual(table):
+def test_removed_bar_residual():
     spec = removed_bar_spec()
-    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=grid_queries(21), table=table)
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=grid_queries(21))
     res = residual_map(spec, u, 20)
     assert max(abs(v) for v in res.values()) <= 1e-8
 
 
-def test_added_long_link_residual(table):
+def test_added_long_link_residual():
     spec = DefectSpec([((0, 0), (2, 3), 2.0)])
-    u = solve_defect(spec, (0.5, 1.0), tol=1e-9, queries=grid_queries(9), table=table)
+    u = solve_defect(spec, (0.5, 1.0), tol=1e-9, queries=grid_queries(9))
     res = residual_map(spec, u, 8)
     assert max(abs(v) for v in res.values()) <= 1e-8
 
 
-def test_strengthened_bar_matches_dense_formulation(table):
+def test_strengthened_bar_matches_dense_formulation():
     # independent path: dense LU on the reduced system + windowed convolution
     spec = DefectSpec([((0, 0), (1, 0), 1.0)])
     queries = grid_queries(10)
-    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=queries, table=table)
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=queries)
 
     nodes = spec.nodes
     n = len(nodes)
@@ -164,20 +164,20 @@ def test_strengthened_bar_matches_dense_formulation(table):
         b_mat[j, j] += dc
         b_mat[i, j] -= dc
         b_mat[j, i] -= dc
-    s_mat = kernel_matrix(nodes, nodes, table)
+    s_mat = kernel_matrix(nodes, nodes)
     v_vec = np.array([p[0] for p in nodes], dtype=float)
     rhs = -b_mat @ s_mat @ b_mat @ v_vec
     mu = np.linalg.solve(np.eye(n) + b_mat @ s_mat, rhs)
     w = b_mat @ v_vec + mu
     window = dense_solve_truncated(
-        {p: -float(w[i]) for i, p in enumerate(nodes)}, window_radius=26, table=table
+        {p: -float(w[i]) for i, p in enumerate(nodes)}, window_radius=26
     )
     for p in queries:
         u_dense = p[0] + window[p]
         assert u[p] == pytest.approx(u_dense, abs=1e-7)
 
 
-def test_s_inverts_discrete_laplacian(table):
+def test_s_inverts_discrete_laplacian():
     rng = np.random.default_rng(5)
     pts = np.unique(rng.integers(-15, 16, size=(20, 2)), axis=0)
     w = {tuple(p): float(rng.standard_normal()) for p in map(tuple, pts)}
@@ -188,25 +188,25 @@ def test_s_inverts_discrete_laplacian(table):
     get = lambda p: w.get(p, 0.0)
     f_nodes = sorted(touched)
     f_vals = np.array([apply_discrete_laplacian(get, p) for p in f_nodes])
-    back = apply_S(np.array(f_nodes), f_vals, pts, table=table)
+    back = apply_S(np.array(f_nodes), f_vals, pts)
     expected = np.array([w[tuple(p)] for p in pts])
     assert np.max(np.abs(back - expected)) <= 1e-9
 
 
-def test_linearity_in_far_field(table):
+def test_linearity_in_far_field():
     spec = DefectSpec([((0, 0), (1, 0), -1.0), ((4, 4), (4, 5), 0.75)])
     queries = [(12, 3), (-7, 9), (0, 0), (30, 30)]
-    u10 = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=queries, table=table)
-    u01 = solve_defect(spec, (0.0, 1.0), tol=1e-9, queries=queries, table=table)
-    u11 = solve_defect(spec, (1.0, 1.0), tol=1e-9, queries=queries, table=table)
+    u10 = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=queries)
+    u01 = solve_defect(spec, (0.0, 1.0), tol=1e-9, queries=queries)
+    u11 = solve_defect(spec, (1.0, 1.0), tol=1e-9, queries=queries)
     for p in queries:
         assert u11[p] == pytest.approx(u10[p] + u01[p], abs=1e-8)
 
 
-def test_far_field_decay(table):
+def test_far_field_decay():
     spec = removed_bar_spec()
     pts = [(100, 1), (10000, 1)]
-    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=pts, table=table)
+    u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=pts)
     d_near = abs(u[(100, 1)] - 100.0)
     d_far = abs(u[(10000, 1)] - 10000.0)
     assert d_near > 0
@@ -259,16 +259,15 @@ MIXED_DEFECTS = {
 
 
 @pytest.mark.parametrize("name", sorted(MIXED_DEFECTS))
-def test_mixed_defects_residual(name, table):
+def test_mixed_defects_residual(name):
     spec = DefectSpec(MIXED_DEFECTS[name])
     stats = {}
-    u = solve_defect(spec, (0.5, -1.0), queries=with_neighbours(spec.nodes),
-                     table=table, stats=stats)
+    u = solve_defect(spec, (0.5, -1.0), queries=with_neighbours(spec.nodes), stats=stats)
     assert stats["path"] == "dense"
     assert defect_node_residual(spec, u) <= 1e-10
 
 
-def test_dense_path_matches_gmres_path(table, monkeypatch):
+def test_dense_path_matches_gmres_path(monkeypatch):
     spec = DefectSpec(
         [((i, 0), (i, 1), -1.0) for i in range(40)]
         + [((2 * i, 3), (2 * i + 1, 3), 1.5) for i in range(15)]
@@ -278,10 +277,10 @@ def test_dense_path_matches_gmres_path(table, monkeypatch):
     queries = with_neighbours(spec.nodes) + [(100, -40)]
     dense_stats, gmres_stats = {}, {}
     u_dense = solve_defect(spec, (1.0, 2.0), tol=1e-11, eps=1e-12, queries=queries,
-                           table=table, stats=dense_stats)
+                           stats=dense_stats)
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     u_gmres = solve_defect(spec, (1.0, 2.0), tol=1e-11, eps=1e-12, queries=queries,
-                           table=table, stats=gmres_stats)
+                           stats=gmres_stats)
     assert dense_stats["path"] == "dense" and dense_stats["iterations"] == 0
     assert dense_stats["residual_history"] == []
     assert gmres_stats["path"] == "gmres"
@@ -290,54 +289,54 @@ def test_dense_path_matches_gmres_path(table, monkeypatch):
     assert max(abs(u_dense[p] - u_gmres[p]) for p in queries) <= 1e-9
 
 
-def test_solve_stats_fields(table):
+def test_solve_stats_fields():
     spec, queries = crack(6)
     stats = {}
-    solve_defect(spec, (0.0, 1.0), queries=queries, table=table, stats=stats)
+    solve_defect(spec, (0.0, 1.0), queries=queries, stats=stats)
     assert stats["bars"] == 6 and stats["nodes"] == 12
     times = [stats[k] for k in ("t_assemble", "t_solve", "t_eval")]
     assert all(t >= 0.0 for t in times)
     assert sum(times) <= stats["wall_time"]
 
 
-def test_solve_is_byte_reproducible(table):
+def test_solve_is_byte_reproducible():
     spec, queries = crack(20, offset=(-37, 12))
-    u1 = solve_defect(spec, (0.3, 1.0), queries=queries, table=table)
-    u2 = solve_defect(spec, (0.3, 1.0), queries=queries, table=table)
+    u1 = solve_defect(spec, (0.3, 1.0), queries=queries)
+    u2 = solve_defect(spec, (0.3, 1.0), queries=queries)
     assert list(u1) == list(u2)
     assert np.array(list(u1.values())).tobytes() == np.array(list(u2.values())).tobytes()
 
 
-def test_matches_node_space_reference(table):
+def test_matches_node_space_reference():
     spec, queries = crack(48, offset=(311, -87))
-    u = solve_defect(spec, (0.0, 1.0), tol=1e-8, queries=queries, table=table)
-    ref = node_space_solve(spec, (0.0, 1.0), tol=1e-8, queries=queries, table=table)
+    u = solve_defect(spec, (0.0, 1.0), tol=1e-8, queries=queries)
+    ref = node_space_solve(spec, (0.0, 1.0), tol=1e-8, queries=queries)
     assert max(abs(u[p] - ref[p]) for p in queries) <= 1e-8
     assert defect_node_residual(spec, u) <= 1e-10
 
 
-def test_crack_peak_memory(table):
+def test_crack_peak_memory():
     # The benchmark crack: 48 bars, 200 queries.  An unblocked assembly
     # peaks near 2 MB.
     spec, queries = crack(48, offset=(500, 500))
     bars = spec.bars
-    solve_defect(spec, (0.0, 1.0), queries=queries, table=table)
+    solve_defect(spec, (0.0, 1.0), queries=queries)
     tracemalloc.start()
     try:
-        solve_defect(DefectSpec(bars), (0.0, 1.0), queries=queries, table=table)
+        solve_defect(DefectSpec(bars), (0.0, 1.0), queries=queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25e6
 
 
-def test_singular_system_raises(table):
+def test_singular_system_raises():
     # DefectSpec rejects a cut-off node; bypass it to reach the solver's guard.
     spec = removed_bar_spec()
     spec.bars = sorted(((a, b, dc) if a <= b else (b, a, dc)) for a, b, dc in cut_out([(0, 0)]))
     spec.nodes = sorted({p for a, b, _ in spec.bars for p in (a, b)})
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_defect(spec, (1.0, 0.0), table=table)
+        solve_defect(spec, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.9, np.nan, np.inf])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latticefmm import skeleton
 from latticefmm.fmm import fmm_apply
-from latticefmm.green import GreensTable, phi
+from latticefmm.green import phi
 from latticefmm.oracle import direct_sum
 from latticefmm.tree import build_tree
 
@@ -30,45 +30,45 @@ def test_single_charge_self_potential():
     assert u[0] == 0.0
 
 
-def test_two_far_charges_frozen(table):
+def test_two_far_charges_frozen():
     pts = [(0, 0), (100, 100)]
-    u = fmm_apply(pts, [1.0, -1.0], table=table)
-    expected = phi(100, 100, table)
+    u = fmm_apply(pts, [1.0, -1.0])
+    expected = phi(100, 100)
     assert u[0] == pytest.approx(-expected, abs=1e-11)
     assert u[1] == pytest.approx(expected, abs=1e-11)
 
 
 @pytest.mark.parametrize("n,seed", [(100, 0), (500, 1), (2000, 2)])
-def test_matches_direct_oracle(n, seed, table):
+def test_matches_direct_oracle(n, seed):
     rng = np.random.default_rng(seed)
     pts, q = random_sources(rng, n, 1 << 15)
-    u_fast = fmm_apply(pts, q, eps=1e-10, table=table)
-    u_slow = direct_sum(pts, q, table=table)
+    u_fast = fmm_apply(pts, q, eps=1e-10)
+    u_slow = direct_sum(pts, q)
     assert rel_l2(u_fast, u_slow) <= 1e-9
 
 
-def test_dense_grid_matches_oracle(table):
+def test_dense_grid_matches_oracle():
     rng = np.random.default_rng(4)
     g = np.arange(32)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     q = rng.standard_normal(pts.shape[0])
-    u_fast = fmm_apply(pts, q, table=table)
-    u_slow = direct_sum(pts, q, table=table)
+    u_fast = fmm_apply(pts, q)
+    u_slow = direct_sum(pts, q)
     assert rel_l2(u_fast, u_slow) <= 1e-9
 
 
-def test_separate_targets(table):
+def test_separate_targets():
     rng = np.random.default_rng(9)
     pts, q = random_sources(rng, 300, 4096)
     targets = np.vstack([rng.integers(0, 4096, size=(47, 2)), pts[:3]])
-    u_fast = fmm_apply(pts, q, targets=targets, table=table)
-    u_slow = direct_sum(pts, q, targets=targets, table=table)
+    u_fast = fmm_apply(pts, q, targets=targets)
+    u_slow = direct_sum(pts, q, targets=targets)
     assert u_fast.shape == (50,)
     assert rel_l2(u_fast, u_slow) <= 1e-9
 
 
-def test_shallow_tree_falls_back_to_dense(table):
+def test_shallow_tree_falls_back_to_dense():
     # Under two levels there are no interaction lists: every leaf neighbours
     # every other, and the near field alone is the whole sum.
     rng = np.random.default_rng(19)
@@ -81,9 +81,9 @@ def test_shallow_tree_falls_back_to_dense(table):
         q = rng.standard_normal(len(pts))
         stats = {}
         memo_before = set(skeleton._chain_memo)
-        u = fmm_apply(pts, q, table=table, stats=stats)
+        u = fmm_apply(pts, q, stats=stats)
         assert stats["levels"] == levels
-        assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-13
+        assert rel_l2(u, direct_sum(pts, q)) <= 1e-13
         assert stats["t_upward"] == stats["t_ifo"] == stats["t_downward"] == 0.0
         assert stats["near_pairs"] == len(pts) ** 2
         # No operator chain is fetched, built or reported.
@@ -91,35 +91,35 @@ def test_shallow_tree_falls_back_to_dense(table):
         assert set(skeleton._chain_memo) == memo_before
 
 
-def test_superposition(table):
+def test_superposition():
     rng = np.random.default_rng(21)
     pts, q1 = random_sources(rng, 400, 10000)
     q2 = rng.standard_normal(len(q1))
-    u12 = fmm_apply(pts, q1 + q2, table=table)
-    u1 = fmm_apply(pts, q1, table=table)
-    u2 = fmm_apply(pts, q2, table=table)
+    u12 = fmm_apply(pts, q1 + q2)
+    u1 = fmm_apply(pts, q1)
+    u2 = fmm_apply(pts, q2)
     assert np.linalg.norm(u12 - (u1 + u2)) <= 1e-10 * np.linalg.norm(u12)
 
 
-def test_translation_invariance(table):
+def test_translation_invariance():
     rng = np.random.default_rng(31)
     pts, q = random_sources(rng, 350, 2048)
-    u0 = fmm_apply(pts, q, table=table)
-    u1 = fmm_apply(pts + np.array([10007, -777]), q, table=table)
+    u0 = fmm_apply(pts, q)
+    u1 = fmm_apply(pts + np.array([10007, -777]), q)
     assert rel_l2(u1, u0) <= 1e-9
 
 
-def test_reciprocity_through_deep_tree(table):
+def test_reciprocity_through_deep_tree():
     a = (3, 5)
     b = (2901, 3107)
-    u_ab = fmm_apply([a], [1.0], targets=[b], table=table)
-    u_ba = fmm_apply([b], [1.0], targets=[a], table=table)
-    expected = phi(b[0] - a[0], b[1] - a[1], table)
+    u_ab = fmm_apply([a], [1.0], targets=[b])
+    u_ba = fmm_apply([b], [1.0], targets=[a])
+    expected = phi(b[0] - a[0], b[1] - a[1])
     assert u_ab[0] == pytest.approx(expected, abs=1e-10)
     assert u_ba[0] == pytest.approx(expected, abs=1e-10)
 
 
-def test_pde_residual_at_sources(table):
+def test_pde_residual_at_sources():
     # zero-net-charge f; stencil of the solution must return f at sources
     src = np.array([(0, 0), (41, 7), (-33, 12)])
     f = np.array([1.0, -0.375, -0.625])
@@ -127,7 +127,7 @@ def test_pde_residual_at_sources(table):
     targets = np.array(
         [(x + dx, y + dy) for x, y in src for dx, dy in stencil]
     )
-    u = fmm_apply(src, f, targets=targets, table=table)
+    u = fmm_apply(src, f, targets=targets)
     values = {tuple(p): v for p, v in zip(map(tuple, targets), u)}
     from latticefmm.green import apply_discrete_laplacian
 
@@ -158,18 +158,18 @@ def test_non_integer_coordinates_rejected(bad):
     assert np.array_equal(integral, fmm_apply([(0, 0), (3, 0)], [1.0, 1.0], targets=[(0, 1)]))
 
 
-def test_extent_limit(table):
+def test_extent_limit():
     # Morton keys hold 31 bits per coordinate: extent 2**31 is the largest.
     far = 2**31 - 1
     pts = np.array([(0, 0), (far, 3), (7, far), (far, far), (40, 41)])
     q = np.array([1.0, -2.0, 0.5, 1.5, -1.0])
-    u = fmm_apply(pts, q, table=table)
-    assert rel_l2(u, direct_sum(pts, q, table=table)) <= 1e-9
+    u = fmm_apply(pts, q)
+    assert rel_l2(u, direct_sum(pts, q)) <= 1e-9
     for edge in (2**31, 2**33):
         wide = pts.copy()
         wide[1, 0] = edge
         with pytest.raises(ValueError, match="extent"):
-            fmm_apply(wide, q, table=table)
+            fmm_apply(wide, q)
 
 
 @pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-2, 0.5, np.nan])
@@ -181,11 +181,11 @@ def test_eps_range_enforced(eps):
 PASS_TIMES = ("t_tree", "t_upward", "t_ifo", "t_downward", "t_near")
 
 
-def test_stats_reported(table):
+def test_stats_reported():
     rng = np.random.default_rng(17)
     pts, q = random_sources(rng, 500, 1 << 14)
     stats = {}
-    fmm_apply(pts, q, table=table, stats=stats)
+    fmm_apply(pts, q, stats=stats)
     assert stats["n_source"] == len(pts)
     assert stats["levels"] >= 3
     assert stats["op_entries"] > 0
@@ -198,10 +198,34 @@ def test_stats_reported(table):
 
     # 4 x 4 full leaves: 10 x 10 ordered (target, source) neighbour pairs.
     full = {}
-    fmm_apply(grid_points(32), np.ones(32 * 32), table=table, stats=full)
+    fmm_apply(grid_points(32), np.ones(32 * 32), stats=full)
     assert full["near_gemm_blocks"] == 100
     assert full["near_pairs"] == 100 * 64 * 64
     assert full["near_ragged_pairs"] == 0
+
+
+def dipole_crack(rng, m):
+    """Charges D^T z of a straight crack of m vertical unit bars: z_k at
+    (k, 0) and -z_k at (k, 1), so every pair cancels."""
+    lower = np.column_stack([np.arange(m), np.zeros(m, dtype=np.int64)]) + (900, 250)
+    z = rng.standard_normal(m)
+    return np.concatenate([lower, lower + (0, 1)]), np.concatenate([z, -z])
+
+
+@pytest.mark.parametrize("kind", ["zero-sum", "dipole"])
+def test_error_bounded_by_charge_l1_norm(kind):
+    """fmm_apply's contract max|u - exact| <= eps sum|q|, on charges that
+    cancel, whose potentials are small against sum|q|."""
+    rng = np.random.default_rng(29)
+    if kind == "zero-sum":
+        pts, q = random_sources(rng, 1500, 4096)
+        q -= q.mean()
+    else:
+        pts, q = dipole_crack(rng, 800)
+    ref = direct_sum(pts, q)
+    for eps in (1e-6, 1e-8, 1e-10, 1e-12):
+        err = np.max(np.abs(fmm_apply(pts, q, eps=eps) - ref))
+        assert err <= eps * np.abs(q).sum(), (eps, err / (eps * np.abs(q).sum()))
 
 
 def grid_points(n):
@@ -214,7 +238,7 @@ def grid_points(n):
     "regime,paths",
     [("full", {"gemm"}), ("quarter", {"gemm", "ragged"}), ("sparse", {"ragged"})],
 )
-def test_near_field_paths_match_direct(regime, paths, table):
+def test_near_field_paths_match_direct(regime, paths):
     """Every leaf pair full, occupancy around the GEMM threshold, ~1 per leaf."""
     rng = np.random.default_rng(43)
     if regime == "full":
@@ -226,7 +250,7 @@ def test_near_field_paths_match_direct(regime, paths, table):
         pts, _ = random_sources(rng, 3000, 1 << 14)
     q = rng.standard_normal(len(pts))
     stats = {}
-    u = fmm_apply(pts, q, table=table, stats=stats)
+    u = fmm_apply(pts, q, stats=stats)
     used = set()
     if stats["near_gemm_blocks"]:
         used.add("gemm")
@@ -234,7 +258,7 @@ def test_near_field_paths_match_direct(regime, paths, table):
         used.add("ragged")
     assert used == paths
     rows = np.sort(rng.choice(len(pts), size=min(len(pts), 600), replace=False))
-    ref = direct_sum(pts, q, targets=pts[rows], table=table)
+    ref = direct_sum(pts, q, targets=pts[rows])
     assert rel_l2(u[rows], ref) <= 1e-9
 
 
@@ -310,29 +334,19 @@ def test_property_leaf_pair_paths(case):
     assert stats["near_gemm_blocks"] == blocks
 
 
-def test_large_table_clamps_leaf_side():
-    # A radius-48 table would allow 16 x 16 leaves; the leaf side stays 8.
-    table48 = GreensTable.build(48)
-    rng = np.random.default_rng(0)
-    pts = np.unique(rng.integers(0, 2000, size=(3200, 2)), axis=0)[:3000]
-    q = rng.standard_normal(len(pts))
-    u = fmm_apply(pts, q, table=table48)
-    assert rel_l2(u, direct_sum(pts, q, table=table48)) <= 1e-9
-
-
-def test_direct_near_field_single_box(table):
+def test_direct_near_field_single_box():
     rng = np.random.default_rng(6)
     pts = rng.integers(0, 8, size=(20, 2))
     pts = np.unique(pts, axis=0)
     q = rng.standard_normal(len(pts))
     tree = build_tree(pts, nleaf=len(pts))
     assert tree.L == 0
-    idx, u = direct_near_field(tree, 1, q, table)
-    expected = direct_sum(pts, q, table=table)
+    idx, u = direct_near_field(tree, 1, q)
+    expected = direct_sum(pts, q)
     assert np.allclose(u, expected[idx], atol=1e-13)
 
 
-def test_direct_near_field_adjacent_pair(table):
+def test_direct_near_field_adjacent_pair():
     pts = np.array([(7, 0), (8, 0)])
     tree = build_tree(pts, nleaf=1)
     assert tree.side_of(tree.L) <= 8
@@ -342,12 +356,12 @@ def test_direct_near_field_adjacent_pair(table):
         if box.level == tree.L and any(box.point_index == 1):
             leaf_id = bid
             break
-    idx, u = direct_near_field(tree, leaf_id, np.array([3.0, 0.0]), table)
+    idx, u = direct_near_field(tree, leaf_id, np.array([3.0, 0.0]))
     assert list(idx) == [1]
     assert u[0] == pytest.approx(3.0 * (-0.25), abs=1e-14)
 
 
-def test_direct_near_field_random_leaf_pair(table):
+def test_direct_near_field_random_leaf_pair():
     rng = np.random.default_rng(8)
     left = np.column_stack([rng.integers(0, 8, 9), rng.integers(0, 8, 9)])
     right = np.column_stack([rng.integers(8, 16, 9), rng.integers(0, 8, 9)])
@@ -361,21 +375,21 @@ def test_direct_near_field_random_leaf_pair(table):
         if box.level == tree.L and box.point_index.size and tree.points[box.point_index][0, 0] < 8:
             lists_target = bid
             break
-    idx, u = direct_near_field(tree, lists_target, q, table)
+    idx, u = direct_near_field(tree, lists_target, q)
     # near field of a leaf with all sources adjacent equals the full sum
-    expected = direct_sum(pts, q, table=table)
+    expected = direct_sum(pts, q)
     assert np.allclose(u, expected[idx], atol=1e-13)
 
 
-def test_cross_validate_windowed_convolution(table):
+def test_cross_validate_windowed_convolution():
     rng = np.random.default_rng(12)
     support = [(0, 0), (1, 2), (-2, 1), (3, -3), (0, 4)]
     rhs = {p: float(rng.standard_normal()) for p in support}
-    window_u = dense_solve_truncated(rhs, window_radius=4, table=table)
+    window_u = dense_solve_truncated(rhs, window_radius=4)
     pts = np.array(list(rhs.keys()))
     q = np.array([rhs[tuple(p)] for p in pts])
     targets = np.array(list(window_u.keys()))
-    u_fmm = fmm_apply(pts, q, targets=targets, table=table)
+    u_fmm = fmm_apply(pts, q, targets=targets)
     u_win = np.array([window_u[tuple(t)] for t in targets])
     assert rel_l2(u_fmm, u_win) <= 1e-9
 

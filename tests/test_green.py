@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latticefmm
 from latticefmm import green
+from latticefmm.config import DEFAULT_RTABLE
 from latticefmm.green import (
     GreensTable,
     apply_discrete_laplacian,
@@ -147,26 +152,66 @@ def test_table_lookup_vectorized_and_bounds(table):
     assert out.shape == (3,)
     with pytest.raises(ValueError):
         table.lookup(31, 0)
+    with pytest.raises(ValueError):  # |-2**63| wraps negative in int64
+        table.lookup(-2**63, 0)
 
 
-def test_phi_dispatch_scalar_and_array(table):
-    assert phi(1, 1, table) == pytest.approx(-1.0 / math.pi, abs=1e-13)
+def test_phi_dispatch_scalar_and_array():
+    assert phi(1, 1) == pytest.approx(-1.0 / math.pi, abs=1e-13)
     xs = np.array([0, 1, 31, 100])
     ys = np.array([0, 1, 0, 100])
-    out = phi(xs, ys, table)
+    out = phi(xs, ys)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(-1.0 / math.pi, abs=1e-13)
     assert out[2] == pytest.approx(phi_asymptotic(31, 0), abs=0)
     assert out[3] == pytest.approx(phi_asymptotic(100, 100), abs=0)
 
 
-def test_stencil_identity_at_origin(table):
-    u = lambda p: phi(p[0], p[1], table)
+def test_phi_matches_exact_reference_on_table_square():
+    # Every sign and order of |m|_inf <= 30 reads the one table, bit for bit.
+    exact = exact_octant(DEFAULT_RTABLE)
+    m = np.arange(-DEFAULT_RTABLE, DEFAULT_RTABLE + 1)
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    hi = np.maximum(abs(m1), abs(m2))
+    lo = np.minimum(abs(m1), abs(m2))
+    want = np.vectorize(lambda h, l: exact[(int(h), int(l))])(hi, lo)
+    assert np.array_equal(phi(m1, m2), want)
+
+
+def test_import_builds_no_table():
+    code = (
+        "import latticefmm.green as g\n"
+        "calls = []\n"
+        "build = g.GreensTable.build\n"
+        "g.GreensTable.build = lambda radius: calls.append(radius) or build(radius)\n"
+        "import latticefmm, latticefmm.fmm, latticefmm.defect\n"
+        "assert g._table is None and calls == [], calls\n"
+    )
+    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_first_phi_builds_one_table(monkeypatch):
+    calls = []
+    build = GreensTable.build
+    monkeypatch.setattr(
+        GreensTable, "build", lambda radius: calls.append(radius) or build(radius)
+    )
+    monkeypatch.setattr(green, "_table", None)
+    phi(3, 4)
+    phi(np.arange(-40, 40), 7)
+    phi(100, 0)
+    assert calls == [DEFAULT_RTABLE]
+
+
+def test_stencil_identity_at_origin():
+    u = lambda p: phi(p[0], p[1])
     assert apply_discrete_laplacian(u, (0, 0)) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_stencil_identity_away_from_origin(table):
-    u = lambda p: phi(p[0], p[1], table)
+def test_stencil_identity_away_from_origin():
+    u = lambda p: phi(p[0], p[1])
     for m in [(1, 0), (4, 4), (17, 2), (30, 0), (30, 30), (31, 7), (45, 45)]:
         assert apply_discrete_laplacian(u, m) == pytest.approx(0.0, abs=1e-12)
 

@@ -25,11 +25,11 @@ def far_targets(side, rng, n=150):
     return np.array(out, dtype=np.int64)
 
 
-def replication_error(skel, charges, side, rng, table):
+def replication_error(skel, charges, side, rng):
     """Relative far-field error of compressed vs direct charges."""
     tgt = far_targets(side, rng)
-    exact = kernel_matrix(tgt, skel.candidates, table) @ charges
-    compressed = kernel_matrix(tgt, skel.points, table) @ (skel.interp @ charges)
+    exact = kernel_matrix(tgt, skel.candidates) @ charges
+    compressed = kernel_matrix(tgt, skel.points) @ (skel.interp @ charges)
     return np.linalg.norm(exact - compressed) / np.linalg.norm(exact)
 
 
@@ -84,40 +84,40 @@ def test_candidate_sets():
     assert dense_candidates(1).tolist() == [[0, 0]]
 
 
-def test_leaf_skeleton_rank_and_replication(table):
+def test_leaf_skeleton_rank_and_replication():
     rng = np.random.default_rng(7)
-    skel = build_level_skeleton(8, table, eps=1e-10)
+    skel = build_level_skeleton(8, eps=1e-10)
     assert 24 <= skel.rank <= 34
     q = rng.standard_normal(skel.candidates.shape[0])
-    assert replication_error(skel, q, 8, rng, table) <= 5e-9
+    assert replication_error(skel, q, 8, rng) <= 5e-9
 
 
-def test_leaf_skeleton_loose_eps_smaller_rank(table):
-    tight = build_level_skeleton(8, table, eps=1e-10)
-    loose = build_level_skeleton(8, table, eps=1e-6)
+def test_leaf_skeleton_loose_eps_smaller_rank():
+    tight = build_level_skeleton(8, eps=1e-10)
+    loose = build_level_skeleton(8, eps=1e-6)
     assert loose.rank < tight.rank
     assert 14 <= loose.rank <= 30
 
 
-def test_chain_ranks_stable(table):
-    chain = OperatorChain(1e-10, 8, table=table)
+def test_chain_ranks_stable():
+    chain = OperatorChain(1e-10, 8)
     chain.ensure(64)
     ranks = [chain.ops[s].skeleton.rank for s in (8, 16, 32, 64)]
     assert all(20 <= r <= 55 for r in ranks)
     assert max(ranks) - min(ranks) <= 8
 
 
-def test_parent_skeleton_replication(table):
+def test_parent_skeleton_replication():
     rng = np.random.default_rng(23)
-    chain = OperatorChain(1e-10, 8, table=table)
+    chain = OperatorChain(1e-10, 8)
     chain.ensure(16)
     parent = chain.ops[16].skeleton
     q = rng.standard_normal(parent.candidates.shape[0])
-    assert replication_error(parent, q, 16, rng, table) <= 5e-9
+    assert replication_error(parent, q, 16, rng) <= 5e-9
 
 
-def test_t_ofo_blocks_slice_interp(table):
-    chain = OperatorChain(1e-10, 8, table=table)
+def test_t_ofo_blocks_slice_interp():
+    chain = OperatorChain(1e-10, 8)
     chain.ensure(16)
     parent = chain.ops[16].skeleton
     child = chain.ops[8].skeleton
@@ -126,31 +126,31 @@ def test_t_ofo_blocks_slice_interp(table):
     assert np.array_equal(np.concatenate(list(blocks), axis=1), parent.interp)
 
 
-def test_t_ofo_block_size_mismatch(table):
-    chain = OperatorChain(1e-10, 8, table=table)
+def test_t_ofo_block_size_mismatch():
+    chain = OperatorChain(1e-10, 8)
     chain.ensure(16)
     parent = chain.ops[16].skeleton
-    wrong_child = build_level_skeleton(16, table, eps=1e-10)
+    wrong_child = build_level_skeleton(16, eps=1e-10)
     assert wrong_child.rank != chain.ops[8].skeleton.rank
     with pytest.raises(ValueError, match="block-size mismatch"):
         build_t_ofo(parent, wrong_child)
 
 
-def test_t_ifo_entries_match_kernel(table):
-    skel = build_level_skeleton(8, table, eps=1e-10)
-    stack = build_t_ifo(skel, table)
+def test_t_ifo_entries_match_kernel():
+    skel = build_level_skeleton(8, eps=1e-10)
+    stack = build_t_ifo(skel)
     assert stack.shape == (len(INTERACTION_OFFSETS), skel.rank, skel.rank)
     for d in (0, 13, 39):
         ox, oy = INTERACTION_OFFSETS[d]
         shifted = skel.points + np.array([8 * ox, 8 * oy])
-        assert np.array_equal(stack[d], kernel_matrix(skel.points, shifted, table))
+        assert np.array_equal(stack[d], kernel_matrix(skel.points, shifted))
 
 
-def test_leaf_t_ofs_dense_restriction(table):
+def test_leaf_t_ofs_dense_restriction():
     # The T_ofs of a partly filled leaf is the ID restricted to the columns
     # of its points, as the FMM's upward pass applies it.
     rng = np.random.default_rng(5)
-    skel = build_level_skeleton(8, table, eps=1e-10)
+    skel = build_level_skeleton(8, eps=1e-10)
     sel = rng.choice(64, size=17, replace=False)
     positions = dense_candidates(8)[sel]
     t_ofs = skel.interp[:, positions[:, 0] * 8 + positions[:, 1]]
@@ -158,14 +158,14 @@ def test_leaf_t_ofs_dense_restriction(table):
     # replication: compressed charges reproduce the far field
     q = rng.standard_normal(17)
     tgt = far_targets(8, rng)
-    exact = kernel_matrix(tgt, positions, table) @ q
-    approx = kernel_matrix(tgt, skel.points, table) @ (t_ofs @ q)
+    exact = kernel_matrix(tgt, positions) @ q
+    approx = kernel_matrix(tgt, skel.points) @ (t_ofs @ q)
     assert np.linalg.norm(exact - approx) <= 5e-9 * np.linalg.norm(exact)
 
 
-def test_shared_chain_memoized(table):
-    a = shared_chain(1e-10, 8, table)
-    b = shared_chain(1e-10, 8, table)
+def test_shared_chain_memoized():
+    a = shared_chain(1e-10, 8)
+    b = shared_chain(1e-10, 8)
     assert a is b
-    c = shared_chain(1e-6, 8, table)
+    c = shared_chain(1e-6, 8)
     assert c is not a
