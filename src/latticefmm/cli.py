@@ -20,8 +20,14 @@ import numpy as np
 
 from .config import DEFAULT_SEED, RunConfig
 from .defect import DefectSpec, apply_S, solve_defect
-from .fmm import fmm_apply, lattice_points
-from .green import GreensTable, apply_discrete_laplacian, phi, phi_asymptotic
+from .fmm import fmm_apply
+from .green import (
+    GreensTable,
+    apply_discrete_laplacian,
+    lattice_points,
+    phi,
+    phi_asymptotic,
+)
 from .oracle import direct_sum
 from .skeleton import shared_chain
 
@@ -179,7 +185,7 @@ def _cmd_bench(args) -> int:
         if n < 2 or n & (n - 1):
             raise SystemExit(f"error: n must be a power of two, got {n}")
         sizes.append(n)
-    if args.header:
+    if args.header and not args.json:
         print("n,N_source,wall_time,mem_estimate")
     for n in sizes:
         rng = np.random.default_rng(cfg.seed)
@@ -189,6 +195,10 @@ def _cmd_bench(args) -> int:
         fmm_apply(pts, q, **kwargs)  # warm the operator cache
         stats: dict = {}
         fmm_apply(pts, q, stats=stats, **kwargs)
+        if args.json:
+            record = {"n": n, "N_source": pts.shape[0], "stats": stats}
+            print(json.dumps(record, sort_keys=True))
+            continue
         mem = (stats["op_entries"] + stats["shared_op_entries"]) * 8
         print(f"{n},{pts.shape[0]},{stats['wall_time']:.6f},{mem}")
     return 0
@@ -353,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--nleaf", type=int, default=None)
     p.add_argument("--header", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per size (n, N_source and the "
+                        "call's full stats) in place of the CSV rows")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest", help="desk-scale end-to-end checks")

@@ -44,7 +44,8 @@ from scipy.linalg.lapack import dgecon, dlange
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .config import DEFAULT_EPS
-from .fmm import fmm_apply, lattice_points
+from .fmm import fmm_apply
+from .green import lattice_points
 from .oracle import direct_sum
 from .skeleton import kernel_matrix
 from .tree import check_extent

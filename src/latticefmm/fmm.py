@@ -15,6 +15,17 @@ Every other pair is expanded point pair by point pair and summed from the
 table.  A block costs about s^4 multiply-adds and a point pair about s^2
 flop-equivalents, so the paths break even near ct * cs = s^2.
 
+Interaction and neighbour lists are built coarse to fine from the
+parent level's colleagues (Carrier, Greengard & Rokhlin 1988).  A box's
+colleagues are the occupied boxes at most one box away, itself included.
+Each colleague pair (P, Q) of parents at offset D = Q - P yields the child
+pairs (b, c) with b a child of P, c a child of Q, at offset
+d = 2 D + q_c - q_b (q the quadrant's (x, y) bits).  Pairs with
+|d|_inf <= 1 are colleagues at the child level; the rest, at |d|_inf of
+2 or 3, are its interaction pairs, applied by T_ifo block d.  The lookup
+work is proportional to the pairs that exist, and only one level's lists
+are held at a time.  The leaf colleagues are the near-field pairs.
+
 Only occupied boxes are touched; all per-level work is batched into dense
 matrix products over Morton-sorted arrays.
 """
@@ -26,15 +37,9 @@ import time
 import numpy as np
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_eps
-from .green import default_table
+from .green import default_table, lattice_points
 from .skeleton import shared_chain
-from .tree import (
-    INTERACTION_OFFSETS,
-    OFFSET_PARITY_VALID,
-    QuadTree,
-    build_tree,
-    morton_key,
-)
+from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
@@ -47,37 +52,98 @@ _MAX_LEAF_SIDE = 8
 assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the table"
 
 
-def _shifted_slots(tree: QuadTree, level: int, dx: int, dy: int, mask=True):
-    """Boxes at ``level`` (within ``mask``) whose (dx, dy) neighbour box is
-    occupied: their slots and the neighbour's slots."""
-    codes = tree.codes[level]
-    rx, ry = tree.coords[level]
-    side_boxes = 1 << level
-    sx = rx + dx
-    sy = ry + dy
-    valid = mask & (sx >= 0) & (sx < side_boxes) & (sy >= 0) & (sy < side_boxes)
-    keys = morton_key(sx[valid], sy[valid])
-    j = np.searchsorted(codes, keys)
-    j[j >= len(codes)] = 0
-    found = codes[j] == keys
-    return np.flatnonzero(valid)[found], j[found]
+def _child_codes():
+    """Offset code of a child pair, indexed by (n * 4 + q_b) * 4 + q_c for
+    parents at colleague offset ``_NEAR_OFFSETS[n]``: the ``_NEAR_OFFSETS``
+    index of a colleague offset, or 9 + the ``INTERACTION_OFFSETS`` index
+    of an interaction offset.  Quadrant q has x bit q & 1 and y bit q >> 1."""
+    codes = []
+    for px, py in _NEAR_OFFSETS:
+        for qb in range(4):
+            for qc in range(4):
+                d = (2 * px + (qc & 1) - (qb & 1), 2 * py + (qc >> 1) - (qb >> 1))
+                if d in _NEAR_OFFSETS:
+                    codes.append(_NEAR_OFFSETS.index(d))
+                else:
+                    codes.append(len(_NEAR_OFFSETS) + INTERACTION_OFFSETS.index(d))
+    return np.array(codes, dtype=np.int8)
 
 
-def lattice_points(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; ValueError unless every coordinate is
-    an integer that fits in int64 (so NaN, inf, 0.5 and 2**64 are rejected,
-    not truncated or wrapped)."""
-    raw = np.asarray(values)
-    # NaN, inf and 2**63 (read as a float or uint64) cast to other
-    # integers; the comparison rejects them.  Larger ints do not cast.
-    try:
-        with np.errstate(invalid="ignore"):
-            pts = raw.astype(np.int64, copy=False)
-    except OverflowError:
-        raise ValueError(f"{what} must have coordinates that fit in int64") from None
-    if not np.array_equal(pts, raw):
-        raise ValueError(f"{what} must have integer coordinates")
-    return pts
+_CHILD_CODE = _child_codes()
+
+
+def _by_code(tgt, src, code, n_codes):
+    """Target-major pairs regrouped by offset code, as (tgt, src, bounds):
+    the pairs of code k are [bounds[k], bounds[k + 1]), targets ascending."""
+    order = np.argsort(code, kind="stable")  # radix sort of int8 codes
+    bounds = np.zeros(n_codes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=n_codes), out=bounds[1:])
+    return tgt[order], src[order], bounds
+
+
+def _code_groups(pairs):
+    """(code, targets, sources) of each nonempty offset group, in code order."""
+    tgt, src, bounds = pairs
+    for k in range(len(bounds) - 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            yield k, tgt[lo:hi], src[lo:hi]
+
+
+def _child_lists(tree: QuadTree, lvl: int, colleagues):
+    """Colleagues and grouped interaction pairs at ``lvl`` from the
+    target-major colleagues (tgt, src, code) at ``lvl - 1``."""
+    parent_tgt, parent_src, parent_code = colleagues
+    n_boxes = len(tree.codes[lvl])
+    child = np.full((len(tree.codes[lvl - 1]), 4), -1, dtype=np.int32)
+    parent = tree.parent_index[lvl]
+    quad = (tree.codes[lvl] & 3).astype(np.int16)
+    child[parent, quad] = np.arange(n_boxes, dtype=np.int32)
+    # Each box b meets the children of its parent's colleagues: the
+    # parent's rows, in box order, so the pairs come out target-major.
+    first = np.zeros(len(child) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent_tgt, minlength=len(child)), out=first[1:])
+    deg = (first[1:] - first[:-1])[parent]  # >= 1: the parent itself
+    row = np.arange(int(deg.sum())) + np.repeat(first[parent] - (np.cumsum(deg) - deg), deg)
+    b = np.repeat(np.arange(n_boxes, dtype=np.int32), deg)
+    half = (parent_code[row] * 4 + np.repeat(quad, deg)) * 4  # _CHILD_CODE row
+    kids = child[parent_src[row]]
+    # Temporaries go as soon as they are used: the lists are built while
+    # every level's outgoing expansions are held, at the run's peak memory.
+    del row, deg
+    found = kids >= 0
+    tgt = np.repeat(b, np.count_nonzero(found, axis=1))
+    pick = np.flatnonzero(found)
+    src = kids.ravel()[pick]
+    code = _CHILD_CODE[(half[:, None] + np.arange(4, dtype=np.int16)).ravel()[pick]]
+    del b, half, kids, found, pick
+    near = np.flatnonzero(code < len(_NEAR_OFFSETS))
+    colleagues = (tgt[near], src[near], code[near])
+    del near
+    far = np.flatnonzero(code >= len(_NEAR_OFFSETS))
+    interactions = _by_code(
+        tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
+    )
+    return colleagues, interactions
+
+
+def level_lists(tree: QuadTree):
+    """Colleague and interaction pairs of the occupied boxes, level by level.
+
+    Yields (colleagues, interactions) for levels 0..L, coarse to fine, each
+    built from the previous level's colleagues (see the module docstring),
+    so only one level's lists are held.  Box slots are int32.  Colleagues
+    are (tgt, src, code), target-major, with code the ``_NEAR_OFFSETS``
+    index of src - tgt (the box itself included, at (0, 0)); interactions
+    are grouped by ``INTERACTION_OFFSETS`` index as by ``_by_code``.
+    """
+    one = np.zeros(1, dtype=np.int32)
+    colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
+    none = np.empty(0, dtype=np.int32)
+    yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64))
+    for lvl in range(1, tree.L + 1):
+        colleagues, interactions = _child_lists(tree, lvl, colleagues)
+        yield colleagues, interactions
 
 
 def _merge_targets(points, charges, targets):
@@ -115,10 +181,16 @@ class FmmRun:
         self.eps = eps
         self.leaf_side = tree.side_of(tree.L)
         self.chain = None
+        t0 = time.perf_counter()
+        self.chain_built = False
         if tree.L >= 2:
             self.chain = shared_chain(eps, self.leaf_side)
+            n_ops = len(self.chain.ops)
             self.chain.ensure(tree.side_of(2))
+            self.chain_built = len(self.chain.ops) > n_ops
+        self.t_chain = time.perf_counter() - t0
         self.times: dict[str, float] = {}
+        self.ifo_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
         self.near_ragged_pairs = 0
@@ -134,9 +206,9 @@ class FmmRun:
         lvl = tree.L
         counts = np.diff(tree.ptr[lvl])
         slot_of_point = np.repeat(np.arange(len(counts)), counts)
-        rx, ry = tree.coords[lvl]
         s = self.leaf_side
-        local = tree.rel_sorted - np.column_stack([rx, ry])[slot_of_point] * s
+        # Position within the leaf: the side is a power of two.
+        local = tree.rel_sorted & (s - 1)
         lin = local[:, 0] * s + local[:, 1]
         return counts, slot_of_point, lin
 
@@ -180,23 +252,22 @@ class FmmRun:
         return outgoing
 
     def _interactions(self, outgoing):
-        tree = self.tree
+        """Incoming expansions from T_ifo, one GEMM per offset and level,
+        and the leaf colleagues, from lists built on the way down."""
         incoming = {}
-        for lvl in range(2, tree.L + 1):
-            ops = self._ops(lvl)
-            rx, ry = tree.coords[lvl]
-            parity_x = (rx & 1).astype(np.int64)
-            parity_y = (ry & 1).astype(np.int64)
+        for lvl, (colleagues, pairs) in enumerate(level_lists(self.tree)):
+            self.ifo_pairs_per_level[lvl] = len(pairs[0])
+            if lvl < 2:
+                continue
+            t_ifo = self._ops(lvl).t_ifo
             inc = np.zeros_like(outgoing[lvl])
-            for d, (dx, dy) in enumerate(INTERACTION_OFFSETS):
-                mask = OFFSET_PARITY_VALID[d][parity_y, parity_x]
-                rows, j = _shifted_slots(tree, lvl, dx, dy, mask)
-                if len(rows):
-                    inc[rows] += outgoing[lvl][j] @ ops.t_ifo[d].T
+            for d, tgt, src in _code_groups(pairs):
+                # Each target has one source per offset: rows are distinct.
+                inc[tgt] += outgoing[lvl][src] @ t_ifo[d].T
             incoming[lvl] = inc
             if lvl > 2:
                 del outgoing[lvl]
-        return incoming
+        return incoming, colleagues
 
     def _downward(self, incoming):
         tree = self.tree
@@ -215,9 +286,18 @@ class FmmRun:
 
     def _expand_to_points(self, inc_leaf, slot_of_point, lin):
         interp = self._ops(self.tree.L).skeleton.interp
-        return np.einsum("ij,ji->i", inc_leaf[slot_of_point], interp[:, lin])
+        u = np.empty(len(lin))
+        # Chunks bound the two (points x k) gathers, which set the peak
+        # memory of well-filled trees; each point's sum is unchanged.
+        chunk = 1 << 12
+        for lo in range(0, len(lin), chunk):
+            sel = slice(lo, lo + chunk)
+            u[sel] = np.einsum(
+                "ij,ji->i", inc_leaf[slot_of_point[sel]], interp[:, lin[sel]]
+            )
+        return u
 
-    def _near_field(self, q_sorted, counts, slot_of_point, lin):
+    def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
         ptr = tree.ptr[tree.L]
         n_pts = len(q_sorted)
@@ -227,10 +307,8 @@ class FmmRun:
         s = self.leaf_side
         starts = ptr[:-1]
         stencil_pairs = []
-        for dx, dy in _NEAR_OFFSETS:
-            t_slots, s_slots = _shifted_slots(tree, tree.L, dx, dy)
-            if not len(t_slots):
-                continue
+        for n, t_slots, s_slots in _code_groups(_by_code(*colleagues, len(_NEAR_OFFSETS))):
+            dx, dy = _NEAR_OFFSETS[n]
             ct = counts[t_slots]
             cs = counts[s_slots]
             tot = ct * cs
@@ -307,15 +385,18 @@ class FmmRun:
         if self.chain is None:
             t1 = t2 = t3 = t0
             u_sorted = np.zeros(len(q_sorted))
+            # Under two levels the lists are only the leaf colleagues.
+            for colleagues, _ in level_lists(tree):
+                pass
         else:
             outgoing = self._upward(q_sorted, slot_of_point, lin)
             t1 = clock()
-            incoming = self._interactions(outgoing)
+            incoming, colleagues = self._interactions(outgoing)
             t2 = clock()
             inc_leaf = self._downward(incoming)
             u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
             t3 = clock()
-        u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin)
+        u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin, colleagues)
         t4 = clock()
         self.times = {
             "t_upward": t1 - t0,
@@ -328,8 +409,8 @@ class FmmRun:
         return out
 
     def counters(self) -> dict:
-        """Operator entries, per-pass seconds and near-field work of the
-        last ``apply``.
+        """Operator entries, per-pass seconds, per-level work and near-field
+        work of the last ``apply``.
 
         ``op_entries`` is the operator data instantiated for this problem
         (O(N_source)): the per-point leaf interpolation columns and the
@@ -337,10 +418,19 @@ class FmmRun:
         are shared process-wide across problems and are counted apart, as
         ``shared_op_entries`` (0 for a tree under two levels, which uses none).
         """
+        tree = self.tree
+        ranks = [0] * (tree.L + 1)
+        for lvl in range(2, tree.L + 1):
+            ranks[lvl] = self._ops(lvl).skeleton.rank
         return {
             "op_entries": self.leaf_ofs_entries + self.near_pairs,
             "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
+            "chain_built": self.chain_built,
+            "t_chain": self.t_chain,
             **self.times,
+            "boxes_per_level": [len(codes) for codes in tree.codes],
+            "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
+            "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
             "near_gemm_blocks": self.near_gemm_blocks,
             "near_ragged_pairs": self.near_ragged_pairs,
@@ -361,10 +451,15 @@ def fmm_apply(
     evaluation points (they are added as zero-charge nodes, and coinciding
     source/target points are fine).  ``stats``, if given, is filled with
     run counters: tree depth, stored operator entries, wall time, seconds
-    per pass (``t_tree``, ``t_upward``, ``t_ifo``, ``t_downward``,
-    ``t_near``) and near-field work (``near_pairs`` point pairs, of which
-    ``near_ragged_pairs`` were summed pair by pair and the rest in
-    ``near_gemm_blocks`` stencil block products).
+    per pass (``t_tree``; ``t_chain``, spent extending the shared operator
+    chain, with ``chain_built`` true if this call built any of it;
+    ``t_upward``; ``t_ifo``, which includes building the interaction and
+    neighbour lists; ``t_downward``; ``t_near``), lists indexed by level
+    0..L (``boxes_per_level`` occupied boxes, ``ifo_pairs_per_level``
+    interaction box pairs and ``ranks_per_level`` skeleton ranks, 0 at
+    levels 0 and 1, which have neither) and near-field work (``near_pairs``
+    point pairs, of which ``near_ragged_pairs`` were summed pair by pair
+    and the rest in ``near_gemm_blocks`` stencil block products).
 
     Error contract: max_i |u_i - exact_i| <= eps * sum_j |q_j|.  The error
     is bounded relative to the charges' l1 norm, not to |u|: charges that

@@ -26,6 +26,31 @@ import numpy as np
 
 from .config import DEFAULT_RTABLE
 
+def lattice_points(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError unless every coordinate is
+    an integer that fits in int64 (so NaN, inf, 0.5, 2**63 and 2**64 are
+    rejected, not truncated or wrapped).  Signed integer input is only
+    widened, with no pass over the values."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "i":
+        return raw.astype(np.int64, copy=False)
+    too_wide = ValueError(f"{what} must have coordinates that fit in int64")
+    try:
+        with np.errstate(invalid="ignore"):
+            pts = raw.astype(np.int64, copy=False)
+    except OverflowError:  # Python ints beyond uint64 (an object array)
+        raise too_wide from None
+    if np.array_equal(pts, raw):
+        return pts
+    # NaN, inf, 0.5 and integers at or beyond 2**63 (which numpy reads as
+    # uint64 or float64) cast to other values.
+    if raw.dtype.kind == "u" or (
+        raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
+    ):
+        raise too_wide
+    raise ValueError(f"{what} must have integer coordinates")
+
+
 # --- large-|m| expansion -------------------------------------------------
 #
 # Leading behaviour: phi(m) ~ -(log|m| + gamma + (3/2) log 2)/(2 pi), plus
@@ -259,14 +284,11 @@ def phi(m1, m2):
 
     Points with |m|_inf <= DEFAULT_RTABLE use the table.  The rest use the
     asymptotic expansion: their Euclidean norm exceeds 30, so it is always
-    in its certified range.  Raises ValueError for a coordinate outside
-    int64.
+    in its certified range.  Raises ValueError for a non-integer
+    coordinate or one outside int64.
     """
-    try:
-        x = np.asarray(m1, dtype=np.int64)
-        y = np.asarray(m2, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("lattice coordinates must fit in int64") from None
+    x = lattice_points(m1, "phi arguments")
+    y = lattice_points(m2, "phi arguments")
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.broadcast_arrays(x, y)
     table = default_table()

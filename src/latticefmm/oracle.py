@@ -13,20 +13,21 @@ import math
 
 import numpy as np
 
-from .green import phi
+from .green import lattice_points, phi
 
 
 def direct_sum(points, charges, targets=None):
     """u_i = sum_j phi(t_i - m_j) q_j by brute force.
 
     targets defaults to the source points themselves.  Self-terms cost
-    phi(0) = 0, so no exclusion is needed.
+    phi(0) = 0, so no exclusion is needed.  Raises ValueError for a
+    non-integer coordinate or one outside int64.
     """
-    pts = np.asarray(points, dtype=np.int64)
+    pts = lattice_points(points, "points")
     q = np.asarray(charges, dtype=np.float64)
     if pts.shape[0] != q.shape[0]:
         raise ValueError("points and charges length mismatch")
-    tgt = pts if targets is None else np.asarray(targets, dtype=np.int64)
+    tgt = pts if targets is None else lattice_points(targets, "targets")
     out = np.empty(tgt.shape[0])
     for i, (tx, ty) in enumerate(tgt):
         vals = phi(tx - pts[:, 0], ty - pts[:, 1])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
-from .green import phi
+from .green import lattice_points, phi
 from .tree import INTERACTION_OFFSETS
 
 # Proxy lattice points per edge of the proxy square.
@@ -82,9 +82,10 @@ def dense_candidates(side: int) -> np.ndarray:
 
 
 def kernel_matrix(targets, sources) -> np.ndarray:
-    """phi(t_i - s_j) for integer point sets."""
-    t = np.asarray(targets, dtype=np.int64)
-    s = np.asarray(sources, dtype=np.int64)
+    """phi(t_i - s_j) for integer point sets; ValueError for a non-integer
+    coordinate or one outside int64."""
+    t = lattice_points(targets, "targets")
+    s = lattice_points(sources, "sources")
     return phi(t[:, None, 0] - s[None, :, 0], t[:, None, 1] - s[None, :, 1])
 
 

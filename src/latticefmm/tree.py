@@ -82,19 +82,6 @@ def _enumerate_interaction_offsets():
 #: All distinct interaction-list offsets (row-major over (dx, dy)).
 INTERACTION_OFFSETS = _enumerate_interaction_offsets()
 
-#: OFFSET_PARITY_VALID[d][py][px]: whether interaction offset d applies to a
-#: box whose rank coordinates have parity (px, py).
-OFFSET_PARITY_VALID = np.array(
-    [
-        [
-            [_parents_adjacent(px, dx) and _parents_adjacent(py, dy) for px in (0, 1)]
-            for py in (0, 1)
-        ]
-        for dx, dy in INTERACTION_OFFSETS
-    ]
-)
-
-
 class QuadTree:
     """Uniform quadtree; occupied boxes stored per level in Morton order.
 
@@ -156,16 +143,11 @@ class QuadTree:
         split = split_level(sorted_deep[1:], sorted_deep[:-1])
         self.codes = []
         self.ptr = []
-        self.coords = []
         self.parent_index = [None]
         for lvl in range(self.L + 1):
             starts = np.concatenate([[0], np.flatnonzero(split <= lvl) + 1])
-            shift = logs - lvl
-            self.codes.append(sorted_deep[starts] >> np.int64(2 * shift))
+            self.codes.append(sorted_deep[starts] >> np.int64(2 * (logs - lvl)))
             self.ptr.append(np.append(starts, n))
-            self.coords.append(
-                (self.rel_sorted[starts, 0] >> shift, self.rel_sorted[starts, 1] >> shift)
-            )
             if lvl > 0:
                 new_parent = split[starts[1:] - 1] < lvl
                 self.parent_index.append(np.concatenate([[0], np.cumsum(new_parent)]))

@@ -5,8 +5,8 @@ import pytest
 
 from latticefmm.cli import _bench_points, main
 from latticefmm.defect import DefectSpec, solve_defect
-from latticefmm.fmm import fmm_apply, lattice_points
-from latticefmm.green import phi, phi_asymptotic
+from latticefmm.fmm import fmm_apply
+from latticefmm.green import lattice_points, phi, phi_asymptotic
 from latticefmm.oracle import direct_sum
 
 
@@ -64,6 +64,15 @@ def test_int64_overflow_rejected(case, tmp_path):
     else:
         with pytest.raises(ValueError, match=r"int64|exceeds 2\*\*31"):
             _OVERFLOW[case](tmp_path)
+
+
+def test_solve_reports_2_63_as_out_of_int64(tmp_path):
+    # numpy reads 2**63 beside 0 as float64; it is an integer, so the
+    # message names the range.
+    src = _write_sources(tmp_path, [(_BIG, 0, 1.0)])
+    msg = "^error: sources must have coordinates that fit in int64$"
+    with pytest.raises(SystemExit, match=msg):
+        main(["solve", src])
 
 
 def _write_sources(tmp_path, rows):
@@ -192,6 +201,23 @@ def test_bench_csv_shape(capsys):
         f = line.split(",")
         assert int(f[0]) == n and int(f[1]) == n
         assert float(f[2]) >= 0.0 and int(f[3]) > 0
+
+
+def test_bench_json_records(capsys):
+    rc, out = run_cli(
+        capsys, "bench", "--distribution", "random", "--n", "32,64",
+        "--seed", "7", "--json",
+    )
+    assert rc == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in records] == [32, 64]
+    for rec in records:
+        stats = rec["stats"]
+        assert rec["N_source"] == stats["n_source"] == rec["n"]
+        assert {"wall_time", "t_ifo", "t_chain", "chain_built", "op_entries"} <= set(stats)
+        assert len(stats["boxes_per_level"]) == stats["levels"]
+        # The warm-up call built the chain; the recorded call reuses it.
+        assert stats["chain_built"] is False
 
 
 def test_bench_rejects_bad_inputs(capsys):

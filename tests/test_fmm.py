@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,8 @@ def test_shallow_tree_falls_back_to_dense():
         assert stats["near_pairs"] == len(pts) ** 2
         # No operator chain is fetched, built or reported.
         assert stats["shared_op_entries"] == 0
+        assert stats["chain_built"] is False
+        assert stats["ifo_pairs_per_level"] == stats["ranks_per_level"] == [0] * levels
         assert set(skeleton._chain_memo) == memo_before
 
 
@@ -178,7 +182,7 @@ def test_eps_range_enforced(eps):
         fmm_apply([(0, 0), (5, 1)], [1.0, 2.0], eps=eps)
 
 
-PASS_TIMES = ("t_tree", "t_upward", "t_ifo", "t_downward", "t_near")
+PASS_TIMES = ("t_tree", "t_chain", "t_upward", "t_ifo", "t_downward", "t_near")
 
 
 def test_stats_reported():
@@ -202,6 +206,27 @@ def test_stats_reported():
     assert full["near_gemm_blocks"] == 100
     assert full["near_pairs"] == 100 * 64 * 64
     assert full["near_ragged_pairs"] == 0
+
+
+def test_per_level_stats(monkeypatch):
+    monkeypatch.setattr(skeleton, "_chain_memo", {})
+    rng = np.random.default_rng(19)
+    pts, q = random_sources(rng, 400, 1 << 12)
+    first, second = {}, {}
+    fmm_apply(pts, q, stats=first)
+    fmm_apply(pts, q, stats=second)
+    assert first["chain_built"] is True and first["t_chain"] > 0.0
+    assert second["chain_built"] is False
+    tree = build_tree(pts, nleaf=64, max_leaf_side=8)
+    assert second["levels"] == tree.L + 1 >= 3
+    assert second["boxes_per_level"] == [len(c) for c in tree.codes]
+    (chain,) = skeleton._chain_memo.values()
+    assert second["ranks_per_level"] == [0, 0] + [
+        chain.ops[tree.side_of(lvl)].skeleton.rank for lvl in range(2, tree.L + 1)
+    ]
+    pairs = second["ifo_pairs_per_level"]
+    assert pairs[:2] == [0, 0] and all(p > 0 for p in pairs[2:])
+    assert json.loads(json.dumps(second)) == second
 
 
 def dipole_crack(rng, m):

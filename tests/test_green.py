@@ -12,6 +12,7 @@ from latticefmm.config import DEFAULT_RTABLE
 from latticefmm.green import (
     GreensTable,
     apply_discrete_laplacian,
+    lattice_points,
     phi,
     phi_asymptotic,
 )
@@ -165,6 +166,34 @@ def test_phi_dispatch_scalar_and_array():
     assert out[1] == pytest.approx(-1.0 / math.pi, abs=1e-13)
     assert out[2] == pytest.approx(phi_asymptotic(31, 0), abs=0)
     assert out[3] == pytest.approx(phi_asymptotic(100, 100), abs=0)
+
+
+@pytest.mark.parametrize("bad", [0.5, -0.9, np.nan, np.inf])
+def test_phi_rejects_non_integer_coordinates(bad):
+    with pytest.raises(ValueError, match="^phi arguments must have integer coordinates$"):
+        phi(bad, 0)
+    with pytest.raises(ValueError, match="^phi arguments must have integer coordinates$"):
+        phi(np.array([0, 1]), np.array([2.0, bad]))
+    assert phi(np.array([1.0, 31.0]), 0.0).tolist() == phi(np.array([1, 31]), 0).tolist()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[(2**63, 0)], [(2**63, 2**63)], [(-(2**63) - 1, 0)], [(2**64, 0)], [(1e300, 0.0)]],
+    ids=["2**63", "2**63 uint64", "-2**63-1", "2**64", "1e300"],
+)
+def test_lattice_points_out_of_int64(values):
+    # Integral values outside int64 name the range, not integrality.
+    with pytest.raises(ValueError, match="^points must have coordinates that fit in int64$"):
+        lattice_points(values, "points")
+
+
+def test_lattice_points_passes_integers_through():
+    pts = np.array([[2**63 - 1, -(2**63)]], dtype=np.int64)
+    assert lattice_points(pts, "points") is pts
+    assert lattice_points(np.array([[3, 4]], dtype=np.int32), "points").dtype == np.int64
+    below = np.array([[2**63 - 1, 0]], dtype=np.uint64)
+    assert lattice_points(below, "points").tolist() == [[2**63 - 1, 0]]
 
 
 def test_phi_matches_exact_reference_on_table_square():

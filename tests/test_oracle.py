@@ -9,6 +9,21 @@ from latticefmm.skeleton import kernel_matrix
 from fmm_reference import dense_solve_truncated
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, np.inf])
+def test_non_integer_coordinates_rejected(bad):
+    # Truncating 0.5 to 0 would return phi at the wrong point in silence.
+    with pytest.raises(ValueError, match="^points must have integer coordinates$"):
+        direct_sum([(0, 0), (bad, 2)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^targets must have integer coordinates$"):
+        direct_sum([(0, 0)], [1.0], targets=[(1, bad)])
+    with pytest.raises(ValueError, match="^sources must have integer coordinates$"):
+        kernel_matrix([(0, 0)], [(bad, 0)])
+    with pytest.raises(ValueError, match="^targets must have integer coordinates$"):
+        kernel_matrix(np.array([[bad, 0.0]]), [(0, 0)])
+    integral = direct_sum([(0.0, 0.0), (3.0, 1.0)], [1.0, 2.0], targets=[(1.0, 1.0)])
+    assert np.array_equal(integral, direct_sum([(0, 0), (3, 1)], [1.0, 2.0], targets=[(1, 1)]))
+
+
 def test_unit_charge_displacement():
     u = direct_sum([(0, 0)], [1.0], targets=[(1, 1)])
     assert u[0] == pytest.approx(-1.0 / math.pi, abs=1e-13)

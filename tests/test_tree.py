@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latticefmm.tree import INTERACTION_OFFSETS, OFFSET_PARITY_VALID, build_tree
+from latticefmm.fmm import _MAX_LEAF_SIDE, _NEAR_OFFSETS, _by_code, fmm_apply, level_lists
+from latticefmm.tree import INTERACTION_OFFSETS, build_tree, morton_decode
 
 from tree_reference import (
     K_IFO,
@@ -12,6 +13,7 @@ from tree_reference import (
     interaction_ids,
     level_offset,
     locate_id,
+    neighbor_ids,
     relative_ifo_offset,
 )
 
@@ -160,20 +162,90 @@ def test_interaction_offsets_enumeration():
     assert list(INTERACTION_OFFSETS) == sorted(INTERACTION_OFFSETS)
 
 
-def test_parity_mask_matches_interaction_lists(dense8):
-    # The batched mask the FMM applies, box by box against the definition.
-    for level in (2, 3):
-        n_side = 1 << level
-        for rx in range(n_side):
-            for ry in range(n_side):
-                masked = sorted(
-                    box_id(level, rx + dx, ry + dy)
-                    for d, (dx, dy) in enumerate(INTERACTION_OFFSETS)
-                    if OFFSET_PARITY_VALID[d][ry & 1, rx & 1]
-                    and 0 <= rx + dx < n_side
-                    and 0 <= ry + dy < n_side
-                )
-                assert masked == interaction_ids(level, rx, ry)
+def _pairs_by_offset(tree, level, pairs, offsets):
+    """The (target id, source id) pairs of a grouped slot list, after
+    checking each group: distinct ascending targets, all at its offset."""
+    rx, ry = morton_decode(tree.codes[level])
+    tgt, src, bounds = pairs
+    assert len(bounds) == len(offsets) + 1 and bounds[-1] == len(tgt) == len(src)
+    out = set()
+    for k, (dx, dy) in enumerate(offsets):
+        t, s = tgt[bounds[k] : bounds[k + 1]], src[bounds[k] : bounds[k + 1]]
+        assert np.all(np.diff(t) > 0)
+        assert np.array_equal(rx[s] - rx[t], np.full(len(t), dx))
+        assert np.array_equal(ry[s] - ry[t], np.full(len(t), dy))
+        out.update(
+            (box_id(level, rx[a], ry[a]), box_id(level, rx[b], ry[b])) for a, b in zip(t, s)
+        )
+    return out
+
+
+def _reference_pairs(tree, level):
+    """Colleague (self included) and interaction pairs of the occupied boxes
+    at one level, from the box-by-box definitions."""
+    rx, ry = morton_decode(tree.codes[level])
+    ids = [box_id(level, x, y) for x, y in zip(rx, ry)]
+    occupied = set(ids)
+    colleagues, interactions = set(), set()
+    for bid, x, y in zip(ids, rx, ry):
+        colleagues.update((bid, c) for c in neighbor_ids(level, x, y) + [bid] if c in occupied)
+        interactions.update((bid, c) for c in interaction_ids(level, x, y) if c in occupied)
+    return colleagues, interactions
+
+
+def _clustered_points():
+    # A full 16 x 16 block plus isolated points: most siblings of the
+    # isolated points' boxes are empty, at every level.
+    rng = np.random.default_rng(5)
+    far = rng.integers(0, 4096, size=(60, 2))
+    return np.unique(np.vstack([dense_grid(16) + 1000, far]), axis=0)
+
+
+def _sparse_points():
+    rng = np.random.default_rng(11)
+    return np.unique(rng.integers(0, 1 << 14, size=(2000, 2)), axis=0)
+
+
+LIST_TREES = {
+    "dense8": lambda: build_tree(dense_grid(8), nleaf=1),
+    "sparse": lambda: build_tree(_sparse_points(), nleaf=64, max_leaf_side=_MAX_LEAF_SIDE),
+    "clustered": lambda: build_tree(_clustered_points(), nleaf=4),
+    "L0": lambda: build_tree([(5, -3), (6, -3)], nleaf=4),
+    "L1": lambda: build_tree([(0, 0), (1, 0), (0, 1), (1, 1)], nleaf=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIST_TREES))
+def test_level_lists_match_reference(name):
+    # The lists the FMM applies, every occupied box at every level against
+    # the definition: same pairs, each at its offset, none twice.
+    tree = LIST_TREES[name]()
+    levels = list(level_lists(tree))
+    assert len(levels) == tree.L + 1
+    assert tree.L == {"dense8": 3, "L0": 0, "L1": 1}.get(name, tree.L)
+    for level, (colleagues, interactions) in enumerate(levels):
+        want_near, want_far = _reference_pairs(tree, level)
+        # Colleagues are target-major, as the next level reads them.
+        assert np.all(np.diff(colleagues[0]) >= 0)
+        grouped = _by_code(*colleagues, len(_NEAR_OFFSETS))
+        got_near = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
+        got_far = _pairs_by_offset(tree, level, interactions, INTERACTION_OFFSETS)
+        assert len(colleagues[0]) == len(got_near) and got_near == want_near
+        assert len(interactions[0]) == len(got_far) and got_far == want_far
+    if name in ("sparse", "clustered"):
+        assert any(len(far[0]) for _, far in levels[3:])
+
+
+@pytest.mark.parametrize("name", ["sparse", "clustered"])
+def test_ifo_pairs_per_level_brute_count(name):
+    pts = {"sparse": _sparse_points, "clustered": _clustered_points}[name]()
+    stats = {}
+    fmm_apply(pts, np.ones(len(pts)), nleaf=4, stats=stats)
+    tree = build_tree(pts, nleaf=4, max_leaf_side=_MAX_LEAF_SIDE)
+    brute = [len(_reference_pairs(tree, level)[1]) for level in range(tree.L + 1)]
+    assert stats["ifo_pairs_per_level"] == brute
+    assert stats["boxes_per_level"] == [len(c) for c in tree.codes]
+    assert sum(brute) > 0
 
 
 def test_list_symmetry(dense8):

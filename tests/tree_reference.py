@@ -1,8 +1,9 @@
 """Box ids and interaction lists of a QuadTree, one box at a time.
 
 This is the definitional form of the geometry that ``latticefmm.fmm``
-evaluates in batches (the shifted-key lookups and the parity mask
-``tree.OFFSET_PARITY_VALID``); the tests use it as their reference.
+evaluates in batches (``fmm.level_lists`` derives each level's colleague
+and interaction pairs from the parent level's colleagues); the tests use
+it as their reference.
 
 Boxes are numbered breadth-first from 1 (the root).  Within a level, ids
 follow Morton order with x varying fastest, so the four children of a box
@@ -51,8 +52,17 @@ def total_boxes(tree: QuadTree) -> int:
     return level_offset(tree.L + 1) - 1
 
 
+def _spread_bits(v: int) -> int:
+    # Bit i of v moves to bit 2i (Python ints: no numpy scalar per call).
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
+
+
 def box_id(level: int, rx: int, ry: int) -> int:
-    return level_offset(level) + int(morton_key(rx, ry))
+    return level_offset(level) + (_spread_bits(int(rx)) | (_spread_bits(int(ry)) << 1))
 
 
 def locate_id(tree: QuadTree, bid: int):
