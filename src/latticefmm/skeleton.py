@@ -10,7 +10,11 @@ reused across the tree by translation invariance:
   shifted into the quadrants, as candidates;
 * candidates are compressed against a proxy surface - lattice points on
   the boundary of the concentric square three times the box side - by an
-  interpolative decomposition (ID) at tolerance eps.
+  interpolative decomposition (ID) at tolerance eps.  The ID is a
+  Householder QR with column pivoting written in numpy, stopped at the
+  first rank whose trailing block is within eps of the whole matrix in
+  Frobenius norm; the matrices are at most ~156 x 200, so numpy's own
+  BLAS suffices and the FMM path loads no second linear-algebra library.
 
 The ID of a level yields simultaneously the skeleton, the
 outgoing-from-outgoing blocks (T_ofo, parent from children) and, by kernel
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .green import lattice_points, phi
 from .tree import INTERACTION_OFFSETS
@@ -37,26 +40,47 @@ _PROXY_PER_EDGE = 40
 def interpolative_decomposition(a: np.ndarray, eps: float):
     """Column ID: a ~= a[:, idx] @ t with relative Frobenius error <= eps.
 
-    Rank is chosen as the smallest k whose pivoted-QR trailing block
-    satisfies ||R[k:, k:]||_F <= eps ||a||_F.  Returns (idx, t) with
-    t[:, idx] the identity.
+    Computed by Householder QR with column pivoting (Businger-Golub) on a
+    working copy of a, stopped early: the rank is the smallest k whose
+    trailing block satisfies ||R[k:, k:]||_F <= eps ||a||_F.  Then
+    t = [I, R11^-1 R12] in pivot order, by back substitution.  Returns
+    (idx, t) with t[:, idx] the identity; an empty or zero a gives rank 0.
     """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if n == 0 or m == 0:
-        return np.empty(0, dtype=np.int64), np.zeros((0, n))
-    _, r, perm = qr(a, mode="economic", pivoting=True)
-    # ||R[k:, k:]||_F^2 telescopes over rows: row i of R lives in columns
-    # >= i, so the trailing norm is a suffix sum of squared row norms.
-    row_sq = np.einsum("ij,ij->i", r, r)
-    suffix = np.concatenate([np.cumsum(row_sq[::-1])[::-1], [0.0]])
-    thresh = eps * eps * suffix[0]
-    k = int(np.argmax(suffix <= thresh))
+    r = np.array(a, dtype=np.float64)
+    m, n = r.shape
+    perm = np.arange(n)
+    thresh = eps * eps * np.einsum("ij,ij->", r, r)
+    k = 0
+    while k < min(m, n):
+        # Before step k the trailing block is r[k:, k:] itself, so its
+        # column norms - the pivot choice and the stopping test - are
+        # exact, not downdated: downdating cancels far above eps^2.
+        sub = r[k:, k:]
+        col_sq = np.einsum("ij,ij->j", sub, sub)
+        if col_sq.sum() <= thresh:
+            break
+        j = k + int(np.argmax(col_sq))
+        r[:, [k, j]] = r[:, [j, k]]
+        perm[[k, j]] = perm[[j, k]]
+        # Reflect rows k: so column k becomes (alpha, 0, ..., 0).
+        norm = np.sqrt(col_sq[j - k])
+        alpha = -norm if r[k, k] >= 0 else norm
+        v = r[k:, k].copy()
+        v[0] -= alpha
+        rest = r[k:, k + 1 :]
+        rest -= np.outer(v * (2.0 / (v @ v)), v @ rest)
+        r[k, k] = alpha
+        r[k + 1 :, k] = 0.0
+        k += 1
     t = np.zeros((k, n))
     t[np.arange(k), perm[:k]] = 1.0
     if 0 < k < n:
-        t[:, perm[k:]] = solve_triangular(r[:k, :k], r[:k, k:], lower=False)
-    return perm[:k].astype(np.int64).copy(), t
+        x = r[:k, k:].copy()  # R11 x = R12, one row of x at a time
+        for i in range(k - 1, -1, -1):
+            x[i] -= r[i, i + 1 : k] @ x[i + 1 :]
+            x[i] /= r[i, i]
+        t[:, perm[k:]] = x
+    return perm[:k].copy(), t
 
 
 def proxy_points(side: int) -> np.ndarray:
@@ -148,8 +172,14 @@ def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     out = np.empty((len(INTERACTION_OFFSETS), k, k))
     dx = z[:, None, 0] - z[None, :, 0]
     dy = z[:, None, 1] - z[None, :, 1]
+    # The offsets are closed under negation and phi(-m) == phi(m) exactly,
+    # so the block of -delta is the transpose of the block of delta.
     for d, (ox, oy) in enumerate(INTERACTION_OFFSETS):
-        out[d] = phi(dx - skel.side * ox, dy - skel.side * oy)
+        neg = INTERACTION_OFFSETS.index((-ox, -oy))
+        if neg < d:
+            out[d] = out[neg].T
+        else:
+            out[d] = phi(dx - skel.side * ox, dy - skel.side * oy)
     return out
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latticefmm
 from latticefmm.cli import _bench_points, main
 from latticefmm.defect import DefectSpec, solve_defect
 from latticefmm.fmm import fmm_apply
@@ -24,6 +28,25 @@ def test_phi_known_prints(capsys):
     assert out == "-0.3183098861837907\n"
     rc, out = run_cli(capsys, "phi", "-5", "3")
     assert out == run_cli(capsys, "phi", "3", "5")[1]
+
+
+def test_fmm_path_loads_no_scipy():
+    # scipy (and its second BLAS) is the defect solver's alone: the
+    # summation modules and the CLI's other subcommands must not load it.
+    code = (
+        "import sys\n"
+        "import latticefmm.fmm, latticefmm.oracle, latticefmm.cli\n"
+        "latticefmm.cli.main(['phi', '1', '1'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "-0.3183098861837907\n"
 
 
 def test_phi_has_no_table_radius_option(capsys):
@@ -218,6 +241,9 @@ def test_bench_json_records(capsys):
         assert len(stats["boxes_per_level"]) == stats["levels"]
         # The warm-up call built the chain; the recorded call reuses it.
         assert stats["chain_built"] is False
+        # The cold call is reported beside the warm one; its chain time is
+        # part of its wall time.
+        assert 0.0 <= rec["cold_t_chain"] <= rec["cold_wall_time"]
 
 
 def test_bench_rejects_bad_inputs(capsys):

@@ -13,6 +13,7 @@ from latticefmm.skeleton import (
     shared_chain,
 )
 from latticefmm.tree import INTERACTION_OFFSETS
+from skeleton_reference import reference_id
 
 
 def far_targets(side, rng, n=150):
@@ -55,6 +56,26 @@ def test_id_identity_matrix():
     idx, t = interpolative_decomposition(np.eye(9), 1e-12)
     assert idx.size == 9
     assert np.allclose(np.eye(9)[:, idx] @ t, np.eye(9))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
+def test_id_matches_pivoted_qr_reference(eps):
+    # Every level's proxy matrix of a chain from side 8 to 2**14, against
+    # LAPACK's pivoted QR with the same rank rule.  Pivot order may differ
+    # in rounding; near-ties in the trailing norm (at 1e-4) may move the
+    # rank by one.
+    chain = OperatorChain(eps, 8)
+    chain.ensure(2**14)
+    assert sorted(chain.ops) == [8 << i for i in range(12)]
+    for side, op in chain.ops.items():
+        a = kernel_matrix(proxy_points(side), op.skeleton.candidates)
+        idx, t = interpolative_decomposition(a, eps)
+        assert np.array_equal(a[:, idx], kernel_matrix(proxy_points(side), op.skeleton.points))
+        ref_idx, _ = reference_id(a, eps)
+        assert abs(idx.size - ref_idx.size) <= 1, (side, idx.size, ref_idx.size)
+        err = np.linalg.norm(a - a[:, idx] @ t)
+        assert err <= eps * np.linalg.norm(a), (side, err)
+        assert np.array_equal(t[:, idx], np.eye(idx.size))
 
 
 def test_proxy_points_on_boundary():
@@ -144,6 +165,18 @@ def test_t_ifo_entries_match_kernel():
         ox, oy = INTERACTION_OFFSETS[d]
         shifted = skel.points + np.array([8 * ox, 8 * oy])
         assert np.array_equal(stack[d], kernel_matrix(skel.points, shifted))
+
+
+def test_t_ifo_stack_equals_per_offset_evaluation():
+    # build_t_ifo evaluates one offset of each +-delta pair and transposes
+    # it for the other; the stack must equal phi at every offset, exactly.
+    chain = OperatorChain(1e-10, 8)
+    chain.ensure(4096)
+    for side, op in chain.ops.items():
+        z = op.skeleton.points
+        for d, (ox, oy) in enumerate(INTERACTION_OFFSETS):
+            want = kernel_matrix(z, z + np.array([side * ox, side * oy]))
+            assert np.array_equal(op.t_ifo[d], want), (side, d)
 
 
 def test_leaf_t_ofs_dense_restriction():
