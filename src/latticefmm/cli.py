@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from .config import DEFAULT_SEED, RunConfig
+from .defect import DefectSpec, apply_S, solve_defect
 from .fmm import fmm_apply
 from .green import (
     GreensTable,
@@ -127,10 +128,6 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    # The defect solver needs scipy; importing it here keeps the other
-    # subcommands from loading it.
-    from .defect import DefectSpec, solve_defect
-
     cfg = RunConfig.from_env(eps=args.eps)
     bars = _read_rows(
         args.bars,
@@ -216,8 +213,6 @@ def _cmd_bench(args) -> int:
 
 def _selftest_checks(cfg):
     """Yield (name, passed, detail) for the desk-scale suite."""
-    from .defect import DefectSpec, apply_S, solve_defect
-
     err = max(
         abs(phi(0, 0)),
         abs(phi(1, 0) + 0.25),

@@ -25,11 +25,16 @@ second differences of phi:
 The system is solved one of two ways, by bar count:
 
 * up to ``_DENSE_BAR_LIMIT`` bars it is assembled once from kernel blocks
-  and solved by LU, and the queries are summed against D^T z by kernel
-  blocks as well;
-* above that, GMRES runs on the same bar operator, each product applying
-  S by ``apply_S`` (the FMM above ``DIRECT_S_THRESHOLD`` charges), and the
-  queries take one more ``apply_S``.
+  and solved by numpy's LU, guarded by a 1-norm condition estimate
+  (Hager's estimator with Higham's refinements, as in LAPACK's dgecon),
+  and the queries are summed against D^T z by kernel blocks as well;
+* above that, ``gmres`` (restarted GMRES in numpy) runs on the same bar
+  operator, each product applying S by ``apply_S`` (the FMM above
+  ``DIRECT_S_THRESHOLD`` charges), and the queries take one more
+  ``apply_S``.
+
+Only numpy is needed: the module imports no scipy, so a defect solve
+loads a single BLAS.
 """
 
 from __future__ import annotations
@@ -39,9 +44,6 @@ import time
 from collections import deque
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon, dlange
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .config import DEFAULT_EPS
 from .fmm import fmm_apply
@@ -54,13 +56,18 @@ from .tree import check_extent
 DIRECT_S_THRESHOLD = 600
 
 # Largest bar count m solved densely.  Dense: 2 m n <= 4 m^2 phi
-# evaluations to assemble D S D^T, (2/3) m^3 flops of LU, and the m x m
-# matrix in memory.  GMRES: one apply_S over the n <= 2m nodes per
-# iteration, and the iterations grow with m (a straight crack of m removed
-# bars takes 78 at m = 800 and 125 at m = 2048).  Measured on such cracks
-# with 4 (m + 2) queries (2 cores, OpenBLAS), dense beats GMRES at every
-# size up to 2048 bars (1.3 s against 3.3 s at 800, 4.7 s against 6.7 s at
-# 2048), so the limit is the memory cap: the matrix is 32 MB at 2048 bars.
+# evaluations to assemble D S D^T, and (2/3) m^3 flops per LU.  numpy's
+# solve keeps no factors, so the condition estimate factors again: a crack
+# takes three LUs (the system, one solve with the transpose, one column).
+# The m x m matrix is held twice while numpy factors its own copy.  GMRES:
+# one apply_S over the n <= 2m nodes per iteration, and the iterations grow
+# with m (a straight crack of m removed bars takes 78 at m = 800 and 125 at
+# m = 2048).  Measured warm on such cracks with 4 (m + 2) queries (2 cores,
+# OpenBLAS): dense takes 0.8-1.1 s at 800 bars (LU and estimate 0.04-0.06 s)
+# and 3.9-4.6 s at 2048 (0.38-0.45 s); GMRES 0.8 s and 2.9-4.1 s.  GMRES is
+# no slower, but its FMM-applied S leaves max |(A+B)u| at 3.7e-6 and 1.1e-5
+# against dense's 9e-10 and 9e-9, so the limit is the memory cap: the
+# matrix is 32 MB at 2048 bars, 64 MB while numpy factors its copy.
 _DENSE_BAR_LIMIT = 2048
 
 # Entries per kernel block; phi makes about a dozen temporaries of a
@@ -200,7 +207,7 @@ def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
 def _bar_kernel(nodes, ia, ib) -> np.ndarray:
     """D S D^T, assembled in row blocks of bars."""
     m = len(ia)
-    out = np.empty((m, m), order="F")  # LAPACK's order: no copy to factor it
+    out = np.empty((m, m), order="F")  # LAPACK's order: numpy copies it by columns
     for rows in _row_blocks(m, len(nodes), per_row=2):
         r = rows.stop - rows.start
         k_ab = kernel_matrix(nodes[np.concatenate([ia[rows], ib[rows]])], nodes)
@@ -215,6 +222,114 @@ def _sum_at(targets, nodes, w) -> np.ndarray:
     for rows in _row_blocks(len(targets), len(nodes)):
         out[rows] = kernel_matrix(targets[rows], nodes) @ w
     return out
+
+
+def _signs(x) -> np.ndarray:
+    return np.where(x >= 0.0, 1.0, -1.0)
+
+
+def _inv_norm1(mat, x, alt_x) -> float:
+    """Estimate of ||mat^-1||_1 by LAPACK's dlacn2 iteration: Hager's
+    estimator with Higham's refinements (ACM TOMS 14, 1988).
+
+    x = mat^-1 e/m is the start, alt_x = mat^-1 alt the alternating-sign
+    check; each further step solves with mat^T and then with mat, for at
+    most 5 steps.  The estimate never exceeds the true norm.
+    """
+    m = len(x)
+    est = np.abs(x).sum()
+    signs = _signs(x)
+    j = np.argmax(np.abs(np.linalg.solve(mat.T, signs)))
+    for _ in range(4):
+        unit = np.zeros(m)
+        unit[j] = 1.0
+        x = np.linalg.solve(mat, unit)
+        est_old, est = est, np.abs(x).sum()
+        new_signs = _signs(x)
+        if np.array_equal(new_signs, signs) or est <= est_old:
+            break  # a repeated sign vector, or no increase: converged
+        signs = new_signs
+        y = np.linalg.solve(mat.T, signs)
+        j_last, j = j, np.argmax(np.abs(y))
+        if y[j_last] == abs(y[j]):
+            break
+    return max(est, 2.0 * np.abs(alt_x).sum() / (3 * m))
+
+
+def _solve_rcond(mat, rhs) -> tuple[np.ndarray, float]:
+    """(mat^-1 rhs, estimated 1-norm reciprocal condition number of mat).
+
+    One LU solves the system and both estimator starts; raises
+    np.linalg.LinAlgError on an exactly zero pivot.
+    """
+    m = len(rhs)
+    i = np.arange(m)
+    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(m - 1, 1))
+    sol = np.linalg.solve(mat, np.column_stack([rhs, np.full(m, 1.0 / m), alt]))
+    inv_norm = _inv_norm1(mat, sol[:, 1], sol[:, 2])
+    return sol[:, 0], float(1.0 / (np.abs(mat).sum(axis=0).max() * inv_norm))
+
+
+def gmres(matvec, b, tol, restart, maxiter, callback=None):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+    for A x = b from x0 = 0, with A given by ``matvec``.
+
+    Each cycle runs at most ``restart`` Arnoldi steps (modified
+    Gram-Schmidt) and minimises the residual by Givens rotations; at most
+    ``maxiter`` cycles run, until ||b - A x|| <= tol ||b||.  ``callback``
+    receives the estimated relative residual |g_{j+1}| / ||b|| after each
+    step.  Returns (x, info): info is 0 on convergence, else maxiter.
+    """
+    if restart < 1 or maxiter < 1:
+        raise ValueError(f"restart {restart} and maxiter {maxiter} must be positive")
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros_like(b)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return x, 0
+    goal = tol * b_norm
+    basis = np.empty((restart + 1, len(b)))
+    hess = np.zeros((restart, restart))  # R of the rotated Hessenberg matrix
+    rot = np.zeros((restart, 2))  # (cos, sin) of each Givens rotation
+    r = b
+    for _ in range(maxiter):
+        g = np.zeros(restart + 1)
+        g[0] = np.linalg.norm(r)
+        basis[0] = r / g[0]
+        for j in range(restart):
+            w = matvec(basis[j])
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                hess[i, j] = basis[i] @ w
+                w -= hess[i, j] * basis[i]
+            h = np.linalg.norm(w)
+            breakdown = h <= np.finfo(float).eps * w_norm  # the space is invariant
+            if not breakdown:
+                basis[j + 1] = w / h
+            for i in range(j):
+                c, s = rot[i]
+                top, bottom = hess[i, j], hess[i + 1, j]
+                hess[i, j], hess[i + 1, j] = c * top + s * bottom, c * bottom - s * top
+            sub = 0.0 if breakdown else h
+            mag = math.hypot(hess[j, j], sub)
+            rot[j] = (hess[j, j] / mag, sub / mag) if mag else (1.0, 0.0)
+            hess[j, j] = mag
+            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            if callback is not None:
+                callback(abs(g[j + 1]) / b_norm)
+            if abs(g[j + 1]) <= goal or breakdown:
+                break
+        k = j + 1 if hess[j, j] else j  # a zero pivot adds nothing
+        y = g[:k].copy()
+        for i in range(k - 1, -1, -1):  # back substitution in R y = g
+            y[i] = (y[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
+        x += y @ basis[:k]
+        r = b - matvec(x)
+        if np.linalg.norm(r) <= goal:
+            return x, 0
+        if breakdown:
+            break
+    return x, maxiter
 
 
 def _unsolved() -> RuntimeError:
@@ -242,7 +357,9 @@ def solve_defect(
 
     ``stats``, if given, is filled with ``bars``, ``nodes``, ``path``
     ("dense" or "gmres"), ``iterations`` and ``residual_history`` (GMRES's
-    relative residual per iteration; 0 and empty on the dense path), and
+    relative residual per iteration; 0 and empty on the dense path),
+    ``rcond`` (the dense path's estimate of the system's 1-norm reciprocal
+    condition number; None on the GMRES path and for an empty spec), and
     the seconds ``t_assemble``, ``t_solve``, ``t_eval`` and ``wall_time``.
 
     Raises ValueError for a non-finite far field, non-integer query
@@ -262,6 +379,7 @@ def solve_defect(
     c1, c2 = float(far[0]), float(far[1])
     u = c1 * q_arr[:, 0] + c2 * q_arr[:, 1]
     history = []
+    rcond = None
     path = "dense" if len(spec) <= _DENSE_BAR_LIMIT else "gmres"
     t1 = t2 = clock()
     if len(spec):
@@ -278,29 +396,27 @@ def solve_defect(
             mat *= dc[:, None]
             mat[np.diag_indices_from(mat)] += 1.0
             t1 = clock()
-            norm = dlange("1", mat)
-            lu_piv = lu_factor(mat, overwrite_a=True, check_finite=False)
+            try:
+                z, rcond = _solve_rcond(mat, rhs)
+            except np.linalg.LinAlgError:  # an exactly zero pivot
+                raise _unsolved() from None
             # Singular to working precision (or NaN): rcond at most m eps.
-            if not dgecon(lu_piv[0], norm)[0] > len(spec) * np.finfo(float).eps:
+            if not rcond > len(spec) * np.finfo(float).eps:
                 raise _unsolved()
-            z = lu_solve(lu_piv, rhs, check_finite=False)
         else:
 
             def bar_operator(z):
                 s = apply_S(nodes, d_transpose(z), nodes, eps=eps)
                 return z + dc * (s[ia] - s[ib])
 
-            op = LinearOperator((len(spec), len(spec)), matvec=bar_operator, dtype=np.float64)
             t1 = clock()
             z, info = gmres(
-                op,
+                bar_operator,
                 rhs,
-                rtol=tol,
-                atol=0.0,
+                tol,
                 restart=min(len(spec), max_iter),
                 maxiter=max_iter,
                 callback=history.append,
-                callback_type="pr_norm",
             )
             if info != 0:
                 raise _unsolved()
@@ -320,6 +436,7 @@ def solve_defect(
             path=path,
             iterations=len(history),
             residual_history=[float(r) for r in history],
+            rcond=rcond,
             t_assemble=t1 - t0,
             t_solve=t2 - t1,
             t_eval=t3 - t2,

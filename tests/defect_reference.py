@@ -7,11 +7,18 @@ With u = v - S(B v + mu), the unknown mu on the defect nodes solves
 applied matrix-free: every GMRES product sums S by ``apply_S`` and applies
 B by its bar formula through node-keyed dicts.  It shares no assembly code
 with ``solve_defect``, which solves the equivalent bar-space system.
+
+``lapack_rcond`` is the condition estimate ``solve_defect``'s guard
+reproduces in numpy: LAPACK's dgecon on dgetrf's LU.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgecon, dlange
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from latticefmm.config import DEFAULT_EPS
@@ -53,3 +60,11 @@ def node_space_solve(
     return {
         p: c1 * p[0] + c2 * p[1] - correction[i] for i, p in enumerate(query_nodes)
     }
+
+
+def lapack_rcond(mat) -> float:
+    """LAPACK's estimate of the 1-norm reciprocal condition number of mat."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot: rcond 0
+        lu, _ = lu_factor(mat, check_finite=False)
+    return dgecon(lu, dlange("1", mat))[0]

@@ -31,8 +31,8 @@ def test_phi_known_prints(capsys):
 
 
 def test_fmm_path_loads_no_scipy():
-    # scipy (and its second BLAS) is the defect solver's alone: the
-    # summation modules and the CLI's other subcommands must not load it.
+    # scipy brings a second BLAS: the summation modules and the CLI must
+    # not load it.
     code = (
         "import sys\n"
         "import latticefmm.fmm, latticefmm.oracle, latticefmm.cli\n"
@@ -47,6 +47,32 @@ def test_fmm_path_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "-0.3183098861837907\n"
+
+
+def test_defect_path_loads_no_scipy(tmp_path):
+    # The defect solver's LU, condition guard and GMRES are numpy's too.
+    bars = tmp_path / "bars.csv"
+    bars.write_text("0,0,1,0,-1\n3,3,3,4,0.5\n0,0,2,3,1\n")
+    code = (
+        "import sys\n"
+        "from latticefmm import cli, defect\n"
+        f"assert cli.main(['defect', '--bars', {str(bars)!r}, '--farfield', '1,0']) == 0\n"
+        "assert cli.main(['selftest']) == 0\n"
+        "defect._DENSE_BAR_LIMIT = 0\n"
+        "spec = defect.DefectSpec([((0, 0), (1, 0), -1.0), ((4, 4), (4, 5), 0.5)])\n"
+        "stats = {}\n"
+        "defect.solve_defect(spec, (1.0, 0.0), stats=stats)\n"
+        "assert stats['path'] == 'gmres', stats\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "PASS  defect-residual" in out.stdout
 
 
 def test_phi_has_no_table_radius_option(capsys):
@@ -201,6 +227,7 @@ def test_defect_stats_json_on_stderr(tmp_path, capsys):
     assert stats["bars"] == 2 and stats["nodes"] == 4
     assert stats["path"] == "dense" and stats["iterations"] == 0
     assert stats["residual_history"] == []
+    assert 0.0 < stats["rcond"] <= 1.0
     assert {"t_assemble", "t_solve", "t_eval", "wall_time"} <= set(stats)
 
 

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 from latticefmm import defect
 from latticefmm.defect import DefectSpec, apply_B, apply_S, solve_defect
 from latticefmm.green import apply_discrete_laplacian, phi
 from latticefmm.skeleton import kernel_matrix
 
-from defect_reference import node_space_solve
+from defect_reference import lapack_rcond, node_space_solve
 from fmm_reference import dense_solve_truncated
 
 
@@ -267,12 +269,17 @@ def test_mixed_defects_residual(name):
     assert defect_node_residual(spec, u) <= 1e-10
 
 
-def test_dense_path_matches_gmres_path(monkeypatch):
-    spec = DefectSpec(
+def sixty_bars():
+    """Removed, strengthened and added bars: 60 in all."""
+    return DefectSpec(
         [((i, 0), (i, 1), -1.0) for i in range(40)]
         + [((2 * i, 3), (2 * i + 1, 3), 1.5) for i in range(15)]
         + [((3 * i, -2), (3 * i + 2, -5), 0.5) for i in range(5)]
     )
+
+
+def test_dense_path_matches_gmres_path(monkeypatch):
+    spec = sixty_bars()
     assert len(spec) == 60
     queries = with_neighbours(spec.nodes) + [(100, -40)]
     dense_stats, gmres_stats = {}, {}
@@ -297,6 +304,7 @@ def test_solve_stats_fields():
     times = [stats[k] for k in ("t_assemble", "t_solve", "t_eval")]
     assert all(t >= 0.0 for t in times)
     assert sum(times) <= stats["wall_time"]
+    assert 0.0 < stats["rcond"] <= 1.0
 
 
 def test_solve_is_byte_reproducible():
@@ -330,13 +338,122 @@ def test_crack_peak_memory():
     assert peak < 0.25e6
 
 
-def test_singular_system_raises():
-    # DefectSpec rejects a cut-off node; bypass it to reach the solver's guard.
+@pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (3, 3), (10, 10)],
+                         ids=["1", "2", "3x3", "10x10"])
+def test_singular_system_raises(width, height):
+    # DefectSpec rejects a cut-off region; bypass it to reach the solver's
+    # guard.  A guard from one fixed probe vector misses some islands (the
+    # start vector e/m alone misses all four).
+    island = [(x, y) for x in range(width) for y in range(height)]
     spec = removed_bar_spec()
-    spec.bars = sorted(((a, b, dc) if a <= b else (b, a, dc)) for a, b, dc in cut_out([(0, 0)]))
+    spec.bars = sorted(((a, b, dc) if a <= b else (b, a, dc)) for a, b, dc in cut_out(island))
     spec.nodes = sorted({p for a, b, _ in spec.bars for p in (a, b)})
     with pytest.raises(RuntimeError, match="did not converge"):
         solve_defect(spec, (1.0, 0.0))
+
+
+def synthetic_matrices():
+    """m x m matrices (m = 8, 48, 200) with 2-norm condition 1 ... 1e18:
+    singular values graded from 1 down to 10^-k, or all 1 but one."""
+    rng = np.random.default_rng(2024)
+    for m in (8, 48, 200):
+        for k in range(19):
+            for graded in (True, False):
+                for _ in range(2):
+                    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+                    v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+                    if graded:
+                        sigma = np.logspace(0, -k, m)
+                    else:
+                        sigma = np.ones(m)
+                        sigma[rng.integers(m)] = 10.0**-k
+                    yield (u * sigma) @ v.T
+
+
+def assembled_systems(monkeypatch):
+    """The bar matrices solve_defect builds for two cracks and MIXED_DEFECTS."""
+    mats = []
+    solve = defect._solve_rcond
+
+    def recording(mat, rhs):
+        mats.append(mat.copy())
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(defect, "_solve_rcond", recording)
+    specs = [crack(48)[0], crack(200)[0]] + [DefectSpec(b) for b in MIXED_DEFECTS.values()]
+    for spec in specs:
+        solve_defect(spec, (0.5, -1.0))
+    assert len(mats) == 2 + len(MIXED_DEFECTS)
+    return mats
+
+
+def test_rcond_estimate_matches_lapack(monkeypatch):
+    # Same algorithm as dgecon on a different LU: the computed inverses
+    # differ by O(eps / rcond) relative, so the estimates by O(eps).
+    eps = np.finfo(float).eps
+    mats = list(synthetic_matrices()) + assembled_systems(monkeypatch)
+    assert len(mats) == 228 + 8
+    for mat in mats:
+        ref = lapack_rcond(mat)
+        try:
+            est = defect._solve_rcond(mat, np.zeros(len(mat)))[1]
+        except np.linalg.LinAlgError:
+            est = 0.0  # an exactly zero pivot
+        assert abs(est - ref) <= 1e-6 * ref + eps, (len(mat), est, ref)
+        threshold = len(mat) * eps  # solve_defect's singularity rule
+        assert (est > threshold) == (ref > threshold), (len(mat), est, ref)
+
+
+def fixed_nonsymmetric_system():
+    """A well-conditioned non-symmetric 120 x 120 matrix and a right side."""
+    rng = np.random.default_rng(120)
+    a = 3.0 * np.eye(120) + rng.standard_normal((120, 120)) / np.sqrt(120)
+    return (lambda v: a @ v), rng.standard_normal(120)
+
+
+def sixty_bar_operator(monkeypatch):
+    """The bar operator and right side solve_defect hands to GMRES."""
+    calls = []
+    inner = defect.gmres
+
+    def recording(matvec, b, *args, **kwargs):
+        calls.append((matvec, b))
+        return inner(matvec, b, *args, **kwargs)
+
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    monkeypatch.setattr(defect, "gmres", recording)
+    solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11, eps=1e-12)
+    return calls[0]
+
+
+@pytest.mark.parametrize("system", ["random-120", "sixty-bars"])
+def test_gmres_matches_scipy(system, monkeypatch):
+    if system == "random-120":
+        matvec, b = fixed_nonsymmetric_system()
+    else:
+        matvec, b = sixty_bar_operator(monkeypatch)
+    n, tol = len(b), 1e-11
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    for restart in (n, 5):  # one cycle, and many
+        hist, ref_hist = [], []
+        x, info = defect.gmres(matvec, b, tol, restart, maxiter=200, callback=hist.append)
+        x_ref, ref_info = scipy_gmres(
+            op, b, rtol=tol, atol=0.0, restart=restart, maxiter=200,
+            callback=ref_hist.append, callback_type="pr_norm",
+        )
+        assert info == ref_info == 0
+        assert np.linalg.norm(x - x_ref) <= tol * np.linalg.norm(x_ref)
+        assert abs(len(hist) - len(ref_hist)) <= 1
+        assert hist[-1] <= tol
+        assert np.linalg.norm(b - matvec(x)) <= tol * np.linalg.norm(b)
+    _, info = defect.gmres(matvec, b, tol, restart=2, maxiter=2)
+    assert info != 0
+
+
+def test_gmres_path_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11, eps=1e-12, max_iter=2)
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.9, np.nan, np.inf])
