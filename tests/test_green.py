@@ -147,25 +147,28 @@ def test_table_symmetry_lookup(table):
 
 
 def test_table_lookup_vectorized_and_bounds(table):
-    xs = np.array([-30, 4, 0])
-    ys = np.array([2, -4, 30])
+    r = DEFAULT_RTABLE
+    xs = np.array([-r, 4, 0])
+    ys = np.array([2, -4, r])
     out = table.lookup(xs, ys)
     assert out.shape == (3,)
     with pytest.raises(ValueError):
-        table.lookup(31, 0)
+        table.lookup(r + 1, 0)
     with pytest.raises(ValueError):  # |-2**63| wraps negative in int64
         table.lookup(-2**63, 0)
 
 
-def test_phi_dispatch_scalar_and_array():
+def test_phi_dispatch_scalar_and_array(table):
     assert phi(1, 1) == pytest.approx(-1.0 / math.pi, abs=1e-13)
-    xs = np.array([0, 1, 31, 100])
-    ys = np.array([0, 1, 0, 100])
+    r = DEFAULT_RTABLE
+    xs = np.array([0, 1, r, r + 1, 100])
+    ys = np.array([0, 1, 7, 0, 100])
     out = phi(xs, ys)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(-1.0 / math.pi, abs=1e-13)
-    assert out[2] == pytest.approx(phi_asymptotic(31, 0), abs=0)
-    assert out[3] == pytest.approx(phi_asymptotic(100, 100), abs=0)
+    assert out[2] == table.lookup(r, 7)
+    assert out[3] == pytest.approx(phi_asymptotic(r + 1, 0), abs=0)
+    assert out[4] == pytest.approx(phi_asymptotic(100, 100), abs=0)
 
 
 @pytest.mark.parametrize("bad", [0.5, -0.9, np.nan, np.inf])
@@ -197,7 +200,8 @@ def test_lattice_points_passes_integers_through():
 
 
 def test_phi_matches_exact_reference_on_table_square():
-    # Every sign and order of |m|_inf <= 30 reads the one table, bit for bit.
+    # Every sign and order of |m|_inf <= DEFAULT_RTABLE reads the one
+    # table, bit for bit.
     exact = exact_octant(DEFAULT_RTABLE)
     m = np.arange(-DEFAULT_RTABLE, DEFAULT_RTABLE + 1)
     m1, m2 = np.meshgrid(m, m, indexing="ij")
@@ -241,7 +245,7 @@ def test_stencil_identity_at_origin():
 
 def test_stencil_identity_away_from_origin():
     u = lambda p: phi(p[0], p[1])
-    for m in [(1, 0), (4, 4), (17, 2), (30, 0), (30, 30), (31, 7), (45, 45)]:
+    for m in [(1, 0), (4, 4), (17, 2), (30, 30), (45, 45), (64, 0), (64, 64), (65, 7)]:
         assert apply_discrete_laplacian(u, m) == pytest.approx(0.0, abs=1e-12)
 
 
