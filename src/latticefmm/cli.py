@@ -13,8 +13,10 @@ import argparse
 import csv
 import json
 import math
+import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -197,11 +199,21 @@ def _cmd_bench(args) -> int:
         stats: dict = {}
         fmm_apply(pts, q, stats=stats, **kwargs)
         if args.json:
+            # Memory: a third, untimed call under tracemalloc (numpy's
+            # arrays included), and the process's peak resident set so far.
+            tracemalloc.start()
+            fmm_apply(pts, q, **kwargs)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             record = {
                 "n": n,
                 "N_source": pts.shape[0],
                 "cold_wall_time": cold["wall_time"],
                 "cold_t_chain": cold["t_chain"],
+                "warm_traced_peak_mb": traced_peak / 2**20,
+                # ru_maxrss is in KiB on Linux, in bytes on macOS.
+                "ru_maxrss_mb": maxrss / (2**20 if sys.platform == "darwin" else 2**10),
                 "stats": stats,
             }
             print(json.dumps(record, sort_keys=True))
@@ -372,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per size (n, N_source, the "
-                        "first call's cold_wall_time and cold_t_chain, and the "
-                        "warm call's full stats) in place of the CSV rows")
+                        "first call's cold_wall_time and cold_t_chain, the "
+                        "warm call's full stats, the tracemalloc peak of one "
+                        "more warm call and the process's peak RSS, in MB) in "
+                        "place of the CSV rows")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest", help="desk-scale end-to-end checks")

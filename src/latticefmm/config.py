@@ -6,8 +6,11 @@ environment variables are ``LFMM_EPS`` and ``LFMM_NLEAF``.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
@@ -29,6 +32,42 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in ({lo:g}, {hi:g}), got {eps}")
 
 
+def check_nleaf(nleaf) -> int:
+    """``nleaf`` as an int; ValueError unless it is an integer >= 1."""
+    if isinstance(nleaf, bool) or not isinstance(nleaf, numbers.Integral) or nleaf < 1:
+        raise ValueError(f"nleaf must be an integer >= 1, got {nleaf!r}")
+    return int(nleaf)
+
+
+# Largest accepted sum |q|.  |phi| stays below 4 on a 2**31 extent, so
+# every potential is below 4 sum |q|; 2**1000 leaves 2**24 of headroom
+# below float64's overflow for that and for the expansions' coefficients.
+MAX_CHARGE_L1 = 2.0**1000
+
+
+def check_charges(charges, n: int) -> np.ndarray:
+    """``charges`` as float64, under the contract ``fmm_apply`` and
+    ``direct_sum`` share: real numbers, a 1-D array of length n, finite,
+    and sum |q| <= ``MAX_CHARGE_L1``, so no potential overflows.
+    ValueError otherwise."""
+    raw = np.asarray(charges)
+    if raw.dtype.kind == "c":
+        raise ValueError("charges must be real, not complex")
+    try:
+        q = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("charges must be real numbers") from None
+    if q.ndim != 1 or q.shape[0] != n:
+        raise ValueError(f"charges must be a 1-D array of length {n}, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("charges must be finite")
+    with np.errstate(over="ignore"):
+        total = np.abs(q).sum()
+    if not total <= MAX_CHARGE_L1:
+        raise ValueError(f"charges too large: sum of |q| is {total:.3g}, above 2**1000")
+    return q
+
+
 @dataclass
 class RunConfig:
     eps: float = DEFAULT_EPS
@@ -37,8 +76,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_eps(self.eps)
-        if self.nleaf < 1:
-            raise ValueError(f"nleaf must be >= 1, got {self.nleaf}")
+        check_nleaf(self.nleaf)
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":

@@ -6,6 +6,27 @@ translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
 T_tfi), with directly summed near-field corrections from the Green table.
 
+A box that holds one point is carried as that point (the pruning of
+adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
+tree).  From level 2 down, a colleague or interaction pair of two
+one-point boxes is one point pair, phi(x_t - x_s) q_s, summed by
+``bincount``; it is not refined further, and a one-point box paired with
+itself is dropped, since phi(0) = 0.  The passes change to match:
+
+* upward: a one-point leaf contributes its point's interpolation column,
+  the unit expansion e_p; a one-point box's parent that holds the same one
+  point carries e_p on by T_ofo, and the first parent with more points
+  receives e_p q_p.  Each level's expansions are held only until the next
+  coarser level is formed; T_ifo runs on them at once, fine to coarse.
+* T_ifo: a one-point box's incoming expansion is folded into its point,
+  u_p += e_p . inc, at that level;
+* downward: T_ifi runs over the boxes of more points only, and a point's
+  top one-point box takes its parent's incoming expansion through T_ifi
+  and folds it the same way.  This replaces the T_ifi chain below the
+  point's top one-point level.
+
+A tree with no one-point box runs the plain five passes.
+
 The near field (each leaf against itself and its eight neighbours) takes
 one of two paths per leaf pair, chosen by occupancy.  A pair whose point
 counts satisfy ct * cs >= s^2 (s the leaf side) is a stencil product: both
@@ -23,8 +44,10 @@ pairs (b, c) with b a child of P, c a child of Q, at offset
 d = 2 D + q_c - q_b (q the quadrant's (x, y) bits).  Pairs with
 |d|_inf <= 1 are colleagues at the child level; the rest, at |d|_inf of
 2 or 3, are its interaction pairs, applied by T_ifo block d.  The lookup
-work is proportional to the pairs that exist, and only one level's lists
-are held at a time.  The leaf colleagues are the near-field pairs.
+work is proportional to the pairs that exist.  The lists of all levels
+are built before the upward pass, which applies T_ifo; the point pairs
+are summed as they are found.  The leaf colleagues are the near-field
+pairs.
 
 Only occupied boxes are touched; all per-level work is batched into dense
 matrix products over Morton-sorted arrays.
@@ -36,8 +59,8 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_eps
-from .green import default_table, lattice_points
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_charges, check_eps
+from .green import default_table, lattice_points, lattice_targets, phi
 from .skeleton import shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
@@ -91,8 +114,14 @@ def _code_groups(pairs):
 
 
 def _child_lists(tree: QuadTree, lvl: int, colleagues):
-    """Colleagues and grouped interaction pairs at ``lvl`` from the
-    target-major colleagues (tgt, src, code) at ``lvl - 1``."""
+    """Colleagues, grouped interaction pairs and point pairs at ``lvl`` from
+    the target-major colleagues (tgt, src, code) at ``lvl - 1``.
+
+    From level 2 down, a pair of two one-point boxes leaves both lists: it
+    is one point pair, returned as the boxes' sorted point indices (tgt,
+    src), or nothing when the box meets itself, since phi(0) = 0.  Its
+    children are not formed at the next level.
+    """
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
     child = np.full((len(tree.codes[lvl - 1]), 4), -1, dtype=np.int32)
@@ -103,13 +132,13 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues):
     # parent's rows, in box order, so the pairs come out target-major.
     first = np.zeros(len(child) + 1, dtype=np.int64)
     np.cumsum(np.bincount(parent_tgt, minlength=len(child)), out=first[1:])
-    deg = (first[1:] - first[:-1])[parent]  # >= 1: the parent itself
+    deg = (first[1:] - first[:-1])[parent]  # 0 for a parent carried as its point
     row = np.arange(int(deg.sum())) + np.repeat(first[parent] - (np.cumsum(deg) - deg), deg)
     b = np.repeat(np.arange(n_boxes, dtype=np.int32), deg)
     half = (parent_code[row] * 4 + np.repeat(quad, deg)) * 4  # _CHILD_CODE row
     kids = child[parent_src[row]]
-    # Temporaries go as soon as they are used: the lists are built while
-    # every level's outgoing expansions are held, at the run's peak memory.
+    # Temporaries go as soon as they are used: every level's T_ifo pairs
+    # are held until the upward sweep applies them.
     del row, deg
     found = kids >= 0
     tgt = np.repeat(b, np.count_nonzero(found, axis=1))
@@ -117,48 +146,67 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues):
     src = kids.ravel()[pick]
     code = _CHILD_CODE[(half[:, None] + np.arange(4, dtype=np.int16)).ravel()[pick]]
     del b, half, kids, found, pick
-    near = np.flatnonzero(code < len(_NEAR_OFFSETS))
+    boxes = np.ones(len(tgt), dtype=bool)
+    points = (np.empty(0, dtype=np.int64),) * 2
+    if lvl >= 2:
+        start = tree.ptr[lvl]
+        single = np.diff(start) == 1
+        boxes = ~(single[tgt] & single[src])
+        pick = np.flatnonzero(~boxes & (tgt != src))
+        points = (start[tgt[pick]], start[src[pick]])
+        del pick
+    is_near = code < len(_NEAR_OFFSETS)
+    near = np.flatnonzero(boxes & is_near)
     colleagues = (tgt[near], src[near], code[near])
     del near
-    far = np.flatnonzero(code >= len(_NEAR_OFFSETS))
+    far = np.flatnonzero(boxes & ~is_near)
     interactions = _by_code(
         tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
     )
-    return colleagues, interactions
+    return colleagues, interactions, points
 
 
 def level_lists(tree: QuadTree):
-    """Colleague and interaction pairs of the occupied boxes, level by level.
+    """Colleague, interaction and point pairs of the occupied boxes, level
+    by level.
 
-    Yields (colleagues, interactions) for levels 0..L, coarse to fine, each
-    built from the previous level's colleagues (see the module docstring),
-    so only one level's lists are held.  Box slots are int32.  Colleagues
-    are (tgt, src, code), target-major, with code the ``_NEAR_OFFSETS``
-    index of src - tgt (the box itself included, at (0, 0)); interactions
-    are grouped by ``INTERACTION_OFFSETS`` index as by ``_by_code``.
+    Yields (colleagues, interactions, points) for levels 0..L, coarse to
+    fine, each built from the previous level's colleagues (see the module
+    docstring), so only one level's lists are held.  Box slots are int32.
+    Colleagues are (tgt, src, code), target-major, with code the
+    ``_NEAR_OFFSETS`` index of src - tgt (the box itself included, at
+    (0, 0)); interactions are grouped by ``INTERACTION_OFFSETS`` index as
+    by ``_by_code``; points are the (tgt, src) sorted point indices of the
+    pairs of one-point boxes, which from level 2 down replace such box
+    pairs in the other two lists.
     """
     one = np.zeros(1, dtype=np.int32)
     colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
     none = np.empty(0, dtype=np.int32)
-    yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64))
+    no_points = (np.empty(0, dtype=np.int64),) * 2
+    yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64)), no_points
     for lvl in range(1, tree.L + 1):
-        colleagues, interactions = _child_lists(tree, lvl, colleagues)
-        yield colleagues, interactions
+        colleagues, interactions, points = _child_lists(tree, lvl, colleagues)
+        yield colleagues, interactions, points
+
+
+def _multi_rows(tree: QuadTree, lvl: int):
+    """Which boxes at ``lvl`` hold two or more points, and each box's row
+    among them: the rows of the incoming expansions the downward pass
+    reads."""
+    multi = np.diff(tree.ptr[lvl]) != 1
+    return multi, np.cumsum(multi) - 1
 
 
 def _merge_targets(points, charges, targets):
     """Union source and extra target points; extra rows carry zero charge."""
     pts = lattice_points(points, "points")
-    q = np.asarray(charges, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (N, 2) integer array")
-    if pts.shape[0] != q.shape[0]:
-        raise ValueError("points and charges length mismatch")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("charges must be finite")
+    q = check_charges(charges, pts.shape[0])
     if targets is None:
         return pts, q, None
-    tgt = lattice_points(targets, "targets").reshape(-1, 2)
+    tgt = lattice_targets(targets)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("duplicate lattice points")
     stacked = np.vstack([pts, tgt])
@@ -191,6 +239,7 @@ class FmmRun:
         self.t_chain = time.perf_counter() - t0
         self.times: dict[str, float] = {}
         self.ifo_pairs_per_level = [0] * (tree.L + 1)
+        self.point_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
         self.near_ragged_pairs = 0
@@ -212,90 +261,180 @@ class FmmRun:
         lin = local[:, 0] * s + local[:, 1]
         return counts, slot_of_point, lin
 
-    def _upward(self, q_sorted, slot_of_point, lin):
+    def _lists(self, q_sorted, u):
+        """Build every level's lists, coarse to fine; sum the point pairs
+        into ``u`` and return the T_ifo pairs by level and the leaf
+        colleagues."""
+        rel = self.tree.rel_sorted
+        chunk = 1 << 16  # bounds phi's temporaries
+        ifo = {}
+        for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree)):
+            self.ifo_pairs_per_level[lvl] = len(pairs[0])
+            self.point_pairs_per_level[lvl] = len(tgt)
+            if lvl >= 2:
+                ifo[lvl] = pairs
+            # Targets ascend, so each chunk adds to one run of points.
+            for lo in range(0, len(tgt), chunk):
+                t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
+                d = rel[t] - rel[s]
+                u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+        return ifo, colleagues
+
+    def _leaf_expansions(self, q_sorted, single, slot_of_point, lin):
+        """Per leaf: the unit expansion interp[:, lin_p] of a one-point
+        leaf's point p, and the outgoing expansion (T_ofs) of every other
+        leaf, from its charges scattered onto the dense s x s stencil, one
+        GEMM per chunk of leaves."""
         tree = self.tree
         interp = self._ops(tree.L).skeleton.interp
-        k = interp.shape[0]
-        n_leaves = len(tree.codes[tree.L])
-        outgoing = {tree.L: np.zeros((n_leaves, k))}
-        # Pass 1: scatter charges onto the dense leaf stencil, one GEMM per
-        # chunk of leaves.
+        # Every leaf's first point's column; rows of fuller leaves are
+        # overwritten below.
+        x = interp.T[lin[tree.ptr[tree.L][:-1]]]
+        self.leaf_ofs_entries += interp.shape[0] * len(lin)
+        multi = np.flatnonzero(~single)
+        row = np.cumsum(~single) - 1
+        pts = np.flatnonzero(~single[slot_of_point])
+        pt_row = row[slot_of_point[pts]]
         s2 = self.leaf_side * self.leaf_side
-        ptr = tree.ptr[tree.L]
-        chunk = max(1, (1 << 22) // max(s2, 1))
-        for lo in range(0, n_leaves, chunk):
-            hi = min(lo + chunk, n_leaves)
-            plo, phi_ = ptr[lo], ptr[hi]
-            dense = np.zeros(((hi - lo), s2))
-            np.add.at(
-                dense,
-                (slot_of_point[plo:phi_] - lo, lin[plo:phi_]),
-                q_sorted[plo:phi_],
-            )
-            outgoing[tree.L][lo:hi] = dense @ interp.T
-        self.leaf_ofs_entries += int(k) * int(len(q_sorted))
-        # Pass 2: merge children upward.
-        for lvl in range(tree.L - 1, 1, -1):
-            ops_parent = self._ops(lvl)
-            t_ofo = ops_parent.t_ofo
-            kp = ops_parent.skeleton.rank
-            up = np.zeros((len(tree.codes[lvl]), kp))
-            child_codes = tree.codes[lvl + 1]
-            quad = (child_codes & 3).astype(np.int64)
-            child_out = outgoing[lvl + 1]
-            parents = tree.parent_index[lvl + 1]
-            for qd in range(4):
-                mask = quad == qd
-                if np.any(mask):
-                    up[parents[mask]] += child_out[mask] @ t_ofo[qd].T
-            outgoing[lvl] = up
-        return outgoing
+        chunk = max(1, (1 << 22) // s2)
+        for lo in range(0, len(multi), chunk):
+            hi = min(lo + chunk, len(multi))
+            plo, phi_ = np.searchsorted(pt_row, (lo, hi))
+            dense = np.zeros((hi - lo, s2))
+            dense[pt_row[plo:phi_] - lo, lin[pts[plo:phi_]]] = q_sorted[pts[plo:phi_]]
+            x[multi[lo:hi]] = dense @ interp.T
+        return x
 
-    def _interactions(self, outgoing):
-        """Incoming expansions from T_ifo, one GEMM per offset and level,
-        and the leaf colleagues, from lists built on the way down."""
-        incoming = {}
-        for lvl, (colleagues, pairs) in enumerate(level_lists(self.tree)):
-            self.ifo_pairs_per_level[lvl] = len(pairs[0])
-            if lvl < 2:
-                continue
-            t_ifo = self._ops(lvl).t_ifo
-            inc = np.zeros_like(outgoing[lvl])
-            for d, tgt, src in _code_groups(pairs):
-                # Each target has one source per offset: rows are distinct.
-                inc[tgt] += outgoing[lvl][src] @ t_ifo[d].T
-            incoming[lvl] = inc
-            if lvl > 2:
-                del outgoing[lvl]
-        return incoming, colleagues
+    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u):
+        """Upward pass fused with T_ifo, fine to coarse.
 
-    def _downward(self, incoming):
+        ``x`` holds one level: the outgoing expansion of each box of two or
+        more points, and the unit expansion e_{p,l} of each one-point box's
+        point p, so its outgoing expansion is e_{p,l} q_p.  T_ifo turns the
+        outgoing expansions into incoming ones, and a one-point box's is
+        folded into its point at once, u_p += e_{p,l} . inc_l.  What the
+        downward pass reads is kept: the incoming expansions of the boxes
+        of two or more points, and e_{p,l} at p's top one-point level, where
+        the parent's incoming expansion still has to reach p.  A one-point
+        box's parent, if it holds one point too, carries e_{p,l-1} =
+        T_ofo e_{p,l}; otherwise it receives e_{p,l} q_p through T_ofo.
+        """
         tree = self.tree
+        clock = time.perf_counter
+        t0 = clock()
+        single = np.diff(tree.ptr[tree.L]) == 1
+        x = self._leaf_expansions(q_sorted, single, slot_of_point, lin)
+        incoming, tops = {}, {}
+        for lvl in range(tree.L, 1, -1):
+            t1 = clock()
+            self.times["t_upward"] += t1 - t0
+            incoming[lvl] = self._across(lvl, x, single, ifo.pop(lvl), q_sorted, u)
+            t0 = clock()
+            self.times["t_ifo"] += t0 - t1
+            if lvl == 2:
+                break
+            parent = tree.parent_index[lvl]
+            counts = np.diff(tree.ptr[lvl - 1])
+            single_parent = counts[parent] == 1
+            top = np.flatnonzero(single & ~single_parent)
+            tops[lvl] = (top, x[top])
+            # A one-point parent carries its point's unit expansion; a
+            # parent of more points receives the point's charge.
+            x[top] *= q_sorted[tree.ptr[lvl][top]][:, None]
+            del top
+            x = self._merge_up(lvl, x, parent)
+            single = counts == 1
+        return incoming, tops
+
+    def _merge_up(self, lvl, child_out, parent):
+        """T_ofo: the expansions at ``lvl - 1`` from those of their children.
+        Siblings are adjacent, in quadrant order: each parent's first
+        child sets its row and the others add to it, in that order."""
+        ops = self._ops(lvl - 1)
+        quad = (self.tree.codes[lvl] & 3).astype(np.int64)
+        first = np.ones(len(parent), dtype=bool)
+        first[1:] = parent[1:] != parent[:-1]
+        up = np.empty((parent[-1] + 1, ops.skeleton.rank))
+        chunk = 1 << 14  # bounds the gathers of wide levels
+        for later in (False, True):
+            for qd in range(4):
+                kids = np.flatnonzero((quad == qd) & (first != later))
+                for lo in range(0, len(kids), chunk):
+                    c = kids[lo : lo + chunk]
+                    if later:
+                        up[parent[c]] += child_out[c] @ ops.t_ofo[qd].T
+                    else:
+                        up[parent[c]] = child_out[c] @ ops.t_ofo[qd].T
+        return up
+
+    def _across(self, lvl, x, single, pairs, q_sorted, u):
+        """T_ifo at one level, one GEMM per offset, over the boxes in some
+        T_ifo pair (the pairs are symmetric: these are the sources and the
+        targets).  Folds each one-point box's incoming expansion into its
+        point and returns those of the boxes of two or more points."""
+        start = self.tree.ptr[lvl]
+        t_ifo = self._ops(lvl).t_ifo
+        used = np.zeros(len(x), dtype=bool)
+        used[pairs[1]] = True
+        rows = np.flatnonzero(used)
+        row_of = np.cumsum(used) - 1
+        del used
+        one = single[rows]
+        # Outgoing expansion = x * charge: the point's charge for a
+        # one-point box, 1 for a box of more points.
+        charge = np.where(single, q_sorted[start[:-1]], 1.0)
+        inc = np.zeros((len(rows), x.shape[1]))
+        chunk = 1 << 14  # bounds the gathers of wide levels
+        for d, tgt, src in _code_groups(pairs):
+            for lo in range(0, len(tgt), chunk):
+                s = src[lo : lo + chunk]
+                # Each target has one source per offset: rows are distinct.
+                inc[row_of[tgt[lo : lo + chunk]]] += (x[s] * charge[s, None]) @ t_ifo[d].T
+        fold = rows[one]
+        for lo in range(0, len(fold), chunk):
+            b = fold[lo : lo + chunk]
+            u[start[b]] += np.einsum("ij,ij->i", x[b], inc[row_of[b]])
+        multi, row = _multi_rows(self.tree, lvl)
+        kept = np.zeros((np.count_nonzero(multi), x.shape[1]))
+        kept[row[rows[~one]]] = inc[~one]
+        return kept
+
+    def _down(self, incoming, tops, slot_of_point, lin, u):
+        """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
+        incoming expansion of each box of two or more points to its
+        children; a child at its point p's top one-point level takes it
+        into p, u_p += e_{p,l} . inc; the leaves of two or more points
+        expand theirs at their points (T_tfi)."""
+        tree = self.tree
+        _, row = _multi_rows(tree, 2)
         for lvl in range(2, tree.L):
             t_ofo = self._ops(lvl).t_ofo
-            child_codes = tree.codes[lvl + 1]
-            quad = (child_codes & 3).astype(np.int64)
-            parents = tree.parent_index[lvl + 1]
+            parent = tree.parent_index[lvl + 1]
+            quad = (tree.codes[lvl + 1] & 3).astype(np.int64)
+            multi, child_row = _multi_rows(tree, lvl + 1)
+            inc, child_inc = incoming.pop(lvl), incoming[lvl + 1]
+            top, e = tops.pop(lvl + 1)
+            start = tree.ptr[lvl + 1]
             for qd in range(4):
-                mask = quad == qd
+                mask = multi & (quad == qd)
                 if np.any(mask):
                     # T_ifi is T_ofo transposed; row-vector form keeps it direct.
-                    incoming[lvl + 1][mask] += incoming[lvl][parents[mask]] @ t_ofo[qd]
-            del incoming[lvl]
-        return incoming[tree.L]
-
-    def _expand_to_points(self, inc_leaf, slot_of_point, lin):
-        interp = self._ops(self.tree.L).skeleton.interp
-        u = np.empty(len(lin))
+                    child_inc[child_row[mask]] += inc[row[parent[mask]]] @ t_ofo[qd]
+                pick = np.flatnonzero(quad[top] == qd)
+                if len(pick):
+                    down = inc[row[parent[top[pick]]]] @ t_ofo[qd]
+                    u[start[top[pick]]] += np.einsum("ij,ij->i", down, e[pick])
+            row = child_row
+        multi, row = _multi_rows(tree, tree.L)
+        inc_leaf = incoming.pop(tree.L)
+        interp = self._ops(tree.L).skeleton.interp
         # Chunks bound the two (points x k) gathers, which set the peak
         # memory of well-filled trees; each point's sum is unchanged.
-        chunk = 1 << 12
+        chunk = 1 << 11
         for lo in range(0, len(lin), chunk):
-            sel = slice(lo, lo + chunk)
-            u[sel] = np.einsum(
-                "ij,ji->i", inc_leaf[slot_of_point[sel]], interp[:, lin[sel]]
-            )
-        return u
+            slot = slot_of_point[lo : lo + chunk]
+            sel = lo + np.flatnonzero(multi[slot])
+            u[sel] += np.einsum("ij,ji->i", inc_leaf[row[slot_of_point[sel]]], interp[:, lin[sel]])
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
@@ -381,29 +520,23 @@ class FmmRun:
         clock = time.perf_counter
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
         counts, slot_of_point, lin = self._leaf_geometry()
+        self.times = dict.fromkeys(("t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
+        u_sorted = np.zeros(len(q_sorted))
         t0 = clock()
+        ifo, colleagues = self._lists(q_sorted, u_sorted)
+        t1 = clock()
         if self.chain is None:
-            t1 = t2 = t3 = t0
-            u_sorted = np.zeros(len(q_sorted))
             # Under two levels the lists are only the leaf colleagues.
-            for colleagues, _ in level_lists(tree):
-                pass
+            self.times["t_near"] += t1 - t0
         else:
-            outgoing = self._upward(q_sorted, slot_of_point, lin)
+            self.times["t_ifo"] += t1 - t0
+            incoming, tops = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
             t1 = clock()
-            incoming, colleagues = self._interactions(outgoing)
-            t2 = clock()
-            inc_leaf = self._downward(incoming)
-            u_sorted = self._expand_to_points(inc_leaf, slot_of_point, lin)
-            t3 = clock()
+            self._down(incoming, tops, slot_of_point, lin, u_sorted)
+            self.times["t_downward"] = clock() - t1
+        t1 = clock()
         u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin, colleagues)
-        t4 = clock()
-        self.times = {
-            "t_upward": t1 - t0,
-            "t_ifo": t2 - t1,
-            "t_downward": t3 - t2,
-            "t_near": t4 - t3,
-        }
+        self.times["t_near"] += clock() - t1
         out = np.empty_like(u_sorted)
         out[tree.order] = u_sorted
         return out
@@ -413,8 +546,8 @@ class FmmRun:
         work of the last ``apply``.
 
         ``op_entries`` is the operator data instantiated for this problem
-        (O(N_source)): the per-point leaf interpolation columns and the
-        near-field pair interactions.  The model-box translation operators
+        (O(N_source)): the per-point leaf interpolation columns, the
+        near-field pair interactions and the point pairs.  The model-box translation operators
         are shared process-wide across problems and are counted apart, as
         ``shared_op_entries`` (0 for a tree under two levels, which uses none).
         """
@@ -423,13 +556,15 @@ class FmmRun:
         for lvl in range(2, tree.L + 1):
             ranks[lvl] = self._ops(lvl).skeleton.rank
         return {
-            "op_entries": self.leaf_ofs_entries + self.near_pairs,
+            "op_entries": self.leaf_ofs_entries + self.near_pairs + sum(self.point_pairs_per_level),
             "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
             "chain_built": self.chain_built,
             "t_chain": self.t_chain,
             **self.times,
             "boxes_per_level": [len(codes) for codes in tree.codes],
+            "single_boxes_per_level": [int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr],
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
+            "point_pairs_per_level": list(self.point_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
             "near_gemm_blocks": self.near_gemm_blocks,
@@ -450,25 +585,37 @@ def fmm_apply(
     Evaluated at the source points by default; pass ``targets`` for other
     evaluation points (they are added as zero-charge nodes, and coinciding
     source/target points are fine).  ``stats``, if given, is filled with
-    run counters: tree depth, stored operator entries, wall time, seconds
-    per pass (``t_tree``; ``t_chain``, spent extending the shared operator
-    chain, with ``chain_built`` true if this call built any of it;
-    ``t_upward``; ``t_ifo``, which includes building the interaction and
-    neighbour lists; ``t_downward``; ``t_near``), lists indexed by level
-    0..L (``boxes_per_level`` occupied boxes, ``ifo_pairs_per_level``
-    interaction box pairs and ``ranks_per_level`` skeleton ranks, 0 at
-    levels 0 and 1, which have neither) and near-field work (``near_pairs``
-    point pairs, of which ``near_ragged_pairs`` were summed pair by pair
-    and the rest in ``near_gemm_blocks`` stencil block products).
+    run counters: tree depth, wall time, seconds per pass (``t_tree``;
+    ``t_chain``, spent extending the shared operator chain, with
+    ``chain_built`` true if this call built any of it; ``t_upward``;
+    ``t_ifo``, which includes building the interaction and neighbour lists
+    and summing the point pairs; ``t_downward``; ``t_near``), lists indexed
+    by level 0..L (``boxes_per_level`` occupied boxes,
+    ``single_boxes_per_level`` those holding one point,
+    ``ifo_pairs_per_level`` T_ifo blocks, ``point_pairs_per_level`` pairs
+    of one-point boxes summed as point pairs, and ``ranks_per_level``
+    skeleton ranks; the last three read 0 at levels 0 and 1, which have no
+    interaction lists), near-field work (``near_pairs`` point pairs, of
+    which ``near_ragged_pairs`` were summed pair by pair and the rest in
+    ``near_gemm_blocks`` stencil block products), and ``op_entries``, the
+    operator data instantiated for this problem: k leaf interpolation
+    entries per point, the near pairs and the point pairs.  Over the
+    nodes (sources and targets), the T_ifo blocks (|b| |c| point pairs
+    each), the point pairs, the near pairs and one self pair per
+    one-point leaf, which phi(0) = 0 lets the sum drop, cover each
+    ordered pair once.
 
     Error contract: max_i |u_i - exact_i| <= eps * sum_j |q_j|.  The error
     is bounded relative to the charges' l1 norm, not to |u|: charges that
     cancel (zero-sum, or dipoles such as D^T z) give small potentials
     whose relative error can far exceed eps.
 
-    Raises ValueError for eps outside ``config.EPS_RANGE``, non-finite
-    charges, non-integer coordinates or coordinates beyond int64, duplicate
-    sources, or a coordinate extent above 2**31.
+    Raises ValueError for eps outside ``config.EPS_RANGE``, an ``nleaf``
+    that is not an integer >= 1, charges that break
+    ``config.check_charges`` (real, 1-D, one per point, finite, sum |q| at
+    most 2**1000), targets that are neither (M, 2) nor one (2,) point,
+    non-integer coordinates or coordinates beyond int64, duplicate sources,
+    or a coordinate extent above 2**31.
     """
     clock = time.perf_counter
     t0 = clock()

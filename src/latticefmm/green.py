@@ -53,6 +53,17 @@ def lattice_points(values, what: str) -> np.ndarray:
     raise ValueError(f"{what} must have integer coordinates")
 
 
+def lattice_targets(targets) -> np.ndarray:
+    """``targets`` as an (M, 2) int64 array, from an (M, 2) array or one
+    (2,) point; ValueError for any other shape, and as ``lattice_points``."""
+    tgt = lattice_points(targets, "targets")
+    if tgt.shape == (2,):
+        return tgt.reshape(1, 2)
+    if tgt.ndim != 2 or tgt.shape[1] != 2:
+        raise ValueError(f"targets must be an (M, 2) array or one (2,) point, got shape {tgt.shape}")
+    return tgt
+
+
 # --- large-|m| expansion -------------------------------------------------
 #
 # Leading behaviour: phi(m) ~ -(log|m| + gamma + (3/2) log 2)/(2 pi), plus

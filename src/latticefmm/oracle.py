@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .green import lattice_points, phi
+from .config import check_charges
+from .green import lattice_points, lattice_targets, phi
 
 
 def direct_sum(points, charges, targets=None):
@@ -21,13 +22,14 @@ def direct_sum(points, charges, targets=None):
 
     targets defaults to the source points themselves.  Self-terms cost
     phi(0) = 0, so no exclusion is needed.  Raises ValueError for a
-    non-integer coordinate or one outside int64.
+    non-integer coordinate or one outside int64, targets that are neither
+    (M, 2) nor one (2,) point, and charges outside ``check_charges``.
     """
     pts = lattice_points(points, "points")
-    q = np.asarray(charges, dtype=np.float64)
-    if pts.shape[0] != q.shape[0]:
-        raise ValueError("points and charges length mismatch")
-    tgt = pts if targets is None else lattice_points(targets, "targets")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be an (N, 2) integer array")
+    q = check_charges(charges, pts.shape[0])
+    tgt = pts if targets is None else lattice_targets(targets)
     out = np.empty(tgt.shape[0])
     for i, (tx, ty) in enumerate(tgt):
         vals = phi(tx - pts[:, 0], ty - pts[:, 1])

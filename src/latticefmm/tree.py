@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_nleaf
+
 # Largest root side: Morton keys interleave two coordinates into a signed
 # 64-bit integer, so each relative coordinate must fit in 31 bits.
 MAX_ROOT_SIDE = 1 << 31
@@ -99,10 +101,8 @@ class QuadTree:
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (N, 2) integer array")
-        if nleaf < 1:
-            raise ValueError("nleaf must be >= 1")
         self.points = pts
-        self.nleaf = int(nleaf)
+        self.nleaf = check_nleaf(nleaf)
         n = pts.shape[0]
 
         self.anchor, extent = check_extent(pts)

@@ -271,6 +271,9 @@ def test_bench_json_records(capsys):
         # The cold call is reported beside the warm one; its chain time is
         # part of its wall time.
         assert 0.0 <= rec["cold_t_chain"] <= rec["cold_wall_time"]
+        # Memory: a warm call's traced peak holds at least the potentials
+        # (8 bytes per point), and the process's peak RSS is above it.
+        assert 8 * rec["N_source"] / 2**20 <= rec["warm_traced_peak_mb"] < rec["ru_maxrss_mb"]
 
 
 def test_bench_rejects_bad_inputs(capsys):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticefmm import skeleton
-from latticefmm.fmm import fmm_apply
+from latticefmm.fmm import _MAX_LEAF_SIDE, fmm_apply, level_lists
 from latticefmm.green import phi
 from latticefmm.oracle import direct_sum
 from latticefmm.tree import build_tree
 
 from fmm_reference import dense_solve_truncated, direct_near_field, estimate_complexity
-from tree_reference import box_by_id, total_boxes
+from tree_reference import box_by_id, single_point_pairs, total_boxes
 
 
 def random_sources(rng, n, box):
@@ -176,6 +176,46 @@ def test_extent_limit():
             fmm_apply(wide, q)
 
 
+@pytest.mark.parametrize(
+    "charges,message",
+    [
+        (np.ones((3, 1)), "1-D array of length 3"),
+        (np.ones(4), "1-D array of length 3"),
+        (np.ones(3) + 1j, "must be real, not complex"),
+        (["a", "b", "c"], "must be real numbers"),
+        ([1e308] * 3, "charges too large"),
+        ([6e307, 6e307, 1.0], "charges too large"),  # sum |q| finite, above 2**1000
+    ],
+)
+def test_charges_contract(charges, message):
+    with pytest.raises(ValueError, match=message):
+        fmm_apply([(0, 0), (5, 1), (9, 9)], charges)
+
+
+def test_large_charges_within_contract_stay_finite():
+    pts = [(0, 0), (2**30, 0), (0, 2**30)]
+    q = [2.0**998, 2.0**998, 0.0]
+    u = fmm_apply(pts, q)
+    assert np.all(np.isfinite(u))
+    assert np.allclose(u, direct_sum(pts, q), rtol=1e-12, atol=0)
+
+
+def test_targets_contract():
+    pts, q = [(0, 0), (5, 1), (9, 9)], [1.0, 2.0, 3.0]
+    for bad in (np.ones((2, 3), dtype=int), np.ones((2, 2, 2), dtype=int), [1, 2, 3], 4):
+        with pytest.raises(ValueError, match="targets must be an"):
+            fmm_apply(pts, q, targets=bad)
+    one = fmm_apply(pts, q, targets=(5, 1))
+    assert one.shape == (1,) and np.array_equal(one, fmm_apply(pts, q, targets=[(5, 1)]))
+    assert fmm_apply(pts, q, targets=np.empty((0, 2), dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("nleaf", [1.5, 2.0, 0, -1, True, "4"])
+def test_nleaf_contract(nleaf):
+    with pytest.raises(ValueError, match="nleaf must be an integer >= 1"):
+        fmm_apply([(0, 0), (5, 1)], [1.0, 2.0], nleaf=nleaf)
+
+
 @pytest.mark.parametrize("eps", [1e-16, 1e-14, 1e-2, 0.5, np.nan])
 def test_eps_range_enforced(eps):
     with pytest.raises(ValueError, match="eps must lie in"):
@@ -197,8 +237,12 @@ def test_stats_reported():
     for key in PASS_TIMES:
         assert stats[key] >= 0.0
     assert sum(stats[key] for key in PASS_TIMES) <= stats["wall_time"]
-    assert stats["near_gemm_blocks"] == 0
-    assert stats["near_ragged_pairs"] == stats["near_pairs"] > 0
+    # No leaf holds two points, so every leaf pair is a point pair, taken
+    # at the coarsest level where both boxes hold one point, and no
+    # near-field pair is left.
+    assert stats["near_gemm_blocks"] == stats["near_ragged_pairs"] == stats["near_pairs"] == 0
+    assert stats["single_boxes_per_level"][-1] == len(pts)
+    assert sum(stats["point_pairs_per_level"]) > 0
 
     # 4 x 4 full leaves: 10 x 10 ordered (target, source) neighbour pairs.
     full = {}
@@ -224,8 +268,13 @@ def test_per_level_stats(monkeypatch):
     assert second["ranks_per_level"] == [0, 0] + [
         chain.ops[tree.side_of(lvl)].skeleton.rank for lvl in range(2, tree.L + 1)
     ]
-    pairs = second["ifo_pairs_per_level"]
-    assert pairs[:2] == [0, 0] and all(p > 0 for p in pairs[2:])
+    want = [single_point_pairs(tree, lvl) for lvl in range(tree.L + 1)]
+    assert second["ifo_pairs_per_level"] == [len(far) for _, far, _ in want]
+    assert second["point_pairs_per_level"] == [len(points) for _, _, points in want]
+    assert second["single_boxes_per_level"] == [
+        int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr
+    ]
+    assert second["ifo_pairs_per_level"][:2] == second["point_pairs_per_level"][:2] == [0, 0]
     assert json.loads(json.dumps(second)) == second
 
 
@@ -428,3 +477,92 @@ def test_estimate_complexity():
         estimate_complexity([(100, 1.0), (200, 2.0)])
     with pytest.raises(ValueError):
         estimate_complexity([(100, 0.0), (200, 1.0), (400, 2.0)])
+
+
+def mixed_load(seed, with_targets):
+    """(points, targets or None) on a 2**16 domain: full 16 x 16 clusters
+    (four full 8 x 8 leaves each), a sparse halo around each, and isolated
+    points, so boxes of one point and of many meet at most levels."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for corner in rng.integers(0, (1 << 16) - 16, size=(3, 2)) & ~7:
+        parts.append(grid_points(16) + corner)
+        parts.append(corner + rng.integers(-256, 272, size=(60, 2)))
+    parts.append(rng.integers(0, 1 << 16, size=(600, 2)))
+    pts = np.unique(np.clip(np.vstack(parts), 0, (1 << 16) - 1), axis=0)
+    pts = pts[rng.permutation(len(pts))]
+    targets = None
+    if with_targets:
+        targets = np.vstack([pts[:40] + 1, rng.integers(0, 1 << 16, size=(60, 2)), pts[-10:]])
+    return pts, targets
+
+
+MIXED = [(seed, with_targets) for seed in (3, 4) for with_targets in (False, True)]
+
+
+@pytest.mark.parametrize("seed,with_targets", MIXED)
+def test_every_point_pair_covered_once(seed, with_targets):
+    """T_ifo blocks (|b| |c| point pairs each), point pairs, near-field pairs
+    and the dropped self pairs of one-point boxes make up N^2, over the
+    nodes the tree holds (sources and targets), and the stats agree."""
+    pts, targets = mixed_load(seed, with_targets)
+    nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
+    stats = {}
+    fmm_apply(pts, rng_charges(len(pts)), targets=targets, stats=stats)
+    tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    assert stats["n_points"] == len(nodes) and tree.L >= 8
+    blocks = points = 0
+    seen = set()
+    for lvl, (colleagues, (tgt, src, _), (ptgt, psrc)) in enumerate(level_lists(tree)):
+        count = np.diff(tree.ptr[lvl])
+        blocks += int(np.sum(count[tgt] * count[src]))
+        points += len(ptgt)
+        seen.update(zip(ptgt.tolist(), psrc.tolist()))
+    near = int(np.sum(count[colleagues[0]] * count[colleagues[1]]))
+    dropped = stats["single_boxes_per_level"][-1]  # one self pair per lone leaf point
+    assert len(seen) == points  # no point pair twice
+    assert blocks + points + near + dropped == len(nodes) ** 2
+    assert points == sum(stats["point_pairs_per_level"])
+    assert near == stats["near_pairs"]
+
+
+def rng_charges(n, seed=5):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+@pytest.mark.parametrize("seed,with_targets", MIXED)
+def test_mixed_loads_match_direct(seed, with_targets):
+    pts, targets = mixed_load(seed, with_targets)
+    q = rng_charges(len(pts))
+    stats = {}
+    u = fmm_apply(pts, q, targets=targets, stats=stats)
+    ref = direct_sum(pts, q, targets=targets)
+    assert rel_l2(u, ref) <= 1e-9
+    # Point pairs, and T_ifo blocks with one and with no one-point box, at
+    # three levels or more each.
+    nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
+    tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    kinds = {"single-single": 0, "mixed": 0, "multi-multi": 0}
+    for lvl, (_, (tgt, src, _), (ptgt, _)) in enumerate(level_lists(tree)):
+        multi = np.diff(tree.ptr[lvl]) > 1
+        n_multi = multi[tgt].astype(int) + multi[src]
+        kinds["single-single"] += len(ptgt) > 0
+        kinds["mixed"] += bool(np.any(n_multi == 1))
+        kinds["multi-multi"] += bool(np.any(n_multi == 2))
+    assert min(kinds.values()) >= 3, kinds
+    if targets is None:
+        # The eps * sum |q| contract, on charges that cancel.
+        q0 = q - q.mean()
+        ref0 = direct_sum(pts, q0)
+        for eps in (1e-6, 1e-10):
+            err = np.max(np.abs(fmm_apply(pts, q0, eps=eps) - ref0))
+            assert err <= eps * np.abs(q0).sum()
+
+
+def test_full_grid_has_no_point_pairs():
+    stats = {}
+    fmm_apply(grid_points(64), rng_charges(64 * 64), stats=stats)
+    assert stats["levels"] >= 4
+    assert stats["single_boxes_per_level"] == [0] * stats["levels"]
+    assert stats["point_pairs_per_level"] == [0] * stats["levels"]
+    assert stats["op_entries"] == 64 * 64 * stats["ranks_per_level"][-1] + stats["near_pairs"]

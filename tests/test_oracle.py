@@ -57,6 +57,29 @@ def test_direct_sum_length_mismatch():
         direct_sum([(0, 0)], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "charges,message",
+    [
+        (np.ones((3, 1)), "1-D array of length 3"),
+        (np.ones(2), "1-D array of length 3"),
+        (np.ones(3) + 1j, "must be real, not complex"),
+        (["a", "b", "c"], "must be real numbers"),
+        ([1.0, np.nan, 2.0], "charges must be finite"),
+        ([1e308] * 3, "charges too large"),
+    ],
+)
+def test_charges_contract(charges, message):
+    with pytest.raises(ValueError, match=message):
+        direct_sum([(0, 0), (5, 1), (9, 9)], charges)
+
+
+def test_targets_shape():
+    pts, q = [(0, 0), (5, 1), (9, 9)], [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="targets must be an"):
+        direct_sum(pts, q, targets=np.ones((2, 3), dtype=int))
+    assert np.array_equal(direct_sum(pts, q, targets=(5, 1)), direct_sum(pts, q, targets=[(5, 1)]))
+
+
 def test_dense_kernel_matrix_symmetric_zero_diagonal():
     rng = np.random.default_rng(1)
     pts = np.unique(rng.integers(-40, 40, size=(30, 2)), axis=0)

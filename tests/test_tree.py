@@ -10,11 +10,10 @@ from tree_reference import (
     box_id,
     compute_lists,
     dump,
-    interaction_ids,
     level_offset,
     locate_id,
-    neighbor_ids,
     relative_ifo_offset,
+    single_point_pairs,
 )
 
 
@@ -180,19 +179,6 @@ def _pairs_by_offset(tree, level, pairs, offsets):
     return out
 
 
-def _reference_pairs(tree, level):
-    """Colleague (self included) and interaction pairs of the occupied boxes
-    at one level, from the box-by-box definitions."""
-    rx, ry = morton_decode(tree.codes[level])
-    ids = [box_id(level, x, y) for x, y in zip(rx, ry)]
-    occupied = set(ids)
-    colleagues, interactions = set(), set()
-    for bid, x, y in zip(ids, rx, ry):
-        colleagues.update((bid, c) for c in neighbor_ids(level, x, y) + [bid] if c in occupied)
-        interactions.update((bid, c) for c in interaction_ids(level, x, y) if c in occupied)
-    return colleagues, interactions
-
-
 def _clustered_points():
     # A full 16 x 16 block plus isolated points: most siblings of the
     # isolated points' boxes are empty, at every level.
@@ -218,22 +204,27 @@ LIST_TREES = {
 @pytest.mark.parametrize("name", sorted(LIST_TREES))
 def test_level_lists_match_reference(name):
     # The lists the FMM applies, every occupied box at every level against
-    # the definition: same pairs, each at its offset, none twice.
+    # the definition under the single-point rule: same box pairs, each at
+    # its offset, and same point pairs, none twice.
     tree = LIST_TREES[name]()
     levels = list(level_lists(tree))
     assert len(levels) == tree.L + 1
     assert tree.L == {"dense8": 3, "L0": 0, "L1": 1}.get(name, tree.L)
-    for level, (colleagues, interactions) in enumerate(levels):
-        want_near, want_far = _reference_pairs(tree, level)
+    for level, (colleagues, interactions, (ptgt, psrc)) in enumerate(levels):
+        want_near, want_far, want_points = single_point_pairs(tree, level)
         # Colleagues are target-major, as the next level reads them.
         assert np.all(np.diff(colleagues[0]) >= 0)
         grouped = _by_code(*colleagues, len(_NEAR_OFFSETS))
         got_near = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
         got_far = _pairs_by_offset(tree, level, interactions, INTERACTION_OFFSETS)
+        got_points = set(zip(tree.order[ptgt].tolist(), tree.order[psrc].tolist()))
         assert len(colleagues[0]) == len(got_near) and got_near == want_near
         assert len(interactions[0]) == len(got_far) and got_far == want_far
+        assert len(ptgt) == len(got_points) and got_points == want_points
     if name in ("sparse", "clustered"):
-        assert any(len(far[0]) for _, far in levels[3:])
+        assert any(len(far[0]) for _, far, _ in levels[3:])
+    if name in ("sparse", "clustered", "dense8"):
+        assert any(len(points[0]) for _, _, points in levels)
 
 
 @pytest.mark.parametrize("name", ["sparse", "clustered"])
@@ -242,10 +233,11 @@ def test_ifo_pairs_per_level_brute_count(name):
     stats = {}
     fmm_apply(pts, np.ones(len(pts)), nleaf=4, stats=stats)
     tree = build_tree(pts, nleaf=4, max_leaf_side=_MAX_LEAF_SIDE)
-    brute = [len(_reference_pairs(tree, level)[1]) for level in range(tree.L + 1)]
-    assert stats["ifo_pairs_per_level"] == brute
+    brute = [single_point_pairs(tree, level) for level in range(tree.L + 1)]
+    assert stats["ifo_pairs_per_level"] == [len(far) for _, far, _ in brute]
+    assert stats["point_pairs_per_level"] == [len(points) for _, _, points in brute]
     assert stats["boxes_per_level"] == [len(c) for c in tree.codes]
-    assert sum(brute) > 0
+    assert sum(stats["ifo_pairs_per_level"]) > 0 and sum(stats["point_pairs_per_level"]) > 0
 
 
 def test_list_symmetry(dense8):

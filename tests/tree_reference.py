@@ -2,8 +2,8 @@
 
 This is the definitional form of the geometry that ``latticefmm.fmm``
 evaluates in batches (``fmm.level_lists`` derives each level's colleague
-and interaction pairs from the parent level's colleagues); the tests use
-it as their reference.
+and interaction pairs from the parent level's colleagues, and applies the
+single-point rule); the tests use it as their reference.
 
 Boxes are numbered breadth-first from 1 (the root).  Within a level, ids
 follow Morton order with x varying fastest, so the four children of a box
@@ -145,6 +145,59 @@ def interaction_ids(level: int, rx: int, ry: int) -> list:
             out.append(box_id(level, sx, sy))
     out.sort()
     return out
+
+
+def reference_pairs(tree: QuadTree, level: int):
+    """Colleague (self included) and interaction pairs of the occupied boxes
+    at one level, as sets of (target id, source id), from the box-by-box
+    definitions."""
+    rx, ry = morton_decode(tree.codes[level])
+    ids = [box_id(level, x, y) for x, y in zip(rx, ry)]
+    occupied = set(ids)
+    colleagues, interactions = set(), set()
+    for bid, x, y in zip(ids, rx, ry):
+        colleagues.update((bid, c) for c in neighbor_ids(level, x, y) + [bid] if c in occupied)
+        interactions.update((bid, c) for c in interaction_ids(level, x, y) if c in occupied)
+    return colleagues, interactions
+
+
+def single_point_pairs(tree: QuadTree, level: int):
+    """(colleagues, interactions, points) at one level under the single-point
+    rule, from ``reference_pairs``.
+
+    From level 2 down, a pair of two one-point boxes leaves the box lists.
+    It is a point pair, (target point, source point) as indices into the
+    original point array, if the boxes differ and the pair was not already
+    one at the level above: the level is 2, or one of the two parents holds
+    more than one point.
+    """
+    colleagues, interactions = reference_pairs(tree, level)
+    if level < 2:
+        return colleagues, interactions, set()
+    lone = {}
+
+    def point(bid):  # the point of a one-point box, else None
+        if bid not in lone:
+            idx = box_by_id(tree, bid).point_index
+            lone[bid] = int(idx[0]) if len(idx) == 1 else None
+        return lone[bid]
+
+    def parent(bid):
+        _, rx, ry = locate_id(tree, bid)
+        return box_id(level - 1, rx // 2, ry // 2)
+
+    points = set()
+    kept = []
+    for pairs in (colleagues, interactions):
+        keep = set()
+        for b, c in pairs:
+            pb, pc = point(b), point(c)
+            if pb is None or pc is None:
+                keep.add((b, c))
+            elif b != c and (level == 2 or point(parent(b)) is None or point(parent(c)) is None):
+                points.add((pb, pc))
+        kept.append(keep)
+    return kept[0], kept[1], points
 
 
 def lists_for(tree: QuadTree, bid: int) -> BoxLists:
