@@ -22,20 +22,34 @@ second differences of phi:
 
     [k, l] = phi(a_k - a_l) - phi(a_k - b_l) - phi(b_k - a_l) + phi(b_k - b_l).
 
-The system is solved one of two ways, by bar count:
+Every kernel entry is phi(t - s), with t among the nodes or the queries
+and s among the nodes, so one grid of phi over the box of displacements
+t - s -- the *window*, ``green.GreensTable.window`` -- holds them all, and
+S is a Toeplitz convolution on it (the lattice's translation invariance,
+used as precorrected-FFT methods use it: Phillips & White, IEEE TCAD 16,
+1997).  The system is solved one of two ways, by bar count:
 
-* up to ``_DENSE_BAR_LIMIT`` bars it is assembled once from kernel blocks
-  and solved by numpy's LU, guarded by a 1-norm condition estimate
-  (Hager's estimator with Higham's refinements, as in LAPACK's dgecon),
-  and the queries are summed bar by bar against z, by kernel blocks as
-  well;
+* up to ``_DENSE_BAR_LIMIT`` bars it is assembled once, D S first, in row
+  blocks, and solved by numpy's LU, guarded by a 1-norm condition
+  estimate (Hager's estimator with Higham's refinements, as in LAPACK's
+  dgecon); the queries are summed bar by bar against z, in row blocks as
+  well.  Kernel entries are gathered from the window, the same values
+  ``phi`` gives, so the output bytes do not depend on the source;
 * above that, ``gmres`` (restarted GMRES in numpy) runs on the same bar
-  operator, each product applying S by ``apply_S`` (the FMM above
-  ``DIRECT_S_THRESHOLD`` charges), and the queries take one more
-  ``apply_S``.
+  operator, each product applying S by ``np.fft.rfft2``/``irfft2`` on the
+  window, padded to 5-smooth lengths; one more such product sums the
+  queries.
+
+A cost model (``_WINDOW_CELLS_PER_ENTRY``, ``_FFT_CELLS_PER_NLOGN``) weighs
+each window's cells against the kernel entries it serves (dense path) or
+against n log n (GMRES path).  Scattered defects, and queries far from
+them, have windows of about the square of their spread; they evaluate
+entries by ``kernel_matrix`` (dense path) or apply S by ``fmm_apply``
+(GMRES path).  The node-node window (the solve) and the query-node window
+(the evaluation) each choose for themselves.
 
 Only numpy is needed: the module imports no scipy, so a defect solve
-loads a single BLAS.
+loads a single BLAS, and the dense path never touches ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -46,35 +60,53 @@ from collections import deque
 
 import numpy as np
 
-from .config import DEFAULT_EPS
+from .config import DEFAULT_EPS, check_charges
 from .fmm import fmm_apply
-from .green import lattice_points
-from .oracle import direct_sum
+from .green import default_table, lattice_points, lattice_targets
 from .skeleton import kernel_matrix
 from .tree import check_extent
 
-# Below this many charges, S is summed directly instead of via the FMM.
-DIRECT_S_THRESHOLD = 600
+# Largest bar count m solved densely.  Dense: D S D^T is gathered from the
+# phi window (2 m n entries), then (2/3) m^3 flops per LU; numpy's solve
+# keeps no factors, so the condition estimate factors again, three LUs in
+# all.  GMRES: one FFT over the window per iteration, and the iterations
+# grow with m.  Measured warm on straight cracks with 4 (m + 2) queries
+# (2 cores, OpenBLAS, tol 1e-8), dense against GMRES: m = 100, 5.9 against
+# 7.8 ms; 150, 9.8 against 10.2 ms; 200, 17 against 13 ms (38 iterations);
+# 400, 52 against 28 ms; 800, 149 against 62 ms (78 iterations).  On a
+# 32 x 32 inclusion (1984 bars; delta -0.5, 4 and -0.99) dense takes
+# 0.59-0.97 s and GMRES 5.5-6.0 ms in 7-14 iterations.  The crossover is at
+# 150-200 bars; the limit sits at its top because dense leaves max |(A+B)u|
+# at 1e-13 to 2e-12 there, GMRES at about tol (1e-8).
+_DENSE_BAR_LIMIT = 200
 
-# Largest bar count m solved densely.  Dense: 2 m n <= 4 m^2 phi
-# evaluations to assemble D S D^T, and (2/3) m^3 flops per LU.  numpy's
-# solve keeps no factors, so the condition estimate factors again: a crack
-# takes three LUs (the system, one solve with the transpose, one column).
-# The m x m matrix is held twice while numpy factors its own copy.  GMRES:
-# one apply_S over the n <= 2m nodes per iteration, and the iterations grow
-# with m (a straight crack of m removed bars takes 78 at m = 800 and 125 at
-# m = 2048).  Measured warm on such cracks with 4 (m + 2) queries (2 cores,
-# OpenBLAS): dense takes 0.8-1.1 s at 800 bars (LU and estimate 0.04-0.06 s)
-# and 3.9-4.6 s at 2048 (0.38-0.45 s); GMRES 0.8 s and 2.9-4.1 s.  GMRES is
-# no slower, but its FMM-applied S leaves max |(A+B)u| at 3.7e-6 and 1.1e-5
-# against dense's 9e-10 and 9e-9, so the limit is the memory cap: the
-# matrix is 32 MB at 2048 bars, 64 MB while numpy factors its copy.
-_DENSE_BAR_LIMIT = 2048
+# Cost model of the kernel entries.  Dense path: a phi window is built
+# when it has no more cells than the kernel entries it serves (2 m n for
+# the system, n per query).  A window cell costs one table read or one
+# expansion term sum (20-65 ns), a ``kernel_matrix`` entry ~150 ns, so
+# the window pays until it holds 3-4 cells per entry: two 24-bar cracks d
+# apart assemble in 0.32 against 0.77 ms by window and phi at 0.7 cells per
+# entry (d = 30), and in 1.8 against 1.4 ms at 5.4 (d = 100).  Compact
+# defects have windows of a few times n cells; scattered ones (two cracks
+# far apart, or a query far from the defects) have windows of about the
+# square of their spread, and keep ``kernel_matrix``.
+_WINDOW_CELLS_PER_ENTRY = 1.0
+# GMRES path, and ``apply_S``: S is applied by FFT on the window when it
+# has at most this many cells per n log2 n, n the targets and sources
+# together, and by the FMM otherwise.  An FFT product costs 25-45 ns per
+# window cell, an FMM product 8-80 us per point.  Measured on n/2 random
+# points in an L x L square, targets = sources (2 cores), FFT against FMM
+# per product: n = 200, 24 cells per n log2 n, 0.85 against 5.1 ms; n =
+# 2000, 16, 9.9 against 18 ms; n = 20000, 14, 156 against 131 ms.  The
+# window and its transform cost about 2.5 products more, once.
+_FFT_CELLS_PER_NLOGN = 12.0
 
 # Entries per kernel block; phi makes about a dozen temporaries of a
 # block's size.  On a 48-bar crack with 200 queries (2 cores), 512, 1024,
 # 2048 and unblocked take 8.2, 4.1, 3.2 and 2.1 ms at tracemalloc peaks of
-# 0.11, 0.15, 0.24 and 1.6 MB: 1024 buys most of the speed for little memory.
+# 0.11, 0.15, 0.24 and 1.6 MB: 1024 buys most of the speed for little
+# memory.  The row blocks also fix the BLAS products summing the queries,
+# so changing the size changes output bytes.
 _BLOCK_ENTRIES = 1024
 
 _UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -145,18 +177,34 @@ def _reject_islands(removed: set, added: dict) -> None:
     without the ``removed`` bars (sorted node pairs) plus the ``added`` links.
 
     An island must be cut off by removed bars, so it holds an endpoint of
-    one.  An island of n nodes is cut off by at least 4 sqrt(n) bars (the
-    lattice isoperimetric inequality), so a search from an endpoint that
-    reaches more than len(removed)**2 / 16 nodes has left every island.
+    one, and it lies inside the closed bounding box of those endpoints:
+    from a node outside the box, a walk away from the box along an axis
+    crosses no removed bar.  So a search from an endpoint that steps out
+    of the box has reached the infinite component.  An island of n nodes
+    is also cut off by at least 4 sqrt(n) bars (the lattice isoperimetric
+    inequality), so a search that reaches more than len(removed)**2 / 16
+    nodes has left every island too; that bound is the tighter one for
+    sparse diagonal cuts, whose box is large.
     """
+    ends = sorted({p for bar in removed for p in bar})
+    if not ends:
+        return
+    x_lo, x_hi = ends[0][0], ends[-1][0]
+    y_lo, y_hi = min(p[1] for p in ends), max(p[1] for p in ends)
     max_island = len(removed) ** 2 // 16
     unbounded: set = set()
-    for start in sorted({p for bar in removed for p in bar}):
+    for start in ends:
+        if start in unbounded:
+            continue
         seen = {start}
         queue = deque([start])
         while queue:
             p = queue.popleft()
-            if p in unbounded or len(seen) > max_island:
+            if (
+                not (x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi)
+                or p in unbounded
+                or len(seen) > max_island
+            ):
                 unbounded |= seen
                 break
             steps = [(p[0] + dx, p[1] + dy) for dx, dy in _UNIT_STEPS]
@@ -187,14 +235,98 @@ def apply_B(spec: DefectSpec, w) -> dict:
     return out
 
 
+class _Window:
+    """The box of displacements t - s from ``sources`` to ``targets``.
+
+    ``t_pos`` and ``s_pos`` place each point so that t - s sits at
+    t_pos - s_pos in the box; ``key`` flattens such positions in the
+    box's row-major order, so phi(t - s) is ``flat[key(t_pos) -
+    key(s_pos)]``.  Positions are taken relative to the point sets, so
+    they stay below the extent whatever the coordinates.
+    """
+
+    def __init__(self, targets, sources):
+        s_min = sources.min(axis=0)
+        s_span = sources.max(axis=0) - s_min
+        t_min = targets.min(axis=0)
+        self.shape = targets.max(axis=0) - t_min + s_span + 1
+        self.lo = t_min - s_min - s_span
+        self.t_pos = targets - t_min + s_span
+        self.s_pos = sources - s_min
+        self.source_shape = s_span + 1
+        self.cells = int(self.shape[0]) * int(self.shape[1])
+
+    def phi(self) -> np.ndarray:
+        return default_table().window(self.lo, self.lo + self.shape - 1)
+
+    def key(self, pos) -> np.ndarray:
+        return pos[:, 0] * self.shape[1] + pos[:, 1]
+
+
+def _kernel(targets, sources):
+    """(rows, source, cells): rows(i) gives phi(targets[i] - sources) for
+    an index array or slice i, equal to ``kernel_matrix`` bit for bit.
+    source is "window" when the entries are gathered from one phi window
+    (of ``cells`` cells), "phi" when ``kernel_matrix`` evaluates them."""
+    win = _Window(targets, sources)
+    if win.cells > _WINDOW_CELLS_PER_ENTRY * len(targets) * len(sources):
+        return (lambda i: kernel_matrix(targets[i], sources)), "phi", 0
+    flat = win.phi().ravel()
+    t_key, s_key = win.key(win.t_pos), win.key(win.s_pos)
+    return (lambda i: flat[t_key[i, None] - s_key[None, :]]), "window", win.cells
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer >= n: pocketfft's fast lengths."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _s_operator(targets, sources, eps: float):
+    """(apply, route, cells): apply(q) = [S q](t) = sum_j phi(t - s_j) q_j
+    at every target.  route "fft" convolves q with the phi window by
+    numpy's FFT (``cells`` window cells, held transformed); route "fmm"
+    calls ``fmm_apply`` at ``eps`` once per product, for point sets whose
+    window is too large for ``_FFT_CELLS_PER_NLOGN`` (see there)."""
+    win = _Window(targets, sources)
+    n = len(targets) + len(sources)
+    if win.cells > _FFT_CELLS_PER_NLOGN * n * max(math.log2(n), 1.0):
+        return (lambda q: fmm_apply(sources, q, targets=targets, eps=eps)), "fmm", 0
+    shape = tuple(_fft_size(int(w)) for w in win.shape)
+    kernel_hat = np.fft.rfft2(win.phi(), shape)
+    grid_cells = int(win.source_shape[0]) * int(win.source_shape[1])
+    s_flat = win.s_pos[:, 0] * win.source_shape[1] + win.s_pos[:, 1]
+    tx, ty = win.t_pos[:, 0], win.t_pos[:, 1]
+
+    def apply(q):
+        grid = np.bincount(s_flat, q, grid_cells).reshape(win.source_shape)
+        # With every axis at least the window's, the circular convolution
+        # wraps nothing onto the targets' positions.
+        conv = np.fft.irfft2(np.fft.rfft2(grid, shape) * kernel_hat, shape)
+        return conv[tx, ty]
+
+    return apply, "fft", win.cells
+
+
 def apply_S(points, charges, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """[S q](t) = sum_j phi(t - m_j) q_j at the requested targets."""
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.shape[0] == 0:
-        return np.zeros(np.asarray(targets).shape[0])
-    if pts.shape[0] <= DIRECT_S_THRESHOLD:
-        return direct_sum(pts, charges, targets=targets)
-    return fmm_apply(pts, charges, targets=targets, eps=eps)
+    """[S q](t) = sum_j phi(t - m_j) q_j at the requested targets: by FFT
+    on the phi window of the displacements, or by ``fmm_apply`` at
+    ``eps`` where that window is too large (see ``_s_operator``)."""
+    tgt = lattice_targets(targets)
+    pts = lattice_points(points, "points")
+    if pts.size == 0 or tgt.shape[0] == 0:
+        return np.zeros(tgt.shape[0])
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be an (N, 2) integer array")
+    q = check_charges(charges, pts.shape[0])
+    check_extent(np.vstack([pts, tgt]))
+    return _s_operator(tgt, pts, eps)[0](q)
 
 
 def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
@@ -205,27 +337,28 @@ def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _bar_kernel(nodes, ia, ib) -> np.ndarray:
-    """D S D^T, assembled in row blocks of bars."""
+def _bar_kernel(rows, n_nodes, ia, ib) -> np.ndarray:
+    """D S D^T, assembled in row blocks of bars from the node-node kernel
+    ``rows`` (see ``_kernel``)."""
     m = len(ia)
     out = np.empty((m, m), order="F")  # LAPACK's order: numpy copies it by columns
-    for rows in _row_blocks(m, len(nodes), per_row=2):
-        r = rows.stop - rows.start
-        k_ab = kernel_matrix(nodes[np.concatenate([ia[rows], ib[rows]])], nodes)
-        ds = k_ab[:r] - k_ab[r:]  # (D S)[rows], one column per node
-        out[rows] = ds[:, ia] - ds[:, ib]
+    for blk in _row_blocks(m, n_nodes, per_row=2):
+        r = blk.stop - blk.start
+        k_ab = rows(np.concatenate([ia[blk], ib[blk]]))
+        ds = k_ab[:r] - k_ab[r:]  # (D S)[blk], one column per node
+        out[blk] = ds[:, ia] - ds[:, ib]
     return out
 
 
-def _sum_at(targets, nodes, ia, ib, z) -> np.ndarray:
-    """(S D^T z)(t) for bar values z, by kernel blocks.  Each bar's two
-    kernel columns are differenced before z is applied: summed against the
-    node charges D^T z instead, the bars' large opposite terms cancel and
-    leave their rounding behind."""
-    out = np.empty(len(targets))
-    for rows in _row_blocks(len(targets), len(nodes)):
-        k = kernel_matrix(targets[rows], nodes)
-        out[rows] = (k[:, ia] - k[:, ib]) @ z
+def _sum_at(rows, n_targets, n_nodes, ia, ib, z) -> np.ndarray:
+    """(S D^T z)(t) for bar values z, from the target-node kernel ``rows``
+    in blocks.  Each bar's two kernel columns are differenced before z is
+    applied: summed against the node charges D^T z instead, the bars'
+    large opposite terms cancel and leave their rounding behind."""
+    out = np.empty(n_targets)
+    for blk in _row_blocks(n_targets, n_nodes):
+        k = rows(blk)
+        out[blk] = (k[:, ia] - k[:, ib]) @ z
     return out
 
 
@@ -283,7 +416,11 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     Gram-Schmidt) and minimises the residual by Givens rotations; at most
     ``maxiter`` cycles run, until ||b - A x|| <= tol ||b||.  ``callback``
     receives the estimated relative residual |g_{j+1}| / ||b|| after each
-    step.  Returns (x, info): info is 0 on convergence, else maxiter.
+    step.  A cycle stalls when its estimate meets the goal but the true
+    residual it leaves is not below half the one it started from: the
+    products' rounding sets a floor above tol, and further cycles only
+    repeat that.  Returns (x, info): info is 0 on convergence, else the
+    number of cycles run (maxiter, or fewer after a stall).
     """
     if restart < 1 or maxiter < 1:
         raise ValueError(f"restart {restart} and maxiter {maxiter} must be positive")
@@ -297,7 +434,7 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     hess = np.zeros((restart, restart))  # R of the rotated Hessenberg matrix
     rot = np.zeros((restart, 2))  # (cos, sin) of each Givens rotation
     r = b
-    for _ in range(maxiter):
+    for cycle in range(1, maxiter + 1):
         g = np.zeros(restart + 1)
         g[0] = np.linalg.norm(r)
         basis[0] = r / g[0]
@@ -330,16 +467,17 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
             y[i] = (y[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
         x += y @ basis[:k]
         r = b - matvec(x)
-        if np.linalg.norm(r) <= goal:
+        r_norm = np.linalg.norm(r)
+        if r_norm <= goal:
             return x, 0
-        if breakdown:
-            break
+        if breakdown or (abs(g[j + 1]) <= goal and r_norm > 0.5 * g[0]):
+            return x, cycle
     return x, maxiter
 
 
-def _unsolved() -> RuntimeError:
+def _unsolved(detail: str = "") -> RuntimeError:
     return RuntimeError(
-        "defect solve did not converge; the modification may be "
+        f"defect solve did not converge{detail}; the modification may be "
         "singular (e.g. a disconnected region)"
     )
 
@@ -364,12 +502,19 @@ def solve_defect(
     ("dense" or "gmres"), ``iterations`` and ``residual_history`` (GMRES's
     relative residual per iteration; 0 and empty on the dense path),
     ``rcond`` (the dense path's estimate of the system's 1-norm reciprocal
-    condition number; None on the GMRES path and for an empty spec), and
-    the seconds ``t_assemble``, ``t_solve``, ``t_eval`` and ``wall_time``.
+    condition number; None on the GMRES path and for an empty spec),
+    ``kernel_source`` and ``eval_source`` (where the bar system's and the
+    queries' kernel entries come from: "window", one phi window over their
+    displacements, or "phi", evaluated pair by pair; None for an empty
+    spec), ``s_path`` (how GMRES applies S: "fft" on the window or "fmm";
+    None on the dense path), ``window_cells`` (the cells of the windows
+    built), and the seconds ``t_assemble``, ``t_solve``, ``t_eval`` and
+    ``wall_time``.
 
     Raises ValueError for a non-finite far field, non-integer query
     coordinates, a node and query extent above 2**31 or tol below 10 eps,
-    and RuntimeError if the system is singular or GMRES does not converge.
+    and RuntimeError if the system is singular or GMRES does not converge
+    (stalls above tol, or runs out of cycles).
     """
     clock = time.perf_counter
     t0 = clock()
@@ -384,20 +529,23 @@ def solve_defect(
     c1, c2 = float(far[0]), float(far[1])
     u = c1 * q_arr[:, 0] + c2 * q_arr[:, 1]
     history = []
-    rcond = None
+    rcond = kernel_source = eval_source = s_path = None
+    cells = 0
     path = "dense" if len(spec) <= _DENSE_BAR_LIMIT else "gmres"
     t1 = t2 = clock()
     if len(spec):
         nodes, ia, ib, dc = spec.incidence()
+        n = len(nodes)
         check_extent(np.vstack([nodes, q_arr]))
 
         def d_transpose(z):  # bar values to node charges
-            return np.bincount(ia, z, len(nodes)) - np.bincount(ib, z, len(nodes))
+            return np.bincount(ia, z, n) - np.bincount(ib, z, n)
 
         v = c1 * nodes[:, 0] + c2 * nodes[:, 1]
         rhs = dc * (v[ia] - v[ib])  # C D v
         if path == "dense":
-            mat = _bar_kernel(nodes, ia, ib)
+            rows, kernel_source, cells = _kernel(nodes, nodes)
+            mat = _bar_kernel(rows, n, ia, ib)
             mat *= dc[:, None]
             mat[np.diag_indices_from(mat)] += 1.0
             t1 = clock()
@@ -409,9 +557,11 @@ def solve_defect(
             if not rcond > len(spec) * np.finfo(float).eps:
                 raise _unsolved()
         else:
+            apply_s, s_path, cells = _s_operator(nodes, nodes, eps)
+            kernel_source = "window" if s_path == "fft" else "phi"
 
             def bar_operator(z):
-                s = apply_S(nodes, d_transpose(z), nodes, eps=eps)
+                s = apply_s(d_transpose(z))
                 return z + dc * (s[ia] - s[ib])
 
             t1 = clock()
@@ -424,14 +574,24 @@ def solve_defect(
                 callback=history.append,
             )
             if info != 0:
-                raise _unsolved()
+                attained = np.linalg.norm(rhs - bar_operator(z)) / np.linalg.norm(rhs)
+                raise _unsolved(
+                    f": GMRES stopped after {info} cycles at relative residual "
+                    f"{attained:.2e}, above tol {tol:.2e}, which may lie below "
+                    "what the rounding of S allows"
+                )
         if not np.all(np.isfinite(z)):
             raise _unsolved()
         t2 = clock()
-        if path == "dense":
-            u -= _sum_at(q_arr, nodes, ia, ib, z)
-        else:
-            u -= apply_S(nodes, d_transpose(z), q_arr, eps=eps)
+        if len(q_arr):  # an empty query list has no window
+            if path == "dense":
+                rows, eval_source, eval_cells = _kernel(q_arr, nodes)
+                u -= _sum_at(rows, len(q_arr), n, ia, ib, z)
+            else:
+                apply_q, q_path, eval_cells = _s_operator(q_arr, nodes, eps)
+                eval_source = "window" if q_path == "fft" else "phi"
+                u -= apply_q(d_transpose(z))
+            cells += eval_cells
     t3 = clock()
     if stats is not None:
         stats.update(
@@ -441,6 +601,10 @@ def solve_defect(
             iterations=len(history),
             residual_history=[float(r) for r in history],
             rcond=rcond,
+            kernel_source=kernel_source,
+            eval_source=eval_source,
+            s_path=s_path,
+            window_cells=cells,
             t_assemble=t1 - t0,
             t_solve=t2 - t1,
             t_eval=t3 - t2,

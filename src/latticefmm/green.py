@@ -16,6 +16,8 @@ with rational A and B.  Two evaluation paths are provided:
 ``phi`` dispatches between the radius-64 table and the expansion and is
 the evaluator the rest of the package uses.  The radius is fixed, so
 every value ``phi`` returns is within 2 ulp of the exact one.
+``GreensTable.window`` gives the same values on a whole box of
+displacements at once, for the near field and the defect solver.
 """
 
 from __future__ import annotations
@@ -255,12 +257,36 @@ class GreensTable:
             raise ValueError("point outside table radius")
         return self.octant[hi * (hi + 1) // 2 + lo]
 
+    def window(self, lo, hi) -> np.ndarray:
+        """phi on the box of displacements lo <= m <= hi, index
+        [m1 - lo1, m2 - lo2]: the table inside |m|_inf <= radius and
+        ``phi_asymptotic`` outside, so the default table's window holds
+        exactly the values ``phi`` returns."""
+        x = np.arange(lo[0], hi[0] + 1, dtype=np.int64)
+        y = np.arange(lo[1], hi[1] + 1, dtype=np.int64)
+        r = self.radius
+        # x and y are sorted, so the table's part is one rectangle and the
+        # expansion's the (up to four) strips around it.
+        xs = slice(*np.searchsorted(x, [-r, r + 1]))
+        ys = slice(*np.searchsorted(y, [-r, r + 1]))
+        out = np.empty((len(x), len(y)))
+        out[xs, ys] = self.lookup(x[xs, None], y[None, ys])
+        all_y = slice(None)
+        for rows, cols in (
+            (slice(None, xs.start), all_y),
+            (slice(xs.stop, None), all_y),
+            (xs, slice(None, ys.start)),
+            (xs, slice(ys.stop, None)),
+        ):
+            if x[rows].size and y[cols].size:
+                out[rows, cols] = phi_asymptotic(x[rows, None], y[None, cols])
+        return out
+
     def dense_grid(self) -> np.ndarray:
         """Full (2R+1)^2 grid of phi values, index [m1+R, m2+R].  Cached."""
         if self._grid is None:
             r = self.radius
-            m = np.arange(-r, r + 1)
-            self._grid = self.lookup(m[:, None], m[None, :])
+            self._grid = self.window((-r, -r), (r, r))
         return self._grid
 
 

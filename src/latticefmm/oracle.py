@@ -1,5 +1,5 @@
-"""O(N^2) direct summation: the reference the fast summation is checked
-against, and the sum ``defect.apply_S`` uses for a few charges.
+"""O(N^2) direct summation: the reference the fast summation, and the
+defect solver's FFT and window sums, are checked against.
 
 It is deliberately simple and deterministic.  ``direct_sum`` computes
 each potential as an exactly rounded sum (``math.fsum``) of its N kernel

@@ -4,9 +4,10 @@ With u = v - S(B v + mu), the unknown mu on the defect nodes solves
 
     mu + B S mu = -B S B v,
 
-applied matrix-free: every GMRES product sums S by ``apply_S`` and applies
-B by its bar formula through node-keyed dicts.  It shares no assembly code
-with ``solve_defect``, which solves the equivalent bar-space system.
+applied matrix-free: every GMRES product sums S exactly by
+``oracle.direct_sum`` and applies B by its bar formula through node-keyed
+dicts.  It shares no kernel code with ``solve_defect``, which solves the
+equivalent bar-space system from a phi window.
 
 ``lapack_rcond`` is the condition estimate ``solve_defect``'s guard
 reproduces in numpy: LAPACK's dgecon on dgetrf's LU.
@@ -21,13 +22,11 @@ from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.linalg.lapack import dgecon, dlange
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from latticefmm.config import DEFAULT_EPS
-from latticefmm.defect import apply_B, apply_S
+from latticefmm.defect import apply_B
+from latticefmm.oracle import direct_sum
 
 
-def node_space_solve(
-    spec, far, tol=1e-8, queries=None, eps=DEFAULT_EPS, max_iter=200
-) -> dict:
+def node_space_solve(spec, far, tol=1e-8, queries=None, max_iter=200) -> dict:
     """Potential at the queries (default: the defect nodes), as a dict."""
     c1, c2 = float(far[0]), float(far[1])
     query_nodes = list(spec.nodes) if queries is None else [tuple(p) for p in queries]
@@ -37,7 +36,7 @@ def node_space_solve(
     bv_vec = np.array([bv[p] for p in nodes])
 
     def b_of_s(charge_vec):
-        s_vals = apply_S(node_arr, charge_vec, node_arr, eps=eps)
+        s_vals = direct_sum(node_arr, charge_vec)
         img = apply_B(spec, {p: s_vals[i] for i, p in enumerate(nodes)})
         return np.array([img[p] for p in nodes])
 
@@ -54,8 +53,8 @@ def node_space_solve(
     )
     if info != 0:
         raise RuntimeError("node-space reference did not converge")
-    correction = apply_S(
-        node_arr, bv_vec + mu, np.array(query_nodes, dtype=np.int64), eps=eps
+    correction = direct_sum(
+        node_arr, bv_vec + mu, targets=np.array(query_nodes, dtype=np.int64)
     )
     return {
         p: c1 * p[0] + c2 * p[1] - correction[i] for i, p in enumerate(query_nodes)

@@ -75,6 +75,25 @@ def test_defect_path_loads_no_scipy(tmp_path):
     assert "PASS  defect-residual" in out.stdout
 
 
+def test_dense_defect_path_loads_no_fft():
+    # Only the GMRES path convolves by FFT; the dense path gathers.
+    code = (
+        "import sys\n"
+        "from latticefmm import defect\n"
+        "spec = defect.DefectSpec([((i, 0), (i, 1), -1.0) for i in range(48)])\n"
+        "stats = {}\n"
+        "defect.solve_defect(spec, (0.0, 1.0), stats=stats)\n"
+        "assert stats['path'] == 'dense' and stats['kernel_source'] == 'window', stats\n"
+        "assert 'numpy.fft' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_phi_has_no_table_radius_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phi", "5", "0", "--rtable", "3"])
@@ -228,6 +247,10 @@ def test_defect_stats_json_on_stderr(tmp_path, capsys):
     assert stats["path"] == "dense" and stats["iterations"] == 0
     assert stats["residual_history"] == []
     assert 0.0 < stats["rcond"] <= 1.0
+    # Two bars three steps apart: the window (7 x 9 cells) outnumbers the
+    # 16 kernel entries, so phi evaluates them.
+    assert stats["kernel_source"] == stats["eval_source"] == "phi"
+    assert stats["s_path"] is None and stats["window_cells"] == 0
     assert {"t_assemble", "t_solve", "t_eval", "wall_time"} <= set(stats)
 
 

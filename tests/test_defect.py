@@ -44,6 +44,12 @@ def test_empty_spec_returns_far_field_exactly():
     assert u[(0, 0)] == 0.0
 
 
+def test_empty_query_list(monkeypatch):
+    for limit in (defect._DENSE_BAR_LIMIT, 0):  # dense, then GMRES
+        monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", limit)
+        assert solve_defect(removed_bar_spec(), (1.0, 0.0), queries=[]) == {}
+
+
 def test_apply_B_hand_example():
     spec = removed_bar_spec()
     w = {(0, 0): 0.0, (1, 0): 1.0}  # v = m1
@@ -104,6 +110,34 @@ def test_disconnected_regions_rejected():
     for nodes, size in (([(0, 0), (1, 0)], 2), (block, 9)):
         with pytest.raises(ValueError, match=f"disconnected region of size {size}$"):
             DefectSpec(cut_out(nodes))
+
+
+LONG_CRACK = [((i, 0), (i, 1), -1.0) for i in range(200)]
+
+
+@pytest.mark.parametrize("bars, size", [
+    (cut_out([(0, 0), (1, 0), (0, 1)]), 3),
+    (cut_out([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]), 5),
+    (LONG_CRACK + cut_out([(57, -1)]), 1),
+    (LONG_CRACK + cut_out([(199, 2), (200, 2)]), 2),
+], ids=["L", "staircase", "beside-crack", "crack-end-corner"])
+def test_islands_next_to_the_box_edges_rejected(bars, size):
+    # Every island node lies strictly inside the removed bars' bounding
+    # box, and these reach one step from its edges (an L) and its corners
+    # (a staircase, two nodes at a long crack's end).  Beside a crack the
+    # box is much larger than the island.
+    with pytest.raises(ValueError, match=f"disconnected region of size {size}$"):
+        DefectSpec(bars)
+
+
+def test_long_cracks_and_open_channels_accepted():
+    # A channel between two parallel cracks is open at both ends; the
+    # search leaves the box at a crack's end, not after len(removed)**2 / 16
+    # nodes.
+    channel = LONG_CRACK + [((i, 2), (i, 3), -1.0) for i in range(200)]
+    assert len(DefectSpec(channel)) == 400
+    spec = DefectSpec([((i, 0), (i, 1), -1.0) for i in range(5000)])
+    assert len(spec) == 5000 and len(spec.nodes) == 10000
 
 
 def test_reconnected_node_accepted():
@@ -290,10 +324,101 @@ def test_dense_path_matches_gmres_path(monkeypatch):
                            stats=gmres_stats)
     assert dense_stats["path"] == "dense" and dense_stats["iterations"] == 0
     assert dense_stats["residual_history"] == []
-    assert gmres_stats["path"] == "gmres"
+    assert gmres_stats["path"] == "gmres" and gmres_stats["s_path"] == "fft"
+    assert gmres_stats["kernel_source"] == gmres_stats["eval_source"] == "window"
     hist = gmres_stats["residual_history"]
     assert gmres_stats["iterations"] == len(hist) > 0 and hist[-1] <= 1e-11
     assert max(abs(u_dense[p] - u_gmres[p]) for p in queries) <= 1e-9
+
+
+def inclusion(side, dc):
+    """Every bar among a side x side block of nodes changed by dc, queried
+    on the block and its ring."""
+    bars = [((x, y), (x + 1, y), dc) for x in range(side - 1) for y in range(side)]
+    bars += [((x, y), (x, y + 1), dc) for x in range(side) for y in range(side - 1)]
+    queries = [(x, y) for x in range(-1, side + 1) for y in range(-1, side + 1)]
+    return DefectSpec(bars), queries
+
+
+@pytest.mark.parametrize("name", ["crack", "inclusion"] + sorted(MIXED_DEFECTS))
+def test_window_gathers_match_kernel_matrix_bytes(name, monkeypatch):
+    if name == "crack":
+        spec, queries = crack(48, offset=(-7, 300))
+    elif name == "inclusion":
+        spec, queries = inclusion(8, -0.5)
+    else:
+        spec = DefectSpec(MIXED_DEFECTS[name])
+        queries = with_neighbours(spec.nodes)
+    outputs = {}
+    for per_entry, source in ((np.inf, "window"), (0.0, "phi")):
+        monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_ENTRY", per_entry)
+        stats = {}
+        u = solve_defect(spec, (0.5, -1.0), queries=queries, stats=stats)
+        assert stats["path"] == "dense"
+        assert stats["kernel_source"] == stats["eval_source"] == source
+        outputs[source] = np.array(list(u.values())).tobytes()
+    assert outputs["window"] == outputs["phi"]
+
+
+@pytest.mark.parametrize("case", ["crack-200", "inclusion-0.5", "inclusion4", "inclusion-0.99"])
+def test_fft_gmres_matches_dense(case, monkeypatch):
+    if case == "crack-200":
+        spec, queries = crack(200)
+    else:
+        spec, queries = inclusion(32, float(case[len("inclusion"):]))
+    tol = 1e-8
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", len(spec))
+    dense_stats, fft_stats = {}, {}
+    u_dense = solve_defect(spec, (0.3, 1.0), tol=tol, queries=queries, stats=dense_stats)
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    u_fft = solve_defect(spec, (0.3, 1.0), tol=tol, queries=queries, stats=fft_stats)
+    assert dense_stats["path"] == "dense" and fft_stats["s_path"] == "fft"
+    scale = max(abs(v) for v in u_dense.values())
+    assert max(abs(u_dense[p] - u_fft[p]) for p in queries) <= tol * scale
+    assert defect_node_residual(spec, u_fft) <= 10 * tol
+
+
+def test_scattered_defects_take_phi_and_fmm(monkeypatch):
+    # Two cracks 2**20 apart: their windows would hold ~2**21 x 7 cells.
+    spec = DefectSpec([((i, 0), (i, 1), -1.0) for i in range(12)]
+                      + [((2**20 + i, 5), (2**20 + i, 6), -0.5) for i in range(12)])
+    queries = with_neighbours(spec.nodes)
+    dense_stats, fmm_stats = {}, {}
+    u_dense = solve_defect(spec, (0.0, 1.0), tol=1e-9, eps=1e-12, queries=queries,
+                           stats=dense_stats)
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    u_fmm = solve_defect(spec, (0.0, 1.0), tol=1e-9, eps=1e-12, queries=queries,
+                         stats=fmm_stats)
+    assert dense_stats["kernel_source"] == dense_stats["eval_source"] == "phi"
+    assert dense_stats["window_cells"] == 0
+    assert fmm_stats["s_path"] == "fmm" and fmm_stats["eval_source"] == "phi"
+    assert max(abs(u_dense[p] - u_fmm[p]) for p in queries) <= 1e-8
+    assert defect_node_residual(spec, u_dense) <= 1e-10
+
+
+def test_far_query_takes_phi_and_fmm(monkeypatch):
+    spec, queries = crack(48)
+    queries = queries + [(10**6, 3)]
+    dense_stats, gmres_stats = {}, {}
+    u_dense = solve_defect(spec, (0.0, 1.0), queries=queries, stats=dense_stats)
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    u_gmres = solve_defect(spec, (0.0, 1.0), queries=queries, stats=gmres_stats)
+    assert (dense_stats["kernel_source"], dense_stats["eval_source"]) == ("window", "phi")
+    assert gmres_stats["s_path"] == "fft" and gmres_stats["eval_source"] == "phi"
+    assert max(abs(u_dense[p] - u_gmres[p]) for p in queries) <= 1e-8 * max(map(abs, u_dense.values()))
+    # Far off, the crack's dipole layer leaves a trace of its own size.
+    assert abs(u_dense[(10**6, 3)] - 3.0) <= 1e-3
+
+
+def test_gmres_stall_names_residual_and_tol(monkeypatch):
+    # tol far below what rounding in S allows (~4e-14 here): the first
+    # cycle that gains nothing ends the solve, long before max_iter cycles.
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    spec, queries = crack(200)
+    with pytest.raises(RuntimeError, match=(
+        r"^defect solve did not converge: GMRES stopped after [1-9] cycles at "
+        r"relative residual \S+, above tol 1\.00e-15")):
+        solve_defect(spec, (0.0, 1.0), tol=1e-15, eps=1e-16, queries=queries)
 
 
 def test_solve_stats_fields():
@@ -305,6 +430,14 @@ def test_solve_stats_fields():
     assert all(t >= 0.0 for t in times)
     assert sum(times) <= stats["wall_time"]
     assert 0.0 < stats["rcond"] <= 1.0
+    assert stats["kernel_source"] == stats["eval_source"] == "window"
+    assert stats["s_path"] is None
+    # Node-node window 11 x 3, query-node window (7 + 5 + 1) x (3 + 1 + 1).
+    assert stats["window_cells"] == 11 * 3 + 13 * 5
+    empty = {}
+    solve_defect(DefectSpec([]), (0.0, 1.0), queries=queries, stats=empty)
+    assert empty["kernel_source"] is empty["eval_source"] is empty["s_path"] is None
+    assert empty["window_cells"] == 0
 
 
 def test_solve_is_byte_reproducible():

@@ -211,6 +211,33 @@ def test_phi_matches_exact_reference_on_table_square():
     assert np.array_equal(phi(m1, m2), want)
 
 
+WINDOW_BOXES = {
+    "straddles |m|=64": ((-100, -3), (100, 5)),
+    "corner across 64": ((40, -90), (90, -40)),
+    "table square": ((-64, -64), (64, 64)),
+    "beyond 64": ((65, -200), (400, -65)),
+    "far off": ((10**6, -5), (10**6 + 50, 300)),
+    "near -2**31": ((-(2**31), -(2**31)), (-(2**31) + 40, -(2**31) + 20)),
+    "one point": ((7, -3), (7, -3)),
+}
+
+
+@pytest.mark.parametrize("box", sorted(WINDOW_BOXES))
+def test_window_equals_phi_bitwise(table, box):
+    lo, hi = WINDOW_BOXES[box]
+    x = np.arange(lo[0], hi[0] + 1)
+    y = np.arange(lo[1], hi[1] + 1)
+    got = table.window(lo, hi)
+    assert got.shape == (len(x), len(y))
+    assert got.tobytes() == phi(x[:, None], y[None, :]).tobytes()
+
+
+def test_dense_grid_is_the_radius_window(table):
+    r = DEFAULT_RTABLE
+    m = np.arange(-r, r + 1)
+    assert table.dense_grid().tobytes() == table.lookup(m[:, None], m[None, :]).tobytes()
+
+
 def test_import_builds_no_table():
     code = (
         "import latticefmm.green as g\n"
