@@ -40,13 +40,14 @@ used as precorrected-FFT methods use it: Phillips & White, IEEE TCAD 16,
   window, padded to 5-smooth lengths; one more such product sums the
   queries.
 
-A cost model (``_WINDOW_CELLS_PER_ENTRY``, ``_FFT_CELLS_PER_NLOGN``) weighs
-each window's cells against the kernel entries it serves (dense path) or
-against n log n (GMRES path).  Scattered defects, and queries far from
-them, have windows of about the square of their spread; they evaluate
-entries by ``kernel_matrix`` (dense path) or apply S by ``fmm_apply``
-(GMRES path).  The node-node window (the solve) and the query-node window
-(the evaluation) each choose for themselves.
+A window is built only when it holds at most ``_WINDOW_CELLS_PER_POINT``
+cells per point, which keeps memory linear in the nodes and queries, and,
+on the dense path, at most ``_WINDOW_CELLS_PER_ENTRY`` cells per kernel
+entry, which keeps it the cheaper source.  Scattered defects, and queries
+far from them, have windows of about the square of their spread; they
+evaluate entries by ``kernel_matrix`` (dense path) or apply S by
+``fmm_apply`` (GMRES path).  The node-node window (the solve) and the
+query-node window (the evaluation) each choose for themselves.
 
 Only numpy is needed: the module imports no scipy, so a defect solve
 loads a single BLAS, and the dense path never touches ``numpy.fft``.
@@ -80,26 +81,31 @@ from .tree import check_extent
 # at 1e-13 to 2e-12 there, GMRES at about tol (1e-8).
 _DENSE_BAR_LIMIT = 200
 
-# Cost model of the kernel entries.  Dense path: a phi window is built
-# when it has no more cells than the kernel entries it serves (2 m n for
-# the system, n per query).  A window cell costs one table read or one
-# expansion term sum (20-65 ns), a ``kernel_matrix`` entry ~150 ns, so
-# the window pays until it holds 3-4 cells per entry: two 24-bar cracks d
-# apart assemble in 0.32 against 0.77 ms by window and phi at 0.7 cells per
-# entry (d = 30), and in 1.8 against 1.4 ms at 5.4 (d = 100).  Compact
-# defects have windows of a few times n cells; scattered ones (two cracks
-# far apart, or a query far from the defects) have windows of about the
-# square of their spread, and keep ``kernel_matrix``.
-_WINDOW_CELLS_PER_ENTRY = 1.0
-# GMRES path, and ``apply_S``: S is applied by FFT on the window when it
-# has at most this many cells per n log2 n, n the targets and sources
-# together, and by the FMM otherwise.  An FFT product costs 25-45 ns per
-# window cell, an FMM product 8-80 us per point.  Measured on n/2 random
-# points in an L x L square, targets = sources (2 cores), FFT against FMM
-# per product: n = 200, 24 cells per n log2 n, 0.85 against 5.1 ms; n =
-# 2000, 16, 9.9 against 18 ms; n = 20000, 14, 156 against 131 ms.  The
-# window and its transform cost about 2.5 products more, once.
-_FFT_CELLS_PER_NLOGN = 12.0
+# Window routing.  Memory: a window may hold at most
+# ``_WINDOW_CELLS_PER_POINT`` cells per point (targets and sources
+# together), so memory stays linear in the points: 256 B per point for a
+# dense-path window, on par with the ~280 B per query of the returned dict,
+# and about 1.1 KB with the FFT's transforms (tracemalloc), against the
+# 380-570 B per point of ``fmm_apply``.  Compact defects need 2-6 cells
+# per point (a straight crack and the queries around it, a filled block);
+# scattered defects, and queries far from them, have windows of about the
+# square of their spread and keep ``kernel_matrix`` (dense path) or
+# ``fmm_apply`` (GMRES path).  Within the cap an FFT product, 25-45 ns per
+# cell, is far below an ``fmm_apply`` product, 8-80 us per point.
+#
+# Cost, dense path: a window cell costs 20-65 ns to fill, a
+# ``kernel_matrix`` entry ~150 ns, so the window also needs at most
+# ``_WINDOW_CELLS_PER_ENTRY`` cells per kernel entry it serves; that binds
+# only when one side has a few points.  Measured warm (2 cores), window
+# against ``kernel_matrix``: two 24-bar cracks (d, d) apart assemble in
+# 0.76 against 1.61 ms at 1.6 cells per entry (d = 50), 1.75 against 2.09
+# at 2.9 and 2.60 against 2.15 at 5.4; one bar with 1024 queries evaluates
+# in 0.29 against 0.37 ms at 2.0 cells per entry, 0.36 against 0.36 at 4.4
+# and 0.96 against 0.54 at 12.  Only compact defects come from a real load
+# (the benchmark's crack); the scattered routes are timed on these
+# synthetic cases alone.
+_WINDOW_CELLS_PER_POINT = 32
+_WINDOW_CELLS_PER_ENTRY = 3.0
 
 # Entries per kernel block; phi makes about a dozen temporaries of a
 # block's size.  On a 48-bar crack with 200 queries (2 cores), 512, 1024,
@@ -255,6 +261,9 @@ class _Window:
         self.s_pos = sources - s_min
         self.source_shape = s_span + 1
         self.cells = int(self.shape[0]) * int(self.shape[1])
+        self.within_cap = self.cells <= _WINDOW_CELLS_PER_POINT * (
+            len(targets) + len(sources)
+        )
 
     def phi(self) -> np.ndarray:
         return default_table().window(self.lo, self.lo + self.shape - 1)
@@ -269,7 +278,8 @@ def _kernel(targets, sources):
     source is "window" when the entries are gathered from one phi window
     (of ``cells`` cells), "phi" when ``kernel_matrix`` evaluates them."""
     win = _Window(targets, sources)
-    if win.cells > _WINDOW_CELLS_PER_ENTRY * len(targets) * len(sources):
+    entries = len(targets) * len(sources)
+    if not (win.within_cap and win.cells <= _WINDOW_CELLS_PER_ENTRY * entries):
         return (lambda i: kernel_matrix(targets[i], sources)), "phi", 0
     flat = win.phi().ravel()
     t_key, s_key = win.key(win.t_pos), win.key(win.s_pos)
@@ -293,10 +303,9 @@ def _s_operator(targets, sources, eps: float):
     at every target.  route "fft" convolves q with the phi window by
     numpy's FFT (``cells`` window cells, held transformed); route "fmm"
     calls ``fmm_apply`` at ``eps`` once per product, for point sets whose
-    window is too large for ``_FFT_CELLS_PER_NLOGN`` (see there)."""
+    window is too large for ``_WINDOW_CELLS_PER_POINT`` (see there)."""
     win = _Window(targets, sources)
-    n = len(targets) + len(sources)
-    if win.cells > _FFT_CELLS_PER_NLOGN * n * max(math.log2(n), 1.0):
+    if not win.within_cap:
         return (lambda q: fmm_apply(sources, q, targets=targets, eps=eps)), "fmm", 0
     shape = tuple(_fft_size(int(w)) for w in win.shape)
     kernel_hat = np.fft.rfft2(win.phi(), shape)

@@ -222,6 +222,14 @@ def _pi_bits(b: list[int]) -> int:
     return max(map(abs, b)).bit_length() + _PI_GUARD_BITS
 
 
+# Cells per ``phi_asymptotic`` call in ``GreensTable.window``: the
+# expansion makes about a dozen temporaries of its input's size, so a chunk
+# bounds them near 1 MB.  On a 1001 x 1001 window (2 cores), chunks of
+# 1024, 4096 and 16384 cells and none take 103, 51, 36 and 57 ns per cell,
+# at tracemalloc peaks of 0.6, 0.6, 1.0 and 24 MB above the window's 8 MB.
+_WINDOW_CHUNK = 16384
+
+
 class GreensTable:
     """phi on the square |m|_inf <= radius, stored as one octant.
 
@@ -267,19 +275,21 @@ class GreensTable:
         r = self.radius
         # x and y are sorted, so the table's part is one rectangle and the
         # expansion's the (up to four) strips around it.
-        xs = slice(*np.searchsorted(x, [-r, r + 1]))
-        ys = slice(*np.searchsorted(y, [-r, r + 1]))
+        x0, x1 = np.searchsorted(x, [-r, r + 1])
+        y0, y1 = np.searchsorted(y, [-r, r + 1])
         out = np.empty((len(x), len(y)))
-        out[xs, ys] = self.lookup(x[xs, None], y[None, ys])
-        all_y = slice(None)
-        for rows, cols in (
-            (slice(None, xs.start), all_y),
-            (slice(xs.stop, None), all_y),
-            (xs, slice(None, ys.start)),
-            (xs, slice(ys.stop, None)),
+        out[x0:x1, y0:y1] = self.lookup(x[x0:x1, None], y[None, y0:y1])
+        nx, ny = out.shape
+        for r_lo, r_hi, c_lo, c_hi in (
+            (0, x0, 0, ny), (x1, nx, 0, ny), (x0, x1, 0, y0), (x0, x1, y1, ny)
         ):
-            if x[rows].size and y[cols].size:
-                out[rows, cols] = phi_asymptotic(x[rows, None], y[None, cols])
+            c_step = max(1, min(c_hi - c_lo, _WINDOW_CHUNK))
+            r_step = max(1, _WINDOW_CHUNK // c_step)
+            for i in range(r_lo, r_hi, r_step):
+                rows = slice(i, min(i + r_step, r_hi))
+                for j in range(c_lo, c_hi, c_step):
+                    cols = slice(j, min(j + c_step, c_hi))
+                    out[rows, cols] = phi_asymptotic(x[rows, None], y[None, cols])
         return out
 
     def dense_grid(self) -> np.ndarray:

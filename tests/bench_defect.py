@@ -8,7 +8,7 @@ Run from the repository root (pytest does not collect this file):
 Each case runs in a fresh process against the ``latticefmm`` under --src
 (default: this checkout's ``src``), so ``ru_maxrss`` is the case's own peak.
 The process times ``DefectSpec`` and ``solve_defect`` once cold (the first
-call after import, which builds the phi table) and then --warm times
+call after import, which builds the phi table) and then WARM times
 more; a record holds the cold and the median warm wall time, the median
 warm ``DefectSpec`` time, the last warm call's ``stats`` (without the
 residual history), max |(A+B)u| over the defect nodes, and the peak RSS.
@@ -35,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("crack-800", "crack-2048", "crack-5000", "inclusion-32x32")
 TOL = 1e-8
+WARM = 3  # warm calls per case
+OUT = ROOT / "BENCH_defect.json"
 
 
 def case_input(name: str):
@@ -65,7 +67,7 @@ def residual(bars, u) -> float:
     return worst
 
 
-def run_case(name: str, warm: int) -> dict:
+def run_case(name: str) -> dict:
     """One case in this process (call it in a fresh one)."""
     import resource
     import statistics
@@ -74,7 +76,7 @@ def run_case(name: str, warm: int) -> dict:
 
     bars, far, queries = case_input(name)
     spec_s, wall_s = [], []
-    for _ in range(warm + 1):
+    for _ in range(WARM + 1):
         t0 = time.perf_counter()
         spec = DefectSpec(bars)
         t1 = time.perf_counter()
@@ -91,7 +93,7 @@ def run_case(name: str, warm: int) -> dict:
         "cold_spec_s": spec_s[0],
         "warm_wall_s": statistics.median(wall_s[1:]),
         "warm_spec_s": statistics.median(spec_s[1:]),
-        "warm_runs": warm,
+        "warm_runs": WARM,
         "stats": stats,
         "residual": residual(bars, u),
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -102,17 +104,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="record key, e.g. parent or change")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding latticefmm")
-    parser.add_argument("--cases", default=",".join(CASES))
-    parser.add_argument("--warm", type=int, default=3, help="warm calls per case")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_defect.json"))
     parser.add_argument("--one", help=argparse.SUPPRESS)  # run one case, print JSON
     args = parser.parse_args()
     if args.one:
         sys.path.insert(0, args.src)
-        print(json.dumps(run_case(args.one, args.warm)))
+        print(json.dumps(run_case(args.one)))
         return 0
-    out = Path(args.out)
-    bench = json.loads(out.read_text()) if out.exists() else {}
+    bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["about"] = __doc__.split("\n\n")[0]
     bench["host"] = {
         "cpus": os.cpu_count(),
@@ -120,16 +118,16 @@ def main() -> int:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     cases = bench.setdefault("cases", {})
-    for name in args.cases.split(","):
+    for name in CASES:
         cmd = [sys.executable, __file__, "--label", args.label, "--src", args.src,
-               "--warm", str(args.warm), "--one", name]
+               "--one", name]
         proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
         record = json.loads(proc.stdout.strip().splitlines()[-1])
         cases.setdefault(name, {})[args.label] = record
         print(f"{name} {args.label}: cold {record['cold_wall_s']:.3f} s, "
               f"warm {record['warm_wall_s']:.3f} s (spec {record['warm_spec_s']:.4f} s), "
               f"residual {record['residual']:.1e}, {record['ru_maxrss_mb']:.0f} MB", flush=True)
-    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -247,8 +247,8 @@ def test_defect_stats_json_on_stderr(tmp_path, capsys):
     assert stats["path"] == "dense" and stats["iterations"] == 0
     assert stats["residual_history"] == []
     assert 0.0 < stats["rcond"] <= 1.0
-    # Two bars three steps apart: the window (7 x 9 cells) outnumbers the
-    # 16 kernel entries, so phi evaluates them.
+    # Two bars three steps apart: the window (7 x 9 cells) holds more than
+    # 3 cells for each of the 16 kernel entries, so phi evaluates them.
     assert stats["kernel_source"] == stats["eval_source"] == "phi"
     assert stats["s_path"] is None and stats["window_cells"] == 0
     assert {"t_assemble", "t_solve", "t_eval", "wall_time"} <= set(stats)

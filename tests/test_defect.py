@@ -350,8 +350,9 @@ def test_window_gathers_match_kernel_matrix_bytes(name, monkeypatch):
         spec = DefectSpec(MIXED_DEFECTS[name])
         queries = with_neighbours(spec.nodes)
     outputs = {}
-    for per_entry, source in ((np.inf, "window"), (0.0, "phi")):
-        monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_ENTRY", per_entry)
+    for per_point, source in ((np.inf, "window"), (0, "phi")):
+        monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_POINT", per_point)
+        monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_ENTRY", per_point)
         stats = {}
         u = solve_defect(spec, (0.5, -1.0), queries=queries, stats=stats)
         assert stats["path"] == "dense"
@@ -469,6 +470,35 @@ def test_crack_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 0.25e6
+
+
+def test_spread_queries_peak_memory():
+    # 3844 queries 8 nodes apart around a 48-bar crack: their window would
+    # hold 263k cells (2.1 MB), more than _WINDOW_CELLS_PER_POINT allows, so
+    # phi evaluates them in blocks.  The peak, ~1.1 MB, is mostly the
+    # returned dict; the window would add its 2.1 MB.
+    spec, _ = crack(48, offset=(500, 500))
+    queries = [(500 + x, 500 + y) for x in range(-248, 248, 8) for y in range(-248, 248, 8)]
+    bars = spec.bars
+    solve_defect(spec, (0.0, 1.0), queries=queries)
+    tracemalloc.start()
+    try:
+        solve_defect(DefectSpec(bars), (0.0, 1.0), queries=queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_spread_targets_keep_the_fmm():
+    # 10^5 targets 8 nodes apart around a 200-bar crack: a 7M-cell window,
+    # about 68 cells per point.
+    sources = np.array([(i, y) for i in range(200) for y in (0, 1)])
+    side = np.arange(-1272, 1272, 8)
+    targets = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+    assert len(targets) > 10**5
+    assert defect._s_operator(targets, sources, 1e-10)[1:] == ("fmm", 0)
+    assert defect._s_operator(sources, sources, 1e-10)[1] == "fft"
 
 
 @pytest.mark.parametrize("width, height", [(1, 1), (2, 1), (3, 3), (10, 10)],

@@ -216,6 +216,7 @@ WINDOW_BOXES = {
     "corner across 64": ((40, -90), (90, -40)),
     "table square": ((-64, -64), (64, 64)),
     "beyond 64": ((65, -200), (400, -65)),
+    "rows past a chunk": ((-2, -20000), (2, 20000)),
     "far off": ((10**6, -5), (10**6 + 50, 300)),
     "near -2**31": ((-(2**31), -(2**31)), (-(2**31) + 40, -(2**31) + 20)),
     "one point": ((7, -3), (7, -3)),
