@@ -130,7 +130,6 @@ def _cmd_direct(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    cfg = RunConfig.from_env(eps=args.eps)
     bars = _read_rows(
         args.bars,
         lambda r: ((int(r[0]), int(r[1])), (int(r[2]), int(r[3])), float(r[4])),
@@ -143,14 +142,7 @@ def _cmd_defect(args) -> int:
     queries = _read_points(args.queries, "query") if args.queries else None
     spec = DefectSpec(bars)
     stats = {} if args.stats else None
-    u = solve_defect(
-        spec,
-        (c1, c2),
-        tol=args.tol,
-        queries=queries,
-        eps=cfg.eps,
-        stats=stats,
-    )
+    u = solve_defect(spec, (c1, c2), tol=args.tol, queries=queries, stats=stats)
     nodes = [tuple(p) for p in queries.tolist()] if queries is not None else spec.nodes
     _emit_potentials(nodes, [u[p] for p in nodes], args.header)
     if stats is not None:
@@ -275,9 +267,8 @@ def _selftest_checks(cfg):
     yield "defect-empty", drift == 0.0, f"drift {drift:.1e}"
 
     spec = DefectSpec([((0, 0), (1, 0), -1.0)])
-    stol = max(1e-9, 10.0 * cfg.eps)
     grid = [(x, y) for x in range(-7, 8) for y in range(-7, 8)]
-    u_map = solve_defect(spec, (1.0, 0.0), tol=stol, queries=grid, eps=cfg.eps)
+    u_map = solve_defect(spec, (1.0, 0.0), queries=grid)
     bu = {}
     for (a, b, dc) in spec.bars:
         diff = dc * (u_map[a] - u_map[b])
@@ -288,7 +279,7 @@ def _selftest_checks(cfg):
         for y in range(-6, 7):
             val = apply_discrete_laplacian(lambda p: u_map[p], (x, y))
             res = max(res, abs(val + bu.get((x, y), 0.0)))
-    yield "defect-residual", res <= 10.0 * stol, f"max residual {res:.2e}"
+    yield "defect-residual", res <= 1e-8, f"max residual {res:.2e}"
 
     w_nodes = [(0, 0), (2, 1), (-3, 4), (5, -2), (1, 1), (-4, -4), (6, 3), (0, -5)]
     w = {p: float(v) for p, v in zip(w_nodes, rng.standard_normal(len(w_nodes)))}
@@ -364,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear background field coefficients")
     p.add_argument("--queries", default=None,
                    help="CSV of m1,m2 nodes to report (default: the defect nodes)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative residual of the bar solve, in (0, 1)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="write the solve's path, iterations and timings as one JSON line to stderr")

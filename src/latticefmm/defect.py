@@ -30,24 +30,23 @@ used as precorrected-FFT methods use it: Phillips & White, IEEE TCAD 16,
 1997).  The system is solved one of two ways, by bar count:
 
 * up to ``_DENSE_BAR_LIMIT`` bars it is assembled once, D S first, in row
-  blocks, and solved by numpy's LU, guarded by a 1-norm condition
-  estimate (Hager's estimator with Higham's refinements, as in LAPACK's
-  dgecon); the queries are summed bar by bar against z, in row blocks as
-  well.  Kernel entries are gathered from the window, the same values
-  ``phi`` gives, so the output bytes do not depend on the source;
+  blocks, and solved by numpy's LU, guarded by the system's exact 1-norm
+  reciprocal condition number (one inverse); the queries are summed bar
+  by bar against z, in row blocks as well.  Kernel entries are gathered
+  from the window, the same values ``phi`` gives, so the output bytes do
+  not depend on the source;
 * above that, ``gmres`` (restarted GMRES in numpy) runs on the same bar
   operator, each product applying S by ``np.fft.rfft2``/``irfft2`` on the
   window, padded to 5-smooth lengths; one more such product sums the
   queries.
 
 A window is built only when it holds at most ``_WINDOW_CELLS_PER_POINT``
-cells per point, which keeps memory linear in the nodes and queries, and,
-on the dense path, at most ``_WINDOW_CELLS_PER_ENTRY`` cells per kernel
-entry, which keeps it the cheaper source.  Scattered defects, and queries
-far from them, have windows of about the square of their spread; they
-evaluate entries by ``kernel_matrix`` (dense path) or apply S by
-``fmm_apply`` (GMRES path).  The node-node window (the solve) and the
-query-node window (the evaluation) each choose for themselves.
+cells per point, which keeps memory linear in the nodes and queries.
+Scattered defects, and queries far from them, have windows of about the
+square of their spread; they evaluate entries by ``kernel_matrix`` (dense
+path) or apply S by ``fmm_apply`` at an eps of tol / 100 (GMRES path).
+The node-node window (the solve) and the query-node window (the
+evaluation) each choose for themselves.
 
 Only numpy is needed: the module imports no scipy, so a defect solve
 loads a single BLAS, and the dense path never touches ``numpy.fft``.
@@ -68,44 +67,33 @@ from .skeleton import kernel_matrix
 from .tree import check_extent
 
 # Largest bar count m solved densely.  Dense: D S D^T is gathered from the
-# phi window (2 m n entries), then (2/3) m^3 flops per LU; numpy's solve
-# keeps no factors, so the condition estimate factors again, three LUs in
-# all.  GMRES: one FFT over the window per iteration, and the iterations
-# grow with m.  Measured warm on straight cracks with 4 (m + 2) queries
-# (2 cores, OpenBLAS, tol 1e-8), dense against GMRES: m = 100, 5.9 against
-# 7.8 ms; 150, 9.8 against 10.2 ms; 200, 17 against 13 ms (38 iterations);
-# 400, 52 against 28 ms; 800, 149 against 62 ms (78 iterations).  On a
-# 32 x 32 inclusion (1984 bars; delta -0.5, 4 and -0.99) dense takes
-# 0.59-0.97 s and GMRES 5.5-6.0 ms in 7-14 iterations.  The crossover is at
-# 150-200 bars; the limit sits at its top because dense leaves max |(A+B)u|
-# at 1e-13 to 2e-12 there, GMRES at about tol (1e-8).
+# phi window (2 m n entries), then (2/3) m^3 flops for the solve's LU and
+# (8/3) m^3 for the inverse the condition guard takes.  GMRES: one FFT over
+# the window per iteration, and the iterations grow with m.  Measured warm
+# on straight cracks with 4 (m + 2) queries (2 cores, OpenBLAS, tol 1e-8),
+# dense against GMRES: m = 100, 5.9 against 7.8 ms; 150, 9.8 against 10.2
+# ms; 200, 17 against 13 ms (38 iterations); 400, 52 against 28 ms; 800,
+# 149 against 62 ms (78 iterations).  On a 32 x 32 inclusion (1984 bars;
+# delta -0.5, 4 and -0.99) dense takes 0.59-0.97 s and GMRES 5.5-6.0 ms in
+# 7-14 iterations.  These were taken with a condition estimate (three
+# LUs); at m = 200 the exact guard moves t_solve from 1.4-1.5 to 1.8-2.1
+# ms.  The crossover is at 150-200 bars; the limit sits at its top
+# because dense leaves max |(A+B)u| at 1e-13 to 2e-12 there, GMRES at
+# about tol (1e-8).
 _DENSE_BAR_LIMIT = 200
 
-# Window routing.  Memory: a window may hold at most
-# ``_WINDOW_CELLS_PER_POINT`` cells per point (targets and sources
-# together), so memory stays linear in the points: 256 B per point for a
-# dense-path window, on par with the ~280 B per query of the returned dict,
-# and about 1.1 KB with the FFT's transforms (tracemalloc), against the
-# 380-570 B per point of ``fmm_apply``.  Compact defects need 2-6 cells
-# per point (a straight crack and the queries around it, a filled block);
-# scattered defects, and queries far from them, have windows of about the
-# square of their spread and keep ``kernel_matrix`` (dense path) or
-# ``fmm_apply`` (GMRES path).  Within the cap an FFT product, 25-45 ns per
-# cell, is far below an ``fmm_apply`` product, 8-80 us per point.
-#
-# Cost, dense path: a window cell costs 20-65 ns to fill, a
-# ``kernel_matrix`` entry ~150 ns, so the window also needs at most
-# ``_WINDOW_CELLS_PER_ENTRY`` cells per kernel entry it serves; that binds
-# only when one side has a few points.  Measured warm (2 cores), window
-# against ``kernel_matrix``: two 24-bar cracks (d, d) apart assemble in
-# 0.76 against 1.61 ms at 1.6 cells per entry (d = 50), 1.75 against 2.09
-# at 2.9 and 2.60 against 2.15 at 5.4; one bar with 1024 queries evaluates
-# in 0.29 against 0.37 ms at 2.0 cells per entry, 0.36 against 0.36 at 4.4
-# and 0.96 against 0.54 at 12.  Only compact defects come from a real load
-# (the benchmark's crack); the scattered routes are timed on these
-# synthetic cases alone.
+# Window routing: a window may hold at most ``_WINDOW_CELLS_PER_POINT``
+# cells per point (targets and sources together), so memory stays linear
+# in the points: 256 B per point for a dense-path window, on par with the
+# ~280 B per query of the returned dict, and about 1.1 KB with the FFT's
+# transforms (tracemalloc), against the 380-570 B per point of
+# ``fmm_apply``.  Compact defects need 2-6 cells per point (a straight
+# crack and the queries around it, a filled block); scattered defects,
+# and queries far from them, have windows of about the square of their
+# spread and keep ``kernel_matrix`` (dense path) or ``fmm_apply`` (GMRES
+# path).  Within the cap an FFT product, 25-45 ns per cell, is far below
+# an ``fmm_apply`` product, 8-80 us per point.
 _WINDOW_CELLS_PER_POINT = 32
-_WINDOW_CELLS_PER_ENTRY = 3.0
 
 # Entries per kernel block; phi makes about a dozen temporaries of a
 # block's size.  On a 48-bar crack with 200 queries (2 cores), 512, 1024,
@@ -276,10 +264,10 @@ def _kernel(targets, sources):
     """(rows, source, cells): rows(i) gives phi(targets[i] - sources) for
     an index array or slice i, equal to ``kernel_matrix`` bit for bit.
     source is "window" when the entries are gathered from one phi window
-    (of ``cells`` cells), "phi" when ``kernel_matrix`` evaluates them."""
+    (of ``cells`` cells), "phi" when ``kernel_matrix`` evaluates them, for
+    point sets whose window is too large for ``_WINDOW_CELLS_PER_POINT``."""
     win = _Window(targets, sources)
-    entries = len(targets) * len(sources)
-    if not (win.within_cap and win.cells <= _WINDOW_CELLS_PER_ENTRY * entries):
+    if not win.within_cap:
         return (lambda i: kernel_matrix(targets[i], sources)), "phi", 0
     flat = win.phi().ravel()
     t_key, s_key = win.key(win.t_pos), win.key(win.s_pos)
@@ -371,52 +359,6 @@ def _sum_at(rows, n_targets, n_nodes, ia, ib, z) -> np.ndarray:
     return out
 
 
-def _signs(x) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0, -1.0)
-
-
-def _inv_norm1(mat, x, alt_x) -> float:
-    """Estimate of ||mat^-1||_1 by LAPACK's dlacn2 iteration: Hager's
-    estimator with Higham's refinements (ACM TOMS 14, 1988).
-
-    x = mat^-1 e/m is the start, alt_x = mat^-1 alt the alternating-sign
-    check; each further step solves with mat^T and then with mat, for at
-    most 5 steps.  The estimate never exceeds the true norm.
-    """
-    m = len(x)
-    est = np.abs(x).sum()
-    signs = _signs(x)
-    j = np.argmax(np.abs(np.linalg.solve(mat.T, signs)))
-    for _ in range(4):
-        unit = np.zeros(m)
-        unit[j] = 1.0
-        x = np.linalg.solve(mat, unit)
-        est_old, est = est, np.abs(x).sum()
-        new_signs = _signs(x)
-        if np.array_equal(new_signs, signs) or est <= est_old:
-            break  # a repeated sign vector, or no increase: converged
-        signs = new_signs
-        y = np.linalg.solve(mat.T, signs)
-        j_last, j = j, np.argmax(np.abs(y))
-        if y[j_last] == abs(y[j]):
-            break
-    return max(est, 2.0 * np.abs(alt_x).sum() / (3 * m))
-
-
-def _solve_rcond(mat, rhs) -> tuple[np.ndarray, float]:
-    """(mat^-1 rhs, estimated 1-norm reciprocal condition number of mat).
-
-    One LU solves the system and both estimator starts; raises
-    np.linalg.LinAlgError on an exactly zero pivot.
-    """
-    m = len(rhs)
-    i = np.arange(m)
-    alt = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(m - 1, 1))
-    sol = np.linalg.solve(mat, np.column_stack([rhs, np.full(m, 1.0 / m), alt]))
-    inv_norm = _inv_norm1(mat, sol[:, 1], sol[:, 2])
-    return sol[:, 0], float(1.0 / (np.abs(mat).sum(axis=0).max() * inv_norm))
-
-
 def gmres(matvec, b, tol, restart, maxiter, callback=None):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
     for A x = b from x0 = 0, with A given by ``matvec``.
@@ -496,7 +438,6 @@ def solve_defect(
     far,
     tol: float = 1e-8,
     queries=None,
-    eps: float = DEFAULT_EPS,
     max_iter: int = 200,
     stats: dict | None = None,
 ) -> dict:
@@ -505,13 +446,15 @@ def solve_defect(
     far = (c1, c2) defines the linear far field v.  Up to
     ``_DENSE_BAR_LIMIT`` bars the bar system is solved by dense LU; above
     it, by GMRES to relative residual tol, restarted every max_iter
-    iterations for at most max_iter cycles.
+    iterations for at most max_iter cycles.  tol, in (0, 1), is the one
+    accuracy setting: where S is applied by ``fmm_apply`` (scattered
+    defects, far queries), that runs at eps = max(tol / 100, 1e-13).
 
     ``stats``, if given, is filled with ``bars``, ``nodes``, ``path``
     ("dense" or "gmres"), ``iterations`` and ``residual_history`` (GMRES's
     relative residual per iteration; 0 and empty on the dense path),
-    ``rcond`` (the dense path's estimate of the system's 1-norm reciprocal
-    condition number; None on the GMRES path and for an empty spec),
+    ``rcond`` (the dense path's exact 1-norm reciprocal condition number
+    of the system; None on the GMRES path and for an empty spec),
     ``kernel_source`` and ``eval_source`` (where the bar system's and the
     queries' kernel entries come from: "window", one phi window over their
     displacements, or "phi", evaluated pair by pair; None for an empty
@@ -521,7 +464,7 @@ def solve_defect(
     ``wall_time``.
 
     Raises ValueError for a non-finite far field, non-integer query
-    coordinates, a node and query extent above 2**31 or tol below 10 eps,
+    coordinates, a node and query extent above 2**31 or tol outside (0, 1),
     and RuntimeError if the system is singular or GMRES does not converge
     (stalls above tol, or runs out of cycles).
     """
@@ -529,8 +472,8 @@ def solve_defect(
     t0 = clock()
     if not (math.isfinite(far[0]) and math.isfinite(far[1])):
         raise ValueError(f"far field must be finite, got {tuple(far)}")
-    if tol < 10 * eps:
-        raise ValueError(f"tol {tol} must be at least 10x the summation eps {eps}")
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if queries is None:
         q_arr = np.array(spec.nodes, dtype=np.int64).reshape(-1, 2)
     else:
@@ -559,13 +502,15 @@ def solve_defect(
             mat[np.diag_indices_from(mat)] += 1.0
             t1 = clock()
             try:
-                z, rcond = _solve_rcond(mat, rhs)
+                z = np.linalg.solve(mat, rhs)
+                rcond = 1.0 / np.linalg.cond(mat, 1)
             except np.linalg.LinAlgError:  # an exactly zero pivot
                 raise _unsolved() from None
             # Singular to working precision (or NaN): rcond at most m eps.
             if not rcond > len(spec) * np.finfo(float).eps:
                 raise _unsolved()
         else:
+            eps = max(tol / 100, 1e-13)  # for fmm_apply, where S takes it
             apply_s, s_path, cells = _s_operator(nodes, nodes, eps)
             kernel_source = "window" if s_path == "fft" else "phi"
 

@@ -9,8 +9,8 @@ applied matrix-free: every GMRES product sums S exactly by
 dicts.  It shares no kernel code with ``solve_defect``, which solves the
 equivalent bar-space system from a phi window.
 
-``lapack_rcond`` is the condition estimate ``solve_defect``'s guard
-reproduces in numpy: LAPACK's dgecon on dgetrf's LU.
+``exact_rcond`` is the 1-norm reciprocal condition number that
+``solve_defect``'s guard computes, from scipy's inverse.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgecon, dlange
+from scipy.linalg import LinAlgWarning, inv
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from latticefmm.defect import apply_B
@@ -61,9 +60,12 @@ def node_space_solve(spec, far, tol=1e-8, queries=None, max_iter=200) -> dict:
     }
 
 
-def lapack_rcond(mat) -> float:
-    """LAPACK's estimate of the 1-norm reciprocal condition number of mat."""
+def exact_rcond(mat) -> float:
+    """1 / (||mat||_1 ||mat^-1||_1); 0 for an exactly singular mat."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot: rcond 0
-        lu, _ = lu_factor(mat, check_finite=False)
-    return dgecon(lu, dlange("1", mat))[0]
+        warnings.simplefilter("ignore", LinAlgWarning)  # ill-conditioned
+        try:
+            mat_inv = inv(mat, check_finite=False)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            return 0.0
+    return 1.0 / (np.abs(mat).sum(axis=0).max() * np.abs(mat_inv).sum(axis=0).max())

@@ -94,6 +94,22 @@ def test_dense_defect_path_loads_no_fft():
     assert out.returncode == 0, out.stderr
 
 
+def test_defect_has_no_eps_option(tmp_path):
+    # tol alone sets the defect solve's accuracy.
+    bars = tmp_path / "bars.csv"
+    bars.write_text("0,0,1,0,-1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["defect", "--bars", str(bars), "--farfield", "1,0", "--eps", "1e-10"])
+    assert exc.value.code == 2
+
+
+def test_defect_rejects_nan_tol(tmp_path):
+    bars = tmp_path / "bars.csv"
+    bars.write_text("0,0,1,0,-1\n")
+    with pytest.raises(SystemExit, match=r"^error: tol must lie in \(0, 1\), got nan"):
+        main(["defect", "--bars", str(bars), "--farfield", "1,0", "--tol", "nan"])
+
+
 def test_phi_has_no_table_radius_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phi", "5", "0", "--rtable", "3"])
@@ -247,10 +263,10 @@ def test_defect_stats_json_on_stderr(tmp_path, capsys):
     assert stats["path"] == "dense" and stats["iterations"] == 0
     assert stats["residual_history"] == []
     assert 0.0 < stats["rcond"] <= 1.0
-    # Two bars three steps apart: the window (7 x 9 cells) holds more than
-    # 3 cells for each of the 16 kernel entries, so phi evaluates them.
-    assert stats["kernel_source"] == stats["eval_source"] == "phi"
-    assert stats["s_path"] is None and stats["window_cells"] == 0
+    # Two bars three steps apart: each window (7 x 9 cells, node-node and
+    # query-node) is within 32 cells for each of the 8 points it serves.
+    assert stats["kernel_source"] == stats["eval_source"] == "window"
+    assert stats["s_path"] is None and stats["window_cells"] == 2 * 7 * 9
     assert {"t_assemble", "t_solve", "t_eval", "wall_time"} <= set(stats)
 
 

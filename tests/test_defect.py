@@ -10,7 +10,7 @@ from latticefmm.defect import DefectSpec, apply_B, apply_S, solve_defect
 from latticefmm.green import apply_discrete_laplacian, phi
 from latticefmm.skeleton import kernel_matrix
 
-from defect_reference import lapack_rcond, node_space_solve
+from defect_reference import exact_rcond, node_space_solve
 from fmm_reference import dense_solve_truncated
 
 
@@ -249,9 +249,15 @@ def test_far_field_decay():
     assert d_far <= d_near / 10.0
 
 
-def test_tol_precondition():
-    with pytest.raises(ValueError, match="10x"):
-        solve_defect(removed_bar_spec(), (1.0, 0.0), tol=1e-12, eps=1e-10)
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, 1.0, np.inf])
+@pytest.mark.parametrize("limit", [defect._DENSE_BAR_LIMIT, 0], ids=["dense", "gmres"])
+def test_tol_must_lie_in_unit_interval(bad, limit, monkeypatch):
+    # Checked before any work: a NaN tol would otherwise run every GMRES
+    # cycle, and tol >= 1 accept an unconverged answer.
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", limit)
+    spec, queries = crack(6)
+    with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\), got "):
+        solve_defect(spec, (0.0, 1.0), tol=bad, queries=queries)
 
 
 def defect_node_residual(spec, u):
@@ -317,10 +323,10 @@ def test_dense_path_matches_gmres_path(monkeypatch):
     assert len(spec) == 60
     queries = with_neighbours(spec.nodes) + [(100, -40)]
     dense_stats, gmres_stats = {}, {}
-    u_dense = solve_defect(spec, (1.0, 2.0), tol=1e-11, eps=1e-12, queries=queries,
+    u_dense = solve_defect(spec, (1.0, 2.0), tol=1e-11, queries=queries,
                            stats=dense_stats)
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
-    u_gmres = solve_defect(spec, (1.0, 2.0), tol=1e-11, eps=1e-12, queries=queries,
+    u_gmres = solve_defect(spec, (1.0, 2.0), tol=1e-11, queries=queries,
                            stats=gmres_stats)
     assert dense_stats["path"] == "dense" and dense_stats["iterations"] == 0
     assert dense_stats["residual_history"] == []
@@ -329,6 +335,20 @@ def test_dense_path_matches_gmres_path(monkeypatch):
     hist = gmres_stats["residual_history"]
     assert gmres_stats["iterations"] == len(hist) > 0 and hist[-1] <= 1e-11
     assert max(abs(u_dense[p] - u_gmres[p]) for p in queries) <= 1e-9
+
+
+def test_fmm_route_takes_eps_from_tol(monkeypatch):
+    # Forced onto fmm_apply, S runs at eps = tol / 100 = 1e-13 and misses
+    # the dense answer by 1.2e-10; at eps 1e-12 it missed by 1.1e-9.
+    spec = sixty_bars()
+    queries = with_neighbours(spec.nodes) + [(100, -40)]
+    u_dense = solve_defect(spec, (1.0, 2.0), tol=1e-11, queries=queries)
+    monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
+    monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_POINT", 0)
+    stats = {}
+    u_fmm = solve_defect(spec, (1.0, 2.0), tol=1e-11, queries=queries, stats=stats)
+    assert stats["s_path"] == "fmm" and stats["eval_source"] == "phi"
+    assert max(abs(u_dense[p] - u_fmm[p]) for p in queries) <= 5e-10
 
 
 def inclusion(side, dc):
@@ -352,7 +372,6 @@ def test_window_gathers_match_kernel_matrix_bytes(name, monkeypatch):
     outputs = {}
     for per_point, source in ((np.inf, "window"), (0, "phi")):
         monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_POINT", per_point)
-        monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_ENTRY", per_point)
         stats = {}
         u = solve_defect(spec, (0.5, -1.0), queries=queries, stats=stats)
         assert stats["path"] == "dense"
@@ -385,10 +404,10 @@ def test_scattered_defects_take_phi_and_fmm(monkeypatch):
                       + [((2**20 + i, 5), (2**20 + i, 6), -0.5) for i in range(12)])
     queries = with_neighbours(spec.nodes)
     dense_stats, fmm_stats = {}, {}
-    u_dense = solve_defect(spec, (0.0, 1.0), tol=1e-9, eps=1e-12, queries=queries,
+    u_dense = solve_defect(spec, (0.0, 1.0), tol=1e-9, queries=queries,
                            stats=dense_stats)
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
-    u_fmm = solve_defect(spec, (0.0, 1.0), tol=1e-9, eps=1e-12, queries=queries,
+    u_fmm = solve_defect(spec, (0.0, 1.0), tol=1e-9, queries=queries,
                          stats=fmm_stats)
     assert dense_stats["kernel_source"] == dense_stats["eval_source"] == "phi"
     assert dense_stats["window_cells"] == 0
@@ -414,12 +433,13 @@ def test_far_query_takes_phi_and_fmm(monkeypatch):
 def test_gmres_stall_names_residual_and_tol(monkeypatch):
     # tol far below what rounding in S allows (~4e-14 here): the first
     # cycle that gains nothing ends the solve, long before max_iter cycles.
+    # The FFT route ignores the eps drawn from tol (clamped at 1e-13).
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     spec, queries = crack(200)
     with pytest.raises(RuntimeError, match=(
         r"^defect solve did not converge: GMRES stopped after [1-9] cycles at "
         r"relative residual \S+, above tol 1\.00e-15")):
-        solve_defect(spec, (0.0, 1.0), tol=1e-15, eps=1e-16, queries=queries)
+        solve_defect(spec, (0.0, 1.0), tol=1e-15, queries=queries)
 
 
 def test_solve_stats_fields():
@@ -533,38 +553,54 @@ def synthetic_matrices():
                     yield (u * sigma) @ v.T
 
 
-def assembled_systems(monkeypatch):
-    """The bar matrices solve_defect builds for two cracks and MIXED_DEFECTS."""
-    mats = []
-    solve = defect._solve_rcond
-
-    def recording(mat, rhs):
-        mats.append(mat.copy())
-        return solve(mat, rhs)
-
-    monkeypatch.setattr(defect, "_solve_rcond", recording)
-    specs = [crack(48)[0], crack(200)[0]] + [DefectSpec(b) for b in MIXED_DEFECTS.values()]
-    for spec in specs:
-        solve_defect(spec, (0.5, -1.0))
-    assert len(mats) == 2 + len(MIXED_DEFECTS)
-    return mats
+def assembled_system(spec):
+    """I + diag(dc) D S D^T, the bar matrix solve_defect builds, here from
+    ``spec.incidence()`` and ``kernel_matrix``."""
+    nodes, ia, ib, dc = spec.incidence()
+    d = np.zeros((len(ia), len(nodes)))
+    d[np.arange(len(ia)), ia] = 1.0
+    d[np.arange(len(ia)), ib] = -1.0
+    return np.eye(len(ia)) + dc[:, None] * (d @ kernel_matrix(nodes, nodes) @ d.T)
 
 
-def test_rcond_estimate_matches_lapack(monkeypatch):
-    # Same algorithm as dgecon on a different LU: the computed inverses
-    # differ by O(eps / rcond) relative, so the estimates by O(eps).
+def solver_rcond(mat, monkeypatch):
+    """solve_defect's rcond for the bar matrix ``mat``, or None when it
+    judges mat singular: m bars of delta 1 whose D S D^T is mat - I, so
+    the solver's mat is (mat - I) + I, the one the reference is given."""
+    m = len(mat)
+    shifted = mat - np.eye(m)
+    monkeypatch.setattr(defect, "_bar_kernel", lambda *args: shifted.copy())
+    stats = {}
+    try:
+        solve_defect(DefectSpec([((i, 0), (i, 1), 1.0) for i in range(m)]),
+                     (0.0, 1.0), queries=[], stats=stats)
+    except RuntimeError:
+        return None
+    return stats["rcond"]
+
+
+def test_rcond_is_exact(monkeypatch):
+    # numpy's and scipy's inverses differ by O(eps / rcond) relative, so
+    # the two condition numbers by O(eps) absolute (at most eps / 8 here).
     eps = np.finfo(float).eps
-    mats = list(synthetic_matrices()) + assembled_systems(monkeypatch)
+    specs = [crack(48)[0], crack(200)[0]] + [DefectSpec(b) for b in MIXED_DEFECTS.values()]
+    assembled = []
+    for spec in specs:
+        stats = {}
+        solve_defect(spec, (0.5, -1.0), queries=[], stats=stats)
+        mat = assembled_system(spec)
+        assembled.append(mat)
+        ref = exact_rcond(mat)  # the solver's entries differ by rounding
+        assert abs(stats["rcond"] - ref) <= 1e-12 * ref, (len(mat), stats["rcond"], ref)
+    mats = list(synthetic_matrices()) + assembled
     assert len(mats) == 228 + 8
     for mat in mats:
-        ref = lapack_rcond(mat)
-        try:
-            est = defect._solve_rcond(mat, np.zeros(len(mat)))[1]
-        except np.linalg.LinAlgError:
-            est = 0.0  # an exactly zero pivot
-        assert abs(est - ref) <= 1e-6 * ref + eps, (len(mat), est, ref)
+        got = solver_rcond(mat, monkeypatch)
+        ref = exact_rcond(mat - np.eye(len(mat)) + np.eye(len(mat)))
         threshold = len(mat) * eps  # solve_defect's singularity rule
-        assert (est > threshold) == (ref > threshold), (len(mat), est, ref)
+        assert (got is not None) == (ref > threshold), (len(mat), got, ref)
+        if got is not None:
+            assert abs(got - ref) <= eps, (len(mat), got, ref)
 
 
 def fixed_nonsymmetric_system():
@@ -585,7 +621,7 @@ def sixty_bar_operator(monkeypatch):
 
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     monkeypatch.setattr(defect, "gmres", recording)
-    solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11, eps=1e-12)
+    solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11)
     return calls[0]
 
 
@@ -616,7 +652,7 @@ def test_gmres_matches_scipy(system, monkeypatch):
 def test_gmres_path_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11, eps=1e-12, max_iter=2)
+        solve_defect(sixty_bars(), (1.0, 2.0), tol=1e-11, max_iter=2)
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.9, np.nan, np.inf])
