@@ -363,11 +363,13 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
     for A x = b from x0 = 0, with A given by ``matvec``.
 
-    Each cycle runs at most ``restart`` Arnoldi steps (modified
-    Gram-Schmidt) and minimises the residual by Givens rotations; at most
-    ``maxiter`` cycles run, until ||b - A x|| <= tol ||b||.  ``callback``
-    receives the estimated relative residual |g_{j+1}| / ||b|| after each
-    step.  A cycle stalls when its estimate meets the goal but the true
+    Each cycle runs at most ``restart`` Arnoldi steps (classical
+    Gram-Schmidt applied twice, each pass two products with the basis,
+    which keeps it orthogonal to working precision; Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005) and minimises the residual
+    by Givens rotations; at most ``maxiter`` cycles run, until
+    ||b - A x|| <= tol ||b||.  ``callback`` receives the estimated
+    relative residual |g_{j+1}| / ||b|| after each step.  A cycle stalls when its estimate meets the goal but the true
     residual it leaves is not below half the one it started from: the
     products' rounding sets a floor above tol, and further cycles only
     repeat that.  Returns (x, info): info is 0 on convergence, else the
@@ -392,9 +394,12 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
         for j in range(restart):
             w = matvec(basis[j])
             w_norm = np.linalg.norm(w)
-            for i in range(j + 1):
-                hess[i, j] = basis[i] @ w
-                w -= hess[i, j] * basis[i]
+            v = basis[: j + 1]
+            hess[: j + 1, j] = v @ w
+            w -= hess[: j + 1, j] @ v
+            again = v @ w
+            w -= again @ v
+            hess[: j + 1, j] += again
             h = np.linalg.norm(w)
             breakdown = h <= np.finfo(float).eps * w_norm  # the space is invariant
             if not breakdown:

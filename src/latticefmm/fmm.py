@@ -5,6 +5,9 @@ outgoing expansions (leaf T_ofs, then T_ofo up the tree), interaction-list
 translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
 T_tfi), with directly summed near-field corrections from the Green table.
+T_ofs and T_tfi are one GEMM per chunk of leaves with the dense s x s
+stencil of each leaf: T_ofs scatters the charges onto it, T_tfi reads the
+potentials off it.
 
 A box that holds one point is carried as that point (the pruning of
 adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
@@ -49,8 +52,18 @@ are built before the upward pass, which applies T_ifo; the point pairs
 are summed as they are found.  The leaf colleagues are the near-field
 pairs.
 
-Only occupied boxes are touched; all per-level work is batched into dense
-matrix products over Morton-sorted arrays.
+T_ifo takes one of two paths per level.  A level with no one-point box
+whose interaction pairs fill its 2^l x 2^l box grid well
+(``_IFO_GRID_PAIRS_PER_CELL``) runs on that grid: no box at or above it
+holds one point, so its interaction lists are exactly the parity pattern
+among the occupied boxes, and each parent's 6 x 6 child neighbourhood
+times one (36 k x 4 k) operator gives its four children's incoming
+expansions, one GEMM for the level (batched M2L, Coulaud, Fortin & Roman,
+J. Comput. Phys. 227, 2008).  Its pairs are only counted.  Every other
+level applies its pairs grouped by offset, one GEMM per offset.
+
+Only occupied boxes are touched, except by the grid path; all per-level
+work is batched into dense matrix products over Morton-sorted arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_charges, check_eps
 from .green import default_table, lattice_points, lattice_targets, phi
@@ -73,6 +87,24 @@ _MAX_LEAF_SIDE = 8
 # Near-field displacements between neighbouring leaves reach 2s - 1 per
 # axis, and the near field reads them from the Green table.
 assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the table"
+
+
+# Interaction pairs per cell of a level's 2^l x 2^l box grid from which
+# T_ifo runs on the grid (``FmmRun._across_grid``) rather than pair by pair;
+# a full level has up to 27.  The grid computes 144 k x k blocks per
+# parent, 36 per cell at most, whatever the fill.  On full 128^2 and 512^2
+# grids (levels 2-6, k = 28-36, 2 cores, median of 5-15 calls) a grid
+# block costs 54-118 ns at the wide levels 4-6 and a pair block 264-431
+# ns, so the grid pays from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs
+# per cell; at levels 2-3 the pair path's per-offset calls make a pair
+# block cost 1.1-6 us and the grid wins by more.  Each full level ran 2.2
+# to 3.5 times faster on the grid.
+_IFO_GRID_PAIRS_PER_CELL = 8
+
+# Entries per chunk of the stencil products of T_ofs and T_tfi and of the
+# neighbourhood rows of grid T_ifo: they bound those temporaries.
+_STENCIL_CHUNK = 1 << 22
+_GRID_CHUNK = 1 << 20
 
 
 def _child_codes():
@@ -113,14 +145,15 @@ def _code_groups(pairs):
             yield k, tgt[lo:hi], src[lo:hi]
 
 
-def _child_lists(tree: QuadTree, lvl: int, colleagues):
+def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     """Colleagues, grouped interaction pairs and point pairs at ``lvl`` from
     the target-major colleagues (tgt, src, code) at ``lvl - 1``.
 
     From level 2 down, a pair of two one-point boxes leaves both lists: it
     is one point pair, returned as the boxes' sorted point indices (tgt,
     src), or nothing when the box meets itself, since phi(0) = 0.  Its
-    children are not formed at the next level.
+    children are not formed at the next level.  Where ``on_grid(lvl,
+    n_far)`` holds, the interaction pairs are only counted.
     """
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
@@ -159,14 +192,17 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues):
     near = np.flatnonzero(boxes & is_near)
     colleagues = (tgt[near], src[near], code[near])
     del near
-    far = np.flatnonzero(boxes & ~is_near)
-    interactions = _by_code(
-        tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
-    )
+    far = boxes & ~is_near
+    interactions = int(np.count_nonzero(far))
+    if not on_grid(lvl, interactions):
+        far = np.flatnonzero(far)
+        interactions = _by_code(
+            tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
+        )
     return colleagues, interactions, points
 
 
-def level_lists(tree: QuadTree):
+def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
     """Colleague, interaction and point pairs of the occupied boxes, level
     by level.
 
@@ -178,7 +214,9 @@ def level_lists(tree: QuadTree):
     (0, 0)); interactions are grouped by ``INTERACTION_OFFSETS`` index as
     by ``_by_code``; points are the (tgt, src) sorted point indices of the
     pairs of one-point boxes, which from level 2 down replace such box
-    pairs in the other two lists.
+    pairs in the other two lists.  On a level where ``on_grid(lvl,
+    n_far)`` holds for its n_far interaction pairs, the interactions are
+    that count alone.
     """
     one = np.zeros(1, dtype=np.int32)
     colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
@@ -186,7 +224,7 @@ def level_lists(tree: QuadTree):
     no_points = (np.empty(0, dtype=np.int64),) * 2
     yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64)), no_points
     for lvl in range(1, tree.L + 1):
-        colleagues, interactions, points = _child_lists(tree, lvl, colleagues)
+        colleagues, interactions, points = _child_lists(tree, lvl, colleagues, on_grid)
         yield colleagues, interactions, points
 
 
@@ -239,6 +277,7 @@ class FmmRun:
         self.t_chain = time.perf_counter() - t0
         self.times: dict[str, float] = {}
         self.ifo_pairs_per_level = [0] * (tree.L + 1)
+        self.ifo_grid_levels: list[int] = []
         self.point_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
@@ -268,17 +307,45 @@ class FmmRun:
         rel = self.tree.rel_sorted
         chunk = 1 << 16  # bounds phi's temporaries
         ifo = {}
-        for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree)):
-            self.ifo_pairs_per_level[lvl] = len(pairs[0])
+        for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree, self._on_grid)):
+            on_grid = isinstance(pairs, int)
+            self.ifo_pairs_per_level[lvl] = pairs if on_grid else len(pairs[0])
             self.point_pairs_per_level[lvl] = len(tgt)
+            if on_grid:
+                self.ifo_grid_levels.append(lvl)
             if lvl >= 2:
-                ifo[lvl] = pairs
+                ifo[lvl] = None if on_grid else pairs
             # Targets ascend, so each chunk adds to one run of points.
             for lo in range(0, len(tgt), chunk):
                 t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
                 d = rel[t] - rel[s]
                 u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
         return ifo, colleagues
+
+    def _on_grid(self, lvl, n_far):
+        """Whether T_ifo at ``lvl`` runs on the level's dense box grid
+        (``_across_grid``): no box holds one point, and the n_far
+        interaction pairs fill the grid well enough to pay for it."""
+        return (
+            lvl >= 2
+            and n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
+            and int(np.diff(self.tree.ptr[lvl]).min()) >= 2
+        )
+
+    def _stencil_chunks(self, multi, slot_of_point):
+        """The leaves of two or more points in chunks, for the dense s x s
+        stencil products of T_ofs and T_tfi: yields (lo, hi, pts, r), the
+        chunk's leaves lo..hi-1 counted among those leaves, their points
+        and each point's leaf, r in 0..hi-lo-1."""
+        row = np.cumsum(multi) - 1
+        pts = np.flatnonzero(multi[slot_of_point])
+        pt_row = row[slot_of_point[pts]]
+        chunk = max(1, _STENCIL_CHUNK // (self.leaf_side * self.leaf_side))
+        n_multi = int(np.count_nonzero(multi))
+        for lo in range(0, n_multi, chunk):
+            hi = min(lo + chunk, n_multi)
+            plo, phi_ = np.searchsorted(pt_row, (lo, hi))
+            yield lo, hi, pts[plo:phi_], pt_row[plo:phi_] - lo
 
     def _leaf_expansions(self, q_sorted, single, slot_of_point, lin):
         """Per leaf: the unit expansion interp[:, lin_p] of a one-point
@@ -292,16 +359,10 @@ class FmmRun:
         x = interp.T[lin[tree.ptr[tree.L][:-1]]]
         self.leaf_ofs_entries += interp.shape[0] * len(lin)
         multi = np.flatnonzero(~single)
-        row = np.cumsum(~single) - 1
-        pts = np.flatnonzero(~single[slot_of_point])
-        pt_row = row[slot_of_point[pts]]
         s2 = self.leaf_side * self.leaf_side
-        chunk = max(1, (1 << 22) // s2)
-        for lo in range(0, len(multi), chunk):
-            hi = min(lo + chunk, len(multi))
-            plo, phi_ = np.searchsorted(pt_row, (lo, hi))
+        for lo, hi, pts, r in self._stencil_chunks(~single, slot_of_point):
             dense = np.zeros((hi - lo, s2))
-            dense[pt_row[plo:phi_] - lo, lin[pts[plo:phi_]]] = q_sorted[pts[plo:phi_]]
+            dense[r, lin[pts]] = q_sorted[pts]
             x[multi[lo:hi]] = dense @ interp.T
         return x
 
@@ -328,7 +389,11 @@ class FmmRun:
         for lvl in range(tree.L, 1, -1):
             t1 = clock()
             self.times["t_upward"] += t1 - t0
-            incoming[lvl] = self._across(lvl, x, single, ifo.pop(lvl), q_sorted, u)
+            pairs = ifo.pop(lvl)
+            if pairs is None:
+                incoming[lvl] = self._across_grid(lvl, x)
+            else:
+                incoming[lvl] = self._across(lvl, x, single, pairs, q_sorted, u)
             t0 = clock()
             self.times["t_ifo"] += t0 - t1
             if lvl == 2:
@@ -399,12 +464,49 @@ class FmmRun:
         kept[row[rows[~one]]] = inc[~one]
         return kept
 
+    def _across_grid(self, lvl, x):
+        """T_ifo at a level of boxes of two or more points, on its dense
+        2^l x 2^l box grid, one GEMM per chunk of parents.
+
+        The outgoing expansions are scattered once onto the grid, padded by
+        two empty cells per side; each parent's 6 x 6 child neighbourhood,
+        read as one row, times ``t_ifo_grid`` gives the incoming expansions
+        of its four children.  With no one-point box at this level or
+        above, the interaction list of a box is exactly the parity pattern
+        that operator encodes, restricted to the occupied boxes, and the
+        empty cells are zero.  Returns the incoming expansion of every box.
+        """
+        tree = self.tree
+        w = self._ops(lvl).t_ifo_grid
+        k = x.shape[1]
+        side = 1 << lvl
+        grid = np.zeros((side + 4, side + 4, k))
+        # Box (x, y) of a level holds the points whose coordinates over the
+        # box side are (x, y); a box's first point names it.
+        box = tree.rel_sorted[tree.ptr[lvl][:-1]] // tree.side_of(lvl) + 2
+        grid[box[:, 0], box[:, 1]] = x
+        # hood[px, py] is the (6, 6 k) neighbourhood of parent (px, py):
+        # six runs of six cells, each run contiguous.
+        hood = sliding_window_view(grid.reshape(side + 4, -1), (6, 6 * k))[::2, :: 2 * k]
+        px, py = (tree.rel_sorted[tree.ptr[lvl - 1][:-1]] // tree.side_of(lvl - 1)).T
+        parent = tree.parent_index[lvl]
+        quad = (tree.codes[lvl] & 3).astype(np.int64)
+        inc = np.empty_like(x)
+        chunk = max(1, _GRID_CHUNK // w.shape[0])
+        for lo in range(0, len(px), chunk):
+            hi = min(lo + chunk, len(px))
+            out = (hood[px[lo:hi], py[lo:hi]].reshape(hi - lo, -1) @ w).reshape(hi - lo, 4, k)
+            b0, b1 = np.searchsorted(parent, (lo, hi))
+            inc[b0:b1] = out[parent[b0:b1] - lo, quad[b0:b1]]
+        return inc
+
     def _down(self, incoming, tops, slot_of_point, lin, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
         incoming expansion of each box of two or more points to its
         children; a child at its point p's top one-point level takes it
         into p, u_p += e_{p,l} . inc; the leaves of two or more points
-        expand theirs at their points (T_tfi)."""
+        expand theirs at their points (T_tfi, the transpose of T_ofs: one
+        GEMM onto the dense s x s stencil per chunk of leaves)."""
         tree = self.tree
         _, row = _multi_rows(tree, 2)
         for lvl in range(2, tree.L):
@@ -425,16 +527,11 @@ class FmmRun:
                     down = inc[row[parent[top[pick]]]] @ t_ofo[qd]
                     u[start[top[pick]]] += np.einsum("ij,ij->i", down, e[pick])
             row = child_row
-        multi, row = _multi_rows(tree, tree.L)
+        multi, _ = _multi_rows(tree, tree.L)
         inc_leaf = incoming.pop(tree.L)
         interp = self._ops(tree.L).skeleton.interp
-        # Chunks bound the two (points x k) gathers, which set the peak
-        # memory of well-filled trees; each point's sum is unchanged.
-        chunk = 1 << 11
-        for lo in range(0, len(lin), chunk):
-            slot = slot_of_point[lo : lo + chunk]
-            sel = lo + np.flatnonzero(multi[slot])
-            u[sel] += np.einsum("ij,ji->i", inc_leaf[row[slot_of_point[sel]]], interp[:, lin[sel]])
+        for lo, hi, pts, r in self._stencil_chunks(multi, slot_of_point):
+            u[pts] += (inc_leaf[lo:hi] @ interp)[r, lin[pts]]
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
@@ -564,6 +661,7 @@ class FmmRun:
             "boxes_per_level": [len(codes) for codes in tree.codes],
             "single_boxes_per_level": [int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr],
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
+            "ifo_grid_levels": list(self.ifo_grid_levels),
             "point_pairs_per_level": list(self.point_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
@@ -595,7 +693,9 @@ def fmm_apply(
     ``ifo_pairs_per_level`` T_ifo blocks, ``point_pairs_per_level`` pairs
     of one-point boxes summed as point pairs, and ``ranks_per_level``
     skeleton ranks; the last three read 0 at levels 0 and 1, which have no
-    interaction lists), near-field work (``near_pairs`` point pairs, of
+    interaction lists), ``ifo_grid_levels`` (the levels whose T_ifo ran on
+    the dense box grid, one GEMM over each parent's child neighbourhood;
+    the others ran pair by pair, see the module docstring), near-field work (``near_pairs`` point pairs, of
     which ``near_ragged_pairs`` were summed pair by pair and the rest in
     ``near_gemm_blocks`` stencil block products), and ``op_entries``, the
     operator data instantiated for this problem: k leaf interpolation

@@ -21,7 +21,8 @@ outgoing-from-outgoing blocks (T_ofo, parent from children) and, by kernel
 symmetry, the incoming-from-incoming blocks (T_ifi = T_ofo^T).  The
 outgoing-to-incoming operators (T_ifo) are dense kernel matrices between
 skeleton points of interaction-list-separated model boxes, one per
-distinct offset.
+distinct offset; a level that runs T_ifo on a dense box grid also gets
+them stacked into one operator over a parent's child neighbourhood.
 """
 
 from __future__ import annotations
@@ -183,11 +184,46 @@ def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     return out
 
 
+def build_t_ifo_grid(t_ifo: np.ndarray) -> np.ndarray:
+    """(36 k, 4 k) T_ifo of a parent's four children from its 6 x 6 child
+    neighbourhood, for levels whose boxes all sit on one dense grid.
+
+    Row (6 * wx + wy) * k + j is skeleton entry j of the cell (wx, wy) of
+    the neighbourhood, which spans child positions -2..3 per axis around
+    the parent's first child; column q * k + i is entry i of the incoming
+    expansion of the child in quadrant q (x bit q & 1, y bit q >> 1).  The
+    block of cell c and child q is t_ifo[d]^T for the offset d = c - q,
+    and zero where |d|_inf <= 1: every cell's parent is a colleague of the
+    children's parent, so the other offsets are exactly the interaction
+    list.
+    """
+    k = t_ifo.shape[1]
+    w = np.arange(6)
+    quad = np.arange(4)
+    dx = w[:, None, None] - 2 - (quad & 1)
+    dy = w[None, :, None] - 2 - (quad >> 1)
+    # Offset index per (wx, wy, q); near offsets index a zero block.
+    code = np.full((7, 7), len(INTERACTION_OFFSETS))
+    for n, (ox, oy) in enumerate(INTERACTION_OFFSETS):
+        code[ox + 3, oy + 3] = n
+    blocks = np.concatenate([t_ifo, np.zeros((1, k, k))])[code[dx + 3, dy + 3]]
+    # blocks[wx, wy, q, i, j] -> [wx, wy, j, q, i]
+    return np.ascontiguousarray(blocks.transpose(0, 1, 4, 2, 3)).reshape(36 * k, 4 * k)
+
+
 @dataclass
 class LevelOperators:
     skeleton: LevelSkeleton
     t_ifo: np.ndarray  # (K_ifo, k, k)
     t_ofo: np.ndarray | None = None  # (4, k, k_child); None at the deepest level
+    _t_ifo_grid: np.ndarray | None = None
+
+    @property
+    def t_ifo_grid(self) -> np.ndarray:
+        """``build_t_ifo_grid`` of this level, built on first use."""
+        if self._t_ifo_grid is None:
+            self._t_ifo_grid = build_t_ifo_grid(self.t_ifo)
+        return self._t_ifo_grid
 
 
 class OperatorChain:
@@ -225,6 +261,8 @@ class OperatorChain:
         total = 0
         for op in self.ops.values():
             total += op.skeleton.interp.size + op.t_ifo.size
+            if op._t_ifo_grid is not None:
+                total += op._t_ifo_grid.size
             if op.t_ofo is not None:
                 total += 2 * op.t_ofo.size  # ofo and its ifi transpose
         return total

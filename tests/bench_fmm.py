@@ -1,0 +1,114 @@
+"""Write the fmm_apply BENCH records: the three loads of ``lfmm bench``, cold and warm.
+
+Run from the repository root (pytest does not collect this file):
+
+    python tests/bench_fmm.py --label change
+    python tests/bench_fmm.py --label parent --src /path/to/other/checkout/src
+
+Each case runs in a fresh process against the ``latticefmm`` under --src
+(default: this checkout's ``src``), so ``ru_maxrss`` is the case's own peak.
+The process calls ``fmm_apply`` once cold (the first call after import,
+which builds the phi table and the operator chain) and then WARM times
+more, at eps 1e-10 and nleaf 64; a record holds the cold and the median
+warm wall time, the cold call's ``t_chain``, every ``stats`` entry of the
+last warm call (the per-pass timers and the per-level counters), and the
+peak RSS.  Records are merged into BENCH_fmm.json under cases.<name>.<label>.
+
+Cases, with the points and charges of ``lfmm bench`` at its default seed:
+a dense 512 x 512 grid; 2**18 distinct random points on a 2**18 x 2**18
+domain; and 2**18 points rounded onto the circle inscribed in a 2**20 x 2**20
+domain (``--distribution circle --n 1048576 --alpha 0.25``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = {  # name: (distribution, n, alpha)
+    "dense-512": ("dense", 512, 0.25),
+    "random-2^18": ("random", 1 << 18, 0.25),
+    "circle-2^20": ("circle", 1 << 20, 0.25),
+}
+EPS = 1e-10
+NLEAF = 64
+WARM = 3  # warm calls per case
+OUT = ROOT / "BENCH_fmm.json"
+
+
+def run_case(name: str) -> dict:
+    """One case in this process (call it in a fresh one)."""
+    import resource
+    import statistics
+
+    import numpy as np
+
+    from latticefmm.cli import _bench_points
+    from latticefmm.config import DEFAULT_SEED
+    from latticefmm.fmm import fmm_apply
+
+    distribution, n, alpha = CASES[name]
+    rng = np.random.default_rng(DEFAULT_SEED)
+    pts = _bench_points(distribution, n, alpha, rng)
+    q = rng.standard_normal(pts.shape[0])
+    wall_s = []
+    for _ in range(WARM + 1):
+        stats: dict = {}
+        t0 = time.perf_counter()
+        fmm_apply(pts, q, eps=EPS, nleaf=NLEAF, stats=stats)
+        wall_s.append(time.perf_counter() - t0)
+        if len(wall_s) == 1:
+            cold_t_chain = stats["t_chain"]
+    return {
+        "N_source": int(pts.shape[0]),
+        "cold_wall_s": wall_s[0],
+        "cold_t_chain": cold_t_chain,
+        "warm_wall_s": statistics.median(wall_s[1:]),
+        "warm_runs": WARM,
+        "stats": stats,
+        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="record key, e.g. parent or change")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding latticefmm")
+    parser.add_argument("--one", help=argparse.SUPPRESS)  # run one case, print JSON
+    args = parser.parse_args()
+    if args.one:
+        sys.path.insert(0, args.src)
+        print(json.dumps(run_case(args.one)))
+        return 0
+    bench = json.loads(OUT.read_text()) if OUT.exists() else {}
+    bench["about"] = __doc__.split("\n\n")[0]
+    bench["host"] = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+    cases = bench.setdefault("cases", {})
+    for name in CASES:
+        cmd = [sys.executable, __file__, "--label", args.label, "--src", args.src,
+               "--one", name]
+        proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        record = json.loads(proc.stdout.strip().splitlines()[-1])
+        cases.setdefault(name, {})[args.label] = record
+        st = record["stats"]
+        print(f"{name} {args.label}: cold {record['cold_wall_s']:.3f} s, "
+              f"warm {record['warm_wall_s']:.3f} s (ifo {st['t_ifo']:.3f}, "
+              f"down {st['t_downward']:.3f}, near {st['t_near']:.3f}), "
+              f"{record['ru_maxrss_mb']:.0f} MB", flush=True)
+    OUT.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,9 @@
 * ``phi_asymptotic_trig`` -- the large-|m| expansion written with arctan2
   and cos, from its own copy of the exact terms, as a gate for the
   package's polynomial form.
+* ``phi_asymptotic_whole`` -- the package's polynomial form evaluated on
+  whole arrays, one expression per step, as the bitwise reference for its
+  blocked in-place evaluation.
 """
 
 import math
@@ -221,3 +224,23 @@ def phi_asymptotic_trig(m1, m2):
     if np.ndim(m1) == 0 and np.ndim(m2) == 0:
         return float(out)
     return out
+
+
+def phi_asymptotic_whole(m1, m2, polys, log_lead):
+    """The polynomial form of the expansion on whole arrays: ``polys`` are
+    the monomial coefficients of S_1..S_4 in c = cos(4 theta) and
+    ``log_lead`` is gamma + (3/2) log 2."""
+    x = np.asarray(m1, dtype=float)
+    y = np.asarray(m2, dtype=float)
+    x2 = x * x
+    y2 = y * y
+    r2 = x2 + y2
+    u = 1.0 / r2
+    c = (x2 * x2 - 6.0 * x2 * y2 + y2 * y2) * (u * u)
+    tail = 0.0
+    for coeffs in reversed(polys):
+        s = coeffs[-1]
+        for ck in coeffs[-2::-1]:
+            s = s * c + ck
+        tail = (tail + s) * u
+    return tail - (0.5 * np.log(r2) + log_lead) / (2.0 * np.pi)

@@ -315,6 +315,17 @@ def test_bench_json_records(capsys):
         assert 8 * rec["N_source"] / 2**20 <= rec["warm_traced_peak_mb"] < rec["ru_maxrss_mb"]
 
 
+def test_bench_json_names_grid_levels(capsys):
+    # Full 64 x 64 grid: every level from 2 runs T_ifo on its box grid; a
+    # random load has one-point boxes and runs none there.
+    rc, out = run_cli(capsys, "bench", "--distribution", "dense", "--n", "64", "--json")
+    assert rc == 0
+    stats = json.loads(out)["stats"]
+    assert stats["ifo_grid_levels"] == list(range(2, stats["levels"]))
+    rc, out = run_cli(capsys, "bench", "--distribution", "random", "--n", "64", "--json")
+    assert json.loads(out)["stats"]["ifo_grid_levels"] == []
+
+
 def test_bench_rejects_bad_inputs(capsys):
     with pytest.raises(SystemExit):
         main(["bench", "--distribution", "spiral", "--n", "64"])

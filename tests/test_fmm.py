@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefmm import skeleton
+from latticefmm import fmm, skeleton
 from latticefmm.fmm import _MAX_LEAF_SIDE, fmm_apply, level_lists
 from latticefmm.green import phi
 from latticefmm.oracle import direct_sum
@@ -566,3 +566,85 @@ def test_full_grid_has_no_point_pairs():
     assert stats["single_boxes_per_level"] == [0] * stats["levels"]
     assert stats["point_pairs_per_level"] == [0] * stats["levels"]
     assert stats["op_entries"] == 64 * 64 * stats["ranks_per_level"][-1] + stats["near_pairs"]
+
+
+def _grid_load(kind):
+    """Sources (and targets) of whole 8 x 8 leaves, so that no box holds
+    one point: a full 128 x 128 grid, the grid with a hole and an empty
+    corner, and the holed grid with targets on and inside it."""
+    pts = grid_points(128)
+    targets = None
+    if kind != "full":
+        x, y = pts[:, 0], pts[:, 1]
+        hole = (x >= 64) & (x < 80) & (y >= 32) & (y < 48)
+        corner = (x >= 96) & (y >= 96)
+        pts = pts[~hole & ~corner]
+    if kind == "targets":
+        rng = np.random.default_rng(11)
+        targets = np.vstack([pts[rng.choice(len(pts), 40, replace=False)], grid_points(8) + (72, 40)])
+    return pts + (-300, 41), (None if targets is None else targets + (-300, 41))
+
+
+def _forced(monkeypatch, path, pts, q, targets=None):
+    """fmm_apply with every level of no one-point box on the grid path, or
+    none, by moving the crossover."""
+    monkeypatch.setattr(fmm, "_IFO_GRID_PAIRS_PER_CELL", 0 if path == "grid" else 1 << 62)
+    stats = {}
+    u = fmm_apply(pts, q, targets=targets, stats=stats)
+    again = fmm_apply(pts, q, targets=targets)
+    assert u.tobytes() == again.tobytes()
+    return u, stats
+
+
+@pytest.mark.parametrize("kind", ["full", "holes", "targets"])
+def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
+    pts, targets = _grid_load(kind)
+    q = rng_charges(len(pts))
+    # Small chunks, so the grid path reads its parents in several.
+    monkeypatch.setattr(fmm, "_GRID_CHUNK", 50_000)
+    monkeypatch.setattr(skeleton, "_chain_memo", {})
+    u_pair, pair = _forced(monkeypatch, "pair", pts, q, targets)
+    u_grid, grid = _forced(monkeypatch, "grid", pts, q, targets)
+    assert grid["single_boxes_per_level"] == [0] * grid["levels"]
+    assert grid["ifo_grid_levels"] == list(range(2, grid["levels"]))
+    assert pair["ifo_grid_levels"] == []
+    assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
+    assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
+    # The grid operators are built on first use and count as shared
+    # operator data.
+    assert grid["shared_op_entries"] > pair["shared_op_entries"]
+
+
+def test_level_with_a_one_point_box_takes_pair_ifo(monkeypatch):
+    # One 8 x 8 leaf of a 64 x 64 grid keeps one point: only the leaf
+    # level holds a one-point box.
+    pts = grid_points(64)
+    x, y = pts[:, 0], pts[:, 1]
+    emptied = (x >= 16) & (x < 24) & (y >= 16) & (y < 24) & ((x != 19) | (y != 21))
+    pts = pts[~emptied]
+    q = rng_charges(len(pts))
+    u_grid, grid = _forced(monkeypatch, "grid", pts, q)
+    u_pair, _ = _forced(monkeypatch, "pair", pts, q)
+    levels = grid["levels"]
+    assert grid["single_boxes_per_level"] == [0] * (levels - 1) + [1]
+    assert grid["ifo_grid_levels"] == list(range(2, levels - 1))
+    assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
+    assert np.max(np.abs(u_grid - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()
+
+
+def test_t_tfi_on_leaves_of_2_to_64_points(monkeypatch):
+    # Each 8 x 8 leaf of a 64 x 64 grid keeps 2..64 of its points; small
+    # chunks split the stencil products of T_ofs and T_tfi.
+    monkeypatch.setattr(fmm, "_STENCIL_CHUNK", 5 * 64)
+    rng = np.random.default_rng(23)
+    counts = np.concatenate([[2, 64], rng.integers(2, 65, 62)])
+    pts = []
+    for leaf, count in enumerate(counts):
+        cells = rng.choice(64, count, replace=False)
+        pts.append(np.column_stack([cells // 8, cells % 8]) + 8 * np.array([leaf // 8, leaf % 8]))
+    pts = np.vstack(pts)
+    q = rng_charges(len(pts))
+    stats = {}
+    u = fmm_apply(pts, q, stats=stats)
+    assert stats["levels"] == 4 and stats["single_boxes_per_level"] == [0] * 4
+    assert np.max(np.abs(u - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()

@@ -18,7 +18,7 @@ from latticefmm.green import (
 )
 
 from exact_reference import exact_octant
-from phi_reference import phi_asymptotic_trig, phi_quadrature
+from phi_reference import phi_asymptotic_trig, phi_asymptotic_whole, phi_quadrature
 
 # Closed forms forced by the defining equation (stencil + symmetry).
 KNOWN_VALUES = [
@@ -209,6 +209,55 @@ def test_phi_matches_exact_reference_on_table_square():
     lo = np.minimum(abs(m1), abs(m2))
     want = np.vectorize(lambda h, l: exact[(int(h), int(l))])(hi, lo)
     assert np.array_equal(phi(m1, m2), want)
+
+
+def _phi_inputs():
+    rng = np.random.default_rng(8)
+    # Table, expansion and mixed blocks; a strided, a transposed and a
+    # broadcast input; the int64 extremes.
+    near = rng.integers(-70, 71, (2, 3001))
+    far = rng.integers(-(10**9), 10**9, (2, 2001))
+    mixed = np.concatenate([near, far], axis=1)[:, rng.permutation(5002)]
+    return [
+        (near[0], near[1]),
+        (far[0], far[1]),
+        (mixed[0], mixed[1]),
+        (mixed[0, :-1:3], mixed[1, 2::3]),
+        (mixed[0, :900].reshape(30, 30).T, mixed[1, :900].reshape(30, 30)),
+        (np.arange(-90, 90)[:, None], np.arange(-50, 50)[None, :]),
+        (np.array([-(2**63), 2**63 - 1, 0, 64, -65]), 0),
+    ]
+
+
+def test_phi_blocks_are_bitwise_whole_array_evaluation(monkeypatch):
+    # phi and phi_asymptotic run block by block in place; every value is
+    # the one a single block over the whole array gives.
+    cases = _phi_inputs()
+    got = [(phi(x, y), phi_asymptotic(x + 0.5, y)) for x, y in cases]
+    for block in (1 << 20, 7):
+        monkeypatch.setattr(green, "_PHI_BLOCK", block)
+        for (x, y), (p, a) in zip(cases, got):
+            assert phi(x, y).tobytes() == p.tobytes()
+            assert phi_asymptotic(x + 0.5, y).tobytes() == a.tobytes()
+    x, y = cases[0]
+    assert phi(x[:5], y[:5]).tolist() == [phi(int(a), int(b)) for a, b in zip(x[:5], y[:5])]
+    for (x, y), (_, a) in zip(cases, got):
+        want = phi_asymptotic_whole(x + 0.5, y, green._TAIL_POLYS, green._LOG_LEAD)
+        assert a.tobytes() == np.broadcast_to(want, a.shape).tobytes()
+
+
+def test_phi_does_not_expand_broadcast_inputs():
+    import tracemalloc
+
+    x = np.arange(10**6, 10**6 + 2000)
+    y = np.arange(-1000, 1000)
+    phi(x[:5], y[:5])
+    tracemalloc.start()
+    out = phi(x[:, None], y[None, :])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert out.shape == (2000, 2000)
+    assert peak - out.nbytes < 2**20
 
 
 WINDOW_BOXES = {
