@@ -159,7 +159,8 @@ def _bench_points(distribution, n, alpha, rng):
         while pts.shape[0] < n:
             extra = rng.integers(0, n, size=(2 * n, 2))
             pts = np.unique(np.vstack([pts, extra]), axis=0)
-        return pts[:n].astype(np.int64)
+        # np.unique sorts: the first n would be the leftmost points.
+        return pts[rng.permutation(len(pts))[:n]].astype(np.int64)
     # circle: alpha*n points rounded onto the inscribed circle
     count = max(int(round(alpha * n)), 1)
     theta = 2.0 * np.pi * np.arange(count) / count
@@ -359,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative residual of the bar solve, in (0, 1)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="write the solve's path, iterations and timings as one JSON line to stderr")
+                   help="write the solve's iterations, rcond, kernel routes and timings "
+                        "as one JSON line to stderr")
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("bench", help="timing/memory rows for one load distribution")

@@ -27,29 +27,32 @@ and s among the nodes, so one grid of phi over the box of displacements
 t - s -- the *window*, ``green.GreensTable.window`` -- holds them all, and
 S is a Toeplitz convolution on it (the lattice's translation invariance,
 used as precorrected-FFT methods use it: Phillips & White, IEEE TCAD 16,
-1997).  The system is solved one of two ways, by bar count:
+1997).  Every system takes one path: ``gmres`` (restarted GMRES in
+numpy) solves it with a right preconditioner, then one S product sums
+the queries, by ``np.fft.rfft2``/``irfft2`` on their window, padded to
+5-smooth lengths.  The preconditioner depends on the bar count:
 
-* up to ``_DENSE_BAR_LIMIT`` bars it is assembled once, D S first, in row
-  blocks, and solved by numpy's LU, guarded by the system's exact 1-norm
-  reciprocal condition number (one inverse); the queries are summed bar
-  by bar against z, in row blocks as well.  Kernel entries are gathered
-  from the window, the same values ``phi`` gives, so the output bytes do
-  not depend on the source;
-* above that, ``gmres`` (restarted GMRES in numpy) runs on the same bar
-  operator, each product applying S by ``np.fft.rfft2``/``irfft2`` on the
-  window, padded to 5-smooth lengths; one more such product sums the
-  queries.
+* up to ``_DENSE_BAR_LIMIT`` bars the system is assembled once, D S
+  first, in row blocks, and inverted.  The inverse is the exact
+  preconditioner, so GMRES stops after one step, and it gives the
+  system's exact 1-norm reciprocal condition number, which guards
+  against a singular system.  Kernel entries are gathered from the
+  window, the same values ``phi`` gives, so the system does not depend
+  on the source;
+* above that, there is none, and each GMRES product applies S by FFT on
+  the node-node window.
 
 A window is built only when it holds at most ``_WINDOW_CELLS_PER_POINT``
 cells per point, which keeps memory linear in the nodes and queries.
 Scattered defects, and queries far from them, have windows of about the
-square of their spread; they evaluate entries by ``kernel_matrix`` (dense
-path) or apply S by ``fmm_apply`` at an eps of tol / 100 (GMRES path).
-The node-node window (the solve) and the query-node window (the
-evaluation) each choose for themselves.
+square of their spread.  Up to ``_DENSE_BAR_LIMIT`` bars they take
+kernel entries from ``kernel_matrix``, in row blocks; above it they apply
+S by ``fmm_apply`` at an eps of tol / 100.  The node-node window (the
+solve) and the query-node window (the evaluation) each choose for
+themselves.
 
 Only numpy is needed: the module imports no scipy, so a defect solve
-loads a single BLAS, and the dense path never touches ``numpy.fft``.
+loads a single BLAS.
 """
 
 from __future__ import annotations
@@ -66,41 +69,40 @@ from .green import default_table, lattice_points, lattice_targets
 from .skeleton import kernel_matrix
 from .tree import check_extent
 
-# Largest bar count m solved densely.  Dense: D S D^T is gathered from the
-# phi window (2 m n entries), then (2/3) m^3 flops for the solve's LU and
-# (8/3) m^3 for the inverse the condition guard takes.  GMRES: one FFT over
-# the window per iteration, and the iterations grow with m.  Measured warm
-# on straight cracks with 4 (m + 2) queries (2 cores, OpenBLAS, tol 1e-8),
-# dense against GMRES: m = 100, 5.9 against 7.8 ms; 150, 9.8 against 10.2
-# ms; 200, 17 against 13 ms (38 iterations); 400, 52 against 28 ms; 800,
-# 149 against 62 ms (78 iterations).  On a 32 x 32 inclusion (1984 bars;
-# delta -0.5, 4 and -0.99) dense takes 0.59-0.97 s and GMRES 5.5-6.0 ms in
-# 7-14 iterations.  These were taken with a condition estimate (three
-# LUs); at m = 200 the exact guard moves t_solve from 1.4-1.5 to 1.8-2.1
-# ms.  The crossover is at 150-200 bars; the limit sits at its top
-# because dense leaves max |(A+B)u| at 1e-13 to 2e-12 there, GMRES at
-# about tol (1e-8).
+# Largest bar count m whose system is gathered and inverted, to be GMRES's
+# exact preconditioner.  The gather takes 2 m n kernel entries from the phi
+# window and the inverse (8/3) m^3 flops; GMRES then stops after one step.
+# Without it, each GMRES iteration is one FFT over the window, and the
+# iterations grow with m.  Measured warm on straight cracks with 4 (m + 2)
+# queries (2 cores, OpenBLAS, tol 1e-8; medians of 15 calls, interleaved,
+# in runs on a shared host), preconditioned against not: m = 150, 5.6-7.8
+# against 6.2-11.6 ms (33 iterations); 200, 9.0-11.3 against 8.7-14.3 ms
+# (38); 400, 24-30 against 14-23 ms (55); 800, 97 against 38-48 ms (78).
+# Preconditioned, max |(A+B)u| was 4e-13 to 2e-12 up to 200 bars;
+# without, about tol.  On a 32 x 32 inclusion (1984 bars, delta -0.5) the
+# inverse alone takes 0.66 s, and GMRES without it 5.5 ms in 7
+# iterations.  The preconditioner stops paying between 200 and 400 bars.
 _DENSE_BAR_LIMIT = 200
 
 # Window routing: a window may hold at most ``_WINDOW_CELLS_PER_POINT``
 # cells per point (targets and sources together), so memory stays linear
-# in the points: 256 B per point for a dense-path window, on par with the
+# in the points: 256 B per point for a gathered window, on par with the
 # ~280 B per query of the returned dict, and about 1.1 KB with the FFT's
 # transforms (tracemalloc), against the 380-570 B per point of
 # ``fmm_apply``.  Compact defects need 2-6 cells per point (a straight
 # crack and the queries around it, a filled block); scattered defects,
 # and queries far from them, have windows of about the square of their
-# spread and keep ``kernel_matrix`` (dense path) or ``fmm_apply`` (GMRES
-# path).  Within the cap an FFT product, 25-45 ns per cell, is far below
-# an ``fmm_apply`` product, 8-80 us per point.
+# spread and keep ``kernel_matrix`` (up to ``_DENSE_BAR_LIMIT`` bars) or
+# ``fmm_apply`` (above it).  Within the cap an FFT product, 25-45 ns per
+# cell, is far below an ``fmm_apply`` product, 8-80 us per point.
 _WINDOW_CELLS_PER_POINT = 32
 
 # Entries per kernel block; phi makes about a dozen temporaries of a
-# block's size.  On a 48-bar crack with 200 queries (2 cores), 512, 1024,
-# 2048 and unblocked take 8.2, 4.1, 3.2 and 2.1 ms at tracemalloc peaks of
-# 0.11, 0.15, 0.24 and 1.6 MB: 1024 buys most of the speed for little
-# memory.  The row blocks also fix the BLAS products summing the queries,
-# so changing the size changes output bytes.
+# block's size.  On a 48-bar crack with 200 queries (2 cores), blocks of
+# 512, 1024 and 2048 entries and none take 1.10, 1.08, 1.23 and 0.68 ms
+# per solve at tracemalloc peaks of 0.089, 0.084, 0.117 and 0.25 MB.  On
+# the direct query route the row blocks also fix the BLAS products summing
+# the queries, so changing the size can change those output bytes.
 _BLOCK_ENTRIES = 1024
 
 _UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -286,17 +288,28 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def _s_operator(targets, sources, eps: float):
+def _s_operator(targets, sources, eps: float, direct: bool = False):
     """(apply, route, cells): apply(q) = [S q](t) = sum_j phi(t - s_j) q_j
     at every target.  route "fft" convolves q with the phi window by
-    numpy's FFT (``cells`` window cells, held transformed); route "fmm"
-    calls ``fmm_apply`` at ``eps`` once per product, for point sets whose
-    window is too large for ``_WINDOW_CELLS_PER_POINT`` (see there)."""
+    numpy's FFT (``cells`` window cells, held transformed).  For point sets
+    whose window is too large for ``_WINDOW_CELLS_PER_POINT`` (see there),
+    route "direct" (if ``direct``) sums ``_kernel``'s rows in row blocks
+    (``_level_sum``), and route "fmm" calls ``fmm_apply`` at ``eps`` once
+    per product."""
     win = _Window(targets, sources)
     if not win.within_cap:
+        if direct:
+            rows = _kernel(targets, sources)[0]
+            blocks = list(_row_blocks(len(targets), len(sources)))
+            return (lambda q: np.concatenate([_level_sum(rows(i), q) for i in blocks])), "direct", 0
         return (lambda q: fmm_apply(sources, q, targets=targets, eps=eps)), "fmm", 0
     shape = tuple(_fft_size(int(w)) for w in win.shape)
-    kernel_hat = np.fft.rfft2(win.phi(), shape)
+    phi = win.phi()
+    # S q = (phi - level) * q + level sum(q).  The FFT's rounding scales
+    # with the kernel's norm, most of which is phi's mean: on the 48-bar
+    # crack's queries the error falls from 4.6e-14 to 1.4e-14 once it is out.
+    level = phi.mean()
+    kernel_hat = np.fft.rfft2(phi - level, shape)
     grid_cells = int(win.source_shape[0]) * int(win.source_shape[1])
     s_flat = win.s_pos[:, 0] * win.source_shape[1] + win.s_pos[:, 1]
     tx, ty = win.t_pos[:, 0], win.t_pos[:, 1]
@@ -306,9 +319,19 @@ def _s_operator(targets, sources, eps: float):
         # With every axis at least the window's, the circular convolution
         # wraps nothing onto the targets' positions.
         conv = np.fft.irfft2(np.fft.rfft2(grid, shape) * kernel_hat, shape)
-        return conv[tx, ty]
+        return conv[tx, ty] + level * q.sum()
 
     return apply, "fft", win.cells
+
+
+def _level_sum(k, q) -> np.ndarray:
+    """k @ q, with each row's mean taken out before the products and added
+    back as mean * sum(q).  As on the FFT route, this cuts the rounding of
+    charges that nearly cancel: for two 12-bar cracks 2**20 apart, and for
+    a 48-bar crack with a query 10**6 away, max |(A+B)u| over the defect
+    nodes falls from 4.5e-13 and 2.5e-12 to 1.7e-13 and 2.8e-13."""
+    level = k.mean(axis=1)
+    return (k - level[:, None]) @ q + level * q.sum()
 
 
 def apply_S(points, charges, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -347,16 +370,55 @@ def _bar_kernel(rows, n_nodes, ia, ib) -> np.ndarray:
     return out
 
 
-def _sum_at(rows, n_targets, n_nodes, ia, ib, z) -> np.ndarray:
-    """(S D^T z)(t) for bar values z, from the target-node kernel ``rows``
-    in blocks.  Each bar's two kernel columns are differenced before z is
-    applied: summed against the node charges D^T z instead, the bars'
-    large opposite terms cancel and leave their rounding behind."""
-    out = np.empty(n_targets)
-    for blk in _row_blocks(n_targets, n_nodes):
-        k = rows(blk)
-        out[blk] = (k[:, ia] - k[:, ib]) @ z
-    return out
+def _node_charges(ia, ib, n, z) -> np.ndarray:
+    """D^T z: the node charges of bar values z."""
+    return np.bincount(ia, z, n) - np.bincount(ib, z, n)
+
+
+def _inverse_rcond(mat):
+    """(mat^-1, rcond): the inverse and the exact 1-norm reciprocal
+    condition number 1 / (||mat||_1 ||mat^-1||_1).  Raises the solver's
+    RuntimeError when mat is singular to working precision: an exactly
+    zero pivot, or rcond at most m eps (NaN included)."""
+    try:
+        mat_inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        raise _unsolved() from None
+    rcond = 1.0 / (np.abs(mat).sum(axis=0).max() * np.abs(mat_inv).sum(axis=0).max())
+    if not rcond > len(mat) * np.finfo(float).eps:
+        raise _unsolved()
+    return mat_inv, rcond
+
+
+def _bar_system(nodes, ia, ib, dc, eps: float, info: dict):
+    """(operator, precondition) for the bar system M z = C D v, with M = I
+    + C D S D^T, solved by right-preconditioned GMRES (Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, ch. 9): GMRES
+    solves operator(y) = M P y = C D v, and z = precondition(y) = P y.
+
+    Up to ``_DENSE_BAR_LIMIT`` bars M is gathered from ``_kernel`` and
+    inverted once (``_inverse_rcond``): P = M^-1 is the exact
+    preconditioner, so GMRES converges in one step, and gives the exact
+    rcond guard.  Above it, P = I and each product applies S by
+    ``_s_operator``.  Fills ``rcond``, ``kernel_source``, ``s_path`` and
+    ``window_cells`` of ``info``.
+    """
+    n = len(nodes)
+    if len(ia) <= _DENSE_BAR_LIMIT:
+        rows, info["kernel_source"], info["window_cells"] = _kernel(nodes, nodes)
+        mat = _bar_kernel(rows, n, ia, ib)
+        mat *= dc[:, None]
+        mat[np.diag_indices_from(mat)] += 1.0
+        mat_inv, info["rcond"] = _inverse_rcond(mat)
+        return (lambda y: mat @ (mat_inv @ y)), mat_inv.__matmul__
+    apply_s, info["s_path"], info["window_cells"] = _s_operator(nodes, nodes, eps)
+    info["kernel_source"] = "window" if info["s_path"] == "fft" else "phi"
+
+    def operator(z):
+        s = apply_s(_node_charges(ia, ib, n, z))
+        return z + dc * (s[ia] - s[ib])
+
+    return operator, (lambda y: y)
 
 
 def gmres(matvec, b, tol, restart, maxiter, callback=None):
@@ -369,11 +431,14 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     Rozloznik, Comput. Math. Appl. 50, 2005) and minimises the residual
     by Givens rotations; at most ``maxiter`` cycles run, until
     ||b - A x|| <= tol ||b||.  ``callback`` receives the estimated
-    relative residual |g_{j+1}| / ||b|| after each step.  A cycle stalls when its estimate meets the goal but the true
-    residual it leaves is not below half the one it started from: the
-    products' rounding sets a floor above tol, and further cycles only
-    repeat that.  Returns (x, info): info is 0 on convergence, else the
-    number of cycles run (maxiter, or fewer after a stall).
+    relative residual |g_{j+1}| / ||b|| after each step.  A cycle stalls
+    when its estimate meets the goal but the true residual it leaves is not
+    below half the one it started from: the products' rounding sets a floor
+    above tol, and further cycles only repeat that.  The basis and the
+    Hessenberg matrix start at min(restart, 8) steps and double as a cycle
+    needs them, so a solve that converges in a few steps holds a few basis
+    vectors, not restart + 1.  Returns (x, info): info is 0 on convergence,
+    else the number of cycles run (maxiter, or fewer after a stall).
     """
     if restart < 1 or maxiter < 1:
         raise ValueError(f"restart {restart} and maxiter {maxiter} must be positive")
@@ -383,8 +448,9 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     if b_norm == 0.0:
         return x, 0
     goal = tol * b_norm
-    basis = np.empty((restart + 1, len(b)))
-    hess = np.zeros((restart, restart))  # R of the rotated Hessenberg matrix
+    size = min(restart, 8)  # Arnoldi steps the workspace holds
+    basis = np.empty((size + 1, len(b)))
+    hess = np.zeros((size, size))  # R of the rotated Hessenberg matrix
     rot = np.zeros((restart, 2))  # (cos, sin) of each Givens rotation
     r = b
     for cycle in range(1, maxiter + 1):
@@ -392,6 +458,10 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
         g[0] = np.linalg.norm(r)
         basis[0] = r / g[0]
         for j in range(restart):
+            if j == size:  # the workspace is full: double it, up to restart
+                size = min(2 * size, restart)
+                basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
+                hess = np.pad(hess, (0, size - len(hess)))
             w = matvec(basis[j])
             w_norm = np.linalg.norm(w)
             v = basis[: j + 1]
@@ -448,25 +518,28 @@ def solve_defect(
 ) -> dict:
     """Potential of the perturbed lattice at the queried nodes.
 
-    far = (c1, c2) defines the linear far field v.  Up to
-    ``_DENSE_BAR_LIMIT`` bars the bar system is solved by dense LU; above
-    it, by GMRES to relative residual tol, restarted every max_iter
-    iterations for at most max_iter cycles.  tol, in (0, 1), is the one
-    accuracy setting: where S is applied by ``fmm_apply`` (scattered
-    defects, far queries), that runs at eps = max(tol / 100, 1e-13).
+    far = (c1, c2) defines the linear far field v.  The bar system is
+    solved by GMRES to relative residual tol, restarted every max_iter
+    iterations for at most max_iter cycles; up to ``_DENSE_BAR_LIMIT``
+    bars, with the system's exact inverse as its preconditioner (see
+    ``_bar_system``).  tol, in (0, 1), is the one accuracy setting: where S
+    is applied by ``fmm_apply`` (scattered defects, far queries), that runs
+    at eps = max(tol / 100, 1e-13).
 
-    ``stats``, if given, is filled with ``bars``, ``nodes``, ``path``
-    ("dense" or "gmres"), ``iterations`` and ``residual_history`` (GMRES's
-    relative residual per iteration; 0 and empty on the dense path),
-    ``rcond`` (the dense path's exact 1-norm reciprocal condition number
-    of the system; None on the GMRES path and for an empty spec),
-    ``kernel_source`` and ``eval_source`` (where the bar system's and the
-    queries' kernel entries come from: "window", one phi window over their
-    displacements, or "phi", evaluated pair by pair; None for an empty
-    spec), ``s_path`` (how GMRES applies S: "fft" on the window or "fmm";
-    None on the dense path), ``window_cells`` (the cells of the windows
-    built), and the seconds ``t_assemble``, ``t_solve``, ``t_eval`` and
-    ``wall_time``.
+    ``stats``, if given, is filled with ``bars``, ``nodes``, ``iterations``
+    and ``residual_history`` (GMRES's relative residual per iteration; 1
+    iteration when preconditioned), ``rcond`` (the exact 1-norm reciprocal
+    condition number of the bar system, taken from the preconditioner's
+    inverse; None when there is no preconditioner, above
+    ``_DENSE_BAR_LIMIT`` bars, and for an empty spec), ``kernel_source``
+    and ``eval_source`` (where the bar system's and the queries' kernel
+    entries come from: "window", one phi window over their displacements,
+    or "phi", evaluated by ``kernel_matrix`` or summed by ``fmm_apply``;
+    None for an empty spec), ``s_path`` (how GMRES applies S without a
+    preconditioner: "fft" on the window or "fmm"; None with one),
+    ``window_cells`` (the cells of the windows built), and the seconds
+    ``t_assemble`` (the operator and its preconditioner), ``t_solve``,
+    ``t_eval`` and ``wall_time``.
 
     Raises ValueError for a non-finite far field, non-integer query
     coordinates, a node and query extent above 2**31 or tol outside (0, 1),
@@ -486,84 +559,45 @@ def solve_defect(
     c1, c2 = float(far[0]), float(far[1])
     u = c1 * q_arr[:, 0] + c2 * q_arr[:, 1]
     history = []
-    rcond = kernel_source = eval_source = s_path = None
-    cells = 0
-    path = "dense" if len(spec) <= _DENSE_BAR_LIMIT else "gmres"
+    info = dict(rcond=None, kernel_source=None, eval_source=None, s_path=None,
+                window_cells=0)
     t1 = t2 = clock()
     if len(spec):
         nodes, ia, ib, dc = spec.incidence()
-        n = len(nodes)
         check_extent(np.vstack([nodes, q_arr]))
-
-        def d_transpose(z):  # bar values to node charges
-            return np.bincount(ia, z, n) - np.bincount(ib, z, n)
-
+        eps = max(tol / 100, 1e-13)  # for fmm_apply, where S takes it
         v = c1 * nodes[:, 0] + c2 * nodes[:, 1]
         rhs = dc * (v[ia] - v[ib])  # C D v
-        if path == "dense":
-            rows, kernel_source, cells = _kernel(nodes, nodes)
-            mat = _bar_kernel(rows, n, ia, ib)
-            mat *= dc[:, None]
-            mat[np.diag_indices_from(mat)] += 1.0
-            t1 = clock()
-            try:
-                z = np.linalg.solve(mat, rhs)
-                rcond = 1.0 / np.linalg.cond(mat, 1)
-            except np.linalg.LinAlgError:  # an exactly zero pivot
-                raise _unsolved() from None
-            # Singular to working precision (or NaN): rcond at most m eps.
-            if not rcond > len(spec) * np.finfo(float).eps:
-                raise _unsolved()
-        else:
-            eps = max(tol / 100, 1e-13)  # for fmm_apply, where S takes it
-            apply_s, s_path, cells = _s_operator(nodes, nodes, eps)
-            kernel_source = "window" if s_path == "fft" else "phi"
-
-            def bar_operator(z):
-                s = apply_s(d_transpose(z))
-                return z + dc * (s[ia] - s[ib])
-
-            t1 = clock()
-            z, info = gmres(
-                bar_operator,
-                rhs,
-                tol,
-                restart=min(len(spec), max_iter),
-                maxiter=max_iter,
-                callback=history.append,
+        operator, precondition = _bar_system(nodes, ia, ib, dc, eps, info)
+        t1 = clock()
+        y, cycles = gmres(operator, rhs, tol, restart=min(len(spec), max_iter),
+                          maxiter=max_iter, callback=history.append)
+        if cycles:
+            attained = np.linalg.norm(rhs - operator(y)) / np.linalg.norm(rhs)
+            raise _unsolved(
+                f": GMRES stopped after {cycles} cycles at relative residual "
+                f"{attained:.2e}, above tol {tol:.2e}, which may lie below "
+                "what the rounding of S allows"
             )
-            if info != 0:
-                attained = np.linalg.norm(rhs - bar_operator(z)) / np.linalg.norm(rhs)
-                raise _unsolved(
-                    f": GMRES stopped after {info} cycles at relative residual "
-                    f"{attained:.2e}, above tol {tol:.2e}, which may lie below "
-                    "what the rounding of S allows"
-                )
+        z = precondition(y)
+        del operator, precondition  # the bar matrix and its inverse, or S's window
         if not np.all(np.isfinite(z)):
             raise _unsolved()
         t2 = clock()
         if len(q_arr):  # an empty query list has no window
-            if path == "dense":
-                rows, eval_source, eval_cells = _kernel(q_arr, nodes)
-                u -= _sum_at(rows, len(q_arr), n, ia, ib, z)
-            else:
-                apply_q, q_path, eval_cells = _s_operator(q_arr, nodes, eps)
-                eval_source = "window" if q_path == "fft" else "phi"
-                u -= apply_q(d_transpose(z))
-            cells += eval_cells
+            direct = len(spec) <= _DENSE_BAR_LIMIT  # as for the bar system
+            apply_q, q_path, q_cells = _s_operator(q_arr, nodes, eps, direct)
+            info["eval_source"] = "window" if q_path == "fft" else "phi"
+            info["window_cells"] += q_cells
+            u -= apply_q(_node_charges(ia, ib, len(nodes), z))
     t3 = clock()
     if stats is not None:
         stats.update(
+            info,
             bars=len(spec),
             nodes=len(spec.nodes),
-            path=path,
             iterations=len(history),
             residual_history=[float(r) for r in history],
-            rcond=rcond,
-            kernel_source=kernel_source,
-            eval_source=eval_source,
-            s_path=s_path,
-            window_cells=cells,
             t_assemble=t1 - t0,
             t_solve=t2 - t1,
             t_eval=t3 - t2,

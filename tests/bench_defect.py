@@ -14,11 +14,13 @@ warm ``DefectSpec`` time, the last warm call's ``stats`` (without the
 residual history), max |(A+B)u| over the defect nodes, and the peak RSS.
 Records are merged into BENCH_defect.json under cases.<name>.<label>.
 
-Cases: straight cracks of m = 800, 2048 and 5000 removed bars (i, 0)-(i, 1)
+Cases: straight cracks of m = 200, 800, 2048 and 5000 removed bars (i, 0)-(i, 1)
 with far field (0, 1) and the 4 (m + 2) queries on the crack rows and one
 row either side; and the 32 x 32 inclusion, every bar among a 32 x 32 block
 of nodes changed by delta = -0.5 (1984 bars), queried on the block and its
-ring.  All at tol 1e-8.
+ring.  All at tol 1e-8.  The 200-bar crack is the largest whose system
+``solve_defect`` inverts to precondition GMRES; the others take GMRES
+without a preconditioner.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("crack-800", "crack-2048", "crack-5000", "inclusion-32x32")
+CASES = ("crack-200", "crack-800", "crack-2048", "crack-5000", "inclusion-32x32")
 TOL = 1e-8
 WARM = 3  # warm calls per case
 OUT = ROOT / "BENCH_defect.json"

@@ -15,9 +15,12 @@ last warm call (the per-pass timers and the per-level counters), and the
 peak RSS.  Records are merged into BENCH_fmm.json under cases.<name>.<label>.
 
 Cases, with the points and charges of ``lfmm bench`` at its default seed:
-a dense 512 x 512 grid; 2**18 distinct random points on a 2**18 x 2**18
-domain; and 2**18 points rounded onto the circle inscribed in a 2**20 x 2**20
-domain (``--distribution circle --n 1048576 --alpha 0.25``).
+a dense 512 x 512 grid; 2**18 distinct points drawn uniformly on a 2**18 x
+2**18 domain; and 2**18 points rounded onto the circle inscribed in a 2**20
+x 2**20 domain (``--distribution circle --n 1048576 --alpha 0.25``).  The
+records of the older ``random-2^18`` case hold the lexicographically first
+2**18 of the distinct draws, all with x < 0.51 * 2**18: a half-domain load
+at twice the density, not comparable with ``random-uniform-2^18``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = {  # name: (distribution, n, alpha)
     "dense-512": ("dense", 512, 0.25),
-    "random-2^18": ("random", 1 << 18, 0.25),
+    "random-uniform-2^18": ("random", 1 << 18, 0.25),
     "circle-2^20": ("circle", 1 << 20, 0.25),
 }
 EPS = 1e-10

@@ -50,7 +50,7 @@ def test_fmm_path_loads_no_scipy():
 
 
 def test_defect_path_loads_no_scipy(tmp_path):
-    # The defect solver's LU, condition guard and GMRES are numpy's too.
+    # The defect solver's inverse, condition guard and GMRES are numpy's too.
     bars = tmp_path / "bars.csv"
     bars.write_text("0,0,1,0,-1\n3,3,3,4,0.5\n0,0,2,3,1\n")
     code = (
@@ -62,7 +62,7 @@ def test_defect_path_loads_no_scipy(tmp_path):
         "spec = defect.DefectSpec([((0, 0), (1, 0), -1.0), ((4, 4), (4, 5), 0.5)])\n"
         "stats = {}\n"
         "defect.solve_defect(spec, (1.0, 0.0), stats=stats)\n"
-        "assert stats['path'] == 'gmres', stats\n"
+        "assert stats['rcond'] is None and stats['s_path'] == 'fft', stats\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert not loaded, loaded\n"
     )
@@ -73,25 +73,6 @@ def test_defect_path_loads_no_scipy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "PASS  defect-residual" in out.stdout
-
-
-def test_dense_defect_path_loads_no_fft():
-    # Only the GMRES path convolves by FFT; the dense path gathers.
-    code = (
-        "import sys\n"
-        "from latticefmm import defect\n"
-        "spec = defect.DefectSpec([((i, 0), (i, 1), -1.0) for i in range(48)])\n"
-        "stats = {}\n"
-        "defect.solve_defect(spec, (0.0, 1.0), stats=stats)\n"
-        "assert stats['path'] == 'dense' and stats['kernel_source'] == 'window', stats\n"
-        "assert 'numpy.fft' not in sys.modules\n"
-    )
-    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
 
 
 def test_defect_has_no_eps_option(tmp_path):
@@ -260,8 +241,9 @@ def test_defect_stats_json_on_stderr(tmp_path, capsys):
     assert len(lines) == 1
     stats = json.loads(lines[0])
     assert stats["bars"] == 2 and stats["nodes"] == 4
-    assert stats["path"] == "dense" and stats["iterations"] == 0
-    assert stats["residual_history"] == []
+    # The exact inverse preconditions GMRES, which converges in one step.
+    assert stats["iterations"] == len(stats["residual_history"]) == 1
+    assert stats["residual_history"][0] <= 1e-8
     assert 0.0 < stats["rcond"] <= 1.0
     # Two bars three steps apart: each window (7 x 9 cells, node-node and
     # query-node) is within 32 cells for each of the 8 points it serves.
@@ -275,6 +257,14 @@ def test_bench_point_counts():
     assert _bench_points("dense", 64, 0.25, rng).shape[0] == 64 * 64
     assert _bench_points("random", 1024, 0.25, rng).shape[0] == 1024
     assert _bench_points("circle", 1024, 0.25, rng).shape[0] == 256
+
+
+def test_bench_random_spans_the_domain():
+    # Drawn uniformly: the first n of the sorted distinct draws would all
+    # have x below 0.51 n.
+    pts = _bench_points("random", 1024, 0.25, np.random.default_rng(0))
+    assert len(np.unique(pts, axis=0)) == 1024
+    assert pts[:, 0].max() > 0.9 * 1024 and pts[:, 1].max() > 0.9 * 1024
 
 
 def test_bench_csv_shape(capsys):

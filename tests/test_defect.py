@@ -45,7 +45,7 @@ def test_empty_spec_returns_far_field_exactly():
 
 
 def test_empty_query_list(monkeypatch):
-    for limit in (defect._DENSE_BAR_LIMIT, 0):  # dense, then GMRES
+    for limit in (defect._DENSE_BAR_LIMIT, 0):  # preconditioned, then not
         monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", limit)
         assert solve_defect(removed_bar_spec(), (1.0, 0.0), queries=[]) == {}
 
@@ -305,7 +305,9 @@ def test_mixed_defects_residual(name):
     spec = DefectSpec(MIXED_DEFECTS[name])
     stats = {}
     u = solve_defect(spec, (0.5, -1.0), queries=with_neighbours(spec.nodes), stats=stats)
-    assert stats["path"] == "dense"
+    # The exact inverse preconditions GMRES: one iteration.
+    assert stats["rcond"] is not None and stats["iterations"] == 1
+    assert len(stats["residual_history"]) == 1
     assert defect_node_residual(spec, u) <= 1e-10
 
 
@@ -319,6 +321,7 @@ def sixty_bars():
 
 
 def test_dense_path_matches_gmres_path(monkeypatch):
+    # The preconditioned solve against the unpreconditioned one.
     spec = sixty_bars()
     assert len(spec) == 60
     queries = with_neighbours(spec.nodes) + [(100, -40)]
@@ -328,9 +331,10 @@ def test_dense_path_matches_gmres_path(monkeypatch):
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     u_gmres = solve_defect(spec, (1.0, 2.0), tol=1e-11, queries=queries,
                            stats=gmres_stats)
-    assert dense_stats["path"] == "dense" and dense_stats["iterations"] == 0
-    assert dense_stats["residual_history"] == []
-    assert gmres_stats["path"] == "gmres" and gmres_stats["s_path"] == "fft"
+    assert dense_stats["rcond"] is not None and dense_stats["s_path"] is None
+    assert dense_stats["iterations"] == len(dense_stats["residual_history"]) == 1
+    assert dense_stats["residual_history"][0] <= 1e-11
+    assert gmres_stats["rcond"] is None and gmres_stats["s_path"] == "fft"
     assert gmres_stats["kernel_source"] == gmres_stats["eval_source"] == "window"
     hist = gmres_stats["residual_history"]
     assert gmres_stats["iterations"] == len(hist) > 0 and hist[-1] <= 1e-11
@@ -362,6 +366,9 @@ def inclusion(side, dc):
 
 @pytest.mark.parametrize("name", ["crack", "inclusion"] + sorted(MIXED_DEFECTS))
 def test_window_gathers_match_kernel_matrix_bytes(name, monkeypatch):
+    # The bar matrix, and so z, is the same to the byte from either source.
+    # The outputs are not: the queries are summed by FFT on the window and
+    # directly from kernel_matrix rows.
     if name == "crack":
         spec, queries = crack(48, offset=(-7, 300))
     elif name == "inclusion":
@@ -369,14 +376,22 @@ def test_window_gathers_match_kernel_matrix_bytes(name, monkeypatch):
     else:
         spec = DefectSpec(MIXED_DEFECTS[name])
         queries = with_neighbours(spec.nodes)
+    bar_kernel, inverse_rcond, gmres = defect._bar_kernel, defect._inverse_rcond, defect.gmres
+    made = {}
+    monkeypatch.setattr(defect, "_bar_kernel", lambda *a: made.setdefault("mat", bar_kernel(*a)))
+    monkeypatch.setattr(defect, "_inverse_rcond",
+                        lambda mat: made.setdefault("inv", inverse_rcond(mat)))
+    monkeypatch.setattr(defect, "gmres", lambda *a, **k: made.setdefault("y", gmres(*a, **k)))
     outputs = {}
     for per_point, source in ((np.inf, "window"), (0, "phi")):
         monkeypatch.setattr(defect, "_WINDOW_CELLS_PER_POINT", per_point)
         stats = {}
-        u = solve_defect(spec, (0.5, -1.0), queries=queries, stats=stats)
-        assert stats["path"] == "dense"
+        made.clear()
+        solve_defect(spec, (0.5, -1.0), queries=queries, stats=stats)
+        assert stats["rcond"] is not None
         assert stats["kernel_source"] == stats["eval_source"] == source
-        outputs[source] = np.array(list(u.values())).tobytes()
+        (inv, rcond), (y, _) = made["inv"], made["y"]
+        outputs[source] = [made["mat"].tobytes(), inv.tobytes(), rcond, y.tobytes()]
     assert outputs["window"] == outputs["phi"]
 
 
@@ -392,7 +407,7 @@ def test_fft_gmres_matches_dense(case, monkeypatch):
     u_dense = solve_defect(spec, (0.3, 1.0), tol=tol, queries=queries, stats=dense_stats)
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     u_fft = solve_defect(spec, (0.3, 1.0), tol=tol, queries=queries, stats=fft_stats)
-    assert dense_stats["path"] == "dense" and fft_stats["s_path"] == "fft"
+    assert dense_stats["rcond"] is not None and fft_stats["s_path"] == "fft"
     scale = max(abs(v) for v in u_dense.values())
     assert max(abs(u_dense[p] - u_fft[p]) for p in queries) <= tol * scale
     assert defect_node_residual(spec, u_fft) <= 10 * tol
@@ -451,6 +466,7 @@ def test_solve_stats_fields():
     assert all(t >= 0.0 for t in times)
     assert sum(times) <= stats["wall_time"]
     assert 0.0 < stats["rcond"] <= 1.0
+    assert stats["iterations"] == len(stats["residual_history"]) == 1
     assert stats["kernel_source"] == stats["eval_source"] == "window"
     assert stats["s_path"] is None
     # Node-node window 11 x 3, query-node window (7 + 5 + 1) x (3 + 1 + 1).
@@ -510,6 +526,23 @@ def test_spread_queries_peak_memory():
     assert peak < 1.5e6
 
 
+@pytest.mark.parametrize("dc", [-0.5, 4.0])
+def test_inclusion_peak_memory(dc):
+    # 1984 bars, solved by GMRES in 7-9 steps: a workspace of restart + 1 =
+    # 201 basis vectors would take 3.2 MB, and the returned dict of 1156
+    # queries takes ~0.3 MB.
+    spec, queries = inclusion(32, dc)
+    bars = spec.bars
+    solve_defect(spec, (1.0, 0.5), queries=queries)
+    tracemalloc.start()
+    try:
+        solve_defect(DefectSpec(bars), (1.0, 0.5), queries=queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def test_spread_targets_keep_the_fmm():
     # 10^5 targets 8 nodes apart around a 200-bar crack: a 7M-cell window,
     # about 68 cells per point.
@@ -563,23 +596,16 @@ def assembled_system(spec):
     return np.eye(len(ia)) + dc[:, None] * (d @ kernel_matrix(nodes, nodes) @ d.T)
 
 
-def solver_rcond(mat, monkeypatch):
-    """solve_defect's rcond for the bar matrix ``mat``, or None when it
-    judges mat singular: m bars of delta 1 whose D S D^T is mat - I, so
-    the solver's mat is (mat - I) + I, the one the reference is given."""
-    m = len(mat)
-    shifted = mat - np.eye(m)
-    monkeypatch.setattr(defect, "_bar_kernel", lambda *args: shifted.copy())
-    stats = {}
+def guard_rcond(mat):
+    """The solver's rcond for the bar matrix ``mat``, or None when its
+    guard judges mat singular."""
     try:
-        solve_defect(DefectSpec([((i, 0), (i, 1), 1.0) for i in range(m)]),
-                     (0.0, 1.0), queries=[], stats=stats)
+        return defect._inverse_rcond(mat)[1]
     except RuntimeError:
         return None
-    return stats["rcond"]
 
 
-def test_rcond_is_exact(monkeypatch):
+def test_rcond_is_exact():
     # numpy's and scipy's inverses differ by O(eps / rcond) relative, so
     # the two condition numbers by O(eps) absolute (at most eps / 8 here).
     eps = np.finfo(float).eps
@@ -595,12 +621,30 @@ def test_rcond_is_exact(monkeypatch):
     mats = list(synthetic_matrices()) + assembled
     assert len(mats) == 228 + 8
     for mat in mats:
-        got = solver_rcond(mat, monkeypatch)
-        ref = exact_rcond(mat - np.eye(len(mat)) + np.eye(len(mat)))
+        got = guard_rcond(mat)
+        ref = exact_rcond(mat)
         threshold = len(mat) * eps  # solve_defect's singularity rule
         assert (got is not None) == (ref > threshold), (len(mat), got, ref)
         if got is not None:
             assert abs(got - ref) <= eps, (len(mat), got, ref)
+
+
+def test_ill_conditioned_small_system_raises(monkeypatch):
+    # rcond 6e-13 passes the singularity guard (m eps = 1.8e-15), but the
+    # preconditioned products round at about eps / rcond, so GMRES stalls
+    # at a relative residual of 4e-5, above tol, and says so instead of
+    # returning that answer.
+    rng = np.random.default_rng(7)
+    u, v = (np.linalg.qr(rng.standard_normal((8, 8)))[0] for _ in range(2))
+    mat = (u * np.logspace(0, -12, 8)) @ v.T
+    assert guard_rcond(mat) > 8 * np.finfo(float).eps
+    # m bars of delta 1 whose D S D^T is mat - I: the solver's matrix is mat.
+    monkeypatch.setattr(defect, "_bar_kernel", lambda *args: mat - np.eye(8))
+    with pytest.raises(RuntimeError, match=(
+        r"^defect solve did not converge: GMRES stopped after \d+ cycles at "
+        r"relative residual \S+, above tol 1\.00e-08")):
+        solve_defect(DefectSpec([((i, 0), (i, 1), 1.0) for i in range(8)]),
+                     (0.0, 1.0), queries=[])
 
 
 def fixed_nonsymmetric_system():
