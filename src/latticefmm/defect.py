@@ -349,20 +349,24 @@ def apply_S(points, charges, targets, eps: float = DEFAULT_EPS) -> np.ndarray:
     return _s_operator(tgt, pts, eps)[0](q)
 
 
-def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1):
+def _row_blocks(n_rows: int, n_cols: int, per_row: int = 1, least: int = 1):
     """Slices of n_rows rows, each taking about ``_BLOCK_ENTRIES`` kernel
-    entries when a row needs per_row kernel rows of n_cols entries."""
-    step = max(1, _BLOCK_ENTRIES // max(per_row * n_cols, 1))
+    entries when a row needs per_row kernel rows of n_cols entries, and at
+    least ``least`` rows."""
+    step = max(least, _BLOCK_ENTRIES // max(per_row * n_cols, 1))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
 
 
 def _bar_kernel(rows, n_nodes, ia, ib) -> np.ndarray:
     """D S D^T, assembled in row blocks of bars from the node-node kernel
-    ``rows`` (see ``_kernel``)."""
+    ``rows`` (see ``_kernel``).  A block holds at least 4 bars: one bar per
+    block made a 200-bar system 200 Python passes, 4.0 ms against 2.2 ms
+    with 4 (2 cores).  The gathers are exact, so the block size does not
+    change the bytes."""
     m = len(ia)
     out = np.empty((m, m), order="F")  # LAPACK's order: numpy copies it by columns
-    for blk in _row_blocks(m, n_nodes, per_row=2):
+    for blk in _row_blocks(m, n_nodes, per_row=2, least=4):
         r = blk.stop - blk.start
         k_ab = rows(np.concatenate([ia[blk], ib[blk]]))
         ds = k_ab[:r] - k_ab[r:]  # (D S)[blk], one column per node

@@ -11,24 +11,29 @@ potentials off it.
 
 A box that holds one point is carried as that point (the pruning of
 adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
-tree).  From level 2 down, a colleague or interaction pair of two
-one-point boxes is one point pair, phi(x_t - x_s) q_s, summed by
-``bincount``; it is not refined further, and a one-point box paired with
-itself is dropped, since phi(0) = 0.  The passes change to match:
+tree).  Below the run of grid levels (see T_ifo below), a colleague or
+interaction pair of two one-point boxes is one point pair,
+phi(x_t - x_s) q_s, summed by ``bincount``; it is not refined further, and
+a one-point box paired with itself is dropped, since phi(0) = 0.  The
+passes change to match:
 
 * upward: a one-point leaf contributes its point's interpolation column,
   the unit expansion e_p; a one-point box's parent that holds the same one
   point carries e_p on by T_ofo, and the first parent with more points
   receives e_p q_p.  Each level's expansions are held only until the next
   coarser level is formed; T_ifo runs on them at once, fine to coarse.
-* T_ifo: a one-point box's incoming expansion is folded into its point,
-  u_p += e_p . inc, at that level;
+* T_ifo: a one-point box's outgoing expansion is e_p q_p, and its incoming
+  expansion is folded into its point, u_p += e_p . inc, at that level, on
+  either T_ifo path;
 * downward: T_ifi runs over the boxes of more points only, and a point's
   top one-point box takes its parent's incoming expansion through T_ifi
   and folds it the same way.  This replaces the T_ifi chain below the
   point's top one-point level.
 
-A tree with no one-point box runs the plain five passes.
+A tree with no one-point box runs the plain five passes.  Inside the run
+of grid levels a pair of one-point boxes is a box pair like any other: a
+far pair goes on the grid and a near pair is refined as colleagues; only
+the expansion rules above apply to its boxes.
 
 The near field (each leaf against itself and its eight neighbours) takes
 one of two paths per leaf pair, chosen by occupancy.  A pair whose point
@@ -52,15 +57,20 @@ are built before the upward pass, which applies T_ifo; the point pairs
 are summed as they are found.  The leaf colleagues are the near-field
 pairs.
 
-T_ifo takes one of two paths per level.  A level with no one-point box
-whose interaction pairs fill its 2^l x 2^l box grid well
-(``_IFO_GRID_PAIRS_PER_CELL``) runs on that grid: no box at or above it
-holds one point, so its interaction lists are exactly the parity pattern
-among the occupied boxes, and each parent's 6 x 6 child neighbourhood
-times one (36 k x 4 k) operator gives its four children's incoming
-expansions, one GEMM for the level (batched M2L, Coulaud, Fortin & Roman,
-J. Comput. Phys. 227, 2008).  Its pairs are only counted.  Every other
-level applies its pairs grouped by offset, one GEMM per offset.
+T_ifo takes one of two paths per level.  The grid levels form one run
+from level 2 down: each level whose interaction pairs, those of one-point
+boxes included, fill its 2^l x 2^l box grid well
+(``_IFO_GRID_PAIRS_PER_CELL``) joins it, until the first level that does
+not.  No pair is made a point pair inside the run, so a grid level's
+interaction lists are exactly the parity pattern among the occupied boxes,
+and each parent's 6 x 6 child neighbourhood times one (36 k x 4 k)
+operator gives its four children's incoming expansions, one GEMM per
+chunk of parents (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys.
+227, 2008).  Its pairs are only counted, and the grid is filled in bands
+of parent rows, so it holds about ``_GRID_CHUNK`` entries at a time.
+Point pairs start at the first level below the run; no level below may
+rejoin the grid, which would count them twice.  Every level below the run
+applies its pairs grouped by offset, one GEMM per offset.
 
 Only occupied boxes are touched, except by the grid path; all per-level
 work is batched into dense matrix products over Morton-sorted arrays.
@@ -89,22 +99,33 @@ _MAX_LEAF_SIDE = 8
 assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the table"
 
 
-# Interaction pairs per cell of a level's 2^l x 2^l box grid from which
-# T_ifo runs on the grid (``FmmRun._across_grid``) rather than pair by pair;
-# a full level has up to 27.  The grid computes 144 k x k blocks per
-# parent, 36 per cell at most, whatever the fill.  On full 128^2 and 512^2
-# grids (levels 2-6, k = 28-36, 2 cores, median of 5-15 calls) a grid
-# block costs 54-118 ns at the wide levels 4-6 and a pair block 264-431
-# ns, so the grid pays from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs
-# per cell; at levels 2-3 the pair path's per-offset calls make a pair
-# block cost 1.1-6 us and the grid wins by more.  Each full level ran 2.2
-# to 3.5 times faster on the grid.
+# Interaction pairs per cell of a level's 2^l x 2^l box grid, those of
+# one-point boxes included, from which T_ifo runs on the grid
+# (``FmmRun._across_grid``) rather than pair by pair; a full level has up
+# to 27.  The grid computes 144 k x k blocks per occupied parent, 36 per
+# cell at most, whatever the fill.  On full 128^2 and 512^2 grids (levels
+# 2-6, k = 28-36, 2 cores, median of 5-15 calls) a grid block costs 54-118
+# ns at the wide levels 4-6 and a pair block 264-431 ns, so the grid pays
+# from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs per cell; at levels
+# 2-3 the pair path's per-offset calls make a pair block cost 1.1-6 us and
+# the grid wins by more.  Each full level ran 2.2 to 3.5 times faster on
+# the grid.  Partly filled levels, where many boxes hold one point (same
+# host, warm, the run forced to end above or at the level): level 7 of
+# 16384 uniform points on 16384^2 (10.4 pairs per cell, 63 % of cells
+# occupied) takes 48-50 ms on the grid against 75 ms pair by pair, and
+# level 9 of 2^18 on 2^18 x 2^18 (10.7 per cell) 0.74 against 1.26 s, with
+# 0.09 s less list building: the grid pays from 5.5-7.0 pairs per cell.
+# The next levels of both loads, at 1.3 pairs per cell, run 4-5 times
+# faster pair by pair (27 against 117 ms, 0.40 against 2.16 s).
 _IFO_GRID_PAIRS_PER_CELL = 8
 
-# Entries per chunk of the stencil products of T_ofs and T_tfi and of the
-# neighbourhood rows of grid T_ifo: they bound those temporaries.
+# Entries per chunk of the stencil products of T_ofs and T_tfi, and per
+# band and per chunk of neighbourhood rows of grid T_ifo: they bound those
+# temporaries.  On the 16384 uniform points above, grid chunks of 2^18
+# entries (2 MB) hold the traced peak of a call at 16.7 MB against 27.6 MB
+# with 2^20; the levels of a full 128^2 or 512^2 grid fill in one band.
 _STENCIL_CHUNK = 1 << 22
-_GRID_CHUNK = 1 << 20
+_GRID_CHUNK = 1 << 18
 
 
 def _child_codes():
@@ -149,11 +170,14 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     """Colleagues, grouped interaction pairs and point pairs at ``lvl`` from
     the target-major colleagues (tgt, src, code) at ``lvl - 1``.
 
-    From level 2 down, a pair of two one-point boxes leaves both lists: it
-    is one point pair, returned as the boxes' sorted point indices (tgt,
-    src), or nothing when the box meets itself, since phi(0) = 0.  Its
-    children are not formed at the next level.  Where ``on_grid(lvl,
-    n_far)`` holds, the interaction pairs are only counted.
+    From level 2 down, while ``on_grid`` is given, the level joins the run
+    of grid levels if ``on_grid(lvl, n_far)`` holds for its n_far
+    interaction pairs, one-point boxes included: those pairs are only
+    counted, and a pair of one-point boxes stays a box pair.  Otherwise (and
+    always once ``on_grid`` is None) a pair of two one-point boxes leaves
+    both lists: it is one point pair, returned as the boxes' sorted point
+    indices (tgt, src), or nothing when the box meets itself, since
+    phi(0) = 0.  Its children are not formed at the next level.
     """
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
@@ -179,8 +203,14 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     src = kids.ravel()[pick]
     code = _CHILD_CODE[(half[:, None] + np.arange(4, dtype=np.int16)).ravel()[pick]]
     del b, half, kids, found, pick
-    boxes = np.ones(len(tgt), dtype=bool)
+    is_near = code < len(_NEAR_OFFSETS)
     points = (np.empty(0, dtype=np.int64),) * 2
+    if lvl >= 2 and on_grid is not None:
+        n_far = len(code) - int(np.count_nonzero(is_near))
+        if on_grid(lvl, n_far):
+            near = np.flatnonzero(is_near)
+            return (tgt[near], src[near], code[near]), n_far, points
+    boxes = np.ones(len(tgt), dtype=bool)
     if lvl >= 2:
         start = tree.ptr[lvl]
         single = np.diff(start) == 1
@@ -188,17 +218,13 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
         pick = np.flatnonzero(~boxes & (tgt != src))
         points = (start[tgt[pick]], start[src[pick]])
         del pick
-    is_near = code < len(_NEAR_OFFSETS)
     near = np.flatnonzero(boxes & is_near)
     colleagues = (tgt[near], src[near], code[near])
     del near
-    far = boxes & ~is_near
-    interactions = int(np.count_nonzero(far))
-    if not on_grid(lvl, interactions):
-        far = np.flatnonzero(far)
-        interactions = _by_code(
-            tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
-        )
+    far = np.flatnonzero(boxes & ~is_near)
+    interactions = _by_code(
+        tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
+    )
     return colleagues, interactions, points
 
 
@@ -212,11 +238,19 @@ def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
     Colleagues are (tgt, src, code), target-major, with code the
     ``_NEAR_OFFSETS`` index of src - tgt (the box itself included, at
     (0, 0)); interactions are grouped by ``INTERACTION_OFFSETS`` index as
-    by ``_by_code``; points are the (tgt, src) sorted point indices of the
-    pairs of one-point boxes, which from level 2 down replace such box
-    pairs in the other two lists.  On a level where ``on_grid(lvl,
-    n_far)`` holds for its n_far interaction pairs, the interactions are
-    that count alone.
+    by ``_by_code``; points are the (tgt, src) sorted point indices of
+    pairs of one-point boxes.
+
+    The grid levels form one run from level 2: each level joins it while
+    ``on_grid(lvl, n_far)`` holds for its n_far interaction pairs, and the
+    first level where it fails ends the run.  A grid level's interactions
+    are that count alone, and it makes no point pairs: there a pair of
+    one-point boxes is a box pair, far on the grid or near as colleagues,
+    refined at the next level.  From the first level below the run, every
+    pair of one-point boxes is a point pair, which replaces it in the
+    other two lists and is not refined.  No level below may rejoin the
+    grid: the grid reads every pair of occupied boxes and would count the
+    point pairs twice.
     """
     one = np.zeros(1, dtype=np.int32)
     colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
@@ -225,6 +259,8 @@ def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
     yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64)), no_points
     for lvl in range(1, tree.L + 1):
         colleagues, interactions, points = _child_lists(tree, lvl, colleagues, on_grid)
+        if lvl >= 2 and not isinstance(interactions, int):
+            on_grid = None  # the run has ended
         yield colleagues, interactions, points
 
 
@@ -274,10 +310,20 @@ class FmmRun:
             n_ops = len(self.chain.ops)
             self.chain.ensure(tree.side_of(2))
             self.chain_built = len(self.chain.ops) > n_ops
+            # The grid operators of the levels that may join the grid run (a
+            # box has at most 27 interaction pairs) are built before any
+            # list: built mid-call, these long-lived arrays would sit above
+            # the call's freed lists on the heap and keep it from shrinking
+            # (uniform 2^18: 448 against 369 MB peak RSS over four calls).
+            for lvl in range(2, tree.L + 1):
+                if 27 * len(tree.codes[lvl]) < _IFO_GRID_PAIRS_PER_CELL * 4**lvl:
+                    break
+                self._ops(lvl).t_ifo_grid
         self.t_chain = time.perf_counter() - t0
         self.times: dict[str, float] = {}
         self.ifo_pairs_per_level = [0] * (tree.L + 1)
         self.ifo_grid_levels: list[int] = []
+        self.ifo_seconds = [0.0] * (tree.L + 1)
         self.point_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
@@ -303,34 +349,39 @@ class FmmRun:
     def _lists(self, q_sorted, u):
         """Build every level's lists, coarse to fine; sum the point pairs
         into ``u`` and return the T_ifo pairs by level and the leaf
-        colleagues."""
+        colleagues.  Building the lists counts in ``t_lists``, the point
+        pairs in the T_ifo seconds of their level."""
         rel = self.tree.rel_sorted
+        clock = time.perf_counter
         chunk = 1 << 16  # bounds phi's temporaries
         ifo = {}
+        t0 = clock()
         for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree, self._on_grid)):
-            on_grid = isinstance(pairs, int)
-            self.ifo_pairs_per_level[lvl] = pairs if on_grid else len(pairs[0])
-            self.point_pairs_per_level[lvl] = len(tgt)
-            if on_grid:
-                self.ifo_grid_levels.append(lvl)
+            t1 = clock()
+            self.times["t_lists"] += t1 - t0
             if lvl >= 2:
+                on_grid = isinstance(pairs, int)
+                self.ifo_pairs_per_level[lvl] = pairs if on_grid else len(pairs[0])
+                self.point_pairs_per_level[lvl] = len(tgt)
+                if on_grid:
+                    self.ifo_grid_levels.append(lvl)
                 ifo[lvl] = None if on_grid else pairs
-            # Targets ascend, so each chunk adds to one run of points.
-            for lo in range(0, len(tgt), chunk):
-                t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
-                d = rel[t] - rel[s]
-                u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+                # Targets ascend, so each chunk adds to one run of points.
+                for lo in range(0, len(tgt), chunk):
+                    t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
+                    d = rel[t] - rel[s]
+                    u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+                self.ifo_seconds[lvl] += clock() - t1
+            t0 = clock()
         return ifo, colleagues
 
     def _on_grid(self, lvl, n_far):
         """Whether T_ifo at ``lvl`` runs on the level's dense box grid
-        (``_across_grid``): no box holds one point, and the n_far
-        interaction pairs fill the grid well enough to pay for it."""
-        return (
-            lvl >= 2
-            and n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
-            and int(np.diff(self.tree.ptr[lvl]).min()) >= 2
-        )
+        (``_across_grid``): its n_far interaction pairs, those of one-point
+        boxes included, fill the grid well enough to pay for it.
+        ``level_lists`` asks level by level from level 2 and stops at the
+        first no, so the grid levels form one run."""
+        return n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
 
     def _stencil_chunks(self, multi, slot_of_point):
         """The leaves of two or more points in chunks, for the dense s x s
@@ -391,11 +442,11 @@ class FmmRun:
             self.times["t_upward"] += t1 - t0
             pairs = ifo.pop(lvl)
             if pairs is None:
-                incoming[lvl] = self._across_grid(lvl, x)
+                incoming[lvl] = self._across_grid(lvl, x, single, q_sorted, u)
             else:
                 incoming[lvl] = self._across(lvl, x, single, pairs, q_sorted, u)
             t0 = clock()
-            self.times["t_ifo"] += t0 - t1
+            self.ifo_seconds[lvl] += t0 - t1
             if lvl == 2:
                 break
             parent = tree.parent_index[lvl]
@@ -464,41 +515,79 @@ class FmmRun:
         kept[row[rows[~one]]] = inc[~one]
         return kept
 
-    def _across_grid(self, lvl, x):
-        """T_ifo at a level of boxes of two or more points, on its dense
-        2^l x 2^l box grid, one GEMM per chunk of parents.
+    def _across_grid(self, lvl, x, single, q_sorted, u):
+        """T_ifo at one level on its dense 2^l x 2^l box grid, one GEMM per
+        chunk of parents.  Folds each one-point box's incoming expansion
+        into its point and returns those of the boxes of two or more points,
+        as ``_across`` does.
 
-        The outgoing expansions are scattered once onto the grid, padded by
-        two empty cells per side; each parent's 6 x 6 child neighbourhood,
-        read as one row, times ``t_ifo_grid`` gives the incoming expansions
-        of its four children.  With no one-point box at this level or
-        above, the interaction list of a box is exactly the parity pattern
-        that operator encodes, restricted to the occupied boxes, and the
-        empty cells are zero.  Returns the incoming expansion of every box.
+        The outgoing expansions (x scaled by the point's charge for a
+        one-point box) are scattered onto the grid, padded by two empty
+        cells per side; each parent's 6 x 6 child neighbourhood, read as one
+        row, times ``t_ifo_grid`` gives the incoming expansions of its four
+        children.  On a level of the grid run no pair was made a point pair
+        at or above it, so the interaction list of a box is exactly the
+        parity pattern that operator encodes, restricted to the occupied
+        boxes, and the empty cells are zero.  The grid is filled in bands of
+        parent rows, each with the two child rows either side that its
+        neighbourhoods reach, so it holds about ``_GRID_CHUNK`` entries at
+        most (one band of the whole grid on smaller levels).
         """
         tree = self.tree
         w = self._ops(lvl).t_ifo_grid
         k = x.shape[1]
         side = 1 << lvl
-        grid = np.zeros((side + 4, side + 4, k))
+        start = tree.ptr[lvl]
         # Box (x, y) of a level holds the points whose coordinates over the
         # box side are (x, y); a box's first point names it.
-        box = tree.rel_sorted[tree.ptr[lvl][:-1]] // tree.side_of(lvl) + 2
-        grid[box[:, 0], box[:, 1]] = x
-        # hood[px, py] is the (6, 6 k) neighbourhood of parent (px, py):
-        # six runs of six cells, each run contiguous.
-        hood = sliding_window_view(grid.reshape(side + 4, -1), (6, 6 * k))[::2, :: 2 * k]
+        bx, by = (tree.rel_sorted[start[:-1]] // tree.side_of(lvl)).T
         px, py = (tree.rel_sorted[tree.ptr[lvl - 1][:-1]] // tree.side_of(lvl - 1)).T
         parent = tree.parent_index[lvl]
         quad = (tree.codes[lvl] & 3).astype(np.int64)
-        inc = np.empty_like(x)
+        charge = np.where(single, q_sorted[start[:-1]], 1.0)
+        _, row = _multi_rows(tree, lvl)
+        kept = np.empty((len(x) - int(np.count_nonzero(single)), k))
+        rows = max(1, min(side // 2, (_GRID_CHUNK // ((side + 4) * k) - 4) // 2))
+        n_bands = -(-(side // 2) // rows)
+        # Parents by band, and the boxes alike by their parent's band, each
+        # in Morton order within a band: the children of a run of a band's
+        # parents are then one run of boxes.
+        band = px // rows
+        porder = np.argsort(band, kind="stable")
+        bounds = np.searchsorted(band[porder], np.arange(n_bands + 1))
+        corder = np.argsort(band[parent], kind="stable")
+        pos = np.empty_like(porder)
+        pos[porder] = np.arange(len(porder))
+        key = pos[parent[corder]]
+        del band, pos
+        by_row = np.argsort(bx, kind="stable")
+        row_sorted = bx[by_row]
+        grid = np.zeros((2 * rows + 4, side + 4, k))
+        # hood[i, py] is the (6, 6 k) neighbourhood of the band's parent
+        # (i + first row, py): six runs of six cells, each run contiguous.
+        hood = sliding_window_view(grid.reshape(2 * rows + 4, -1), (6, 6 * k))[::2, :: 2 * k]
         chunk = max(1, _GRID_CHUNK // w.shape[0])
-        for lo in range(0, len(px), chunk):
-            hi = min(lo + chunk, len(px))
-            out = (hood[px[lo:hi], py[lo:hi]].reshape(hi - lo, -1) @ w).reshape(hi - lo, 4, k)
-            b0, b1 = np.searchsorted(parent, (lo, hi))
-            inc[b0:b1] = out[parent[b0:b1] - lo, quad[b0:b1]]
-        return inc
+        for j in range(n_bands):
+            if bounds[j] == bounds[j + 1]:
+                continue
+            top = 2 * j * rows - 2  # the child row at the band's grid row 0
+            s0, s1 = np.searchsorted(row_sorted, (top, top + 2 * rows + 4))
+            cells = by_row[s0:s1]
+            gx, gy = bx[cells] - top, by[cells] + 2
+            grid[gx, gy] = x[cells] * charge[cells, None]
+            for lo in range(bounds[j], bounds[j + 1], chunk):
+                hi = min(lo + chunk, bounds[j + 1])
+                ps = porder[lo:hi]
+                out = (hood[px[ps] - j * rows, py[ps]].reshape(hi - lo, -1) @ w).reshape(hi - lo, 4, k)
+                b0, b1 = np.searchsorted(key, (lo, hi))
+                kids = corder[b0:b1]
+                inc = out[key[b0:b1] - lo, quad[kids]]
+                one = single[kids]
+                b = kids[one]
+                u[start[b]] += np.einsum("ij,ij->i", x[b], inc[one])
+                kept[row[kids[~one]]] = inc[~one]
+            grid[gx, gy] = 0.0
+        return kept
 
     def _down(self, incoming, tops, slot_of_point, lin, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
@@ -617,20 +706,16 @@ class FmmRun:
         clock = time.perf_counter
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
         counts, slot_of_point, lin = self._leaf_geometry()
-        self.times = dict.fromkeys(("t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
+        self.times = dict.fromkeys(("t_lists", "t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
+        self.ifo_seconds = [0.0] * (tree.L + 1)
         u_sorted = np.zeros(len(q_sorted))
-        t0 = clock()
         ifo, colleagues = self._lists(q_sorted, u_sorted)
-        t1 = clock()
-        if self.chain is None:
-            # Under two levels the lists are only the leaf colleagues.
-            self.times["t_near"] += t1 - t0
-        else:
-            self.times["t_ifo"] += t1 - t0
+        if self.chain is not None:
             incoming, tops = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
             t1 = clock()
             self._down(incoming, tops, slot_of_point, lin, u_sorted)
             self.times["t_downward"] = clock() - t1
+        self.times["t_ifo"] = sum(self.ifo_seconds)
         t1 = clock()
         u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin, colleagues)
         self.times["t_near"] += clock() - t1
@@ -662,6 +747,7 @@ class FmmRun:
             "single_boxes_per_level": [int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr],
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
             "ifo_grid_levels": list(self.ifo_grid_levels),
+            "t_ifo_per_level": list(self.ifo_seconds),
             "point_pairs_per_level": list(self.point_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
@@ -684,18 +770,22 @@ def fmm_apply(
     evaluation points (they are added as zero-charge nodes, and coinciding
     source/target points are fine).  ``stats``, if given, is filled with
     run counters: tree depth, wall time, seconds per pass (``t_tree``;
-    ``t_chain``, spent extending the shared operator chain, with
-    ``chain_built`` true if this call built any of it; ``t_upward``;
-    ``t_ifo``, which includes building the interaction and neighbour lists
-    and summing the point pairs; ``t_downward``; ``t_near``), lists indexed
-    by level 0..L (``boxes_per_level`` occupied boxes,
-    ``single_boxes_per_level`` those holding one point,
-    ``ifo_pairs_per_level`` T_ifo blocks, ``point_pairs_per_level`` pairs
-    of one-point boxes summed as point pairs, and ``ranks_per_level``
-    skeleton ranks; the last three read 0 at levels 0 and 1, which have no
-    interaction lists), ``ifo_grid_levels`` (the levels whose T_ifo ran on
-    the dense box grid, one GEMM over each parent's child neighbourhood;
-    the others ran pair by pair, see the module docstring), near-field work (``near_pairs`` point pairs, of
+    ``t_chain``, spent extending the shared operator chain and building
+    the grid operators of the levels that may run T_ifo on the grid, with
+    ``chain_built`` true if this call extended the chain; ``t_lists``, building
+    the interaction and neighbour lists of every level; ``t_upward``;
+    ``t_ifo``, the T_ifo translations and the point-pair sums;
+    ``t_downward``; ``t_near``), lists indexed by level 0..L
+    (``boxes_per_level`` occupied boxes, ``single_boxes_per_level`` those
+    holding one point, ``ifo_pairs_per_level`` T_ifo blocks,
+    ``point_pairs_per_level`` pairs of one-point boxes summed as point
+    pairs, ``t_ifo_per_level`` the seconds of ``t_ifo`` spent at each level,
+    on the grid or pair by pair, and ``ranks_per_level`` skeleton ranks;
+    the last four read 0 at levels 0 and 1, which have no interaction
+    lists), ``ifo_grid_levels`` (the run of levels from 2 whose T_ifo ran
+    on the dense box grid, one GEMM over each parent's child neighbourhood;
+    the others ran pair by pair, see the module docstring), near-field
+    work (``near_pairs`` point pairs, of
     which ``near_ragged_pairs`` were summed pair by pair and the rest in
     ``near_gemm_blocks`` stencil block products), and ``op_entries``, the
     operator data instantiated for this problem: k leaf interpolation

@@ -45,7 +45,8 @@ def scaling_runs():
         rng = np.random.default_rng(exp)
         pts = np.unique(rng.integers(0, n, size=(n + n // 2, 2)), axis=0)
         assert pts.shape[0] >= n
-        pts = pts[:n]
+        # np.unique sorts: a uniform sample, not the leftmost n points.
+        pts = pts[rng.permutation(len(pts))[:n]]
         q = rng.standard_normal(n)
         times = []
         for _ in range(3):

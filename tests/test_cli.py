@@ -293,8 +293,12 @@ def test_bench_json_records(capsys):
     for rec in records:
         stats = rec["stats"]
         assert rec["N_source"] == stats["n_source"] == rec["n"]
-        assert {"wall_time", "t_ifo", "t_chain", "chain_built", "op_entries"} <= set(stats)
+        assert {"wall_time", "t_lists", "t_ifo", "t_chain", "chain_built", "op_entries"} <= set(stats)
         assert len(stats["boxes_per_level"]) == stats["levels"]
+        # Per-level T_ifo seconds: none at levels 0-1, and they make up t_ifo.
+        per_level = stats["t_ifo_per_level"]
+        assert len(per_level) == stats["levels"] and per_level[:2] == [0.0, 0.0]
+        assert sum(per_level) == pytest.approx(stats["t_ifo"], rel=1e-12)
         # The warm-up call built the chain; the recorded call reuses it.
         assert stats["chain_built"] is False
         # The cold call is reported beside the warm one; its chain time is
@@ -306,14 +310,19 @@ def test_bench_json_records(capsys):
 
 
 def test_bench_json_names_grid_levels(capsys):
-    # Full 64 x 64 grid: every level from 2 runs T_ifo on its box grid; a
-    # random load has one-point boxes and runs none there.
+    # Full 64 x 64 grid: every level from 2 runs T_ifo on its box grid.  A
+    # random load of 64 points on 64 x 64 fills level 2 (156 pairs on 16
+    # cells, one box of one point), not level 3 (288 pairs on 64 cells).
     rc, out = run_cli(capsys, "bench", "--distribution", "dense", "--n", "64", "--json")
     assert rc == 0
     stats = json.loads(out)["stats"]
     assert stats["ifo_grid_levels"] == list(range(2, stats["levels"]))
     rc, out = run_cli(capsys, "bench", "--distribution", "random", "--n", "64", "--json")
-    assert json.loads(out)["stats"]["ifo_grid_levels"] == []
+    stats = json.loads(out)["stats"]
+    assert stats["ifo_grid_levels"] == [2] and stats["levels"] == 4
+    assert stats["ifo_pairs_per_level"] == [0, 0, 156, 288]
+    assert stats["single_boxes_per_level"][2] == 1
+    assert stats["point_pairs_per_level"][:3] == [0, 0, 0] and stats["point_pairs_per_level"][3] > 0
 
 
 def test_bench_rejects_bad_inputs(capsys):

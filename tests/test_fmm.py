@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from latticefmm.oracle import direct_sum
 from latticefmm.tree import build_tree
 
 from fmm_reference import dense_solve_truncated, direct_near_field, estimate_complexity
-from tree_reference import box_by_id, single_point_pairs, total_boxes
+from tree_reference import (
+    box_by_id,
+    clustered_points,
+    grid_run,
+    reference_pairs,
+    single_point_pairs,
+    sparse_points,
+    total_boxes,
+)
 
 
 def random_sources(rng, n, box):
@@ -222,7 +231,7 @@ def test_eps_range_enforced(eps):
         fmm_apply([(0, 0), (5, 1)], [1.0, 2.0], eps=eps)
 
 
-PASS_TIMES = ("t_tree", "t_chain", "t_upward", "t_ifo", "t_downward", "t_near")
+PASS_TIMES = ("t_tree", "t_chain", "t_lists", "t_upward", "t_ifo", "t_downward", "t_near")
 
 
 def test_stats_reported():
@@ -268,13 +277,21 @@ def test_per_level_stats(monkeypatch):
     assert second["ranks_per_level"] == [0, 0] + [
         chain.ops[tree.side_of(lvl)].skeleton.rank for lvl in range(2, tree.L + 1)
     ]
-    want = [single_point_pairs(tree, lvl) for lvl in range(tree.L + 1)]
+    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
+    assert second["ifo_grid_levels"] == run
+    want = [single_point_pairs(tree, lvl, run) for lvl in range(tree.L + 1)]
     assert second["ifo_pairs_per_level"] == [len(far) for _, far, _ in want]
     assert second["point_pairs_per_level"] == [len(points) for _, _, points in want]
     assert second["single_boxes_per_level"] == [
         int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr
     ]
     assert second["ifo_pairs_per_level"][:2] == second["point_pairs_per_level"][:2] == [0, 0]
+    # T_ifo seconds per level: none at levels 0-1, some at every level of
+    # pairs, and together t_ifo.
+    per_level = second["t_ifo_per_level"]
+    assert len(per_level) == second["levels"] and per_level[:2] == [0.0, 0.0]
+    assert all(t > 0.0 for t, n in zip(per_level, second["ifo_pairs_per_level"]) if n)
+    assert sum(per_level) == second["t_ifo"]
     assert json.loads(json.dumps(second)) == second
 
 
@@ -502,20 +519,29 @@ MIXED = [(seed, with_targets) for seed in (3, 4) for with_targets in (False, Tru
 
 @pytest.mark.parametrize("seed,with_targets", MIXED)
 def test_every_point_pair_covered_once(seed, with_targets):
-    """T_ifo blocks (|b| |c| point pairs each), point pairs, near-field pairs
-    and the dropped self pairs of one-point boxes make up N^2, over the
-    nodes the tree holds (sources and targets), and the stats agree."""
+    """T_ifo blocks (|b| |c| point pairs each, on the grid levels too),
+    point pairs, near-field pairs and the dropped self pairs of one-point
+    boxes make up N^2, over the nodes the tree holds (sources and targets),
+    under the grid run the FMM took, and the stats agree."""
     pts, targets = mixed_load(seed, with_targets)
     nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
     stats = {}
     fmm_apply(pts, rng_charges(len(pts)), targets=targets, stats=stats)
     tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     assert stats["n_points"] == len(nodes) and tree.L >= 8
+    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
+    assert stats["ifo_grid_levels"] == run and len(run) >= 2
     blocks = points = 0
     seen = set()
-    for lvl, (colleagues, (tgt, src, _), (ptgt, psrc)) in enumerate(level_lists(tree)):
+    lists = level_lists(tree, lambda lvl, n_far: lvl in run)
+    for lvl, (colleagues, far, (ptgt, psrc)) in enumerate(lists):
         count = np.diff(tree.ptr[lvl])
-        blocks += int(np.sum(count[tgt] * count[src]))
+        if lvl in run:  # the grid's pairs are only counted: take the reference's
+            far = reference_pairs(tree, lvl)[1]
+            size = {b: len(box_by_id(tree, b).point_index) for pair in far for b in pair}
+            blocks += sum(size[b] * size[c] for b, c in far)
+        else:
+            blocks += int(np.sum(count[far[0]] * count[far[1]]))
         points += len(ptgt)
         seen.update(zip(ptgt.tolist(), psrc.tolist()))
     near = int(np.sum(count[colleagues[0]] * count[colleagues[1]]))
@@ -586,8 +612,8 @@ def _grid_load(kind):
 
 
 def _forced(monkeypatch, path, pts, q, targets=None):
-    """fmm_apply with every level of no one-point box on the grid path, or
-    none, by moving the crossover."""
+    """fmm_apply with every level from 2 on the grid path, or none, by
+    moving the crossover."""
     monkeypatch.setattr(fmm, "_IFO_GRID_PAIRS_PER_CELL", 0 if path == "grid" else 1 << 62)
     stats = {}
     u = fmm_apply(pts, q, targets=targets, stats=stats)
@@ -615,21 +641,81 @@ def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
     assert grid["shared_op_entries"] > pair["shared_op_entries"]
 
 
-def test_level_with_a_one_point_box_takes_pair_ifo(monkeypatch):
+def test_level_with_a_one_point_box_takes_grid_ifo(monkeypatch):
     # One 8 x 8 leaf of a 64 x 64 grid keeps one point: only the leaf
-    # level holds a one-point box.
+    # level holds a one-point box, and it runs on the grid too.
     pts = grid_points(64)
     x, y = pts[:, 0], pts[:, 1]
     emptied = (x >= 16) & (x < 24) & (y >= 16) & (y < 24) & ((x != 19) | (y != 21))
     pts = pts[~emptied]
     q = rng_charges(len(pts))
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
-    u_pair, _ = _forced(monkeypatch, "pair", pts, q)
+    u_pair, pair = _forced(monkeypatch, "pair", pts, q)
     levels = grid["levels"]
     assert grid["single_boxes_per_level"] == [0] * (levels - 1) + [1]
-    assert grid["ifo_grid_levels"] == list(range(2, levels - 1))
+    assert grid["ifo_grid_levels"] == list(range(2, levels))
+    assert grid["point_pairs_per_level"] == [0] * levels
+    assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
     assert np.max(np.abs(u_grid - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()
+
+
+@pytest.mark.parametrize("name,chunk", [("sparse", None), ("sparse", 50_000), ("clustered", None)])
+def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
+    # Forced on, the grid run reaches the leaf level and holds the one-point
+    # boxes of every level; forced off, every level runs pair by pair.
+    # Both sides meet the direct sum at the eps * sum |q| contract.
+    pts = {"sparse": sparse_points, "clustered": clustered_points}[name]()
+    q = rng_charges(len(pts))
+    if chunk is not None:
+        monkeypatch.setattr(fmm, "_GRID_CHUNK", chunk)
+    u_grid, grid = _forced(monkeypatch, "grid", pts, q)
+    u_pair, pair = _forced(monkeypatch, "pair", pts, q)
+    levels = grid["levels"]
+    assert grid["ifo_grid_levels"] == list(range(2, levels)) and pair["ifo_grid_levels"] == []
+    assert sum(grid["single_boxes_per_level"][2:]) > 0
+    # No pair of one-point boxes is pruned: the grid reads every far box
+    # pair, and the leaf colleagues go to the near field.
+    assert grid["point_pairs_per_level"] == [0] * levels
+    assert sum(pair["point_pairs_per_level"]) > 0
+    if chunk is not None:
+        # The deepest levels hold more than a chunk: they fill in bands.
+        k = grid["ranks_per_level"][-1]
+        assert ((1 << (levels - 1)) + 4) ** 2 * k > 4 * chunk
+    ref = direct_sum(pts, q)
+    for u in (u_grid, u_pair):
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(q).sum()
+        assert rel_l2(u, ref) <= 1e-9
+
+
+def test_grid_ifo_memory_is_banded():
+    # The leaf level of a uniform load: its whole padded grid would take
+    # (2^9 + 4)^2 k doubles, about 60 MB; a band and a product chunk hold
+    # about _GRID_CHUNK entries each, and the index arrays a few per box.
+    rng = np.random.default_rng(29)
+    flat = rng.choice(1 << 24, size=1 << 14, replace=False)
+    pts = np.column_stack([flat >> 12, flat & 4095])
+    tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    lvl = 9
+    assert tree.L == lvl
+    run = fmm.FmmRun(tree, 1e-10)
+    ops = run._ops(lvl)
+    k = ops.skeleton.rank
+    assert ops.t_ifo_grid.shape == (36 * k, 4 * k)  # built before tracing
+    n_boxes = len(tree.codes[lvl])
+    single = np.diff(tree.ptr[lvl]) == 1
+    assert 0 < np.count_nonzero(single) < n_boxes
+    x = rng.standard_normal((n_boxes, k))
+    q = rng.standard_normal(len(pts))
+    u = np.zeros(len(pts))
+    tracemalloc.start()
+    kept = run._across_grid(lvl, x, single, q, u)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    whole = ((1 << lvl) + 4) ** 2 * k * 8
+    assert kept.shape == (n_boxes - np.count_nonzero(single), k)
+    assert peak <= 2 * 8 * fmm._GRID_CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
+    assert peak < whole / 6, (peak, whole)
 
 
 def test_t_tfi_on_leaves_of_2_to_64_points(monkeypatch):

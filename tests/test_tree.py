@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latticefmm import fmm
 from latticefmm.fmm import _MAX_LEAF_SIDE, _NEAR_OFFSETS, _by_code, fmm_apply, level_lists
 from latticefmm.tree import INTERACTION_OFFSETS, build_tree, morton_decode
 
@@ -8,12 +9,15 @@ from tree_reference import (
     K_IFO,
     box_by_id,
     box_id,
+    clustered_points,
     compute_lists,
     dump,
+    grid_run,
     level_offset,
     locate_id,
     relative_ifo_offset,
     single_point_pairs,
+    sparse_points,
 )
 
 
@@ -179,26 +183,35 @@ def _pairs_by_offset(tree, level, pairs, offsets):
     return out
 
 
-def _clustered_points():
-    # A full 16 x 16 block plus isolated points: most siblings of the
-    # isolated points' boxes are empty, at every level.
-    rng = np.random.default_rng(5)
-    far = rng.integers(0, 4096, size=(60, 2))
-    return np.unique(np.vstack([dense_grid(16) + 1000, far]), axis=0)
-
-
-def _sparse_points():
-    rng = np.random.default_rng(11)
-    return np.unique(rng.integers(0, 1 << 14, size=(2000, 2)), axis=0)
-
-
 LIST_TREES = {
     "dense8": lambda: build_tree(dense_grid(8), nleaf=1),
-    "sparse": lambda: build_tree(_sparse_points(), nleaf=64, max_leaf_side=_MAX_LEAF_SIDE),
-    "clustered": lambda: build_tree(_clustered_points(), nleaf=4),
+    "sparse": lambda: build_tree(sparse_points(), nleaf=64, max_leaf_side=_MAX_LEAF_SIDE),
+    "clustered": lambda: build_tree(clustered_points(), nleaf=4),
     "L0": lambda: build_tree([(5, -3), (6, -3)], nleaf=4),
     "L1": lambda: build_tree([(0, 0), (1, 0), (0, 1), (1, 1)], nleaf=1),
 }
+
+
+def _check_lists(tree, levels, run):
+    """Check the lists of every level against the reference under the grid
+    run ``run``: same box pairs, each at its offset, and same point pairs,
+    none twice; a grid level's interactions are only their count."""
+    assert len(levels) == tree.L + 1
+    for level, (colleagues, interactions, (ptgt, psrc)) in enumerate(levels):
+        want_near, want_far, want_points = single_point_pairs(tree, level, run)
+        # Colleagues are target-major, as the next level reads them.
+        assert np.all(np.diff(colleagues[0]) >= 0)
+        grouped = _by_code(*colleagues, len(_NEAR_OFFSETS))
+        got_near = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
+        got_points = set(zip(tree.order[ptgt].tolist(), tree.order[psrc].tolist()))
+        assert len(colleagues[0]) == len(got_near) and got_near == want_near
+        if level in run:
+            assert interactions == len(want_far)
+        else:
+            got_far = _pairs_by_offset(tree, level, interactions, INTERACTION_OFFSETS)
+            assert len(interactions[0]) == len(got_far) and got_far == want_far
+        assert len(ptgt) == len(got_points) and got_points == want_points
+    return levels
 
 
 @pytest.mark.parametrize("name", sorted(LIST_TREES))
@@ -207,33 +220,47 @@ def test_level_lists_match_reference(name):
     # the definition under the single-point rule: same box pairs, each at
     # its offset, and same point pairs, none twice.
     tree = LIST_TREES[name]()
-    levels = list(level_lists(tree))
-    assert len(levels) == tree.L + 1
+    levels = _check_lists(tree, list(level_lists(tree)), run=[])
     assert tree.L == {"dense8": 3, "L0": 0, "L1": 1}.get(name, tree.L)
-    for level, (colleagues, interactions, (ptgt, psrc)) in enumerate(levels):
-        want_near, want_far, want_points = single_point_pairs(tree, level)
-        # Colleagues are target-major, as the next level reads them.
-        assert np.all(np.diff(colleagues[0]) >= 0)
-        grouped = _by_code(*colleagues, len(_NEAR_OFFSETS))
-        got_near = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
-        got_far = _pairs_by_offset(tree, level, interactions, INTERACTION_OFFSETS)
-        got_points = set(zip(tree.order[ptgt].tolist(), tree.order[psrc].tolist()))
-        assert len(colleagues[0]) == len(got_near) and got_near == want_near
-        assert len(interactions[0]) == len(got_far) and got_far == want_far
-        assert len(ptgt) == len(got_points) and got_points == want_points
     if name in ("sparse", "clustered"):
         assert any(len(far[0]) for _, far, _ in levels[3:])
     if name in ("sparse", "clustered", "dense8"):
         assert any(len(points[0]) for _, _, points in levels)
 
 
+GRID_RUNS = [("dense8", 2), ("sparse", 6), ("sparse", 99), ("clustered", 4), ("clustered", 99)]
+
+
+@pytest.mark.parametrize("name,last", GRID_RUNS)
+def test_level_lists_under_a_grid_run(name, last):
+    # The grid run 2..last (to the leaf level for 99).  One-point boxes
+    # stay box pairs inside it (sparse holds 1522 of them at levels 5-6,
+    # clustered 74 at levels 2-4), and point pairs start at the level below.
+    tree = LIST_TREES[name]()
+    run = list(range(2, min(last, tree.L) + 1))
+    asked = []
+
+    def on_grid(lvl, n_far):
+        asked.append(lvl)
+        return lvl <= last
+
+    levels = _check_lists(tree, list(level_lists(tree, on_grid)), run)
+    # Asked level by level from 2 until the first no, and never again.
+    assert asked == list(range(2, min(last + 1, tree.L) + 1))
+    assert all(isinstance(levels[lvl][1], int) for lvl in run)
+    if last < tree.L:
+        assert len(levels[last + 1][2][0]) > 0
+
+
 @pytest.mark.parametrize("name", ["sparse", "clustered"])
 def test_ifo_pairs_per_level_brute_count(name):
-    pts = {"sparse": _sparse_points, "clustered": _clustered_points}[name]()
+    pts = {"sparse": sparse_points, "clustered": clustered_points}[name]()
     stats = {}
     fmm_apply(pts, np.ones(len(pts)), nleaf=4, stats=stats)
     tree = build_tree(pts, nleaf=4, max_leaf_side=_MAX_LEAF_SIDE)
-    brute = [single_point_pairs(tree, level) for level in range(tree.L + 1)]
+    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
+    assert stats["ifo_grid_levels"] == run
+    brute = [single_point_pairs(tree, level, run) for level in range(tree.L + 1)]
     assert stats["ifo_pairs_per_level"] == [len(far) for _, far, _ in brute]
     assert stats["point_pairs_per_level"] == [len(points) for _, _, points in brute]
     assert stats["boxes_per_level"] == [len(c) for c in tree.codes]

@@ -3,7 +3,8 @@
 This is the definitional form of the geometry that ``latticefmm.fmm``
 evaluates in batches (``fmm.level_lists`` derives each level's colleague
 and interaction pairs from the parent level's colleagues, and applies the
-single-point rule); the tests use it as their reference.
+single-point rule below the run of grid levels); the tests use it as their
+reference.
 
 Boxes are numbered breadth-first from 1 (the root).  Within a level, ids
 follow Morton order with x varying fastest, so the four children of a box
@@ -161,18 +162,54 @@ def reference_pairs(tree: QuadTree, level: int):
     return colleagues, interactions
 
 
-def single_point_pairs(tree: QuadTree, level: int):
-    """(colleagues, interactions, points) at one level under the single-point
-    rule, from ``reference_pairs``.
+def sparse_points():
+    """2000 distinct points spread over 2^14 x 2^14: one-point boxes from
+    level 5 down."""
+    rng = np.random.default_rng(11)
+    return np.unique(rng.integers(0, 1 << 14, size=(2000, 2)), axis=0)
 
-    From level 2 down, a pair of two one-point boxes leaves the box lists.
-    It is a point pair, (target point, source point) as indices into the
-    original point array, if the boxes differ and the pair was not already
-    one at the level above: the level is 2, or one of the two parents holds
-    more than one point.
+
+def clustered_points():
+    """A full 16 x 16 block plus 60 isolated points: most siblings of the
+    isolated points' boxes are empty, at every level, and one-point boxes
+    appear from level 2."""
+    rng = np.random.default_rng(5)
+    far = rng.integers(0, 4096, size=(60, 2))
+    xs, ys = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    block = np.column_stack([xs.ravel(), ys.ravel()]) + 1000
+    return np.unique(np.vstack([block, far]), axis=0)
+
+
+def grid_run(tree: QuadTree, pairs_per_cell: float) -> list:
+    """The run of grid levels: levels 2, 3, ... in turn, while a level's
+    interaction pairs, those of one-point boxes included, number at least
+    ``pairs_per_cell`` per cell of its 2^l x 2^l box grid.  Inside the run
+    no pair is pruned, so a level's pairs are all of ``reference_pairs``."""
+    run = []
+    for level in range(2, tree.L + 1):
+        if len(reference_pairs(tree, level)[1]) < pairs_per_cell * 4**level:
+            break
+        run.append(level)
+    return run
+
+
+def single_point_pairs(tree: QuadTree, level: int, run=()):
+    """(colleagues, interactions, points) at one level under the single-point
+    rule, from ``reference_pairs``, below the run of grid levels ``run``
+    (levels 2..G, or empty).
+
+    On levels 0, 1 and those of the run every pair is a box pair.  From the
+    first level below the run (level 2 if the run is empty), a pair of two
+    one-point boxes leaves the box lists.  It is a point pair, (target
+    point, source point) as indices into the original point array, if the
+    boxes differ and the pair was not already one at the level above: the
+    level is the first below the run, or one of the two parents holds more
+    than one point.
     """
+    assert list(run) == list(range(2, 2 + len(run))), run
     colleagues, interactions = reference_pairs(tree, level)
-    if level < 2:
+    first = 2 + len(run)
+    if level < first:
         return colleagues, interactions, set()
     lone = {}
 
@@ -194,7 +231,7 @@ def single_point_pairs(tree: QuadTree, level: int):
             pb, pc = point(b), point(c)
             if pb is None or pc is None:
                 keep.add((b, c))
-            elif b != c and (level == 2 or point(parent(b)) is None or point(parent(c)) is None):
+            elif b != c and (level == first or point(parent(b)) is None or point(parent(c)) is None):
                 points.add((pb, pc))
         kept.append(keep)
     return kept[0], kept[1], points
