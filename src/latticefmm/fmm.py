@@ -52,10 +52,12 @@ pairs (b, c) with b a child of P, c a child of Q, at offset
 d = 2 D + q_c - q_b (q the quadrant's (x, y) bits).  Pairs with
 |d|_inf <= 1 are colleagues at the child level; the rest, at |d|_inf of
 2 or 3, are its interaction pairs, applied by T_ifo block d.  The lookup
-work is proportional to the pairs that exist.  The lists of all levels
-are built before the upward pass, which applies T_ifo; the point pairs
-are summed as they are found.  The leaf colleagues are the near-field
-pairs.
+work is proportional to the pairs that exist, and a level of the grid run
+(below) forms only its colleague pairs: its interaction pairs are counted
+on the mask of children found, before any pair is formed, and never
+formed.  The lists of all levels are built before the upward pass, which
+applies T_ifo; the point pairs are summed as they are found.  The leaf
+colleagues are the near-field pairs.
 
 T_ifo takes one of two paths per level.  The grid levels form one run
 from level 2 down: each level whose interaction pairs, those of one-point
@@ -172,44 +174,65 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
 
     From level 2 down, while ``on_grid`` is given, the level joins the run
     of grid levels if ``on_grid(lvl, n_far)`` holds for its n_far
-    interaction pairs, one-point boxes included: those pairs are only
-    counted, and a pair of one-point boxes stays a box pair.  Otherwise (and
-    always once ``on_grid`` is None) a pair of two one-point boxes leaves
-    both lists: it is one point pair, returned as the boxes' sorted point
-    indices (tgt, src), or nothing when the box meets itself, since
-    phi(0) = 0.  Its children are not formed at the next level.
+    interaction pairs, one-point boxes included, counted before any pair
+    is formed: then only the colleague pairs are formed, and a pair of
+    one-point boxes stays a box pair.  Otherwise (and always once
+    ``on_grid`` is None) a pair of two one-point boxes leaves both lists:
+    it is one point pair, returned as the boxes' sorted point indices
+    (tgt, src), or nothing when the box meets itself, since phi(0) = 0.
+    Its children are not formed at the next level.
     """
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
     child = np.full((len(tree.codes[lvl - 1]), 4), -1, dtype=np.int32)
-    parent = tree.parent_index[lvl]
-    quad = (tree.codes[lvl] & 3).astype(np.int16)
-    child[parent, quad] = np.arange(n_boxes, dtype=np.int32)
+    slot = tree.parent_index[lvl] * 4 + (tree.codes[lvl] & 3)
+    child.reshape(-1)[slot] = np.arange(n_boxes, dtype=np.int32)
+    del slot
     # Each box b meets the children of its parent's colleagues: the
     # parent's rows, in box order, so the pairs come out target-major.
-    first = np.zeros(len(child) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parent_tgt, minlength=len(child)), out=first[1:])
-    deg = (first[1:] - first[:-1])[parent]  # 0 for a parent carried as its point
-    row = np.arange(int(deg.sum())) + np.repeat(first[parent] - (np.cumsum(deg) - deg), deg)
-    b = np.repeat(np.arange(n_boxes, dtype=np.int32), deg)
-    half = (parent_code[row] * 4 + np.repeat(quad, deg)) * 4  # _CHILD_CODE row
-    kids = child[parent_src[row]]
+    # Only the parents with colleagues are visited (a parent carried as
+    # its point has none), so the work follows the pairs, not the boxes.
+    # Rows of 2-D arrays are gathered by ``np.take``: on rows this narrow
+    # it is about ten times faster than fancy indexing.
+    new = np.ones(len(parent_tgt), dtype=bool)
+    new[1:] = parent_tgt[1:] != parent_tgt[:-1]
+    first = np.flatnonzero(new)  # each such parent's first row
+    n_rows = np.diff(first, append=len(parent_tgt))
+    # Slot 4 i + q holds the quadrant-q child of the i-th such parent.
+    slots = np.take(child, parent_tgt[first], axis=0).ravel()
+    filled = np.flatnonzero(slots >= 0)
+    deg = n_rows[filled >> 2]
+    row = np.arange(int(deg.sum())) + np.repeat(first[filled >> 2] - (np.cumsum(deg) - deg), deg)
+    b = np.repeat(slots[filled], deg)
+    # Each row's four offset codes, one per quadrant of the source child.
+    codes = np.take(_CHILD_CODE.reshape(-1, 4), parent_code[row] * 4 + np.repeat(filled & 3, deg), axis=0)
+    kids = np.take(child, parent_src[row], axis=0)
     # Temporaries go as soon as they are used: every level's T_ifo pairs
     # are held until the upward sweep applies them.
-    del row, deg
+    del new, first, n_rows, slots, filled, row, deg
     found = kids >= 0
-    tgt = np.repeat(b, np.count_nonzero(found, axis=1))
-    pick = np.flatnonzero(found)
-    src = kids.ravel()[pick]
-    code = _CHILD_CODE[(half[:, None] + np.arange(4, dtype=np.int16)).ravel()[pick]]
-    del b, half, kids, found, pick
-    is_near = code < len(_NEAR_OFFSETS)
     points = (np.empty(0, dtype=np.int64),) * 2
+    grid = False
     if lvl >= 2 and on_grid is not None:
-        n_far = len(code) - int(np.count_nonzero(is_near))
-        if on_grid(lvl, n_far):
-            near = np.flatnonzero(is_near)
-            return (tgt[near], src[near], code[near]), n_far, points
+        # The interaction pairs are counted on the (rows, 4) mask; a grid
+        # level forms only its colleague pairs.
+        near = codes < len(_NEAR_OFFSETS)
+        near &= found
+        n_far = int(np.count_nonzero(found)) - int(np.count_nonzero(near))
+        grid = on_grid(lvl, n_far)
+        if grid:
+            found = near
+        del near
+    pick = np.flatnonzero(found)
+    del found
+    src = kids.ravel()[pick]
+    code = codes.ravel()[pick]
+    pick >>= 2  # the row of each pair
+    tgt = b[pick]
+    del b, codes, kids, pick
+    if grid:
+        return (tgt, src, code), n_far, points
+    is_near = code < len(_NEAR_OFFSETS)
     boxes = np.ones(len(tgt), dtype=bool)
     if lvl >= 2:
         start = tree.ptr[lvl]
@@ -243,14 +266,15 @@ def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
 
     The grid levels form one run from level 2: each level joins it while
     ``on_grid(lvl, n_far)`` holds for its n_far interaction pairs, and the
-    first level where it fails ends the run.  A grid level's interactions
-    are that count alone, and it makes no point pairs: there a pair of
-    one-point boxes is a box pair, far on the grid or near as colleagues,
-    refined at the next level.  From the first level below the run, every
-    pair of one-point boxes is a point pair, which replaces it in the
-    other two lists and is not refined.  No level below may rejoin the
-    grid: the grid reads every pair of occupied boxes and would count the
-    point pairs twice.
+    first level where it fails ends the run.  The count is taken before
+    any pair is formed, and a grid level forms only its colleague pairs:
+    its interactions are that count alone, and it makes no point pairs;
+    there a pair of one-point boxes is a box pair, far on the grid or near
+    as colleagues, refined at the next level.  From the first level below
+    the run, every pair of one-point boxes is a point pair, which replaces
+    it in the other two lists and is not refined.  No level below may
+    rejoin the grid: the grid reads every pair of occupied boxes and would
+    count the point pairs twice.
     """
     one = np.zeros(1, dtype=np.int32)
     colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
@@ -324,6 +348,8 @@ class FmmRun:
         self.ifo_pairs_per_level = [0] * (tree.L + 1)
         self.ifo_grid_levels: list[int] = []
         self.ifo_seconds = [0.0] * (tree.L + 1)
+        self.up_seconds = [0.0] * (tree.L + 1)
+        self.down_seconds = [0.0] * (tree.L + 1)
         self.point_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
@@ -369,7 +395,7 @@ class FmmRun:
                 # Targets ascend, so each chunk adds to one run of points.
                 for lo in range(0, len(tgt), chunk):
                     t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
-                    d = rel[t] - rel[s]
+                    d = np.take(rel, t, axis=0) - np.take(rel, s, axis=0)
                     u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
                 self.ifo_seconds[lvl] += clock() - t1
             t0 = clock()
@@ -407,7 +433,7 @@ class FmmRun:
         interp = self._ops(tree.L).skeleton.interp
         # Every leaf's first point's column; rows of fuller leaves are
         # overwritten below.
-        x = interp.T[lin[tree.ptr[tree.L][:-1]]]
+        x = np.take(np.ascontiguousarray(interp.T), lin[tree.ptr[tree.L][:-1]], axis=0)
         self.leaf_ofs_entries += interp.shape[0] * len(lin)
         multi = np.flatnonzero(~single)
         s2 = self.leaf_side * self.leaf_side
@@ -418,33 +444,38 @@ class FmmRun:
         return x
 
     def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u):
-        """Upward pass fused with T_ifo, fine to coarse.
+        """Upward pass fused with T_ifo, fine to coarse.  The seconds that
+        form level l's expansions (T_ofs at the leaves, T_ofo from the
+        children at level l + 1 elsewhere) count at level l, those of T_ifo
+        at its level.
 
-        ``x`` holds one level: the outgoing expansion of each box of two or
-        more points, and the unit expansion e_{p,l} of each one-point box's
-        point p, so its outgoing expansion is e_{p,l} q_p.  T_ifo turns the
-        outgoing expansions into incoming ones, and a one-point box's is
-        folded into its point at once, u_p += e_{p,l} . inc_l.  What the
-        downward pass reads is kept: the incoming expansions of the boxes
-        of two or more points, and e_{p,l} at p's top one-point level, where
-        the parent's incoming expansion still has to reach p.  A one-point
-        box's parent, if it holds one point too, carries e_{p,l-1} =
-        T_ofo e_{p,l}; otherwise it receives e_{p,l} q_p through T_ofo.
+        ``x`` holds one level, box b's row in ``x[xrow[b]]``: the outgoing
+        expansion of each box of two or more points, and the unit expansion
+        e_{p,l} of each one-point box's point p, so its outgoing expansion
+        is e_{p,l} q_p.  T_ifo turns the outgoing expansions into incoming
+        ones, and a one-point box's is folded into its point at once,
+        u_p += e_{p,l} . inc_l.  What the downward pass reads is kept: the
+        incoming expansions of the boxes of two or more points, and e_{p,l}
+        at p's top one-point level, where the parent's incoming expansion
+        still has to reach p.  A one-point box's parent, if it holds one
+        point too, carries e_{p,l-1} = T_ofo e_{p,l}; otherwise it receives
+        e_{p,l} q_p through T_ofo.
         """
         tree = self.tree
         clock = time.perf_counter
         t0 = clock()
         single = np.diff(tree.ptr[tree.L]) == 1
         x = self._leaf_expansions(q_sorted, single, slot_of_point, lin)
+        xrow = np.arange(len(x), dtype=np.int32)  # box slots are int32
         incoming, tops = {}, {}
         for lvl in range(tree.L, 1, -1):
             t1 = clock()
-            self.times["t_upward"] += t1 - t0
+            self.up_seconds[lvl] += t1 - t0
             pairs = ifo.pop(lvl)
             if pairs is None:
-                incoming[lvl] = self._across_grid(lvl, x, single, q_sorted, u)
+                incoming[lvl] = self._across_grid(lvl, x, xrow, single, q_sorted, u)
             else:
-                incoming[lvl] = self._across(lvl, x, single, pairs, q_sorted, u)
+                incoming[lvl] = self._across(lvl, x, xrow, single, pairs, q_sorted, u)
             t0 = clock()
             self.ifo_seconds[lvl] += t0 - t1
             if lvl == 2:
@@ -453,41 +484,61 @@ class FmmRun:
             counts = np.diff(tree.ptr[lvl - 1])
             single_parent = counts[parent] == 1
             top = np.flatnonzero(single & ~single_parent)
-            tops[lvl] = (top, x[top])
+            rows = xrow[top]
+            e = np.take(x, rows, axis=0)
+            tops[lvl] = (top, e)
             # A one-point parent carries its point's unit expansion; a
             # parent of more points receives the point's charge.
-            x[top] *= q_sorted[tree.ptr[lvl][top]][:, None]
-            del top
-            x = self._merge_up(lvl, x, parent)
+            x[rows] = e * q_sorted[tree.ptr[lvl][top]][:, None]
+            del top, rows, e
+            x, xrow = self._merge_up(lvl, x, xrow, parent)
             single = counts == 1
         return incoming, tops
 
-    def _merge_up(self, lvl, child_out, parent):
-        """T_ofo: the expansions at ``lvl - 1`` from those of their children.
-        Siblings are adjacent, in quadrant order: each parent's first
-        child sets its row and the others add to it, in that order."""
-        ops = self._ops(lvl - 1)
-        quad = (self.tree.codes[lvl] & 3).astype(np.int64)
-        first = np.ones(len(parent), dtype=bool)
-        first[1:] = parent[1:] != parent[:-1]
-        up = np.empty((parent[-1] + 1, ops.skeleton.rank))
-        chunk = 1 << 14  # bounds the gathers of wide levels
-        for later in (False, True):
-            for qd in range(4):
-                kids = np.flatnonzero((quad == qd) & (first != later))
-                for lo in range(0, len(kids), chunk):
-                    c = kids[lo : lo + chunk]
-                    if later:
-                        up[parent[c]] += child_out[c] @ ops.t_ofo[qd].T
-                    else:
-                        up[parent[c]] = child_out[c] @ ops.t_ofo[qd].T
-        return up
+    def _merge_up(self, lvl, child_out, child_row, parent):
+        """T_ofo: the expansions at ``lvl - 1`` from those of their children
+        (box b's in row ``child_row[b]`` of ``child_out``).  Returns
+        (up, row): the expansions, box p's in row ``row[p]`` of ``up``.
 
-    def _across(self, lvl, x, single, pairs, q_sorted, u):
+        Siblings are adjacent, in quadrant order: each parent's first child
+        sets its row and the others add to it, in that order.  The first
+        children's products are written in place, grouped by quadrant, so
+        the parents' rows come in that order and no product is scattered
+        but those of later siblings."""
+        ops = self._ops(lvl - 1)
+        # Children grouped by (later sibling, quadrant): the first children
+        # of each quadrant in turn, then the later ones.  The key is int8,
+        # so the stable sort is a radix sort.
+        later = np.zeros(len(parent), dtype=np.int8)
+        later[1:] = parent[1:] == parent[:-1]
+        key = (self.tree.codes[lvl] & 3).astype(np.int8) + 4 * later
+        order = np.argsort(key, kind="stable")
+        bounds = np.zeros(9, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=8), out=bounds[1:])
+        del later, key
+        n_up = parent[-1] + 1  # = bounds[4], one first child per parent
+        row = np.empty(n_up, dtype=np.int32)
+        row[parent[order[:n_up]]] = np.arange(n_up, dtype=np.int32)
+        up = np.empty((n_up, ops.skeleton.rank))
+        chunk = 1 << 14  # bounds the gathers of wide levels
+        for g in range(8):
+            t_ofo = ops.t_ofo[g & 3].T
+            for lo in range(bounds[g], bounds[g + 1], chunk):
+                hi = min(lo + chunk, bounds[g + 1])
+                c = order[lo:hi]
+                kids = np.take(child_out, child_row[c], axis=0)
+                if g < 4:
+                    np.matmul(kids, t_ofo, out=up[lo:hi])
+                else:
+                    up[row[parent[c]]] += kids @ t_ofo
+        return up, row
+
+    def _across(self, lvl, x, xrow, single, pairs, q_sorted, u):
         """T_ifo at one level, one GEMM per offset, over the boxes in some
         T_ifo pair (the pairs are symmetric: these are the sources and the
-        targets).  Folds each one-point box's incoming expansion into its
-        point and returns those of the boxes of two or more points."""
+        targets).  Box b's expansion is row ``xrow[b]`` of ``x``.  Folds
+        each one-point box's incoming expansion into its point and returns
+        those of the boxes of two or more points."""
         start = self.tree.ptr[lvl]
         t_ifo = self._ops(lvl).t_ifo
         used = np.zeros(len(x), dtype=bool)
@@ -505,33 +556,39 @@ class FmmRun:
             for lo in range(0, len(tgt), chunk):
                 s = src[lo : lo + chunk]
                 # Each target has one source per offset: rows are distinct.
-                inc[row_of[tgt[lo : lo + chunk]]] += (x[s] * charge[s, None]) @ t_ifo[d].T
+                inc[row_of[tgt[lo : lo + chunk]]] += (
+                    np.take(x, xrow[s], axis=0) * charge[s, None]
+                ) @ t_ifo[d].T
         fold = rows[one]
         for lo in range(0, len(fold), chunk):
             b = fold[lo : lo + chunk]
-            u[start[b]] += np.einsum("ij,ij->i", x[b], inc[row_of[b]])
+            u[start[b]] += np.einsum(
+                "ij,ij->i", np.take(x, xrow[b], axis=0), np.take(inc, row_of[b], axis=0)
+            )
         multi, row = _multi_rows(self.tree, lvl)
         kept = np.zeros((np.count_nonzero(multi), x.shape[1]))
-        kept[row[rows[~one]]] = inc[~one]
+        many = ~one
+        kept[row[rows[many]]] = np.compress(many, inc, axis=0)
         return kept
 
-    def _across_grid(self, lvl, x, single, q_sorted, u):
+    def _across_grid(self, lvl, x, xrow, single, q_sorted, u):
         """T_ifo at one level on its dense 2^l x 2^l box grid, one GEMM per
         chunk of parents.  Folds each one-point box's incoming expansion
         into its point and returns those of the boxes of two or more points,
         as ``_across`` does.
 
-        The outgoing expansions (x scaled by the point's charge for a
-        one-point box) are scattered onto the grid, padded by two empty
-        cells per side; each parent's 6 x 6 child neighbourhood, read as one
-        row, times ``t_ifo_grid`` gives the incoming expansions of its four
-        children.  On a level of the grid run no pair was made a point pair
-        at or above it, so the interaction list of a box is exactly the
-        parity pattern that operator encodes, restricted to the occupied
-        boxes, and the empty cells are zero.  The grid is filled in bands of
-        parent rows, each with the two child rows either side that its
-        neighbourhoods reach, so it holds about ``_GRID_CHUNK`` entries at
-        most (one band of the whole grid on smaller levels).
+        The outgoing expansions (box b's row ``xrow[b]`` of x, scaled by
+        the point's charge for a one-point box) are scattered onto the
+        grid, padded by two empty cells per side; each parent's 6 x 6 child
+        neighbourhood, read as one row, times ``t_ifo_grid`` gives the
+        incoming expansions of its four children.  On a level of the grid
+        run no pair was made a point pair at or above it, so the interaction
+        list of a box is exactly the parity pattern that operator encodes,
+        restricted to the occupied boxes, and the empty cells are zero.  The
+        grid is filled in bands of parent rows, each with the two child rows
+        either side that its neighbourhoods reach, so it holds about
+        ``_GRID_CHUNK`` entries at most (one band of the whole grid on
+        smaller levels).
         """
         tree = self.tree
         w = self._ops(lvl).t_ifo_grid
@@ -563,6 +620,7 @@ class FmmRun:
         by_row = np.argsort(bx, kind="stable")
         row_sorted = bx[by_row]
         grid = np.zeros((2 * rows + 4, side + 4, k))
+        cell_rows = grid.reshape(-1, k)  # cell (gx, gy) is row gx * (side + 4) + gy
         # hood[i, py] is the (6, 6 k) neighbourhood of the band's parent
         # (i + first row, py): six runs of six cells, each run contiguous.
         hood = sliding_window_view(grid.reshape(2 * rows + 4, -1), (6, 6 * k))[::2, :: 2 * k]
@@ -573,20 +631,23 @@ class FmmRun:
             top = 2 * j * rows - 2  # the child row at the band's grid row 0
             s0, s1 = np.searchsorted(row_sorted, (top, top + 2 * rows + 4))
             cells = by_row[s0:s1]
-            gx, gy = bx[cells] - top, by[cells] + 2
-            grid[gx, gy] = x[cells] * charge[cells, None]
+            cell = (bx[cells] - top) * (side + 4) + by[cells] + 2
+            cell_rows[cell] = np.take(x, xrow[cells], axis=0) * charge[cells, None]
             for lo in range(bounds[j], bounds[j + 1], chunk):
                 hi = min(lo + chunk, bounds[j + 1])
                 ps = porder[lo:hi]
                 out = (hood[px[ps] - j * rows, py[ps]].reshape(hi - lo, -1) @ w).reshape(hi - lo, 4, k)
                 b0, b1 = np.searchsorted(key, (lo, hi))
                 kids = corder[b0:b1]
-                inc = out[key[b0:b1] - lo, quad[kids]]
+                inc = np.take(out.reshape(-1, k), (key[b0:b1] - lo) * 4 + quad[kids], axis=0)
                 one = single[kids]
                 b = kids[one]
-                u[start[b]] += np.einsum("ij,ij->i", x[b], inc[one])
-                kept[row[kids[~one]]] = inc[~one]
-            grid[gx, gy] = 0.0
+                u[start[b]] += np.einsum(
+                    "ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0)
+                )
+                many = ~one
+                kept[row[kids[many]]] = np.compress(many, inc, axis=0)
+            cell_rows[cell] = 0.0
         return kept
 
     def _down(self, incoming, tops, slot_of_point, lin, u):
@@ -595,8 +656,12 @@ class FmmRun:
         children; a child at its point p's top one-point level takes it
         into p, u_p += e_{p,l} . inc; the leaves of two or more points
         expand theirs at their points (T_tfi, the transpose of T_ofs: one
-        GEMM onto the dense s x s stencil per chunk of leaves)."""
+        GEMM onto the dense s x s stencil per chunk of leaves).  The
+        seconds of T_ifi out of level l count at level l, those of T_tfi
+        at the leaf level."""
         tree = self.tree
+        clock = time.perf_counter
+        t0 = clock()
         _, row = _multi_rows(tree, 2)
         for lvl in range(2, tree.L):
             t_ofo = self._ops(lvl).t_ofo
@@ -607,20 +672,25 @@ class FmmRun:
             top, e = tops.pop(lvl + 1)
             start = tree.ptr[lvl + 1]
             for qd in range(4):
-                mask = multi & (quad == qd)
-                if np.any(mask):
+                kids = np.flatnonzero(multi & (quad == qd))
+                if len(kids):
                     # T_ifi is T_ofo transposed; row-vector form keeps it direct.
-                    child_inc[child_row[mask]] += inc[row[parent[mask]]] @ t_ofo[qd]
+                    child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
                 pick = np.flatnonzero(quad[top] == qd)
                 if len(pick):
-                    down = inc[row[parent[top[pick]]]] @ t_ofo[qd]
-                    u[start[top[pick]]] += np.einsum("ij,ij->i", down, e[pick])
+                    b = top[pick]
+                    down = np.take(inc, row[parent[b]], axis=0) @ t_ofo[qd]
+                    u[start[b]] += np.einsum("ij,ij->i", down, np.take(e, pick, axis=0))
             row = child_row
+            t1 = clock()
+            self.down_seconds[lvl] += t1 - t0
+            t0 = t1
         multi, _ = _multi_rows(tree, tree.L)
         inc_leaf = incoming.pop(tree.L)
         interp = self._ops(tree.L).skeleton.interp
         for lo, hi, pts, r in self._stencil_chunks(multi, slot_of_point):
             u[pts] += (inc_leaf[lo:hi] @ interp)[r, lin[pts]]
+        self.down_seconds[tree.L] += clock() - t0
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
@@ -708,14 +778,16 @@ class FmmRun:
         counts, slot_of_point, lin = self._leaf_geometry()
         self.times = dict.fromkeys(("t_lists", "t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
         self.ifo_seconds = [0.0] * (tree.L + 1)
+        self.up_seconds = [0.0] * (tree.L + 1)
+        self.down_seconds = [0.0] * (tree.L + 1)
         u_sorted = np.zeros(len(q_sorted))
         ifo, colleagues = self._lists(q_sorted, u_sorted)
         if self.chain is not None:
             incoming, tops = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
-            t1 = clock()
             self._down(incoming, tops, slot_of_point, lin, u_sorted)
-            self.times["t_downward"] = clock() - t1
+        self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
+        self.times["t_downward"] = sum(self.down_seconds)
         t1 = clock()
         u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin, colleagues)
         self.times["t_near"] += clock() - t1
@@ -748,6 +820,8 @@ class FmmRun:
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
             "ifo_grid_levels": list(self.ifo_grid_levels),
             "t_ifo_per_level": list(self.ifo_seconds),
+            "t_upward_per_level": list(self.up_seconds),
+            "t_downward_per_level": list(self.down_seconds),
             "point_pairs_per_level": list(self.point_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
@@ -782,10 +856,15 @@ def fmm_apply(
     pairs, ``t_ifo_per_level`` the seconds of ``t_ifo`` spent at each level,
     on the grid or pair by pair, and ``ranks_per_level`` skeleton ranks;
     the last four read 0 at levels 0 and 1, which have no interaction
-    lists), ``ifo_grid_levels`` (the run of levels from 2 whose T_ifo ran
-    on the dense box grid, one GEMM over each parent's child neighbourhood;
-    the others ran pair by pair, see the module docstring), near-field
-    work (``near_pairs`` point pairs, of
+    lists; ``t_upward_per_level`` the seconds of ``t_upward`` that formed
+    each level's outgoing expansions, T_ofs at the leaf level and T_ofo
+    from the level below elsewhere, and ``t_downward_per_level`` those of
+    ``t_downward`` spent at each level, T_ifi to the level below and T_tfi
+    at the leaf level; both read 0 at a level with no such work, levels 0
+    and 1 always, and each sums to its pass's total), ``ifo_grid_levels``
+    (the run of levels from 2 whose T_ifo ran on the dense box grid, one
+    GEMM over each parent's child neighbourhood; the others ran pair by
+    pair, see the module docstring), near-field work (``near_pairs`` point pairs, of
     which ``near_ragged_pairs`` were summed pair by pair and the rest in
     ``near_gemm_blocks`` stencil block products), and ``op_entries``, the
     operator data instantiated for this problem: k leaf interpolation

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,15 +75,16 @@ def lattice_targets(targets) -> np.ndarray:
 # 2 ulp of the exact table at every point with 64 < |m|_inf <= 400.
 
 _EXPANSION_TERMS = (
-    # (j, k, c): adds (c / pi) * cos(4 k theta) / |m|^(2 j)
-    (1, 1, Fraction(1, 24)),
-    (2, 1, Fraction(18, 480)),
-    (2, 2, Fraction(25, 480)),
-    (3, 2, Fraction(51, 224)),
-    (3, 3, Fraction(35, 144)),
-    (4, 2, Fraction(217, 640)),
-    (4, 3, Fraction(45, 16)),
-    (4, 4, Fraction(1925, 768)),
+    # (j, k, num, den): adds (num / den / pi) * cos(4 k theta) / |m|^(2 j);
+    # num / den is the correctly rounded double of the rational.
+    (1, 1, 1, 24),
+    (2, 1, 18, 480),
+    (2, 2, 25, 480),
+    (3, 2, 51, 224),
+    (3, 3, 35, 144),
+    (4, 2, 217, 640),
+    (4, 3, 45, 16),
+    (4, 4, 1925, 768),
 )
 
 
@@ -92,16 +92,28 @@ def _tail_polynomials() -> list[np.ndarray]:
     """Monomial coefficients (lowest first) of S_j(c), j = 1..4.
 
     The expansion beyond its logarithmic lead is sum_j S_j(c) / |m|^(2j)
-    with c = cos(4 theta), since cos(4 k theta) = T_k(c).
+    with c = cos(4 theta), since cos(4 k theta) = T_k(c).  Each Chebyshev
+    series goes to the monomial basis by the recurrence and in the order
+    of operations of ``numpy.polynomial.chebyshev.cheb2poly``, so the
+    coefficients are its doubles bit for bit.
     """
-    orders = max(j for j, _, _ in _EXPANSION_TERMS)
+    orders = max(j for j, _, _, _ in _EXPANSION_TERMS)
     cheb = np.zeros((orders, orders + 1))
-    for j, k, c in _EXPANSION_TERMS:
-        cheb[j - 1, k] = float(c) / np.pi
-    return [
-        np.polynomial.chebyshev.cheb2poly(row[: j + 1])
-        for j, row in enumerate(cheb, start=1)
-    ]
+    for j, k, num, den in _EXPANSION_TERMS:
+        cheb[j - 1, k] = num / den / np.pi
+    polys = []
+    for j, row in enumerate(cheb, start=1):
+        # Before step i the series is sum_{m <= i-2} row[m] T_m + c0 T_{i-1}
+        # + c1 T_i; T_i = 2 c T_{i-1} - T_{i-2} folds its top term down.
+        # c1's degree stays below j, so np.roll multiplies it by c.
+        c0 = np.zeros(j + 1)
+        c1 = np.zeros(j + 1)
+        c0[0], c1[0] = row[j - 1], row[j]
+        for i in range(j, 1, -1):
+            c0, c1 = -c1, c0 + 2 * np.roll(c1, 1)
+            c0[0] += row[i - 2]
+        polys.append(c0 + np.roll(c1, 1))
+    return polys
 
 
 _TAIL_POLYS = _tail_polynomials()

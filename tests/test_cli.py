@@ -299,6 +299,11 @@ def test_bench_json_records(capsys):
         per_level = stats["t_ifo_per_level"]
         assert len(per_level) == stats["levels"] and per_level[:2] == [0.0, 0.0]
         assert sum(per_level) == pytest.approx(stats["t_ifo"], rel=1e-12)
+        # So do the upward and downward passes' seconds per level.
+        for key in ("t_upward", "t_downward"):
+            per_level = stats[key + "_per_level"]
+            assert len(per_level) == stats["levels"] and per_level[:2] == [0.0, 0.0]
+            assert sum(per_level) == pytest.approx(stats[key], rel=1e-12)
         # The warm-up call built the chain; the recorded call reuses it.
         assert stats["chain_built"] is False
         # The cold call is reported beside the warm one; its chain time is

@@ -101,6 +101,7 @@ def test_shallow_tree_falls_back_to_dense():
         assert stats["shared_op_entries"] == 0
         assert stats["chain_built"] is False
         assert stats["ifo_pairs_per_level"] == stats["ranks_per_level"] == [0] * levels
+        assert stats["t_upward_per_level"] == stats["t_downward_per_level"] == [0.0] * levels
         assert set(skeleton._chain_memo) == memo_before
 
 
@@ -292,6 +293,15 @@ def test_per_level_stats(monkeypatch):
     assert len(per_level) == second["levels"] and per_level[:2] == [0.0, 0.0]
     assert all(t > 0.0 for t, n in zip(per_level, second["ifo_pairs_per_level"]) if n)
     assert sum(per_level) == second["t_ifo"]
+    # T_ofs/T_ofo and T_ifi/T_tfi seconds per level: none at levels 0-1,
+    # some at every level from 2 (its expansions are formed and carried
+    # down, or expanded at the leaves), and together t_upward and
+    # t_downward.
+    for key in ("t_upward", "t_downward"):
+        per_level = second[key + "_per_level"]
+        assert len(per_level) == second["levels"] and per_level[:2] == [0.0, 0.0]
+        assert all(t > 0.0 for t in per_level[2:])
+        assert sum(per_level) == second[key]
     assert json.loads(json.dumps(second)) == second
 
 
@@ -706,10 +716,11 @@ def test_grid_ifo_memory_is_banded():
     single = np.diff(tree.ptr[lvl]) == 1
     assert 0 < np.count_nonzero(single) < n_boxes
     x = rng.standard_normal((n_boxes, k))
+    xrow = np.arange(n_boxes)  # box b's expansion is row xrow[b] of x
     q = rng.standard_normal(len(pts))
     u = np.zeros(len(pts))
     tracemalloc.start()
-    kept = run._across_grid(lvl, x, single, q, u)
+    kept = run._across_grid(lvl, x, xrow, single, q, u)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8

@@ -2,9 +2,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import cheb2poly
 
 import latticefmm
 from latticefmm import green
@@ -18,7 +20,7 @@ from latticefmm.green import (
 )
 
 from exact_reference import exact_octant
-from phi_reference import phi_asymptotic_trig, phi_asymptotic_whole, phi_quadrature
+from phi_reference import _TRIG_TERMS, phi_asymptotic_trig, phi_asymptotic_whole, phi_quadrature
 
 # Closed forms forced by the defining equation (stencil + symmetry).
 KNOWN_VALUES = [
@@ -95,6 +97,38 @@ def test_asymptotic_matches_trig_form():
     y = np.concatenate([y[far], [1, -54321, 4321]])
     gap = np.max(np.abs(phi_asymptotic(x, y) - phi_asymptotic_trig(x, y)))
     assert gap <= 1e-14
+
+
+def test_expansion_terms_and_tail_polys_are_bitwise():
+    # The package keeps the expansion's rationals as integer pairs and
+    # converts the Chebyshev series itself; both must give the doubles of
+    # the exact Fractions and of numpy's cheb2poly, bit for bit.
+    terms = green._EXPANSION_TERMS
+    assert [(j, k) for j, k, _, _ in terms] == [(j, k) for j, k, _ in _TRIG_TERMS]
+    assert [Fraction(num, den) for _, _, num, den in terms] == [c for _, _, c in _TRIG_TERMS]
+    assert all(num / den == float(c) for (_, _, num, den), (_, _, c) in zip(terms, _TRIG_TERMS))
+    cheb = np.zeros((4, 5))
+    for j, k, c in _TRIG_TERMS:
+        cheb[j - 1, k] = float(c) / np.pi
+    want = [cheb2poly(row[: j + 1]) for j, row in enumerate(cheb, start=1)]
+    assert len(green._TAIL_POLYS) == len(want)
+    for got, ref in zip(green._TAIL_POLYS, want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_import_loads_neither_fractions_nor_numpy_polynomial():
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import latticefmm, latticefmm.fmm, latticefmm.defect, latticefmm.cli\n"
+        "new = set(sys.modules) - before\n"
+        "bad = sorted(m for m in new if m == 'fractions' or m.startswith('numpy.polynomial'))\n"
+        "assert not bad, bad\n"
+    )
+    src = os.path.dirname(os.path.dirname(latticefmm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_asymptotic_vectorized():

@@ -15,6 +15,7 @@ from tree_reference import (
     grid_run,
     level_offset,
     locate_id,
+    reference_pairs,
     relative_ifo_offset,
     single_point_pairs,
     sparse_points,
@@ -241,12 +242,16 @@ def test_level_lists_under_a_grid_run(name, last):
     asked = []
 
     def on_grid(lvl, n_far):
-        asked.append(lvl)
+        asked.append((lvl, n_far))
         return lvl <= last
 
     levels = _check_lists(tree, list(level_lists(tree, on_grid)), run)
-    # Asked level by level from 2 until the first no, and never again.
-    assert asked == list(range(2, min(last + 1, tree.L) + 1))
+    # Asked level by level from 2 until the first no, and never again,
+    # each time with all the level's interaction pairs, one-point boxes
+    # included, counted before any pair is formed; that holds too at the
+    # level that ends the run, which then forms its far pairs.
+    assert [lvl for lvl, _ in asked] == list(range(2, min(last + 1, tree.L) + 1))
+    assert all(n_far == len(reference_pairs(tree, lvl)[1]) for lvl, n_far in asked)
     assert all(isinstance(levels[lvl][1], int) for lvl in run)
     if last < tree.L:
         assert len(levels[last + 1][2][0]) > 0
