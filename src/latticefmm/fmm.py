@@ -20,15 +20,24 @@ passes change to match:
 * upward: a one-point leaf contributes its point's interpolation column,
   the unit expansion e_p; a one-point box's parent that holds the same one
   point carries e_p on by T_ofo, and the first parent with more points
-  receives e_p q_p.  Each level's expansions are held only until the next
-  coarser level is formed; T_ifo runs on them at once, fine to coarse.
+  receives e_p q_p.  The operators are those of one model box per side,
+  so e_{p,l} depends only on p's position in its box at level l.  On the
+  fine levels where a box has no more positions than the level has
+  one-point boxes (the leaf level always), it is read from the level's
+  table of unit expansions, built from the table below by T_ofo, and only
+  the boxes of more points get rows of their own; every coarser level
+  holds a row per box.  Each level's expansions are held only until the
+  next coarser level is formed; T_ifo runs on them at once, fine to
+  coarse.
 * T_ifo: a one-point box's outgoing expansion is e_p q_p, and its incoming
   expansion is folded into its point, u_p += e_p . inc, at that level, on
   either T_ifo path;
 * downward: T_ifi runs over the boxes of more points only, and a point's
   top one-point box takes its parent's incoming expansion through T_ifi
-  and folds it the same way.  This replaces the T_ifi chain below the
-  point's top one-point level.
+  and folds it the same way, with e_p formed again in chunks of points:
+  read from the tables, or from the coarsest one and carried on up by
+  T_ofo.  Nothing per point is held from the upward pass.  This replaces
+  the T_ifi chain below the point's top one-point level.
 
 A tree with no one-point box runs the plain five passes.  Inside the run
 of grid levels a pair of one-point boxes is a box pair like any other: a
@@ -129,6 +138,11 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 _STENCIL_CHUNK = 1 << 22
 _GRID_CHUNK = 1 << 18
 
+# Rows per chunk of the gathers and products over expansion rows (T_ofo,
+# T_ifo pair by pair and its folds, the unit expansions of the downward
+# pass): 2048 rows of k ~ 35 doubles, ~0.6 MB, stay in a core's L2 cache.
+_ROW_CHUNK = 1 << 11
+
 
 def _child_codes():
     """Offset code of a child pair, indexed by (n * 4 + q_b) * 4 + q_c for
@@ -185,7 +199,7 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
     child = np.full((len(tree.codes[lvl - 1]), 4), -1, dtype=np.int32)
-    slot = tree.parent_index[lvl] * 4 + (tree.codes[lvl] & 3)
+    slot = np.multiply(tree.parent_index[lvl], 4, dtype=np.int64) + (tree.codes[lvl] & 3)
     child.reshape(-1)[slot] = np.arange(n_boxes, dtype=np.int32)
     del slot
     # Each box b meets the children of its parent's colleagues: the
@@ -293,7 +307,9 @@ def _multi_rows(tree: QuadTree, lvl: int):
     among them: the rows of the incoming expansions the downward pass
     reads."""
     multi = np.diff(tree.ptr[lvl]) != 1
-    return multi, np.cumsum(multi) - 1
+    row = np.cumsum(multi, dtype=np.int32)
+    row -= 1
+    return multi, row
 
 
 def _merge_targets(points, charges, targets):
@@ -350,6 +366,7 @@ class FmmRun:
         self.ifo_seconds = [0.0] * (tree.L + 1)
         self.up_seconds = [0.0] * (tree.L + 1)
         self.down_seconds = [0.0] * (tree.L + 1)
+        self.upward_rows = [0] * (tree.L + 1)
         self.point_pairs_per_level = [0] * (tree.L + 1)
         self.near_pairs = 0
         self.near_gemm_blocks = 0
@@ -424,114 +441,173 @@ class FmmRun:
             plo, phi_ = np.searchsorted(pt_row, (lo, hi))
             yield lo, hi, pts[plo:phi_], pt_row[plo:phi_] - lo
 
-    def _leaf_expansions(self, q_sorted, single, slot_of_point, lin):
-        """Per leaf: the unit expansion interp[:, lin_p] of a one-point
-        leaf's point p, and the outgoing expansion (T_ofs) of every other
-        leaf, from its charges scattered onto the dense s x s stencil, one
-        GEMM per chunk of leaves."""
+    def _table_levels(self):
+        """The coarsest level m such that levels m..L read the unit
+        expansions of their one-point boxes from tables (``_unit_table``):
+        the leaf level always, and each coarser level in turn while its
+        boxes have no more positions than it has one-point boxes."""
         tree = self.tree
-        interp = self._ops(tree.L).skeleton.interp
-        # Every leaf's first point's column; rows of fuller leaves are
-        # overwritten below.
-        x = np.take(np.ascontiguousarray(interp.T), lin[tree.ptr[tree.L][:-1]], axis=0)
-        self.leaf_ofs_entries += interp.shape[0] * len(lin)
-        multi = np.flatnonzero(~single)
-        s2 = self.leaf_side * self.leaf_side
-        for lo, hi, pts, r in self._stencil_chunks(~single, slot_of_point):
-            dense = np.zeros((hi - lo, s2))
-            dense[r, lin[pts]] = q_sorted[pts]
-            x[multi[lo:hi]] = dense @ interp.T
-        return x
+        m = tree.L
+        while m > 2:
+            side = tree.side_of(m - 1)
+            if side * side > np.count_nonzero(np.diff(tree.ptr[m - 1]) == 1):
+                break
+            m -= 1
+        return m
 
-    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u):
+    def _unit_table(self, lvl, child, out=None):
+        """The unit expansions of every position of a box at ``lvl``, row
+        x * s + y for position (x, y) of a box of side s, from ``child``,
+        the table of level ``lvl + 1``, by T_ofo; into ``out`` if given.
+        The leaf level's table is the interpolation matrix transposed, row
+        ``lin_p`` the unit expansion e_p of a one-point leaf's point p."""
+        side, h = self.tree.side_of(lvl), self.tree.side_of(lvl + 1)
+        t_ofo = self._ops(lvl).t_ofo
+        if out is None:
+            out = np.empty((side * side, t_ofo.shape[1]))
+        table = out.reshape(2, h, 2, h, -1)  # (x bit, x, y bit, y)
+        for qd in range(4):
+            table[qd & 1, :, qd >> 1] = (child @ t_ofo[qd].T).reshape(h, h, -1)
+        return out
+
+    def _positions(self, lvl, rel):
+        """The rows of points (coordinates ``rel`` from the root corner) in
+        the table of ``lvl``: their positions in their boxes."""
+        side = self.tree.side_of(lvl)
+        local = rel & (side - 1)
+        return local[:, 0] * side + local[:, 1]
+
+    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u, m):
         """Upward pass fused with T_ifo, fine to coarse.  The seconds that
         form level l's expansions (T_ofs at the leaves, T_ofo from the
-        children at level l + 1 elsewhere) count at level l, those of T_ifo
-        at its level.
+        children at level l + 1 elsewhere, and the table) count at level
+        l, those of T_ifo at its level.
 
         ``x`` holds one level, box b's row in ``x[xrow[b]]``: the outgoing
-        expansion of each box of two or more points, and the unit expansion
-        e_{p,l} of each one-point box's point p, so its outgoing expansion
-        is e_{p,l} q_p.  T_ifo turns the outgoing expansions into incoming
-        ones, and a one-point box's is folded into its point at once,
-        u_p += e_{p,l} . inc_l.  What the downward pass reads is kept: the
-        incoming expansions of the boxes of two or more points, and e_{p,l}
-        at p's top one-point level, where the parent's incoming expansion
-        still has to reach p.  A one-point box's parent, if it holds one
-        point too, carries e_{p,l-1} = T_ofo e_{p,l}; otherwise it receives
-        e_{p,l} q_p through T_ofo.
+        expansion of each box of two or more points, and the unit
+        expansion e_{p,l} of each one-point box's point p, so its outgoing
+        expansion is e_{p,l} q_p.  On the levels m..L e_{p,l} depends only
+        on p's position in its box, and ``x`` starts with that level's
+        table of them (``_unit_table``): a one-point box's row is its
+        point's position, and only the boxes of more points get rows of
+        their own.  Coarser levels hold a row per box.  T_ifo turns the
+        outgoing expansions into incoming ones, and a one-point box's is
+        folded into its point at once, u_p += e_{p,l} . inc_l.  Only the
+        incoming expansions of the boxes of two or more points are kept
+        for the downward pass, which reads the tables again.
         """
         tree = self.tree
         clock = time.perf_counter
         t0 = clock()
         single = np.diff(tree.ptr[tree.L]) == 1
-        x = self._leaf_expansions(q_sorted, single, slot_of_point, lin)
-        xrow = np.arange(len(x), dtype=np.int32)  # box slots are int32
-        incoming, tops = {}, {}
+        x, xrow = self._leaf_expansions(q_sorted, single, slot_of_point, lin)
+        incoming = {}
         for lvl in range(tree.L, 1, -1):
             t1 = clock()
             self.up_seconds[lvl] += t1 - t0
+            self.upward_rows[lvl] = len(x)
             pairs = ifo.pop(lvl)
             if pairs is None:
                 incoming[lvl] = self._across_grid(lvl, x, xrow, single, q_sorted, u)
             else:
                 incoming[lvl] = self._across(lvl, x, xrow, single, pairs, q_sorted, u)
+            del pairs  # held no longer than its level
             t0 = clock()
             self.ifo_seconds[lvl] += t0 - t1
             if lvl == 2:
                 break
-            parent = tree.parent_index[lvl]
-            counts = np.diff(tree.ptr[lvl - 1])
-            single_parent = counts[parent] == 1
-            top = np.flatnonzero(single & ~single_parent)
-            rows = xrow[top]
-            e = np.take(x, rows, axis=0)
-            tops[lvl] = (top, e)
-            # A one-point parent carries its point's unit expansion; a
-            # parent of more points receives the point's charge.
-            x[rows] = e * q_sorted[tree.ptr[lvl][top]][:, None]
-            del top, rows, e
-            x, xrow = self._merge_up(lvl, x, xrow, parent)
-            single = counts == 1
-        return incoming, tops
+            up_single = np.diff(tree.ptr[lvl - 1]) == 1
+            k = self._ops(lvl - 1).skeleton.rank
+            if lvl - 1 >= m:
+                # The table of lvl - 1 from that of lvl (x's first rows),
+                # then the boxes of more points.
+                side2 = tree.side_of(lvl) ** 2
+                n_table = 4 * side2
+                up = np.empty((n_table + np.count_nonzero(~up_single), k))
+                self._unit_table(lvl - 1, x[:side2], out=up[:n_table])
+                row = self._merge_up(lvl, x, xrow, single, up_single, ~up_single, q_sorted, up[n_table:])
+                row += n_table
+                one = np.flatnonzero(up_single)
+                rel = np.take(tree.rel_sorted, tree.ptr[lvl - 1][one], axis=0)
+                row[one] = self._positions(lvl - 1, rel)
+            else:
+                up = np.empty((len(up_single), k))
+                need = np.ones(len(up_single), dtype=bool)
+                row = self._merge_up(lvl, x, xrow, single, up_single, need, q_sorted, up)
+            x, xrow, single = up, row, up_single
+        return incoming
 
-    def _merge_up(self, lvl, child_out, child_row, parent):
-        """T_ofo: the expansions at ``lvl - 1`` from those of their children
-        (box b's in row ``child_row[b]`` of ``child_out``).  Returns
-        (up, row): the expansions, box p's in row ``row[p]`` of ``up``.
+    def _leaf_expansions(self, q_sorted, single, slot_of_point, lin):
+        """The leaf level's (x, xrow): the leaf table, interp transposed,
+        whose row ``lin_p`` is the unit expansion of a one-point leaf's
+        point p, then the outgoing expansion (T_ofs) of every other leaf,
+        from its charges scattered onto the dense s x s stencil, one GEMM
+        per chunk of leaves."""
+        tree = self.tree
+        interp = self._ops(tree.L).skeleton.interp
+        k, s2 = interp.shape
+        self.leaf_ofs_entries += k * len(lin)
+        x = np.empty((s2 + np.count_nonzero(~single), k))
+        x[:s2] = interp.T
+        for lo, hi, pts, r in self._stencil_chunks(~single, slot_of_point):
+            dense = np.zeros((hi - lo, s2))
+            dense[r, lin[pts]] = q_sorted[pts]
+            np.matmul(dense, interp.T, out=x[s2 + lo : s2 + hi])
+        xrow = np.cumsum(~single, dtype=np.int32) + (s2 - 1)
+        one = np.flatnonzero(single)
+        xrow[one] = lin[tree.ptr[tree.L][one]]
+        return x, xrow
 
-        Siblings are adjacent, in quadrant order: each parent's first child
-        sets its row and the others add to it, in that order.  The first
-        children's products are written in place, grouped by quadrant, so
-        the parents' rows come in that order and no product is scattered
-        but those of later siblings."""
-        ops = self._ops(lvl - 1)
+    def _merge_up(self, lvl, x, xrow, single, up_single, need, q_sorted, up):
+        """T_ofo: the outgoing expansions of the boxes at ``lvl - 1`` flagged
+        in ``need``, from those of their children (box c's in row
+        ``xrow[c]`` of ``x``), into the rows of ``up``.  Returns each box's
+        row in ``up`` (the flagged ones).
+
+        A one-point child (``single``) whose parent holds more points
+        (not ``up_single``) passes on e_{p,l} q_p, any other child its row
+        as it is.  Siblings are adjacent, in quadrant order: each parent's
+        first child sets its row and the others add to it, in that order.
+        The first children's products are written in place, grouped by
+        quadrant, so the parents' rows come in that order and no product is
+        scattered but those of later siblings.  Children are gathered in
+        chunks of ``_ROW_CHUNK``."""
+        tree = self.tree
+        t_ofo = self._ops(lvl - 1).t_ofo
+        parent = tree.parent_index[lvl]
+        start = tree.ptr[lvl]
+        kids = np.flatnonzero(need[parent])
+        dad = parent[kids]
         # Children grouped by (later sibling, quadrant): the first children
         # of each quadrant in turn, then the later ones.  The key is int8,
         # so the stable sort is a radix sort.
-        later = np.zeros(len(parent), dtype=np.int8)
-        later[1:] = parent[1:] == parent[:-1]
-        key = (self.tree.codes[lvl] & 3).astype(np.int8) + 4 * later
+        later = np.zeros(len(kids), dtype=np.int8)
+        later[1:] = dad[1:] == dad[:-1]
+        key = (tree.codes[lvl][kids] & 3).astype(np.int8) + 4 * later
         order = np.argsort(key, kind="stable")
         bounds = np.zeros(9, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=8), out=bounds[1:])
         del later, key
-        n_up = parent[-1] + 1  # = bounds[4], one first child per parent
-        row = np.empty(n_up, dtype=np.int32)
-        row[parent[order[:n_up]]] = np.arange(n_up, dtype=np.int32)
-        up = np.empty((n_up, ops.skeleton.rank))
-        chunk = 1 << 14  # bounds the gathers of wide levels
+        kids = kids[order]
+        dad = dad[order]
+        top = np.flatnonzero(single[kids] & ~up_single[dad])
+        n_up = bounds[4]  # one first child per parent
+        row = np.empty(len(need), dtype=np.int32)
+        row[dad[:n_up]] = np.arange(n_up, dtype=np.int32)
         for g in range(8):
-            t_ofo = ops.t_ofo[g & 3].T
-            for lo in range(bounds[g], bounds[g + 1], chunk):
-                hi = min(lo + chunk, bounds[g + 1])
-                c = order[lo:hi]
-                kids = np.take(child_out, child_row[c], axis=0)
+            t_ofo_g = t_ofo[g & 3].T
+            for lo in range(bounds[g], bounds[g + 1], _ROW_CHUNK):
+                hi = min(lo + _ROW_CHUNK, bounds[g + 1])
+                e = np.take(x, xrow[kids[lo:hi]], axis=0)
+                if len(top):
+                    t0, t1 = np.searchsorted(top, (lo, hi))
+                    b = top[t0:t1]
+                    e[b - lo] *= q_sorted[start[kids[b]]][:, None]
                 if g < 4:
-                    np.matmul(kids, t_ofo, out=up[lo:hi])
+                    np.matmul(e, t_ofo_g, out=up[lo:hi])
                 else:
-                    up[row[parent[c]]] += kids @ t_ofo
-        return up, row
+                    up[row[dad[lo:hi]]] += e @ t_ofo_g
+        return row
 
     def _across(self, lvl, x, xrow, single, pairs, q_sorted, u):
         """T_ifo at one level, one GEMM per offset, over the boxes in some
@@ -541,7 +617,7 @@ class FmmRun:
         those of the boxes of two or more points."""
         start = self.tree.ptr[lvl]
         t_ifo = self._ops(lvl).t_ifo
-        used = np.zeros(len(x), dtype=bool)
+        used = np.zeros(len(single), dtype=bool)
         used[pairs[1]] = True
         rows = np.flatnonzero(used)
         row_of = np.cumsum(used) - 1
@@ -551,17 +627,16 @@ class FmmRun:
         # one-point box, 1 for a box of more points.
         charge = np.where(single, q_sorted[start[:-1]], 1.0)
         inc = np.zeros((len(rows), x.shape[1]))
-        chunk = 1 << 14  # bounds the gathers of wide levels
         for d, tgt, src in _code_groups(pairs):
-            for lo in range(0, len(tgt), chunk):
-                s = src[lo : lo + chunk]
+            for lo in range(0, len(tgt), _ROW_CHUNK):
+                s = src[lo : lo + _ROW_CHUNK]
                 # Each target has one source per offset: rows are distinct.
-                inc[row_of[tgt[lo : lo + chunk]]] += (
+                inc[row_of[tgt[lo : lo + _ROW_CHUNK]]] += (
                     np.take(x, xrow[s], axis=0) * charge[s, None]
                 ) @ t_ifo[d].T
         fold = rows[one]
-        for lo in range(0, len(fold), chunk):
-            b = fold[lo : lo + chunk]
+        for lo in range(0, len(fold), _ROW_CHUNK):
+            b = fold[lo : lo + _ROW_CHUNK]
             u[start[b]] += np.einsum(
                 "ij,ij->i", np.take(x, xrow[b], axis=0), np.take(inc, row_of[b], axis=0)
             )
@@ -600,10 +675,10 @@ class FmmRun:
         bx, by = (tree.rel_sorted[start[:-1]] // tree.side_of(lvl)).T
         px, py = (tree.rel_sorted[tree.ptr[lvl - 1][:-1]] // tree.side_of(lvl - 1)).T
         parent = tree.parent_index[lvl]
-        quad = (tree.codes[lvl] & 3).astype(np.int64)
+        quad = (tree.codes[lvl] & 3).astype(np.int8)
         charge = np.where(single, q_sorted[start[:-1]], 1.0)
         _, row = _multi_rows(tree, lvl)
-        kept = np.empty((len(x) - int(np.count_nonzero(single)), k))
+        kept = np.empty((len(single) - int(np.count_nonzero(single)), k))
         rows = max(1, min(side // 2, (_GRID_CHUNK // ((side + 4) * k) - 4) // 2))
         n_bands = -(-(side // 2) // rows)
         # Parents by band, and the boxes alike by their parent's band, each
@@ -650,47 +725,86 @@ class FmmRun:
             cell_rows[cell] = 0.0
         return kept
 
-    def _down(self, incoming, tops, slot_of_point, lin, u):
+    def _unit_expansions(self, pts, lvl, tables, m):
+        """The unit expansions e_{p,lvl} of the points ``pts`` in their
+        boxes at ``lvl``, row i that of ``pts[i]``, as the upward pass
+        formed them: read from the table of ``lvl`` (``tables[lvl]``) on
+        the levels m..L, and above them from the table of m and carried on
+        up by T_ofo, one GEMM per quadrant and level."""
+        tree = self.tree
+        first = max(lvl, m)
+        rel = np.take(tree.rel_sorted, pts, axis=0)
+        e = np.take(tables[first], self._positions(first, rel), axis=0)
+        for level in range(first, lvl, -1):
+            # The quadrant of each point's box at ``level``.
+            bits = (rel >> (tree.root_side.bit_length() - 1 - level)) & 1
+            quad = bits[:, 0] | bits[:, 1] << 1
+            t_ofo = self._ops(level - 1).t_ofo
+            up = np.empty((len(pts), t_ofo.shape[1]))
+            for qd in range(4):
+                rows = np.flatnonzero(quad == qd)
+                up[rows] = np.take(e, rows, axis=0) @ t_ofo[qd].T
+            e = up
+        return e
+
+    def _down(self, incoming, slot_of_point, lin, u, m):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
         incoming expansion of each box of two or more points to its
-        children; a child at its point p's top one-point level takes it
-        into p, u_p += e_{p,l} . inc; the leaves of two or more points
-        expand theirs at their points (T_tfi, the transpose of T_ofs: one
-        GEMM onto the dense s x s stencil per chunk of leaves).  The
-        seconds of T_ifi out of level l count at level l, those of T_tfi
-        at the leaf level."""
+        children.  A child at its point p's top one-point level takes it
+        into p, u_p += e_{p,l} . inc, with e_{p,l} formed again from the
+        tables of levels m..L (``_unit_expansions``), in chunks of points.
+        The leaves of two or more points expand theirs at their points
+        (T_tfi, the transpose of T_ofs: one GEMM onto the dense s x s
+        stencil per chunk of leaves).  The seconds of T_ifi out of level l
+        count at level l, those of T_tfi and the tables at the leaf
+        level."""
         tree = self.tree
         clock = time.perf_counter
         t0 = clock()
-        _, row = _multi_rows(tree, 2)
+        interp = self._ops(tree.L).skeleton.interp
+        tables = {tree.L: np.ascontiguousarray(interp.T)}
+        for lvl in range(tree.L - 1, m - 1, -1):
+            tables[lvl] = self._unit_table(lvl, tables[lvl + 1])
+        t_tables = clock() - t0
+        t0 = clock()
+        multi, row = _multi_rows(tree, 2)
         for lvl in range(2, tree.L):
             t_ofo = self._ops(lvl).t_ofo
             parent = tree.parent_index[lvl + 1]
-            quad = (tree.codes[lvl + 1] & 3).astype(np.int64)
-            multi, child_row = _multi_rows(tree, lvl + 1)
+            quad = (tree.codes[lvl + 1] & 3).astype(np.int8)
+            child_multi, child_row = _multi_rows(tree, lvl + 1)
             inc, child_inc = incoming.pop(lvl), incoming[lvl + 1]
-            top, e = tops.pop(lvl + 1)
             start = tree.ptr[lvl + 1]
             for qd in range(4):
-                kids = np.flatnonzero(multi & (quad == qd))
+                kids = np.flatnonzero(child_multi & (quad == qd))
                 if len(kids):
                     # T_ifi is T_ofo transposed; row-vector form keeps it direct.
                     child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
-                pick = np.flatnonzero(quad[top] == qd)
-                if len(pick):
-                    b = top[pick]
-                    down = np.take(inc, row[parent[b]], axis=0) @ t_ofo[qd]
-                    u[start[b]] += np.einsum("ij,ij->i", down, np.take(e, pick, axis=0))
-            row = child_row
+            # The one-point children of boxes of more points, the tops,
+            # by quadrant.
+            top = np.flatnonzero(~child_multi & multi[parent])
+            if len(top):
+                top = top[np.argsort(quad[top], kind="stable")]
+                bounds = np.zeros(5, dtype=np.int64)
+                np.cumsum(np.bincount(quad[top], minlength=4), out=bounds[1:])
+            for lo in range(0, len(top), _ROW_CHUNK):
+                hi = min(lo + _ROW_CHUNK, len(top))
+                e = self._unit_expansions(start[top[lo:hi]], lvl + 1, tables, m)
+                for qd in range(4):
+                    q0, q1 = max(lo, bounds[qd]), min(hi, bounds[qd + 1])
+                    if q1 > q0:
+                        b = top[q0:q1]
+                        down = np.take(inc, row[parent[b]], axis=0) @ t_ofo[qd]
+                        u[start[b]] += np.einsum("ij,ij->i", down, e[q0 - lo : q1 - lo])
+            tables.pop(lvl + 1, None)  # coarser chains were read first
+            multi, row = child_multi, child_row
             t1 = clock()
             self.down_seconds[lvl] += t1 - t0
             t0 = t1
-        multi, _ = _multi_rows(tree, tree.L)
         inc_leaf = incoming.pop(tree.L)
-        interp = self._ops(tree.L).skeleton.interp
         for lo, hi, pts, r in self._stencil_chunks(multi, slot_of_point):
             u[pts] += (inc_leaf[lo:hi] @ interp)[r, lin[pts]]
-        self.down_seconds[tree.L] += clock() - t0
+        self.down_seconds[tree.L] += clock() - t0 + t_tables
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
@@ -750,10 +864,14 @@ class FmmRun:
         s = self.leaf_side
         radius = DEFAULT_RTABLE
         grid = default_table().dense_grid()
-        used = np.unique(
-            np.concatenate([np.concatenate(p[2:]) for p in stencil_pairs])
-        )
-        row = np.full(len(self.tree.codes[self.tree.L]), -1)
+        # The leaves used, marked rather than np.unique'd: its first call
+        # imports numpy.ma.
+        mark = np.zeros(len(self.tree.codes[self.tree.L]), dtype=bool)
+        for _, _, t_slots, s_slots in stencil_pairs:
+            mark[t_slots] = True
+            mark[s_slots] = True
+        used = np.flatnonzero(mark)
+        row = np.full(len(mark), -1)
         row[used] = np.arange(len(used))
         pt_row = row[slot_of_point]
         scattered = np.flatnonzero(pt_row >= 0)
@@ -783,8 +901,9 @@ class FmmRun:
         u_sorted = np.zeros(len(q_sorted))
         ifo, colleagues = self._lists(q_sorted, u_sorted)
         if self.chain is not None:
-            incoming, tops = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
-            self._down(incoming, tops, slot_of_point, lin, u_sorted)
+            m = self._table_levels()
+            incoming = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted, m)
+            self._down(incoming, slot_of_point, lin, u_sorted, m)
         self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
         self.times["t_downward"] = sum(self.down_seconds)
@@ -822,6 +941,7 @@ class FmmRun:
             "t_ifo_per_level": list(self.ifo_seconds),
             "t_upward_per_level": list(self.up_seconds),
             "t_downward_per_level": list(self.down_seconds),
+            "upward_rows_per_level": list(self.upward_rows),
             "point_pairs_per_level": list(self.point_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
@@ -858,10 +978,17 @@ def fmm_apply(
     the last four read 0 at levels 0 and 1, which have no interaction
     lists; ``t_upward_per_level`` the seconds of ``t_upward`` that formed
     each level's outgoing expansions, T_ofs at the leaf level and T_ofo
-    from the level below elsewhere, and ``t_downward_per_level`` those of
-    ``t_downward`` spent at each level, T_ifi to the level below and T_tfi
-    at the leaf level; both read 0 at a level with no such work, levels 0
-    and 1 always, and each sums to its pass's total), ``ifo_grid_levels``
+    from the level below (and the level's table of unit expansions)
+    elsewhere, and ``t_downward_per_level`` those of ``t_downward`` spent
+    at each level, T_ifi to the level below and the top expansions of the
+    one-point chains under it, and at the leaf level T_tfi and building
+    the tables again; both read 0 at a level with no such work, levels 0
+    and 1 always, and each sums to its pass's total;
+    ``upward_rows_per_level`` the rows of each level's array of
+    expansions in the upward pass, 0 at levels 0 and 1: on a level that
+    reads its one-point boxes from its table, the table's s^2 positions
+    (s the box side) and a row per box of two or more points, elsewhere a
+    row per box), ``ifo_grid_levels``
     (the run of levels from 2 whose T_ifo ran on the dense box grid, one
     GEMM over each parent's child neighbourhood; the others ran pair by
     pair, see the module docstring), near-field work (``near_pairs`` point pairs, of

@@ -92,7 +92,10 @@ def proxy_points(side: int) -> np.ndarray:
     """
     lo, hi = -side, 2 * side
     n = max(min(_PROXY_PER_EDGE, 3 * side + 1), 2)
-    ticks = np.unique(np.round(np.linspace(lo, hi, n)).astype(np.int64))
+    ticks = np.round(np.linspace(lo, hi, n)).astype(np.int64)  # ascending
+    # Deduplicated by neighbour, not np.unique: its first call imports
+    # numpy.ma (10-20 ms of a cold start).
+    ticks = ticks[np.append(True, ticks[1:] != ticks[:-1])]
     pts = set()
     for t in ticks:
         t = int(t)
@@ -174,13 +177,16 @@ def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     dx = z[:, None, 0] - z[None, :, 0]
     dy = z[:, None, 1] - z[None, :, 1]
     # The offsets are closed under negation and phi(-m) == phi(m) exactly,
-    # so the block of -delta is the transpose of the block of delta.
-    for d, (ox, oy) in enumerate(INTERACTION_OFFSETS):
-        neg = INTERACTION_OFFSETS.index((-ox, -oy))
-        if neg < d:
-            out[d] = out[neg].T
-        else:
-            out[d] = phi(dx - skel.side * ox, dy - skel.side * oy)
+    # so the block of -delta is the transpose of the block of delta: one
+    # phi call fills the blocks of the offsets that come before their
+    # negations.
+    neg = [INTERACTION_OFFSETS.index((-ox, -oy)) for ox, oy in INTERACTION_OFFSETS]
+    own = [d for d in range(len(INTERACTION_OFFSETS)) if neg[d] > d]
+    off = np.array([INTERACTION_OFFSETS[d] for d in own]) * skel.side
+    out[own] = phi(dx - off[:, 0, None, None], dy - off[:, 1, None, None])
+    for d in range(len(INTERACTION_OFFSETS)):
+        if neg[d] < d:
+            out[d] = out[neg[d]].T
     return out
 
 

@@ -142,16 +142,20 @@ class QuadTree:
         # sorted keys part.  A box's parent changes where the keys also
         # part one level up.
         split = split_level(sorted_deep[1:], sorted_deep[:-1])
+        # Point and box indices fit in int32 below 2**31 points; at every
+        # level that halves ptr and parent_index.
+        index = np.int32 if n < 2**31 else np.int64
         self.codes = []
         self.ptr = []
         self.parent_index = [None]
         for lvl in range(self.L + 1):
             starts = np.concatenate([[0], np.flatnonzero(split <= lvl) + 1])
             self.codes.append(sorted_deep[starts] >> np.int64(2 * (logs - lvl)))
-            self.ptr.append(np.append(starts, n))
+            self.ptr.append(np.append(starts, n).astype(index))
             if lvl > 0:
                 new_parent = split[starts[1:] - 1] < lvl
-                self.parent_index.append(np.concatenate([[0], np.cumsum(new_parent)]))
+                parent = np.cumsum(new_parent, dtype=index)
+                self.parent_index.append(np.concatenate([np.zeros(1, index), parent]))
 
     def side_of(self, level: int) -> int:
         return self.root_side >> level

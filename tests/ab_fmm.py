@@ -16,8 +16,10 @@ benchmark runs of one commit by tens of percent, fall on both alike.
 
 Per case it prints the median call of each side in ms, the ratio B / A of
 the medians, in how many pairs B was faster, and whether the sha256 of the
-two outputs match.  Set OPENBLAS_NUM_THREADS as the benchmark does (it
-pins BLAS to at most two threads).
+two outputs match.  With --peak it also prints each side's traced peak: one
+more warm call under tracemalloc, in MB (10^6 bytes, as the benchmark's
+``peak_mb``).  Set OPENBLAS_NUM_THREADS as the benchmark does (it pins BLAS
+to at most two threads).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +57,7 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", default=["dense", "random"], choices=["dense", "random"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")
+    parser.add_argument("--peak", action="store_true", help="print each side's traced peak too")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -75,10 +79,19 @@ def main() -> int:
                     times[k].append(call(sides[k])[0])
             med = {k: statistics.median(v) for k, v in times.items()}
             wins = sum(b < a for a, b in zip(times["A"], times["B"]))
+            peak = ""
+            if args.peak:
+                mb = {}
+                for k, fmm in sides.items():
+                    tracemalloc.start()
+                    call(fmm)
+                    mb[k] = tracemalloc.get_traced_memory()[1] / 1e6
+                    tracemalloc.stop()
+                peak = f", traced peak A {mb['A']:.3f} MB, B {mb['B']:.3f} MB"
             print(
                 f"{workload} seed {seed}: A {med['A'] * 1e3:.1f} ms, B {med['B'] * 1e3:.1f} ms, "
                 f"B/A {med['B'] / med['A']:.3f}, B faster in {wins} of {args.pairs}, "
-                f"sha256 {'equal' if digest['A'] == digest['B'] else 'DIFFER'}",
+                f"sha256 {'equal' if digest['A'] == digest['B'] else 'DIFFER'}{peak}",
                 flush=True,
             )
     return 0

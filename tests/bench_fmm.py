@@ -11,8 +11,11 @@ The process calls ``fmm_apply`` once cold (the first call after import,
 which builds the phi table and the operator chain) and then WARM times
 more, at eps 1e-10 and nleaf 64; a record holds the cold and the median
 warm wall time, the cold call's ``t_chain``, every ``stats`` entry of the
-last warm call (the per-pass timers and the per-level counters), and the
-peak RSS.  Records are merged into BENCH_fmm.json under cases.<name>.<label>.
+last warm call (the per-pass timers and the per-level counters), the peak
+RSS, and the traced peak of one more call under tracemalloc
+(``traced_peak_mb``, MiB: the arrays the call allocates, which RSS, moved
+by the heap's layout, does not show alone).  Records are merged into
+BENCH_fmm.json under cases.<name>.<label>.
 
 Cases, with the points and charges of ``lfmm bench`` at its default seed:
 a dense 512 x 512 grid; 2**18 distinct points drawn uniformly on a 2**18 x
@@ -50,6 +53,7 @@ def run_case(name: str) -> dict:
     """One case in this process (call it in a fresh one)."""
     import resource
     import statistics
+    import tracemalloc
 
     import numpy as np
 
@@ -69,6 +73,11 @@ def run_case(name: str) -> dict:
         wall_s.append(time.perf_counter() - t0)
         if len(wall_s) == 1:
             cold_t_chain = stats["t_chain"]
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    fmm_apply(pts, q, eps=EPS, nleaf=NLEAF)
+    traced_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     return {
         "N_source": int(pts.shape[0]),
         "cold_wall_s": wall_s[0],
@@ -76,7 +85,8 @@ def run_case(name: str) -> dict:
         "warm_wall_s": statistics.median(wall_s[1:]),
         "warm_runs": WARM,
         "stats": stats,
-        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "ru_maxrss_mb": rss_mb,
+        "traced_peak_mb": traced_peak_mb,
     }
 
 
@@ -108,7 +118,8 @@ def main() -> int:
         print(f"{name} {args.label}: cold {record['cold_wall_s']:.3f} s, "
               f"warm {record['warm_wall_s']:.3f} s (ifo {st['t_ifo']:.3f}, "
               f"down {st['t_downward']:.3f}, near {st['t_near']:.3f}), "
-              f"{record['ru_maxrss_mb']:.0f} MB", flush=True)
+              f"{record['ru_maxrss_mb']:.0f} MB RSS, traced {record['traced_peak_mb']:.1f} MiB",
+              flush=True)
     OUT.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

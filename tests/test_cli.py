@@ -304,6 +304,9 @@ def test_bench_json_records(capsys):
             per_level = stats[key + "_per_level"]
             assert len(per_level) == stats["levels"] and per_level[:2] == [0.0, 0.0]
             assert sum(per_level) == pytest.approx(stats[key], rel=1e-12)
+        # The upward pass's level arrays: rows from level 2 only.
+        rows = stats["upward_rows_per_level"]
+        assert len(rows) == stats["levels"] and rows[:2] == [0, 0] and min(rows[2:]) > 0
         # The warm-up call built the chain; the recorded call reuses it.
         assert stats["chain_built"] is False
         # The cold call is reported beside the warm one; its chain time is

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -302,6 +305,16 @@ def test_per_level_stats(monkeypatch):
         assert len(per_level) == second["levels"] and per_level[:2] == [0.0, 0.0]
         assert all(t > 0.0 for t in per_level[2:])
         assert sum(per_level) == second[key]
+    # Rows of the upward pass's level arrays: none at levels 0-1; a level
+    # that reads its one-point boxes from its table (the leaf level
+    # always) holds the table's s^2 positions and the boxes of more
+    # points, any other level a row per box.
+    rows = second["upward_rows_per_level"]
+    assert len(rows) == second["levels"] and rows[:2] == [0, 0]
+    for lvl in range(2, tree.L + 1):
+        n_multi = second["boxes_per_level"][lvl] - second["single_boxes_per_level"][lvl]
+        table = tree.side_of(lvl) ** 2 + n_multi
+        assert rows[lvl] == table if lvl == tree.L else rows[lvl] in (table, second["boxes_per_level"][lvl])
     assert json.loads(json.dumps(second)) == second
 
 
@@ -564,6 +577,83 @@ def test_every_point_pair_covered_once(seed, with_targets):
 
 def rng_charges(n, seed=5):
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def chain_load():
+    """Full 16 x 16 clusters on a 2**16 domain, each with two points at
+    every distance 2^4..2^14 from it and a scatter of isolated points: the
+    points part from the clusters at every level, so their one-point
+    chains have their tops at every level."""
+    rng = np.random.default_rng(13)
+    parts = [rng.integers(0, 1 << 16, size=(300, 2))]
+    for corner in rng.integers(1 << 14, 3 << 14, size=(3, 2)) & ~7:
+        parts.append(grid_points(16) + corner)
+        for j in range(4, 15):
+            angle = rng.uniform(0, 2 * np.pi, size=2)
+            ring = (2**j * np.column_stack([np.cos(angle), np.sin(angle)])).astype(np.int64)
+            parts.append(corner + 8 + ring)
+    return np.unique(np.clip(np.vstack(parts), 0, (1 << 16) - 1), axis=0)
+
+
+def test_one_point_chains_match_direct():
+    # The downward pass forms each chain's top expansion again: from its
+    # level's table on the table levels, from the coarsest table and up by
+    # T_ofo above them.  Both kinds occur, at several levels each.
+    pts = chain_load()
+    tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    m = fmm.FmmRun(tree, 1e-10)._table_levels()
+    tops = []
+    for lvl in range(3, tree.L + 1):
+        single = np.diff(tree.ptr[lvl]) == 1
+        under_many = (np.diff(tree.ptr[lvl - 1]) > 1)[tree.parent_index[lvl]]
+        if np.any(single & under_many):
+            tops.append(lvl)
+    assert len([t for t in tops if t < m]) >= 3 and len([t for t in tops if t >= m]) >= 2, (tops, m)
+    q = rng_charges(len(pts))
+    ref = direct_sum(pts, q)
+    for eps in (1e-6, 1e-10):
+        assert np.max(np.abs(fmm_apply(pts, q, eps=eps) - ref)) <= eps * np.abs(q).sum()
+
+
+def test_traced_peak_per_point():
+    # 2^13 uniform points on 2^13 x 2^13, about one per leaf.  The warm
+    # call's traced peak measured 945-948 bytes per point (seeds 0-3);
+    # with every one-point chain's top expansion held to the downward pass
+    # and no tables, it was 1234-1239.
+    n = 1 << 13
+    rng = np.random.default_rng(0)
+    flat = rng.choice(n * n, size=n, replace=False)
+    pts = np.column_stack([flat // n, flat % n])
+    q = rng.standard_normal(n)
+    fmm_apply(pts, q)
+    tracemalloc.start()
+    fmm_apply(pts, q)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1040 * n, peak / n
+
+
+def test_fmm_apply_leaves_numpy_ma_unloaded():
+    # np.unique's first call in a process imports numpy.ma, 10-20 ms of a
+    # cold start.  Neither the stencil near field (full leaves) nor the
+    # operator chain's build (proxy points) may reach it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from latticefmm.fmm import fmm_apply\n"
+        "g = np.arange(32)\n"
+        "dense = np.column_stack([np.repeat(g, 32), np.tile(g, 32)])\n"
+        "rng = np.random.default_rng(3)\n"
+        "flat = rng.choice(1 << 20, size=2000, replace=False)\n"
+        "sparse = np.column_stack([flat >> 10, flat & 1023])\n"
+        "for pts in (dense, sparse):\n"
+        "    stats = {}\n"
+        "    fmm_apply(pts, rng.standard_normal(len(pts)), stats=stats)\n"
+        "    assert stats['levels'] >= 3, stats['levels']\n"
+        "assert stats['chain_built'] and 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(fmm.__file__))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
 @pytest.mark.parametrize("seed,with_targets", MIXED)
