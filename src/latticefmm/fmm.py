@@ -21,23 +21,23 @@ passes change to match:
   the unit expansion e_p; a one-point box's parent that holds the same one
   point carries e_p on by T_ofo, and the first parent with more points
   receives e_p q_p.  The operators are those of one model box per side,
-  so e_{p,l} depends only on p's position in its box at level l.  On the
+  so e_{p,l} depends only on p's position in its box at level l, and the
+  operator chain keeps a table of it per side (``unit_table``).  On the
   fine levels where a box has no more positions than the level has
-  one-point boxes (the leaf level always), it is read from the level's
-  table of unit expansions, built from the table below by T_ofo, and only
-  the boxes of more points get rows of their own; every coarser level
-  holds a row per box.  Each level's expansions are held only until the
-  next coarser level is formed; T_ifo runs on them at once, fine to
-  coarse.
+  one-point boxes (the leaf level always), e_{p,l} is read from that
+  table and only the boxes of more points get rows of their own; every
+  coarser level holds a row per box.  Each level's expansions are held
+  only until the next coarser level is formed; T_ifo runs on them at
+  once, fine to coarse.
 * T_ifo: a one-point box's outgoing expansion is e_p q_p, and its incoming
   expansion is folded into its point, u_p += e_p . inc, at that level, on
   either T_ifo path;
-* downward: T_ifi runs over the boxes of more points only, and a point's
-  top one-point box takes its parent's incoming expansion through T_ifi
-  and folds it the same way, with e_p formed again in chunks of points:
-  read from the tables, or from the coarsest one and carried on up by
-  T_ofo.  Nothing per point is held from the upward pass.  This replaces
-  the T_ifi chain below the point's top one-point level.
+* downward: T_ifi runs over the boxes of more points only.  The parent of
+  a point's top one-point box folds its incoming expansion into the point
+  at the parent's level l, u_p += e_{p,l} . inc_l, which is T_ifi to the
+  top box and the fold there in one; e_{p,l} is read from the tables, or
+  from the coarsest one and carried on up by T_ofo.  Nothing per point is
+  held from the upward pass, and no T_ifi runs below a top.
 
 A tree with no one-point box runs the plain five passes.  Inside the run
 of grid levels a pair of one-point boxes is a box pair like any other: a
@@ -340,9 +340,9 @@ class FmmRun:
 
     def __init__(self, tree: QuadTree, eps: float):
         self.tree = tree
-        self.eps = eps
         self.leaf_side = tree.side_of(tree.L)
         self.chain = None
+        self.table_level = self._table_levels()
         t0 = time.perf_counter()
         self.chain_built = False
         if tree.L >= 2:
@@ -351,43 +351,22 @@ class FmmRun:
             self.chain.ensure(tree.side_of(2))
             self.chain_built = len(self.chain.ops) > n_ops
             # The grid operators of the levels that may join the grid run (a
-            # box has at most 27 interaction pairs) are built before any
-            # list: built mid-call, these long-lived arrays would sit above
-            # the call's freed lists on the heap and keep it from shrinking
-            # (uniform 2^18: 448 against 369 MB peak RSS over four calls).
+            # box has at most 27 interaction pairs) and the tables of unit
+            # expansions are built before any list: built mid-call, these
+            # long-lived arrays would sit above the call's freed lists on
+            # the heap and keep it from shrinking (uniform 2^18: 448 against
+            # 369 MB peak RSS over four calls).
             for lvl in range(2, tree.L + 1):
                 if 27 * len(tree.codes[lvl]) < _IFO_GRID_PAIRS_PER_CELL * 4**lvl:
                     break
                 self._ops(lvl).t_ifo_grid
+            self.chain.unit_table(tree.side_of(self.table_level))
         self.t_chain = time.perf_counter() - t0
-        self.times: dict[str, float] = {}
-        self.ifo_pairs_per_level = [0] * (tree.L + 1)
-        self.ifo_grid_levels: list[int] = []
-        self.ifo_seconds = [0.0] * (tree.L + 1)
-        self.up_seconds = [0.0] * (tree.L + 1)
-        self.down_seconds = [0.0] * (tree.L + 1)
-        self.upward_rows = [0] * (tree.L + 1)
-        self.point_pairs_per_level = [0] * (tree.L + 1)
-        self.near_pairs = 0
-        self.near_gemm_blocks = 0
-        self.near_ragged_pairs = 0
-        self.leaf_ofs_entries = 0
 
     def _ops(self, level: int):
         return self.chain.ops[self.tree.side_of(level)]
 
     # -- passes ----------------------------------------------------------
-
-    def _leaf_geometry(self):
-        tree = self.tree
-        lvl = tree.L
-        counts = np.diff(tree.ptr[lvl])
-        slot_of_point = np.repeat(np.arange(len(counts)), counts)
-        s = self.leaf_side
-        # Position within the leaf: the side is a power of two.
-        local = tree.rel_sorted & (s - 1)
-        lin = local[:, 0] * s + local[:, 1]
-        return counts, slot_of_point, lin
 
     def _lists(self, q_sorted, u):
         """Build every level's lists, coarse to fine; sum the point pairs
@@ -443,9 +422,9 @@ class FmmRun:
 
     def _table_levels(self):
         """The coarsest level m such that levels m..L read the unit
-        expansions of their one-point boxes from tables (``_unit_table``):
-        the leaf level always, and each coarser level in turn while its
-        boxes have no more positions than it has one-point boxes."""
+        expansions of their one-point boxes from the chain's tables: the
+        leaf level always, and each coarser level in turn while its boxes
+        have no more positions than it has one-point boxes."""
         tree = self.tree
         m = tree.L
         while m > 2:
@@ -455,21 +434,6 @@ class FmmRun:
             m -= 1
         return m
 
-    def _unit_table(self, lvl, child, out=None):
-        """The unit expansions of every position of a box at ``lvl``, row
-        x * s + y for position (x, y) of a box of side s, from ``child``,
-        the table of level ``lvl + 1``, by T_ofo; into ``out`` if given.
-        The leaf level's table is the interpolation matrix transposed, row
-        ``lin_p`` the unit expansion e_p of a one-point leaf's point p."""
-        side, h = self.tree.side_of(lvl), self.tree.side_of(lvl + 1)
-        t_ofo = self._ops(lvl).t_ofo
-        if out is None:
-            out = np.empty((side * side, t_ofo.shape[1]))
-        table = out.reshape(2, h, 2, h, -1)  # (x bit, x, y bit, y)
-        for qd in range(4):
-            table[qd & 1, :, qd >> 1] = (child @ t_ofo[qd].T).reshape(h, h, -1)
-        return out
-
     def _positions(self, lvl, rel):
         """The rows of points (coordinates ``rel`` from the root corner) in
         the table of ``lvl``: their positions in their boxes."""
@@ -477,30 +441,51 @@ class FmmRun:
         local = rel & (side - 1)
         return local[:, 0] * side + local[:, 1]
 
-    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u, m):
+    def _level_array(self, lvl, single, fill):
+        """The upward pass's array of expansions at ``lvl`` and each box's
+        row in it.  On the levels from ``table_level`` to L, e_{p,l}
+        depends only on p's position in its box: the array starts with the
+        chain's table of unit expansions (s^2 rows, s the box side), where
+        a one-point box's row is its point's position, and only the boxes
+        of two or more points get rows of their own.  Coarser levels hold a
+        row per box.  ``fill(out, need)`` writes the rows of the boxes
+        flagged in ``need`` into ``out`` and returns each one's row there."""
+        tree = self.tree
+        if lvl < self.table_level:
+            x = np.empty((len(single), self._ops(lvl).skeleton.rank))
+            return x, fill(x, np.ones(len(single), dtype=bool))
+        table = self.chain.unit_table(tree.side_of(lvl))
+        n_table = len(table)
+        x = np.empty((n_table + np.count_nonzero(~single), table.shape[1]))
+        x[:n_table] = table
+        row = fill(x[n_table:], ~single)
+        row += n_table
+        one = np.flatnonzero(single)
+        row[one] = self._positions(lvl, np.take(tree.rel_sorted, tree.ptr[lvl][one], axis=0))
+        return x, row
+
+    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u):
         """Upward pass fused with T_ifo, fine to coarse.  The seconds that
         form level l's expansions (T_ofs at the leaves, T_ofo from the
-        children at level l + 1 elsewhere, and the table) count at level
-        l, those of T_ifo at its level.
+        children at level l + 1 elsewhere) count at level l, those of T_ifo
+        at its level.
 
-        ``x`` holds one level, box b's row in ``x[xrow[b]]``: the outgoing
-        expansion of each box of two or more points, and the unit
-        expansion e_{p,l} of each one-point box's point p, so its outgoing
-        expansion is e_{p,l} q_p.  On the levels m..L e_{p,l} depends only
-        on p's position in its box, and ``x`` starts with that level's
-        table of them (``_unit_table``): a one-point box's row is its
-        point's position, and only the boxes of more points get rows of
-        their own.  Coarser levels hold a row per box.  T_ifo turns the
+        ``x`` holds one level (``_level_array``), box b's row in
+        ``x[xrow[b]]``: the outgoing expansion of each box of two or more
+        points, and the unit expansion e_{p,l} of each one-point box's
+        point p, so its outgoing expansion is e_{p,l} q_p.  T_ifo turns the
         outgoing expansions into incoming ones, and a one-point box's is
         folded into its point at once, u_p += e_{p,l} . inc_l.  Only the
         incoming expansions of the boxes of two or more points are kept
-        for the downward pass, which reads the tables again.
+        for the downward pass.
         """
         tree = self.tree
         clock = time.perf_counter
         t0 = clock()
         single = np.diff(tree.ptr[tree.L]) == 1
-        x, xrow = self._leaf_expansions(q_sorted, single, slot_of_point, lin)
+        x, xrow = self._level_array(
+            tree.L, single, lambda out, need: self._leaf_expansions(q_sorted, need, slot_of_point, lin, out)
+        )
         incoming = {}
         for lvl in range(tree.L, 1, -1):
             t1 = clock()
@@ -517,46 +502,26 @@ class FmmRun:
             if lvl == 2:
                 break
             up_single = np.diff(tree.ptr[lvl - 1]) == 1
-            k = self._ops(lvl - 1).skeleton.rank
-            if lvl - 1 >= m:
-                # The table of lvl - 1 from that of lvl (x's first rows),
-                # then the boxes of more points.
-                side2 = tree.side_of(lvl) ** 2
-                n_table = 4 * side2
-                up = np.empty((n_table + np.count_nonzero(~up_single), k))
-                self._unit_table(lvl - 1, x[:side2], out=up[:n_table])
-                row = self._merge_up(lvl, x, xrow, single, up_single, ~up_single, q_sorted, up[n_table:])
-                row += n_table
-                one = np.flatnonzero(up_single)
-                rel = np.take(tree.rel_sorted, tree.ptr[lvl - 1][one], axis=0)
-                row[one] = self._positions(lvl - 1, rel)
-            else:
-                up = np.empty((len(up_single), k))
-                need = np.ones(len(up_single), dtype=bool)
-                row = self._merge_up(lvl, x, xrow, single, up_single, need, q_sorted, up)
-            x, xrow, single = up, row, up_single
+            x, xrow = self._level_array(
+                lvl - 1,
+                up_single,
+                lambda out, need: self._merge_up(lvl, x, xrow, single, up_single, need, q_sorted, out),
+            )
+            single = up_single
         return incoming
 
-    def _leaf_expansions(self, q_sorted, single, slot_of_point, lin):
-        """The leaf level's (x, xrow): the leaf table, interp transposed,
-        whose row ``lin_p`` is the unit expansion of a one-point leaf's
-        point p, then the outgoing expansion (T_ofs) of every other leaf,
-        from its charges scattered onto the dense s x s stencil, one GEMM
-        per chunk of leaves."""
-        tree = self.tree
-        interp = self._ops(tree.L).skeleton.interp
-        k, s2 = interp.shape
-        self.leaf_ofs_entries += k * len(lin)
-        x = np.empty((s2 + np.count_nonzero(~single), k))
-        x[:s2] = interp.T
-        for lo, hi, pts, r in self._stencil_chunks(~single, slot_of_point):
+    def _leaf_expansions(self, q_sorted, need, slot_of_point, lin, out):
+        """T_ofs: the outgoing expansion of each leaf flagged in ``need``
+        (those of two or more points), from its charges scattered onto the
+        dense s x s stencil, one GEMM per chunk of leaves, into the rows of
+        ``out`` in leaf order.  Returns each leaf's row there."""
+        interp = self._ops(self.tree.L).skeleton.interp
+        s2 = interp.shape[1]
+        for lo, hi, pts, r in self._stencil_chunks(need, slot_of_point):
             dense = np.zeros((hi - lo, s2))
             dense[r, lin[pts]] = q_sorted[pts]
-            np.matmul(dense, interp.T, out=x[s2 + lo : s2 + hi])
-        xrow = np.cumsum(~single, dtype=np.int32) + (s2 - 1)
-        one = np.flatnonzero(single)
-        xrow[one] = lin[tree.ptr[tree.L][one]]
-        return x, xrow
+            np.matmul(dense, interp.T, out=out[lo:hi])
+        return np.cumsum(need, dtype=np.int32) - 1
 
     def _merge_up(self, lvl, x, xrow, single, up_single, need, q_sorted, up):
         """T_ofo: the outgoing expansions of the boxes at ``lvl - 1`` flagged
@@ -614,7 +579,7 @@ class FmmRun:
         T_ifo pair (the pairs are symmetric: these are the sources and the
         targets).  Box b's expansion is row ``xrow[b]`` of ``x``.  Folds
         each one-point box's incoming expansion into its point and returns
-        those of the boxes of two or more points."""
+        those of the boxes of two or more points (``_hand_on``)."""
         start = self.tree.ptr[lvl]
         t_ifo = self._ops(lvl).t_ifo
         used = np.zeros(len(single), dtype=bool)
@@ -622,7 +587,6 @@ class FmmRun:
         rows = np.flatnonzero(used)
         row_of = np.cumsum(used) - 1
         del used
-        one = single[rows]
         # Outgoing expansion = x * charge: the point's charge for a
         # one-point box, 1 for a box of more points.
         charge = np.where(single, q_sorted[start[:-1]], 1.0)
@@ -634,16 +598,11 @@ class FmmRun:
                 inc[row_of[tgt[lo : lo + _ROW_CHUNK]]] += (
                     np.take(x, xrow[s], axis=0) * charge[s, None]
                 ) @ t_ifo[d].T
-        fold = rows[one]
-        for lo in range(0, len(fold), _ROW_CHUNK):
-            b = fold[lo : lo + _ROW_CHUNK]
-            u[start[b]] += np.einsum(
-                "ij,ij->i", np.take(x, xrow[b], axis=0), np.take(inc, row_of[b], axis=0)
-            )
         multi, row = _multi_rows(self.tree, lvl)
         kept = np.zeros((np.count_nonzero(multi), x.shape[1]))
-        many = ~one
-        kept[row[rows[many]]] = np.compress(many, inc, axis=0)
+        for lo in range(0, len(rows), _ROW_CHUNK):
+            hi = lo + _ROW_CHUNK
+            self._hand_on(lvl, rows[lo:hi], inc[lo:hi], x, xrow, single, u, kept, row)
         return kept
 
     def _across_grid(self, lvl, x, xrow, single, q_sorted, u):
@@ -715,26 +674,34 @@ class FmmRun:
                 b0, b1 = np.searchsorted(key, (lo, hi))
                 kids = corder[b0:b1]
                 inc = np.take(out.reshape(-1, k), (key[b0:b1] - lo) * 4 + quad[kids], axis=0)
-                one = single[kids]
-                b = kids[one]
-                u[start[b]] += np.einsum(
-                    "ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0)
-                )
-                many = ~one
-                kept[row[kids[many]]] = np.compress(many, inc, axis=0)
+                self._hand_on(lvl, kids, inc, x, xrow, single, u, kept, row)
             cell_rows[cell] = 0.0
         return kept
 
-    def _unit_expansions(self, pts, lvl, tables, m):
+    def _hand_on(self, lvl, boxes, inc, x, xrow, single, u, kept, row):
+        """Hand on the incoming expansions ``inc`` of ``boxes`` at ``lvl``,
+        row i that of ``boxes[i]``: a one-point box's is folded into its
+        point p, u_p += e_{p,l} . inc with e_{p,l} its row ``xrow[b]`` of
+        ``x``, and a box of two or more points' is kept for the downward
+        pass, in its row ``row[b]`` of ``kept``."""
+        one = single[boxes]
+        b = boxes[one]
+        u[self.tree.ptr[lvl][b]] += np.einsum(
+            "ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0)
+        )
+        many = ~one
+        kept[row[boxes[many]]] = np.compress(many, inc, axis=0)
+
+    def _unit_expansions(self, pts, lvl):
         """The unit expansions e_{p,lvl} of the points ``pts`` in their
         boxes at ``lvl``, row i that of ``pts[i]``, as the upward pass
-        formed them: read from the table of ``lvl`` (``tables[lvl]``) on
-        the levels m..L, and above them from the table of m and carried on
-        up by T_ofo, one GEMM per quadrant and level."""
+        formed them: read from the chain's table on the levels from
+        ``table_level`` to L, above them from the table of ``table_level``
+        and carried on up by T_ofo, one GEMM per quadrant and level."""
         tree = self.tree
-        first = max(lvl, m)
+        first = max(lvl, self.table_level)
         rel = np.take(tree.rel_sorted, pts, axis=0)
-        e = np.take(tables[first], self._positions(first, rel), axis=0)
+        e = np.take(self.chain.unit_table(tree.side_of(first)), self._positions(first, rel), axis=0)
         for level in range(first, lvl, -1):
             # The quadrant of each point's box at ``level``.
             bits = (rel >> (tree.root_side.bit_length() - 1 - level)) & 1
@@ -747,25 +714,20 @@ class FmmRun:
             e = up
         return e
 
-    def _down(self, incoming, slot_of_point, lin, u, m):
+    def _down(self, incoming, slot_of_point, lin, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
         incoming expansion of each box of two or more points to its
-        children.  A child at its point p's top one-point level takes it
-        into p, u_p += e_{p,l} . inc, with e_{p,l} formed again from the
-        tables of levels m..L (``_unit_expansions``), in chunks of points.
-        The leaves of two or more points expand theirs at their points
-        (T_tfi, the transpose of T_ofs: one GEMM onto the dense s x s
-        stencil per chunk of leaves).  The seconds of T_ifi out of level l
-        count at level l, those of T_tfi and the tables at the leaf
-        level."""
+        children.  A child at its point p's top one-point level folds its
+        parent's at the parent's level l, u_p += e_{p,l} . inc_l, with
+        e_{p,l} read from the chain's tables (``_unit_expansions``), in
+        chunks of points: as T_ofo[q] e_{p,l+1} = e_{p,l}, this is the
+        child's T_ifi and fold in one.  The leaves of two or more points
+        expand theirs at their points (T_tfi, the transpose of T_ofs: one
+        GEMM onto the dense s x s stencil per chunk of leaves).  The seconds
+        of T_ifi out of level l and of the folds at level l count at level
+        l, those of T_tfi at the leaf level."""
         tree = self.tree
         clock = time.perf_counter
-        t0 = clock()
-        interp = self._ops(tree.L).skeleton.interp
-        tables = {tree.L: np.ascontiguousarray(interp.T)}
-        for lvl in range(tree.L - 1, m - 1, -1):
-            tables[lvl] = self._unit_table(lvl, tables[lvl + 1])
-        t_tables = clock() - t0
         t0 = clock()
         multi, row = _multi_rows(tree, 2)
         for lvl in range(2, tree.L):
@@ -774,37 +736,27 @@ class FmmRun:
             quad = (tree.codes[lvl + 1] & 3).astype(np.int8)
             child_multi, child_row = _multi_rows(tree, lvl + 1)
             inc, child_inc = incoming.pop(lvl), incoming[lvl + 1]
-            start = tree.ptr[lvl + 1]
             for qd in range(4):
                 kids = np.flatnonzero(child_multi & (quad == qd))
                 if len(kids):
                     # T_ifi is T_ofo transposed; row-vector form keeps it direct.
                     child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
-            # The one-point children of boxes of more points, the tops,
-            # by quadrant.
+            # The one-point children of boxes of more points, the tops.
             top = np.flatnonzero(~child_multi & multi[parent])
-            if len(top):
-                top = top[np.argsort(quad[top], kind="stable")]
-                bounds = np.zeros(5, dtype=np.int64)
-                np.cumsum(np.bincount(quad[top], minlength=4), out=bounds[1:])
+            start = tree.ptr[lvl + 1]
             for lo in range(0, len(top), _ROW_CHUNK):
-                hi = min(lo + _ROW_CHUNK, len(top))
-                e = self._unit_expansions(start[top[lo:hi]], lvl + 1, tables, m)
-                for qd in range(4):
-                    q0, q1 = max(lo, bounds[qd]), min(hi, bounds[qd + 1])
-                    if q1 > q0:
-                        b = top[q0:q1]
-                        down = np.take(inc, row[parent[b]], axis=0) @ t_ofo[qd]
-                        u[start[b]] += np.einsum("ij,ij->i", down, e[q0 - lo : q1 - lo])
-            tables.pop(lvl + 1, None)  # coarser chains were read first
+                b = top[lo : lo + _ROW_CHUNK]
+                e = self._unit_expansions(start[b], lvl)
+                u[start[b]] += np.einsum("ij,ij->i", e, np.take(inc, row[parent[b]], axis=0))
             multi, row = child_multi, child_row
             t1 = clock()
             self.down_seconds[lvl] += t1 - t0
             t0 = t1
+        interp = self._ops(tree.L).skeleton.interp
         inc_leaf = incoming.pop(tree.L)
         for lo, hi, pts, r in self._stencil_chunks(multi, slot_of_point):
             u[pts] += (inc_leaf[lo:hi] @ interp)[r, lin[pts]]
-        self.down_seconds[tree.L] += clock() - t0 + t_tables
+        self.down_seconds[tree.L] += clock() - t0
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
         tree = self.tree
@@ -893,17 +845,26 @@ class FmmRun:
         tree = self.tree
         clock = time.perf_counter
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
-        counts, slot_of_point, lin = self._leaf_geometry()
+        counts = np.diff(tree.ptr[tree.L])
+        slot_of_point = np.repeat(np.arange(len(counts)), counts)
+        lin = self._positions(tree.L, tree.rel_sorted)  # each point's place in its leaf
+        n_levels = tree.L + 1
         self.times = dict.fromkeys(("t_lists", "t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
-        self.ifo_seconds = [0.0] * (tree.L + 1)
-        self.up_seconds = [0.0] * (tree.L + 1)
-        self.down_seconds = [0.0] * (tree.L + 1)
+        self.ifo_seconds = [0.0] * n_levels
+        self.up_seconds = [0.0] * n_levels
+        self.down_seconds = [0.0] * n_levels
+        self.ifo_pairs_per_level = [0] * n_levels
+        self.ifo_grid_levels: list[int] = []
+        self.upward_rows = [0] * n_levels
+        self.point_pairs_per_level = [0] * n_levels
+        self.near_pairs = 0
+        self.near_gemm_blocks = 0
+        self.near_ragged_pairs = 0
         u_sorted = np.zeros(len(q_sorted))
         ifo, colleagues = self._lists(q_sorted, u_sorted)
         if self.chain is not None:
-            m = self._table_levels()
-            incoming = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted, m)
-            self._down(incoming, slot_of_point, lin, u_sorted, m)
+            incoming = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
+            self._down(incoming, slot_of_point, lin, u_sorted)
         self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
         self.times["t_downward"] = sum(self.down_seconds)
@@ -920,8 +881,9 @@ class FmmRun:
 
         ``op_entries`` is the operator data instantiated for this problem
         (O(N_source)): the per-point leaf interpolation columns, the
-        near-field pair interactions and the point pairs.  The model-box translation operators
-        are shared process-wide across problems and are counted apart, as
+        near-field pair interactions and the point pairs.  The model-box
+        translation operators and tables of unit expansions are shared
+        process-wide across problems and are counted apart, as
         ``shared_op_entries`` (0 for a tree under two levels, which uses none).
         """
         tree = self.tree
@@ -929,7 +891,7 @@ class FmmRun:
         for lvl in range(2, tree.L + 1):
             ranks[lvl] = self._ops(lvl).skeleton.rank
         return {
-            "op_entries": self.leaf_ofs_entries + self.near_pairs + sum(self.point_pairs_per_level),
+            "op_entries": ranks[tree.L] * len(tree.order) + self.near_pairs + sum(self.point_pairs_per_level),
             "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
             "chain_built": self.chain_built,
             "t_chain": self.t_chain,
@@ -965,8 +927,9 @@ def fmm_apply(
     source/target points are fine).  ``stats``, if given, is filled with
     run counters: tree depth, wall time, seconds per pass (``t_tree``;
     ``t_chain``, spent extending the shared operator chain and building
-    the grid operators of the levels that may run T_ifo on the grid, with
-    ``chain_built`` true if this call extended the chain; ``t_lists``, building
+    the grid operators of the levels that may run T_ifo on the grid and
+    the tables of unit expansions, with ``chain_built`` true if this call
+    extended the chain; ``t_lists``, building
     the interaction and neighbour lists of every level; ``t_upward``;
     ``t_ifo``, the T_ifo translations and the point-pair sums;
     ``t_downward``; ``t_near``), lists indexed by level 0..L
@@ -978,12 +941,11 @@ def fmm_apply(
     the last four read 0 at levels 0 and 1, which have no interaction
     lists; ``t_upward_per_level`` the seconds of ``t_upward`` that formed
     each level's outgoing expansions, T_ofs at the leaf level and T_ofo
-    from the level below (and the level's table of unit expansions)
-    elsewhere, and ``t_downward_per_level`` those of ``t_downward`` spent
-    at each level, T_ifi to the level below and the top expansions of the
-    one-point chains under it, and at the leaf level T_tfi and building
-    the tables again; both read 0 at a level with no such work, levels 0
-    and 1 always, and each sums to its pass's total;
+    from the level below elsewhere, and ``t_downward_per_level`` those of
+    ``t_downward`` spent at each level, T_ifi to the level below and the
+    folds into the one-point chains whose tops lie there, and at the leaf
+    level T_tfi; both read 0 at a level with no such work, levels 0 and 1
+    always, and each sums to its pass's total;
     ``upward_rows_per_level`` the rows of each level's array of
     expansions in the upward pass, 0 at levels 0 and 1: on a level that
     reads its one-point boxes from its table, the table's s^2 positions
@@ -993,9 +955,11 @@ def fmm_apply(
     GEMM over each parent's child neighbourhood; the others ran pair by
     pair, see the module docstring), near-field work (``near_pairs`` point pairs, of
     which ``near_ragged_pairs`` were summed pair by pair and the rest in
-    ``near_gemm_blocks`` stencil block products), and ``op_entries``, the
+    ``near_gemm_blocks`` stencil block products), ``op_entries``, the
     operator data instantiated for this problem: k leaf interpolation
-    entries per point, the near pairs and the point pairs.  Over the
+    entries per point, the near pairs and the point pairs, and
+    ``shared_op_entries``, that of the shared operator chain, its tables of
+    unit expansions included.  Over the
     nodes (sources and targets), the T_ifo blocks (|b| |c| point pairs
     each), the point pairs, the near pairs and one self pair per
     one-point leaf, which phi(0) = 0 lets the sum drop, cover each

@@ -22,7 +22,8 @@ symmetry, the incoming-from-incoming blocks (T_ifi = T_ofo^T).  The
 outgoing-to-incoming operators (T_ifo) are dense kernel matrices between
 skeleton points of interaction-list-separated model boxes, one per
 distinct offset; a level that runs T_ifo on a dense box grid also gets
-them stacked into one operator over a parent's child neighbourhood.
+them stacked into one operator over a parent's child neighbourhood.  The
+unit expansions of a model box's positions are one table per side.
 """
 
 from __future__ import annotations
@@ -223,6 +224,7 @@ class LevelOperators:
     t_ifo: np.ndarray  # (K_ifo, k, k)
     t_ofo: np.ndarray | None = None  # (4, k, k_child); None at the deepest level
     _t_ifo_grid: np.ndarray | None = None
+    _unit_table: np.ndarray | None = None  # see ``OperatorChain.unit_table``
 
     @property
     def t_ifo_grid(self) -> np.ndarray:
@@ -239,7 +241,8 @@ class OperatorChain:
     candidates and supplies T_ofs/T_tfi); every coarser side is built on
     its child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
     and - above the leaf - the T_ofo blocks mapping side/2 skeletons up.
-    T_ifi blocks are the transposes of T_ofo.
+    T_ifi blocks are the transposes of T_ofo.  The grid T_ifo and the
+    tables of unit expansions of a side are built on first use.
     """
 
     def __init__(self, eps: float, leaf_side: int):
@@ -263,12 +266,34 @@ class OperatorChain:
             child_ops = cur
             side *= 2
 
+    def unit_table(self, side: int) -> np.ndarray:
+        """(side^2, k) unit expansions of the model box of ``side``: row
+        x * side + y is the outgoing expansion of a unit charge at position
+        (x, y) of the box.  At the leaf side it is the interpolation matrix
+        transposed; above it, each quadrant's rows are the side/2 table's
+        times T_ofo.  Built on first use, with the tables of the sides below,
+        and kept."""
+        op = self.ops[side]
+        if op._unit_table is None:
+            if side == self.leaf_side:
+                op._unit_table = np.ascontiguousarray(op.skeleton.interp.T)
+            else:
+                child = self.unit_table(side // 2)
+                h = side // 2
+                table = np.empty((side * side, op.t_ofo.shape[1]))
+                quads = table.reshape(2, h, 2, h, -1)  # (x bit, x, y bit, y)
+                for qd in range(4):
+                    quads[qd & 1, :, qd >> 1] = (child @ op.t_ofo[qd].T).reshape(h, h, -1)
+                op._unit_table = table
+        return op._unit_table
+
     def stored_entries(self) -> int:
         total = 0
         for op in self.ops.values():
             total += op.skeleton.interp.size + op.t_ifo.size
-            if op._t_ifo_grid is not None:
-                total += op._t_ifo_grid.size
+            for built in (op._t_ifo_grid, op._unit_table):
+                if built is not None:
+                    total += built.size
             if op.t_ofo is not None:
                 total += 2 * op.t_ofo.size  # ofo and its ifi transpose
         return total

@@ -580,39 +580,76 @@ def rng_charges(n, seed=5):
 
 
 def chain_load():
-    """Full 16 x 16 clusters on a 2**16 domain, each with two points at
+    """Full 16 x 16 clusters on a 2**16 domain, each with four points at
     every distance 2^4..2^14 from it and a scatter of isolated points: the
     points part from the clusters at every level, so their one-point
-    chains have their tops at every level."""
+    chains have their tops at every level.  The 1200 isolated points are
+    more one-point boxes at level 11 than its boxes have positions (1024),
+    so levels 11..13 read tables."""
     rng = np.random.default_rng(13)
-    parts = [rng.integers(0, 1 << 16, size=(300, 2))]
+    parts = [rng.integers(0, 1 << 16, size=(1200, 2))]
     for corner in rng.integers(1 << 14, 3 << 14, size=(3, 2)) & ~7:
         parts.append(grid_points(16) + corner)
         for j in range(4, 15):
-            angle = rng.uniform(0, 2 * np.pi, size=2)
+            angle = rng.uniform(0, 2 * np.pi, size=4)
             ring = (2**j * np.column_stack([np.cos(angle), np.sin(angle)])).astype(np.int64)
             parts.append(corner + 8 + ring)
     return np.unique(np.clip(np.vstack(parts), 0, (1 << 16) - 1), axis=0)
 
 
 def test_one_point_chains_match_direct():
-    # The downward pass forms each chain's top expansion again: from its
-    # level's table on the table levels, from the coarsest table and up by
-    # T_ofo above them.  Both kinds occur, at several levels each.
+    # The downward pass folds a chain top's parent's incoming expansion at
+    # the parent's level l, with e_{p,l} read from the chain's table of l
+    # on the table levels, from the coarsest table and up by T_ofo above
+    # them.  Both kinds occur, at several parent levels each.
     pts = chain_load()
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     m = fmm.FmmRun(tree, 1e-10)._table_levels()
-    tops = []
+    parents = []
     for lvl in range(3, tree.L + 1):
         single = np.diff(tree.ptr[lvl]) == 1
         under_many = (np.diff(tree.ptr[lvl - 1]) > 1)[tree.parent_index[lvl]]
         if np.any(single & under_many):
-            tops.append(lvl)
-    assert len([t for t in tops if t < m]) >= 3 and len([t for t in tops if t >= m]) >= 2, (tops, m)
+            parents.append(lvl - 1)
+    below = [p for p in parents if p < m]
+    assert len(below) >= 3 and len(parents) - len(below) >= 2, (parents, m)
     q = rng_charges(len(pts))
     ref = direct_sum(pts, q)
     for eps in (1e-6, 1e-10):
         assert np.max(np.abs(fmm_apply(pts, q, eps=eps) - ref)) <= eps * np.abs(q).sum()
+
+
+def test_apply_twice_same_counters():
+    # Every counter is of one call: a second apply of the same run reads
+    # the same work.
+    tree = build_tree(chain_load(), nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    run = fmm.FmmRun(tree, 1e-10)
+    q = rng_charges(len(tree.points))
+    first = run.apply(q), run.counters()
+    second = run.apply(q), run.counters()
+    assert first[1]["ifo_grid_levels"] and first[1]["single_boxes_per_level"][-1]
+    assert first[0].tobytes() == second[0].tobytes()
+    work = [{k: v for k, v in c.items() if not k.startswith("t_")} for _, c in (first, second)]
+    assert work[0] == work[1]
+
+
+def test_unit_tables_built_once(monkeypatch):
+    # The tables of unit expansions live on the shared operator chain: the
+    # first call builds them, outside the passes, and a second call on the
+    # same load reads the same arrays and builds nothing.
+    monkeypatch.setattr(skeleton, "_chain_memo", {})
+    pts = chain_load()
+    q = rng_charges(len(pts))
+    stats = {}
+    fmm_apply(pts, q, stats=stats)
+    chain = skeleton.shared_chain(1e-10, 8)
+    tables = {side: op._unit_table for side, op in chain.ops.items() if op._unit_table is not None}
+    assert sorted(tables) == [8, 16, 32]  # levels 13, 12 and 11
+    assert stats["chain_built"] and stats["shared_op_entries"] == chain.stored_entries()
+    again = {}
+    fmm_apply(pts, q, stats=again)
+    assert not again["chain_built"] and again["shared_op_entries"] == stats["shared_op_entries"]
+    assert all(chain.ops[side]._unit_table is table for side, table in tables.items())
 
 
 def test_traced_peak_per_point():

@@ -196,6 +196,28 @@ def test_leaf_t_ofs_dense_restriction():
     assert np.linalg.norm(exact - approx) <= 5e-9 * np.linalg.norm(exact)
 
 
+def test_unit_table():
+    # Row x * s + y of side s is the unit expansion of position (x, y): at
+    # the leaf the ID's column, above it the side/2 row of the position in
+    # its quadrant q, carried up by T_ofo[q].  Built once per side, and
+    # counted in the chain's stored entries.
+    chain = OperatorChain(1e-10, 8)
+    chain.ensure(32)
+    before = chain.stored_entries()
+    leaf = chain.unit_table(8)
+    assert np.array_equal(leaf, chain.ops[8].skeleton.interp.T) and leaf.flags.c_contiguous
+    for side in (16, 32):
+        table, child, h = chain.unit_table(side), chain.unit_table(side // 2), side // 2
+        t_ofo = chain.ops[side].t_ofo
+        assert table.shape == (side * side, chain.ops[side].skeleton.rank)
+        for x, y in dense_candidates(side):
+            q = int(x >= h) | int(y >= h) << 1
+            expected = t_ofo[q] @ child[(x % h) * h + y % h]
+            assert np.allclose(table[x * side + y], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    assert chain.unit_table(32) is table
+    assert chain.stored_entries() - before == sum(chain.unit_table(s).size for s in (8, 16, 32))
+
+
 def test_shared_chain_memoized():
     a = shared_chain(1e-10, 8)
     b = shared_chain(1e-10, 8)
