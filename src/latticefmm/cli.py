@@ -211,6 +211,8 @@ def _cmd_bench(args) -> int:
             }
             print(json.dumps(record, sort_keys=True))
             continue
+        # Operator data in bytes: this problem's entries and every array
+        # of the shared chain, once each, 8 bytes per entry.
         mem = (stats["op_entries"] + stats["shared_op_entries"]) * 8
         print(f"{n},{pts.shape[0]},{stats['wall_time']:.6f},{mem}")
     return 0

@@ -73,12 +73,15 @@ from level 2 down: each level whose interaction pairs, those of one-point
 boxes included, fill its 2^l x 2^l box grid well
 (``_IFO_GRID_PAIRS_PER_CELL``) joins it, until the first level that does
 not.  No pair is made a point pair inside the run, so a grid level's
-interaction lists are exactly the parity pattern among the occupied boxes,
-and each parent's 6 x 6 child neighbourhood times one (36 k x 4 k)
-operator gives its four children's incoming expansions, one GEMM per
-chunk of parents (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys.
+interaction lists are exactly the parity pattern among the occupied boxes.
+The grid is held parent-major, a parent's four children in one row, and
+a parent's children's incoming expansions are the sum over its eight
+neighbouring parents of that parent's row times one fixed (4 k x 4 k)
+operator per offset: eight GEMMs per chunk of parents, each reading the
+grid in place (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys.
 227, 2008).  Its pairs are only counted, and the grid is filled in bands
-of parent rows, so it holds about ``_GRID_CHUNK`` entries at a time.
+of parent rows, so a band and a chunk of products hold about
+``_GRID_CHUNK`` entries each.
 Point pairs start at the first level below the run; no level below may
 rejoin the grid, which would count them twice.  Every level below the run
 applies its pairs grouped by offset, one GEMM per offset.
@@ -92,11 +95,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_charges, check_eps
 from .green import default_table, lattice_points, lattice_targets, phi
-from .skeleton import shared_chain
+from .skeleton import GRID_PARENT_OFFSETS, shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
@@ -113,30 +115,39 @@ assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the tab
 # Interaction pairs per cell of a level's 2^l x 2^l box grid, those of
 # one-point boxes included, from which T_ifo runs on the grid
 # (``FmmRun._across_grid``) rather than pair by pair; a full level has up
-# to 27.  The grid computes 144 k x k blocks per occupied parent, 36 per
-# cell at most, whatever the fill.  On full 128^2 and 512^2 grids (levels
-# 2-6, k = 28-36, 2 cores, median of 5-15 calls) a grid block costs 54-118
-# ns at the wide levels 4-6 and a pair block 264-431 ns, so the grid pays
-# from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs per cell; at levels
-# 2-3 the pair path's per-offset calls make a pair block cost 1.1-6 us and
-# the grid wins by more.  Each full level ran 2.2 to 3.5 times faster on
-# the grid.  Partly filled levels, where many boxes hold one point (same
-# host, warm, the run forced to end above or at the level): level 7 of
-# 16384 uniform points on 16384^2 (10.4 pairs per cell, 63 % of cells
-# occupied) takes 48-50 ms on the grid against 75 ms pair by pair, and
-# level 9 of 2^18 on 2^18 x 2^18 (10.7 per cell) 0.74 against 1.26 s, with
-# 0.09 s less list building: the grid pays from 5.5-7.0 pairs per cell.
-# The next levels of both loads, at 1.3 pairs per cell, run 4-5 times
-# faster pair by pair (27 against 117 ms, 0.40 against 2.16 s).
+# to 27.  The grid computes 128 k x k blocks per parent, empty parents
+# between occupied ones included: 32 per cell at most, whatever the fill.
+# On full 128^2 and 512^2 grids (levels 2-6, k = 28-36, 2 cores, median of
+# 5-15 calls; measured when the grid computed 36 blocks per cell) a grid
+# block cost 54-118 ns at the wide levels 4-6 and a pair block 264-431 ns,
+# so the grid paid from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs per
+# cell; at levels 2-3 the pair path's per-offset calls make a pair block
+# cost 1.1-6 us and the grid wins by more.  Each full level ran 2.2 to 3.5
+# times faster on the grid.  Partly filled levels, where many boxes hold
+# one point (same host, warm, in-process medians, the run forced to end at
+# or just above the level): level 7 of 16384 uniform points on 16384^2
+# (10.4 pairs per cell, 63 % of cells occupied) takes 37 ms on the grid
+# against 64 ms pair by pair, with 7 ms less list building, and level 9 of
+# 2^18 on 2^18 x 2^18 (10.8 per cell) 0.68 against 1.19 s, with 0.16 s
+# less list building: the grid pays from 6.0-6.2 pairs per cell, or 4.8
+# with the lists counted.  No level of these loads or of the full grids
+# has between 1.3 and 10 pairs per cell, so a lower crossover would move
+# none of them.  The next levels of both loads, at 1.3 pairs per cell, run
+# 4-8 times faster pair by pair (23 against 179 ms; 0.40 against 2.16 s,
+# measured at 36 blocks per cell).
 _IFO_GRID_PAIRS_PER_CELL = 8
 
 # Entries per chunk of the stencil products of T_ofs and T_tfi, and per
-# band and per chunk of neighbourhood rows of grid T_ifo: they bound those
-# temporaries.  On the 16384 uniform points above, grid chunks of 2^18
-# entries (2 MB) hold the traced peak of a call at 16.7 MB against 27.6 MB
-# with 2^20; the levels of a full 128^2 or 512^2 grid fill in one band.
+# band and per chunk of products of grid T_ifo (which adds a scratch
+# buffer of the chunk's size): they bound those temporaries, except that a
+# grid band holds at least one parent row and its two border rows.  On the
+# 16384 uniform points above, 2^16 entries (0.5 MB) hold the traced peak
+# of a call at 10.2 MB, set by forming level 6 from level 7 in the upward
+# pass (grid T_ifo at level 7 peaks at 9.1 MB), against 11.4 MB with 2^17
+# and 15.9 MB with 2^18; with 2^15, level 7 falls to one-row bands and
+# runs 1.6 times slower.  Each level of a full 128^2 grid fills one band.
 _STENCIL_CHUNK = 1 << 22
-_GRID_CHUNK = 1 << 18
+_GRID_CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
 # T_ifo pair by pair and its folds, the unit expansions of the downward
@@ -606,76 +617,86 @@ class FmmRun:
         return kept
 
     def _across_grid(self, lvl, x, xrow, single, q_sorted, u):
-        """T_ifo at one level on its dense 2^l x 2^l box grid, one GEMM per
-        chunk of parents.  Folds each one-point box's incoming expansion
-        into its point and returns those of the boxes of two or more points,
-        as ``_across`` does.
+        """T_ifo at one level on its dense 2^l x 2^l box grid, eight GEMMs
+        per chunk of parents.  Folds each one-point box's incoming
+        expansion into its point and returns those of the boxes of two or
+        more points, as ``_across`` does.
 
-        The outgoing expansions (box b's row ``xrow[b]`` of x, scaled by
-        the point's charge for a one-point box) are scattered onto the
-        grid, padded by two empty cells per side; each parent's 6 x 6 child
-        neighbourhood, read as one row, times ``t_ifo_grid`` gives the
-        incoming expansions of its four children.  On a level of the grid
-        run no pair was made a point pair at or above it, so the interaction
-        list of a box is exactly the parity pattern that operator encodes,
-        restricted to the occupied boxes, and the empty cells are zero.  The
-        grid is filled in bands of parent rows, each with the two child rows
-        either side that its neighbourhoods reach, so it holds about
-        ``_GRID_CHUNK`` entries at most (one band of the whole grid on
-        smaller levels).
+        The grid is held parent-major: slot (px + 1) w + py + 1, with
+        w = 2^(l-1) + 2, holds the four children of the parent (px, py) at
+        level l - 1 as one 4 k row, quadrant by quadrant, and an empty
+        parent row and column border the grid on every side.  A child's row
+        is its outgoing expansion: box b's row ``xrow[b]`` of x, scaled by
+        the point's charge for a one-point box.  The incoming expansions of
+        the children of the parent in slot s are the sum over its eight
+        neighbours D of row s + s_D times ``t_ifo_grid[D]``, with
+        s_D = D_x w + D_y (batched M2L), so a chunk of slots takes one GEMM
+        per D on a contiguous slice of the grid, read in place.  The empty
+        border column makes the step from one row's last slot to the next
+        row's first read zeros.  On a level of the grid run no pair was made
+        a point pair at or above it, so the interaction list of a box is
+        exactly the parity pattern these operators encode, restricted to
+        the occupied boxes, and the empty cells are zero.  The grid is
+        filled in bands of parent rows, each with the row either side that
+        its parents' neighbours reach, so a band and a chunk of products
+        hold about ``_GRID_CHUNK`` entries each (one band of the whole grid
+        on smaller levels).  A band starts from the last one's last two
+        rows, so each box is scattered once, in pieces of ``_ROW_CHUNK``.
         """
         tree = self.tree
-        w = self._ops(lvl).t_ifo_grid
+        w_d = self._ops(lvl).t_ifo_grid
         k = x.shape[1]
-        side = 1 << lvl
+        half = 1 << (lvl - 1)
+        width = half + 2
         start = tree.ptr[lvl]
         # Box (x, y) of a level holds the points whose coordinates over the
         # box side are (x, y); a box's first point names it.
         bx, by = (tree.rel_sorted[start[:-1]] // tree.side_of(lvl)).T
-        px, py = (tree.rel_sorted[tree.ptr[lvl - 1][:-1]] // tree.side_of(lvl - 1)).T
-        parent = tree.parent_index[lvl]
-        quad = (tree.codes[lvl] & 3).astype(np.int8)
+        # Each box's row of the grid as (slots * 4, k) rows, ascending.
+        cell = (((bx >> 1) + 1) * width + (by >> 1) + 1) * 4 + (bx & 1) + 2 * (by & 1)
+        del bx, by
+        order = np.argsort(cell)
+        cell = cell[order]
         charge = np.where(single, q_sorted[start[:-1]], 1.0)
         _, row = _multi_rows(tree, lvl)
         kept = np.empty((len(single) - int(np.count_nonzero(single)), k))
-        rows = max(1, min(side // 2, (_GRID_CHUNK // ((side + 4) * k) - 4) // 2))
-        n_bands = -(-(side // 2) // rows)
-        # Parents by band, and the boxes alike by their parent's band, each
-        # in Morton order within a band: the children of a run of a band's
-        # parents are then one run of boxes.
-        band = px // rows
-        porder = np.argsort(band, kind="stable")
-        bounds = np.searchsorted(band[porder], np.arange(n_bands + 1))
-        corder = np.argsort(band[parent], kind="stable")
-        pos = np.empty_like(porder)
-        pos[porder] = np.arange(len(porder))
-        key = pos[parent[corder]]
-        del band, pos
-        by_row = np.argsort(bx, kind="stable")
-        row_sorted = bx[by_row]
-        grid = np.zeros((2 * rows + 4, side + 4, k))
-        cell_rows = grid.reshape(-1, k)  # cell (gx, gy) is row gx * (side + 4) + gy
-        # hood[i, py] is the (6, 6 k) neighbourhood of the band's parent
-        # (i + first row, py): six runs of six cells, each run contiguous.
-        hood = sliding_window_view(grid.reshape(2 * rows + 4, -1), (6, 6 * k))[::2, :: 2 * k]
-        chunk = max(1, _GRID_CHUNK // w.shape[0])
-        for j in range(n_bands):
-            if bounds[j] == bounds[j + 1]:
-                continue
-            top = 2 * j * rows - 2  # the child row at the band's grid row 0
-            s0, s1 = np.searchsorted(row_sorted, (top, top + 2 * rows + 4))
-            cells = by_row[s0:s1]
-            cell = (bx[cells] - top) * (side + 4) + by[cells] + 2
-            cell_rows[cell] = np.take(x, xrow[cells], axis=0) * charge[cells, None]
-            for lo in range(bounds[j], bounds[j + 1], chunk):
-                hi = min(lo + chunk, bounds[j + 1])
-                ps = porder[lo:hi]
-                out = (hood[px[ps] - j * rows, py[ps]].reshape(hi - lo, -1) @ w).reshape(hi - lo, 4, k)
-                b0, b1 = np.searchsorted(key, (lo, hi))
-                kids = corder[b0:b1]
-                inc = np.take(out.reshape(-1, k), (key[b0:b1] - lo) * 4 + quad[kids], axis=0)
-                self._hand_on(lvl, kids, inc, x, xrow, single, u, kept, row)
-            cell_rows[cell] = 0.0
+        rows = max(1, min(half, _GRID_CHUNK // (width * 4 * k) - 2))
+        band = np.zeros(((rows + 2) * width, 4 * k))
+        cell_rows = band.reshape(-1, k)
+        shifts = [dx * width + dy for dx, dy in GRID_PARENT_OFFSETS]
+        chunk = max(1, min(_GRID_CHUNK // (4 * k), rows * width))
+        out = np.empty((chunk, 4 * k))
+        scratch = np.empty_like(out)
+        done = 0  # the boxes scattered so far, in ``cell`` order
+        for first in range(0, half, rows):
+            base = first * width  # the slot at the band's row 0
+            if first:
+                # The last band's last two rows are this band's first two.
+                for r in (0, 1):
+                    band[r * width : (r + 1) * width] = band[(rows + r) * width : (rows + r + 1) * width]
+                band[2 * width :] = 0.0
+            t0, t1, c1 = np.searchsorted(cell, 4 * (base + width * np.array([1, rows + 1, rows + 2])))
+            for lo in range(done, c1, _ROW_CHUNK):
+                hi = min(lo + _ROW_CHUNK, c1)
+                b = order[lo:hi]
+                e = np.take(x, xrow[b], axis=0)
+                e *= charge[b, None]
+                cell_rows[cell[lo:hi] - 4 * base] = e
+                del e
+            done = c1
+            t = t0
+            while t < t1:
+                lo = cell[t] // 4
+                n = min(chunk, cell[t1 - 1] // 4 + 1 - lo)
+                end = t + int(np.searchsorted(cell[t:t1], 4 * (lo + n)))
+                s = lo - base
+                np.matmul(band[s + shifts[0] : s + shifts[0] + n], w_d[0], out=out[:n])
+                for shift, w in zip(shifts[1:], w_d[1:]):
+                    np.matmul(band[s + shift : s + shift + n], w, out=scratch[:n])
+                    out[:n] += scratch[:n]
+                inc = np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
+                self._hand_on(lvl, order[t:end], inc, x, xrow, single, u, kept, row)
+                t = end
         return kept
 
     def _hand_on(self, lvl, boxes, inc, x, xrow, single, u, kept, row):
@@ -951,9 +972,9 @@ def fmm_apply(
     reads its one-point boxes from its table, the table's s^2 positions
     (s the box side) and a row per box of two or more points, elsewhere a
     row per box), ``ifo_grid_levels``
-    (the run of levels from 2 whose T_ifo ran on the dense box grid, one
-    GEMM over each parent's child neighbourhood; the others ran pair by
-    pair, see the module docstring), near-field work (``near_pairs`` point pairs, of
+    (the run of levels from 2 whose T_ifo ran on the dense box grid, eight
+    GEMMs over each chunk of parents; the others ran pair by pair, see the
+    module docstring), near-field work (``near_pairs`` point pairs, of
     which ``near_ragged_pairs`` were summed pair by pair and the rest in
     ``near_gemm_blocks`` stencil block products), ``op_entries``, the
     operator data instantiated for this problem: k leaf interpolation

@@ -22,8 +22,9 @@ symmetry, the incoming-from-incoming blocks (T_ifi = T_ofo^T).  The
 outgoing-to-incoming operators (T_ifo) are dense kernel matrices between
 skeleton points of interaction-list-separated model boxes, one per
 distinct offset; a level that runs T_ifo on a dense box grid also gets
-them stacked into one operator over a parent's child neighbourhood.  The
-unit expansions of a model box's positions are one table per side.
+them as eight blocks, one per neighbouring parent, each mapping that
+parent's four children to a parent's four.  The unit expansions of a
+model box's positions are one table per side.
 """
 
 from __future__ import annotations
@@ -191,31 +192,39 @@ def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     return out
 
 
-def build_t_ifo_grid(t_ifo: np.ndarray) -> np.ndarray:
-    """(36 k, 4 k) T_ifo of a parent's four children from its 6 x 6 child
-    neighbourhood, for levels whose boxes all sit on one dense grid.
+#: The offsets D of a parent's eight neighbours, in the order of
+#: ``build_t_ifo_grid``'s stack.
+GRID_PARENT_OFFSETS = tuple(
+    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
+)
 
-    Row (6 * wx + wy) * k + j is skeleton entry j of the cell (wx, wy) of
-    the neighbourhood, which spans child positions -2..3 per axis around
-    the parent's first child; column q * k + i is entry i of the incoming
-    expansion of the child in quadrant q (x bit q & 1, y bit q >> 1).  The
-    block of cell c and child q is t_ifo[d]^T for the offset d = c - q,
-    and zero where |d|_inf <= 1: every cell's parent is a colleague of the
-    children's parent, so the other offsets are exactly the interaction
-    list.
+
+def build_t_ifo_grid(t_ifo: np.ndarray) -> np.ndarray:
+    """(8, 4 k, 4 k) T_ifo from the four children of a neighbouring parent
+    to a parent's four children, one block W_D per parent offset D of
+    ``GRID_PARENT_OFFSETS``, for levels whose boxes all sit on one dense
+    grid.
+
+    Row q_s * k + j of W_D is skeleton entry j of the source child in
+    quadrant q_s (x bit q_s & 1, y bit q_s >> 1); column q_t * k + i is
+    entry i of the incoming expansion of the target child in quadrant q_t.
+    Block (q_s, q_t) is t_ifo[d]^T for the child offset d = 2 D + q_s - q_t,
+    and zero where |d|_inf <= 1: the parents of an interaction pair are
+    colleagues, so the other child pairs are exactly the interaction list.
+    D = 0 joins only colleagues and is not stored.
     """
     k = t_ifo.shape[1]
-    w = np.arange(6)
     quad = np.arange(4)
-    dx = w[:, None, None] - 2 - (quad & 1)
-    dy = w[None, :, None] - 2 - (quad >> 1)
-    # Offset index per (wx, wy, q); near offsets index a zero block.
+    bits = np.stack([quad & 1, quad >> 1], axis=-1)  # (q, axis)
+    # The child offset d per (D, q_s, q_t, axis).
+    d = 2 * np.array(GRID_PARENT_OFFSETS)[:, None, None] + bits[:, None] - bits[None, :]
+    # Offset index per (D, q_s, q_t); near offsets index a zero block.
     code = np.full((7, 7), len(INTERACTION_OFFSETS))
     for n, (ox, oy) in enumerate(INTERACTION_OFFSETS):
         code[ox + 3, oy + 3] = n
-    blocks = np.concatenate([t_ifo, np.zeros((1, k, k))])[code[dx + 3, dy + 3]]
-    # blocks[wx, wy, q, i, j] -> [wx, wy, j, q, i]
-    return np.ascontiguousarray(blocks.transpose(0, 1, 4, 2, 3)).reshape(36 * k, 4 * k)
+    blocks = np.concatenate([t_ifo, np.zeros((1, k, k))])[code[d[..., 0] + 3, d[..., 1] + 3]]
+    # blocks[D, q_s, q_t, i, j] -> [D, q_s, j, q_t, i]
+    return np.ascontiguousarray(blocks.transpose(0, 1, 4, 2, 3)).reshape(len(d), 4 * k, 4 * k)
 
 
 @dataclass
@@ -223,7 +232,7 @@ class LevelOperators:
     skeleton: LevelSkeleton
     t_ifo: np.ndarray  # (K_ifo, k, k)
     t_ofo: np.ndarray | None = None  # (4, k, k_child); None at the deepest level
-    _t_ifo_grid: np.ndarray | None = None
+    _t_ifo_grid: np.ndarray | None = None  # (8, 4 k, 4 k), see ``build_t_ifo_grid``
     _unit_table: np.ndarray | None = None  # see ``OperatorChain.unit_table``
 
     @property
@@ -241,8 +250,9 @@ class OperatorChain:
     candidates and supplies T_ofs/T_tfi); every coarser side is built on
     its child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
     and - above the leaf - the T_ofo blocks mapping side/2 skeletons up.
-    T_ifi blocks are the transposes of T_ofo.  The grid T_ifo and the
-    tables of unit expansions of a side are built on first use.
+    T_ifi blocks are the transposes of T_ofo and are not stored.  The grid
+    T_ifo and the tables of unit expansions of a side are built on first
+    use.
     """
 
     def __init__(self, eps: float, leaf_side: int):
@@ -288,14 +298,16 @@ class OperatorChain:
         return op._unit_table
 
     def stored_entries(self) -> int:
+        """Entries of every array the chain holds: each side's skeleton
+        (points, candidates, interpolation matrix), T_ifo stack, T_ofo
+        blocks (T_ifi is their transpose, not stored), and the grid T_ifo
+        and table of unit expansions once built."""
         total = 0
         for op in self.ops.values():
-            total += op.skeleton.interp.size + op.t_ifo.size
-            for built in (op._t_ifo_grid, op._unit_table):
-                if built is not None:
-                    total += built.size
-            if op.t_ofo is not None:
-                total += 2 * op.t_ofo.size  # ofo and its ifi transpose
+            skel = op.skeleton
+            for a in (skel.points, skel.candidates, skel.interp, op.t_ifo, op.t_ofo, op._t_ifo_grid, op._unit_table):
+                if a is not None:
+                    total += a.size
         return total
 
 

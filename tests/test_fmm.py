@@ -825,10 +825,50 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
         assert rel_l2(u, ref) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["full", "holes", "sparse"])
+def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
+    # With a small _GRID_CHUNK every grid band holds one parent row and its
+    # two border rows, and a chunk of products holds fewer slots than a
+    # parent row on the deeper levels; on the sparse load some bands hold
+    # no occupied cell, border rows included.  Banding only regroups the
+    # products: the grid path matches the pair path on the loads of whole
+    # leaves.  On the sparse load the pair path sums one-point pairs point
+    # by point, so there the grid path is held to the same path at the
+    # default chunk, and both paths to the direct sum.
+    pts = sparse_points() if kind == "sparse" else _grid_load(kind)[0]
+    q = rng_charges(len(pts))
+    monkeypatch.setattr(skeleton, "_chain_memo", {})
+    u_pair, _ = _forced(monkeypatch, "pair", pts, q)
+    u_ref = _forced(monkeypatch, "grid", pts, q)[0] if kind == "sparse" else u_pair
+    chunk = 600
+    monkeypatch.setattr(fmm, "_GRID_CHUNK", chunk)
+    u_grid, grid = _forced(monkeypatch, "grid", pts, q)
+    k = grid["ranks_per_level"]
+    levels = grid["ifo_grid_levels"]
+    assert levels == list(range(2, grid["levels"]))
+    # One parent row per band at every grid level, and rows split into
+    # chunks at some.
+    assert all(chunk // (((1 << (lvl - 1)) + 2) * 4 * k[lvl]) <= 3 for lvl in levels)
+    assert any(chunk // (4 * k[lvl]) < 1 << (lvl - 1) for lvl in levels)
+    tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    empty_bands = 0
+    for lvl in levels:
+        parent_rows = set((tree.rel_sorted[tree.ptr[lvl][:-1], 0] // tree.side_of(lvl - 1)).tolist())
+        empty_bands += sum(not parent_rows & {r - 1, r, r + 1} for r in range(1 << (lvl - 1)))
+    assert (empty_bands > 0) == (kind == "sparse")
+    assert np.max(np.abs(u_grid - u_ref)) <= 1e-13 * np.max(np.abs(u_pair))
+    if kind == "sparse":
+        ref = direct_sum(pts, q)
+        for u in (u_grid, u_pair):
+            assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(q).sum()
+
+
 def test_grid_ifo_memory_is_banded():
     # The leaf level of a uniform load: its whole padded grid would take
-    # (2^9 + 4)^2 k doubles, about 60 MB; a band and a product chunk hold
-    # about _GRID_CHUNK entries each, and the index arrays a few per box.
+    # (2^9 + 4)^2 k doubles, about 60 MB.  A band holds about _GRID_CHUNK
+    # entries, the chunk of products and its scratch buffer no more than a
+    # band's slots, and the index arrays a few per box; no neighbourhood of
+    # a chunk of parents is copied.
     rng = np.random.default_rng(29)
     flat = rng.choice(1 << 24, size=1 << 14, replace=False)
     pts = np.column_stack([flat >> 12, flat & 4095])
@@ -838,7 +878,7 @@ def test_grid_ifo_memory_is_banded():
     run = fmm.FmmRun(tree, 1e-10)
     ops = run._ops(lvl)
     k = ops.skeleton.rank
-    assert ops.t_ifo_grid.shape == (36 * k, 4 * k)  # built before tracing
+    assert ops.t_ifo_grid.shape == (8, 4 * k, 4 * k)  # built before tracing
     n_boxes = len(tree.codes[lvl])
     single = np.diff(tree.ptr[lvl]) == 1
     assert 0 < np.count_nonzero(single) < n_boxes
@@ -852,7 +892,7 @@ def test_grid_ifo_memory_is_banded():
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8
     assert kept.shape == (n_boxes - np.count_nonzero(single), k)
-    assert peak <= 2 * 8 * fmm._GRID_CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
+    assert peak <= 8 * fmm._GRID_CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
     assert peak < whole / 6, (peak, whole)
 
 

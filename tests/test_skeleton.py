@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from latticefmm.skeleton import (
+    GRID_PARENT_OFFSETS,
     OperatorChain,
     build_level_skeleton,
     build_t_ifo,
+    build_t_ifo_grid,
     build_t_ofo,
     dense_candidates,
     interpolative_decomposition,
@@ -177,6 +179,56 @@ def test_t_ifo_stack_equals_per_offset_evaluation():
         for d, (ox, oy) in enumerate(INTERACTION_OFFSETS):
             want = kernel_matrix(z, z + np.array([side * ox, side * oy]))
             assert np.array_equal(op.t_ifo[d], want), (side, d)
+
+
+def test_t_ifo_grid_blocks():
+    # W_D maps the four children of the parent at offset D to a parent's
+    # four: block (q_s, q_t) is t_ifo[d]^T for the child offset
+    # d = 2 D + q_s - q_t of a far pair, and exactly zero for a near one.
+    # D = 0 joins only colleagues and is not stored.
+    skel = build_level_skeleton(16, eps=1e-10, child=build_level_skeleton(8, eps=1e-10))
+    t_ifo = build_t_ifo(skel)
+    k = skel.rank
+    w = build_t_ifo_grid(t_ifo)
+    assert w.shape == (8, 4 * k, 4 * k) and w.flags.c_contiguous
+    assert sorted(GRID_PARENT_OFFSETS) == [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy]
+    far = {q_t: [] for q_t in range(4)}
+    for n, (big_x, big_y) in enumerate(GRID_PARENT_OFFSETS):
+        for q_s in range(4):
+            for q_t in range(4):
+                d = (2 * big_x + (q_s & 1) - (q_t & 1), 2 * big_y + (q_s >> 1) - (q_t >> 1))
+                block = w[n, q_s * k : (q_s + 1) * k, q_t * k : (q_t + 1) * k]
+                if max(abs(d[0]), abs(d[1])) <= 1:
+                    assert not block.any(), (n, q_s, q_t)
+                else:
+                    assert np.array_equal(block, t_ifo[INTERACTION_OFFSETS.index(d)].T), (n, q_s, q_t)
+                    far[q_t].append(d)
+    # Each child's 27 interaction offsets, once each.
+    for offsets in far.values():
+        assert len(offsets) == len(set(offsets)) == 27
+
+
+def test_stored_entries_counts_every_array():
+    # stored_entries() is the summed size of every array the chain holds,
+    # found by walking its operators, and T_ofo counts once: T_ifi is its
+    # transpose and is not stored.
+    chain = OperatorChain(1e-10, 8)
+    chain.ensure(64)
+    chain.ops[32].t_ifo_grid
+    chain.unit_table(16)
+
+    def arrays(obj):
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                yield value
+            elif hasattr(value, "__dict__"):
+                yield from arrays(value)
+
+    held = [a for op in chain.ops.values() for a in arrays(op)]
+    assert sum(a.size for a in held) == chain.stored_entries()
+    # Sides 8..64: points, candidates, interp and T_ifo each, T_ofo above
+    # the leaf, one grid T_ifo, and the tables of sides 8 and 16.
+    assert len(held) == 4 * 4 + 3 + 1 + 2
 
 
 def test_leaf_t_ofs_dense_restriction():
