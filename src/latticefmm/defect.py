@@ -24,7 +24,7 @@ second differences of phi:
 
 Every kernel entry is phi(t - s), with t among the nodes or the queries
 and s among the nodes, so one grid of phi over the box of displacements
-t - s -- the *window*, ``green.GreensTable.window`` -- holds them all, and
+t - s -- the *window*, ``phi`` on a broadcast box -- holds them all, and
 S is a Toeplitz convolution on it (the lattice's translation invariance,
 used as precorrected-FFT methods use it: Phillips & White, IEEE TCAD 16,
 1997).  Every system takes one path: ``gmres`` (restarted GMRES in
@@ -65,7 +65,7 @@ import numpy as np
 
 from .config import DEFAULT_EPS, check_charges
 from .fmm import fmm_apply
-from .green import default_table, lattice_points, lattice_targets
+from .green import lattice_points, lattice_targets, phi
 from .skeleton import kernel_matrix
 from .tree import check_extent
 
@@ -256,7 +256,8 @@ class _Window:
         )
 
     def phi(self) -> np.ndarray:
-        return default_table().window(self.lo, self.lo + self.shape - 1)
+        x, y = (np.arange(lo, lo + n) for lo, n in zip(self.lo, self.shape))
+        return phi(x[:, None], y)
 
     def key(self, pos) -> np.ndarray:
         return pos[:, 0] * self.shape[1] + pos[:, 1]

@@ -4,8 +4,7 @@ The work is O(N_source): an upward pass compresses charges into per-box
 outgoing expansions (leaf T_ofs, then T_ofo up the tree), interaction-list
 translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
-T_tfi), with directly summed near-field corrections from the Green table.
-T_ofs and T_tfi are one GEMM per chunk of leaves with the dense s x s
+T_tfi), with directly summed near-field corrections.  T_ofs and T_tfi are one GEMM per chunk of leaves with the dense s x s
 stencil of each leaf: T_ofs scatters the charges onto it, T_tfi reads the
 potentials off it.
 
@@ -13,9 +12,9 @@ A box that holds one point is carried as that point (the pruning of
 adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
 tree).  Below the run of grid levels (see T_ifo below), a colleague or
 interaction pair of two one-point boxes is one point pair,
-phi(x_t - x_s) q_s, summed by ``bincount``; it is not refined further, and
-a one-point box paired with itself is dropped, since phi(0) = 0.  The
-passes change to match:
+phi(x_t - x_s) q_s, summed by ``FmmRun._point_pairs``; it is not refined
+further, and a one-point box paired with itself is dropped, since
+phi(0) = 0.  The passes change to match:
 
 * upward: a one-point leaf contributes its point's interpolation column,
   the unit expansion e_p; a one-point box's parent that holds the same one
@@ -30,8 +29,9 @@ passes change to match:
   only until the next coarser level is formed; T_ifo runs on them at
   once, fine to coarse.
 * T_ifo: a one-point box's outgoing expansion is e_p q_p, and its incoming
-  expansion is folded into its point, u_p += e_p . inc, at that level, on
-  either T_ifo path;
+  expansion is folded into its point, u_p += e_p . inc, at that level:
+  either T_ifo path hands its incoming expansions to the upward pass,
+  which folds them or keeps them for the downward pass;
 * downward: T_ifi runs over the boxes of more points only.  The parent of
   a point's top one-point box folds its incoming expansion into the point
   at the parent's level l, u_p += e_{p,l} . inc_l, which is T_ifi to the
@@ -49,9 +49,10 @@ one of two paths per leaf pair, chosen by occupancy.  A pair whose point
 counts satisfy ct * cs >= s^2 (s the leaf side) is a stencil product: both
 leaves are scattered onto the dense s x s stencil and one s^2 x s^2 block
 of phi per neighbour offset is applied to all such pairs in one GEMM.
-Every other pair is expanded point pair by point pair and summed from the
-table.  A block costs about s^4 multiply-adds and a point pair about s^2
-flop-equivalents, so the paths break even near ct * cs = s^2.
+Every other pair is expanded into its point pairs, which are summed as
+those of one-point boxes are.  A block costs about s^4 multiply-adds and a
+point pair about s^2 flop-equivalents, so the paths break even near
+ct * cs = s^2.
 
 Interaction and neighbour lists are built coarse to fine from the
 parent level's colleagues (Carrier, Greengard & Rokhlin 1988).  A box's
@@ -80,8 +81,8 @@ neighbouring parents of that parent's row times one fixed (4 k x 4 k)
 operator per offset: eight GEMMs per chunk of parents, each reading the
 grid in place (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys.
 227, 2008).  Its pairs are only counted, and the grid is filled in bands
-of parent rows, so a band and a chunk of products hold about
-``_GRID_CHUNK`` entries each.
+of parent rows, so a band and a chunk of products hold about ``_CHUNK``
+entries each.
 Point pairs start at the first level below the run; no level below may
 rejoin the grid, which would count them twice.  Every level below the run
 applies its pairs grouped by offset, one GEMM per offset.
@@ -137,22 +138,26 @@ assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the tab
 # measured at 36 blocks per cell).
 _IFO_GRID_PAIRS_PER_CELL = 8
 
-# Entries per chunk of the stencil products of T_ofs and T_tfi, and per
-# band and per chunk of products of grid T_ifo (which adds a scratch
-# buffer of the chunk's size): they bound those temporaries, except that a
-# grid band holds at least one parent row and its two border rows.  On the
+# Entries per chunk of every batched step: the stencil products of T_ofs
+# and T_tfi, the bands and chunks of products of grid T_ifo (which adds a
+# scratch buffer of the chunk's size), and the point pairs summed at once,
+# near field included.  They bound those temporaries, except that a grid
+# band holds at least one parent row and its two border rows.  On the
 # 16384 uniform points above, 2^16 entries (0.5 MB) hold the traced peak
 # of a call at 10.2 MB, set by forming level 6 from level 7 in the upward
 # pass (grid T_ifo at level 7 peaks at 9.1 MB), against 11.4 MB with 2^17
 # and 15.9 MB with 2^18; with 2^15, level 7 falls to one-row bands and
 # runs 1.6 times slower.  Each level of a full 128^2 grid fills one band.
-_STENCIL_CHUNK = 1 << 22
-_GRID_CHUNK = 1 << 16
+# On 2^18 uniform points on 2^11 x 2^11 (about four per leaf, 9.3 million
+# near-field point pairs), chunks of 2^16 point pairs rather than 2^22
+# took the near field from 0.72-0.96 to 0.42-0.61 s (2 cores, ten warm
+# calls) and the traced peak of a call from 128 to 56 MB.
+_CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
 # T_ifo pair by pair and its folds, the unit expansions of the downward
 # pass): 2048 rows of k ~ 35 doubles, ~0.6 MB, stay in a core's L2 cache.
-_ROW_CHUNK = 1 << 11
+_ROW_CHUNK = _CHUNK // 32
 
 
 def _child_codes():
@@ -368,7 +373,7 @@ class FmmRun:
             # the heap and keep it from shrinking (uniform 2^18: 448 against
             # 369 MB peak RSS over four calls).
             for lvl in range(2, tree.L + 1):
-                if 27 * len(tree.codes[lvl]) < _IFO_GRID_PAIRS_PER_CELL * 4**lvl:
+                if not self._on_grid(lvl, 27 * len(tree.codes[lvl])):
                     break
                 self._ops(lvl).t_ifo_grid
             self.chain.unit_table(tree.side_of(self.table_level))
@@ -384,9 +389,7 @@ class FmmRun:
         into ``u`` and return the T_ifo pairs by level and the leaf
         colleagues.  Building the lists counts in ``t_lists``, the point
         pairs in the T_ifo seconds of their level."""
-        rel = self.tree.rel_sorted
         clock = time.perf_counter
-        chunk = 1 << 16  # bounds phi's temporaries
         ifo = {}
         t0 = clock()
         for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree, self._on_grid)):
@@ -399,11 +402,7 @@ class FmmRun:
                 if on_grid:
                     self.ifo_grid_levels.append(lvl)
                 ifo[lvl] = None if on_grid else pairs
-                # Targets ascend, so each chunk adds to one run of points.
-                for lo in range(0, len(tgt), chunk):
-                    t, s = tgt[lo : lo + chunk], src[lo : lo + chunk]
-                    d = np.take(rel, t, axis=0) - np.take(rel, s, axis=0)
-                    u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+                self._point_pairs(tgt, src, q_sorted, u)
                 self.ifo_seconds[lvl] += clock() - t1
             t0 = clock()
         return ifo, colleagues
@@ -416,6 +415,18 @@ class FmmRun:
         first no, so the grid levels form one run."""
         return n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
 
+    def _point_pairs(self, tgt, src, q_sorted, u):
+        """Add phi(x_t - x_s) q_s to u_t for each point pair (t, s) of the
+        sorted point indices ``tgt`` and ``src``, targets ascending, in
+        chunks of ``_CHUNK`` pairs: a chunk adds to one run of points, by
+        one ``bincount`` over it.  The point pairs of one-point boxes and
+        the near field's ragged leaf pairs both take this path."""
+        rel = self.tree.rel_sorted
+        for lo in range(0, len(tgt), _CHUNK):
+            t, s = tgt[lo : lo + _CHUNK], src[lo : lo + _CHUNK]
+            d = np.take(rel, t, axis=0) - np.take(rel, s, axis=0)
+            u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+
     def _stencil_chunks(self, multi, slot_of_point):
         """The leaves of two or more points in chunks, for the dense s x s
         stencil products of T_ofs and T_tfi: yields (lo, hi, pts, r), the
@@ -424,7 +435,7 @@ class FmmRun:
         row = np.cumsum(multi) - 1
         pts = np.flatnonzero(multi[slot_of_point])
         pt_row = row[slot_of_point[pts]]
-        chunk = max(1, _STENCIL_CHUNK // (self.leaf_side * self.leaf_side))
+        chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
         n_multi = int(np.count_nonzero(multi))
         for lo in range(0, n_multi, chunk):
             hi = min(lo + chunk, n_multi)
@@ -485,10 +496,11 @@ class FmmRun:
         ``x[xrow[b]]``: the outgoing expansion of each box of two or more
         points, and the unit expansion e_{p,l} of each one-point box's
         point p, so its outgoing expansion is e_{p,l} q_p.  T_ifo turns the
-        outgoing expansions into incoming ones, and a one-point box's is
-        folded into its point at once, u_p += e_{p,l} . inc_l.  Only the
-        incoming expansions of the boxes of two or more points are kept
-        for the downward pass.
+        outgoing expansions into incoming ones, on the grid
+        (``_across_grid``) or pair by pair (``_across``), and a one-point
+        box's is folded into its point at once, u_p += e_{p,l} . inc_l.
+        Only the incoming expansions of the boxes of two or more points are
+        kept for the downward pass.
         """
         tree = self.tree
         clock = time.perf_counter
@@ -503,11 +515,35 @@ class FmmRun:
             self.up_seconds[lvl] += t1 - t0
             self.upward_rows[lvl] = len(x)
             pairs = ifo.pop(lvl)
+            start = tree.ptr[lvl]
+            # Outgoing expansion = x * charge: the point's charge for a
+            # one-point box, 1 for a box of more points.
+            charge = np.where(single, q_sorted[start[:-1]], 1.0)
             if pairs is None:
-                incoming[lvl] = self._across_grid(lvl, x, xrow, single, q_sorted, u)
+                across = self._across_grid(lvl, x, xrow, charge)
             else:
-                incoming[lvl] = self._across(lvl, x, xrow, single, pairs, q_sorted, u)
-            del pairs  # held no longer than its level
+                across = self._across(lvl, x, xrow, charge, pairs)
+            # The kept rows are made once the path has formed its first
+            # chunk: pair by pair, that is every product of the level.
+            chunk = next(across, None)
+            row = _multi_rows(tree, lvl)[1]
+            kept = np.zeros((len(single) - int(np.count_nonzero(single)), x.shape[1]))
+            while chunk is not None:
+                # Row i of inc is the incoming expansion of boxes[i].
+                boxes, inc = chunk
+                one = single[boxes]
+                b = boxes[one]
+                u[start[b]] += np.einsum("ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0))
+                many = ~one
+                kept[row[boxes[many]]] = np.compress(many, inc, axis=0)
+                # Pair by pair, a chunk is a view of the whole level's
+                # incoming expansions: its arrays go with it.
+                del boxes, inc, one, b, many
+                chunk = next(across, None)
+            incoming[lvl] = kept
+            # Held no longer than its level: forming the next level by T_ofo
+            # sets the traced peak of a call.
+            del pairs, charge, row, kept, across
             t0 = clock()
             self.ifo_seconds[lvl] += t0 - t1
             if lvl == 2:
@@ -585,22 +621,19 @@ class FmmRun:
                     up[row[dad[lo:hi]]] += e @ t_ofo_g
         return row
 
-    def _across(self, lvl, x, xrow, single, pairs, q_sorted, u):
+    def _across(self, lvl, x, xrow, charge, pairs):
         """T_ifo at one level, one GEMM per offset, over the boxes in some
         T_ifo pair (the pairs are symmetric: these are the sources and the
-        targets).  Box b's expansion is row ``xrow[b]`` of ``x``.  Folds
-        each one-point box's incoming expansion into its point and returns
-        those of the boxes of two or more points (``_hand_on``)."""
-        start = self.tree.ptr[lvl]
+        targets).  Box b's outgoing expansion is row ``xrow[b]`` of ``x``
+        times ``charge[b]``.  Yields (boxes, inc) in chunks of
+        ``_ROW_CHUNK``, boxes ascending, row i of inc the incoming
+        expansion of ``boxes[i]``."""
         t_ifo = self._ops(lvl).t_ifo
-        used = np.zeros(len(single), dtype=bool)
+        used = np.zeros(len(charge), dtype=bool)
         used[pairs[1]] = True
         rows = np.flatnonzero(used)
         row_of = np.cumsum(used) - 1
         del used
-        # Outgoing expansion = x * charge: the point's charge for a
-        # one-point box, 1 for a box of more points.
-        charge = np.where(single, q_sorted[start[:-1]], 1.0)
         inc = np.zeros((len(rows), x.shape[1]))
         for d, tgt, src in _code_groups(pairs):
             for lo in range(0, len(tgt), _ROW_CHUNK):
@@ -609,25 +642,21 @@ class FmmRun:
                 inc[row_of[tgt[lo : lo + _ROW_CHUNK]]] += (
                     np.take(x, xrow[s], axis=0) * charge[s, None]
                 ) @ t_ifo[d].T
-        multi, row = _multi_rows(self.tree, lvl)
-        kept = np.zeros((np.count_nonzero(multi), x.shape[1]))
+        del row_of
         for lo in range(0, len(rows), _ROW_CHUNK):
-            hi = lo + _ROW_CHUNK
-            self._hand_on(lvl, rows[lo:hi], inc[lo:hi], x, xrow, single, u, kept, row)
-        return kept
+            yield rows[lo : lo + _ROW_CHUNK], inc[lo : lo + _ROW_CHUNK]
 
-    def _across_grid(self, lvl, x, xrow, single, q_sorted, u):
+    def _across_grid(self, lvl, x, xrow, charge):
         """T_ifo at one level on its dense 2^l x 2^l box grid, eight GEMMs
-        per chunk of parents.  Folds each one-point box's incoming
-        expansion into its point and returns those of the boxes of two or
-        more points, as ``_across`` does.
+        per chunk of parents.  Yields (boxes, inc) as ``_across`` does, for
+        every box of the level, in the grid's order.
 
         The grid is held parent-major: slot (px + 1) w + py + 1, with
         w = 2^(l-1) + 2, holds the four children of the parent (px, py) at
         level l - 1 as one 4 k row, quadrant by quadrant, and an empty
         parent row and column border the grid on every side.  A child's row
-        is its outgoing expansion: box b's row ``xrow[b]`` of x, scaled by
-        the point's charge for a one-point box.  The incoming expansions of
+        is its outgoing expansion: box b's row ``xrow[b]`` of x times
+        ``charge[b]``.  The incoming expansions of
         the children of the parent in slot s are the sum over its eight
         neighbours D of row s + s_D times ``t_ifo_grid[D]``, with
         s_D = D_x w + D_y (batched M2L), so a chunk of slots takes one GEMM
@@ -639,7 +668,7 @@ class FmmRun:
         the occupied boxes, and the empty cells are zero.  The grid is
         filled in bands of parent rows, each with the row either side that
         its parents' neighbours reach, so a band and a chunk of products
-        hold about ``_GRID_CHUNK`` entries each (one band of the whole grid
+        hold about ``_CHUNK`` entries each (one band of the whole grid
         on smaller levels).  A band starts from the last one's last two
         rows, so each box is scattered once, in pieces of ``_ROW_CHUNK``.
         """
@@ -657,14 +686,11 @@ class FmmRun:
         del bx, by
         order = np.argsort(cell)
         cell = cell[order]
-        charge = np.where(single, q_sorted[start[:-1]], 1.0)
-        _, row = _multi_rows(tree, lvl)
-        kept = np.empty((len(single) - int(np.count_nonzero(single)), k))
-        rows = max(1, min(half, _GRID_CHUNK // (width * 4 * k) - 2))
+        rows = max(1, min(half, _CHUNK // (width * 4 * k) - 2))
         band = np.zeros(((rows + 2) * width, 4 * k))
         cell_rows = band.reshape(-1, k)
         shifts = [dx * width + dy for dx, dy in GRID_PARENT_OFFSETS]
-        chunk = max(1, min(_GRID_CHUNK // (4 * k), rows * width))
+        chunk = max(1, min(_CHUNK // (4 * k), rows * width))
         out = np.empty((chunk, 4 * k))
         scratch = np.empty_like(out)
         done = 0  # the boxes scattered so far, in ``cell`` order
@@ -694,24 +720,8 @@ class FmmRun:
                 for shift, w in zip(shifts[1:], w_d[1:]):
                     np.matmul(band[s + shift : s + shift + n], w, out=scratch[:n])
                     out[:n] += scratch[:n]
-                inc = np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
-                self._hand_on(lvl, order[t:end], inc, x, xrow, single, u, kept, row)
+                yield order[t:end], np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
                 t = end
-        return kept
-
-    def _hand_on(self, lvl, boxes, inc, x, xrow, single, u, kept, row):
-        """Hand on the incoming expansions ``inc`` of ``boxes`` at ``lvl``,
-        row i that of ``boxes[i]``: a one-point box's is folded into its
-        point p, u_p += e_{p,l} . inc with e_{p,l} its row ``xrow[b]`` of
-        ``x``, and a box of two or more points' is kept for the downward
-        pass, in its row ``row[b]`` of ``kept``."""
-        one = single[boxes]
-        b = boxes[one]
-        u[self.tree.ptr[lvl][b]] += np.einsum(
-            "ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0)
-        )
-        many = ~one
-        kept[row[boxes[many]]] = np.compress(many, inc, axis=0)
 
     def _unit_expansions(self, pts, lvl):
         """The unit expansions e_{p,lvl} of the points ``pts`` in their
@@ -780,14 +790,12 @@ class FmmRun:
         self.down_seconds[tree.L] += clock() - t0
 
     def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
-        tree = self.tree
-        ptr = tree.ptr[tree.L]
-        n_pts = len(q_sorted)
-        u = np.zeros(n_pts)
-        grid = default_table().dense_grid()
-        radius = DEFAULT_RTABLE
+        """Near field of the leaf colleagues, offset by offset: the
+        well-filled leaf pairs by ``_near_stencil``, the ragged ones point
+        pair by point pair (``_point_pairs``)."""
         s = self.leaf_side
-        starts = ptr[:-1]
+        starts = self.tree.ptr[self.tree.L][:-1]
+        u = np.zeros(len(q_sorted))
         stencil_pairs = []
         for n, t_slots, s_slots in _code_groups(_by_code(*colleagues, len(_NEAR_OFFSETS))):
             dx, dy = _NEAR_OFFSETS[n]
@@ -803,26 +811,21 @@ class FmmRun:
             ragged = ~gemm
             t_slots, s_slots, cs, tot = t_slots[ragged], s_slots[ragged], cs[ragged], tot[ragged]
             self.near_ragged_pairs += int(tot.sum())
-            # Expand ragged block pairs in bounded chunks.
-            block_end = np.cumsum(tot)
-            chunk = 1 << 22
-            lo_b = 0
-            while lo_b < len(tot):
-                prev = block_end[lo_b] - tot[lo_b]
-                hi_b = int(np.searchsorted(block_end, prev + chunk, side="right"))
-                hi_b = min(max(hi_b, lo_b + 1), len(tot))
-                sel = slice(lo_b, hi_b)
-                tot_sel = tot[sel]
-                base = np.cumsum(tot_sel) - tot_sel
-                blk = np.repeat(np.arange(hi_b - lo_b), tot_sel)
-                r = np.arange(int(tot_sel.sum())) - base[blk]
-                cs_blk = cs[sel][blk]
-                p = starts[t_slots[sel]][blk] + r // cs_blk
-                qdx = starts[s_slots[sel]][blk] + r % cs_blk
-                du = tree.rel_sorted[p] - tree.rel_sorted[qdx]
-                vals = grid[du[:, 0] + radius, du[:, 1] + radius] * q_sorted[qdx]
-                u += np.bincount(p, weights=vals, minlength=n_pts)
-                lo_b = hi_b
+            # Each ragged leaf pair expands to its point pairs, target-major,
+            # in chunks of whole leaf pairs of up to ``_CHUNK`` point pairs
+            # (a leaf pair has fewer than s^2).
+            end = np.cumsum(tot)
+            first = end - tot  # each leaf pair's first point pair
+            lo = 0
+            while lo < len(tot):
+                hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
+                blk = np.repeat(np.arange(lo, hi), tot[lo:hi])
+                r = np.arange(first[lo], end[hi - 1]) - first[blk]
+                cs_blk = cs[blk]
+                tgt = starts[t_slots[blk]] + r // cs_blk
+                src = starts[s_slots[blk]] + r % cs_blk
+                self._point_pairs(tgt, src, q_sorted, u)
+                lo = hi
         if stencil_pairs:
             u += self._near_stencil(q_sorted, slot_of_point, lin, stencil_pairs)
         return u

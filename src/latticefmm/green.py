@@ -14,10 +14,9 @@ with rational A and B.  Two evaluation paths are provided:
   exact values for |m|_inf > 64.
 
 ``phi`` dispatches between the radius-64 table and the expansion and is
-the evaluator the rest of the package uses.  The radius is fixed, so
-every value ``phi`` returns is within 2 ulp of the exact one.
-``GreensTable.window`` gives the same values on a whole box of
-displacements at once, for the near field and the defect solver.
+the evaluator the rest of the package uses, on single points, point
+pairs and broadcast boxes of displacements alike.  The radius is fixed,
+so every value ``phi`` returns is within 2 ulp of the exact one.
 """
 
 from __future__ import annotations
@@ -127,16 +126,15 @@ _LOG_LEAD = np.euler_gamma + 1.5 * math.log(2.0)
 # 16384 entries evaluate a far entry in 58-73, 43-45, 32-36 and 36 ns and
 # a table entry in 16-19, 10-11, 9-10 and 9-10 ns, against 134 and 64 ns
 # for whole-array evaluation: below 8192 the ~40 ufunc calls per block
-# dominate.  A 1001 x 1001 window then needs 0.6-0.7 MB of temporaries.
+# dominate.  A 1001 x 1001 box then needs 0.6-0.7 MB of temporaries.
 _PHI_BLOCK = 8192
 
 
-def _blockwise(block, x, y, dtype, out=None):
+def _blockwise(block, x, y, dtype):
     """``block(xb, yb, ob)`` over 1-D blocks of the broadcast of x and y
-    cast to ``dtype``, writing ob into ``out`` (a new C-ordered float64
-    array by default), which is returned."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    cast to ``dtype``, writing ob into a new C-ordered float64 array,
+    which is returned."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)))
     it = np.nditer(
         [x, y, out],
         flags=["external_loop", "buffered", "zerosize_ok"],
@@ -319,35 +317,11 @@ class GreensTable:
             raise ValueError("point outside table radius")
         return self.octant[hi * (hi + 1) // 2 + lo]
 
-    def window(self, lo, hi) -> np.ndarray:
-        """phi on the box of displacements lo <= m <= hi, index
-        [m1 - lo1, m2 - lo2]: the table inside |m|_inf <= radius and
-        ``phi_asymptotic`` outside, so the default table's window holds
-        exactly the values ``phi`` returns."""
-        x = np.arange(lo[0], hi[0] + 1, dtype=np.int64)
-        y = np.arange(lo[1], hi[1] + 1, dtype=np.int64)
-        r = self.radius
-        # x and y are sorted, so the table's part is one rectangle and the
-        # expansion's the (up to four) strips around it.
-        x0, x1 = np.searchsorted(x, [-r, r + 1])
-        y0, y1 = np.searchsorted(y, [-r, r + 1])
-        out = np.empty((len(x), len(y)))
-        out[x0:x1, y0:y1] = self.lookup(x[x0:x1, None], y[None, y0:y1])
-        nx, ny = out.shape
-        for r_lo, r_hi, c_lo, c_hi in (
-            (0, x0, 0, ny), (x1, nx, 0, ny), (x0, x1, 0, y0), (x0, x1, y1, ny)
-        ):
-            # Block by block, straight into the window (see ``_PHI_BLOCK``).
-            if r_lo < r_hi and c_lo < c_hi:
-                rows, cols = slice(r_lo, r_hi), slice(c_lo, c_hi)
-                _blockwise(_asymptotic_block, x[rows, None], y[None, cols], np.float64, out[rows, cols])
-        return out
-
     def dense_grid(self) -> np.ndarray:
         """Full (2R+1)^2 grid of phi values, index [m1+R, m2+R].  Cached."""
         if self._grid is None:
-            r = self.radius
-            self._grid = self.window((-r, -r), (r, r))
+            m = np.arange(-self.radius, self.radius + 1)
+            self._grid = self.lookup(m[:, None], m[None, :])
         return self._grid
 
 

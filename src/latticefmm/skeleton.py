@@ -17,7 +17,9 @@ reused across the tree by translation invariance:
   BLAS suffices and the FMM path loads no second linear-algebra library.
 
 The ID of a level yields simultaneously the skeleton, the
-outgoing-from-outgoing blocks (T_ofo, parent from children) and, by kernel
+outgoing-from-outgoing blocks (T_ofo, parent from children: as the
+candidates are the children's skeletons in quadrant order, T_ofo[q] is the
+q-th block of columns of the ID, held as a view of it) and, by kernel
 symmetry, the incoming-from-incoming blocks (T_ifi = T_ofo^T).  The
 outgoing-to-incoming operators (T_ifo) are dense kernel matrices between
 skeleton points of interaction-list-separated model boxes, one per
@@ -155,17 +157,6 @@ def build_level_skeleton(
     return LevelSkeleton(side=side, points=cand[idx], interp=t, candidates=cand)
 
 
-def build_t_ofo(parent: LevelSkeleton, child: LevelSkeleton) -> np.ndarray:
-    """(4, k_parent, k_child) blocks mapping child outgoing to parent outgoing."""
-    kc = child.rank
-    if parent.candidates.shape[0] != 4 * kc:
-        raise ValueError(
-            f"block-size mismatch: parent has {parent.candidates.shape[0]} "
-            f"candidates, children supply {4 * kc}"
-        )
-    return np.stack([parent.interp[:, q * kc : (q + 1) * kc] for q in range(4)])
-
-
 def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
     """(K_ifo, k, k) outgoing->incoming kernel blocks, one per offset.
 
@@ -231,7 +222,7 @@ def build_t_ifo_grid(t_ifo: np.ndarray) -> np.ndarray:
 class LevelOperators:
     skeleton: LevelSkeleton
     t_ifo: np.ndarray  # (K_ifo, k, k)
-    t_ofo: np.ndarray | None = None  # (4, k, k_child); None at the deepest level
+    t_ofo: np.ndarray | None = None  # (4, k, k_child) view of interp; None at the leaf
     _t_ifo_grid: np.ndarray | None = None  # (8, 4 k, 4 k), see ``build_t_ifo_grid``
     _unit_table: np.ndarray | None = None  # see ``OperatorChain.unit_table``
 
@@ -249,8 +240,9 @@ class OperatorChain:
     A chain is anchored at its leaf side (whose skeleton uses dense
     candidates and supplies T_ofs/T_tfi); every coarser side is built on
     its child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
-    and - above the leaf - the T_ofo blocks mapping side/2 skeletons up.
-    T_ifi blocks are the transposes of T_ofo and are not stored.  The grid
+    and - above the leaf - the T_ofo blocks mapping side/2 skeletons up, a
+    view of the interpolation matrix, not a copy.  T_ifi blocks are the
+    transposes of T_ofo and are not stored either.  The grid
     T_ifo and the tables of unit expansions of a side are built on first
     use.
     """
@@ -271,7 +263,9 @@ class OperatorChain:
                 skel = build_level_skeleton(side, self.eps, child=child_skel)
                 cur = LevelOperators(skeleton=skel, t_ifo=build_t_ifo(skel))
                 if child_skel is not None:
-                    cur.t_ofo = build_t_ofo(skel, child_skel)
+                    # The candidates are the children's skeletons in quadrant
+                    # order, so T_ofo[q] is interp's q-th block of columns.
+                    cur.t_ofo = skel.interp.reshape(skel.rank, 4, child_skel.rank).transpose(1, 0, 2)
                 self.ops[side] = cur
             child_ops = cur
             side *= 2
@@ -299,13 +293,13 @@ class OperatorChain:
 
     def stored_entries(self) -> int:
         """Entries of every array the chain holds: each side's skeleton
-        (points, candidates, interpolation matrix), T_ifo stack, T_ofo
-        blocks (T_ifi is their transpose, not stored), and the grid T_ifo
-        and table of unit expansions once built."""
+        (points, candidates, interpolation matrix, of which T_ofo is a
+        view), T_ifo stack, and the grid T_ifo and table of unit expansions
+        once built."""
         total = 0
         for op in self.ops.values():
             skel = op.skeleton
-            for a in (skel.points, skel.candidates, skel.interp, op.t_ifo, op.t_ofo, op._t_ifo_grid, op._unit_table):
+            for a in (skel.points, skel.candidates, skel.interp, op.t_ifo, op._t_ifo_grid, op._unit_table):
                 if a is not None:
                     total += a.size
         return total

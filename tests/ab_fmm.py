@@ -8,7 +8,10 @@ Run from the repository root (pytest does not collect this file):
 The package under --src is loaded as ``latticefmm_a`` and this checkout's
 as ``latticefmm_b``, side by side in one process, each with its own phi
 table and operator chain.  For each workload and seed the inputs come from
-the benchmark's ``perfbench/workloads.make_inputs``; each side makes one
+the benchmark's ``perfbench/workloads.make_inputs``, except ``ragged``:
+2**16 distinct points drawn uniformly on a 2**10 x 2**10 domain, about
+four per leaf, whose near field runs point pair by point pair, which
+neither benchmark workload reaches.  Each side makes one
 warm-up call, then the sides alternate warm ``fmm_apply`` calls, pair by
 pair, A first in even pairs and B first in odd ones.  Both sides then see
 the same host state, so the host's speed swings, which move separate
@@ -34,6 +37,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 EPS = 1e-10
 NLEAF = 64
@@ -51,21 +56,33 @@ def load_package(name: str, src: Path):
     return importlib.import_module(name + ".fmm")
 
 
+def make_inputs(workload: str, seed: int) -> dict:
+    """Points and charges of a workload: the benchmark's, or ``ragged``."""
+    if workload != "ragged":
+        import workloads
+
+        return workloads.make_inputs(workload, seed)
+    n, side = 1 << 16, 1 << 10
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(side * side, size=n, replace=False)
+    return {"points": np.column_stack([flat // side, flat % side]), "charges": rng.standard_normal(n)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the other latticefmm (side A)")
-    parser.add_argument("--workloads", nargs="+", default=["dense", "random"], choices=["dense", "random"])
+    parser.add_argument(
+        "--workloads", nargs="+", default=["dense", "random", "ragged"], choices=["dense", "random", "ragged"]
+    )
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")
     parser.add_argument("--peak", action="store_true", help="print each side's traced peak too")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     sides = {"A": load_package("latticefmm_a", Path(args.src)), "B": load_package("latticefmm_b", ROOT / "src")}
     for workload in args.workloads:
         for seed in args.seeds:
-            inp = workloads.make_inputs(workload, seed)
+            inp = make_inputs(workload, seed)
 
             def call(fmm):
                 t0 = time.perf_counter()

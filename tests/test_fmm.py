@@ -653,21 +653,28 @@ def test_unit_tables_built_once(monkeypatch):
 
 
 def test_traced_peak_per_point():
-    # 2^13 uniform points on 2^13 x 2^13, about one per leaf.  The warm
-    # call's traced peak measured 945-948 bytes per point (seeds 0-3);
-    # with every one-point chain's top expansion held to the downward pass
-    # and no tables, it was 1234-1239.
-    n = 1 << 13
-    rng = np.random.default_rng(0)
-    flat = rng.choice(n * n, size=n, replace=False)
-    pts = np.column_stack([flat // n, flat % n])
-    q = rng.standard_normal(n)
-    fmm_apply(pts, q)
-    tracemalloc.start()
-    fmm_apply(pts, q)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 1040 * n, peak / n
+    # Uniform loads, the warm call traced:
+    # * 2^13 points on 2^13 x 2^13, about one per leaf: 945-948 bytes per
+    #   point (seeds 0-3); with every one-point chain's top expansion held
+    #   to the downward pass and no tables, it was 1234-1239.
+    # * 2^16 points on 2^10 x 2^10, about four per leaf, where the near
+    #   field's point pairs take about two thirds of the call: 233 bytes
+    #   per point with them summed in chunks of ``_CHUNK``, 487 in chunks
+    #   of 2^22.
+    # Sampled targets meet the direct sum at eps * sum |q|.
+    for n, side, bound in ((1 << 13, 1 << 13, 1040), (1 << 16, 1 << 10, 300)):
+        rng = np.random.default_rng(0)
+        flat = rng.choice(side * side, size=n, replace=False)
+        pts = np.column_stack([flat // side, flat % side])
+        q = rng.standard_normal(n)
+        u = fmm_apply(pts, q)
+        tracemalloc.start()
+        fmm_apply(pts, q)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= bound * n, (n, peak / n)
+        sample = rng.choice(n, 64, replace=False)
+        assert np.max(np.abs(u[sample] - direct_sum(pts, q, pts[sample]))) <= 1e-10 * np.abs(q).sum()
 
 
 def test_fmm_apply_leaves_numpy_ma_unloaded():
@@ -764,7 +771,7 @@ def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
     pts, targets = _grid_load(kind)
     q = rng_charges(len(pts))
     # Small chunks, so the grid path reads its parents in several.
-    monkeypatch.setattr(fmm, "_GRID_CHUNK", 50_000)
+    monkeypatch.setattr(fmm, "_CHUNK", 50_000)
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, pair = _forced(monkeypatch, "pair", pts, q, targets)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q, targets)
@@ -805,7 +812,7 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
     pts = {"sparse": sparse_points, "clustered": clustered_points}[name]()
     q = rng_charges(len(pts))
     if chunk is not None:
-        monkeypatch.setattr(fmm, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(fmm, "_CHUNK", chunk)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
     u_pair, pair = _forced(monkeypatch, "pair", pts, q)
     levels = grid["levels"]
@@ -827,7 +834,7 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
 
 @pytest.mark.parametrize("kind", ["full", "holes", "sparse"])
 def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
-    # With a small _GRID_CHUNK every grid band holds one parent row and its
+    # With a small _CHUNK every grid band holds one parent row and its
     # two border rows, and a chunk of products holds fewer slots than a
     # parent row on the deeper levels; on the sparse load some bands hold
     # no occupied cell, border rows included.  Banding only regroups the
@@ -841,7 +848,7 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
     u_pair, _ = _forced(monkeypatch, "pair", pts, q)
     u_ref = _forced(monkeypatch, "grid", pts, q)[0] if kind == "sparse" else u_pair
     chunk = 600
-    monkeypatch.setattr(fmm, "_GRID_CHUNK", chunk)
+    monkeypatch.setattr(fmm, "_CHUNK", chunk)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
     k = grid["ranks_per_level"]
     levels = grid["ifo_grid_levels"]
@@ -865,10 +872,11 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
 
 def test_grid_ifo_memory_is_banded():
     # The leaf level of a uniform load: its whole padded grid would take
-    # (2^9 + 4)^2 k doubles, about 60 MB.  A band holds about _GRID_CHUNK
+    # (2^9 + 4)^2 k doubles, about 60 MB.  A band holds about _CHUNK
     # entries, the chunk of products and its scratch buffer no more than a
     # band's slots, and the index arrays a few per box; no neighbourhood of
-    # a chunk of parents is copied.
+    # a chunk of parents is copied.  The level's charges, its kept incoming
+    # expansions and their rows are set up as the upward pass does.
     rng = np.random.default_rng(29)
     flat = rng.choice(1 << 24, size=1 << 14, replace=False)
     pts = np.column_stack([flat >> 12, flat & 4095])
@@ -886,20 +894,29 @@ def test_grid_ifo_memory_is_banded():
     xrow = np.arange(n_boxes)  # box b's expansion is row xrow[b] of x
     q = rng.standard_normal(len(pts))
     u = np.zeros(len(pts))
+    start = tree.ptr[lvl]
     tracemalloc.start()
-    kept = run._across_grid(lvl, x, xrow, single, q, u)
+    charge = np.where(single, q[start[:-1]], 1.0)
+    row = np.cumsum(~single, dtype=np.int32) - 1
+    kept = np.zeros((n_boxes - np.count_nonzero(single), k))
+    seen = np.zeros(n_boxes, dtype=bool)
+    for boxes, inc in run._across_grid(lvl, x, xrow, charge):
+        seen[boxes] = True
+        one = single[boxes]
+        u[start[boxes[one]]] += np.einsum("ij,ij->i", x[xrow[boxes[one]]], inc[one])
+        kept[row[boxes[~one]]] = inc[~one]
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8
-    assert kept.shape == (n_boxes - np.count_nonzero(single), k)
-    assert peak <= 8 * fmm._GRID_CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
+    assert seen.all()
+    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
     assert peak < whole / 6, (peak, whole)
 
 
 def test_t_tfi_on_leaves_of_2_to_64_points(monkeypatch):
     # Each 8 x 8 leaf of a 64 x 64 grid keeps 2..64 of its points; small
     # chunks split the stencil products of T_ofs and T_tfi.
-    monkeypatch.setattr(fmm, "_STENCIL_CHUNK", 5 * 64)
+    monkeypatch.setattr(fmm, "_CHUNK", 5 * 64)
     rng = np.random.default_rng(23)
     counts = np.concatenate([[2, 64], rng.integers(2, 65, 62)])
     pts = []

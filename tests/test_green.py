@@ -11,6 +11,7 @@ from numpy.polynomial.chebyshev import cheb2poly
 import latticefmm
 from latticefmm import green
 from latticefmm.config import DEFAULT_RTABLE
+from latticefmm.defect import _Window
 from latticefmm.green import (
     GreensTable,
     apply_discrete_laplacian,
@@ -307,13 +308,24 @@ WINDOW_BOXES = {
 
 
 @pytest.mark.parametrize("box", sorted(WINDOW_BOXES))
-def test_window_equals_phi_bitwise(table, box):
-    lo, hi = WINDOW_BOXES[box]
+def test_window_equals_phi_bitwise(box):
+    # The defect solver's window over the displacements t - s from one
+    # source to targets spanning the box is phi on the box, and its
+    # row-major keys read phi(t - s) at each target.
+    lo, hi = np.array(WINDOW_BOXES[box])
     x = np.arange(lo[0], hi[0] + 1)
     y = np.arange(lo[1], hi[1] + 1)
-    got = table.window(lo, hi)
+    source = np.array([[3, -5]])
+    rng = np.random.default_rng(41)
+    inner = np.column_stack([rng.integers(lo[0], hi[0] + 1, 20), rng.integers(lo[1], hi[1] + 1, 20)])
+    targets = np.vstack([lo, hi, inner]) + source
+    win = _Window(targets, source)
+    got = win.phi()
     assert got.shape == (len(x), len(y))
     assert got.tobytes() == phi(x[:, None], y[None, :]).tobytes()
+    d = targets - source
+    read = got.ravel()[win.key(win.t_pos) - win.key(win.s_pos)]
+    assert read.tobytes() == phi(d[:, 0], d[:, 1]).tobytes()
 
 
 def test_dense_grid_is_the_radius_window(table):

@@ -7,7 +7,6 @@ from latticefmm.skeleton import (
     build_level_skeleton,
     build_t_ifo,
     build_t_ifo_grid,
-    build_t_ofo,
     dense_candidates,
     interpolative_decomposition,
     kernel_matrix,
@@ -140,23 +139,16 @@ def test_parent_skeleton_replication():
 
 
 def test_t_ofo_blocks_slice_interp():
+    # T_ofo[q] is the q-th block of the parent ID's columns, held as a view.
     chain = OperatorChain(1e-10, 8)
     chain.ensure(16)
     parent = chain.ops[16].skeleton
     child = chain.ops[8].skeleton
-    blocks = build_t_ofo(parent, child)
+    blocks = chain.ops[16].t_ofo
     assert blocks.shape == (4, parent.rank, child.rank)
     assert np.array_equal(np.concatenate(list(blocks), axis=1), parent.interp)
-
-
-def test_t_ofo_block_size_mismatch():
-    chain = OperatorChain(1e-10, 8)
-    chain.ensure(16)
-    parent = chain.ops[16].skeleton
-    wrong_child = build_level_skeleton(16, eps=1e-10)
-    assert wrong_child.rank != chain.ops[8].skeleton.rank
-    with pytest.raises(ValueError, match="block-size mismatch"):
-        build_t_ofo(parent, wrong_child)
+    assert np.shares_memory(blocks, parent.interp)
+    assert chain.ops[8].t_ofo is None
 
 
 def test_t_ifo_entries_match_kernel():
@@ -210,8 +202,8 @@ def test_t_ifo_grid_blocks():
 
 def test_stored_entries_counts_every_array():
     # stored_entries() is the summed size of every array the chain holds,
-    # found by walking its operators, and T_ofo counts once: T_ifi is its
-    # transpose and is not stored.
+    # found by walking its operators.  T_ofo is a view of interp, which
+    # counts once, and T_ifi is its transpose and is not stored.
     chain = OperatorChain(1e-10, 8)
     chain.ensure(64)
     chain.ops[32].t_ifo_grid
@@ -224,11 +216,14 @@ def test_stored_entries_counts_every_array():
             elif hasattr(value, "__dict__"):
                 yield from arrays(value)
 
-    held = [a for op in chain.ops.values() for a in arrays(op)]
+    ofo = {side: op.t_ofo for side, op in chain.ops.items() if op.t_ofo is not None}
+    assert sorted(ofo) == [16, 32, 64]
+    assert all(np.shares_memory(t, chain.ops[side].skeleton.interp) for side, t in ofo.items())
+    held = [a for op in chain.ops.values() for a in arrays(op) if not any(a is t for t in ofo.values())]
     assert sum(a.size for a in held) == chain.stored_entries()
-    # Sides 8..64: points, candidates, interp and T_ifo each, T_ofo above
-    # the leaf, one grid T_ifo, and the tables of sides 8 and 16.
-    assert len(held) == 4 * 4 + 3 + 1 + 2
+    # Sides 8..64: points, candidates, interp and T_ifo each, one grid
+    # T_ifo, and the tables of sides 8 and 16.
+    assert len(held) == 4 * 4 + 1 + 2
 
 
 def test_leaf_t_ofs_dense_restriction():
