@@ -144,10 +144,10 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 # near field included.  They bound those temporaries, except that a grid
 # band holds at least one parent row and its two border rows.  On the
 # 16384 uniform points above, 2^16 entries (0.5 MB) hold the traced peak
-# of a call at 10.2 MB, set by forming level 6 from level 7 in the upward
-# pass (grid T_ifo at level 7 peaks at 9.1 MB), against 11.4 MB with 2^17
-# and 15.9 MB with 2^18; with 2^15, level 7 falls to one-row bands and
-# runs 1.6 times slower.  Each level of a full 128^2 grid fills one band.
+# of a call at 8.7 MB, set by forming level 6 from level 7 in the upward
+# pass, against 10.9 MB with 2^17 and 15.4 MB with 2^18, where grid T_ifo
+# at level 7 sets it; with 2^15, level 7 falls to one-row bands and runs
+# 1.6 times slower.  Each level of a full 128^2 grid fills one band.
 # On 2^18 uniform points on 2^11 x 2^11 (about four per leaf, 9.3 million
 # near-field point pairs), chunks of 2^16 point pairs rather than 2^22
 # took the near field from 0.72-0.96 to 0.42-0.61 s (2 cores, ten warm
@@ -156,8 +156,28 @@ _CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
 # T_ifo pair by pair and its folds, the unit expansions of the downward
-# pass): 2048 rows of k ~ 35 doubles, ~0.6 MB, stay in a core's L2 cache.
-_ROW_CHUNK = _CHUNK // 32
+# pass): 1024 rows of k ~ 35 doubles, 0.29 MB.  Forming level 6 from level
+# 7 (``_merge_up``) sets the traced peak of a call on the 16384 uniform
+# points above, and its chunk temporaries are part of it: 8.70 MB at 1024
+# rows against 9.56 at 2048 and 9.93 at 4096; from 512 down the peak,
+# 8.67 MB, is elsewhere.  In one process, alternating 41 warm calls each
+# (2 cores), 2048 rows ran the call 0.6-0.8 % faster, inside the noise.
+_ROW_CHUNK = _CHUNK // 64
+
+
+# Grid T_ifo's products are (n, 4 k) @ (4 k, 4 k).  The OpenBLAS build
+# this was measured with (0.3.31, numpy 2.4) runs a product on two threads
+# from about n (4 k)^2 = 10^6 multiply-adds; with n <= 4 k it then splits the
+# 4 k output columns between the threads, and for odd k the split leaves
+# each thread an edge of two columns, computed by other kernels: about one
+# potential in ten changed in its last bits between one and two threads on
+# 2^15 uniform points (n = 52-140 at k = 35, 46-148 at k = 37, none for
+# even k).  With n > 4 k it splits the rows and every entry is as on one
+# thread, so ``_across_grid`` runs such a product at 4 k + 1 rows, which
+# read zeros or discarded slots; only small levels and band ends are
+# padded.  The window belongs to this build: test_fmm's thread-count test
+# guards it.
+_BLAS_SPLIT_MNK = 10**6
 
 
 def _child_codes():
@@ -427,20 +447,32 @@ class FmmRun:
             d = np.take(rel, t, axis=0) - np.take(rel, s, axis=0)
             u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
 
-    def _stencil_chunks(self, multi, slot_of_point):
+    def _leaf_points(self, leaves):
+        """The points of the ascending leaf slots ``leaves``, formed for
+        these leaves alone, as (pts, cell): each point's sorted index, and
+        its cell in the (len(leaves), s^2) stencils of the leaves flattened,
+        its leaf's row in ``leaves`` times s^2 plus its place in the leaf.
+        Both index arrays are intp: numpy casts any other index dtype on
+        every use (int32 made these gathers and scatters 2-3 times slower)."""
+        start = self.tree.ptr[self.tree.L]
+        count = start[leaves + 1] - start[leaves]
+        end = np.cumsum(count)
+        pts = np.arange(end[-1]) + np.repeat(start[leaves] - (end - count), count)
+        cell = self._positions(self.tree.L, np.take(self.tree.rel_sorted, pts, axis=0))
+        cell += np.repeat(np.arange(len(leaves)) * self.leaf_side**2, count)
+        return pts, cell
+
+    def _stencil_chunks(self, multi):
         """The leaves of two or more points in chunks, for the dense s x s
-        stencil products of T_ofs and T_tfi: yields (lo, hi, pts, r), the
-        chunk's leaves lo..hi-1 counted among those leaves, their points
-        and each point's leaf, r in 0..hi-lo-1."""
-        row = np.cumsum(multi) - 1
-        pts = np.flatnonzero(multi[slot_of_point])
-        pt_row = row[slot_of_point[pts]]
+        stencil products of T_ofs and T_tfi: yields (lo, hi, pts, cell),
+        the chunk's leaves lo..hi-1 counted among those leaves and their
+        points as ``_leaf_points`` gives them for the chunk.  Nothing per
+        point outlives its chunk."""
+        leaves = np.flatnonzero(multi)
         chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
-        n_multi = int(np.count_nonzero(multi))
-        for lo in range(0, n_multi, chunk):
-            hi = min(lo + chunk, n_multi)
-            plo, phi_ = np.searchsorted(pt_row, (lo, hi))
-            yield lo, hi, pts[plo:phi_], pt_row[plo:phi_] - lo
+        for lo in range(0, len(leaves), chunk):
+            hi = min(lo + chunk, len(leaves))
+            yield (lo, hi, *self._leaf_points(leaves[lo:hi]))
 
     def _table_levels(self):
         """The coarsest level m such that levels m..L read the unit
@@ -486,7 +518,7 @@ class FmmRun:
         row[one] = self._positions(lvl, np.take(tree.rel_sorted, tree.ptr[lvl][one], axis=0))
         return x, row
 
-    def _up_and_across(self, q_sorted, slot_of_point, lin, ifo, u):
+    def _up_and_across(self, q_sorted, ifo, u):
         """Upward pass fused with T_ifo, fine to coarse.  The seconds that
         form level l's expansions (T_ofs at the leaves, T_ofo from the
         children at level l + 1 elsewhere) count at level l, those of T_ifo
@@ -507,7 +539,7 @@ class FmmRun:
         t0 = clock()
         single = np.diff(tree.ptr[tree.L]) == 1
         x, xrow = self._level_array(
-            tree.L, single, lambda out, need: self._leaf_expansions(q_sorted, need, slot_of_point, lin, out)
+            tree.L, single, lambda out, need: self._leaf_expansions(q_sorted, need, out)
         )
         incoming = {}
         for lvl in range(tree.L, 1, -1):
@@ -557,16 +589,16 @@ class FmmRun:
             single = up_single
         return incoming
 
-    def _leaf_expansions(self, q_sorted, need, slot_of_point, lin, out):
+    def _leaf_expansions(self, q_sorted, need, out):
         """T_ofs: the outgoing expansion of each leaf flagged in ``need``
         (those of two or more points), from its charges scattered onto the
         dense s x s stencil, one GEMM per chunk of leaves, into the rows of
         ``out`` in leaf order.  Returns each leaf's row there."""
         interp = self._ops(self.tree.L).skeleton.interp
         s2 = interp.shape[1]
-        for lo, hi, pts, r in self._stencil_chunks(need, slot_of_point):
+        for lo, hi, pts, cell in self._stencil_chunks(need):
             dense = np.zeros((hi - lo, s2))
-            dense[r, lin[pts]] = q_sorted[pts]
+            dense.reshape(-1)[cell] = q_sorted[pts]
             np.matmul(dense, interp.T, out=out[lo:hi])
         return np.cumsum(need, dtype=np.int32) - 1
 
@@ -687,11 +719,14 @@ class FmmRun:
         order = np.argsort(cell)
         cell = cell[order]
         rows = max(1, min(half, _CHUNK // (width * 4 * k) - 2))
-        band = np.zeros(((rows + 2) * width, 4 * k))
+        chunk = max(1, min(_CHUNK // (4 * k), rows * width))
+        # Threaded products of odd k are run at 4 k + 1 rows or more (see
+        # ``_BLAS_SPLIT_MNK``); the band's zero rows below its end feed them.
+        floor = 4 * k + 1 if k % 2 and chunk * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else 0
+        band = np.zeros(((rows + 2) * width + floor, 4 * k))
         cell_rows = band.reshape(-1, k)
         shifts = [dx * width + dy for dx, dy in GRID_PARENT_OFFSETS]
-        chunk = max(1, min(_CHUNK // (4 * k), rows * width))
-        out = np.empty((chunk, 4 * k))
+        out = np.empty((max(chunk, floor), 4 * k))
         scratch = np.empty_like(out)
         done = 0  # the boxes scattered so far, in ``cell`` order
         for first in range(0, half, rows):
@@ -716,10 +751,11 @@ class FmmRun:
                 n = min(chunk, cell[t1 - 1] // 4 + 1 - lo)
                 end = t + int(np.searchsorted(cell[t:t1], 4 * (lo + n)))
                 s = lo - base
-                np.matmul(band[s + shifts[0] : s + shifts[0] + n], w_d[0], out=out[:n])
+                m = max(n, floor) if n * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else n  # rows multiplied
+                np.matmul(band[s + shifts[0] : s + shifts[0] + m], w_d[0], out=out[:m])
                 for shift, w in zip(shifts[1:], w_d[1:]):
-                    np.matmul(band[s + shift : s + shift + n], w, out=scratch[:n])
-                    out[:n] += scratch[:n]
+                    np.matmul(band[s + shift : s + shift + m], w, out=scratch[:m])
+                    out[:m] += scratch[:m]
                 yield order[t:end], np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
                 t = end
 
@@ -745,7 +781,7 @@ class FmmRun:
             e = up
         return e
 
-    def _down(self, incoming, slot_of_point, lin, u):
+    def _down(self, incoming, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
         incoming expansion of each box of two or more points to its
         children.  A child at its point p's top one-point level folds its
@@ -785,17 +821,17 @@ class FmmRun:
             t0 = t1
         interp = self._ops(tree.L).skeleton.interp
         inc_leaf = incoming.pop(tree.L)
-        for lo, hi, pts, r in self._stencil_chunks(multi, slot_of_point):
-            u[pts] += (inc_leaf[lo:hi] @ interp)[r, lin[pts]]
+        for lo, hi, pts, cell in self._stencil_chunks(multi):
+            u[pts] += np.take(inc_leaf[lo:hi] @ interp, cell)
         self.down_seconds[tree.L] += clock() - t0
 
-    def _near_field(self, q_sorted, counts, slot_of_point, lin, colleagues):
-        """Near field of the leaf colleagues, offset by offset: the
-        well-filled leaf pairs by ``_near_stencil``, the ragged ones point
-        pair by point pair (``_point_pairs``)."""
+    def _near_field(self, q_sorted, colleagues, u):
+        """Add the near field of the leaf colleagues into ``u``, offset by
+        offset: the ragged leaf pairs point pair by point pair
+        (``_point_pairs``), then the well-filled ones by ``_near_stencil``."""
         s = self.leaf_side
         starts = self.tree.ptr[self.tree.L][:-1]
-        u = np.zeros(len(q_sorted))
+        counts = np.diff(self.tree.ptr[self.tree.L])
         stencil_pairs = []
         for n, t_slots, s_slots in _code_groups(_by_code(*colleagues, len(_NEAR_OFFSETS))):
             dx, dy = _NEAR_OFFSETS[n]
@@ -827,15 +863,16 @@ class FmmRun:
                 self._point_pairs(tgt, src, q_sorted, u)
                 lo = hi
         if stencil_pairs:
-            u += self._near_stencil(q_sorted, slot_of_point, lin, stencil_pairs)
-        return u
+            self._near_stencil(q_sorted, stencil_pairs, u)
 
-    def _near_stencil(self, q_sorted, slot_of_point, lin, stencil_pairs):
-        """Near field of well-filled leaf pairs as one GEMM per offset.
+    def _near_stencil(self, q_sorted, stencil_pairs, u):
+        """Add the near field of well-filled leaf pairs into ``u``, one GEMM
+        per offset.
 
-        Only leaves that take part in some pair are scattered onto the
-        dense s x s stencil.  Block K_d[i, j] = phi(loc_i - loc_j - s*d)
-        maps source stencil charges to target stencil potentials.
+        Only the leaves that take part in some pair are scattered onto the
+        dense s x s stencil, their points formed by ``_leaf_points``.
+        Block K_d[i, j] = phi(loc_i - loc_j - s*d) maps source stencil
+        charges to target stencil potentials.
         """
         s = self.leaf_side
         radius = DEFAULT_RTABLE
@@ -847,12 +884,10 @@ class FmmRun:
             mark[t_slots] = True
             mark[s_slots] = True
         used = np.flatnonzero(mark)
-        row = np.full(len(mark), -1)
-        row[used] = np.arange(len(used))
-        pt_row = row[slot_of_point]
-        scattered = np.flatnonzero(pt_row >= 0)
+        row = np.cumsum(mark, dtype=np.int32) - 1
+        pts, cell = self._leaf_points(used)
         qd = np.zeros((len(used), s * s))
-        qd[pt_row[scattered], lin[scattered]] = q_sorted[scattered]
+        qd.reshape(-1)[cell] = q_sorted[pts]
         ud = np.zeros_like(qd)
         loc = np.arange(s * s)
         ddx = (loc // s)[:, None] - (loc // s)[None, :] + radius
@@ -861,17 +896,19 @@ class FmmRun:
             k_d = grid[ddx - s * dx, ddy - s * dy]
             # Each target has one neighbour per offset: rows are distinct.
             ud[row[t_slots]] += qd[row[s_slots]] @ k_d.T
-        u = np.zeros(len(q_sorted))
-        u[scattered] = ud[pt_row[scattered], lin[scattered]]
-        return u
+        u[pts] += np.take(ud, cell)
 
     def apply(self, q_full) -> np.ndarray:
+        """The potentials of the charges ``q_full`` (in point order).
+
+        Per point, a call holds the sorted charges and the sorted
+        potentials, which every pass adds into in place, near field
+        included.  A step that needs the points of leaves (T_ofs, T_tfi,
+        the near field's stencil blocks) forms them for those leaves alone
+        (``_leaf_points``) and drops them when it is done."""
         tree = self.tree
         clock = time.perf_counter
         q_sorted = np.asarray(q_full, dtype=np.float64)[tree.order]
-        counts = np.diff(tree.ptr[tree.L])
-        slot_of_point = np.repeat(np.arange(len(counts)), counts)
-        lin = self._positions(tree.L, tree.rel_sorted)  # each point's place in its leaf
         n_levels = tree.L + 1
         self.times = dict.fromkeys(("t_lists", "t_upward", "t_ifo", "t_downward", "t_near"), 0.0)
         self.ifo_seconds = [0.0] * n_levels
@@ -887,13 +924,13 @@ class FmmRun:
         u_sorted = np.zeros(len(q_sorted))
         ifo, colleagues = self._lists(q_sorted, u_sorted)
         if self.chain is not None:
-            incoming = self._up_and_across(q_sorted, slot_of_point, lin, ifo, u_sorted)
-            self._down(incoming, slot_of_point, lin, u_sorted)
+            incoming = self._up_and_across(q_sorted, ifo, u_sorted)
+            self._down(incoming, u_sorted)
         self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
         self.times["t_downward"] = sum(self.down_seconds)
         t1 = clock()
-        u_sorted += self._near_field(q_sorted, counts, slot_of_point, lin, colleagues)
+        self._near_field(q_sorted, colleagues, u_sorted)
         self.times["t_near"] += clock() - t1
         out = np.empty_like(u_sorted)
         out[tree.order] = u_sorted

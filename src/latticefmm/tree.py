@@ -95,6 +95,13 @@ class QuadTree:
     nleaf points; max_leaf_side, if given, forces subdivision below that
     box size (used by the solver to keep near-field displacements inside
     the Green table).
+
+    Per level l: ``codes[l]`` holds each occupied box's Morton code (int32
+    at levels up to 15, whose codes stay below 2^30, and int64 deeper),
+    ``ptr[l]`` the index of each box's first sorted point, then N, and
+    ``parent_index[l]`` each box's parent at level l - 1 (both int32 below
+    2^31 points).  Points are in Morton order: ``order`` sorts the input
+    into ``rel_sorted``, the coordinates from the root corner.
     """
 
     def __init__(self, points, nleaf: int = 64, max_leaf_side: int | None = None):
@@ -150,7 +157,8 @@ class QuadTree:
         self.parent_index = [None]
         for lvl in range(self.L + 1):
             starts = np.concatenate([[0], np.flatnonzero(split <= lvl) + 1])
-            self.codes.append(sorted_deep[starts] >> np.int64(2 * (logs - lvl)))
+            codes = sorted_deep[starts] >> np.int64(2 * (logs - lvl))
+            self.codes.append(codes.astype(np.int32) if lvl <= 15 else codes)
             self.ptr.append(np.append(starts, n).astype(index))
             if lvl > 0:
                 new_parent = split[starts[1:] - 1] < lvl

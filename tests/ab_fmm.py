@@ -19,10 +19,25 @@ benchmark runs of one commit by tens of percent, fall on both alike.
 
 Per case it prints the median call of each side in ms, the ratio B / A of
 the medians, in how many pairs B was faster, and whether the sha256 of the
-two outputs match.  With --peak it also prints each side's traced peak: one
-more warm call under tracemalloc, in MB (10^6 bytes, as the benchmark's
-``peak_mb``).  Set OPENBLAS_NUM_THREADS as the benchmark does (it pins BLAS
-to at most two threads).
+two outputs match.  Memory is in MB (10^6 bytes, as the benchmark's
+``peak_mb``):
+
+* --peak traces each side's first call of the case (the process's cold
+  call for the first case; later cases reuse the phi table and the
+  operator chain) and one more warm call.  It prints the warm traced peak,
+  the first call's, and ``retained``: the traced memory held after the
+  first call, its output dropped, less that held before it, which shows
+  memory moved into process-lifetime state (the operator chain and its
+  tables).
+* --holders traces one more warm call per side with every ``FmmRun``
+  method wrapped, and prints the methods (each with its level, if it takes
+  one) that were running, outermost first, when the call's traced peak was
+  reached, with the memory held on entry to the innermost.  A generator
+  method counts only while it runs a step, not while its caller holds a
+  step's output.
+
+Set OPENBLAS_NUM_THREADS as the benchmark does (it pins BLAS to at most two
+threads).
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import statistics
 import sys
 import time
@@ -68,6 +84,82 @@ def make_inputs(workload: str, seed: int) -> dict:
     return {"points": np.column_stack([flat // side, flat % side]), "charges": rng.standard_normal(n)}
 
 
+class Holders:
+    """Which ``FmmRun`` methods were running when the traced peak of a call
+    was reached.  Use it as a context manager around the call, with
+    tracemalloc running.
+
+    Every method of the class is wrapped, and generator methods around each
+    step of their generators.  At each entry and exit the traced peak is
+    read: if it grew since the last reading, it was reached in between,
+    inside the methods then on the stack."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.saved = {}
+        self.stack = [("fmm_apply", None, 0)]
+        self.last_peak = 0
+        self.at_peak = list(self.stack)
+
+    def _check(self):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.last_peak:
+            self.last_peak, self.at_peak = peak, list(self.stack)
+
+    def _enter(self, name, level):
+        self._check()
+        self.stack.append((name, level, tracemalloc.get_traced_memory()[0]))
+
+    def _exit(self):
+        self._check()
+        self.stack.pop()
+
+    def _wrap(self, name, method):
+        sig = inspect.signature(method)
+
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs).arguments
+            level = bound.get("lvl", bound.get("level"))
+            self._enter(name, level)
+            try:
+                out = method(*args, **kwargs)
+            finally:
+                self._exit()
+            if not inspect.isgenerator(out):
+                return out
+            return self._steps(name, level, out)
+
+        return wrapper
+
+    def _steps(self, name, level, gen):
+        while True:
+            self._enter(name, level)
+            try:
+                item = next(gen)
+            except StopIteration:
+                return
+            finally:
+                self._exit()
+            yield item
+
+    def __enter__(self):
+        for name, method in vars(self.cls).items():
+            if inspect.isfunction(method):
+                self.saved[name] = method
+                setattr(self.cls, name, self._wrap(name, method))
+        return self
+
+    def __exit__(self, *exc):
+        for name, method in self.saved.items():
+            setattr(self.cls, name, method)
+        self._check()
+
+    def report(self) -> str:
+        where = " > ".join(name if level is None else f"{name} level {level}" for name, level, _ in self.at_peak[1:])
+        held = self.at_peak[-1][2]
+        return f"peak {self.last_peak / 1e6:.3f} MB in {where or 'fmm_apply'}, {held / 1e6:.3f} MB held on entry"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the other latticefmm (side A)")
@@ -76,7 +168,8 @@ def main() -> int:
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")
-    parser.add_argument("--peak", action="store_true", help="print each side's traced peak too")
+    parser.add_argument("--peak", action="store_true", help="print each side's traced peaks and retained memory")
+    parser.add_argument("--holders", action="store_true", help="print where each side's traced peak is reached")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
     sides = {"A": load_package("latticefmm_a", Path(args.src)), "B": load_package("latticefmm_b", ROOT / "src")}
@@ -89,7 +182,18 @@ def main() -> int:
                 out = fmm.fmm_apply(inp["points"], inp["charges"], eps=EPS, nleaf=NLEAF)
                 return time.perf_counter() - t0, out
 
-            digest = {k: hashlib.sha256(call(fmm)[1].tobytes()).hexdigest() for k, fmm in sides.items()}
+            digest, first = {}, {}
+            for k, fmm in sides.items():
+                if args.peak:
+                    tracemalloc.start()
+                    held = tracemalloc.get_traced_memory()[0]
+                out = call(fmm)[1]
+                digest[k] = hashlib.sha256(out.tobytes()).hexdigest()
+                if args.peak:
+                    del out
+                    now, top = tracemalloc.get_traced_memory()
+                    tracemalloc.stop()
+                    first[k] = (top - held) / 1e6, (now - held) / 1e6
             times = {"A": [], "B": []}
             for i in range(args.pairs):
                 for k in ("AB" if i % 2 == 0 else "BA"):
@@ -104,13 +208,23 @@ def main() -> int:
                     call(fmm)
                     mb[k] = tracemalloc.get_traced_memory()[1] / 1e6
                     tracemalloc.stop()
-                peak = f", traced peak A {mb['A']:.3f} MB, B {mb['B']:.3f} MB"
+                peak = (
+                    f", traced peak A {mb['A']:.3f} MB, B {mb['B']:.3f} MB; first call A {first['A'][0]:.3f}, "
+                    f"B {first['B'][0]:.3f} MB; retained A {first['A'][1]:.3f}, B {first['B'][1]:.3f} MB"
+                )
             print(
                 f"{workload} seed {seed}: A {med['A'] * 1e3:.1f} ms, B {med['B'] * 1e3:.1f} ms, "
                 f"B/A {med['B'] / med['A']:.3f}, B faster in {wins} of {args.pairs}, "
                 f"sha256 {'equal' if digest['A'] == digest['B'] else 'DIFFER'}{peak}",
                 flush=True,
             )
+            if args.holders:
+                for k, fmm in sides.items():
+                    tracemalloc.start()
+                    with Holders(fmm.FmmRun) as holders:
+                        call(fmm)
+                    tracemalloc.stop()
+                    print(f"  {k}: {holders.report()}", flush=True)
     return 0
 
 

@@ -14,8 +14,14 @@ warm wall time, the cold call's ``t_chain``, every ``stats`` entry of the
 last warm call (the per-pass timers and the per-level counters), the peak
 RSS, and the traced peak of one more call under tracemalloc
 (``traced_peak_mb``, MiB: the arrays the call allocates, which RSS, moved
-by the heap's layout, does not show alone).  Records are merged into
-BENCH_fmm.json under cases.<name>.<label>.
+by the heap's layout, does not show alone).  A second fresh process traces
+its cold call: ``cold_traced_peak_mb`` is that call's traced peak and
+``retained_mb`` the traced memory held after it, its output dropped, less
+that held before it (both MiB): the phi table, the operator chain and its
+tables of unit expansions, which live as long as the process.  A change
+that moves memory out of the call into such state lowers the warm peak
+and raises ``retained_mb``.  Records are merged into BENCH_fmm.json under
+cases.<name>.<label>.
 
 Cases, with the points and charges of ``lfmm bench`` at its default seed:
 a dense 512 x 512 grid; 2**18 distinct points drawn uniformly on a 2**18 x
@@ -49,12 +55,8 @@ WARM = 3  # warm calls per case
 OUT = ROOT / "BENCH_fmm.json"
 
 
-def run_case(name: str) -> dict:
-    """One case in this process (call it in a fresh one)."""
-    import resource
-    import statistics
-    import tracemalloc
-
+def case_inputs(name: str):
+    """The points and charges of a case, and ``fmm_apply``."""
     import numpy as np
 
     from latticefmm.cli import _bench_points
@@ -64,7 +66,34 @@ def run_case(name: str) -> dict:
     distribution, n, alpha = CASES[name]
     rng = np.random.default_rng(DEFAULT_SEED)
     pts = _bench_points(distribution, n, alpha, rng)
-    q = rng.standard_normal(pts.shape[0])
+    return pts, rng.standard_normal(pts.shape[0]), fmm_apply
+
+
+def run_cold(name: str) -> dict:
+    """The traced cold call of one case in this process (call it in a fresh
+    one): its traced peak and the memory it leaves held, in MiB."""
+    import gc
+    import tracemalloc
+
+    pts, q, fmm_apply = case_inputs(name)
+    gc.collect()
+    tracemalloc.start()
+    held = tracemalloc.get_traced_memory()[0]
+    u = fmm_apply(pts, q, eps=EPS, nleaf=NLEAF)
+    del u
+    gc.collect()
+    now, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {"cold_traced_peak_mb": (peak - held) / 2**20, "retained_mb": (now - held) / 2**20}
+
+
+def run_case(name: str) -> dict:
+    """One case in this process (call it in a fresh one)."""
+    import resource
+    import statistics
+    import tracemalloc
+
+    pts, q, fmm_apply = case_inputs(name)
     wall_s = []
     for _ in range(WARM + 1):
         stats: dict = {}
@@ -95,10 +124,11 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="record key, e.g. parent or change")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding latticefmm")
     parser.add_argument("--one", help=argparse.SUPPRESS)  # run one case, print JSON
+    parser.add_argument("--cold", help=argparse.SUPPRESS)  # trace one case's cold call, print JSON
     args = parser.parse_args()
-    if args.one:
+    if args.one or args.cold:
         sys.path.insert(0, args.src)
-        print(json.dumps(run_case(args.one)))
+        print(json.dumps(run_case(args.one) if args.one else run_cold(args.cold)))
         return 0
     bench = json.loads(OUT.read_text()) if OUT.exists() else {}
     bench["about"] = __doc__.split("\n\n")[0]
@@ -109,16 +139,18 @@ def main() -> int:
     }
     cases = bench.setdefault("cases", {})
     for name in CASES:
-        cmd = [sys.executable, __file__, "--label", args.label, "--src", args.src,
-               "--one", name]
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        record = json.loads(proc.stdout.strip().splitlines()[-1])
+        record = {}
+        for mode in ("--one", "--cold"):
+            cmd = [sys.executable, __file__, "--label", args.label, "--src", args.src, mode, name]
+            proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+            record.update(json.loads(proc.stdout.strip().splitlines()[-1]))
         cases.setdefault(name, {})[args.label] = record
         st = record["stats"]
         print(f"{name} {args.label}: cold {record['cold_wall_s']:.3f} s, "
               f"warm {record['warm_wall_s']:.3f} s (ifo {st['t_ifo']:.3f}, "
               f"down {st['t_downward']:.3f}, near {st['t_near']:.3f}), "
-              f"{record['ru_maxrss_mb']:.0f} MB RSS, traced {record['traced_peak_mb']:.1f} MiB",
+              f"{record['ru_maxrss_mb']:.0f} MB RSS, traced {record['traced_peak_mb']:.1f} MiB "
+              f"(cold {record['cold_traced_peak_mb']:.1f} MiB, retained {record['retained_mb']:.1f} MiB)",
               flush=True)
     OUT.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0

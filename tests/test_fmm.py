@@ -653,19 +653,27 @@ def test_unit_tables_built_once(monkeypatch):
 
 
 def test_traced_peak_per_point():
-    # Uniform loads, the warm call traced:
-    # * 2^13 points on 2^13 x 2^13, about one per leaf: 945-948 bytes per
-    #   point (seeds 0-3); with every one-point chain's top expansion held
-    #   to the downward pass and no tables, it was 1234-1239.
-    # * 2^16 points on 2^10 x 2^10, about four per leaf, where the near
-    #   field's point pairs take about two thirds of the call: 233 bytes
-    #   per point with them summed in chunks of ``_CHUNK``, 487 in chunks
-    #   of 2^22.
+    # The warm call traced, in bytes per point:
+    # * 2^13 uniform points on 2^13 x 2^13, about one per leaf: 673-676
+    #   (seeds 0-3); 754-761 while ``apply`` held two int64 maps of each
+    #   point's leaf and stencil place through every pass and the near
+    #   field returned fresh N-vectors; 1234-1239 with every one-point
+    #   chain's top expansion held to the downward pass and no tables.
+    # * 2^16 uniform points on 2^10 x 2^10, about four per leaf, where the
+    #   near field's point pairs take about two thirds of the call: 203;
+    #   233 with those maps, 487 with the point pairs in chunks of 2^22.
+    # * A full 128 x 128 grid, all in stencil blocks: 105.5; 137.8 with
+    #   those maps.
     # Sampled targets meet the direct sum at eps * sum |q|.
-    for n, side, bound in ((1 << 13, 1 << 13, 1040), (1 << 16, 1 << 10, 300)):
+    g = np.arange(128)
+    grid = np.column_stack([np.repeat(g, 128), np.tile(g, 128)])
+    for n, side, bound in ((1 << 13, 1 << 13, 690), (1 << 16, 1 << 10, 210), (128 * 128, None, 110)):
         rng = np.random.default_rng(0)
-        flat = rng.choice(side * side, size=n, replace=False)
-        pts = np.column_stack([flat // side, flat % side])
+        if side is None:
+            pts = grid
+        else:
+            flat = rng.choice(side * side, size=n, replace=False)
+            pts = np.column_stack([flat // side, flat % side])
         q = rng.standard_normal(n)
         u = fmm_apply(pts, q)
         tracemalloc.start()
@@ -698,6 +706,30 @@ def test_fmm_apply_leaves_numpy_ma_unloaded():
     )
     src = os.path.dirname(os.path.dirname(fmm.__file__))
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
+
+
+def test_same_bytes_at_one_and_two_blas_threads():
+    # 2^15 uniform points on 2^15 x 2^15 run T_ifo on the grid at levels
+    # 2-7 with k = 35, where grid products of up to 4 k rows changed about
+    # one potential in ten between one and two BLAS threads (see
+    # ``fmm._BLAS_SPLIT_MNK``).
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from latticefmm.fmm import fmm_apply\n"
+        "n = 1 << 15\n"
+        "rng = np.random.default_rng(0)\n"
+        "flat = rng.choice(n * n, size=n, replace=False)\n"
+        "u = fmm_apply(np.column_stack([flat // n, flat % n]), rng.standard_normal(n))\n"
+        "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(fmm.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split()[-1])
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("seed,with_targets", MIXED)
