@@ -1,6 +1,5 @@
 """Fast free-space solver for the discrete Poisson equation on Z^2."""
 
-from .config import RunConfig
 from .green import (
     GreensTable,
     apply_discrete_laplacian,
@@ -12,7 +11,6 @@ from .green import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig",
     "GreensTable",
     "apply_discrete_laplacian",
     "default_table",

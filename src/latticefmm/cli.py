@@ -20,9 +20,9 @@ import tracemalloc
 
 import numpy as np
 
-from .config import DEFAULT_SEED, RunConfig
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_SEED, DEFAULT_TOL, check_eps
 from .defect import DefectSpec, apply_S, solve_defect
-from .fmm import fmm_apply
+from .fmm import _MAX_LEAF_SIDE, fmm_apply
 from .green import (
     GreensTable,
     apply_discrete_laplacian,
@@ -103,7 +103,6 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = RunConfig.from_env(eps=args.eps, nleaf=args.nleaf)
     pts, q = _read_sources(args.input)
     targets = _read_points(args.targets, "target") if args.targets else None
     stats = {} if args.stats else None
@@ -111,8 +110,8 @@ def _cmd_solve(args) -> int:
         pts,
         q,
         targets=targets,
-        eps=cfg.eps,
-        nleaf=cfg.nleaf,
+        eps=args.eps,
+        nleaf=args.nleaf,
         stats=stats,
     )
     _emit_potentials(targets if targets is not None else pts, u, args.header)
@@ -173,7 +172,6 @@ def _bench_points(distribution, n, alpha, rng):
 
 
 def _cmd_bench(args) -> int:
-    cfg = RunConfig.from_env(eps=args.eps, nleaf=args.nleaf, seed=args.seed)
     sizes = []
     for tok in args.n.split(","):
         n = int(tok)
@@ -183,10 +181,10 @@ def _cmd_bench(args) -> int:
     if args.header and not args.json:
         print("n,N_source,wall_time,mem_estimate")
     for n in sizes:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         pts = _bench_points(args.distribution, n, args.alpha, rng)
         q = rng.standard_normal(pts.shape[0])
-        kwargs = dict(eps=cfg.eps, nleaf=cfg.nleaf)
+        kwargs = dict(eps=args.eps, nleaf=args.nleaf)
         cold: dict = {}
         fmm_apply(pts, q, stats=cold, **kwargs)  # warms the operator cache
         stats: dict = {}
@@ -218,7 +216,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _selftest_checks(cfg):
+def _selftest_checks(eps):
     """Yield (name, passed, detail) for the desk-scale suite."""
     err = max(
         abs(phi(0, 0)),
@@ -242,26 +240,26 @@ def _selftest_checks(cfg):
         far = max(far, abs(wide.lookup(*m) - phi_asymptotic(*m)))
     yield "asymptotic-match", far <= 1e-15, f"max gap {far:.2e}"
 
-    chain = shared_chain(cfg.eps, 8)  # the chain fmm_apply uses
+    chain = shared_chain(eps, _MAX_LEAF_SIDE)  # the chain fmm_apply uses
     chain.ensure(32)
     rank = chain.ops[32].skeleton.rank
-    if cfg.eps <= 1e-9:
+    if eps <= 1e-9:
         lo, hi = 30, 55
-    elif cfg.eps <= 1e-7:
+    elif eps <= 1e-7:
         lo, hi = 20, 45
-    elif cfg.eps <= 1e-5:
+    elif eps <= 1e-5:
         lo, hi = 15, 30
     else:
         lo, hi = 5, 30
     yield "rank-band", lo <= rank <= hi, f"rank {rank} in [{lo}, {hi}]"
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     pts = np.unique(rng.integers(0, 1024, size=(360, 2)), axis=0)[:300]
     q = rng.standard_normal(pts.shape[0])
-    u = fmm_apply(pts, q, eps=cfg.eps)
+    u = fmm_apply(pts, q, eps=eps)
     ref = direct_sum(pts, q)
     rel = np.linalg.norm(u - ref) / np.linalg.norm(ref)
-    tol = max(10.0 * cfg.eps, 1e-12)
+    tol = max(10.0 * eps, 1e-12)
     yield "fmm-vs-direct", rel <= tol, f"rel l2 {rel:.2e} <= {tol:.0e}"
 
     queries = [(3, 4), (-2, 7)]
@@ -297,21 +295,21 @@ def _selftest_checks(cfg):
         np.array(f_nodes, dtype=np.int64),
         f_vals,
         np.array(w_nodes, dtype=np.int64),
-        eps=cfg.eps,
+        eps=eps,
     )
     gap = max(abs(bv - w[p]) for p, bv in zip(w_nodes, back))
-    yield "inverse-identity", gap <= max(1e-9, 10.0 * cfg.eps), f"max gap {gap:.2e}"
+    yield "inverse-identity", gap <= max(1e-9, 10.0 * eps), f"max gap {gap:.2e}"
 
 
 def _cmd_selftest(args) -> int:
-    cfg = RunConfig.from_env(eps=args.eps)
+    check_eps(args.eps)
     t0 = time.perf_counter()
     failures = 0
-    for name, ok, detail in _selftest_checks(cfg):
+    for name, ok, detail in _selftest_checks(args.eps):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failures += 0 if ok else 1
     n = "all checks passed" if not failures else f"{failures} check(s) FAILED"
-    print(f"selftest: {n} (eps={cfg.eps:g}, {time.perf_counter() - t0:.1f}s)")
+    print(f"selftest: {n} (eps={args.eps:g}, {time.perf_counter() - t0:.1f}s)")
     return 1 if failures else 0
 
 
@@ -341,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="fast summation of phi against CSV charges")
     _add_io_flags(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nleaf", type=int, default=None)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF)
     p.add_argument("--stats", action="store_true",
                    help="write the run's counters and timings as one JSON line to stderr")
     p.set_defaults(func=_cmd_solve)
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear background field coefficients")
     p.add_argument("--queries", default=None,
                    help="CSV of m1,m2 nodes to report (default: the defect nodes)")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative residual of the bar solve, in (0, 1)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--stats", action="store_true",
@@ -374,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.25,
                    help="fill fraction for the circle distribution")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nleaf", type=int, default=None)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF)
     p.add_argument("--header", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per size (n, N_source, the "
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest", help="desk-scale end-to-end checks")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

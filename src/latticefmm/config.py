@@ -1,19 +1,20 @@
-"""Run configuration: defaults, accepted ranges, environment overrides.
+"""Defaults and accepted ranges of the package's settings.
 
-Precedence for every knob is flags > environment > defaults.  The
-environment variables are ``LFMM_EPS`` and ``LFMM_NLEAF``.
+Each default is defined here once; the library's keyword arguments and
+the CLI's flags take it from here, and ``fmm_apply``, ``solve_defect``
+and the CLI validate what they are given with the checks below.
 """
 
 from __future__ import annotations
 
 import numbers
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
+# Relative residual of the defect solver's bar system.
+DEFAULT_TOL = 1e-8
 # Radius of the one Green table phi reads; points beyond it take the
 # asymptotic expansion through S_4.  Against the exact table of radius 400
 # that expansion is off by at most 431 ulp for |m|_inf in 31-40, 26 ulp in
@@ -22,7 +23,7 @@ DEFAULT_NLEAF = 64
 DEFAULT_RTABLE = 64
 DEFAULT_SEED = 0
 
-# Open interval of accepted accuracy targets, for RunConfig and fmm_apply.
+# Open interval of accepted accuracy targets, for fmm_apply and the CLI.
 EPS_RANGE = (1e-14, 1e-2)
 
 
@@ -66,32 +67,3 @@ def check_charges(charges, n: int) -> np.ndarray:
     if not total <= MAX_CHARGE_L1:
         raise ValueError(f"charges too large: sum of |q| is {total:.3g}, above 2**1000")
     return q
-
-
-@dataclass
-class RunConfig:
-    eps: float = DEFAULT_EPS
-    nleaf: int = DEFAULT_NLEAF
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        check_eps(self.eps)
-        check_nleaf(self.nleaf)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RunConfig":
-        """Build a config from the environment, then apply explicit overrides.
-
-        Overrides passed as ``None`` are ignored so CLI code can forward
-        unset flags directly.
-        """
-        values = {}
-        if "LFMM_EPS" in os.environ:
-            values["eps"] = float(os.environ["LFMM_EPS"])
-        if "LFMM_NLEAF" in os.environ:
-            values["nleaf"] = int(os.environ["LFMM_NLEAF"])
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
-        return cls(**values)
-

@@ -63,7 +63,7 @@ from collections import deque
 
 import numpy as np
 
-from .config import DEFAULT_EPS, check_charges
+from .config import DEFAULT_EPS, DEFAULT_TOL, check_charges
 from .fmm import fmm_apply
 from .green import lattice_points, lattice_targets, phi
 from .skeleton import kernel_matrix
@@ -172,36 +172,48 @@ def _reject_islands(removed: set, added: dict) -> None:
     """Raise ValueError if some nodes form a finite component of the lattice
     without the ``removed`` bars (sorted node pairs) plus the ``added`` links.
 
-    An island must be cut off by removed bars, so it holds an endpoint of
-    one, and it lies inside the closed bounding box of those endpoints:
-    from a node outside the box, a walk away from the box along an axis
-    crosses no removed bar.  So a search from an endpoint that steps out
-    of the box has reached the infinite component.  An island of n nodes
-    is also cut off by at least 4 sqrt(n) bars (the lattice isoperimetric
-    inequality), so a search that reaches more than len(removed)**2 / 16
-    nodes has left every island too; that bound is the tighter one for
-    sparse diagonal cuts, whose box is large.
+    A removed bar joins the two unit squares beside it.  Take a piece P of
+    an island that is connected by unit bars: every unit bar leaving P is
+    removed, and those between P and the unbounded rest of the plane form
+    a closed loop through the squares.  In sorted order the loop's last bar
+    is (X, Y)-(X + 1, Y), with X the largest abscissa in P and Y the
+    largest ordinate in P at X, so its lower end lies in P.  A union-find
+    over the squares (keyed by their lower-left corner), fed the bars in
+    sorted order, finds that bar's squares already joined.  So a search
+    from the lower end of each bar that closes a loop reaches every island.
+    A search that steps out of the closed bounding box of all removed-bar
+    endpoints has reached the infinite component: from a node outside the
+    box, a walk away from it along an axis crosses no removed bar,
+    whatever the added links.  Without added links every closed loop
+    encloses an island, so the check costs O(m log m) in the m removed bars
+    plus the size of the island it finds.
     """
     ends = sorted({p for bar in removed for p in bar})
     if not ends:
         return
     x_lo, x_hi = ends[0][0], ends[-1][0]
     y_lo, y_hi = min(p[1] for p in ends), max(p[1] for p in ends)
-    max_island = len(removed) ** 2 // 16
-    unbounded: set = set()
-    for start in ends:
-        if start in unbounded:
+    parent: dict = {}
+
+    def root(c):
+        while parent.setdefault(c, c) != c:
+            parent[c] = parent[parent[c]]  # path halving
+            c = parent[c]
+        return c
+
+    for a, b in sorted(removed):
+        # a is the bar's lower or left end: the squares above and below a
+        # horizontal bar, right and left of a vertical one.
+        side = (a[0], a[1] - 1) if a[1] == b[1] else (a[0] - 1, a[1])
+        ra, rb = root(a), root(side)
+        if ra != rb:
+            parent[ra] = rb
             continue
-        seen = {start}
-        queue = deque([start])
+        seen = {a}
+        queue = deque([a])
         while queue:
             p = queue.popleft()
-            if (
-                not (x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi)
-                or p in unbounded
-                or len(seen) > max_island
-            ):
-                unbounded |= seen
+            if not (x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi):
                 break
             steps = [(p[0] + dx, p[1] + dy) for dx, dy in _UNIT_STEPS]
             for q in steps + added.get(p, []):
@@ -211,7 +223,7 @@ def _reject_islands(removed: set, added: dict) -> None:
                     queue.append(q)
         else:
             raise ValueError(
-                f"node {start} lies in a disconnected region of size {len(seen)}"
+                f"node {a} lies in a disconnected region of size {len(seen)}"
             )
 
 
@@ -516,7 +528,7 @@ def _unsolved(detail: str = "") -> RuntimeError:
 def solve_defect(
     spec: DefectSpec,
     far,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     queries=None,
     max_iter: int = 200,
     stats: dict | None = None,

@@ -97,8 +97,8 @@ import time
 
 import numpy as np
 
-from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_RTABLE, check_charges, check_eps
-from .green import default_table, lattice_points, lattice_targets, phi
+from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_charges, check_eps
+from .green import lattice_points, lattice_targets, phi
 from .skeleton import GRID_PARENT_OFFSETS, shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
@@ -107,10 +107,6 @@ _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 # Largest leaf side: each near-field stencil block has s^4 entries, and
 # the leaf ID takes all s^2 positions as candidates.
 _MAX_LEAF_SIDE = 8
-
-# Near-field displacements between neighbouring leaves reach 2s - 1 per
-# axis, and the near field reads them from the Green table.
-assert 2 * _MAX_LEAF_SIDE - 1 <= DEFAULT_RTABLE, "leaf side too wide for the table"
 
 
 # Interaction pairs per cell of a level's 2^l x 2^l box grid, those of
@@ -872,11 +868,14 @@ class FmmRun:
         Only the leaves that take part in some pair are scattered onto the
         dense s x s stencil, their points formed by ``_leaf_points``.
         Block K_d[i, j] = phi(loc_i - loc_j - s*d) maps source stencil
-        charges to target stencil potentials.
+        charges to target stencil potentials; the nine blocks read one
+        ``phi`` box of the displacements of neighbouring leaves, which
+        reach r = 2s - 1 per axis.
         """
         s = self.leaf_side
-        radius = DEFAULT_RTABLE
-        grid = default_table().dense_grid()
+        radius = 2 * s - 1
+        m = np.arange(-radius, radius + 1)
+        grid = phi(m[:, None], m)
         # The leaves used, marked rather than np.unique'd: its first call
         # imports numpy.ma.
         mark = np.zeros(len(self.tree.codes[self.tree.L]), dtype=bool)

@@ -296,7 +296,6 @@ class GreensTable:
             raise ValueError(f"octant length {octant.shape} != {expected}")
         self.radius = int(radius)
         self.octant = np.asarray(octant, dtype=np.float64)
-        self._grid = None
 
     @classmethod
     def build(cls, radius: int = DEFAULT_RTABLE) -> "GreensTable":
@@ -316,13 +315,6 @@ class GreensTable:
         if np.any((hi > self.radius) | (lo < 0)):
             raise ValueError("point outside table radius")
         return self.octant[hi * (hi + 1) // 2 + lo]
-
-    def dense_grid(self) -> np.ndarray:
-        """Full (2R+1)^2 grid of phi values, index [m1+R, m2+R].  Cached."""
-        if self._grid is None:
-            m = np.arange(-self.radius, self.radius + 1)
-            self._grid = self.lookup(m[:, None], m[None, :])
-        return self._grid
 
 
 _table: GreensTable | None = None

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_EPS
 from .green import lattice_points, phi
 from .tree import INTERACTION_OFFSETS
 
@@ -141,7 +142,7 @@ def _quadrant_shifts(side: int):
 
 
 def build_level_skeleton(
-    side: int, eps: float = 1e-10, child: LevelSkeleton | None = None
+    side: int, eps: float = DEFAULT_EPS, child: LevelSkeleton | None = None
 ) -> LevelSkeleton:
     """Skeletonize one model box; pass the child level's skeleton to move up."""
     if child is None:

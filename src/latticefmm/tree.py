@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import check_nleaf
+from .config import DEFAULT_NLEAF, check_nleaf
 
 # Largest root side: Morton keys interleave two coordinates into a signed
 # 64-bit integer, so each relative coordinate must fit in 31 bits.
@@ -104,7 +104,7 @@ class QuadTree:
     into ``rel_sorted``, the coordinates from the root corner.
     """
 
-    def __init__(self, points, nleaf: int = 64, max_leaf_side: int | None = None):
+    def __init__(self, points, nleaf: int = DEFAULT_NLEAF, max_leaf_side: int | None = None):
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (N, 2) integer array")
@@ -169,5 +169,5 @@ class QuadTree:
         return self.root_side >> level
 
 
-def build_tree(points, nleaf: int = 64, max_leaf_side: int | None = None) -> QuadTree:
+def build_tree(points, nleaf: int = DEFAULT_NLEAF, max_leaf_side: int | None = None) -> QuadTree:
     return QuadTree(points, nleaf=nleaf, max_leaf_side=max_leaf_side)

@@ -1,9 +1,10 @@
-"""A/B timing of fmm_apply: this checkout's latticefmm against another, in one process.
+"""A/B timing of fmm_apply and solve_defect: this checkout's latticefmm against another, in one process.
 
 Run from the repository root (pytest does not collect this file):
 
     python tests/ab_fmm.py --src /path/to/other/checkout/src
     python tests/ab_fmm.py --src ../parent/src --workloads random --seeds 1 2 3 --pairs 57
+    python tests/ab_fmm.py --src ../parent/src --workloads crack --seeds 1 2 3 --pairs 400
 
 The package under --src is loaded as ``latticefmm_a`` and this checkout's
 as ``latticefmm_b``, side by side in one process, each with its own phi
@@ -11,16 +12,18 @@ table and operator chain.  For each workload and seed the inputs come from
 the benchmark's ``perfbench/workloads.make_inputs``, except ``ragged``:
 2**16 distinct points drawn uniformly on a 2**10 x 2**10 domain, about
 four per leaf, whose near field runs point pair by point pair, which
-neither benchmark workload reaches.  Each side makes one
-warm-up call, then the sides alternate warm ``fmm_apply`` calls, pair by
-pair, A first in even pairs and B first in odd ones.  Both sides then see
-the same host state, so the host's speed swings, which move separate
-benchmark runs of one commit by tens of percent, fall on both alike.
+neither benchmark workload reaches.  The call is the benchmark's
+``workloads.run_op``: ``fmm_apply``, or for ``crack`` ``DefectSpec`` and
+``solve_defect``.  Each side makes one warm-up call, then the sides
+alternate warm calls, pair by pair, A first in even pairs and B first in
+odd ones.  Both sides then see the same host state, so the host's speed
+swings, which move separate benchmark runs of one commit by tens of
+percent, fall on both alike.
 
 Per case it prints the median call of each side in ms, the ratio B / A of
 the medians, in how many pairs B was faster, and whether the sha256 of the
-two outputs match.  Memory is in MB (10^6 bytes, as the benchmark's
-``peak_mb``):
+two outputs (``workloads.output_vector``) match.  Memory is in MB (10^6
+bytes, as the benchmark's ``peak_mb``):
 
 * --peak traces each side's first call of the case (the process's cold
   call for the first case; later cases reuse the phi table and the
@@ -34,7 +37,7 @@ two outputs match.  Memory is in MB (10^6 bytes, as the benchmark's
   one) that were running, outermost first, when the call's traced peak was
   reached, with the memory held on entry to the innermost.  A generator
   method counts only while it runs a step, not while its caller holds a
-  step's output.
+  step's output.  ``crack`` does not reach ``FmmRun`` and is skipped.
 
 Set OPENBLAS_NUM_THREADS as the benchmark does (it pins BLAS to at most two
 threads).
@@ -56,12 +59,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-EPS = 1e-10
-NLEAF = 64
 
 
-def load_package(name: str, src: Path):
-    """The ``latticefmm`` package under ``src``, imported as ``name``."""
+def load_package(name: str, src: Path) -> dict:
+    """The ``fmm`` and ``defect`` modules of the ``latticefmm`` package under
+    ``src``, imported as ``name``, keyed as ``workloads.run_op`` wants."""
     pkg = src / "latticefmm"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -69,7 +71,7 @@ def load_package(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(name + ".fmm")
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("fmm", "defect")}
 
 
 def make_inputs(workload: str, seed: int) -> dict:
@@ -164,7 +166,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the other latticefmm (side A)")
     parser.add_argument(
-        "--workloads", nargs="+", default=["dense", "random", "ragged"], choices=["dense", "random", "ragged"]
+        "--workloads",
+        nargs="+",
+        default=["dense", "random", "ragged"],
+        choices=["dense", "random", "ragged", "crack"],
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")
@@ -172,23 +177,25 @@ def main() -> int:
     parser.add_argument("--holders", action="store_true", help="print where each side's traced peak is reached")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
     sides = {"A": load_package("latticefmm_a", Path(args.src)), "B": load_package("latticefmm_b", ROOT / "src")}
     for workload in args.workloads:
         for seed in args.seeds:
             inp = make_inputs(workload, seed)
 
-            def call(fmm):
+            def call(lf):
                 t0 = time.perf_counter()
-                out = fmm.fmm_apply(inp["points"], inp["charges"], eps=EPS, nleaf=NLEAF)
+                out = workloads.run_op(lf, workload, inp)
                 return time.perf_counter() - t0, out
 
             digest, first = {}, {}
-            for k, fmm in sides.items():
+            for k, lf in sides.items():
                 if args.peak:
                     tracemalloc.start()
                     held = tracemalloc.get_traced_memory()[0]
-                out = call(fmm)[1]
-                digest[k] = hashlib.sha256(out.tobytes()).hexdigest()
+                out = call(lf)[1]
+                digest[k] = hashlib.sha256(workloads.output_vector(workload, inp, out).tobytes()).hexdigest()
                 if args.peak:
                     del out
                     now, top = tracemalloc.get_traced_memory()
@@ -203,9 +210,9 @@ def main() -> int:
             peak = ""
             if args.peak:
                 mb = {}
-                for k, fmm in sides.items():
+                for k, lf in sides.items():
                     tracemalloc.start()
-                    call(fmm)
+                    call(lf)
                     mb[k] = tracemalloc.get_traced_memory()[1] / 1e6
                     tracemalloc.stop()
                 peak = (
@@ -218,11 +225,11 @@ def main() -> int:
                 f"sha256 {'equal' if digest['A'] == digest['B'] else 'DIFFER'}{peak}",
                 flush=True,
             )
-            if args.holders:
-                for k, fmm in sides.items():
+            if args.holders and workload != "crack":
+                for k, lf in sides.items():
                     tracemalloc.start()
-                    with Holders(fmm.FmmRun) as holders:
-                        call(fmm)
+                    with Holders(lf["fmm"].FmmRun) as holders:
+                        call(lf)
                     tracemalloc.stop()
                     print(f"  {k}: {holders.report()}", flush=True)
     return 0

@@ -1,4 +1,4 @@
-"""Write the defect-solve BENCH records: cracks and an inclusion, cold and warm.
+"""Write the defect-solve BENCH records: cracks, an inclusion and scattered bars, cold and warm.
 
 Run from the repository root (pytest does not collect this file):
 
@@ -18,9 +18,12 @@ Cases: straight cracks of m = 200, 800, 2048 and 5000 removed bars (i, 0)-(i, 1)
 with far field (0, 1) and the 4 (m + 2) queries on the crack rows and one
 row either side; and the 32 x 32 inclusion, every bar among a 32 x 32 block
 of nodes changed by delta = -0.5 (1984 bars), queried on the block and its
-ring.  All at tol 1e-8.  The 200-bar crack is the largest whose system
-``solve_defect`` inverts to precondition GMRES; the others take GMRES
-without a preconditioner.
+ring; and 400 removed unit bars at seeded random positions on an
+8192 x 8192 domain, far field (1, 0.5), queried at their endpoints and
+the endpoints' neighbours, the one case whose S products go through
+``fmm_apply``.  All at tol 1e-8.  The 200-bar crack is the largest whose
+system ``solve_defect`` inverts to precondition GMRES; the others take
+GMRES without a preconditioner.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("crack-200", "crack-800", "crack-2048", "crack-5000", "inclusion-32x32")
+CASES = ("crack-200", "crack-800", "crack-2048", "crack-5000", "inclusion-32x32", "scattered-400")
+STEPS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 TOL = 1e-8
 WARM = 3  # warm calls per case
 OUT = ROOT / "BENCH_defect.json"
@@ -48,6 +53,16 @@ def case_input(name: str):
         bars = [((i, 0), (i, 1), -1.0) for i in range(m)]
         queries = [(x, y) for x in range(-1, m + 1) for y in range(-1, 3)]
         return bars, (0.0, 1.0), queries
+    if name.startswith("scattered-"):
+        m, side = int(name.split("-")[1]), 8192
+        rng = random.Random(m)
+        removed: set = set()
+        while len(removed) < m:
+            x, y = rng.randrange(side), rng.randrange(side)
+            removed.add(((x, y), (x + 1, y)) if rng.random() < 0.5 else ((x, y), (x, y + 1)))
+        ends = {p for bar in removed for p in bar}
+        queries = sorted({(x + dx, y + dy) for x, y in ends for dx, dy in STEPS})
+        return [(a, b, -1.0) for a, b in sorted(removed)], (1.0, 0.5), queries
     k = 32
     bars = [((x, y), (x + 1, y), -0.5) for x in range(k - 1) for y in range(k)]
     bars += [((x, y), (x, y + 1), -0.5) for x in range(k) for y in range(k - 1)]

@@ -340,13 +340,11 @@ def test_bench_rejects_bad_inputs(capsys):
         main(["bench", "--distribution", "random", "--n", "100"])
 
 
-def test_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
+def test_eps_flag_out_of_range_rejected(tmp_path):
     src = _write_sources(tmp_path, [(0, 0, 1.0), (3, 3, 1.0)])
-    monkeypatch.setenv("LFMM_EPS", "0.5")  # out of range: env must be read
-    with pytest.raises(SystemExit, match="error: eps must lie in"):
-        main(["solve", src])
-    rc, _ = run_cli(capsys, "solve", src, "--eps", "1e-10")  # flag wins
-    assert rc == 0
+    for argv in (["solve", src, "--eps", "0.5"], ["selftest", "--eps", "0.5"]):
+        with pytest.raises(SystemExit, match="error: eps must lie in"):
+            main(argv)
 
 
 def test_selftest_passes(capsys):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -131,9 +132,8 @@ def test_islands_next_to_the_box_edges_rejected(bars, size):
 
 
 def test_long_cracks_and_open_channels_accepted():
-    # A channel between two parallel cracks is open at both ends; the
-    # search leaves the box at a crack's end, not after len(removed)**2 / 16
-    # nodes.
+    # A channel between two parallel cracks is open at both ends.  Neither
+    # crack closes a loop of removed bars, so no search runs at all.
     channel = LONG_CRACK + [((i, 2), (i, 3), -1.0) for i in range(200)]
     assert len(DefectSpec(channel)) == 400
     spec = DefectSpec([((i, 0), (i, 1), -1.0) for i in range(5000)])
@@ -147,6 +147,43 @@ def test_reconnected_node_accepted():
     u = solve_defect(spec, (1.0, 0.0), tol=1e-9, queries=[(0, 0), (2, 3)])
     assert np.isfinite(u[(0, 0)])
     assert u[(0, 0)] == pytest.approx(u[(2, 3)], abs=1e-8)
+
+
+DIAMOND = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2]
+
+
+@pytest.mark.parametrize("bars, size", [
+    (cut_out(DIAMOND), 13),
+    (cut_out([(0, 0)]) + cut_out([(5, 0)]) + [((0, 0), (5, 0), 1.0)], 2),
+], ids=["diamond", "joined-rings"])
+def test_islands_at_closed_loops_rejected(bars, size):
+    # A diamond's boundary turns at every node.  Two one-node rings joined
+    # by an added link, and to nothing else, are one finite component that
+    # spans both loops of removed bars.
+    with pytest.raises(ValueError, match=f"disconnected region of size {size}$"):
+        DefectSpec(bars)
+
+
+def test_ring_reconnected_inside_the_box_accepted():
+    # A 3 x 3 block cut off, linked to a node that is outside the ring but
+    # inside the removed bars' bounding box: the search must walk from
+    # there to the box's edge.
+    block = [(x, y) for x in range(3) for y in range(3)]
+    bars = cut_out(block) + [((10, 10), (11, 10), -1.0), ((1, 1), (6, 5), 1.0)]
+    assert len(DefectSpec(bars)) == len(bars)
+
+
+def test_scattered_removed_bars_checked_fast():
+    # 2000 removed unit bars at random on a 2**14 x 2**14 domain: none
+    # closes a loop, so the island check is a union-find pass.
+    rng = np.random.default_rng(0)
+    xy = rng.integers(0, 2**14, size=(2000, 2))
+    step = rng.integers(0, 2, size=2000)  # 0: horizontal, 1: vertical
+    bars = [((x, y), (x + 1 - s, y + s), -1.0) for (x, y), s in zip(xy.tolist(), step.tolist())]
+    t0 = time.perf_counter()
+    spec = DefectSpec(bars)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(spec) == len({(a, b) for a, b, _ in bars})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -328,12 +328,6 @@ def test_window_equals_phi_bitwise(box):
     assert read.tobytes() == phi(d[:, 0], d[:, 1]).tobytes()
 
 
-def test_dense_grid_is_the_radius_window(table):
-    r = DEFAULT_RTABLE
-    m = np.arange(-r, r + 1)
-    assert table.dense_grid().tobytes() == table.lookup(m[:, None], m[None, :]).tobytes()
-
-
 def test_import_builds_no_table():
     code = (
         "import latticefmm.green as g\n"
