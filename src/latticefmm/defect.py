@@ -184,15 +184,21 @@ def _reject_islands(removed: set, added: dict) -> None:
     A search that steps out of the closed bounding box of all removed-bar
     endpoints has reached the infinite component: from a node outside the
     box, a walk away from it along an axis crosses no removed bar,
-    whatever the added links.  Without added links every closed loop
-    encloses an island, so the check costs O(m log m) in the m removed bars
-    plus the size of the island it finds.
+    whatever the added links.  An island of n nodes is also cut off by at
+    least 4 sqrt(n) removed bars (the lattice isoperimetric inequality), so
+    a search that has seen more than m**2 / 16 nodes, with m the removed
+    bars, has left every island too; that bound stops a search that an
+    added link carries out of a ring into a wide box.  Without added links
+    every closed loop encloses an island, so the check costs O(m log m)
+    plus the size of the island it finds; each loop that added links
+    reconnect costs at most m**2 / 16 more.
     """
     ends = sorted({p for bar in removed for p in bar})
     if not ends:
         return
     x_lo, x_hi = ends[0][0], ends[-1][0]
     y_lo, y_hi = min(p[1] for p in ends), max(p[1] for p in ends)
+    max_island = len(removed) ** 2 // 16
     parent: dict = {}
 
     def root(c):
@@ -213,7 +219,10 @@ def _reject_islands(removed: set, added: dict) -> None:
         queue = deque([a])
         while queue:
             p = queue.popleft()
-            if not (x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi):
+            if (
+                not (x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi)
+                or len(seen) > max_island
+            ):
                 break
             steps = [(p[0] + dx, p[1] + dy) for dx, dy in _UNIT_STEPS]
             for q in steps + added.get(p, []):

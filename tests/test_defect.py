@@ -173,6 +173,19 @@ def test_ring_reconnected_inside_the_box_accepted():
     assert len(DefectSpec(bars)) == len(bars)
 
 
+def test_linked_ring_in_a_wide_box_checked_fast():
+    # A one-node ring linked out of itself, with two removed bars 5000
+    # steps away on either side: the search that starts at the ring
+    # follows the link into a box of 10**8 nodes, and must stop on the
+    # isoperimetric bound (6 removed bars: at most 2 island nodes), not at
+    # the box's edge.
+    far = [((-5000, -5000), (-4999, -5000), -1.0), ((5000, 5000), (5001, 5000), -1.0)]
+    bars = cut_out([(0, 0)]) + [((0, 0), (0, 2), 1.0)] + far
+    t0 = time.perf_counter()
+    assert len(DefectSpec(bars)) == len(bars)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_scattered_removed_bars_checked_fast():
     # 2000 removed unit bars at random on a 2**14 x 2**14 domain: none
     # closes a loop, so the island check is a union-find pass.
