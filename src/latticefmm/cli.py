@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, DEFAULT_SEED, DEFAULT_TOL, check_eps
-from .defect import DefectSpec, apply_S, solve_defect
+from .defect import DefectSpec, apply_B, apply_S, solve_defect
 from .fmm import _MAX_LEAF_SIDE, fmm_apply
 from .green import (
     GreensTable,
@@ -270,11 +270,7 @@ def _selftest_checks(eps):
     spec = DefectSpec([((0, 0), (1, 0), -1.0)])
     grid = [(x, y) for x in range(-7, 8) for y in range(-7, 8)]
     u_map = solve_defect(spec, (1.0, 0.0), queries=grid)
-    bu = {}
-    for (a, b, dc) in spec.bars:
-        diff = dc * (u_map[a] - u_map[b])
-        bu[a] = bu.get(a, 0.0) + diff
-        bu[b] = bu.get(b, 0.0) - diff
+    bu = apply_B(spec, u_map)
     res = 0.0
     for x in range(-6, 7):
         for y in range(-6, 7):

@@ -315,15 +315,16 @@ def _s_operator(targets, sources, eps: float, direct: bool = False):
     at every target.  route "fft" convolves q with the phi window by
     numpy's FFT (``cells`` window cells, held transformed).  For point sets
     whose window is too large for ``_WINDOW_CELLS_PER_POINT`` (see there),
-    route "direct" (if ``direct``) sums ``_kernel``'s rows in row blocks
-    (``_level_sum``), and route "fmm" calls ``fmm_apply`` at ``eps`` once
-    per product."""
+    route "direct" (if ``direct``) sums ``kernel_matrix``'s rows in row
+    blocks (``_level_sum``), and route "fmm" calls ``fmm_apply`` at ``eps``
+    once per product."""
     win = _Window(targets, sources)
     if not win.within_cap:
         if direct:
-            rows = _kernel(targets, sources)[0]
             blocks = list(_row_blocks(len(targets), len(sources)))
-            return (lambda q: np.concatenate([_level_sum(rows(i), q) for i in blocks])), "direct", 0
+            return (
+                lambda q: np.concatenate([_level_sum(kernel_matrix(targets[i], sources), q) for i in blocks])
+            ), "direct", 0
         return (lambda q: fmm_apply(sources, q, targets=targets, eps=eps)), "fmm", 0
     shape = tuple(_fft_size(int(w)) for w in win.shape)
     phi = win.phi()

@@ -352,14 +352,13 @@ def _merge_targets(points, charges, targets):
     q = check_charges(charges, pts.shape[0])
     if targets is None:
         return pts, q, None
-    tgt = lattice_targets(targets)
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+    n = pts.shape[0]
+    all_pts, inverse = np.unique(np.vstack([pts, lattice_targets(targets)]), axis=0, return_inverse=True)
+    # Two sources on one point share an index of the union.
+    src = inverse[:n]
+    if np.bincount(src).max() > 1:
         raise ValueError("duplicate lattice points")
-    stacked = np.vstack([pts, tgt])
-    all_pts, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    q_full = np.zeros(all_pts.shape[0])
-    np.add.at(q_full, inverse[: pts.shape[0]], q)
-    return all_pts, q_full, inverse[pts.shape[0] :]
+    return all_pts, np.bincount(src, q, len(all_pts)), inverse[n:]
 
 
 class FmmRun:
@@ -984,13 +983,15 @@ def fmm_apply(
 
     Evaluated at the source points by default; pass ``targets`` for other
     evaluation points (they are added as zero-charge nodes, and coinciding
-    source/target points are fine).  ``stats``, if given, is filled with
-    run counters: tree depth, wall time, seconds per pass (``t_tree``;
-    ``t_chain``, spent extending the shared operator chain and building
-    the grid operators of the levels that may run T_ifo on the grid and
-    the tables of unit expansions, with ``chain_built`` true if this call
-    extended the chain; ``t_lists``, building
-    the interaction and neighbour lists of every level; ``t_upward``;
+    source/target points are fine).  The leaf side is capped at 8, so a
+    leaf holds at most 64 points: every ``nleaf`` >= 64 gives the same
+    tree, and only smaller values deepen it.  ``stats``, if given, is
+    filled with run counters: tree depth, wall time, seconds per pass
+    (``t_tree``; ``t_chain``, spent extending the shared operator chain
+    and building the grid operators of the levels that may run T_ifo on
+    the grid and the tables of unit expansions, with ``chain_built`` true
+    if this call extended the chain; ``t_lists``, building the
+    interaction and neighbour lists of every level; ``t_upward``;
     ``t_ifo``, the T_ifo translations and the point-pair sums;
     ``t_downward``; ``t_near``), lists indexed by level 0..L
     (``boxes_per_level`` occupied boxes, ``single_boxes_per_level`` those

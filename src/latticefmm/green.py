@@ -307,14 +307,31 @@ class GreensTable:
 
     def lookup(self, m1, m2):
         """Vectorized phi for points with |m|_inf <= radius."""
-        ax = np.abs(np.asarray(m1, dtype=np.int64))
-        ay = np.abs(np.asarray(m2, dtype=np.int64))
-        hi = np.maximum(ax, ay)
-        lo = np.minimum(ax, ay)
-        # lo < 0 only where |-2**63| wrapped negative in int64.
-        if np.any((hi > self.radius) | (lo < 0)):
+        x, y = np.broadcast_arrays(np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64))
+        near, idx = _octant_index(x.ravel(), y.ravel(), self.radius)
+        if not near.all():
             raise ValueError("point outside table radius")
-        return self.octant[hi * (hi + 1) // 2 + lo]
+        return self.octant[idx.reshape(x.shape)]
+
+
+def _octant_index(x, y, radius: int):
+    """(near, idx) for 1-D int64 blocks: near where |m|_inf <= radius, and
+    idx the octant index hi (hi + 1) / 2 + lo of |m|, which only near
+    entries use (``np.take(..., mode="clip")`` keeps the rest in range);
+    idx is None when the blocks hold entries and none is near."""
+    # As uint64, |-2**63| is 2**63; as int64 it wraps negative.
+    ax = np.abs(x).view(np.uint64)
+    ay = np.abs(y).view(np.uint64)
+    hi = np.maximum(ax, ay)
+    near = hi <= radius
+    if not near.any() and near.size:
+        return near, None
+    lo = np.minimum(ax, ay, out=ax)
+    np.add(hi, 1, out=ay)
+    hi *= ay
+    hi >>= 1
+    hi += lo
+    return near, hi.view(np.int64)
 
 
 _table: GreensTable | None = None
@@ -344,28 +361,19 @@ def phi(m1, m2):
 
 
 def _phi_block(x, y, out):
-    """``phi`` on 1-D int64 blocks, into ``out``."""
+    """``phi`` on 1-D int64 blocks, into ``out``: one gather from the table,
+    then the expansion on the far entries alone."""
     table = default_table()
-    # As uint64, |-2**63| is 2**63; as int64 it wraps negative.
-    ax = np.abs(x).view(np.uint64)
-    ay = np.abs(y).view(np.uint64)
-    hi = np.maximum(ax, ay)
-    near = hi <= table.radius
-    if near.all():
-        # The table's octant index hi (hi + 1) / 2 + lo, as in ``lookup``.
-        lo = np.minimum(ax, ay, out=ax)
-        np.add(hi, 1, out=ay)
-        hi *= ay
-        hi >>= 1
-        hi += lo
-        np.take(table.octant, hi.view(np.int64), out=out)
-        return
-    if near.any():
-        out[near] = table.lookup(x[near], y[near])
-        far = ~near
-        out[far] = phi_asymptotic(x[far], y[far])
-    else:
+    near, idx = _octant_index(x, y, table.radius)
+    if idx is None:
         _asymptotic_block(x.astype(np.float64), y.astype(np.float64), out)
+        return
+    np.take(table.octant, idx, out=out, mode="clip")
+    if not near.all():
+        far = ~near
+        vals = np.empty(np.count_nonzero(far))
+        _asymptotic_block(x[far].astype(np.float64), y[far].astype(np.float64), vals)
+        out[far] = vals
 
 
 def apply_discrete_laplacian(u, m) -> float:

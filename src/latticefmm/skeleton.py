@@ -129,7 +129,6 @@ class LevelSkeleton:
     side: int
     points: np.ndarray  # (k, 2) skeleton positions, box-anchored
     interp: np.ndarray  # (k, n_candidates) ID interpolation matrix
-    candidates: np.ndarray  # (n_candidates, 2)
 
     @property
     def rank(self) -> int:
@@ -155,7 +154,7 @@ def build_level_skeleton(
         )
     a = kernel_matrix(proxy_points(side), cand)
     idx, t = interpolative_decomposition(a, eps)
-    return LevelSkeleton(side=side, points=cand[idx], interp=t, candidates=cand)
+    return LevelSkeleton(side=side, points=cand[idx], interp=t)
 
 
 def build_t_ifo(skel: LevelSkeleton) -> np.ndarray:
@@ -294,13 +293,13 @@ class OperatorChain:
 
     def stored_entries(self) -> int:
         """Entries of every array the chain holds: each side's skeleton
-        (points, candidates, interpolation matrix, of which T_ofo is a
-        view), T_ifo stack, and the grid T_ifo and table of unit expansions
-        once built."""
+        (points and interpolation matrix, of which T_ofo is a view), T_ifo
+        stack, and the grid T_ifo and table of unit expansions once
+        built."""
         total = 0
         for op in self.ops.values():
             skel = op.skeleton
-            for a in (skel.points, skel.candidates, skel.interp, op.t_ifo, op._t_ifo_grid, op._unit_table):
+            for a in (skel.points, skel.interp, op.t_ifo, op._t_ifo_grid, op._unit_table):
                 if a is not None:
                     total += a.size
         return total

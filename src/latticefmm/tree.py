@@ -92,9 +92,10 @@ class QuadTree:
     points: (N, 2) integer array.  The root box is the smallest
     power-of-two-sided square anchored at the minimum corner that covers
     all points.  L is the smallest depth at which no leaf holds more than
-    nleaf points; max_leaf_side, if given, forces subdivision below that
-    box size (used by the solver to keep near-field displacements inside
-    the Green table).
+    nleaf points; max_leaf_side, if given, forces subdivision down to that
+    box side, so a leaf holds at most max_leaf_side^2 points and any
+    larger nleaf gives the same tree (the solver's cap of 8 bounds each
+    near-field stencil block at 8^4 entries).
 
     Per level l: ``codes[l]`` holds each occupied box's Morton code (int32
     at levels up to 15, whose codes stay below 2^30, and int64 deeper),

@@ -157,6 +157,9 @@ def test_pde_residual_at_sources():
 def test_duplicate_sources_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         fmm_apply([(0, 0), (0, 0)], [1.0, 1.0])
+    # With targets, the duplicate is found in the union of the two sets.
+    with pytest.raises(ValueError, match="duplicate"):
+        fmm_apply([(0, 0), (3, 1), (0, 0)], [1.0, 2.0, 1.0], targets=[(5, 5), (0, 0)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

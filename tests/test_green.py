@@ -189,8 +189,9 @@ def test_table_lookup_vectorized_and_bounds(table):
     assert out.shape == (3,)
     with pytest.raises(ValueError):
         table.lookup(r + 1, 0)
-    with pytest.raises(ValueError):  # |-2**63| wraps negative in int64
-        table.lookup(-2**63, 0)
+    for m in [(-2**63, 0), (0, -2**63)]:  # |-2**63| wraps negative in int64
+        with pytest.raises(ValueError):
+            table.lookup(*m)
 
 
 def test_phi_dispatch_scalar_and_array(table):
@@ -279,6 +280,19 @@ def test_phi_blocks_are_bitwise_whole_array_evaluation(monkeypatch):
     for (x, y), (_, a) in zip(cases, got):
         want = phi_asymptotic_whole(x + 0.5, y, green._TAIL_POLYS, green._LOG_LEAD)
         assert a.tobytes() == np.broadcast_to(want, a.shape).tobytes()
+
+
+def test_phi_reads_table_or_expansion_bitwise(table):
+    # Every value of phi is, to the byte, the table's where |m|_inf <= 64
+    # and the expansion's elsewhere, whatever the mix in its block.
+    r = DEFAULT_RTABLE
+    for x, y in _phi_inputs():
+        x, y = np.broadcast_arrays(x, y)
+        near = (x >= -r) & (x <= r) & (y >= -r) & (y <= r)
+        want = np.empty(x.shape)
+        want[near] = table.lookup(x[near], y[near])
+        want[~near] = phi_asymptotic(x[~near], y[~near])
+        assert phi(x, y).tobytes() == want.tobytes()
 
 
 def test_phi_does_not_expand_broadcast_inputs():

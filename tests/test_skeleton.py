@@ -4,6 +4,7 @@ import pytest
 from latticefmm.skeleton import (
     GRID_PARENT_OFFSETS,
     OperatorChain,
+    _quadrant_shifts,
     build_level_skeleton,
     build_t_ifo,
     build_t_ifo_grid,
@@ -27,10 +28,20 @@ def far_targets(side, rng, n=150):
     return np.array(out, dtype=np.int64)
 
 
-def replication_error(skel, charges, side, rng):
+def chain_candidates(chain, side):
+    """The candidates of the chain's ID at ``side``: every position of the
+    leaf box, and above it the child skeleton's points shifted into the
+    quadrants."""
+    if side == chain.leaf_side:
+        return dense_candidates(side)
+    child = chain.ops[side // 2].skeleton.points
+    return np.concatenate([child + np.array(s) for s in _quadrant_shifts(side)])
+
+
+def replication_error(skel, cand, charges, side, rng):
     """Relative far-field error of compressed vs direct charges."""
     tgt = far_targets(side, rng)
-    exact = kernel_matrix(tgt, skel.candidates) @ charges
+    exact = kernel_matrix(tgt, cand) @ charges
     compressed = kernel_matrix(tgt, skel.points) @ (skel.interp @ charges)
     return np.linalg.norm(exact - compressed) / np.linalg.norm(exact)
 
@@ -69,7 +80,7 @@ def test_id_matches_pivoted_qr_reference(eps):
     chain.ensure(2**14)
     assert sorted(chain.ops) == [8 << i for i in range(12)]
     for side, op in chain.ops.items():
-        a = kernel_matrix(proxy_points(side), op.skeleton.candidates)
+        a = kernel_matrix(proxy_points(side), chain_candidates(chain, side))
         idx, t = interpolative_decomposition(a, eps)
         assert np.array_equal(a[:, idx], kernel_matrix(proxy_points(side), op.skeleton.points))
         ref_idx, _ = reference_id(a, eps)
@@ -110,8 +121,8 @@ def test_leaf_skeleton_rank_and_replication():
     rng = np.random.default_rng(7)
     skel = build_level_skeleton(8, eps=1e-10)
     assert 24 <= skel.rank <= 34
-    q = rng.standard_normal(skel.candidates.shape[0])
-    assert replication_error(skel, q, 8, rng) <= 5e-9
+    q = rng.standard_normal(64)
+    assert replication_error(skel, dense_candidates(8), q, 8, rng) <= 5e-9
 
 
 def test_leaf_skeleton_loose_eps_smaller_rank():
@@ -134,8 +145,9 @@ def test_parent_skeleton_replication():
     chain = OperatorChain(1e-10, 8)
     chain.ensure(16)
     parent = chain.ops[16].skeleton
-    q = rng.standard_normal(parent.candidates.shape[0])
-    assert replication_error(parent, q, 16, rng) <= 5e-9
+    cand = chain_candidates(chain, 16)
+    q = rng.standard_normal(cand.shape[0])
+    assert replication_error(parent, cand, q, 16, rng) <= 5e-9
 
 
 def test_t_ofo_blocks_slice_interp():
@@ -221,9 +233,9 @@ def test_stored_entries_counts_every_array():
     assert all(np.shares_memory(t, chain.ops[side].skeleton.interp) for side, t in ofo.items())
     held = [a for op in chain.ops.values() for a in arrays(op) if not any(a is t for t in ofo.values())]
     assert sum(a.size for a in held) == chain.stored_entries()
-    # Sides 8..64: points, candidates, interp and T_ifo each, one grid
-    # T_ifo, and the tables of sides 8 and 16.
-    assert len(held) == 4 * 4 + 1 + 2
+    # Sides 8..64: points, interp and T_ifo each, one grid T_ifo, and the
+    # tables of sides 8 and 16.
+    assert len(held) == 4 * 3 + 1 + 2
 
 
 def test_leaf_t_ofs_dense_restriction():
