@@ -240,7 +240,7 @@ def _selftest_checks(eps):
         far = max(far, abs(wide.lookup(*m) - phi_asymptotic(*m)))
     yield "asymptotic-match", far <= 1e-15, f"max gap {far:.2e}"
 
-    chain = shared_chain(eps, _MAX_LEAF_SIDE)  # the chain fmm_apply uses
+    chain = shared_chain(eps, _MAX_LEAF_SIDE)  # the operators fmm_apply uses
     chain.ensure(32)
     rank = chain.ops[32].skeleton.rank
     if eps <= 1e-9:

@@ -4,17 +4,31 @@ The work is O(N_source): an upward pass compresses charges into per-box
 outgoing expansions (leaf T_ofs, then T_ofo up the tree), interaction-list
 translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
-T_tfi), with directly summed near-field corrections.  T_ofs and T_tfi are one GEMM per chunk of leaves with the dense s x s
-stencil of each leaf: T_ofs scatters the charges onto it, T_tfi reads the
-potentials off it.
+T_tfi), with directly summed near-field corrections.
+
+The tree (``QuadTree`` with ``max_leaf_side`` 8) refines toward leaves of
+side 8 only while some box holds more than ``tree.FEW_POINTS`` (16)
+points, and ``nleaf`` can deepen it further: the tree need only resolve
+the sources, and the few points of a larger leaf are cheaper to sum pair
+by pair than to resolve (the adaptive FMM's rule, Carrier, Greengard &
+Rokhlin, SIAM J. Sci. Stat. Comput. 9, 1988).  The operator chain is
+anchored at side min(s, 8), s the leaf side (``OperatorChain.anchor``).
+On leaves of side 8 or less, T_ofs and T_tfi are one GEMM per chunk of
+leaves with the dense s x s stencil of each leaf: T_ofs scatters the
+charges onto it, T_tfi reads the potentials off it.  On a larger leaf, each point's unit
+expansion e_{p,L} (below) is read from the chain's tables and carried up
+by T_ofo to the leaf (``FmmRun._unit_expansions``): T_ofs sums
+e_{p,L} q_p over the leaf's points, T_tfi adds e_{p,L} . inc_L to each.
 
 A box that holds one point is carried as that point (the pruning of
 adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
 tree).  Below the run of grid levels (see T_ifo below), a colleague or
-interaction pair of two one-point boxes is one point pair,
-phi(x_t - x_s) q_s, summed by ``FmmRun._point_pairs``; it is not refined
-further, and a one-point box paired with itself is dropped, since
-phi(0) = 0.  The passes change to match:
+interaction pair of two one-point boxes is one point pair, summed by
+``FmmRun._point_pairs``; it is not refined further, and a one-point box
+paired with itself is dropped, since phi(0) = 0.  Every direct pair is
+summed once for both orders: phi(x_t - x_s) is evaluated once and added
+to both points, q_s phi to u_t and q_t phi to u_s, as phi(-m) = phi(m)
+bit for bit.  The passes change to match:
 
 * upward: a one-point leaf contributes its point's interpolation column,
   the unit expansion e_p; a one-point box's parent that holds the same one
@@ -23,7 +37,8 @@ phi(0) = 0.  The passes change to match:
   so e_{p,l} depends only on p's position in its box at level l, and the
   operator chain keeps a table of it per side (``unit_table``).  On the
   fine levels where a box has no more positions than the level has
-  one-point boxes (the leaf level always), e_{p,l} is read from that
+  one-point boxes (the level of the chain's anchor always, the leaf level
+  or the level of side 8 below larger leaves), e_{p,l} is read from that
   table and only the boxes of more points get rows of their own; every
   coarser level holds a row per box.  Each level's expansions are held
   only until the next coarser level is formed; T_ifo runs on them at
@@ -45,14 +60,16 @@ far pair goes on the grid and a near pair is refined as colleagues; only
 the expansion rules above apply to its boxes.
 
 The near field (each leaf against itself and its eight neighbours) takes
-one of two paths per leaf pair, chosen by occupancy.  A pair whose point
-counts satisfy ct * cs >= s^2 (s the leaf side) is a stencil product: both
-leaves are scattered onto the dense s x s stencil and one s^2 x s^2 block
-of phi per neighbour offset is applied to all such pairs in one GEMM.
-Every other pair is expanded into its point pairs, which are summed as
-those of one-point boxes are.  A block costs about s^4 multiply-adds and a
-point pair about s^2 flop-equivalents, so the paths break even near
-ct * cs = s^2.
+one of two paths per leaf pair.  On leaves of side s <= 8, a pair whose
+point counts satisfy ct * cs >= s^2 is a stencil product: both leaves are
+scattered onto the dense s x s stencil and one s^2 x s^2 block of phi per
+neighbour offset is applied to all such pairs in one GEMM.  Every other
+pair, and every pair of larger leaves, which hold at most 16 points each,
+is expanded into its point pairs, which are summed as those of one-point
+boxes are: each unordered pair once, a leaf against itself by its pairs
+i < j.  A block costs about s^4 multiply-adds and a point pair about s^2
+flop-equivalents, so the paths break even near ct * cs = s^2; a block of
+a larger leaf would cost s^4 for at most 16^2 point pairs.
 
 Interaction and neighbour lists are built coarse to fine from the
 parent level's colleagues (Carrier, Greengard & Rokhlin 1988).  A box's
@@ -99,14 +116,18 @@ import numpy as np
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_charges, check_eps
 from .green import lattice_points, lattice_targets, phi
-from .skeleton import GRID_PARENT_OFFSETS, shared_chain
+from .skeleton import GRID_PARENT_OFFSETS, MAX_ANCHOR_SIDE, shared_chain
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
-# Largest leaf side: each near-field stencil block has s^4 entries, and
-# the leaf ID takes all s^2 positions as candidates.
-_MAX_LEAF_SIDE = 8
+# Side the tree refines toward while a box holds more than
+# ``tree.FEW_POINTS`` points, and largest side of a stencil leaf: each
+# near-field stencil block has s^4 entries, and the leaf ID takes all s^2
+# positions as candidates.  The operator chain is anchored at this side
+# under larger leaves, whose points read their unit expansions from its
+# tables.
+_MAX_LEAF_SIDE = MAX_ANCHOR_SIDE
 
 
 # Interaction pairs per cell of a level's 2^l x 2^l box grid, those of
@@ -139,25 +160,30 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 # scratch buffer of the chunk's size), and the point pairs summed at once,
 # near field included.  They bound those temporaries, except that a grid
 # band holds at least one parent row and its two border rows.  On the
-# 16384 uniform points above, 2^16 entries (0.5 MB) hold the traced peak
-# of a call at 8.7 MB, set by forming level 6 from level 7 in the upward
-# pass, against 10.9 MB with 2^17 and 15.4 MB with 2^18, where grid T_ifo
-# at level 7 sets it; with 2^15, level 7 falls to one-row bands and runs
-# 1.6 times slower.  Each level of a full 128^2 grid fills one band.
-# On 2^18 uniform points on 2^11 x 2^11 (about four per leaf, 9.3 million
-# near-field point pairs), chunks of 2^16 point pairs rather than 2^22
-# took the near field from 0.72-0.96 to 0.42-0.61 s (2 cores, ten warm
-# calls) and the traced peak of a call from 128 to 56 MB.
+# 16384 uniform points above (leaves of side 256, L = 6), grid T_ifo at
+# the leaf level sets the traced peak of a call: 5.8 MB at 2^16 entries
+# (0.5 MB), 8.6 MB at 2^17, 4.5 MB at 2^15, all at one speed (2 cores,
+# 21 alternating warm calls in one process).  On 2^16 uniform points on
+# 2^10 x 2^10 (side-8 leaves of about four points, whose near field is
+# mostly point pairs), 2^15 ran 17 % slower and 2^17 no faster, at 12.9 /
+# 13.3 / 15.9 MB for 2^15 / 2^16 / 2^17.  Each level of a full 128^2 grid
+# fills one band.  On 2^18 uniform points on 2^11 x 2^11 (9.3 million
+# near-field point pairs, when each was summed for one order), chunks of
+# 2^16 point pairs rather than 2^22 took the near field from 0.72-0.96 to
+# 0.42-0.61 s (2 cores, ten warm calls) and the traced peak of a call from
+# 128 to 56 MB.
 _CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
 # T_ifo pair by pair and its folds, the unit expansions of the downward
-# pass): 1024 rows of k ~ 35 doubles, 0.29 MB.  Forming level 6 from level
-# 7 (``_merge_up``) sets the traced peak of a call on the 16384 uniform
-# points above, and its chunk temporaries are part of it: 8.70 MB at 1024
-# rows against 9.56 at 2048 and 9.93 at 4096; from 512 down the peak,
-# 8.67 MB, is elsewhere.  In one process, alternating 41 warm calls each
-# (2 cores), 2048 rows ran the call 0.6-0.8 % faster, inside the noise.
+# pass): 1024 rows of k ~ 35 doubles, 0.29 MB.  A chunk of leaves above
+# side 8 carries the unit expansions of up to twice as many points: on the
+# 16384 uniform points above, those of all points took 5.4 ms in chunks of
+# 1024 points, 3.7 in 2048 and 3.4 in 4096 (a carry two levels up splits
+# a chunk's rows in 16 GEMMs), and the traced peak of a call rose from 5.6
+# (1024) to 5.8 (2048) and 6.4 MB (4096).  Against 1024 rows, 512 gave the same peak on
+# that load and ran the call 9 % slower, 2048 rows (so 4096 points) 6 %
+# slower at a 0.6 MB higher peak (21 alternating warm calls each).
 _ROW_CHUNK = _CHUNK // 64
 
 
@@ -224,9 +250,10 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     is formed: then only the colleague pairs are formed, and a pair of
     one-point boxes stays a box pair.  Otherwise (and always once
     ``on_grid`` is None) a pair of two one-point boxes leaves both lists:
-    it is one point pair, returned as the boxes' sorted point indices
-    (tgt, src), or nothing when the box meets itself, since phi(0) = 0.
-    Its children are not formed at the next level.
+    it is one point pair, returned once for both orders, as the sorted
+    point indices (tgt, src) with tgt < src (intp), or nothing when the box
+    meets itself, since phi(0) = 0.  Its children are not formed at the
+    next level.
     """
     parent_tgt, parent_src, parent_code = colleagues
     n_boxes = len(tree.codes[lvl])
@@ -284,8 +311,8 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
         start = tree.ptr[lvl]
         single = np.diff(start) == 1
         boxes = ~(single[tgt] & single[src])
-        pick = np.flatnonzero(~boxes & (tgt != src))
-        points = (start[tgt[pick]], start[src[pick]])
+        pick = np.flatnonzero(~boxes & (tgt < src))
+        points = (start[tgt[pick]].astype(np.intp), start[src[pick]].astype(np.intp))
         del pick
     near = np.flatnonzero(boxes & is_near)
     colleagues = (tgt[near], src[near], code[near])
@@ -308,7 +335,7 @@ def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
     ``_NEAR_OFFSETS`` index of src - tgt (the box itself included, at
     (0, 0)); interactions are grouped by ``INTERACTION_OFFSETS`` index as
     by ``_by_code``; points are the (tgt, src) sorted point indices of
-    pairs of one-point boxes.
+    pairs of one-point boxes, each unordered pair once, with tgt < src.
 
     The grid levels form one run from level 2: each level joins it while
     ``on_grid(lvl, n_far)`` holds for its n_far interaction pairs, and the
@@ -372,7 +399,11 @@ class FmmRun:
     def __init__(self, tree: QuadTree, eps: float):
         self.tree = tree
         self.leaf_side = tree.side_of(tree.L)
+        # Leaves of side 8 or less are dense stencils (T_ofs, T_tfi and the
+        # near field's blocks); larger ones hold few points each.
+        self.stencil = self.leaf_side <= _MAX_LEAF_SIDE
         self.chain = None
+        self._carries = {}
         self.table_level = self._table_levels()
         t0 = time.perf_counter()
         self.chain_built = False
@@ -431,54 +462,76 @@ class FmmRun:
         return n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
 
     def _point_pairs(self, tgt, src, q_sorted, u):
-        """Add phi(x_t - x_s) q_s to u_t for each point pair (t, s) of the
-        sorted point indices ``tgt`` and ``src``, targets ascending, in
-        chunks of ``_CHUNK`` pairs: a chunk adds to one run of points, by
-        one ``bincount`` over it.  The point pairs of one-point boxes and
-        the near field's ragged leaf pairs both take this path."""
+        """Add phi(x_t - x_s) q_s to u_t and phi(x_t - x_s) q_t to u_s for
+        each unordered point pair (t, s) of the sorted point indices ``tgt``
+        and ``src`` (intp), in chunks of ``_CHUNK`` pairs: phi(-m) = phi(m)
+        bit for bit, so one evaluation serves both points.  The point pairs
+        of one-point boxes and the near field's ragged leaf pairs both take
+        this path."""
         rel = self.tree.rel_sorted
         for lo in range(0, len(tgt), _CHUNK):
             t, s = tgt[lo : lo + _CHUNK], src[lo : lo + _CHUNK]
-            d = np.take(rel, t, axis=0) - np.take(rel, s, axis=0)
-            u[t[0] : t[-1] + 1] += np.bincount(t - t[0], weights=phi(d[:, 0], d[:, 1]) * q_sorted[s])
+            d = np.take(rel, t, axis=0)
+            d -= np.take(rel, s, axis=0)
+            w = phi(d[:, 0], d[:, 1])
+            del d
+            np.add.at(u, t, w * q_sorted[s])
+            w *= q_sorted[t]
+            np.add.at(u, s, w)
 
     def _leaf_points(self, leaves):
         """The points of the ascending leaf slots ``leaves``, formed for
-        these leaves alone, as (pts, cell): each point's sorted index, and
-        its cell in the (len(leaves), s^2) stencils of the leaves flattened,
-        its leaf's row in ``leaves`` times s^2 plus its place in the leaf.
-        Both index arrays are intp: numpy casts any other index dtype on
-        every use (int32 made these gathers and scatters 2-3 times slower)."""
+        these leaves alone, as (pts, count): each point's sorted index, in
+        leaf order, and each leaf's number of points.  pts is intp: numpy
+        casts any other index dtype on every use (int32 made these gathers
+        and scatters 2-3 times slower)."""
         start = self.tree.ptr[self.tree.L]
         count = start[leaves + 1] - start[leaves]
         end = np.cumsum(count)
         pts = np.arange(end[-1]) + np.repeat(start[leaves] - (end - count), count)
-        cell = self._positions(self.tree.L, np.take(self.tree.rel_sorted, pts, axis=0))
-        cell += np.repeat(np.arange(len(leaves)) * self.leaf_side**2, count)
-        return pts, cell
+        return pts, count
 
-    def _stencil_chunks(self, multi):
-        """The leaves of two or more points in chunks, for the dense s x s
-        stencil products of T_ofs and T_tfi: yields (lo, hi, pts, cell),
-        the chunk's leaves lo..hi-1 counted among those leaves and their
-        points as ``_leaf_points`` gives them for the chunk.  Nothing per
-        point outlives its chunk."""
-        leaves = np.flatnonzero(multi)
-        chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
-        for lo in range(0, len(leaves), chunk):
-            hi = min(lo + chunk, len(leaves))
-            yield (lo, hi, *self._leaf_points(leaves[lo:hi]))
+    def _stencil_cells(self, pts, count):
+        """Each point's cell in the (len(count), s^2) stencils of the
+        leaves flattened, for ``_leaf_points``' (pts, count): its leaf's row
+        times s^2 plus its place in the leaf."""
+        cell = self._positions(self.tree.L, np.take(self.tree.rel_sorted, pts, axis=0))
+        cell += np.repeat(np.arange(len(count)) * self.leaf_side**2, count)
+        return cell
+
+    def _leaf_chunks(self, need):
+        """The leaves flagged in ``need`` in chunks, for T_ofs and T_tfi:
+        yields (lo, hi, pts, count), the chunk's leaves lo..hi-1 counted
+        among the flagged ones and their points as ``_leaf_points`` gives
+        them.  Stencil leaves come ``_CHUNK`` / s^2 to a chunk; larger ones,
+        of at most ``FEW_POINTS`` points, in runs of about 2 ``_ROW_CHUNK``
+        points, a run ending before the leaf whose points pass a multiple of
+        that.  Nothing per point outlives its chunk."""
+        leaves = np.flatnonzero(need)
+        if self.stencil:
+            chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
+            bounds = list(range(0, len(leaves), chunk)) + [len(leaves)]
+        else:
+            start = self.tree.ptr[self.tree.L]
+            end = np.cumsum(start[leaves + 1] - start[leaves])
+            bounds = [0, *np.flatnonzero(np.diff(end // (2 * _ROW_CHUNK))) + 1, len(leaves)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                yield (lo, hi, *self._leaf_points(leaves[lo:hi]))
 
     def _table_levels(self):
-        """The coarsest level m such that levels m..L read the unit
-        expansions of their one-point boxes from the chain's tables: the
-        leaf level always, and each coarser level in turn while its boxes
-        have no more positions than it has one-point boxes."""
+        """The coarsest level m whose unit expansions are read from the
+        chain's tables: the level of the chain's anchor side always (the
+        leaf level, or the level of side 8 below larger leaves), and each
+        coarser level in turn while its boxes have no more positions than
+        it has one-point boxes.  The levels from m to L read their one-point
+        boxes' unit expansions from their tables; with m below L, every
+        unit expansion above m starts from the table of m."""
         tree = self.tree
-        m = tree.L
+        m = tree.L + max(self.leaf_side // _MAX_LEAF_SIDE, 1).bit_length() - 1
         while m > 2:
             side = tree.side_of(m - 1)
-            if side * side > np.count_nonzero(np.diff(tree.ptr[m - 1]) == 1):
+            if side * side > tree.singles[m - 1]:
                 break
             m -= 1
         return m
@@ -585,16 +638,30 @@ class FmmRun:
         return incoming
 
     def _leaf_expansions(self, q_sorted, need, out):
-        """T_ofs: the outgoing expansion of each leaf flagged in ``need``
-        (those of two or more points), from its charges scattered onto the
-        dense s x s stencil, one GEMM per chunk of leaves, into the rows of
-        ``out`` in leaf order.  Returns each leaf's row there."""
-        interp = self._ops(self.tree.L).skeleton.interp
-        s2 = interp.shape[1]
-        for lo, hi, pts, cell in self._stencil_chunks(need):
-            dense = np.zeros((hi - lo, s2))
-            dense.reshape(-1)[cell] = q_sorted[pts]
-            np.matmul(dense, interp.T, out=out[lo:hi])
+        """T_ofs: the outgoing expansion of each leaf flagged in ``need``,
+        into the rows of ``out`` in leaf order.  Returns each leaf's row
+        there.
+
+        A stencil leaf (side 8 or less; only those of two or more points
+        are flagged) scatters its charges onto the dense s x s stencil, one
+        GEMM per chunk of leaves.  A larger leaf sums its points' unit
+        expansions (``_unit_expansions``) times their charges; every leaf is
+        flagged when the leaf level has no table, and a one-point leaf's row
+        is then its point's unit expansion, as on a table level."""
+        tree = self.tree
+        if self.stencil:
+            interp = self._ops(tree.L).skeleton.interp
+            for lo, hi, pts, count in self._leaf_chunks(need):
+                cell = self._stencil_cells(pts, count)
+                dense = np.zeros((hi - lo, interp.shape[1]))
+                dense.reshape(-1)[cell] = q_sorted[pts]
+                np.matmul(dense, interp.T, out=out[lo:hi])
+        else:
+            for lo, hi, pts, count in self._leaf_chunks(need):
+                e = self._unit_expansions(pts, tree.L)
+                # Times the charge of a point of a leaf of more points.
+                e *= np.where(np.repeat(count == 1, count), 1.0, q_sorted[pts])[:, None]
+                np.add.reduceat(e, np.cumsum(count) - count, axis=0, out=out[lo:hi])
         return np.cumsum(need, dtype=np.int32) - 1
 
     def _merge_up(self, lvl, x, xrow, single, up_single, need, q_sorted, up):
@@ -757,24 +824,55 @@ class FmmRun:
     def _unit_expansions(self, pts, lvl):
         """The unit expansions e_{p,lvl} of the points ``pts`` in their
         boxes at ``lvl``, row i that of ``pts[i]``, as the upward pass
-        formed them: read from the chain's table on the levels from
-        ``table_level`` to L, above them from the table of ``table_level``
-        and carried on up by T_ofo, one GEMM per quadrant and level."""
+        formed them: read from the chain's table of ``lvl`` if it has one
+        (``table_level`` up to L), else from the table of ``table_level``
+        and carried on up two levels at a time (``_carry``), the rows
+        grouped by their box's place in the box two levels up (a radix
+        sort) for one GEMM per place, and returned to the order of ``pts``
+        at the end.  ``table_level`` may lie below the leaves."""
         tree = self.tree
         first = max(lvl, self.table_level)
         rel = np.take(tree.rel_sorted, pts, axis=0)
         e = np.take(self.chain.unit_table(tree.side_of(first)), self._positions(first, rel), axis=0)
-        for level in range(first, lvl, -1):
-            # The quadrant of each point's box at ``level``.
-            bits = (rel >> (tree.root_side.bit_length() - 1 - level)) & 1
-            quad = bits[:, 0] | bits[:, 1] << 1
-            t_ofo = self._ops(level - 1).t_ofo
-            up = np.empty((len(pts), t_ofo.shape[1]))
-            for qd in range(4):
-                rows = np.flatnonzero(quad == qd)
-                up[rows] = np.take(e, rows, axis=0) @ t_ofo[qd].T
+        if first == lvl:
+            return e
+        order = np.arange(len(pts))
+        level = first
+        while level > lvl:
+            top = max(level - 2, lvl)
+            # The place of each row's box at ``level`` in its box at
+            # ``top``: quadrant by quadrant, the coarser one first.
+            at = np.take(rel, order, axis=0)
+            place = np.zeros(len(pts), dtype=np.int8)
+            for sub in range(top + 1, level + 1):
+                bits = (at >> (tree.root_side.bit_length() - 1 - sub)) & 1
+                place = place * 4 + (bits[:, 0] | bits[:, 1] << 1).astype(np.int8)
+            by_place = np.argsort(place, kind="stable")
+            order = order[by_place]
+            e = np.take(e, by_place, axis=0)
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(place, minlength=4 ** (level - top)))])
+            carry = self._carry(level, top)
+            up = np.empty((len(pts), carry.shape[1]))
+            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                np.matmul(e[lo:hi], carry[g].T, out=up[lo:hi])
             e = up
-        return e
+            level = top
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        return np.take(e, back, axis=0)
+
+    def _carry(self, level, top):
+        """T_ofo from ``level`` up to ``top``, one or two levels above: the
+        (4^(level - top), k_top, k_level) products of the T_ofo blocks, one
+        per place of a box at ``level`` in its box at ``top``, quadrant by
+        quadrant, the coarser one first.  Formed once per run."""
+        key = (level, top)
+        if key not in self._carries:
+            t_ofo = self._ops(level - 1).t_ofo
+            if top < level - 1:
+                t_ofo = np.matmul(self._ops(top).t_ofo[:, None], t_ofo[None]).reshape(16, -1, t_ofo.shape[2])
+            self._carries[key] = t_ofo
+        return self._carries[key]
 
     def _down(self, incoming, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
@@ -785,7 +883,9 @@ class FmmRun:
         chunks of points: as T_ofo[q] e_{p,l+1} = e_{p,l}, this is the
         child's T_ifi and fold in one.  The leaves of two or more points
         expand theirs at their points (T_tfi, the transpose of T_ofs: one
-        GEMM onto the dense s x s stencil per chunk of leaves).  The seconds
+        GEMM onto the dense s x s stencil per chunk of stencil leaves; for
+        larger leaves, u_p += e_{p,L} . inc_L with e_{p,L} from
+        ``_unit_expansions``).  The seconds
         of T_ifi out of level l and of the folds at level l count at level
         l, those of T_tfi at the leaf level."""
         tree = self.tree
@@ -814,51 +914,82 @@ class FmmRun:
             t1 = clock()
             self.down_seconds[lvl] += t1 - t0
             t0 = t1
-        interp = self._ops(tree.L).skeleton.interp
         inc_leaf = incoming.pop(tree.L)
-        for lo, hi, pts, cell in self._stencil_chunks(multi):
-            u[pts] += np.take(inc_leaf[lo:hi] @ interp, cell)
+        for lo, hi, pts, count in self._leaf_chunks(multi):
+            if self.stencil:
+                cell = self._stencil_cells(pts, count)
+                u[pts] += np.take(inc_leaf[lo:hi] @ self._ops(tree.L).skeleton.interp, cell)
+            else:
+                e = self._unit_expansions(pts, tree.L)
+                u[pts] += np.einsum("ij,ij->i", e, np.repeat(inc_leaf[lo:hi], count, axis=0))
         self.down_seconds[tree.L] += clock() - t0
 
     def _near_field(self, q_sorted, colleagues, u):
-        """Add the near field of the leaf colleagues into ``u``, offset by
-        offset: the ragged leaf pairs point pair by point pair
-        (``_point_pairs``), then the well-filled ones by ``_near_stencil``."""
-        s = self.leaf_side
-        starts = self.tree.ptr[self.tree.L][:-1]
-        counts = np.diff(self.tree.ptr[self.tree.L])
-        stencil_pairs = []
-        for n, t_slots, s_slots in _code_groups(_by_code(*colleagues, len(_NEAR_OFFSETS))):
-            dx, dy = _NEAR_OFFSETS[n]
-            ct = counts[t_slots]
-            cs = counts[s_slots]
-            tot = ct * cs
-            self.near_pairs += int(tot.sum())
-            # Well-filled pairs go to the stencil GEMMs (see module docstring).
-            gemm = tot >= s * s
-            if np.any(gemm):
-                stencil_pairs.append((dx, dy, t_slots[gemm], s_slots[gemm]))
-                self.near_gemm_blocks += int(np.count_nonzero(gemm))
-            ragged = ~gemm
-            t_slots, s_slots, cs, tot = t_slots[ragged], s_slots[ragged], cs[ragged], tot[ragged]
-            self.near_ragged_pairs += int(tot.sum())
-            # Each ragged leaf pair expands to its point pairs, target-major,
-            # in chunks of whole leaf pairs of up to ``_CHUNK`` point pairs
-            # (a leaf pair has fewer than s^2).
-            end = np.cumsum(tot)
-            first = end - tot  # each leaf pair's first point pair
-            lo = 0
-            while lo < len(tot):
-                hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
-                blk = np.repeat(np.arange(lo, hi), tot[lo:hi])
-                r = np.arange(first[lo], end[hi - 1]) - first[blk]
-                cs_blk = cs[blk]
-                tgt = starts[t_slots[blk]] + r // cs_blk
-                src = starts[s_slots[blk]] + r % cs_blk
-                self._point_pairs(tgt, src, q_sorted, u)
-                lo = hi
-        if stencil_pairs:
+        """Add the near field of the leaf colleagues into ``u``: the
+        ragged leaf pairs point pair by point pair (``_near_slice``), then
+        the well-filled ones of stencil leaves by ``_near_stencil``.  The
+        colleagues are read in slices of ``_ROW_CHUNK`` * 16 leaf pairs,
+        which bounds every array formed per leaf pair."""
+        self.near_pairs = self.near_gemm_blocks = self.near_ragged_pairs = 0
+        step = _ROW_CHUNK * 16
+        gemm = [
+            self._near_slice([a[lo : lo + step] for a in colleagues], q_sorted, u)
+            for lo in range(0, len(colleagues[0]), step)
+        ]
+        if self.near_gemm_blocks:
+            pairs = _by_code(*map(np.concatenate, zip(*gemm)), len(_NEAR_OFFSETS))
+            del gemm
+            stencil_pairs = [(*_NEAR_OFFSETS[n], tgt, src) for n, tgt, src in _code_groups(pairs)]
             self._near_stencil(q_sorted, stencil_pairs, u)
+
+    def _near_slice(self, colleagues, q_sorted, u):
+        """The near field of one slice of the leaf colleagues: sums its
+        ragged leaf pairs into ``u`` (``_ragged_pairs``) and returns its
+        stencil pairs as (tgt, src, code)."""
+        tgt, src, code = colleagues
+        start = self.tree.ptr[self.tree.L]
+        ct, cs = start[tgt + 1] - start[tgt], start[src + 1] - start[src]
+        tot = ct * cs
+        self.near_pairs += int(tot.sum())
+        # Well-filled pairs of stencil leaves go to the stencil GEMMs (see
+        # module docstring), as ordered pairs.
+        gemm = tot >= self.leaf_side**2 if self.stencil else np.zeros(len(tot), dtype=bool)
+        self.near_gemm_blocks += int(np.count_nonzero(gemm))
+        self.near_ragged_pairs += int(tot.sum()) - int(tot[gemm].sum())
+        # Every other pair once for both orders (the colleagues are
+        # symmetric): from its lower slot, or the leaf with itself.
+        pick = np.flatnonzero(~gemm & (tgt <= src))
+        t, c = tgt[pick], src[pick]
+        a, b = start[t].astype(np.intp), start[c].astype(np.intp)
+        self._ragged_pairs(a, b, ct[pick], cs[pick], t == c, q_sorted, u)
+        return tgt[gemm], src[gemm], code[gemm]
+
+    def _ragged_pairs(self, a, b, ct, cs, same, q_sorted, u):
+        """Sum the point pairs of leaf pairs by ``_point_pairs``, each
+        unordered pair once: the ct points from sorted index ``a`` against
+        the cs from ``b``, or, where ``same``, the ct points of one leaf
+        against each other (i < j).  The pairs are formed in chunks of whole
+        leaf pairs of up to ``_CHUNK`` point pairs (a leaf pair has at most
+        64^2); each point i of a target leaf is a row, its sources one run
+        of sorted indices, from b (from a + i + 1 in its own leaf)."""
+        n = np.where(same, (ct * (ct - 1)) >> 1, ct * cs)
+        end = np.cumsum(n)
+        first = end - n  # each leaf pair's first point pair
+        lo = 0
+        while lo < len(n):
+            hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
+            rows = ct[lo:hi]
+            row_end = np.cumsum(rows)
+            i = np.arange(row_end[-1]) - np.repeat(row_end - rows, rows)  # in its leaf
+            skip = (i + 1) * np.repeat(same[lo:hi], rows)
+            run = np.repeat(cs[lo:hi], rows) - skip
+            run_start = np.repeat(b[lo:hi], rows) + skip
+            tgt = np.repeat(np.repeat(a[lo:hi], rows) + i, run)
+            run_end = np.cumsum(run)
+            src = np.arange(run_end[-1]) + np.repeat(run_start - (run_end - run), run)
+            del i, skip, run_start, run_end
+            self._point_pairs(tgt, src, q_sorted, u)
+            lo = hi
 
     def _near_stencil(self, q_sorted, stencil_pairs, u):
         """Add the near field of well-filled leaf pairs into ``u``, one GEMM
@@ -883,7 +1014,8 @@ class FmmRun:
             mark[s_slots] = True
         used = np.flatnonzero(mark)
         row = np.cumsum(mark, dtype=np.int32) - 1
-        pts, cell = self._leaf_points(used)
+        pts, count = self._leaf_points(used)
+        cell = self._stencil_cells(pts, count)
         qd = np.zeros((len(used), s * s))
         qd.reshape(-1)[cell] = q_sorted[pts]
         ud = np.zeros_like(qd)
@@ -916,9 +1048,6 @@ class FmmRun:
         self.ifo_grid_levels: list[int] = []
         self.upward_rows = [0] * n_levels
         self.point_pairs_per_level = [0] * n_levels
-        self.near_pairs = 0
-        self.near_gemm_blocks = 0
-        self.near_ragged_pairs = 0
         u_sorted = np.zeros(len(q_sorted))
         ifo, colleagues = self._lists(q_sorted, u_sorted)
         if self.chain is not None:
@@ -956,7 +1085,7 @@ class FmmRun:
             "t_chain": self.t_chain,
             **self.times,
             "boxes_per_level": [len(codes) for codes in tree.codes],
-            "single_boxes_per_level": [int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr],
+            "single_boxes_per_level": [int(n) for n in tree.singles[: tree.L + 1]],
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
             "ifo_grid_levels": list(self.ifo_grid_levels),
             "t_ifo_per_level": list(self.ifo_seconds),
@@ -983,9 +1112,12 @@ def fmm_apply(
 
     Evaluated at the source points by default; pass ``targets`` for other
     evaluation points (they are added as zero-charge nodes, and coinciding
-    source/target points are fine).  The leaf side is capped at 8, so a
-    leaf holds at most 64 points: every ``nleaf`` >= 64 gives the same
-    tree, and only smaller values deepen it.  ``stats``, if given, is
+    source/target points are fine).  The tree refines toward leaves of
+    side 8 only while some box holds more than ``tree.FEW_POINTS`` (16)
+    points: a leaf of side 8 holds at most 64 points, a larger leaf at
+    most 16, which the near field sums pair by pair.  Every ``nleaf`` >= 64
+    gives the same tree, and only smaller values deepen it.  ``stats``, if
+    given, is
     filled with run counters: tree depth, wall time, seconds per pass
     (``t_tree``; ``t_chain``, spent extending the shared operator chain
     and building the grid operators of the levels that may run T_ifo on
@@ -997,7 +1129,8 @@ def fmm_apply(
     (``boxes_per_level`` occupied boxes, ``single_boxes_per_level`` those
     holding one point, ``ifo_pairs_per_level`` T_ifo blocks,
     ``point_pairs_per_level`` pairs of one-point boxes summed as point
-    pairs, ``t_ifo_per_level`` the seconds of ``t_ifo`` spent at each level,
+    pairs, each unordered pair once, ``t_ifo_per_level`` the seconds of
+    ``t_ifo`` spent at each level,
     on the grid or pair by pair, and ``ranks_per_level`` skeleton ranks;
     the last four read 0 at levels 0 and 1, which have no interaction
     lists; ``t_upward_per_level`` the seconds of ``t_upward`` that formed
@@ -1014,17 +1147,18 @@ def fmm_apply(
     row per box), ``ifo_grid_levels``
     (the run of levels from 2 whose T_ifo ran on the dense box grid, eight
     GEMMs over each chunk of parents; the others ran pair by pair, see the
-    module docstring), near-field work (``near_pairs`` point pairs, of
-    which ``near_ragged_pairs`` were summed pair by pair and the rest in
-    ``near_gemm_blocks`` stencil block products), ``op_entries``, the
-    operator data instantiated for this problem: k leaf interpolation
-    entries per point, the near pairs and the point pairs, and
-    ``shared_op_entries``, that of the shared operator chain, its tables of
-    unit expansions included.  Over the
-    nodes (sources and targets), the T_ifo blocks (|b| |c| point pairs
-    each), the point pairs, the near pairs and one self pair per
-    one-point leaf, which phi(0) = 0 lets the sum drop, cover each
-    ordered pair once.
+    module docstring), near-field work (``near_pairs`` ordered point pairs
+    of neighbouring leaves, of which ``near_ragged_pairs`` were summed pair
+    by pair, phi evaluated once per unordered pair, and the rest in
+    ``near_gemm_blocks`` stencil block products, which only leaves of side
+    8 or less form), ``op_entries``, the operator data instantiated for
+    this problem: k leaf interpolation entries per point, the near pairs
+    and the point pairs, and ``shared_op_entries``, that of the shared
+    operator chain, its tables of unit expansions included.  Over the
+    nodes (sources and targets), the T_ifo blocks (|b| |c| ordered point
+    pairs each), the point pairs (each for both orders), the near pairs
+    and one self pair per one-point leaf, which phi(0) = 0 lets the sum
+    drop, cover each ordered pair once.
 
     Error contract: max_i |u_i - exact_i| <= eps * sum_j |q_j|.  The error
     is bounded relative to the charges' l1 norm, not to |u|: charges that

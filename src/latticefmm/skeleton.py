@@ -42,6 +42,10 @@ from .tree import INTERACTION_OFFSETS
 # Proxy lattice points per edge of the proxy square.
 _PROXY_PER_EDGE = 40
 
+# Largest side whose model box takes all its s^2 lattice positions as
+# candidates: a chain serving leaves of a larger side is anchored at it.
+MAX_ANCHOR_SIDE = 8
+
 
 def interpolative_decomposition(a: np.ndarray, eps: float):
     """Column ID: a ~= a[:, idx] @ t with relative Frobenius error <= eps.
@@ -237,9 +241,11 @@ class LevelOperators:
 class OperatorChain:
     """Model-box operators for the sides of one tree family, shared across runs.
 
-    A chain is anchored at its leaf side (whose skeleton uses dense
-    candidates and supplies T_ofs/T_tfi); every coarser side is built on
-    its child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
+    A chain serves the trees of one leaf side.  It is anchored at side
+    min(leaf_side, ``MAX_ANCHOR_SIDE``), whose skeleton uses dense
+    candidates and supplies T_ofs/T_tfi, or under larger leaves the unit
+    expansions their points start from; every coarser side is built on its
+    child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
     and - above the leaf - the T_ofo blocks mapping side/2 skeletons up, a
     view of the interpolation matrix, not a copy.  T_ifi blocks are the
     transposes of T_ofo and are not stored either.  The grid
@@ -250,11 +256,12 @@ class OperatorChain:
     def __init__(self, eps: float, leaf_side: int):
         self.eps = float(eps)
         self.leaf_side = int(leaf_side)
+        self.anchor = min(self.leaf_side, MAX_ANCHOR_SIDE)
         self.ops: dict[int, LevelOperators] = {}
 
     def ensure(self, top_side: int) -> None:
-        """Extend the chain to cover sides leaf_side..top_side."""
-        side = self.leaf_side
+        """Extend the chain to cover sides anchor..top_side."""
+        side = self.anchor
         child_ops = None
         while side <= top_side:
             cur = self.ops.get(side)
@@ -273,13 +280,13 @@ class OperatorChain:
     def unit_table(self, side: int) -> np.ndarray:
         """(side^2, k) unit expansions of the model box of ``side``: row
         x * side + y is the outgoing expansion of a unit charge at position
-        (x, y) of the box.  At the leaf side it is the interpolation matrix
-        transposed; above it, each quadrant's rows are the side/2 table's
-        times T_ofo.  Built on first use, with the tables of the sides below,
-        and kept."""
+        (x, y) of the box.  At the anchor side it is the interpolation
+        matrix transposed; above it, each quadrant's rows are the side/2
+        table's times T_ofo.  Built on first use, with the tables of the sides
+        below, and kept."""
         op = self.ops[side]
         if op._unit_table is None:
-            if side == self.leaf_side:
+            if side == self.anchor:
                 op._unit_table = np.ascontiguousarray(op.skeleton.interp.T)
             else:
                 child = self.unit_table(side // 2)
@@ -309,10 +316,16 @@ _chain_memo: dict[tuple, OperatorChain] = {}
 
 
 def shared_chain(eps: float, leaf_side: int) -> OperatorChain:
-    """Process-wide memo of operator chains (model boxes are tree-agnostic)."""
+    """Process-wide memo of operator chains, one per (eps, leaf side).
+    Model boxes are tree-agnostic: the chains of one eps and anchor side
+    share one dict of operators, so each side is built once."""
     key = (float(eps), int(leaf_side))
     chain = _chain_memo.get(key)
     if chain is None:
         chain = OperatorChain(eps, leaf_side)
+        for other in _chain_memo.values():
+            if (other.eps, other.anchor) == (chain.eps, chain.anchor):
+                chain.ops = other.ops
+                break
         _chain_memo[key] = chain
     return chain

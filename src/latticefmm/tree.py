@@ -86,16 +86,32 @@ def _enumerate_interaction_offsets():
 #: All distinct interaction-list offsets (row-major over (dx, dy)).
 INTERACTION_OFFSETS = _enumerate_interaction_offsets()
 
+# Most points of a box that the ``max_leaf_side`` rule does not refine
+# further: below such a box the tree would only resolve points that the
+# FMM sums pair by pair for less (``latticefmm.fmm``).  fmm_apply at eps
+# 1e-10, warm medians of alternating calls in one process on 2 cores, at
+# 8 / 16 / 32 / 64 points against 1 (leaves of side 8, as without this
+# bound): 16384 uniform points on 16384^2 (the benchmark's random)
+# 0.94 / 0.65 / 0.97 / 1.09 times as long, at L = 7 / 6 / 5 / 5 against
+# 11; 2^18 on 2^18 x 2^18 0.89 / 0.57 / 0.61 / 1.00 (L = 9 / 8 / 8 / 7
+# against 15); 2^18 points on a circle in 2^20 x 2^20 0.49 / 0.47 / 0.64
+# / 1.08 (L = 14 / 13 / 12 / 11 against 17).
+FEW_POINTS = 16
+
 class QuadTree:
     """Uniform quadtree; occupied boxes stored per level in Morton order.
 
     points: (N, 2) integer array.  The root box is the smallest
     power-of-two-sided square anchored at the minimum corner that covers
     all points.  L is the smallest depth at which no leaf holds more than
-    nleaf points; max_leaf_side, if given, forces subdivision down to that
-    box side, so a leaf holds at most max_leaf_side^2 points and any
-    larger nleaf gives the same tree (the solver's cap of 8 bounds each
-    near-field stencil block at 8^4 entries).
+    nleaf points.  max_leaf_side, if given, deepens the tree toward that
+    box side until no box holds more than ``FEW_POINTS`` points: L is the
+    larger of the nleaf depth and the first depth at which the leaves are
+    of that side or hold at most ``FEW_POINTS`` points each.  So a leaf of
+    side max_leaf_side holds at most max_leaf_side^2 points, a larger leaf
+    at most ``FEW_POINTS``, and any nleaf of at least both gives the same
+    tree.  (The solver's cap of 8 bounds each near-field stencil block at
+    8^4 entries; the few points of a larger leaf are summed pair by pair.)
 
     Per level l: ``codes[l]`` holds each occupied box's Morton code (int32
     at levels up to 15, whose codes stay below 2^30, and int64 deeper),
@@ -103,6 +119,8 @@ class QuadTree:
     ``parent_index[l]`` each box's parent at level l - 1 (both int32 below
     2^31 points).  Points are in Morton order: ``order`` sorts the input
     into ``rel_sorted``, the coordinates from the root corner.
+    ``singles[l]``, for every level l from 0 to log2(root_side), below
+    the leaves too, counts the boxes of level l that hold one point.
     """
 
     def __init__(self, points, nleaf: int = DEFAULT_NLEAF, max_leaf_side: int | None = None):
@@ -131,25 +149,39 @@ class QuadTree:
         if np.any(sorted_deep[1:] == sorted_deep[:-1]):
             raise ValueError("duplicate lattice points")
         powers = np.int64(1) << (2 * np.arange(logs + 1, dtype=np.int64))
+        # The level at which each pair of adjacent sorted keys part.
+        split = logs - (np.searchsorted(powers, sorted_deep[1:] ^ sorted_deep[:-1], side="right") - 1)
 
-        def split_level(a, b):
-            return logs - (np.searchsorted(powers, a ^ b, side="right") - 1)
+        def occupancy_level(most):
+            # Smallest level with no box of more than ``most`` points.  A box
+            # is a run of sorted points, so points i and i + most part where
+            # the first adjacent pair between them does: at the least split
+            # over that window, whose minimum is formed by doubling.
+            if n <= most:
+                return 0
+            window, width = split, 1
+            while 2 * width <= most:
+                window = np.minimum(window[:-width], window[width:])
+                width *= 2
+            if width < most:
+                window = np.minimum(window[: len(window) - (most - width)], window[most - width :])
+            return int(window.max())
 
-        # Smallest L with every leaf occupancy <= nleaf: points nleaf apart
-        # in sorted order must lie in different boxes.
-        level = 0
-        if n > self.nleaf:
-            apart = split_level(sorted_deep[self.nleaf :], sorted_deep[: -self.nleaf])
-            level = int(apart.max())
+        level = occupancy_level(self.nleaf)
         if max_leaf_side is not None:
             floor_level = logs - max(int(max_leaf_side).bit_length() - 1, 0)
-            level = max(level, min(floor_level, logs))
+            level = max(level, min(floor_level, occupancy_level(FEW_POINTS)))
         self.L = level
 
+        # A point is alone in its box from the level where it parts from
+        # both sorted neighbours on.
+        alone = np.zeros(n, dtype=np.int64)
+        alone[1:] = split
+        np.maximum(alone[:-1], split, out=alone[:-1])
+        self.singles = np.cumsum(np.bincount(alone, minlength=logs + 1))
         # Per-level occupied boxes, from the levels at which adjacent
         # sorted keys part.  A box's parent changes where the keys also
         # part one level up.
-        split = split_level(sorted_deep[1:], sorted_deep[:-1])
         # Point and box indices fit in int32 below 2**31 points; at every
         # level that halves ptr and parent_index.
         index = np.int32 if n < 2**31 else np.int64

@@ -9,10 +9,18 @@ Run from the repository root (pytest does not collect this file):
 The package under --src is loaded as ``latticefmm_a`` and this checkout's
 as ``latticefmm_b``, side by side in one process, each with its own phi
 table and operator chain.  For each workload and seed the inputs come from
-the benchmark's ``perfbench/workloads.make_inputs``, except ``ragged``:
-2**16 distinct points drawn uniformly on a 2**10 x 2**10 domain, about
-four per leaf, whose near field runs point pair by point pair, which
-neither benchmark workload reaches.  The call is the benchmark's
+the benchmark's ``perfbench/workloads.make_inputs``, except two loads of
+this script's own:
+
+* ``ragged``: 2**16 distinct points drawn uniformly on a 2**10 x 2**10
+  domain, about four per side-8 leaf, where the near field's leaf pairs
+  mix stencil blocks and point pairs;
+* ``circle``: 2**16 points rounded onto the circle of radius 2**17 - 1
+  (as ``lfmm bench --distribution circle --n 262144 --alpha 0.25``), the
+  load whose leaves stop earliest, far above side 8, so that its near
+  field is all point pairs; the seed draws only the charges.
+
+The call is the benchmark's
 ``workloads.run_op``: ``fmm_apply``, or for ``crack`` ``DefectSpec`` and
 ``solve_defect``.  Each side makes one warm-up call, then the sides
 alternate warm calls, pair by pair, A first in even pairs and B first in
@@ -77,15 +85,23 @@ def load_package(name: str, src: Path) -> dict:
 
 
 def make_inputs(workload: str, seed: int) -> dict:
-    """Points and charges of a workload: the benchmark's, or ``ragged``."""
-    if workload != "ragged":
+    """Points and charges of a workload: the benchmark's, ``ragged`` or
+    ``circle``."""
+    rng = np.random.default_rng(seed)
+    if workload == "ragged":
+        n, side = 1 << 16, 1 << 10
+        flat = rng.choice(side * side, size=n, replace=False)
+        points = np.column_stack([flat // side, flat % side])
+    elif workload == "circle":
+        theta = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
+        c, r = 2.0**17, 2.0**17 - 1.0
+        points = np.column_stack([np.round(c + r * np.cos(theta)), np.round(c + r * np.sin(theta))])
+        points = np.unique(points.astype(np.int64), axis=0)
+    else:
         import workloads
 
         return workloads.make_inputs(workload, seed)
-    n, side = 1 << 16, 1 << 10
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(side * side, size=n, replace=False)
-    return {"points": np.column_stack([flat // side, flat % side]), "charges": rng.standard_normal(n)}
+    return {"points": points, "charges": rng.standard_normal(len(points))}
 
 
 class Holders:
@@ -171,7 +187,7 @@ def main() -> int:
         "--workloads",
         nargs="+",
         default=["dense", "random", "ragged"],
-        choices=["dense", "random", "ragged", "crack"],
+        choices=["dense", "random", "ragged", "circle", "crack"],
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")

@@ -283,9 +283,11 @@ def test_bench_csv_shape(capsys):
 
 
 def test_bench_json_records(capsys):
+    # nleaf 4 keeps leaves of side 8 and less: with the default, leaves
+    # stop at 16 points and the 32-point load has no level 2.
     rc, out = run_cli(
         capsys, "bench", "--distribution", "random", "--n", "32,64",
-        "--seed", "7", "--json",
+        "--seed", "7", "--nleaf", "4", "--json",
     )
     assert rc == 0
     records = [json.loads(line) for line in out.splitlines()]
@@ -319,13 +321,14 @@ def test_bench_json_records(capsys):
 
 def test_bench_json_names_grid_levels(capsys):
     # Full 64 x 64 grid: every level from 2 runs T_ifo on its box grid.  A
-    # random load of 64 points on 64 x 64 fills level 2 (156 pairs on 16
+    # random load of 64 points on 64 x 64, with nleaf 4 (at the default its
+    # leaves stop at level 2, side 16), fills level 2 (156 pairs on 16
     # cells, one box of one point), not level 3 (288 pairs on 64 cells).
     rc, out = run_cli(capsys, "bench", "--distribution", "dense", "--n", "64", "--json")
     assert rc == 0
     stats = json.loads(out)["stats"]
     assert stats["ifo_grid_levels"] == list(range(2, stats["levels"]))
-    rc, out = run_cli(capsys, "bench", "--distribution", "random", "--n", "64", "--json")
+    rc, out = run_cli(capsys, "bench", "--distribution", "random", "--n", "64", "--nleaf", "4", "--json")
     stats = json.loads(out)["stats"]
     assert stats["ifo_grid_levels"] == [2] and stats["levels"] == 4
     assert stats["ifo_pairs_per_level"] == [0, 0, 156, 288]

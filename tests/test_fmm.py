@@ -13,7 +13,7 @@ from latticefmm import fmm, skeleton
 from latticefmm.fmm import _MAX_LEAF_SIDE, fmm_apply, level_lists
 from latticefmm.green import phi
 from latticefmm.oracle import direct_sum
-from latticefmm.tree import build_tree
+from latticefmm.tree import FEW_POINTS, build_tree
 
 from fmm_reference import dense_solve_truncated, direct_near_field, estimate_complexity
 from tree_reference import (
@@ -36,6 +36,13 @@ def random_sources(rng, n, box):
 
 def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def with_full_leaf(pts):
+    """``pts`` (coordinates >= 0) and a full 8 x 8 block at the origin,
+    which anchors the tree there: every box above side 8 that holds the
+    block holds more than FEW_POINTS points, so the leaves stay at side 8."""
+    return np.unique(np.vstack([grid_points(8), pts]), axis=0)
 
 
 def test_single_charge_self_potential():
@@ -88,7 +95,9 @@ def test_shallow_tree_falls_back_to_dense():
     rng = np.random.default_rng(19)
     cases = [
         (np.array([(0, 0), (3, 1), (7, 7), (2, 6), (5, 4)]), 1),
-        (np.array([(0, 0), (15, 15), (3, 12), (9, 2), (8, 8)]), 2),
+        # More than FEW_POINTS points over 16 x 16, at most that many per
+        # quadrant: one level of four leaves of side 8.
+        (np.vstack([4 * grid_points(4) + 1, [(0, 0), (15, 15), (3, 12), (9, 2)]]), 2),
         (grid_points(16), 2),  # four full leaves: stencil GEMMs
     ]
     for pts, levels in cases:
@@ -243,7 +252,9 @@ PASS_TIMES = ("t_tree", "t_chain", "t_lists", "t_upward", "t_ifo", "t_downward",
 
 def test_stats_reported():
     rng = np.random.default_rng(17)
-    pts, q = random_sources(rng, 500, 1 << 14)
+    scattered = random_sources(rng, 500, 1 << 14)[0]
+    pts = with_full_leaf(scattered)
+    q = rng.standard_normal(len(pts))
     stats = {}
     fmm_apply(pts, q, stats=stats)
     assert stats["n_source"] == len(pts)
@@ -253,11 +264,13 @@ def test_stats_reported():
     for key in PASS_TIMES:
         assert stats[key] >= 0.0
     assert sum(stats[key] for key in PASS_TIMES) <= stats["wall_time"]
-    # No leaf holds two points, so every leaf pair is a point pair, taken
-    # at the coarsest level where both boxes hold one point, and no
-    # near-field pair is left.
-    assert stats["near_gemm_blocks"] == stats["near_ragged_pairs"] == stats["near_pairs"] == 0
-    assert stats["single_boxes_per_level"][-1] == len(pts)
+    # No leaf of the scattered points holds two, so every pair of their
+    # leaves is a point pair, taken at the coarsest level where both boxes
+    # hold one point, and the full leaf, which has no neighbour, is the
+    # near field alone: one stencil block.
+    assert stats["near_gemm_blocks"] == 1 and stats["near_pairs"] == 64 * 64
+    assert stats["near_ragged_pairs"] == 0
+    assert stats["single_boxes_per_level"][-1] == len(scattered)
     assert sum(stats["point_pairs_per_level"]) > 0
 
     # 4 x 4 full leaves: 10 x 10 ordered (target, source) neighbour pairs.
@@ -271,7 +284,8 @@ def test_stats_reported():
 def test_per_level_stats(monkeypatch):
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     rng = np.random.default_rng(19)
-    pts, q = random_sources(rng, 400, 1 << 12)
+    pts = with_full_leaf(random_sources(rng, 400, 1 << 12)[0])
+    q = rng.standard_normal(len(pts))
     first, second = {}, {}
     fmm_apply(pts, q, stats=first)
     fmm_apply(pts, q, stats=second)
@@ -419,14 +433,17 @@ def leaf_pairs(draw):
     dx, dy = draw(st.sampled_from(_SIDES))
     a = rng.choice(64, size=ct, replace=False)
     b = rng.choice(64, size=cs, replace=False)
-    # Two far points pin the tree anchor to a multiple of 8 and make the
-    # tree deep enough for 8 x 8 leaves; they have no neighbours.
+    # Two far points and a far full 8 x 8 leaf pin the tree anchor to a
+    # multiple of 8 and make the tree deep enough for 8 x 8 leaves (the
+    # full leaf holds more than FEW_POINTS points); they have no
+    # neighbours, and the full leaf is one more stencil block.
     pts = np.vstack([
         np.column_stack([8 + a // 8, 8 + a % 8]),
         np.column_stack([8 + 8 * dx + b // 8, 8 + 8 * dy + b % 8]),
         [(-1024, 0), (0, -1024)],
+        grid_points(8) - 1024,
     ]) + _shift(draw)
-    blocks = 2 * (ct * cs >= 64) + (ct >= 8) + (cs >= 8)
+    blocks = 2 * (ct * cs >= 64) + (ct >= 8) + (cs >= 8) + 1
     return pts, rng.standard_normal(len(pts)), blocks
 
 
@@ -544,17 +561,29 @@ MIXED = [(seed, with_targets) for seed in (3, 4) for with_targets in (False, Tru
 
 
 @pytest.mark.parametrize("seed,with_targets", MIXED)
-def test_every_point_pair_covered_once(seed, with_targets):
-    """T_ifo blocks (|b| |c| point pairs each, on the grid levels too),
-    point pairs, near-field pairs and the dropped self pairs of one-point
-    boxes make up N^2, over the nodes the tree holds (sources and targets),
-    under the grid run the FMM took, and the stats agree."""
+def test_every_point_pair_covered_once(seed, with_targets, monkeypatch):
+    """T_ifo blocks (|b| |c| ordered point pairs each, on the grid levels
+    too), point pairs (both orders each), near-field pairs and the dropped
+    self pairs of one-point boxes make up N^2, over the nodes the tree
+    holds (sources and targets), under the grid run the FMM took, and the
+    stats agree.  Every direct pair, of one-point boxes or of the near
+    field's ragged leaf pairs, is summed once for both orders."""
     pts, targets = mixed_load(seed, with_targets)
     nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
+    direct = []  # (tgt, src) of each ``_point_pairs`` call, sorted indices
+    summed = fmm.FmmRun._point_pairs
+
+    def spy(self, tgt, src, q_sorted, u):
+        direct.append((tgt.copy(), src.copy()))
+        return summed(self, tgt, src, q_sorted, u)
+
+    monkeypatch.setattr(fmm.FmmRun, "_point_pairs", spy)
     stats = {}
     fmm_apply(pts, rng_charges(len(pts)), targets=targets, stats=stats)
+    # The union is sorted as the nodes are, whatever their input order, so
+    # this tree's sorted indices are the run's.
     tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
-    assert stats["n_points"] == len(nodes) and tree.L >= 8
+    assert stats["n_points"] == len(nodes) and tree.L >= 8 and tree.side_of(tree.L) == 8
     run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
     assert stats["ifo_grid_levels"] == run and len(run) >= 2
     blocks = points = 0
@@ -568,14 +597,96 @@ def test_every_point_pair_covered_once(seed, with_targets):
             blocks += sum(size[b] * size[c] for b, c in far)
         else:
             blocks += int(np.sum(count[far[0]] * count[far[1]]))
+        assert np.all(ptgt < psrc)  # each from its lower point
         points += len(ptgt)
         seen.update(zip(ptgt.tolist(), psrc.tolist()))
-    near = int(np.sum(count[colleagues[0]] * count[colleagues[1]]))
+    tot = count[colleagues[0]] * count[colleagues[1]]
+    near = int(tot.sum())
     dropped = stats["single_boxes_per_level"][-1]  # one self pair per lone leaf point
     assert len(seen) == points  # no point pair twice
-    assert blocks + points + near + dropped == len(nodes) ** 2
+    assert blocks + 2 * points + near + dropped == len(nodes) ** 2
     assert points == sum(stats["point_pairs_per_level"])
     assert near == stats["near_pairs"]
+    # The near field's leaf pairs off the stencil blocks, ordered and
+    # with the diagonal of a leaf paired with itself, are summed pair by
+    # pair: once per unordered pair of distinct points.
+    gemm = tot >= 64
+    assert stats["near_gemm_blocks"] == int(np.count_nonzero(gemm))
+    ragged = int(tot[~gemm].sum())
+    assert stats["near_ragged_pairs"] == ragged
+    itself = (colleagues[0] == colleagues[1]) & ~gemm
+    diagonal = int(count[colleagues[0][itself]].sum())
+    tgt = np.concatenate([t for t, _ in direct])
+    src = np.concatenate([s for _, s in direct])
+    assert np.all(tgt != src)
+    key = np.minimum(tgt, src) * len(nodes) + np.maximum(tgt, src)
+    assert len(np.unique(key)) == len(key) == points + (ragged - diagonal) // 2
+    assert seen <= set(zip(tgt.tolist(), src.tolist()))
+
+
+def _exact_leaves():
+    """An 8 x 8 array of 16 x 16 boxes, each holding exactly FEW_POINTS
+    points: the tree stops at leaves of side 16."""
+    rng = np.random.default_rng(37)
+    parts = []
+    for bx in range(8):
+        for by in range(8):
+            cells = rng.choice(256, FEW_POINTS, replace=False)
+            parts.append(np.column_stack([cells // 16, cells % 16]) + 16 * np.array([bx, by]))
+    return np.vstack(parts)
+
+
+def _large_leaf_load(name):
+    rng = np.random.default_rng(31)
+    if name == "uniform":  # 2000 points on 2^12 x 2^12
+        flat = rng.choice(1 << 24, size=2000, replace=False)
+        return np.column_stack([flat >> 12, flat & 4095])
+    if name == "exact":
+        return _exact_leaves()
+    if name == "exact-and-lone":  # and 396 lone points, one per leaf of side 16
+        lone = rng.integers(8, 256, size=(400, 2)) * 16
+        return np.unique(np.vstack([_exact_leaves(), lone]), axis=0)
+    if name == "one-leaf":  # FEW_POINTS points over a 2^31 extent
+        return np.vstack([[0, 0], [(1 << 31) - 1, 5], rng.integers(0, 1 << 31, size=(FEW_POINTS - 2, 2))])
+    return with_full_leaf(rng.integers(0, 1 << 12, size=(500, 2)))  # "full-leaf"
+
+
+@pytest.mark.parametrize("name", ["uniform", "exact", "exact-and-lone", "one-leaf", "full-leaf"])
+def test_large_leaves_match_direct(name):
+    # The tree stops refining at the first level where no box holds more
+    # than FEW_POINTS points, or at side 8.  Leaves above side 8 form no
+    # stencil block: their near field is point pairs alone, and T_ofs and
+    # T_tfi read each point's unit expansion from the tables, carried up
+    # to the leaf from below it, or from the leaf level's own table.
+    pts = _large_leaf_load(name)
+    q = rng_charges(len(pts), seed=41)
+    tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+    count = np.diff(tree.ptr[tree.L])
+    side = tree.side_of(tree.L)
+    table_level = fmm.FmmRun(tree, 1e-10).table_level
+    if name == "uniform":
+        assert (side, tree.L, table_level) == (128, 5, 7)
+        assert count.max() <= FEW_POINTS < np.diff(tree.ptr[tree.L - 1]).max()
+    elif name == "exact":
+        assert side == 16 and np.all(count == FEW_POINTS) and table_level == tree.L + 1
+    elif name == "exact-and-lone":
+        assert side == 16 and table_level == tree.L and tree.singles[tree.L] >= 256
+    elif name == "one-leaf":
+        assert tree.L == 0 and tree.root_side == 1 << 31
+    else:
+        assert side == 8 and count.max() == 64
+    ref = direct_sum(pts, q)
+    for eps in (1e-6, 1e-10):
+        stats = {}
+        u = fmm_apply(pts, q, eps=eps, stats=stats)
+        assert np.max(np.abs(u - ref)) <= eps * np.abs(q).sum(), (eps, np.max(np.abs(u - ref)))
+        if side > 8:
+            assert stats["near_gemm_blocks"] == 0
+            assert stats["near_ragged_pairs"] == stats["near_pairs"] > 0
+        else:
+            assert stats["near_gemm_blocks"] >= 1
+    if name == "one-leaf":
+        assert stats["near_pairs"] == FEW_POINTS**2 and stats["chain_built"] is False
 
 
 def rng_charges(n, seed=5):
@@ -844,7 +955,7 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
     # Forced on, the grid run reaches the leaf level and holds the one-point
     # boxes of every level; forced off, every level runs pair by pair.
     # Both sides meet the direct sum at the eps * sum |q| contract.
-    pts = {"sparse": sparse_points, "clustered": clustered_points}[name]()
+    pts = {"sparse": lambda: with_full_leaf(sparse_points()), "clustered": clustered_points}[name]()
     q = rng_charges(len(pts))
     if chunk is not None:
         monkeypatch.setattr(fmm, "_CHUNK", chunk)
@@ -877,7 +988,7 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
     # leaves.  On the sparse load the pair path sums one-point pairs point
     # by point, so there the grid path is held to the same path at the
     # default chunk, and both paths to the direct sum.
-    pts = sparse_points() if kind == "sparse" else _grid_load(kind)[0]
+    pts = with_full_leaf(sparse_points()) if kind == "sparse" else _grid_load(kind)[0]
     q = rng_charges(len(pts))
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, _ = _forced(monkeypatch, "pair", pts, q)
@@ -914,7 +1025,7 @@ def test_grid_ifo_memory_is_banded():
     # expansions and their rows are set up as the upward pass does.
     rng = np.random.default_rng(29)
     flat = rng.choice(1 << 24, size=1 << 14, replace=False)
-    pts = np.column_stack([flat >> 12, flat & 4095])
+    pts = with_full_leaf(np.column_stack([flat >> 12, flat & 4095]))
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     lvl = 9
     assert tree.L == lvl

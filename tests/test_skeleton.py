@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latticefmm import skeleton
 from latticefmm.skeleton import (
     GRID_PARENT_OFFSETS,
     OperatorChain,
@@ -283,3 +284,20 @@ def test_shared_chain_memoized():
     assert a is b
     c = shared_chain(1e-6, 8)
     assert c is not a
+
+
+def test_chains_of_one_anchor_share_operators(monkeypatch):
+    # A chain for leaves above side 8 is anchored at side 8 and shares its
+    # operators with every chain of that eps and anchor: no side is built
+    # twice.  A smaller leaf side anchors a chain of its own.
+    monkeypatch.setattr(skeleton, "_chain_memo", {})
+    wide = shared_chain(1e-6, 256)
+    wide.ensure(512)
+    assert (wide.leaf_side, wide.anchor) == (256, 8) and sorted(wide.ops) == [8, 16, 32, 64, 128, 256, 512]
+    narrow = shared_chain(1e-6, 8)
+    assert narrow is not wide and narrow.ops is wide.ops
+    assert shared_chain(1e-6, 32).ops is wide.ops
+    assert shared_chain(1e-10, 256).ops is not wide.ops
+    small = shared_chain(1e-6, 4)
+    assert small.anchor == 4 and small.ops is not wide.ops
+    assert np.array_equal(wide.unit_table(8), wide.ops[8].skeleton.interp.T)

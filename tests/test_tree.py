@@ -3,7 +3,7 @@ import pytest
 
 from latticefmm import fmm
 from latticefmm.fmm import _MAX_LEAF_SIDE, _NEAR_OFFSETS, _by_code, fmm_apply, level_lists
-from latticefmm.tree import INTERACTION_OFFSETS, build_tree, morton_decode
+from latticefmm.tree import FEW_POINTS, INTERACTION_OFFSETS, build_tree, morton_decode
 
 from tree_reference import (
     K_IFO,
@@ -144,13 +144,28 @@ def test_root_sizing_and_shift():
 
 
 def test_max_leaf_side_forces_depth():
+    # max_leaf_side refines toward that side only while some box holds
+    # more than FEW_POINTS points; nleaf can still deepen the tree.
     rng = np.random.default_rng(0)
     pts = rng.integers(0, 256, size=(40, 2))
     pts = np.unique(pts, axis=0)
     t = build_tree(pts, nleaf=1000)
     assert t.L == 0
     t = build_tree(pts, nleaf=1000, max_leaf_side=8)
-    assert t.side_of(t.L) == 8
+    assert t.side_of(t.L) > 8
+    assert np.diff(t.ptr[t.L]).max() <= FEW_POINTS < np.diff(t.ptr[t.L - 1]).max()
+    # A full 16 x 16 block puts more than FEW_POINTS points in a box of
+    # every side above 8: the leaves stop at side 8, whatever nleaf from
+    # 64, and nleaf 1 takes them down to single cells.
+    block = dense_grid(16) + 100
+    both = np.unique(np.vstack([pts, block]), axis=0)
+    for nleaf in (64, 1000):
+        t = build_tree(both, nleaf=nleaf, max_leaf_side=8)
+        assert t.side_of(t.L) == 8
+    deep = build_tree(both, nleaf=1, max_leaf_side=8)
+    assert deep.side_of(deep.L) == 1
+    # Every level's count of one-point boxes, below the leaves too.
+    assert list(t.singles) == [int(np.count_nonzero(np.diff(p) == 1)) for p in deep.ptr]
 
 
 def test_empty_box_has_empty_points():

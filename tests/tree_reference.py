@@ -201,10 +201,11 @@ def single_point_pairs(tree: QuadTree, level: int, run=()):
     On levels 0, 1 and those of the run every pair is a box pair.  From the
     first level below the run (level 2 if the run is empty), a pair of two
     one-point boxes leaves the box lists.  It is a point pair, (target
-    point, source point) as indices into the original point array, if the
-    boxes differ and the pair was not already one at the level above: the
-    level is the first below the run, or one of the two parents holds more
-    than one point.
+    point, source point) as indices into the original point array, taken
+    once for both orders, from the box of lower id, if the boxes differ
+    and the pair was not already one at the level above: the level is the
+    first below the run, or one of the two parents holds more than one
+    point.
     """
     assert list(run) == list(range(2, 2 + len(run))), run
     colleagues, interactions = reference_pairs(tree, level)
@@ -231,7 +232,7 @@ def single_point_pairs(tree: QuadTree, level: int, run=()):
             pb, pc = point(b), point(c)
             if pb is None or pc is None:
                 keep.add((b, c))
-            elif b != c and (level == first or point(parent(b)) is None or point(parent(c)) is None):
+            elif b < c and (level == first or point(parent(b)) is None or point(parent(c)) is None):
                 points.add((pb, pc))
         kept.append(keep)
     return kept[0], kept[1], points
