@@ -15,11 +15,14 @@ DEFAULT_EPS = 1e-10
 DEFAULT_NLEAF = 64
 # Relative residual of the defect solver's bar system.
 DEFAULT_TOL = 1e-8
-# Radius of the one Green table phi reads; points beyond it take the
-# asymptotic expansion through S_4.  Against the exact table of radius 400
-# that expansion is off by at most 431 ulp for |m|_inf in 31-40, 26 ulp in
-# 41-48, 5 ulp in 49-64 and 2 ulp at every point with 64 < |m|_inf <= 400.
-# Radius 64 thus keeps every phi within 2 ulp; the exact build takes ~6 ms.
+# Radius of the exact Green table (``default_table``): phi takes its values
+# for |m|_inf <= 64 and the asymptotic expansion's through S_4 beyond,
+# gathered out to ``green.OCTANT_RADIUS`` from one octant that continues
+# the table with the expansion's values.  Against the exact table of
+# radius 400 that expansion is off by at most 431 ulp for |m|_inf in
+# 31-40, 26 ulp in 41-48, 5 ulp in 49-64 and 2 ulp at every point with
+# 64 < |m|_inf <= 400.  Radius 64 thus keeps every phi within 2 ulp; the
+# exact build takes ~6 ms.
 DEFAULT_RTABLE = 64
 DEFAULT_SEED = 0
 

@@ -15,10 +15,17 @@ Rokhlin, SIAM J. Sci. Stat. Comput. 9, 1988).  The operator chain is
 anchored at side min(s, 8), s the leaf side (``OperatorChain.anchor``).
 On leaves of side 8 or less, T_ofs and T_tfi are one GEMM per chunk of
 leaves with the dense s x s stencil of each leaf: T_ofs scatters the
-charges onto it, T_tfi reads the potentials off it.  On a larger leaf, each point's unit
-expansion e_{p,L} (below) is read from the chain's tables and carried up
-by T_ofo to the leaf (``FmmRun._unit_expansions``): T_ofs sums
+charges onto it, T_tfi reads the potentials off it.  On a larger leaf,
+each point's unit expansion e_{p,L} (below) is its row of the chain's
+table at the table level, carried up by T_ofo to the leaf: T_ofs sums
 e_{p,L} q_p over the leaf's points, T_tfi adds e_{p,L} . inc_L to each.
+Both run on the boxes the leaf's points occupy below it
+(``FmmRun._sub_boxes``), held in rows grouped by their place in the box
+one step up: each point's table row is gathered once per pass, into its
+box's row in that order, the carry is one GEMM per place, and T_ofs adds
+each place's products into the boxes one step up, which are distinct
+within a place, while T_tfi carries the incoming expansions down the
+same steps (``_sum_expansions``, ``_fold_expansions``).
 
 A box that holds one point is carried as that point (the pruning of
 adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
@@ -51,8 +58,9 @@ bit for bit.  The passes change to match:
   a point's top one-point box folds its incoming expansion into the point
   at the parent's level l, u_p += e_{p,l} . inc_l, which is T_ifi to the
   top box and the fold there in one; e_{p,l} is read from the tables, or
-  from the coarsest one and carried on up by T_ofo.  Nothing per point is
-  held from the upward pass, and no T_ifi runs below a top.
+  from the coarsest one with inc_l carried down to it by T_ifi, as T_tfi
+  of larger leaves is.  Nothing per point is held from the upward pass,
+  and no T_ifi runs below a top.
 
 A tree with no one-point box runs the plain five passes.  Inside the run
 of grid levels a pair of one-point boxes is a box pair like any other: a
@@ -115,8 +123,8 @@ import time
 import numpy as np
 
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_charges, check_eps
-from .green import lattice_points, lattice_targets, phi
-from .skeleton import GRID_PARENT_OFFSETS, MAX_ANCHOR_SIDE, shared_chain
+from .green import lattice_points, lattice_targets, octant_bytes, phi
+from .skeleton import GRID_PARENT_OFFSETS, MAX_ANCHOR_SIDE, shared_chain, shared_entries
 from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
@@ -175,16 +183,23 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 _CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
-# T_ifo pair by pair and its folds, the unit expansions of the downward
-# pass): 1024 rows of k ~ 35 doubles, 0.29 MB.  A chunk of leaves above
-# side 8 carries the unit expansions of up to twice as many points: on the
-# 16384 uniform points above, those of all points took 5.4 ms in chunks of
-# 1024 points, 3.7 in 2048 and 3.4 in 4096 (a carry two levels up splits
-# a chunk's rows in 16 GEMMs), and the traced peak of a call rose from 5.6
-# (1024) to 5.8 (2048) and 6.4 MB (4096).  Against 1024 rows, 512 gave the same peak on
-# that load and ran the call 9 % slower, 2048 rows (so 4096 points) 6 %
-# slower at a 0.6 MB higher peak (21 alternating warm calls each).
+# T_ifo pair by pair and its folds): 1024 rows of k ~ 35 doubles, 0.29 MB.
+# Against 1024 rows, 512 gave the same traced peak on the 16384 uniform
+# points above and ran the call 9 % slower, 2048 rows 6 % slower at a
+# 0.6 MB higher peak (21 alternating warm calls each).
 _ROW_CHUNK = _CHUNK // 64
+
+# Points per chunk of the rows of leaves above side 8 and of one-point
+# chains on their way up from the tables (``FmmRun._sub_boxes``).  On the
+# 16384 uniform points above, with T_ofs and T_tfi timed against the
+# per-point carry they replaced in one process, chunks of 2048 points ran
+# them at 0.86 and 0.85 of its time, 4096 at 0.86 and 0.86, and 8192 at
+# 1.36 and 1.31.
+_SUB_CHUNK = 2 * _ROW_CHUNK
+
+# Points per run of those rows whose index arrays (``FmmRun._sub_boxes``,
+# a few arrays of the run's size) are formed at once.
+_POINT_RUN = _CHUNK // 4
 
 
 # Grid T_ifo's products are (n, 4 k) @ (4 k, 4 k).  The OpenBLAS build
@@ -361,6 +376,62 @@ def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
         yield colleagues, interactions, points
 
 
+def _prefix_counts(lengths):
+    """n[j] = how many of ``lengths`` exceed j, for j below their maximum."""
+    return len(lengths) - np.cumsum(np.bincount(lengths)[:-1])
+
+
+def _run_pairs(a, b, ct, cs, same):
+    """The point pairs (tgt, src) of leaf pairs, as sorted indices (intp):
+    the ct points from ``a`` against the cs from ``b``, or, where ``same``,
+    the ct points of one leaf against each other (i < j).
+
+    Each point i of a target leaf is a row, its sources one run of sorted
+    indices, from b (from a + i + 1 in its own leaf).  With the leaf pairs
+    sorted by ct (radix sorts of small ints, descending), the rows of the
+    points i are those of a prefix of the leaf pairs; with the rows sorted
+    by run length, the rows whose run reaches its source j are a prefix of
+    the rows.  So rows and pairs are written slice by slice, i by i and j
+    by j, with no per-pair gather or repeat."""
+    by_ct = np.argsort(np.negative(ct, dtype=np.int8), kind="stable")
+    own = same[by_ct].astype(np.intp)
+    a, b, cs = a[by_ct], b[by_ct], cs[by_ct]
+    n_rows = _prefix_counts(ct)
+    row = np.empty((3, int(n_rows.sum())), dtype=np.intp)  # target, run, run start
+    lo = 0
+    for i, n in enumerate(n_rows.tolist()):
+        hi = lo + n
+        np.add(a[:n], i, out=row[0, lo:hi])
+        skip = own[:n] * (i + 1)
+        np.subtract(cs[:n], skip, out=row[1, lo:hi])
+        np.add(b[:n], skip, out=row[2, lo:hi])
+        lo = hi
+    run = row[1]
+    row = np.take(row[::2], np.argsort(np.negative(run, dtype=np.int8), kind="stable"), axis=1)
+    n_pairs = _prefix_counts(run)
+    tgt = np.empty(int(n_pairs.sum()), dtype=np.intp)
+    src = np.empty_like(tgt)
+    lo = 0
+    for j, n in enumerate(n_pairs.tolist()):
+        hi = lo + n
+        tgt[lo:hi] = row[0, :n]
+        np.add(row[1, :n], j, out=src[lo:hi])
+        lo = hi
+    return tgt, src
+
+
+# The place of a box in its box one or two levels up (quadrant by
+# quadrant, the coarser first), by (x * 4 + y) of its coordinates there.
+_PLACE = np.array([(x & 1) | (y & 1) << 1 | (x & 2) << 1 | (y & 2) << 2 for x in range(4) for y in range(4)])
+
+
+def _chunk_groups(step, c):
+    """The row bounds of chunk c's places in a step of ``_sub_boxes``."""
+    level, top, _, bounds = step[:4]
+    g_n = 4 ** (level - top)
+    return bounds[c * g_n : (c + 1) * g_n + 1]
+
+
 def _multi_rows(tree: QuadTree, lvl: int):
     """Which boxes at ``lvl`` hold two or more points, and each box's row
     among them: the rows of the incoming expansions the downward pass
@@ -369,6 +440,13 @@ def _multi_rows(tree: QuadTree, lvl: int):
     row = np.cumsum(multi, dtype=np.int32)
     row -= 1
     return multi, row
+
+
+def shared_bytes() -> int:
+    """Bytes of the state that calls share and the process keeps: every
+    operator chain's arrays (8 per ``skeleton.shared_entries``) and phi's
+    octant (``green.octant_bytes``)."""
+    return 8 * shared_entries() + octant_bytes()
 
 
 def _merge_targets(points, charges, targets):
@@ -406,22 +484,23 @@ class FmmRun:
         self._carries = {}
         self.table_level = self._table_levels()
         t0 = time.perf_counter()
-        self.chain_built = False
         if tree.L >= 2:
             self.chain = shared_chain(eps, self.leaf_side)
-            n_ops = len(self.chain.ops)
             self.chain.ensure(tree.side_of(2))
-            self.chain_built = len(self.chain.ops) > n_ops
-            # The grid operators of the levels that may join the grid run (a
-            # box has at most 27 interaction pairs) and the tables of unit
-            # expansions are built before any list: built mid-call, these
-            # long-lived arrays would sit above the call's freed lists on
-            # the heap and keep it from shrinking (uniform 2^18: 448 against
-            # 369 MB peak RSS over four calls).
+            # The T_ifo stacks of levels 2..L, the grid operators of the
+            # levels that may join the grid run (a box has at most 27
+            # interaction pairs) and the tables of unit expansions are built
+            # before any list: built mid-call, these long-lived arrays would
+            # sit above the call's freed lists on the heap and keep it from
+            # shrinking (uniform 2^18: 448 against 369 MB peak RSS over four
+            # calls).  The sides below the leaves build no T_ifo.
+            grid = True
             for lvl in range(2, tree.L + 1):
-                if not self._on_grid(lvl, 27 * len(tree.codes[lvl])):
-                    break
-                self._ops(lvl).t_ifo_grid
+                grid = grid and self._on_grid(lvl, 27 * len(tree.codes[lvl]))
+                if grid:
+                    self._ops(lvl).t_ifo_grid
+                else:
+                    self._ops(lvl).t_ifo
             self.chain.unit_table(tree.side_of(self.table_level))
         self.t_chain = time.perf_counter() - t0
 
@@ -437,6 +516,7 @@ class FmmRun:
         pairs in the T_ifo seconds of their level."""
         clock = time.perf_counter
         ifo = {}
+        xy = None  # formed for the first point pair
         t0 = clock()
         for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree, self._on_grid)):
             t1 = clock()
@@ -448,7 +528,9 @@ class FmmRun:
                 if on_grid:
                     self.ifo_grid_levels.append(lvl)
                 ifo[lvl] = None if on_grid else pairs
-                self._point_pairs(tgt, src, q_sorted, u)
+                if len(tgt):
+                    xy = self._columns() if xy is None else xy
+                    self._point_pairs(tgt, src, xy, q_sorted, u)
                 self.ifo_seconds[lvl] += clock() - t1
             t0 = clock()
         return ifo, colleagues
@@ -461,22 +543,35 @@ class FmmRun:
         first no, so the grid levels form one run."""
         return n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
 
-    def _point_pairs(self, tgt, src, q_sorted, u):
+    def _columns(self):
+        """The sorted points' coordinates from the root corner as two
+        contiguous columns, (2, N), formed where point pairs are summed and
+        dropped after: ``_point_pairs`` gathers from them and hands ``phi``
+        contiguous displacements, 8-37 % faster than from rows of
+        ``rel_sorted`` over eight alternating runs of the near field of
+        16384 uniform points on 16384^2."""
+        return np.ascontiguousarray(self.tree.rel_sorted.T)
+
+    def _point_pairs(self, tgt, src, xy, q_sorted, u):
         """Add phi(x_t - x_s) q_s to u_t and phi(x_t - x_s) q_t to u_s for
         each unordered point pair (t, s) of the sorted point indices ``tgt``
         and ``src`` (intp), in chunks of ``_CHUNK`` pairs: phi(-m) = phi(m)
-        bit for bit, so one evaluation serves both points.  The point pairs
-        of one-point boxes and the near field's ragged leaf pairs both take
-        this path."""
-        rel = self.tree.rel_sorted
+        bit for bit, so one evaluation serves both points.  ``xy`` is
+        ``_columns()``.  The point pairs of one-point boxes and the near
+        field's ragged leaf pairs both take this path."""
+        x, y = xy
         for lo in range(0, len(tgt), _CHUNK):
             t, s = tgt[lo : lo + _CHUNK], src[lo : lo + _CHUNK]
-            d = np.take(rel, t, axis=0)
-            d -= np.take(rel, s, axis=0)
-            w = phi(d[:, 0], d[:, 1])
-            del d
-            np.add.at(u, t, w * q_sorted[s])
-            w *= q_sorted[t]
+            dx = x.take(t)
+            dx -= x.take(s)
+            dy = y.take(t)
+            dy -= y.take(s)
+            w = phi(dx, dy)
+            del dx, dy
+            wq = q_sorted.take(s)
+            wq *= w
+            np.add.at(u, t, wq)
+            w *= q_sorted.take(t)
             np.add.at(u, s, w)
 
     def _leaf_points(self, leaves):
@@ -504,7 +599,7 @@ class FmmRun:
         yields (lo, hi, pts, count), the chunk's leaves lo..hi-1 counted
         among the flagged ones and their points as ``_leaf_points`` gives
         them.  Stencil leaves come ``_CHUNK`` / s^2 to a chunk; larger ones,
-        of at most ``FEW_POINTS`` points, in runs of about 2 ``_ROW_CHUNK``
+        of at most ``FEW_POINTS`` points, in runs of about ``_POINT_RUN``
         points, a run ending before the leaf whose points pass a multiple of
         that.  Nothing per point outlives its chunk."""
         leaves = np.flatnonzero(need)
@@ -514,7 +609,7 @@ class FmmRun:
         else:
             start = self.tree.ptr[self.tree.L]
             end = np.cumsum(start[leaves + 1] - start[leaves])
-            bounds = [0, *np.flatnonzero(np.diff(end // (2 * _ROW_CHUNK))) + 1, len(leaves)]
+            bounds = [0, *np.flatnonzero(np.diff(end // _POINT_RUN)) + 1, len(leaves)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
                 yield (lo, hi, *self._leaf_points(leaves[lo:hi]))
@@ -645,7 +740,7 @@ class FmmRun:
         A stencil leaf (side 8 or less; only those of two or more points
         are flagged) scatters its charges onto the dense s x s stencil, one
         GEMM per chunk of leaves.  A larger leaf sums its points' unit
-        expansions (``_unit_expansions``) times their charges; every leaf is
+        expansions times their charges (``_sum_expansions``); every leaf is
         flagged when the leaf level has no table, and a one-point leaf's row
         is then its point's unit expansion, as on a table level."""
         tree = self.tree
@@ -658,10 +753,10 @@ class FmmRun:
                 np.matmul(dense, interp.T, out=out[lo:hi])
         else:
             for lo, hi, pts, count in self._leaf_chunks(need):
-                e = self._unit_expansions(pts, tree.L)
                 # Times the charge of a point of a leaf of more points.
-                e *= np.where(np.repeat(count == 1, count), 1.0, q_sorted[pts])[:, None]
-                np.add.reduceat(e, np.cumsum(count) - count, axis=0, out=out[lo:hi])
+                w = q_sorted[pts]
+                w[np.cumsum(count)[count == 1] - 1] = 1.0
+                self._sum_expansions(pts, w, tree.L, np.repeat(np.arange(hi - lo), count), out[lo:hi])
         return np.cumsum(need, dtype=np.int32) - 1
 
     def _merge_up(self, lvl, x, xrow, single, up_single, need, q_sorted, up):
@@ -821,45 +916,132 @@ class FmmRun:
                 yield order[t:end], np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
                 t = end
 
-    def _unit_expansions(self, pts, lvl):
-        """The unit expansions e_{p,lvl} of the points ``pts`` in their
-        boxes at ``lvl``, row i that of ``pts[i]``, as the upward pass
-        formed them: read from the chain's table of ``lvl`` if it has one
-        (``table_level`` up to L), else from the table of ``table_level``
-        and carried on up two levels at a time (``_carry``), the rows
-        grouped by their box's place in the box two levels up (a radix
-        sort) for one GEMM per place, and returned to the order of ``pts``
-        at the end.  ``table_level`` may lie below the leaves."""
+    def _sub_boxes(self, pts, lvl, top_row):
+        """The boxes of the points ``pts`` (ascending sorted indices, so in
+        Morton order: a box's points are a run) on the way from the table
+        level first = max(``lvl``, ``table_level``) up to ``lvl``, two
+        levels a step (``_carry``); ``top_row`` gives each point's row at
+        ``lvl``.  The points are taken in chunks of ``_SUB_CHUNK``, and a
+        box that a chunk's edge splits is a box on each side.
+
+        Returns (pos, row, steps): ``pos`` gives each point's row in the
+        table of ``first`` (its position in its box there), ``row`` its
+        box's row at ``first``, and ``steps`` goes from ``first`` up to ``lvl``,
+        one (level, top, lead, bounds, up_row) per step; a table at ``lvl``
+        itself makes one step to ``lvl`` with no carry.  At ``level`` the
+        boxes are held in rows ordered by chunk, then by the box's place in
+        its box at ``top`` (quadrant by quadrant, the coarser first):
+        ``lead`` gives each row's box's first point, the rows of chunk c
+        and place g are bounds[c G + g] up to bounds[c G + g + 1] (G
+        places), and ``up_row`` each row's box's row at ``top``, so that no
+        two rows of one chunk and place share a box at ``top``."""
         tree = self.tree
-        first = max(lvl, self.table_level)
-        rel = np.take(tree.rel_sorted, pts, axis=0)
-        e = np.take(self.chain.unit_table(tree.side_of(first)), self._positions(first, rel), axis=0)
-        if first == lvl:
-            return e
-        order = np.arange(len(pts))
-        level = first
-        while level > lvl:
-            top = max(level - 2, lvl)
-            # The place of each row's box at ``level`` in its box at
-            # ``top``: quadrant by quadrant, the coarser one first.
-            at = np.take(rel, order, axis=0)
-            place = np.zeros(len(pts), dtype=np.int8)
-            for sub in range(top + 1, level + 1):
-                bits = (at >> (tree.root_side.bit_length() - 1 - sub)) & 1
-                place = place * 4 + (bits[:, 0] | bits[:, 1] << 1).astype(np.int8)
-            by_place = np.argsort(place, kind="stable")
-            order = order[by_place]
-            e = np.take(e, by_place, axis=0)
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(place, minlength=4 ** (level - top)))])
-            carry = self._carry(level, top)
-            up = np.empty((len(pts), carry.shape[1]))
-            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-                np.matmul(e[lo:hi], carry[g].T, out=up[lo:hi])
-            e = up
-            level = top
-        back = np.empty_like(order)
-        back[order] = np.arange(len(order))
-        return np.take(e, back, axis=0)
+        levels = [*range(max(lvl, self.table_level), lvl, -2), lvl]
+        at = np.take(tree.rel_sorted, pts, axis=0)
+        pos = self._positions(levels[0], at)
+        at >>= tree.root_side.bit_length() - 1 - levels[0]
+        edge = np.zeros(len(pts), dtype=bool)
+        edge[::_SUB_CHUNK] = True
+        steps = []
+        at_level = levels[0]
+        for level, top in zip(levels, levels[1:] or levels):
+            at >>= at_level - level
+            at_level = level
+            new = edge.copy()
+            new[1:] |= at[1:, 0] != at[:-1, 0]
+            new[1:] |= at[1:, 1] != at[:-1, 1]
+            first = np.flatnonzero(new)
+            n_places = 4 ** (level - top)
+            corner = at[first] & (2 ** (level - top) - 1)
+            key = first // _SUB_CHUNK * n_places + _PLACE[corner[:, 0] * 4 + corner[:, 1]]
+            n_keys = ((len(pts) - 1) // _SUB_CHUNK + 1) * n_places
+            order = np.argsort(key.astype(np.int16 if n_keys <= 2**15 else np.int64), kind="stable")
+            bounds = np.zeros(n_keys + 1, dtype=np.int64)
+            np.cumsum(np.bincount(key, minlength=n_keys), out=bounds[1:])
+            del corner, key
+            row = np.empty_like(order)
+            row[order] = np.arange(len(order))
+            box = np.cumsum(new) - 1
+            steps.append((level, top, first[order], bounds, row[box]))
+            del new, first, order, row, box
+        del at, edge
+        # Each row's box's row at ``top``, read at its first point.
+        row = top_row
+        for j in range(len(steps) - 1, -1, -1):
+            level, top, lead, bounds, level_row = steps[j]
+            steps[j] = (level, top, lead, bounds, row[lead])
+            row = level_row
+        return pos, row, steps
+
+    def _sum_expansions(self, pts, w, lvl, top_row, out):
+        """T_ofs of larger leaves: ``out`` (zeroed here), row top_row[i],
+        gets w_i e_{p,lvl} for each point p = pts[i] (ascending).  Chunk by
+        chunk of ``_sub_boxes``: each point's table row is gathered once,
+        times its w, into its box's row at the table level (the first point
+        of every box by one gather in row order, the others rank by rank);
+        each step up is one GEMM per place, added into the rows at ``top``,
+        which are distinct within a place."""
+        pos, row, steps = self._sub_boxes(pts, lvl, top_row)
+        table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
+        rest = np.flatnonzero(row[1:] == row[:-1]) + 1  # not its box's first point
+        rank = rest - steps[0][2][row[rest]]
+        out[...] = 0.0
+        for c, p0 in enumerate(range(0, len(pts), _SUB_CHUNK)):
+            groups = [_chunk_groups(step, c) for step in steps]
+            lo = groups[0][0]
+            lead = steps[0][2][lo : groups[0][-1]]
+            x = np.take(table, pos[lead], axis=0)
+            x *= w[lead, None]
+            r0, r1 = np.searchsorted(rest, (p0, p0 + _SUB_CHUNK))
+            for r in range(1, int(rank[r0:r1].max(initial=0)) + 1):
+                p = rest[r0:r1][rank[r0:r1] == r]
+                x[row[p] - lo] += np.take(table, pos[p], axis=0) * w[p, None]
+            for j, (level, top, _, _, up_row) in enumerate(steps):
+                carry = self._carry(level, top) if top < level else None
+                if j + 1 < len(steps):
+                    up_lo = groups[j + 1][0]
+                    up = np.zeros((groups[j + 1][-1] - up_lo, carry.shape[1]))
+                else:
+                    up, up_lo = out, 0
+                for g, (g0, g1) in enumerate(zip(groups[j][:-1], groups[j][1:])):
+                    if g1 > g0:
+                        y = x[g0 - lo : g1 - lo]
+                        up[up_row[g0:g1] - up_lo] += y if carry is None else y @ carry[g].T
+                x, lo = up, up_lo
+
+    def _fold_expansions(self, pts, inc, lvl, top_row, u):
+        """T_tfi of larger leaves and the folds of one-point chains:
+        u_p += e_{p,lvl} . inc[top_row[i]] for each point p = pts[i]
+        (ascending).  Chunk by chunk of ``_sub_boxes``, the incoming
+        expansions are carried down its steps to the table level (T_ifi,
+        one GEMM per place), and each point's table row is gathered once,
+        in its box's row order for the first point of each box."""
+        pos, row, steps = self._sub_boxes(pts, lvl, top_row)
+        table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
+        rest = np.flatnonzero(row[1:] == row[:-1]) + 1
+        for c, p0 in enumerate(range(0, len(pts), _SUB_CHUNK)):
+            v, lo = inc, 0
+            for step in reversed(steps):
+                level, top, _, _, up_row = step
+                group = _chunk_groups(step, c)
+                if top == level:
+                    v = np.take(v, up_row[group[0] : group[-1]] - lo, axis=0)
+                else:
+                    carry = self._carry(level, top)
+                    down = np.empty((group[-1] - group[0], carry.shape[2]))
+                    for g, (g0, g1) in enumerate(zip(group[:-1], group[1:])):
+                        if g1 > g0:
+                            y = np.take(v, up_row[g0:g1] - lo, axis=0)
+                            np.matmul(y, carry[g], out=down[g0 - group[0] : g1 - group[0]])
+                    v = down
+                lo = group[0]
+            lead = steps[0][2][lo : lo + len(v)]
+            u[pts[lead]] += np.einsum("ij,ij->i", np.take(table, pos[lead], axis=0), v)
+            r0, r1 = np.searchsorted(rest, (p0, p0 + _SUB_CHUNK))
+            if r1 > r0:
+                p = rest[r0:r1]
+                e = np.take(table, pos[p], axis=0)
+                u[pts[p]] += np.einsum("ij,ij->i", e, np.take(v, row[p] - lo, axis=0))
 
     def _carry(self, level, top):
         """T_ofo from ``level`` up to ``top``, one or two levels above: the
@@ -878,14 +1060,13 @@ class FmmRun:
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
         incoming expansion of each box of two or more points to its
         children.  A child at its point p's top one-point level folds its
-        parent's at the parent's level l, u_p += e_{p,l} . inc_l, with
-        e_{p,l} read from the chain's tables (``_unit_expansions``), in
-        chunks of points: as T_ofo[q] e_{p,l+1} = e_{p,l}, this is the
-        child's T_ifi and fold in one.  The leaves of two or more points
-        expand theirs at their points (T_tfi, the transpose of T_ofs: one
-        GEMM onto the dense s x s stencil per chunk of stencil leaves; for
-        larger leaves, u_p += e_{p,L} . inc_L with e_{p,L} from
-        ``_unit_expansions``).  The seconds
+        parent's at the parent's level l, u_p += e_{p,l} . inc_l
+        (``_fold_expansions``, in runs of ``_POINT_RUN`` points): as
+        T_ofo[q] e_{p,l+1} = e_{p,l}, this is the child's T_ifi and fold in
+        one.  The leaves of two or more points expand theirs at their
+        points (T_tfi, the transpose of T_ofs: one GEMM onto the dense
+        s x s stencil per chunk of stencil leaves; for larger leaves,
+        u_p += e_{p,L} . inc_L by ``_fold_expansions``).  The seconds
         of T_ifi out of level l and of the folds at level l count at level
         l, those of T_tfi at the leaf level."""
         tree = self.tree
@@ -905,23 +1086,21 @@ class FmmRun:
                     child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
             # The one-point children of boxes of more points, the tops.
             top = np.flatnonzero(~child_multi & multi[parent])
-            start = tree.ptr[lvl + 1]
-            for lo in range(0, len(top), _ROW_CHUNK):
-                b = top[lo : lo + _ROW_CHUNK]
-                e = self._unit_expansions(start[b], lvl)
-                u[start[b]] += np.einsum("ij,ij->i", e, np.take(inc, row[parent[b]], axis=0))
+            for lo in range(0, len(top), _POINT_RUN):
+                b = top[lo : lo + _POINT_RUN]
+                self._fold_expansions(tree.ptr[lvl + 1][b], inc, lvl, row[parent[b]], u)
             multi, row = child_multi, child_row
             t1 = clock()
             self.down_seconds[lvl] += t1 - t0
             t0 = t1
         inc_leaf = incoming.pop(tree.L)
-        for lo, hi, pts, count in self._leaf_chunks(multi):
-            if self.stencil:
+        if self.stencil:
+            for lo, hi, pts, count in self._leaf_chunks(multi):
                 cell = self._stencil_cells(pts, count)
                 u[pts] += np.take(inc_leaf[lo:hi] @ self._ops(tree.L).skeleton.interp, cell)
-            else:
-                e = self._unit_expansions(pts, tree.L)
-                u[pts] += np.einsum("ij,ij->i", e, np.repeat(inc_leaf[lo:hi], count, axis=0))
+        else:
+            for lo, hi, pts, count in self._leaf_chunks(multi):
+                self._fold_expansions(pts, inc_leaf[lo:hi], tree.L, np.repeat(np.arange(hi - lo), count), u)
         self.down_seconds[tree.L] += clock() - t0
 
     def _near_field(self, q_sorted, colleagues, u):
@@ -932,17 +1111,19 @@ class FmmRun:
         which bounds every array formed per leaf pair."""
         self.near_pairs = self.near_gemm_blocks = self.near_ragged_pairs = 0
         step = _ROW_CHUNK * 16
+        xy = self._columns()
         gemm = [
-            self._near_slice([a[lo : lo + step] for a in colleagues], q_sorted, u)
+            self._near_slice([a[lo : lo + step] for a in colleagues], xy, q_sorted, u)
             for lo in range(0, len(colleagues[0]), step)
         ]
+        del xy
         if self.near_gemm_blocks:
             pairs = _by_code(*map(np.concatenate, zip(*gemm)), len(_NEAR_OFFSETS))
             del gemm
             stencil_pairs = [(*_NEAR_OFFSETS[n], tgt, src) for n, tgt, src in _code_groups(pairs)]
             self._near_stencil(q_sorted, stencil_pairs, u)
 
-    def _near_slice(self, colleagues, q_sorted, u):
+    def _near_slice(self, colleagues, xy, q_sorted, u):
         """The near field of one slice of the leaf colleagues: sums its
         ragged leaf pairs into ``u`` (``_ragged_pairs``) and returns its
         stencil pairs as (tgt, src, code)."""
@@ -961,34 +1142,24 @@ class FmmRun:
         pick = np.flatnonzero(~gemm & (tgt <= src))
         t, c = tgt[pick], src[pick]
         a, b = start[t].astype(np.intp), start[c].astype(np.intp)
-        self._ragged_pairs(a, b, ct[pick], cs[pick], t == c, q_sorted, u)
+        self._ragged_pairs(a, b, ct[pick], cs[pick], t == c, xy, q_sorted, u)
         return tgt[gemm], src[gemm], code[gemm]
 
-    def _ragged_pairs(self, a, b, ct, cs, same, q_sorted, u):
+    def _ragged_pairs(self, a, b, ct, cs, same, xy, q_sorted, u):
         """Sum the point pairs of leaf pairs by ``_point_pairs``, each
         unordered pair once: the ct points from sorted index ``a`` against
         the cs from ``b``, or, where ``same``, the ct points of one leaf
         against each other (i < j).  The pairs are formed in chunks of whole
         leaf pairs of up to ``_CHUNK`` point pairs (a leaf pair has at most
-        64^2); each point i of a target leaf is a row, its sources one run
-        of sorted indices, from b (from a + i + 1 in its own leaf)."""
+        64^2) by ``_run_pairs``."""
         n = np.where(same, (ct * (ct - 1)) >> 1, ct * cs)
         end = np.cumsum(n)
         first = end - n  # each leaf pair's first point pair
         lo = 0
         while lo < len(n):
             hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
-            rows = ct[lo:hi]
-            row_end = np.cumsum(rows)
-            i = np.arange(row_end[-1]) - np.repeat(row_end - rows, rows)  # in its leaf
-            skip = (i + 1) * np.repeat(same[lo:hi], rows)
-            run = np.repeat(cs[lo:hi], rows) - skip
-            run_start = np.repeat(b[lo:hi], rows) + skip
-            tgt = np.repeat(np.repeat(a[lo:hi], rows) + i, run)
-            run_end = np.cumsum(run)
-            src = np.arange(run_end[-1]) + np.repeat(run_start - (run_end - run), run)
-            del i, skip, run_start, run_end
-            self._point_pairs(tgt, src, q_sorted, u)
+            tgt, src = _run_pairs(a[lo:hi], b[lo:hi], ct[lo:hi], cs[lo:hi], same[lo:hi])
+            self._point_pairs(tgt, src, xy, q_sorted, u)
             lo = hi
 
     def _near_stencil(self, q_sorted, stencil_pairs, u):
@@ -1081,7 +1252,6 @@ class FmmRun:
         return {
             "op_entries": ranks[tree.L] * len(tree.order) + self.near_pairs + sum(self.point_pairs_per_level),
             "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
-            "chain_built": self.chain_built,
             "t_chain": self.t_chain,
             **self.times,
             "boxes_per_level": [len(codes) for codes in tree.codes],
@@ -1120,9 +1290,12 @@ def fmm_apply(
     given, is
     filled with run counters: tree depth, wall time, seconds per pass
     (``t_tree``; ``t_chain``, spent extending the shared operator chain
-    and building the grid operators of the levels that may run T_ifo on
-    the grid and the tables of unit expansions, with ``chain_built`` true
-    if this call extended the chain; ``t_lists``, building the
+    and building the T_ifo stacks of levels 2..L, the grid operators of
+    the levels that may run T_ifo on the grid and the tables of unit
+    expansions; ``built_shared``, true if this call built any array that
+    calls share (``shared_bytes``): a side of the chain, a T_ifo stack, a
+    grid operator, a table of unit expansions, or phi's table or octant
+    or part of it; ``t_lists``, building the
     interaction and neighbour lists of every level; ``t_upward``;
     ``t_ifo``, the T_ifo translations and the point-pair sums;
     ``t_downward``; ``t_near``), lists indexed by level 0..L
@@ -1174,6 +1347,7 @@ def fmm_apply(
     """
     clock = time.perf_counter
     t0 = clock()
+    shared = shared_bytes() if stats is not None else 0
     check_eps(eps)
     all_pts, q_full, tgt_rows = _merge_targets(points, charges, targets)
     t1 = clock()
@@ -1188,6 +1362,7 @@ def fmm_apply(
         stats["root_side"] = tree.root_side
         stats["t_tree"] = t_tree
         stats.update(run.counters())
+        stats["built_shared"] = shared_bytes() != shared
         stats["wall_time"] = clock() - t0
     if tgt_rows is None:
         return u_all

@@ -13,10 +13,15 @@ with rational A and B.  Two evaluation paths are provided:
   certified below 1e-12 absolute for |m| > 30, and within 2 ulp of the
   exact values for |m|_inf > 64.
 
-``phi`` dispatches between the radius-64 table and the expansion and is
-the evaluator the rest of the package uses, on single points, point
-pairs and broadcast boxes of displacements alike.  The radius is fixed,
-so every value ``phi`` returns is within 2 ulp of the exact one.
+``phi`` is the evaluator the rest of the package uses, on single points,
+point pairs and broadcast boxes of displacements alike.  It reads the
+exact radius-64 table where |m|_inf <= 64 and the expansion beyond, so
+every value it returns is within 2 ulp of the exact one.  Out to
+|m|_inf = ``OCTANT_RADIUS`` it gathers both from one octant: the exact
+table, extended by the expansion's own values at (|m|_inf, min |m|),
+which the expansion gives bit for bit at every sign and order of m.  The
+extension is filled on the first block of ``phi`` that reads it, so it
+changes no value.
 """
 
 from __future__ import annotations
@@ -338,21 +343,66 @@ _table: GreensTable | None = None
 
 
 def default_table() -> GreensTable:
-    """The table ``phi`` reads, of radius ``DEFAULT_RTABLE``; built in-process
-    on first use."""
+    """The exact table ``phi`` reads, of radius ``DEFAULT_RTABLE``; built
+    in-process on first use."""
     global _table
     if _table is None:
         _table = GreensTable.build(DEFAULT_RTABLE)
     return _table
 
 
+# Radius of the octant ``phi`` gathers from: a leaf of the FMM's tree
+# holds at most 16 points once its side passes 8, and on 16384 uniform
+# points on 16384^2 (the benchmark's ``random``) the leaves have side 256,
+# so every near-field displacement, at most 2 * 256 - 1 per axis, is one
+# gather rather than an expansion entry (9-10 ns against 32-36 ns per
+# entry, see ``_PHI_BLOCK``): the near field of a warm call there fell
+# from 19.7 to 12.7 ms (2 cores, medians of 21 alternating calls in one
+# process).  The octant holds 513 * 514 / 2 entries, 1.05 MB, and filling
+# all of it past the exact table takes 6-8 ms, so it grows to the radius a
+# block reads, doubling from 64: radius 128 takes 0.6 ms and serves the
+# operator chain of a 128^2 grid of side-8 leaves.
+OCTANT_RADIUS = 512
+_OCTANT_SIZE = (OCTANT_RADIUS + 1) * (OCTANT_RADIUS + 2) // 2
+
+_octant: np.ndarray | None = None  # phi's octant; see ``_phi_octant``
+
+
+def _phi_octant(top: int) -> np.ndarray:
+    """phi's octant, grown to hold octant index ``top``: first the exact
+    table's, then, past it, with the radius doubled (up to
+    ``OCTANT_RADIUS``) until it covers ``top``, each new entry
+    ``phi_asymptotic(hi, lo)``."""
+    global _octant
+    if _octant is None:
+        _octant = default_table().octant
+    if top >= len(_octant):
+        radius = DEFAULT_RTABLE
+        while (radius + 1) * (radius + 2) // 2 <= top:
+            radius = min(2 * radius, OCTANT_RADIUS)
+        hi, lo = np.tril_indices(radius + 1)
+        grown = np.empty(len(hi))
+        n = len(_octant)
+        grown[:n] = _octant
+        grown[n:] = phi_asymptotic(hi[n:], lo[n:])
+        _octant = grown
+    return _octant
+
+
+def octant_bytes() -> int:
+    """Bytes of phi's octant as far as it has grown; 0 before the first
+    block of ``phi``."""
+    return 0 if _octant is None else _octant.nbytes
+
+
 def phi(m1, m2):
     """phi(m) for arbitrary lattice points; scalar or vectorized.
 
-    Points with |m|_inf <= DEFAULT_RTABLE (64) read the exact table; the
-    rest use the asymptotic expansion, which is within 2 ulp of the exact
-    value there.  Raises ValueError for a non-integer coordinate or one
-    outside int64.
+    Points with |m|_inf <= DEFAULT_RTABLE (64) take the exact table's
+    value, the rest the asymptotic expansion's, which is within 2 ulp of
+    the exact value there.  Both are gathered from one octant out to
+    |m|_inf = ``OCTANT_RADIUS`` (512), and computed beyond it.  Raises
+    ValueError for a non-integer coordinate or one outside int64.
     """
     x = lattice_points(m1, "phi arguments")
     y = lattice_points(m2, "phi arguments")
@@ -361,14 +411,16 @@ def phi(m1, m2):
 
 
 def _phi_block(x, y, out):
-    """``phi`` on 1-D int64 blocks, into ``out``: one gather from the table,
-    then the expansion on the far entries alone."""
-    table = default_table()
-    near, idx = _octant_index(x, y, table.radius)
+    """``phi`` on 1-D int64 blocks, into ``out``: one gather from the
+    octant, then the expansion on the entries beyond it alone."""
+    near, idx = _octant_index(x, y, OCTANT_RADIUS)
     if idx is None:
         _asymptotic_block(x.astype(np.float64), y.astype(np.float64), out)
         return
-    np.take(table.octant, idx, out=out, mode="clip")
+    octant = _octant
+    if octant is None or len(octant) < _OCTANT_SIZE:
+        octant = _phi_octant(int(idx.max(where=near, initial=0)))
+    np.take(octant, idx, out=out, mode="clip")
     if not near.all():
         far = ~near
         vals = np.empty(np.count_nonzero(far))

@@ -26,7 +26,8 @@ skeleton points of interaction-list-separated model boxes, one per
 distinct offset; a level that runs T_ifo on a dense box grid also gets
 them as eight blocks, one per neighbouring parent, each mapping that
 parent's four children to a parent's four.  The unit expansions of a
-model box's positions are one table per side.
+model box's positions are one table per side.  The T_ifo operators and
+the tables are built for the sides a tree uses.
 """
 
 from __future__ import annotations
@@ -209,26 +210,30 @@ def build_t_ifo_grid(t_ifo: np.ndarray) -> np.ndarray:
     D = 0 joins only colleagues and is not stored.
     """
     k = t_ifo.shape[1]
-    quad = np.arange(4)
-    bits = np.stack([quad & 1, quad >> 1], axis=-1)  # (q, axis)
-    # The child offset d per (D, q_s, q_t, axis).
-    d = 2 * np.array(GRID_PARENT_OFFSETS)[:, None, None] + bits[:, None] - bits[None, :]
-    # Offset index per (D, q_s, q_t); near offsets index a zero block.
-    code = np.full((7, 7), len(INTERACTION_OFFSETS))
-    for n, (ox, oy) in enumerate(INTERACTION_OFFSETS):
-        code[ox + 3, oy + 3] = n
-    blocks = np.concatenate([t_ifo, np.zeros((1, k, k))])[code[d[..., 0] + 3, d[..., 1] + 3]]
-    # blocks[D, q_s, q_t, i, j] -> [D, q_s, j, q_t, i]
-    return np.ascontiguousarray(blocks.transpose(0, 1, 4, 2, 3)).reshape(len(d), 4 * k, 4 * k)
+    w = np.zeros((len(GRID_PARENT_OFFSETS), 4 * k, 4 * k))
+    for n, (dx, dy) in enumerate(GRID_PARENT_OFFSETS):
+        for q_s in range(4):
+            for q_t in range(4):
+                d = (2 * dx + (q_s & 1) - (q_t & 1), 2 * dy + (q_s >> 1) - (q_t >> 1))
+                if max(abs(d[0]), abs(d[1])) > 1:
+                    w[n, q_s * k : (q_s + 1) * k, q_t * k : (q_t + 1) * k] = t_ifo[INTERACTION_OFFSETS.index(d)].T
+    return w
 
 
 @dataclass
 class LevelOperators:
     skeleton: LevelSkeleton
-    t_ifo: np.ndarray  # (K_ifo, k, k)
     t_ofo: np.ndarray | None = None  # (4, k, k_child) view of interp; None at the leaf
+    _t_ifo: np.ndarray | None = None  # (K_ifo, k, k), see ``build_t_ifo``
     _t_ifo_grid: np.ndarray | None = None  # (8, 4 k, 4 k), see ``build_t_ifo_grid``
     _unit_table: np.ndarray | None = None  # see ``OperatorChain.unit_table``
+
+    @property
+    def t_ifo(self) -> np.ndarray:
+        """``build_t_ifo`` of this level, built on first use."""
+        if self._t_ifo is None:
+            self._t_ifo = build_t_ifo(self.skeleton)
+        return self._t_ifo
 
     @property
     def t_ifo_grid(self) -> np.ndarray:
@@ -245,12 +250,13 @@ class OperatorChain:
     min(leaf_side, ``MAX_ANCHOR_SIDE``), whose skeleton uses dense
     candidates and supplies T_ofs/T_tfi, or under larger leaves the unit
     expansions their points start from; every coarser side is built on its
-    child's skeleton.  ops[side] holds the skeleton, the T_ifo stack,
-    and - above the leaf - the T_ofo blocks mapping side/2 skeletons up, a
-    view of the interpolation matrix, not a copy.  T_ifi blocks are the
-    transposes of T_ofo and are not stored either.  The grid
-    T_ifo and the tables of unit expansions of a side are built on first
-    use.
+    child's skeleton.  ops[side] holds the skeleton and - above the leaf -
+    the T_ofo blocks mapping side/2 skeletons up, a view of the
+    interpolation matrix, not a copy.  T_ifi blocks are the transposes of
+    T_ofo and are not stored either.  A side's T_ifo stack, grid T_ifo and
+    table of unit expansions are built on first use, so a side that only
+    carries the skeletons up (those below the leaves of a larger side)
+    holds none of them.
     """
 
     def __init__(self, eps: float, leaf_side: int):
@@ -268,7 +274,7 @@ class OperatorChain:
             if cur is None:
                 child_skel = child_ops.skeleton if child_ops is not None else None
                 skel = build_level_skeleton(side, self.eps, child=child_skel)
-                cur = LevelOperators(skeleton=skel, t_ifo=build_t_ifo(skel))
+                cur = LevelOperators(skeleton=skel)
                 if child_skel is not None:
                     # The candidates are the children's skeletons in quadrant
                     # order, so T_ofo[q] is interp's q-th block of columns.
@@ -300,13 +306,13 @@ class OperatorChain:
 
     def stored_entries(self) -> int:
         """Entries of every array the chain holds: each side's skeleton
-        (points and interpolation matrix, of which T_ofo is a view), T_ifo
-        stack, and the grid T_ifo and table of unit expansions once
+        (points and interpolation matrix, of which T_ofo is a view), and
+        its T_ifo stack, grid T_ifo and table of unit expansions once
         built."""
         total = 0
         for op in self.ops.values():
             skel = op.skeleton
-            for a in (skel.points, skel.interp, op.t_ifo, op._t_ifo_grid, op._unit_table):
+            for a in (skel.points, skel.interp, op._t_ifo, op._t_ifo_grid, op._unit_table):
                 if a is not None:
                     total += a.size
         return total
@@ -329,3 +335,10 @@ def shared_chain(eps: float, leaf_side: int) -> OperatorChain:
                 break
         _chain_memo[key] = chain
     return chain
+
+
+def shared_entries() -> int:
+    """Entries of every array the process's operator chains hold
+    (``OperatorChain.stored_entries``), each shared dict of operators
+    counted once."""
+    return sum({id(chain.ops): chain.stored_entries() for chain in _chain_memo.values()}.values())

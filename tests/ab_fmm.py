@@ -40,7 +40,12 @@ bytes, as the benchmark's ``peak_mb``):
   chain.  It prints the warm traced peak, the first call's, and
   ``retained``: the traced memory held after the first call, its output
   dropped, less that held before it, which shows memory moved into
-  process-lifetime state (the operator chain and its tables).
+  process-lifetime state (the operator chain and its tables, phi's
+  octant), and beside it ``shared``: the size of that state after the
+  call, in the whole run so far (``fmm.shared_bytes``, 8 bytes per entry
+  the chains hold plus the octant).  A case's ``retained`` counts only
+  the shared arrays no earlier case of the run built, so per-case figures
+  need each case in its own run; ``shared`` tells the two apart.
 * --holders traces one more warm call per side with every ``FmmRun``
   method wrapped, and prints the methods (each with its level, if it takes
   one) that were running, outermost first, when the call's traced peak was
@@ -82,6 +87,19 @@ def load_package(name: str, src: Path) -> dict:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("fmm", "defect")}
+
+
+def shared_bytes(lf: dict) -> int:
+    """Bytes of the state one side's calls share: its ``fmm.shared_bytes``
+    where it has one, else the same sum from its operator chains and phi's
+    table."""
+    fmm = lf["fmm"]
+    if hasattr(fmm, "shared_bytes"):
+        return fmm.shared_bytes()
+    package = fmm.__name__.rsplit(".", 1)[0]
+    chains = sys.modules[f"{package}.skeleton"]._chain_memo.values()
+    table = sys.modules[f"{package}.green"]._table
+    return 8 * sum({id(c.ops): c.stored_entries() for c in chains}.values()) + (0 if table is None else table.octant.nbytes)
 
 
 def make_inputs(workload: str, seed: int) -> dict:
@@ -227,7 +245,7 @@ def main() -> int:
                     del out
                     now, top = tracemalloc.get_traced_memory()
                     tracemalloc.stop()
-                    first[k] = (top - held) / 1e6, (now - held) / 1e6
+                    first[k] = (top - held) / 1e6, (now - held) / 1e6, shared_bytes(lf) / 1e6
             times = {"A": [], "B": []}
             for i in range(args.pairs):
                 for k in ("AB" if i % 2 == 0 else "BA"):
@@ -244,7 +262,8 @@ def main() -> int:
                     tracemalloc.stop()
                 peak = (
                     f", traced peak A {mb['A']:.3f} MB, B {mb['B']:.3f} MB; first call A {first['A'][0]:.3f}, "
-                    f"B {first['B'][0]:.3f} MB; retained A {first['A'][1]:.3f}, B {first['B'][1]:.3f} MB"
+                    f"B {first['B'][0]:.3f} MB; retained A {first['A'][1]:.3f}, B {first['B'][1]:.3f} MB; "
+                    f"shared A {first['A'][2]:.3f}, B {first['B'][2]:.3f} MB"
                 )
             print(
                 f"{workload} seed {seed}: A {med['A'] * 1e3:.1f} ms, B {med['B'] * 1e3:.1f} ms, "

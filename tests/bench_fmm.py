@@ -14,14 +14,19 @@ warm wall time, the cold call's ``t_chain``, every ``stats`` entry of the
 last warm call (the per-pass timers and the per-level counters), the peak
 RSS, and the traced peak of one more call under tracemalloc
 (``traced_peak_mb``, MiB: the arrays the call allocates, which RSS, moved
-by the heap's layout, does not show alone).  A second fresh process traces
-its cold call: ``cold_traced_peak_mb`` is that call's traced peak and
-``retained_mb`` the traced memory held after it, its output dropped, less
-that held before it (both MiB): the phi table, the operator chain and its
-tables of unit expansions, which live as long as the process.  A change
-that moves memory out of the call into such state lowers the warm peak
-and raises ``retained_mb``.  Records are merged into BENCH_fmm.json under
-cases.<name>.<label>.
+by the heap's layout, does not show alone).  A second fresh process makes
+one call on two points, which builds phi's exact table and makes numpy's
+first-use allocations, then traces the case's cold call:
+``cold_traced_peak_mb`` is that call's traced peak and ``retained_mb``
+the traced memory held after it, its output dropped, less that held
+before it (both MiB): the operator chain and its tables of unit
+expansions and phi's octant, which live as long as the process.
+``shared_mb`` is the size of that state after the call, 8 bytes per
+entry the chains hold plus the octant (``fmm.shared_bytes``), so that
+``retained_mb`` less ``shared_mb`` is memory held by nothing shared.  A
+change that moves memory out of the call into such state lowers the warm
+peak and raises ``retained_mb``.  Records are merged into BENCH_fmm.json
+under cases.<name>.<label>.
 
 Cases, with the points and charges of ``lfmm bench`` at its default seed:
 a dense 512 x 512 grid; 2**18 distinct points drawn uniformly on a 2**18 x
@@ -69,13 +74,29 @@ def case_inputs(name: str):
     return pts, rng.standard_normal(pts.shape[0]), fmm_apply
 
 
+def shared_bytes() -> int:
+    """Bytes of the state calls share: ``fmm.shared_bytes`` where the
+    package has it, else the same sum from its operator chains and phi's
+    table."""
+    from latticefmm import fmm, green, skeleton
+
+    if hasattr(fmm, "shared_bytes"):
+        return fmm.shared_bytes()
+    chains = {id(c.ops): c.stored_entries() for c in skeleton._chain_memo.values()}
+    return 8 * sum(chains.values()) + (0 if green._table is None else green._table.octant.nbytes)
+
+
 def run_cold(name: str) -> dict:
     """The traced cold call of one case in this process (call it in a fresh
-    one): its traced peak and the memory it leaves held, in MiB."""
+    one), after an untraced call on two points: its traced peak and the
+    memory it leaves held, in MiB, and the size of the shared state."""
     import gc
     import tracemalloc
 
+    import numpy as np
+
     pts, q, fmm_apply = case_inputs(name)
+    fmm_apply(np.array([[0, 0], [1, 0]]), np.ones(2), eps=EPS, nleaf=NLEAF)
     gc.collect()
     tracemalloc.start()
     held = tracemalloc.get_traced_memory()[0]
@@ -84,7 +105,11 @@ def run_cold(name: str) -> dict:
     gc.collect()
     now, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return {"cold_traced_peak_mb": (peak - held) / 2**20, "retained_mb": (now - held) / 2**20}
+    return {
+        "cold_traced_peak_mb": (peak - held) / 2**20,
+        "retained_mb": (now - held) / 2**20,
+        "shared_mb": shared_bytes() / 2**20,
+    }
 
 
 def run_case(name: str) -> dict:
@@ -150,7 +175,8 @@ def main() -> int:
               f"warm {record['warm_wall_s']:.3f} s (ifo {st['t_ifo']:.3f}, "
               f"down {st['t_downward']:.3f}, near {st['t_near']:.3f}), "
               f"{record['ru_maxrss_mb']:.0f} MB RSS, traced {record['traced_peak_mb']:.1f} MiB "
-              f"(cold {record['cold_traced_peak_mb']:.1f} MiB, retained {record['retained_mb']:.1f} MiB)",
+              f"(cold {record['cold_traced_peak_mb']:.1f} MiB, retained {record['retained_mb']:.2f} MiB, "
+              f"shared {record['shared_mb']:.2f} MiB)",
               flush=True)
     OUT.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0

@@ -295,7 +295,7 @@ def test_bench_json_records(capsys):
     for rec in records:
         stats = rec["stats"]
         assert rec["N_source"] == stats["n_source"] == rec["n"]
-        assert {"wall_time", "t_lists", "t_ifo", "t_chain", "chain_built", "op_entries"} <= set(stats)
+        assert {"wall_time", "t_lists", "t_ifo", "t_chain", "built_shared", "op_entries"} <= set(stats)
         assert len(stats["boxes_per_level"]) == stats["levels"]
         # Per-level T_ifo seconds: none at levels 0-1, and they make up t_ifo.
         per_level = stats["t_ifo_per_level"]
@@ -310,7 +310,7 @@ def test_bench_json_records(capsys):
         rows = stats["upward_rows_per_level"]
         assert len(rows) == stats["levels"] and rows[:2] == [0, 0] and min(rows[2:]) > 0
         # The warm-up call built the chain; the recorded call reuses it.
-        assert stats["chain_built"] is False
+        assert stats["built_shared"] is False
         # The cold call is reported beside the warm one; its chain time is
         # part of its wall time.
         assert 0.0 <= rec["cold_t_chain"] <= rec["cold_wall_time"]
@@ -375,6 +375,7 @@ def test_selftest_writes_no_files(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("HOME", str(home))
     monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
     monkeypatch.setattr("latticefmm.green._table", None)  # force a build
+    monkeypatch.setattr("latticefmm.green._octant", None)
     rc, _ = run_cli(capsys, "selftest")
     assert rc == 0
     assert list(home.rglob("*")) == [] and list(xdg.rglob("*")) == []

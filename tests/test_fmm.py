@@ -100,6 +100,7 @@ def test_shallow_tree_falls_back_to_dense():
         (np.vstack([4 * grid_points(4) + 1, [(0, 0), (15, 15), (3, 12), (9, 2)]]), 2),
         (grid_points(16), 2),  # four full leaves: stencil GEMMs
     ]
+    phi(0, 1)  # phi's table is shared state too: build it first
     for pts, levels in cases:
         q = rng.standard_normal(len(pts))
         stats = {}
@@ -111,7 +112,7 @@ def test_shallow_tree_falls_back_to_dense():
         assert stats["near_pairs"] == len(pts) ** 2
         # No operator chain is fetched, built or reported.
         assert stats["shared_op_entries"] == 0
-        assert stats["chain_built"] is False
+        assert stats["built_shared"] is False
         assert stats["ifo_pairs_per_level"] == stats["ranks_per_level"] == [0] * levels
         assert stats["t_upward_per_level"] == stats["t_downward_per_level"] == [0.0] * levels
         assert set(skeleton._chain_memo) == memo_before
@@ -289,8 +290,8 @@ def test_per_level_stats(monkeypatch):
     first, second = {}, {}
     fmm_apply(pts, q, stats=first)
     fmm_apply(pts, q, stats=second)
-    assert first["chain_built"] is True and first["t_chain"] > 0.0
-    assert second["chain_built"] is False
+    assert first["built_shared"] is True and first["t_chain"] > 0.0
+    assert second["built_shared"] is False
     tree = build_tree(pts, nleaf=64, max_leaf_side=8)
     assert second["levels"] == tree.L + 1 >= 3
     assert second["boxes_per_level"] == [len(c) for c in tree.codes]
@@ -573,9 +574,9 @@ def test_every_point_pair_covered_once(seed, with_targets, monkeypatch):
     direct = []  # (tgt, src) of each ``_point_pairs`` call, sorted indices
     summed = fmm.FmmRun._point_pairs
 
-    def spy(self, tgt, src, q_sorted, u):
+    def spy(self, tgt, src, xy, q_sorted, u):
         direct.append((tgt.copy(), src.copy()))
-        return summed(self, tgt, src, q_sorted, u)
+        return summed(self, tgt, src, xy, q_sorted, u)
 
     monkeypatch.setattr(fmm.FmmRun, "_point_pairs", spy)
     stats = {}
@@ -646,18 +647,24 @@ def _large_leaf_load(name):
     if name == "exact-and-lone":  # and 396 lone points, one per leaf of side 16
         lone = rng.integers(8, 256, size=(400, 2)) * 16
         return np.unique(np.vstack([_exact_leaves(), lone]), axis=0)
+    if name == "side-256":  # 4096 points on 2^13 x 2^13, six more in one side-64 box
+        flat = rng.choice(1 << 26, size=4096, replace=False)
+        cluster = 4100 + np.array([[0, 0], [1, 3], [5, 2], [9, 9], [20, 7], [3, 30]])
+        return np.unique(np.vstack([np.column_stack([flat >> 13, flat & 8191]), cluster]), axis=0)
     if name == "one-leaf":  # FEW_POINTS points over a 2^31 extent
         return np.vstack([[0, 0], [(1 << 31) - 1, 5], rng.integers(0, 1 << 31, size=(FEW_POINTS - 2, 2))])
     return with_full_leaf(rng.integers(0, 1 << 12, size=(500, 2)))  # "full-leaf"
 
 
-@pytest.mark.parametrize("name", ["uniform", "exact", "exact-and-lone", "one-leaf", "full-leaf"])
+@pytest.mark.parametrize("name", ["uniform", "side-256", "exact", "exact-and-lone", "one-leaf", "full-leaf"])
 def test_large_leaves_match_direct(name):
     # The tree stops refining at the first level where no box holds more
     # than FEW_POINTS points, or at side 8.  Leaves above side 8 form no
     # stencil block: their near field is point pairs alone, and T_ofs and
     # T_tfi read each point's unit expansion from the tables, carried up
-    # to the leaf from below it, or from the leaf level's own table.
+    # to the leaf from below it (by one step, or, for "side-256", by two,
+    # with boxes of several points at the table level), or from the leaf
+    # level's own table.
     pts = _large_leaf_load(name)
     q = rng_charges(len(pts), seed=41)
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
@@ -667,6 +674,13 @@ def test_large_leaves_match_direct(name):
     if name == "uniform":
         assert (side, tree.L, table_level) == (128, 5, 7)
         assert count.max() <= FEW_POINTS < np.diff(tree.ptr[tree.L - 1]).max()
+    elif name == "side-256":
+        assert (side, tree.L, table_level) == (256, 5, 8)
+        assert count.max() <= FEW_POINTS
+        leaf_of = np.repeat(np.arange(len(count)), count)
+        for sub in (32, 64):  # several points of one leaf in one box of this side
+            box = np.column_stack([leaf_of, tree.rel_sorted // sub])
+            assert np.unique(box, axis=0, return_counts=True)[1].max() >= 4
     elif name == "exact":
         assert side == 16 and np.all(count == FEW_POINTS) and table_level == tree.L + 1
     elif name == "exact-and-lone":
@@ -686,7 +700,7 @@ def test_large_leaves_match_direct(name):
         else:
             assert stats["near_gemm_blocks"] >= 1
     if name == "one-leaf":
-        assert stats["near_pairs"] == FEW_POINTS**2 and stats["chain_built"] is False
+        assert stats["near_pairs"] == FEW_POINTS**2 and stats["built_shared"] is False
 
 
 def rng_charges(n, seed=5):
@@ -759,10 +773,10 @@ def test_unit_tables_built_once(monkeypatch):
     chain = skeleton.shared_chain(1e-10, 8)
     tables = {side: op._unit_table for side, op in chain.ops.items() if op._unit_table is not None}
     assert sorted(tables) == [8, 16, 32]  # levels 13, 12 and 11
-    assert stats["chain_built"] and stats["shared_op_entries"] == chain.stored_entries()
+    assert stats["built_shared"] and stats["shared_op_entries"] == chain.stored_entries()
     again = {}
     fmm_apply(pts, q, stats=again)
-    assert not again["chain_built"] and again["shared_op_entries"] == stats["shared_op_entries"]
+    assert not again["built_shared"] and again["shared_op_entries"] == stats["shared_op_entries"]
     assert all(chain.ops[side]._unit_table is table for side, table in tables.items())
 
 
@@ -816,7 +830,7 @@ def test_fmm_apply_leaves_numpy_ma_unloaded():
         "    stats = {}\n"
         "    fmm_apply(pts, rng.standard_normal(len(pts)), stats=stats)\n"
         "    assert stats['levels'] >= 3, stats['levels']\n"
-        "assert stats['chain_built'] and 'numpy.ma' not in sys.modules\n"
+        "assert stats['built_shared'] and 'numpy.ma' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(fmm.__file__))
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)

@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import cheb2poly
 import latticefmm
 from latticefmm import green
 from latticefmm.config import DEFAULT_RTABLE
-from latticefmm.defect import _Window
+from latticefmm.defect import DefectSpec, _Window, solve_defect
 from latticefmm.green import (
     GreensTable,
     apply_discrete_laplacian,
@@ -247,22 +247,54 @@ def test_phi_matches_exact_reference_on_table_square():
     assert np.array_equal(phi(m1, m2), want)
 
 
+def _mid_range(rng):
+    """|m|_inf from 60 to 520 at every sign and order, and the whole rings
+    |m|_inf = 512 and 513: across the exact table's edge, through phi's
+    octant and past it."""
+    hi = rng.integers(60, 521, 4000)
+    lo = rng.integers(0, hi + 1)
+    swap = rng.random(4000) < 0.5
+    x = np.where(swap, lo, hi) * rng.choice([-1, 1], 4000)
+    y = np.where(swap, hi, lo) * rng.choice([-1, 1], 4000)
+    rings = []
+    for r in (512, 513):
+        t = np.arange(-r, r + 1)
+        rings.append(np.concatenate([[np.full_like(t, r), t], [np.full_like(t, -r), t], [t, np.full_like(t, r)], [t, np.full_like(t, -r)]], axis=1))
+    return np.concatenate([[x, y], *rings], axis=1)
+
+
 def _phi_inputs():
     rng = np.random.default_rng(8)
-    # Table, expansion and mixed blocks; a strided, a transposed and a
-    # broadcast input; the int64 extremes.
+    # Table, expansion and mixed blocks; the mid range of phi's octant; a
+    # strided, a transposed and a broadcast input; the int64 extremes.
     near = rng.integers(-70, 71, (2, 3001))
     far = rng.integers(-(10**9), 10**9, (2, 2001))
     mixed = np.concatenate([near, far], axis=1)[:, rng.permutation(5002)]
+    mid = _mid_range(rng)
     return [
         (near[0], near[1]),
         (far[0], far[1]),
         (mixed[0], mixed[1]),
+        (mid[0], mid[1]),
         (mixed[0, :-1:3], mixed[1, 2::3]),
         (mixed[0, :900].reshape(30, 30).T, mixed[1, :900].reshape(30, 30)),
         (np.arange(-90, 90)[:, None], np.arange(-50, 50)[None, :]),
-        (np.array([-(2**63), 2**63 - 1, 0, 64, -65]), 0),
+        (np.array([-(2**63), 2**63 - 1, 0, 64, -65, 512, -513]), 0),
     ]
+
+
+def test_asymptotic_symmetric_bitwise_on_octant_range():
+    # phi's octant holds the expansion at (|m|_inf, min |m|) alone for
+    # 64 < |m|_inf <= OCTANT_RADIUS, which is exact only because the
+    # expansion gives every sign and order of m the same bits there.
+    r = green.OCTANT_RADIUS
+    m = np.arange(-r, r + 1)
+    x, y = np.meshgrid(m, m, indexing="ij")
+    ring = np.maximum(abs(x), abs(y)) > DEFAULT_RTABLE
+    x, y = x[ring], y[ring]
+    assert len(x) == 1_033_984
+    want = phi_asymptotic(np.maximum(abs(x), abs(y)), np.minimum(abs(x), abs(y)))
+    assert phi_asymptotic(x, y).tobytes() == want.tobytes()
 
 
 def test_phi_blocks_are_bitwise_whole_array_evaluation(monkeypatch):
@@ -349,7 +381,7 @@ def test_import_builds_no_table():
         "build = g.GreensTable.build\n"
         "g.GreensTable.build = lambda radius: calls.append(radius) or build(radius)\n"
         "import latticefmm, latticefmm.fmm, latticefmm.defect\n"
-        "assert g._table is None and calls == [], calls\n"
+        "assert g._table is None and g._octant is None and calls == [], calls\n"
     )
     src = os.path.dirname(os.path.dirname(latticefmm.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -363,10 +395,30 @@ def test_first_phi_builds_one_table(monkeypatch):
         GreensTable, "build", lambda radius: calls.append(radius) or build(radius)
     )
     monkeypatch.setattr(green, "_table", None)
+    monkeypatch.setattr(green, "_octant", None)
     phi(3, 4)
     phi(np.arange(-40, 40), 7)
+    assert green._octant is green._table.octant
     phi(100, 0)
+    phi(np.arange(-600, 600), 7)
     assert calls == [DEFAULT_RTABLE]
+    # The octant grew past the table by the expansion alone, radius 128,
+    # then the whole of OCTANT_RADIUS.
+    r = green.OCTANT_RADIUS
+    assert green.octant_bytes() == 8 * (r + 1) * (r + 2) // 2
+
+
+def test_window_solve_builds_no_octant_extension(monkeypatch):
+    # A defect solve whose kernel is one phi window of |m|_inf <= 64 (the
+    # benchmark's 48-bar crack and its queries) grows phi's octant no
+    # further than the exact table.
+    monkeypatch.setattr(green, "_octant", None)
+    bars = [((i, 0), (i, 1), -1.0) for i in range(48)]
+    queries = [(i, j) for i in range(-1, 49) for j in range(-1, 3)]
+    stats = {}
+    solve_defect(DefectSpec(bars), (0.0, 1.0), queries=queries, stats=stats)
+    assert stats["kernel_source"] == "window"
+    assert green._octant is green.default_table().octant
 
 
 def test_stencil_identity_at_origin():

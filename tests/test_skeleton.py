@@ -234,9 +234,10 @@ def test_stored_entries_counts_every_array():
     assert all(np.shares_memory(t, chain.ops[side].skeleton.interp) for side, t in ofo.items())
     held = [a for op in chain.ops.values() for a in arrays(op) if not any(a is t for t in ofo.values())]
     assert sum(a.size for a in held) == chain.stored_entries()
-    # Sides 8..64: points, interp and T_ifo each, one grid T_ifo, and the
-    # tables of sides 8 and 16.
-    assert len(held) == 4 * 3 + 1 + 2
+    # Sides 8..64: points and interp each; side 32's T_ifo stack and grid
+    # T_ifo, the only ones used; and the tables of sides 8 and 16.
+    assert len(held) == 4 * 2 + 2 + 2
+    assert [side for side, op in chain.ops.items() if op._t_ifo is not None] == [32]
 
 
 def test_leaf_t_ofs_dense_restriction():
