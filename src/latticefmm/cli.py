@@ -149,6 +149,13 @@ def _cmd_defect(args) -> int:
     return 0
 
 
+_NLEAF_HELP = (
+    "most points of a leaf at the tree's depth; a box above it is a leaf once it and its "
+    "colleagues hold at most min(nleaf, 16), so every nleaf >= 64 gives the same leaves, and "
+    "only values below 16 change those above the depth"
+)
+
+
 def _bench_points(distribution, n, alpha, rng):
     if distribution == "dense":
         xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="fast summation of phi against CSV charges")
     _add_io_flags(p)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF)
+    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF, help=_NLEAF_HELP)
     p.add_argument("--stats", action="store_true",
                    help="write the run's counters and timings as one JSON line to stderr")
     p.set_defaults(func=_cmd_solve)
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill fraction for the circle distribution")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF)
+    p.add_argument("--nleaf", type=int, default=DEFAULT_NLEAF, help=_NLEAF_HELP)
     p.add_argument("--header", action="store_true")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object per size (n, N_source, the "

@@ -6,19 +6,31 @@ translations turn outgoing into incoming expansions (T_ifo), and a downward
 pass broadcasts and expands them back to point potentials (T_ifi, then
 T_tfi), with directly summed near-field corrections.
 
-The tree (``QuadTree`` with ``max_leaf_side`` 8) refines toward leaves of
-side 8 only while some box holds more than ``tree.FEW_POINTS`` (16)
-points, and ``nleaf`` can deepen it further: the tree need only resolve
-the sources, and the few points of a larger leaf are cheaper to sum pair
-by pair than to resolve (the adaptive FMM's rule, Carrier, Greengard &
-Rokhlin, SIAM J. Sci. Stat. Comput. 9, 1988).  The operator chain is
-anchored at side min(s, 8), s the leaf side (``OperatorChain.anchor``).
-On leaves of side 8 or less, T_ofs and T_tfi are one GEMM per chunk of
-leaves with the dense s x s stencil of each leaf: T_ofs scatters the
-charges onto it, T_tfi reads the potentials off it.  On a larger leaf,
-each point's unit expansion e_{p,L} (below) is its row of the chain's
-table at the table level, carried up by T_ofo to the leaf: T_ofs sums
-e_{p,L} q_p over the leaf's points, T_tfi adds e_{p,L} . inc_L to each.
+Leaves are chosen box by box, as in the adaptive FMM of Carrier, Greengard
+& Rokhlin (SIAM J. Sci. Stat. Comput. 9, 1988).  ``QuadTree`` (with
+``max_leaf_side`` 8) gives the depth L.  From the root down, a box is
+active when its parent is an active box that is not a leaf, and an active
+box is a leaf once it holds at most F = min(nleaf, ``tree.FEW_POINTS``)
+points and so does each of its active colleagues; every active box at
+level L is a leaf.  A colleague pair that holds a leaf is resolved: its
+point pairs, at most F^2 above level L, are summed directly, and the pair
+is not refined.  So a box next to a leaf holds at most F points, and the
+adaptive FMM's W and X lists (a leaf against a smaller or a larger box that
+is not adjacent) are not needed: each ordered point pair lies either in a
+T_ifo pair of two active boxes of one level or in one resolved pair.
+
+Every active box has an outgoing and an incoming expansion: a leaf forms
+them from its points (T_ofs) and expands the incoming one at them (T_tfi);
+any other active box forms its outgoing expansion from its children's
+(T_ofo) and carries its incoming one down to them (T_ifi = T_ofo^T).  The
+operator chain is anchored at side min(s, 8), s the side at level L
+(``OperatorChain.anchor``).  On leaves of side 8 or less at level L, T_ofs
+and T_tfi are one GEMM per chunk of leaves with the dense s x s stencil of
+each leaf: T_ofs scatters the charges onto it, T_tfi reads the potentials
+off it.  On every other leaf, at level l, each point's unit expansion
+e_{p,l} is its row of the chain's table at the table level
+(``FmmRun._table_levels``), carried up by T_ofo to the leaf: T_ofs sums
+e_{p,l} q_p over the leaf's points, T_tfi adds e_{p,l} . inc_l to each.
 Both run on the boxes the leaf's points occupy below it
 (``FmmRun._sub_boxes``), held in rows grouped by their place in the box
 one step up: each point's table row is gathered once per pass, into its
@@ -27,92 +39,47 @@ each place's products into the boxes one step up, which are distinct
 within a place, while T_tfi carries the incoming expansions down the
 same steps (``_sum_expansions``, ``_fold_expansions``).
 
-A box that holds one point is carried as that point (the pruning of
-adaptive FMMs, Carrier, Greengard & Rokhlin 1988, inside the uniform
-tree).  Below the run of grid levels (see T_ifo below), a colleague or
-interaction pair of two one-point boxes is one point pair, summed by
-``FmmRun._point_pairs``; it is not refined further, and a one-point box
-paired with itself is dropped, since phi(0) = 0.  Every direct pair is
-summed once for both orders: phi(x_t - x_s) is evaluated once and added
-to both points, q_s phi to u_t and q_t phi to u_s, as phi(-m) = phi(m)
-bit for bit.  The passes change to match:
-
-* upward: a one-point leaf contributes its point's interpolation column,
-  the unit expansion e_p; a one-point box's parent that holds the same one
-  point carries e_p on by T_ofo, and the first parent with more points
-  receives e_p q_p.  The operators are those of one model box per side,
-  so e_{p,l} depends only on p's position in its box at level l, and the
-  operator chain keeps a table of it per side (``unit_table``).  On the
-  fine levels where a box has no more positions than the level has
-  one-point boxes (the level of the chain's anchor always, the leaf level
-  or the level of side 8 below larger leaves), e_{p,l} is read from that
-  table and only the boxes of more points get rows of their own; every
-  coarser level holds a row per box.  Each level's expansions are held
-  only until the next coarser level is formed; T_ifo runs on them at
-  once, fine to coarse.
-* T_ifo: a one-point box's outgoing expansion is e_p q_p, and its incoming
-  expansion is folded into its point, u_p += e_p . inc, at that level:
-  either T_ifo path hands its incoming expansions to the upward pass,
-  which folds them or keeps them for the downward pass;
-* downward: T_ifi runs over the boxes of more points only.  The parent of
-  a point's top one-point box folds its incoming expansion into the point
-  at the parent's level l, u_p += e_{p,l} . inc_l, which is T_ifi to the
-  top box and the fold there in one; e_{p,l} is read from the tables, or
-  from the coarsest one with inc_l carried down to it by T_ifi, as T_tfi
-  of larger leaves is.  Nothing per point is held from the upward pass,
-  and no T_ifi runs below a top.
-
-A tree with no one-point box runs the plain five passes.  Inside the run
-of grid levels a pair of one-point boxes is a box pair like any other: a
-far pair goes on the grid and a near pair is refined as colleagues; only
-the expansion rules above apply to its boxes.
-
-The near field (each leaf against itself and its eight neighbours) takes
-one of two paths per leaf pair.  On leaves of side s <= 8, a pair whose
-point counts satisfy ct * cs >= s^2 is a stencil product: both leaves are
-scattered onto the dense s x s stencil and one s^2 x s^2 block of phi per
-neighbour offset is applied to all such pairs in one GEMM.  Every other
-pair, and every pair of larger leaves, which hold at most 16 points each,
-is expanded into its point pairs, which are summed as those of one-point
-boxes are: each unordered pair once, a leaf against itself by its pairs
-i < j.  A block costs about s^4 multiply-adds and a point pair about s^2
-flop-equivalents, so the paths break even near ct * cs = s^2; a block of
-a larger leaf would cost s^4 for at most 16^2 point pairs.
+The near field is the resolved pairs of every level.  Every direct pair
+is summed once for both orders: phi(x_t - x_s) is evaluated once and
+added to both points, q_s phi to u_t and q_t phi to u_s, as phi(-m) =
+phi(m) bit for bit, and a leaf against itself by its pairs i < j.  On
+leaves of side s <= 8 at level L, a pair whose point counts satisfy
+ct * cs >= s^2 is a stencil product instead: both leaves are scattered onto
+the dense s x s stencil and one s^2 x s^2 block of phi per neighbour offset
+is applied to all such pairs in one GEMM.  A block costs about s^4
+multiply-adds and a point pair about s^2 flop-equivalents, so the paths
+break even near ct * cs = s^2; a block of a larger leaf would cost s^4 for
+at most 16^2 point pairs.
 
 Interaction and neighbour lists are built coarse to fine from the
 parent level's colleagues (Carrier, Greengard & Rokhlin 1988).  A box's
-colleagues are the occupied boxes at most one box away, itself included.
-Each colleague pair (P, Q) of parents at offset D = Q - P yields the child
-pairs (b, c) with b a child of P, c a child of Q, at offset
+colleagues are the active boxes at most one box away, itself included.
+Each colleague pair (P, Q) of non-leaf parents at offset D = Q - P yields
+the child pairs (b, c) with b a child of P, c a child of Q, at offset
 d = 2 D + q_c - q_b (q the quadrant's (x, y) bits).  Pairs with
 |d|_inf <= 1 are colleagues at the child level; the rest, at |d|_inf of
 2 or 3, are its interaction pairs, applied by T_ifo block d.  The lookup
-work is proportional to the pairs that exist, and a level of the grid run
-(below) forms only its colleague pairs: its interaction pairs are counted
-on the mask of children found, before any pair is formed, and never
-formed.  The lists of all levels are built before the upward pass, which
-applies T_ifo; the point pairs are summed as they are found.  The leaf
-colleagues are the near-field pairs.
+work is proportional to the pairs that exist, and a grid level (below)
+forms only its colleague pairs: its interaction pairs are counted on the
+mask of children found, before any pair is formed, and never formed.  The
+lists of all levels are built before the upward pass, which applies T_ifo.
 
-T_ifo takes one of two paths per level.  The grid levels form one run
-from level 2 down: each level whose interaction pairs, those of one-point
-boxes included, fill its 2^l x 2^l box grid well
-(``_IFO_GRID_PAIRS_PER_CELL``) joins it, until the first level that does
-not.  No pair is made a point pair inside the run, so a grid level's
-interaction lists are exactly the parity pattern among the occupied boxes.
-The grid is held parent-major, a parent's four children in one row, and
-a parent's children's incoming expansions are the sum over its eight
-neighbouring parents of that parent's row times one fixed (4 k x 4 k)
-operator per offset: eight GEMMs per chunk of parents, each reading the
-grid in place (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys.
-227, 2008).  Its pairs are only counted, and the grid is filled in bands
-of parent rows, so a band and a chunk of products hold about ``_CHUNK``
-entries each.
-Point pairs start at the first level below the run; no level below may
-rejoin the grid, which would count them twice.  Every level below the run
-applies its pairs grouped by offset, one GEMM per offset.
+T_ifo takes one of two paths per level.  A level whose interaction pairs
+fill its 2^l x 2^l box grid well (``_IFO_GRID_PAIRS_PER_CELL``) runs on
+the grid.  Both boxes of an interaction pair are children of adjacent
+non-leaf boxes, so a level's interaction lists are exactly the parity
+pattern among its active boxes, which is all the grid holds.  The grid is
+held parent-major, a parent's four children in one row, and a parent's
+children's incoming expansions are the sum over its eight neighbouring
+parents of that parent's row times one fixed (4 k x 4 k) operator per
+offset: eight GEMMs per chunk of parents, each reading the grid in place
+(batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys. 227, 2008).  Its
+pairs are only counted, and the grid is filled in bands of parent rows,
+so a band and a chunk of products hold about ``_CHUNK`` entries each.
+Every other level applies its pairs grouped by offset, one GEMM per
+offset.
 
-Only occupied boxes are touched, except by the grid path; all per-level
+Only active boxes are touched, except by the grid path; all per-level
 work is batched into dense matrix products over Morton-sorted arrays.
 """
 
@@ -125,7 +92,7 @@ import numpy as np
 from .config import DEFAULT_EPS, DEFAULT_NLEAF, check_charges, check_eps
 from .green import lattice_points, lattice_targets, octant_bytes, phi
 from .skeleton import GRID_PARENT_OFFSETS, MAX_ANCHOR_SIDE, shared_chain, shared_entries
-from .tree import INTERACTION_OFFSETS, QuadTree, build_tree
+from .tree import FEW_POINTS, INTERACTION_OFFSETS, QuadTree, build_tree
 
 _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
@@ -138,29 +105,29 @@ _NEAR_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 _MAX_LEAF_SIDE = MAX_ANCHOR_SIDE
 
 
-# Interaction pairs per cell of a level's 2^l x 2^l box grid, those of
-# one-point boxes included, from which T_ifo runs on the grid
-# (``FmmRun._across_grid``) rather than pair by pair; a full level has up
-# to 27.  The grid computes 128 k x k blocks per parent, empty parents
-# between occupied ones included: 32 per cell at most, whatever the fill.
-# On full 128^2 and 512^2 grids (levels 2-6, k = 28-36, 2 cores, median of
-# 5-15 calls; measured when the grid computed 36 blocks per cell) a grid
-# block cost 54-118 ns at the wide levels 4-6 and a pair block 264-431 ns,
-# so the grid paid from 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs per
-# cell; at levels 2-3 the pair path's per-offset calls make a pair block
-# cost 1.1-6 us and the grid wins by more.  Each full level ran 2.2 to 3.5
-# times faster on the grid.  Partly filled levels, where many boxes hold
-# one point (same host, warm, in-process medians, the run forced to end at
-# or just above the level): level 7 of 16384 uniform points on 16384^2
-# (10.4 pairs per cell, 63 % of cells occupied) takes 37 ms on the grid
-# against 64 ms pair by pair, with 7 ms less list building, and level 9 of
-# 2^18 on 2^18 x 2^18 (10.8 per cell) 0.68 against 1.19 s, with 0.16 s
-# less list building: the grid pays from 6.0-6.2 pairs per cell, or 4.8
-# with the lists counted.  No level of these loads or of the full grids
-# has between 1.3 and 10 pairs per cell, so a lower crossover would move
-# none of them.  The next levels of both loads, at 1.3 pairs per cell, run
-# 4-8 times faster pair by pair (23 against 179 ms; 0.40 against 2.16 s,
-# measured at 36 blocks per cell).
+# Interaction pairs per cell of a level's 2^l x 2^l box grid from which
+# T_ifo runs on the grid (``FmmRun._across_grid``) rather than pair by
+# pair; a full level has up to 27.  The grid computes 128 k x k blocks per
+# parent, empty parents between occupied ones included: 32 per cell at
+# most, whatever the fill.  On full 128^2 and 512^2 grids (levels 2-6,
+# k = 28-36, 2 cores, median of 5-15 calls; measured when the grid
+# computed 36 blocks per cell) a grid block cost 54-118 ns at the wide
+# levels 4-6 and a pair block 264-431 ns, so the grid paid from
+# 36 x 54/264 = 7.4 to 36 x 118/431 = 9.9 pairs per cell; at levels 2-3
+# the pair path's per-offset calls make a pair block cost 1.1-6 us and the
+# grid wins by more.  Each full level ran 2.2 to 3.5 times faster on the
+# grid.  Partly filled levels, where many boxes hold one point (same host,
+# warm, in-process medians, the run of grid levels, as the grid levels
+# then had to be, forced to end at or just above the level): level 7 of
+# 16384 uniform points on 16384^2 (10.4 pairs per cell, 63 % of cells
+# occupied) takes 37 ms on the grid against 64 ms pair by pair, with 7 ms
+# less list building, and level 9 of 2^18 on 2^18 x 2^18 (10.8 per cell)
+# 0.68 against 1.19 s, with 0.16 s less list building: the grid pays from
+# 6.0-6.2 pairs per cell, or 4.8 with the lists counted.  No level of
+# these loads or of the full grids has between 1.3 and 10 pairs per cell,
+# so a lower crossover would move none of them.  The next levels of both
+# loads, at 1.3 pairs per cell, run 4-8 times faster pair by pair (23
+# against 179 ms; 0.40 against 2.16 s, measured at 36 blocks per cell).
 _IFO_GRID_PAIRS_PER_CELL = 8
 
 # Entries per chunk of every batched step: the stencil products of T_ofs
@@ -183,18 +150,17 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 _CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
-# T_ifo pair by pair and its folds): 1024 rows of k ~ 35 doubles, 0.29 MB.
-# Against 1024 rows, 512 gave the same traced peak on the 16384 uniform
-# points above and ran the call 9 % slower, 2048 rows 6 % slower at a
-# 0.6 MB higher peak (21 alternating warm calls each).
+# T_ifo pair by pair): 1024 rows of k ~ 35 doubles, 0.29 MB.  Against 1024
+# rows, 512 gave the same traced peak on the 16384 uniform points above and
+# ran the call 9 % slower, 2048 rows 6 % slower at a 0.6 MB higher peak
+# (21 alternating warm calls each).
 _ROW_CHUNK = _CHUNK // 64
 
-# Points per chunk of the rows of leaves above side 8 and of one-point
-# chains on their way up from the tables (``FmmRun._sub_boxes``).  On the
-# 16384 uniform points above, with T_ofs and T_tfi timed against the
-# per-point carry they replaced in one process, chunks of 2048 points ran
-# them at 0.86 and 0.85 of its time, 4096 at 0.86 and 0.86, and 8192 at
-# 1.36 and 1.31.
+# Points per chunk of the rows of leaves off the stencil on their way up
+# from the tables (``FmmRun._sub_boxes``).  On the 16384 uniform points
+# above, with T_ofs and T_tfi timed against the per-point carry they
+# replaced in one process, chunks of 2048 points ran them at 0.86 and
+# 0.85 of its time, 4096 at 0.86 and 0.86, and 8192 at 1.36 and 1.31.
 _SUB_CHUNK = 2 * _ROW_CHUNK
 
 # Points per run of those rows whose index arrays (``FmmRun._sub_boxes``,
@@ -255,22 +221,16 @@ def _code_groups(pairs):
             yield k, tgt[lo:hi], src[lo:hi]
 
 
-def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
-    """Colleagues, grouped interaction pairs and point pairs at ``lvl`` from
-    the target-major colleagues (tgt, src, code) at ``lvl - 1``.
+def _child_lists(tree: QuadTree, lvl: int, parents, on_grid):
+    """Colleagues and grouped interaction pairs at ``lvl`` from the
+    target-major colleague pairs (tgt, src, code) of non-leaf boxes at
+    ``lvl - 1``.
 
-    From level 2 down, while ``on_grid`` is given, the level joins the run
-    of grid levels if ``on_grid(lvl, n_far)`` holds for its n_far
-    interaction pairs, one-point boxes included, counted before any pair
-    is formed: then only the colleague pairs are formed, and a pair of
-    one-point boxes stays a box pair.  Otherwise (and always once
-    ``on_grid`` is None) a pair of two one-point boxes leaves both lists:
-    it is one point pair, returned once for both orders, as the sorted
-    point indices (tgt, src) with tgt < src (intp), or nothing when the box
-    meets itself, since phi(0) = 0.  Its children are not formed at the
-    next level.
+    From level 2 down, if ``on_grid(lvl, n_far)`` holds for the level's
+    n_far interaction pairs, counted before any pair is formed, only the
+    colleague pairs are formed and n_far is returned for the interactions.
     """
-    parent_tgt, parent_src, parent_code = colleagues
+    parent_tgt, parent_src, parent_code = parents
     n_boxes = len(tree.codes[lvl])
     child = np.full((len(tree.codes[lvl - 1]), 4), -1, dtype=np.int32)
     slot = np.multiply(tree.parent_index[lvl], 4, dtype=np.int64) + (tree.codes[lvl] & 3)
@@ -278,8 +238,8 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     del slot
     # Each box b meets the children of its parent's colleagues: the
     # parent's rows, in box order, so the pairs come out target-major.
-    # Only the parents with colleagues are visited (a parent carried as
-    # its point has none), so the work follows the pairs, not the boxes.
+    # Only the parents with colleagues are visited (a leaf and the boxes
+    # under it have none), so the work follows the pairs, not the boxes.
     # Rows of 2-D arrays are gathered by ``np.take``: on rows this narrow
     # it is about ten times faster than fancy indexing.
     new = np.ones(len(parent_tgt), dtype=bool)
@@ -299,9 +259,8 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     # are held until the upward sweep applies them.
     del new, first, n_rows, slots, filled, row, deg
     found = kids >= 0
-    points = (np.empty(0, dtype=np.int64),) * 2
     grid = False
-    if lvl >= 2 and on_grid is not None:
+    if lvl >= 2:
         # The interaction pairs are counted on the (rows, 4) mask; a grid
         # level forms only its colleague pairs.
         near = codes < len(_NEAR_OFFSETS)
@@ -319,61 +278,56 @@ def _child_lists(tree: QuadTree, lvl: int, colleagues, on_grid):
     tgt = b[pick]
     del b, codes, kids, pick
     if grid:
-        return (tgt, src, code), n_far, points
-    is_near = code < len(_NEAR_OFFSETS)
-    boxes = np.ones(len(tgt), dtype=bool)
-    if lvl >= 2:
-        start = tree.ptr[lvl]
-        single = np.diff(start) == 1
-        boxes = ~(single[tgt] & single[src])
-        pick = np.flatnonzero(~boxes & (tgt < src))
-        points = (start[tgt[pick]].astype(np.intp), start[src[pick]].astype(np.intp))
-        del pick
-    near = np.flatnonzero(boxes & is_near)
+        return (tgt, src, code), n_far
+    near = np.flatnonzero(code < len(_NEAR_OFFSETS))
+    far = np.flatnonzero(code >= len(_NEAR_OFFSETS))
     colleagues = (tgt[near], src[near], code[near])
     del near
-    far = np.flatnonzero(boxes & ~is_near)
     interactions = _by_code(
         tgt[far], src[far], code[far] - len(_NEAR_OFFSETS), len(INTERACTION_OFFSETS)
     )
-    return colleagues, interactions, points
+    return colleagues, interactions
 
 
 def level_lists(tree: QuadTree, on_grid=lambda lvl, n_far: False):
-    """Colleague, interaction and point pairs of the occupied boxes, level
-    by level.
+    """The active boxes of each level, its leaves, resolved pairs and
+    interaction pairs, under the leaf rule of the module docstring.
 
-    Yields (colleagues, interactions, points) for levels 0..L, coarse to
-    fine, each built from the previous level's colleagues (see the module
-    docstring), so only one level's lists are held.  Box slots are int32.
-    Colleagues are (tgt, src, code), target-major, with code the
-    ``_NEAR_OFFSETS`` index of src - tgt (the box itself included, at
-    (0, 0)); interactions are grouped by ``INTERACTION_OFFSETS`` index as
-    by ``_by_code``; points are the (tgt, src) sorted point indices of
-    pairs of one-point boxes, each unordered pair once, with tgt < src.
-
-    The grid levels form one run from level 2: each level joins it while
-    ``on_grid(lvl, n_far)`` holds for its n_far interaction pairs, and the
-    first level where it fails ends the run.  The count is taken before
-    any pair is formed, and a grid level forms only its colleague pairs:
-    its interactions are that count alone, and it makes no point pairs;
-    there a pair of one-point boxes is a box pair, far on the grid or near
-    as colleagues, refined at the next level.  From the first level below
-    the run, every pair of one-point boxes is a point pair, which replaces
-    it in the other two lists and is not refined.  No level below may
-    rejoin the grid: the grid reads every pair of occupied boxes and would
-    count the point pairs twice.
+    Yields (active, leaf, resolved, interactions) for levels 0..L, coarse
+    to fine, each built from the previous level's colleague pairs of two
+    non-leaf boxes, so only one level's lists are held.  Every level to L
+    holds an active box: were every active box of a level l < L a leaf,
+    every box of l would hold at most F points, and L would be at most l.  ``active`` and
+    ``leaf`` flag the level's occupied boxes; box slots are int32.
+    ``resolved`` is the colleague pairs that hold a leaf, (tgt, src, code)
+    target-major, with code the ``_NEAR_OFFSETS`` index of src - tgt (a
+    box with itself included, at (0, 0)).  Interactions are grouped by
+    ``INTERACTION_OFFSETS`` index as by ``_by_code``; at a level from 2
+    where ``on_grid(lvl, n_far)`` holds for its n_far interaction pairs,
+    they are that count alone (``_child_lists``).
     """
+    few = min(tree.nleaf, FEW_POINTS)
     one = np.zeros(1, dtype=np.int32)
     colleagues = (one, one, np.array([_NEAR_OFFSETS.index((0, 0))], dtype=np.int8))
     none = np.empty(0, dtype=np.int32)
-    no_points = (np.empty(0, dtype=np.int64),) * 2
-    yield colleagues, (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64)), no_points
-    for lvl in range(1, tree.L + 1):
-        colleagues, interactions, points = _child_lists(tree, lvl, colleagues, on_grid)
-        if lvl >= 2 and not isinstance(interactions, int):
-            on_grid = None  # the run has ended
-        yield colleagues, interactions, points
+    interactions = (none, none, np.zeros(len(INTERACTION_OFFSETS) + 1, dtype=np.int64))
+    active = np.ones(1, dtype=bool)
+    for lvl in range(tree.L + 1):
+        if lvl:
+            colleagues, interactions = _child_lists(tree, lvl, refined, on_grid)
+            active = parents[tree.parent_index[lvl]]
+        if lvl == tree.L:
+            yield active, active, colleagues, interactions
+            return
+        # A box with a colleague, itself included, of more than ``few``
+        # points is no leaf.
+        tgt, src, _ = colleagues
+        leaf = active.copy()
+        leaf[tgt[np.diff(tree.ptr[lvl])[src] > few]] = False
+        parents = active & ~leaf
+        near = leaf[tgt] | leaf[src]
+        yield active, leaf, tuple(a[near] for a in colleagues), interactions
+        refined = tuple(a[~near] for a in colleagues)
 
 
 def _prefix_counts(lengths):
@@ -432,16 +386,6 @@ def _chunk_groups(step, c):
     return bounds[c * g_n : (c + 1) * g_n + 1]
 
 
-def _multi_rows(tree: QuadTree, lvl: int):
-    """Which boxes at ``lvl`` hold two or more points, and each box's row
-    among them: the rows of the incoming expansions the downward pass
-    reads."""
-    multi = np.diff(tree.ptr[lvl]) != 1
-    row = np.cumsum(multi, dtype=np.int32)
-    row -= 1
-    return multi, row
-
-
 def shared_bytes() -> int:
     """Bytes of the state that calls share and the process keeps: every
     operator chain's arrays (8 per ``skeleton.shared_entries``) and phi's
@@ -477,9 +421,9 @@ class FmmRun:
     def __init__(self, tree: QuadTree, eps: float):
         self.tree = tree
         self.leaf_side = tree.side_of(tree.L)
-        # Leaves of side 8 or less are dense stencils (T_ofs, T_tfi and the
-        # near field's blocks); larger ones hold few points each.
-        self.stencil = self.leaf_side <= _MAX_LEAF_SIDE
+        # Leaves of side 8 or less at level L are dense stencils (T_ofs,
+        # T_tfi and the near field's blocks); larger ones hold few points.
+        self.stencil_level = tree.L if self.leaf_side <= _MAX_LEAF_SIDE else None
         self.chain = None
         self._carries = {}
         self.table_level = self._table_levels()
@@ -488,12 +432,13 @@ class FmmRun:
             self.chain = shared_chain(eps, self.leaf_side)
             self.chain.ensure(tree.side_of(2))
             # The T_ifo stacks of levels 2..L, the grid operators of the
-            # levels that may join the grid run (a box has at most 27
-            # interaction pairs) and the tables of unit expansions are built
-            # before any list: built mid-call, these long-lived arrays would
-            # sit above the call's freed lists on the heap and keep it from
-            # shrinking (uniform 2^18: 448 against 369 MB peak RSS over four
-            # calls).  The sides below the leaves build no T_ifo.
+            # levels that may run T_ifo on the grid (a box has at most 27
+            # interaction pairs, and the bound falls level by level) and
+            # the tables of unit expansions are built before any list:
+            # built mid-call, these long-lived arrays would sit above the
+            # call's freed lists on the heap and keep it from shrinking
+            # (uniform 2^18: 448 against 369 MB peak RSS over four calls).
+            # The sides below the leaves build no T_ifo.
             grid = True
             for lvl in range(2, tree.L + 1):
                 grid = grid and self._on_grid(lvl, 27 * len(tree.codes[lvl]))
@@ -509,38 +454,29 @@ class FmmRun:
 
     # -- passes ----------------------------------------------------------
 
-    def _lists(self, q_sorted, u):
-        """Build every level's lists, coarse to fine; sum the point pairs
-        into ``u`` and return the T_ifo pairs by level and the leaf
-        colleagues.  Building the lists counts in ``t_lists``, the point
-        pairs in the T_ifo seconds of their level."""
-        clock = time.perf_counter
-        ifo = {}
-        xy = None  # formed for the first point pair
-        t0 = clock()
-        for lvl, (colleagues, pairs, (tgt, src)) in enumerate(level_lists(self.tree, self._on_grid)):
-            t1 = clock()
-            self.times["t_lists"] += t1 - t0
+    def _lists(self):
+        """Build every level's lists, coarse to fine (``level_lists``).
+        Returns each level's (active, leaf) flags, its T_ifo pairs (None on
+        the grid) and its resolved pairs, for the near field."""
+        t0 = time.perf_counter()
+        levels, ifo, resolved = [], {}, []
+        for lvl, (active, leaf, near, pairs) in enumerate(level_lists(self.tree, self._on_grid)):
+            levels.append((active, leaf))
+            resolved.append(near)
+            self.leaves_per_level[lvl] = int(np.count_nonzero(leaf))
             if lvl >= 2:
                 on_grid = isinstance(pairs, int)
                 self.ifo_pairs_per_level[lvl] = pairs if on_grid else len(pairs[0])
-                self.point_pairs_per_level[lvl] = len(tgt)
                 if on_grid:
                     self.ifo_grid_levels.append(lvl)
                 ifo[lvl] = None if on_grid else pairs
-                if len(tgt):
-                    xy = self._columns() if xy is None else xy
-                    self._point_pairs(tgt, src, xy, q_sorted, u)
-                self.ifo_seconds[lvl] += clock() - t1
-            t0 = clock()
-        return ifo, colleagues
+        self.times["t_lists"] += time.perf_counter() - t0
+        return levels, ifo, resolved
 
     def _on_grid(self, lvl, n_far):
         """Whether T_ifo at ``lvl`` runs on the level's dense box grid
-        (``_across_grid``): its n_far interaction pairs, those of one-point
-        boxes included, fill the grid well enough to pay for it.
-        ``level_lists`` asks level by level from level 2 and stops at the
-        first no, so the grid levels form one run."""
+        (``_across_grid``): its n_far interaction pairs fill the grid well
+        enough to pay for it."""
         return n_far >= _IFO_GRID_PAIRS_PER_CELL * 4**lvl
 
     def _columns(self):
@@ -557,8 +493,7 @@ class FmmRun:
         each unordered point pair (t, s) of the sorted point indices ``tgt``
         and ``src`` (intp), in chunks of ``_CHUNK`` pairs: phi(-m) = phi(m)
         bit for bit, so one evaluation serves both points.  ``xy`` is
-        ``_columns()``.  The point pairs of one-point boxes and the near
-        field's ragged leaf pairs both take this path."""
+        ``_columns()``."""
         x, y = xy
         for lo in range(0, len(tgt), _CHUNK):
             t, s = tgt[lo : lo + _CHUNK], src[lo : lo + _CHUNK]
@@ -574,13 +509,13 @@ class FmmRun:
             w *= q_sorted.take(t)
             np.add.at(u, s, w)
 
-    def _leaf_points(self, leaves):
-        """The points of the ascending leaf slots ``leaves``, formed for
-        these leaves alone, as (pts, count): each point's sorted index, in
-        leaf order, and each leaf's number of points.  pts is intp: numpy
-        casts any other index dtype on every use (int32 made these gathers
-        and scatters 2-3 times slower)."""
-        start = self.tree.ptr[self.tree.L]
+    def _leaf_points(self, lvl, leaves):
+        """The points of the ascending leaf slots ``leaves`` at ``lvl``,
+        formed for these leaves alone, as (pts, count): each point's sorted
+        index, in leaf order, and each leaf's number of points.  pts is
+        intp: numpy casts any other index dtype on every use (int32 made
+        these gathers and scatters 2-3 times slower)."""
+        start = self.tree.ptr[lvl]
         count = start[leaves + 1] - start[leaves]
         end = np.cumsum(count)
         pts = np.arange(end[-1]) + np.repeat(start[leaves] - (end - count), count)
@@ -588,40 +523,40 @@ class FmmRun:
 
     def _stencil_cells(self, pts, count):
         """Each point's cell in the (len(count), s^2) stencils of the
-        leaves flattened, for ``_leaf_points``' (pts, count): its leaf's row
-        times s^2 plus its place in the leaf."""
+        leaves flattened, for ``_leaf_points``' (pts, count) at level L:
+        its leaf's row times s^2 plus its place in the leaf."""
         cell = self._positions(self.tree.L, np.take(self.tree.rel_sorted, pts, axis=0))
         cell += np.repeat(np.arange(len(count)) * self.leaf_side**2, count)
         return cell
 
-    def _leaf_chunks(self, need):
-        """The leaves flagged in ``need`` in chunks, for T_ofs and T_tfi:
-        yields (lo, hi, pts, count), the chunk's leaves lo..hi-1 counted
-        among the flagged ones and their points as ``_leaf_points`` gives
-        them.  Stencil leaves come ``_CHUNK`` / s^2 to a chunk; larger ones,
-        of at most ``FEW_POINTS`` points, in runs of about ``_POINT_RUN``
-        points, a run ending before the leaf whose points pass a multiple of
-        that.  Nothing per point outlives its chunk."""
+    def _leaf_chunks(self, lvl, need):
+        """The leaves at ``lvl`` flagged in ``need`` in chunks, for T_ofs
+        and T_tfi: yields (lo, hi, pts, count), the chunk's leaves lo..hi-1
+        counted among the flagged ones and their points as ``_leaf_points``
+        gives them.  Stencil leaves come ``_CHUNK`` / s^2 to a chunk; any
+        other, of at most 64 points, in runs of about ``_POINT_RUN``
+        points, a run ending before the leaf whose points pass a multiple
+        of that.  Nothing per point outlives its chunk."""
         leaves = np.flatnonzero(need)
-        if self.stencil:
+        if lvl == self.stencil_level:
             chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
             bounds = list(range(0, len(leaves), chunk)) + [len(leaves)]
         else:
-            start = self.tree.ptr[self.tree.L]
+            start = self.tree.ptr[lvl]
             end = np.cumsum(start[leaves + 1] - start[leaves])
             bounds = [0, *np.flatnonzero(np.diff(end // _POINT_RUN)) + 1, len(leaves)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                yield (lo, hi, *self._leaf_points(leaves[lo:hi]))
+                yield (lo, hi, *self._leaf_points(lvl, leaves[lo:hi]))
 
     def _table_levels(self):
         """The coarsest level m whose unit expansions are read from the
         chain's tables: the level of the chain's anchor side always (the
-        leaf level, or the level of side 8 below larger leaves), and each
+        level L, or the level of side 8 below larger leaves), and each
         coarser level in turn while its boxes have no more positions than
-        it has one-point boxes.  The levels from m to L read their one-point
-        boxes' unit expansions from their tables; with m below L, every
-        unit expansion above m starts from the table of m."""
+        it has one-point boxes.  A leaf off the stencil at a level l reads
+        its points' unit expansions from the table of l if l >= m, and
+        from the table of m, carried up to l, if not."""
         tree = self.tree
         m = tree.L + max(self.leaf_side // _MAX_LEAF_SIDE, 1).bit_length() - 1
         while m > 2:
@@ -638,145 +573,87 @@ class FmmRun:
         local = rel & (side - 1)
         return local[:, 0] * side + local[:, 1]
 
-    def _level_array(self, lvl, single, fill):
-        """The upward pass's array of expansions at ``lvl`` and each box's
-        row in it.  On the levels from ``table_level`` to L, e_{p,l}
-        depends only on p's position in its box: the array starts with the
-        chain's table of unit expansions (s^2 rows, s the box side), where
-        a one-point box's row is its point's position, and only the boxes
-        of two or more points get rows of their own.  Coarser levels hold a
-        row per box.  ``fill(out, need)`` writes the rows of the boxes
-        flagged in ``need`` into ``out`` and returns each one's row there."""
-        tree = self.tree
-        if lvl < self.table_level:
-            x = np.empty((len(single), self._ops(lvl).skeleton.rank))
-            return x, fill(x, np.ones(len(single), dtype=bool))
-        table = self.chain.unit_table(tree.side_of(lvl))
-        n_table = len(table)
-        x = np.empty((n_table + np.count_nonzero(~single), table.shape[1]))
-        x[:n_table] = table
-        row = fill(x[n_table:], ~single)
-        row += n_table
-        one = np.flatnonzero(single)
-        row[one] = self._positions(lvl, np.take(tree.rel_sorted, tree.ptr[lvl][one], axis=0))
-        return x, row
+    def _up_and_across(self, q_sorted, levels, ifo):
+        """Upward pass fused with T_ifo, fine to coarse, over the (active,
+        leaf) flags of each level from 2.  Returns each level's incoming
+        expansions and each box's row in them.  The seconds that form level
+        l's outgoing expansions count at level l, those of T_ifo at its
+        level.
 
-    def _up_and_across(self, q_sorted, ifo, u):
-        """Upward pass fused with T_ifo, fine to coarse.  The seconds that
-        form level l's expansions (T_ofs at the leaves, T_ofo from the
-        children at level l + 1 elsewhere) count at level l, those of T_ifo
-        at its level.
-
-        ``x`` holds one level (``_level_array``), box b's row in
-        ``x[xrow[b]]``: the outgoing expansion of each box of two or more
-        points, and the unit expansion e_{p,l} of each one-point box's
-        point p, so its outgoing expansion is e_{p,l} q_p.  T_ifo turns the
-        outgoing expansions into incoming ones, on the grid
-        (``_across_grid``) or pair by pair (``_across``), and a one-point
-        box's is folded into its point at once, u_p += e_{p,l} . inc_l.
-        Only the incoming expansions of the boxes of two or more points are
-        kept for the downward pass.
+        ``x`` holds one level's outgoing expansions, box b's in row
+        ``xrow[b]``: first those of its leaves, in slot order (T_ofs), then
+        those of its other active boxes, formed from their children's at
+        the level below (T_ofo), which is dropped once they are.  T_ifo
+        turns them into incoming expansions, on the grid (``_across_grid``)
+        or pair by pair (``_across``), in the same rows.
         """
-        tree = self.tree
         clock = time.perf_counter
-        t0 = clock()
-        single = np.diff(tree.ptr[tree.L]) == 1
-        x, xrow = self._level_array(
-            tree.L, single, lambda out, need: self._leaf_expansions(q_sorted, need, out)
-        )
         incoming = {}
-        for lvl in range(tree.L, 1, -1):
+        x = xrow = None
+        for lvl in range(self.tree.L, 1, -1):
+            t0 = clock()
+            active, leaf = levels[lvl]
+            n_leaf = int(np.count_nonzero(leaf))
+            up = np.empty((int(np.count_nonzero(active)), self._ops(lvl).skeleton.rank))
+            row = self._leaf_expansions(q_sorted, lvl, leaf, up[:n_leaf])
+            if x is not None:
+                merged = self._merge_up(lvl + 1, x, xrow, active & ~leaf, up[n_leaf:])
+                row = np.where(leaf, row, merged + n_leaf)
+                del merged
+            # Held no longer than its level: forming the next level by T_ofo
+            # sets the traced peak of a call.
+            x, xrow = up, row
+            del up, row
             t1 = clock()
             self.up_seconds[lvl] += t1 - t0
             self.upward_rows[lvl] = len(x)
+            inc = np.zeros_like(x)
             pairs = ifo.pop(lvl)
-            start = tree.ptr[lvl]
-            # Outgoing expansion = x * charge: the point's charge for a
-            # one-point box, 1 for a box of more points.
-            charge = np.where(single, q_sorted[start[:-1]], 1.0)
             if pairs is None:
-                across = self._across_grid(lvl, x, xrow, charge)
+                self._across_grid(lvl, x, xrow, np.flatnonzero(active), inc)
             else:
-                across = self._across(lvl, x, xrow, charge, pairs)
-            # The kept rows are made once the path has formed its first
-            # chunk: pair by pair, that is every product of the level.
-            chunk = next(across, None)
-            row = _multi_rows(tree, lvl)[1]
-            kept = np.zeros((len(single) - int(np.count_nonzero(single)), x.shape[1]))
-            while chunk is not None:
-                # Row i of inc is the incoming expansion of boxes[i].
-                boxes, inc = chunk
-                one = single[boxes]
-                b = boxes[one]
-                u[start[b]] += np.einsum("ij,ij->i", np.take(x, xrow[b], axis=0), np.compress(one, inc, axis=0))
-                many = ~one
-                kept[row[boxes[many]]] = np.compress(many, inc, axis=0)
-                # Pair by pair, a chunk is a view of the whole level's
-                # incoming expansions: its arrays go with it.
-                del boxes, inc, one, b, many
-                chunk = next(across, None)
-            incoming[lvl] = kept
-            # Held no longer than its level: forming the next level by T_ofo
-            # sets the traced peak of a call.
-            del pairs, charge, row, kept, across
-            t0 = clock()
-            self.ifo_seconds[lvl] += t0 - t1
-            if lvl == 2:
-                break
-            up_single = np.diff(tree.ptr[lvl - 1]) == 1
-            x, xrow = self._level_array(
-                lvl - 1,
-                up_single,
-                lambda out, need: self._merge_up(lvl, x, xrow, single, up_single, need, q_sorted, out),
-            )
-            single = up_single
+                self._across(lvl, x, xrow, pairs, inc)
+            incoming[lvl] = inc, xrow
+            del pairs, inc
+            self.ifo_seconds[lvl] += clock() - t1
         return incoming
 
-    def _leaf_expansions(self, q_sorted, need, out):
-        """T_ofs: the outgoing expansion of each leaf flagged in ``need``,
-        into the rows of ``out`` in leaf order.  Returns each leaf's row
-        there.
+    def _leaf_expansions(self, q_sorted, lvl, need, out):
+        """T_ofs: the outgoing expansion of each leaf at ``lvl`` flagged in
+        ``need``, into the rows of ``out`` in slot order.  Returns each
+        leaf's row there.
 
-        A stencil leaf (side 8 or less; only those of two or more points
-        are flagged) scatters its charges onto the dense s x s stencil, one
-        GEMM per chunk of leaves.  A larger leaf sums its points' unit
-        expansions times their charges (``_sum_expansions``); every leaf is
-        flagged when the leaf level has no table, and a one-point leaf's row
-        is then its point's unit expansion, as on a table level."""
-        tree = self.tree
-        if self.stencil:
-            interp = self._ops(tree.L).skeleton.interp
-            for lo, hi, pts, count in self._leaf_chunks(need):
+        A stencil leaf (side 8 or less, at level L) scatters its charges
+        onto the dense s x s stencil, one GEMM per chunk of leaves.  Any
+        other leaf sums its points' unit expansions times their charges
+        (``_sum_expansions``)."""
+        if lvl == self.stencil_level:
+            interp = self._ops(lvl).skeleton.interp
+            for lo, hi, pts, count in self._leaf_chunks(lvl, need):
                 cell = self._stencil_cells(pts, count)
                 dense = np.zeros((hi - lo, interp.shape[1]))
                 dense.reshape(-1)[cell] = q_sorted[pts]
                 np.matmul(dense, interp.T, out=out[lo:hi])
         else:
-            for lo, hi, pts, count in self._leaf_chunks(need):
-                # Times the charge of a point of a leaf of more points.
-                w = q_sorted[pts]
-                w[np.cumsum(count)[count == 1] - 1] = 1.0
-                self._sum_expansions(pts, w, tree.L, np.repeat(np.arange(hi - lo), count), out[lo:hi])
+            for lo, hi, pts, count in self._leaf_chunks(lvl, need):
+                self._sum_expansions(pts, q_sorted[pts], lvl, np.repeat(np.arange(hi - lo), count), out[lo:hi])
         return np.cumsum(need, dtype=np.int32) - 1
 
-    def _merge_up(self, lvl, x, xrow, single, up_single, need, q_sorted, up):
-        """T_ofo: the outgoing expansions of the boxes at ``lvl - 1`` flagged
-        in ``need``, from those of their children (box c's in row
+    def _merge_up(self, lvl, x, xrow, need, up):
+        """T_ofo: the outgoing expansions of the boxes at ``lvl - 1``
+        flagged in ``need``, from those of their children (box c's in row
         ``xrow[c]`` of ``x``), into the rows of ``up``.  Returns each box's
         row in ``up`` (the flagged ones).
 
-        A one-point child (``single``) whose parent holds more points
-        (not ``up_single``) passes on e_{p,l} q_p, any other child its row
-        as it is.  Siblings are adjacent, in quadrant order: each parent's
-        first child sets its row and the others add to it, in that order.
-        The first children's products are written in place, grouped by
-        quadrant, so the parents' rows come in that order and no product is
-        scattered but those of later siblings.  Children are gathered in
-        chunks of ``_ROW_CHUNK``."""
+        Siblings are adjacent, in quadrant order: each parent's first child
+        sets its row and the others add to it, in that order.  The first
+        children's products are written in place, grouped by quadrant, so
+        the parents' rows come in that order and no product is scattered
+        but those of later siblings.  Children are gathered in chunks of
+        ``_ROW_CHUNK``."""
         tree = self.tree
         t_ofo = self._ops(lvl - 1).t_ofo
         parent = tree.parent_index[lvl]
-        start = tree.ptr[lvl]
         kids = np.flatnonzero(need[parent])
         dad = parent[kids]
         # Children grouped by (later sibling, quadrant): the first children
@@ -791,7 +668,6 @@ class FmmRun:
         del later, key
         kids = kids[order]
         dad = dad[order]
-        top = np.flatnonzero(single[kids] & ~up_single[dad])
         n_up = bounds[4]  # one first child per parent
         row = np.empty(len(need), dtype=np.int32)
         row[dad[:n_up]] = np.arange(n_up, dtype=np.int32)
@@ -800,107 +676,87 @@ class FmmRun:
             for lo in range(bounds[g], bounds[g + 1], _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, bounds[g + 1])
                 e = np.take(x, xrow[kids[lo:hi]], axis=0)
-                if len(top):
-                    t0, t1 = np.searchsorted(top, (lo, hi))
-                    b = top[t0:t1]
-                    e[b - lo] *= q_sorted[start[kids[b]]][:, None]
                 if g < 4:
                     np.matmul(e, t_ofo_g, out=up[lo:hi])
                 else:
                     up[row[dad[lo:hi]]] += e @ t_ofo_g
         return row
 
-    def _across(self, lvl, x, xrow, charge, pairs):
-        """T_ifo at one level, one GEMM per offset, over the boxes in some
-        T_ifo pair (the pairs are symmetric: these are the sources and the
-        targets).  Box b's outgoing expansion is row ``xrow[b]`` of ``x``
-        times ``charge[b]``.  Yields (boxes, inc) in chunks of
-        ``_ROW_CHUNK``, boxes ascending, row i of inc the incoming
-        expansion of ``boxes[i]``."""
+    def _across(self, lvl, x, xrow, pairs, inc):
+        """T_ifo at one level, one GEMM per offset: adds into row
+        ``xrow[b]`` of ``inc`` each target b's incoming expansion from the
+        outgoing ones of its sources, rows ``xrow[c]`` of ``x``, in chunks
+        of ``_ROW_CHUNK`` pairs."""
         t_ifo = self._ops(lvl).t_ifo
-        used = np.zeros(len(charge), dtype=bool)
-        used[pairs[1]] = True
-        rows = np.flatnonzero(used)
-        row_of = np.cumsum(used) - 1
-        del used
-        inc = np.zeros((len(rows), x.shape[1]))
         for d, tgt, src in _code_groups(pairs):
             for lo in range(0, len(tgt), _ROW_CHUNK):
                 s = src[lo : lo + _ROW_CHUNK]
                 # Each target has one source per offset: rows are distinct.
-                inc[row_of[tgt[lo : lo + _ROW_CHUNK]]] += (
-                    np.take(x, xrow[s], axis=0) * charge[s, None]
-                ) @ t_ifo[d].T
-        del row_of
-        for lo in range(0, len(rows), _ROW_CHUNK):
-            yield rows[lo : lo + _ROW_CHUNK], inc[lo : lo + _ROW_CHUNK]
+                inc[xrow[tgt[lo : lo + _ROW_CHUNK]]] += np.take(x, xrow[s], axis=0) @ t_ifo[d].T
 
-    def _across_grid(self, lvl, x, xrow, charge):
+    def _across_grid(self, lvl, x, xrow, boxes, inc):
         """T_ifo at one level on its dense 2^l x 2^l box grid, eight GEMMs
-        per chunk of parents.  Yields (boxes, inc) as ``_across`` does, for
-        every box of the level, in the grid's order.
+        per chunk of parents: writes into row ``xrow[b]`` of ``inc`` the
+        incoming expansion of each box b of ``boxes``, the level's active
+        ones, whose outgoing expansions are rows ``xrow[b]`` of ``x``.
 
         The grid is held parent-major: slot (px + 1) w + py + 1, with
         w = 2^(l-1) + 2, holds the four children of the parent (px, py) at
         level l - 1 as one 4 k row, quadrant by quadrant, and an empty
         parent row and column border the grid on every side.  A child's row
-        is its outgoing expansion: box b's row ``xrow[b]`` of x times
-        ``charge[b]``.  The incoming expansions of
-        the children of the parent in slot s are the sum over its eight
-        neighbours D of row s + s_D times ``t_ifo_grid[D]``, with
-        s_D = D_x w + D_y (batched M2L), so a chunk of slots takes one GEMM
-        per D on a contiguous slice of the grid, read in place.  The empty
-        border column makes the step from one row's last slot to the next
-        row's first read zeros.  On a level of the grid run no pair was made
-        a point pair at or above it, so the interaction list of a box is
-        exactly the parity pattern these operators encode, restricted to
-        the occupied boxes, and the empty cells are zero.  The grid is
-        filled in bands of parent rows, each with the row either side that
-        its parents' neighbours reach, so a band and a chunk of products
-        hold about ``_CHUNK`` entries each (one band of the whole grid
-        on smaller levels).  A band starts from the last one's last two
-        rows, so each box is scattered once, in pieces of ``_ROW_CHUNK``.
+        is its outgoing expansion.  The incoming expansions of the children
+        of the parent in slot s are the sum over its eight neighbours D of
+        row s + s_D times ``t_ifo_grid[D]``, with s_D = D_x w + D_y (batched
+        M2L), so a chunk of slots takes one GEMM per D on a contiguous slice
+        of the grid, read in place.  The empty border column makes the step
+        from one row's last slot to the next row's first read zeros.  The
+        interaction list of an active box is exactly the parity pattern
+        these operators encode, restricted to the active boxes, and the
+        other cells are zero.  The grid is filled in bands of parent rows,
+        each with the row either side that its parents' neighbours reach,
+        so a band and a chunk of products hold about ``_CHUNK`` entries
+        each (one band of the whole grid on smaller levels).  A band starts
+        from the last one's last two rows, so each box is scattered once,
+        in pieces of ``_ROW_CHUNK``.
         """
         tree = self.tree
         w_d = self._ops(lvl).t_ifo_grid
         k = x.shape[1]
         half = 1 << (lvl - 1)
         width = half + 2
-        start = tree.ptr[lvl]
         # Box (x, y) of a level holds the points whose coordinates over the
         # box side are (x, y); a box's first point names it.
-        bx, by = (tree.rel_sorted[start[:-1]] // tree.side_of(lvl)).T
-        # Each box's row of the grid as (slots * 4, k) rows, ascending.
+        bx, by = (tree.rel_sorted[tree.ptr[lvl][boxes]] // tree.side_of(lvl)).T
+        # Each box's row of the grid as (slots * 4, k) rows, ascending, and
+        # its row in x.
         cell = (((bx >> 1) + 1) * width + (by >> 1) + 1) * 4 + (bx & 1) + 2 * (by & 1)
         del bx, by
         order = np.argsort(cell)
         cell = cell[order]
-        rows = max(1, min(half, _CHUNK // (width * 4 * k) - 2))
-        chunk = max(1, min(_CHUNK // (4 * k), rows * width))
+        rows = xrow[boxes[order]]
+        del order
+        band_rows = max(1, min(half, _CHUNK // (width * 4 * k) - 2))
+        chunk = max(1, min(_CHUNK // (4 * k), band_rows * width))
         # Threaded products of odd k are run at 4 k + 1 rows or more (see
         # ``_BLAS_SPLIT_MNK``); the band's zero rows below its end feed them.
         floor = 4 * k + 1 if k % 2 and chunk * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else 0
-        band = np.zeros(((rows + 2) * width + floor, 4 * k))
+        band = np.zeros(((band_rows + 2) * width + floor, 4 * k))
         cell_rows = band.reshape(-1, k)
         shifts = [dx * width + dy for dx, dy in GRID_PARENT_OFFSETS]
         out = np.empty((max(chunk, floor), 4 * k))
         scratch = np.empty_like(out)
         done = 0  # the boxes scattered so far, in ``cell`` order
-        for first in range(0, half, rows):
+        for first in range(0, half, band_rows):
             base = first * width  # the slot at the band's row 0
             if first:
                 # The last band's last two rows are this band's first two.
                 for r in (0, 1):
-                    band[r * width : (r + 1) * width] = band[(rows + r) * width : (rows + r + 1) * width]
+                    band[r * width : (r + 1) * width] = band[(band_rows + r) * width : (band_rows + r + 1) * width]
                 band[2 * width :] = 0.0
-            t0, t1, c1 = np.searchsorted(cell, 4 * (base + width * np.array([1, rows + 1, rows + 2])))
+            t0, t1, c1 = np.searchsorted(cell, 4 * (base + width * np.array([1, band_rows + 1, band_rows + 2])))
             for lo in range(done, c1, _ROW_CHUNK):
                 hi = min(lo + _ROW_CHUNK, c1)
-                b = order[lo:hi]
-                e = np.take(x, xrow[b], axis=0)
-                e *= charge[b, None]
-                cell_rows[cell[lo:hi] - 4 * base] = e
-                del e
+                cell_rows[cell[lo:hi] - 4 * base] = np.take(x, rows[lo:hi], axis=0)
             done = c1
             t = t0
             while t < t1:
@@ -913,7 +769,7 @@ class FmmRun:
                 for shift, w in zip(shifts[1:], w_d[1:]):
                     np.matmul(band[s + shift : s + shift + m], w, out=scratch[:m])
                     out[:m] += scratch[:m]
-                yield order[t:end], np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
+                inc[rows[t:end]] = np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
                 t = end
 
     def _sub_boxes(self, pts, lvl, top_row):
@@ -974,13 +830,13 @@ class FmmRun:
         return pos, row, steps
 
     def _sum_expansions(self, pts, w, lvl, top_row, out):
-        """T_ofs of larger leaves: ``out`` (zeroed here), row top_row[i],
-        gets w_i e_{p,lvl} for each point p = pts[i] (ascending).  Chunk by
-        chunk of ``_sub_boxes``: each point's table row is gathered once,
-        times its w, into its box's row at the table level (the first point
-        of every box by one gather in row order, the others rank by rank);
-        each step up is one GEMM per place, added into the rows at ``top``,
-        which are distinct within a place."""
+        """T_ofs of leaves off the stencil: ``out`` (zeroed here), row
+        top_row[i], gets w_i e_{p,lvl} for each point p = pts[i]
+        (ascending).  Chunk by chunk of ``_sub_boxes``: each point's table
+        row is gathered once, times its w, into its box's row at the table
+        level (the first point of every box by one gather in row order, the
+        others rank by rank); each step up is one GEMM per place, added
+        into the rows at ``top``, which are distinct within a place."""
         pos, row, steps = self._sub_boxes(pts, lvl, top_row)
         table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
         rest = np.flatnonzero(row[1:] == row[:-1]) + 1  # not its box's first point
@@ -1010,12 +866,12 @@ class FmmRun:
                 x, lo = up, up_lo
 
     def _fold_expansions(self, pts, inc, lvl, top_row, u):
-        """T_tfi of larger leaves and the folds of one-point chains:
-        u_p += e_{p,lvl} . inc[top_row[i]] for each point p = pts[i]
-        (ascending).  Chunk by chunk of ``_sub_boxes``, the incoming
-        expansions are carried down its steps to the table level (T_ifi,
-        one GEMM per place), and each point's table row is gathered once,
-        in its box's row order for the first point of each box."""
+        """T_tfi of leaves off the stencil: u_p += e_{p,lvl} .
+        inc[top_row[i]] for each point p = pts[i] (ascending).  Chunk by
+        chunk of ``_sub_boxes``, the incoming expansions are carried down
+        its steps to the table level (T_ifi, one GEMM per place), and each
+        point's table row is gathered once, in its box's row order for the
+        first point of each box."""
         pos, row, steps = self._sub_boxes(pts, lvl, top_row)
         table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
         rest = np.flatnonzero(row[1:] == row[:-1]) + 1
@@ -1056,66 +912,56 @@ class FmmRun:
             self._carries[key] = t_ofo
         return self._carries[key]
 
-    def _down(self, incoming, u):
+    def _down(self, levels, incoming, u):
         """Downward pass, coarse to fine.  T_ifi = T_ofo^T carries the
-        incoming expansion of each box of two or more points to its
-        children.  A child at its point p's top one-point level folds its
-        parent's at the parent's level l, u_p += e_{p,l} . inc_l
-        (``_fold_expansions``, in runs of ``_POINT_RUN`` points): as
-        T_ofo[q] e_{p,l+1} = e_{p,l}, this is the child's T_ifi and fold in
-        one.  The leaves of two or more points expand theirs at their
-        points (T_tfi, the transpose of T_ofs: one GEMM onto the dense
-        s x s stencil per chunk of stencil leaves; for larger leaves,
-        u_p += e_{p,L} . inc_L by ``_fold_expansions``).  The seconds
-        of T_ifi out of level l and of the folds at level l count at level
-        l, those of T_tfi at the leaf level."""
+        incoming expansion of each active box that is not a leaf to its
+        children, and each leaf expands its own at its points (T_tfi, the
+        transpose of T_ofs: one GEMM onto the dense s x s stencil per chunk
+        of stencil leaves; for any other leaf, u_p += e_{p,l} . inc_l by
+        ``_fold_expansions``).  The seconds of T_ifi out of level l and of
+        T_tfi at level l count at level l."""
         tree = self.tree
         clock = time.perf_counter
-        t0 = clock()
-        multi, row = _multi_rows(tree, 2)
-        for lvl in range(2, tree.L):
-            t_ofo = self._ops(lvl).t_ofo
-            parent = tree.parent_index[lvl + 1]
-            quad = (tree.codes[lvl + 1] & 3).astype(np.int8)
-            child_multi, child_row = _multi_rows(tree, lvl + 1)
-            inc, child_inc = incoming.pop(lvl), incoming[lvl + 1]
-            for qd in range(4):
-                kids = np.flatnonzero(child_multi & (quad == qd))
-                if len(kids):
-                    # T_ifi is T_ofo transposed; row-vector form keeps it direct.
-                    child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
-            # The one-point children of boxes of more points, the tops.
-            top = np.flatnonzero(~child_multi & multi[parent])
-            for lo in range(0, len(top), _POINT_RUN):
-                b = top[lo : lo + _POINT_RUN]
-                self._fold_expansions(tree.ptr[lvl + 1][b], inc, lvl, row[parent[b]], u)
-            multi, row = child_multi, child_row
-            t1 = clock()
-            self.down_seconds[lvl] += t1 - t0
-            t0 = t1
-        inc_leaf = incoming.pop(tree.L)
-        if self.stencil:
-            for lo, hi, pts, count in self._leaf_chunks(multi):
-                cell = self._stencil_cells(pts, count)
-                u[pts] += np.take(inc_leaf[lo:hi] @ self._ops(tree.L).skeleton.interp, cell)
-        else:
-            for lo, hi, pts, count in self._leaf_chunks(multi):
-                self._fold_expansions(pts, inc_leaf[lo:hi], tree.L, np.repeat(np.arange(hi - lo), count), u)
-        self.down_seconds[tree.L] += clock() - t0
+        for lvl in range(2, tree.L + 1):
+            t0 = clock()
+            inc, row = incoming.pop(lvl)
+            if lvl < tree.L:
+                t_ofo = self._ops(lvl).t_ofo
+                parent = tree.parent_index[lvl + 1]
+                quad = (tree.codes[lvl + 1] & 3).astype(np.int8)
+                child_inc, child_row = incoming[lvl + 1]
+                for qd in range(4):
+                    kids = np.flatnonzero(levels[lvl + 1][0] & (quad == qd))
+                    if len(kids):
+                        # T_ifi is T_ofo transposed; row-vector form keeps it direct.
+                        child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
+            # The leaves' rows come first, in slot order.
+            leaf = levels[lvl][1]
+            if lvl == self.stencil_level:
+                interp = self._ops(lvl).skeleton.interp
+                for lo, hi, pts, count in self._leaf_chunks(lvl, leaf):
+                    cell = self._stencil_cells(pts, count)
+                    u[pts] += np.take(inc[lo:hi] @ interp, cell)
+            else:
+                for lo, hi, pts, count in self._leaf_chunks(lvl, leaf):
+                    self._fold_expansions(pts, inc[lo:hi], lvl, np.repeat(np.arange(hi - lo), count), u)
+            self.down_seconds[lvl] += clock() - t0
 
-    def _near_field(self, q_sorted, colleagues, u):
-        """Add the near field of the leaf colleagues into ``u``: the
-        ragged leaf pairs point pair by point pair (``_near_slice``), then
-        the well-filled ones of stencil leaves by ``_near_stencil``.  The
-        colleagues are read in slices of ``_ROW_CHUNK`` * 16 leaf pairs,
-        which bounds every array formed per leaf pair."""
+    def _near_field(self, q_sorted, resolved, u):
+        """Add the resolved pairs of every level into ``u``: their ragged
+        leaf pairs point pair by point pair (``_near_slice``), then the
+        well-filled ones of stencil leaves by ``_near_stencil``.  The pairs
+        are read in slices of ``_ROW_CHUNK`` * 16, which bounds every array
+        formed per box pair."""
         self.near_pairs = self.near_gemm_blocks = self.near_ragged_pairs = 0
         step = _ROW_CHUNK * 16
         xy = self._columns()
-        gemm = [
-            self._near_slice([a[lo : lo + step] for a in colleagues], xy, q_sorted, u)
-            for lo in range(0, len(colleagues[0]), step)
-        ]
+        gemm = []
+        for lvl, pairs in enumerate(resolved):
+            before = self.near_pairs
+            for lo in range(0, len(pairs[0]), step):
+                gemm.append(self._near_slice(lvl, [a[lo : lo + step] for a in pairs], xy, q_sorted, u))
+            self.resolved_pairs_per_level[lvl] = self.near_pairs - before
         del xy
         if self.near_gemm_blocks:
             pairs = _by_code(*map(np.concatenate, zip(*gemm)), len(_NEAR_OFFSETS))
@@ -1123,22 +969,22 @@ class FmmRun:
             stencil_pairs = [(*_NEAR_OFFSETS[n], tgt, src) for n, tgt, src in _code_groups(pairs)]
             self._near_stencil(q_sorted, stencil_pairs, u)
 
-    def _near_slice(self, colleagues, xy, q_sorted, u):
-        """The near field of one slice of the leaf colleagues: sums its
-        ragged leaf pairs into ``u`` (``_ragged_pairs``) and returns its
+    def _near_slice(self, lvl, colleagues, xy, q_sorted, u):
+        """The near field of one slice of the resolved pairs at ``lvl``:
+        sums its ragged pairs into ``u`` (``_ragged_pairs``) and returns its
         stencil pairs as (tgt, src, code)."""
         tgt, src, code = colleagues
-        start = self.tree.ptr[self.tree.L]
+        start = self.tree.ptr[lvl]
         ct, cs = start[tgt + 1] - start[tgt], start[src + 1] - start[src]
         tot = ct * cs
         self.near_pairs += int(tot.sum())
         # Well-filled pairs of stencil leaves go to the stencil GEMMs (see
         # module docstring), as ordered pairs.
-        gemm = tot >= self.leaf_side**2 if self.stencil else np.zeros(len(tot), dtype=bool)
+        gemm = tot >= self.leaf_side**2 if lvl == self.stencil_level else np.zeros(len(tot), dtype=bool)
         self.near_gemm_blocks += int(np.count_nonzero(gemm))
         self.near_ragged_pairs += int(tot.sum()) - int(tot[gemm].sum())
-        # Every other pair once for both orders (the colleagues are
-        # symmetric): from its lower slot, or the leaf with itself.
+        # Every other pair once for both orders (the pairs are symmetric):
+        # from its lower slot, or the box with itself.
         pick = np.flatnonzero(~gemm & (tgt <= src))
         t, c = tgt[pick], src[pick]
         a, b = start[t].astype(np.intp), start[c].astype(np.intp)
@@ -1146,15 +992,15 @@ class FmmRun:
         return tgt[gemm], src[gemm], code[gemm]
 
     def _ragged_pairs(self, a, b, ct, cs, same, xy, q_sorted, u):
-        """Sum the point pairs of leaf pairs by ``_point_pairs``, each
+        """Sum the point pairs of box pairs by ``_point_pairs``, each
         unordered pair once: the ct points from sorted index ``a`` against
-        the cs from ``b``, or, where ``same``, the ct points of one leaf
+        the cs from ``b``, or, where ``same``, the ct points of one box
         against each other (i < j).  The pairs are formed in chunks of whole
-        leaf pairs of up to ``_CHUNK`` point pairs (a leaf pair has at most
+        box pairs of up to ``_CHUNK`` point pairs (a box pair has at most
         64^2) by ``_run_pairs``."""
         n = np.where(same, (ct * (ct - 1)) >> 1, ct * cs)
         end = np.cumsum(n)
-        first = end - n  # each leaf pair's first point pair
+        first = end - n  # each box pair's first point pair
         lo = 0
         while lo < len(n):
             hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
@@ -1185,7 +1031,7 @@ class FmmRun:
             mark[s_slots] = True
         used = np.flatnonzero(mark)
         row = np.cumsum(mark, dtype=np.int32) - 1
-        pts, count = self._leaf_points(used)
+        pts, count = self._leaf_points(self.tree.L, used)
         cell = self._stencil_cells(pts, count)
         qd = np.zeros((len(used), s * s))
         qd.reshape(-1)[cell] = q_sorted[pts]
@@ -1218,17 +1064,18 @@ class FmmRun:
         self.ifo_pairs_per_level = [0] * n_levels
         self.ifo_grid_levels: list[int] = []
         self.upward_rows = [0] * n_levels
-        self.point_pairs_per_level = [0] * n_levels
+        self.leaves_per_level = [0] * n_levels
+        self.resolved_pairs_per_level = [0] * n_levels
         u_sorted = np.zeros(len(q_sorted))
-        ifo, colleagues = self._lists(q_sorted, u_sorted)
+        levels, ifo, resolved = self._lists()
         if self.chain is not None:
-            incoming = self._up_and_across(q_sorted, ifo, u_sorted)
-            self._down(incoming, u_sorted)
+            incoming = self._up_and_across(q_sorted, levels, ifo)
+            self._down(levels, incoming, u_sorted)
         self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
         self.times["t_downward"] = sum(self.down_seconds)
         t1 = clock()
-        self._near_field(q_sorted, colleagues, u_sorted)
+        self._near_field(q_sorted, resolved, u_sorted)
         self.times["t_near"] += clock() - t1
         out = np.empty_like(u_sorted)
         out[tree.order] = u_sorted
@@ -1239,8 +1086,8 @@ class FmmRun:
         work of the last ``apply``.
 
         ``op_entries`` is the operator data instantiated for this problem
-        (O(N_source)): the per-point leaf interpolation columns, the
-        near-field pair interactions and the point pairs.  The model-box
+        (O(N_source)): k interpolation entries per point, k the rank at
+        level L, and the point pairs summed directly.  The model-box
         translation operators and tables of unit expansions are shared
         process-wide across problems and are counted apart, as
         ``shared_op_entries`` (0 for a tree under two levels, which uses none).
@@ -1250,19 +1097,19 @@ class FmmRun:
         for lvl in range(2, tree.L + 1):
             ranks[lvl] = self._ops(lvl).skeleton.rank
         return {
-            "op_entries": ranks[tree.L] * len(tree.order) + self.near_pairs + sum(self.point_pairs_per_level),
+            "op_entries": ranks[tree.L] * len(tree.order) + self.near_pairs,
             "shared_op_entries": 0 if self.chain is None else self.chain.stored_entries(),
             "t_chain": self.t_chain,
             **self.times,
             "boxes_per_level": [len(codes) for codes in tree.codes],
-            "single_boxes_per_level": [int(n) for n in tree.singles[: tree.L + 1]],
+            "leaves_per_level": list(self.leaves_per_level),
             "ifo_pairs_per_level": list(self.ifo_pairs_per_level),
             "ifo_grid_levels": list(self.ifo_grid_levels),
             "t_ifo_per_level": list(self.ifo_seconds),
             "t_upward_per_level": list(self.up_seconds),
             "t_downward_per_level": list(self.down_seconds),
             "upward_rows_per_level": list(self.upward_rows),
-            "point_pairs_per_level": list(self.point_pairs_per_level),
+            "resolved_pairs_per_level": list(self.resolved_pairs_per_level),
             "ranks_per_level": ranks,
             "near_pairs": self.near_pairs,
             "near_gemm_blocks": self.near_gemm_blocks,
@@ -1282,12 +1129,14 @@ def fmm_apply(
 
     Evaluated at the source points by default; pass ``targets`` for other
     evaluation points (they are added as zero-charge nodes, and coinciding
-    source/target points are fine).  The tree refines toward leaves of
-    side 8 only while some box holds more than ``tree.FEW_POINTS`` (16)
-    points: a leaf of side 8 holds at most 64 points, a larger leaf at
-    most 16, which the near field sums pair by pair.  Every ``nleaf`` >= 64
-    gives the same tree, and only smaller values deepen it.  ``stats``, if
-    given, is
+    source/target points are fine).  The tree's depth L is the first level
+    at which no box holds more than ``nleaf`` points and the boxes are of
+    side 8 or hold at most ``tree.FEW_POINTS`` (16) points each.  A box is
+    a leaf, at any level, once it and each of its active colleagues hold
+    at most F = min(nleaf, 16) points, and at level L (see the module
+    docstring).  So every ``nleaf`` >= 64 gives the same leaves, ``nleaf``
+    below 64 can deepen L, and only ``nleaf`` below 16 changes which boxes
+    above L are leaves.  ``stats``, if given, is
     filled with run counters: tree depth, wall time, seconds per pass
     (``t_tree``; ``t_chain``, spent extending the shared operator chain
     and building the T_ifo stacks of levels 2..L, the grid operators of
@@ -1297,41 +1146,37 @@ def fmm_apply(
     grid operator, a table of unit expansions, or phi's table or octant
     or part of it; ``t_lists``, building the
     interaction and neighbour lists of every level; ``t_upward``;
-    ``t_ifo``, the T_ifo translations and the point-pair sums;
-    ``t_downward``; ``t_near``), lists indexed by level 0..L
-    (``boxes_per_level`` occupied boxes, ``single_boxes_per_level`` those
-    holding one point, ``ifo_pairs_per_level`` T_ifo blocks,
-    ``point_pairs_per_level`` pairs of one-point boxes summed as point
-    pairs, each unordered pair once, ``t_ifo_per_level`` the seconds of
-    ``t_ifo`` spent at each level,
+    ``t_ifo``; ``t_downward``; ``t_near``, the pairs summed directly, at
+    every level), lists indexed by level 0..L (``boxes_per_level``
+    occupied boxes, ``leaves_per_level`` leaves, ``ifo_pairs_per_level``
+    T_ifo blocks, ``resolved_pairs_per_level`` ordered point pairs of the
+    colleague pairs that hold a leaf, summed directly, ``t_ifo_per_level``
+    the seconds of ``t_ifo`` spent at each level,
     on the grid or pair by pair, and ``ranks_per_level`` skeleton ranks;
-    the last four read 0 at levels 0 and 1, which have no interaction
-    lists; ``t_upward_per_level`` the seconds of ``t_upward`` that formed
-    each level's outgoing expansions, T_ofs at the leaf level and T_ofo
-    from the level below elsewhere, and ``t_downward_per_level`` those of
-    ``t_downward`` spent at each level, T_ifi to the level below and the
-    folds into the one-point chains whose tops lie there, and at the leaf
-    level T_tfi; both read 0 at a level with no such work, levels 0 and 1
-    always, and each sums to its pass's total;
+    ``ifo_pairs_per_level``, ``t_ifo_per_level`` and ``ranks_per_level``
+    read 0 at levels 0 and 1, which have no interaction lists;
+    ``t_upward_per_level`` the seconds of ``t_upward`` that formed each
+    level's outgoing expansions, T_ofs at its leaves and T_ofo from the
+    level below for its other active boxes, and ``t_downward_per_level``
+    those of ``t_downward`` spent at each level, T_ifi to the level below
+    and T_tfi at its leaves; both read 0 at a level with no such work,
+    levels 0 and 1 always, and each sums to its pass's total;
     ``upward_rows_per_level`` the rows of each level's array of
-    expansions in the upward pass, 0 at levels 0 and 1: on a level that
-    reads its one-point boxes from its table, the table's s^2 positions
-    (s the box side) and a row per box of two or more points, elsewhere a
-    row per box), ``ifo_grid_levels``
-    (the run of levels from 2 whose T_ifo ran on the dense box grid, eight
-    GEMMs over each chunk of parents; the others ran pair by pair, see the
-    module docstring), near-field work (``near_pairs`` ordered point pairs
-    of neighbouring leaves, of which ``near_ragged_pairs`` were summed pair
-    by pair, phi evaluated once per unordered pair, and the rest in
-    ``near_gemm_blocks`` stencil block products, which only leaves of side
-    8 or less form), ``op_entries``, the operator data instantiated for
-    this problem: k leaf interpolation entries per point, the near pairs
-    and the point pairs, and ``shared_op_entries``, that of the shared
+    expansions in the upward pass, one per active box from level 2, 0 at
+    levels 0 and 1), ``ifo_grid_levels``
+    (the levels whose T_ifo ran on the dense box grid, eight GEMMs over
+    each chunk of parents; the others ran pair by pair, see the module
+    docstring), near-field work (``near_pairs`` ordered point pairs of the
+    resolved pairs of every level, the sum of ``resolved_pairs_per_level``,
+    of which ``near_ragged_pairs`` were summed pair by pair, phi evaluated
+    once per unordered pair, and the rest in ``near_gemm_blocks`` stencil
+    block products, which only leaves of side 8 or less at level L form),
+    ``op_entries``, the operator data instantiated for this problem: k
+    leaf interpolation entries per point, k the rank at level L, and the
+    near pairs, and ``shared_op_entries``, that of the shared
     operator chain, its tables of unit expansions included.  Over the
     nodes (sources and targets), the T_ifo blocks (|b| |c| ordered point
-    pairs each), the point pairs (each for both orders), the near pairs
-    and one self pair per one-point leaf, which phi(0) = 0 lets the sum
-    drop, cover each ordered pair once.
+    pairs each) and the near pairs cover each ordered pair once.
 
     Error contract: max_i |u_i - exact_i| <= eps * sum_j |q_j|.  The error
     is bounded relative to the charges' l1 norm, not to |u|: charges that

@@ -88,7 +88,9 @@ INTERACTION_OFFSETS = _enumerate_interaction_offsets()
 
 # Most points of a box that the ``max_leaf_side`` rule does not refine
 # further: below such a box the tree would only resolve points that the
-# FMM sums pair by pair for less (``latticefmm.fmm``).  fmm_apply at eps
+# FMM sums pair by pair for less (``latticefmm.fmm``, which also makes a
+# box above the depth L a leaf once it and its colleagues hold at most
+# this many points).  Measured as the depth rule alone: fmm_apply at eps
 # 1e-10, warm medians of alternating calls in one process on 2 cores, at
 # 8 / 16 / 32 / 64 points against 1 (leaves of side 8, as without this
 # bound): 16384 uniform points on 16384^2 (the benchmark's random)
@@ -103,15 +105,18 @@ class QuadTree:
 
     points: (N, 2) integer array.  The root box is the smallest
     power-of-two-sided square anchored at the minimum corner that covers
-    all points.  L is the smallest depth at which no leaf holds more than
+    all points.  L is the smallest depth at which no box holds more than
     nleaf points.  max_leaf_side, if given, deepens the tree toward that
     box side until no box holds more than ``FEW_POINTS`` points: L is the
-    larger of the nleaf depth and the first depth at which the leaves are
-    of that side or hold at most ``FEW_POINTS`` points each.  So a leaf of
-    side max_leaf_side holds at most max_leaf_side^2 points, a larger leaf
-    at most ``FEW_POINTS``, and any nleaf of at least both gives the same
-    tree.  (The solver's cap of 8 bounds each near-field stencil block at
-    8^4 entries; the few points of a larger leaf are summed pair by pair.)
+    larger of the nleaf depth and the first depth at which the boxes are
+    of that side or hold at most ``FEW_POINTS`` points each.  So a box of
+    level L and side max_leaf_side holds at most max_leaf_side^2 points, a
+    larger one at most ``FEW_POINTS``, and any nleaf of at least both
+    gives the same tree.  (The solver's cap of 8 bounds each near-field
+    stencil block at 8^4 entries; the few points of a larger box are
+    summed pair by pair.)  The tree holds every occupied box down to
+    level L; the solver chooses which of them are leaves, box by box
+    (``latticefmm.fmm``).
 
     Per level l: ``codes[l]`` holds each occupied box's Morton code (int32
     at levels up to 15, whose codes stay below 2^30, and int64 deeper),
@@ -120,7 +125,7 @@ class QuadTree:
     2^31 points).  Points are in Morton order: ``order`` sorts the input
     into ``rel_sorted``, the coordinates from the root corner.
     ``singles[l]``, for every level l from 0 to log2(root_side), below
-    the leaves too, counts the boxes of level l that hold one point.
+    level L too, counts the boxes of level l that hold one point.
     """
 
     def __init__(self, points, nleaf: int = DEFAULT_NLEAF, max_leaf_side: int | None = None):

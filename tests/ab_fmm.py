@@ -18,7 +18,13 @@ this script's own:
 * ``circle``: 2**16 points rounded onto the circle of radius 2**17 - 1
   (as ``lfmm bench --distribution circle --n 262144 --alpha 0.25``), the
   load whose leaves stop earliest, far above side 8, so that its near
-  field is all point pairs; the seed draws only the charges.
+  field is all point pairs; the seed draws only the charges;
+* ``clustered``: 2**16 draws from 20 Gaussian clusters (sigma 50) whose
+  centres are uniform on 2**20 x 2**20, offsets rounded, clipped to the
+  domain, duplicates dropped: a deep tree whose leaves lie on many levels;
+* ``scatter``: a full 64 x 64 block and 2**14 points uniform on 2**24 x
+  2**24, duplicates dropped: the scattered points are leaves high up,
+  and only the block goes down to side-8 leaves, 18 levels further.
 
 The call is the benchmark's
 ``workloads.run_op``: ``fmm_apply``, or for ``crack`` ``DefectSpec`` and
@@ -103,13 +109,21 @@ def shared_bytes(lf: dict) -> int:
 
 
 def make_inputs(workload: str, seed: int) -> dict:
-    """Points and charges of a workload: the benchmark's, ``ragged`` or
-    ``circle``."""
+    """Points and charges of a workload: the benchmark's, or one of this
+    script's own (module docstring)."""
     rng = np.random.default_rng(seed)
     if workload == "ragged":
         n, side = 1 << 16, 1 << 10
         flat = rng.choice(side * side, size=n, replace=False)
         points = np.column_stack([flat // side, flat % side])
+    elif workload == "clustered":
+        side = 1 << 20
+        centres = rng.integers(0, side, size=(20, 2))
+        draws = centres[rng.integers(0, 20, size=1 << 16)] + np.round(rng.normal(0.0, 50.0, size=(1 << 16, 2)))
+        points = np.unique(np.clip(draws, 0, side - 1).astype(np.int64), axis=0)
+    elif workload == "scatter":
+        block = np.column_stack([np.repeat(np.arange(64), 64), np.tile(np.arange(64), 64)]) + (1 << 23)
+        points = np.unique(np.vstack([block, rng.integers(0, 1 << 24, size=(1 << 14, 2))]), axis=0)
     elif workload == "circle":
         theta = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
         c, r = 2.0**17, 2.0**17 - 1.0
@@ -205,7 +219,7 @@ def main() -> int:
         "--workloads",
         nargs="+",
         default=["dense", "random", "ragged"],
-        choices=["dense", "random", "ragged", "circle", "crack"],
+        choices=["dense", "random", "ragged", "circle", "clustered", "scatter", "crack"],
     )
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--pairs", type=int, default=21, help="alternating pairs of warm calls per case")

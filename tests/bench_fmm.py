@@ -30,8 +30,10 @@ under cases.<name>.<label>.
 
 Cases, with the points and charges of ``lfmm bench`` at its default seed:
 a dense 512 x 512 grid; 2**18 distinct points drawn uniformly on a 2**18 x
-2**18 domain; and 2**18 points rounded onto the circle inscribed in a 2**20
-x 2**20 domain (``--distribution circle --n 1048576 --alpha 0.25``).  The
+2**18 domain; 2**18 points rounded onto the circle inscribed in a 2**20
+x 2**20 domain (``--distribution circle --n 1048576 --alpha 0.25``); and
+the ``clustered`` and ``scatter`` loads of ``tests/ab_fmm.py`` at that
+seed, whose leaves lie on many levels.  The
 records of the older ``random-2^18`` case hold the lexicographically first
 2**18 of the distinct draws, all with x < 0.51 * 2**18: a half-domain load
 at twice the density, not comparable with ``random-uniform-2^18``.
@@ -49,10 +51,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = {  # name: (distribution, n, alpha)
+CASES = {  # name: (distribution, n, alpha), or the load of tests/ab_fmm.py
     "dense-512": ("dense", 512, 0.25),
     "random-uniform-2^18": ("random", 1 << 18, 0.25),
     "circle-2^20": ("circle", 1 << 20, 0.25),
+    "clustered-2^16": "clustered",
+    "scatter-64^2+2^14": "scatter",
 }
 EPS = 1e-10
 NLEAF = 64
@@ -68,6 +72,11 @@ def case_inputs(name: str):
     from latticefmm.config import DEFAULT_SEED
     from latticefmm.fmm import fmm_apply
 
+    if isinstance(CASES[name], str):
+        from ab_fmm import make_inputs
+
+        inp = make_inputs(CASES[name], DEFAULT_SEED)
+        return inp["points"], inp["charges"], fmm_apply
     distribution, n, alpha = CASES[name]
     rng = np.random.default_rng(DEFAULT_SEED)
     pts = _bench_points(distribution, n, alpha, rng)

@@ -323,17 +323,30 @@ def test_bench_json_names_grid_levels(capsys):
     # Full 64 x 64 grid: every level from 2 runs T_ifo on its box grid.  A
     # random load of 64 points on 64 x 64, with nleaf 4 (at the default its
     # leaves stop at level 2, side 16), fills level 2 (156 pairs on 16
-    # cells, one box of one point), not level 3 (288 pairs on 64 cells).
+    # cells), not level 3 (458 pairs on 64 cells).  With nleaf 4 a box is
+    # a leaf once it and its active colleagues hold at most 4 points: one
+    # box of level 2 is (its 75 ordered point pairs with its colleagues are
+    # summed there), the 39 active boxes of level 3 all are.
     rc, out = run_cli(capsys, "bench", "--distribution", "dense", "--n", "64", "--json")
     assert rc == 0
     stats = json.loads(out)["stats"]
     assert stats["ifo_grid_levels"] == list(range(2, stats["levels"]))
+    assert stats["leaves_per_level"] == [0] * (stats["levels"] - 1) + [64]
     rc, out = run_cli(capsys, "bench", "--distribution", "random", "--n", "64", "--nleaf", "4", "--json")
     stats = json.loads(out)["stats"]
     assert stats["ifo_grid_levels"] == [2] and stats["levels"] == 4
-    assert stats["ifo_pairs_per_level"] == [0, 0, 156, 288]
-    assert stats["single_boxes_per_level"][2] == 1
-    assert stats["point_pairs_per_level"][:3] == [0, 0, 0] and stats["point_pairs_per_level"][3] > 0
+    assert stats["ifo_pairs_per_level"] == [0, 0, 156, 458]
+    assert stats["leaves_per_level"] == [0, 0, 1, 39] and stats["upward_rows_per_level"] == [0, 0, 16, 39]
+    assert stats["resolved_pairs_per_level"] == [0, 0, 75, 473] and stats["near_pairs"] == 75 + 473
+    # The same from the brute-force leaf rule.
+    from latticefmm.config import DEFAULT_SEED
+    from latticefmm.tree import build_tree
+    from tree_reference import leaf_rule_lists, pair_points
+
+    tree = build_tree(_bench_points("random", 64, 0.25, np.random.default_rng(DEFAULT_SEED)), nleaf=4, max_leaf_side=8)
+    brute = leaf_rule_lists(tree)
+    assert stats["leaves_per_level"] == [len(leaves) for _, leaves, _, _ in brute]
+    assert stats["resolved_pairs_per_level"] == [pair_points(tree, near) for _, _, near, _ in brute]
 
 
 def test_bench_rejects_bad_inputs(capsys):

@@ -19,9 +19,8 @@ from fmm_reference import dense_solve_truncated, direct_near_field, estimate_com
 from tree_reference import (
     box_by_id,
     clustered_points,
-    grid_run,
-    reference_pairs,
-    single_point_pairs,
+    leaf_rule_lists,
+    pair_points,
     sparse_points,
     total_boxes,
 )
@@ -265,14 +264,16 @@ def test_stats_reported():
     for key in PASS_TIMES:
         assert stats[key] >= 0.0
     assert sum(stats[key] for key in PASS_TIMES) <= stats["wall_time"]
-    # No leaf of the scattered points holds two, so every pair of their
-    # leaves is a point pair, taken at the coarsest level where both boxes
-    # hold one point, and the full leaf, which has no neighbour, is the
-    # near field alone: one stencil block.
-    assert stats["near_gemm_blocks"] == 1 and stats["near_pairs"] == 64 * 64
-    assert stats["near_ragged_pairs"] == 0
-    assert stats["single_boxes_per_level"][-1] == len(scattered)
-    assert sum(stats["point_pairs_per_level"]) > 0
+    # The scattered points lie in leaves above level L, on several levels,
+    # whose resolved pairs are summed point pair by point pair; the full
+    # leaf is the one leaf at level L and, with no neighbour there, its
+    # resolved pairs are one stencil block.
+    leaves = stats["leaves_per_level"]
+    assert leaves[-1] == 1 and len(np.flatnonzero(leaves[:-1])) >= 3
+    resolved = stats["resolved_pairs_per_level"]
+    assert stats["near_gemm_blocks"] == 1 and resolved[-1] == 64 * 64
+    assert stats["near_ragged_pairs"] == sum(resolved[:-1]) > 0
+    assert stats["near_pairs"] == sum(resolved)
 
     # 4 x 4 full leaves: 10 x 10 ordered (target, source) neighbour pairs.
     full = {}
@@ -299,15 +300,16 @@ def test_per_level_stats(monkeypatch):
     assert second["ranks_per_level"] == [0, 0] + [
         chain.ops[tree.side_of(lvl)].skeleton.rank for lvl in range(2, tree.L + 1)
     ]
-    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
-    assert second["ifo_grid_levels"] == run
-    want = [single_point_pairs(tree, lvl, run) for lvl in range(tree.L + 1)]
-    assert second["ifo_pairs_per_level"] == [len(far) for _, far, _ in want]
-    assert second["point_pairs_per_level"] == [len(points) for _, _, points in want]
-    assert second["single_boxes_per_level"] == [
-        int(np.count_nonzero(np.diff(p) == 1)) for p in tree.ptr
-    ]
-    assert second["ifo_pairs_per_level"][:2] == second["point_pairs_per_level"][:2] == [0, 0]
+    # Per level, against the brute-force leaf rule: its leaves, the point
+    # pairs of its resolved pairs, its T_ifo blocks and its grid levels.
+    want = leaf_rule_lists(tree)
+    assert len(want) == tree.L + 1
+    assert second["leaves_per_level"] == [len(leaves) for _, leaves, _, _ in want]
+    assert second["resolved_pairs_per_level"] == [pair_points(tree, near) for _, _, near, _ in want]
+    assert second["ifo_pairs_per_level"] == [0, 0] + [len(far) for _, _, _, far in want[2:]]
+    cut = fmm._IFO_GRID_PAIRS_PER_CELL
+    assert second["ifo_grid_levels"] == [lvl for lvl in range(2, tree.L + 1) if len(want[lvl][3]) >= cut * 4**lvl]
+    assert len(np.flatnonzero(second["leaves_per_level"][:-1])) >= 2
     # T_ifo seconds per level: none at levels 0-1, some at every level of
     # pairs, and together t_ifo.
     per_level = second["t_ifo_per_level"]
@@ -323,16 +325,9 @@ def test_per_level_stats(monkeypatch):
         assert len(per_level) == second["levels"] and per_level[:2] == [0.0, 0.0]
         assert all(t > 0.0 for t in per_level[2:])
         assert sum(per_level) == second[key]
-    # Rows of the upward pass's level arrays: none at levels 0-1; a level
-    # that reads its one-point boxes from its table (the leaf level
-    # always) holds the table's s^2 positions and the boxes of more
-    # points, any other level a row per box.
-    rows = second["upward_rows_per_level"]
-    assert len(rows) == second["levels"] and rows[:2] == [0, 0]
-    for lvl in range(2, tree.L + 1):
-        n_multi = second["boxes_per_level"][lvl] - second["single_boxes_per_level"][lvl]
-        table = tree.side_of(lvl) ** 2 + n_multi
-        assert rows[lvl] == table if lvl == tree.L else rows[lvl] in (table, second["boxes_per_level"][lvl])
+    # Rows of the upward pass's level arrays: none at levels 0-1, and one
+    # per active box from level 2.
+    assert second["upward_rows_per_level"] == [0, 0] + [len(active) for active, _, _, _ in want[2:]]
     assert json.loads(json.dumps(second)) == second
 
 
@@ -434,15 +429,19 @@ def leaf_pairs(draw):
     dx, dy = draw(st.sampled_from(_SIDES))
     a = rng.choice(64, size=ct, replace=False)
     b = rng.choice(64, size=cs, replace=False)
-    # Two far points and a far full 8 x 8 leaf pin the tree anchor to a
-    # multiple of 8 and make the tree deep enough for 8 x 8 leaves (the
-    # full leaf holds more than FEW_POINTS points); they have no
-    # neighbours, and the full leaf is one more stencil block.
+    # Two far points pin the tree anchor to a multiple of 8, 16 away from
+    # the 16 x 16 box that holds the first leaf, and a full 8 x 8 leaf
+    # makes the tree deep enough for 8 x 8 leaves (it holds more than
+    # FEW_POINTS points).  That leaf is two leaves from either of the
+    # pair, so it neighbours neither, but its 16 x 16 box is a colleague
+    # of the pair's, so no box of the pair is a leaf above side 8: the
+    # pair meets at side 8 whatever its counts.  The full leaf is one more
+    # stencil block.
     pts = np.vstack([
         np.column_stack([8 + a // 8, 8 + a % 8]),
         np.column_stack([8 + 8 * dx + b // 8, 8 + 8 * dy + b % 8]),
         [(-1024, 0), (0, -1024)],
-        grid_points(8) - 1024,
+        grid_points(8) + ((0, 24) if dx else (24, 0)),
     ]) + _shift(draw)
     blocks = 2 * (ct * cs >= 64) + (ct >= 8) + (cs >= 8) + 1
     return pts, rng.standard_normal(len(pts)), blocks
@@ -564,11 +563,10 @@ MIXED = [(seed, with_targets) for seed in (3, 4) for with_targets in (False, Tru
 @pytest.mark.parametrize("seed,with_targets", MIXED)
 def test_every_point_pair_covered_once(seed, with_targets, monkeypatch):
     """T_ifo blocks (|b| |c| ordered point pairs each, on the grid levels
-    too), point pairs (both orders each), near-field pairs and the dropped
-    self pairs of one-point boxes make up N^2, over the nodes the tree
-    holds (sources and targets), under the grid run the FMM took, and the
-    stats agree.  Every direct pair, of one-point boxes or of the near
-    field's ragged leaf pairs, is summed once for both orders."""
+    too), the ordered point pairs of the resolved pairs above level L, and
+    level L's stencil and ragged near pairs make up N^2, over the nodes the
+    tree holds (sources and targets), and the stats agree.  Every pair
+    summed directly, at any level, is summed once for both orders."""
     pts, targets = mixed_load(seed, with_targets)
     nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
     direct = []  # (tgt, src) of each ``_point_pairs`` call, sorted indices
@@ -585,44 +583,32 @@ def test_every_point_pair_covered_once(seed, with_targets, monkeypatch):
     # this tree's sorted indices are the run's.
     tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     assert stats["n_points"] == len(nodes) and tree.L >= 8 and tree.side_of(tree.L) == 8
-    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
-    assert stats["ifo_grid_levels"] == run and len(run) >= 2
-    blocks = points = 0
-    seen = set()
-    lists = level_lists(tree, lambda lvl, n_far: lvl in run)
-    for lvl, (colleagues, far, (ptgt, psrc)) in enumerate(lists):
+    assert len(stats["ifo_grid_levels"]) >= 2
+    assert len(np.flatnonzero(stats["leaves_per_level"])) >= 8
+    # The lists with no grid level: the grid changes none, and its pairs
+    # are formed too.
+    blocks, resolved, diagonal = 0, [], 0
+    for lvl, (_, _, near, far) in enumerate(level_lists(tree)):
         count = np.diff(tree.ptr[lvl])
-        if lvl in run:  # the grid's pairs are only counted: take the reference's
-            far = reference_pairs(tree, lvl)[1]
-            size = {b: len(box_by_id(tree, b).point_index) for pair in far for b in pair}
-            blocks += sum(size[b] * size[c] for b, c in far)
-        else:
-            blocks += int(np.sum(count[far[0]] * count[far[1]]))
-        assert np.all(ptgt < psrc)  # each from its lower point
-        points += len(ptgt)
-        seen.update(zip(ptgt.tolist(), psrc.tolist()))
-    tot = count[colleagues[0]] * count[colleagues[1]]
-    near = int(tot.sum())
-    dropped = stats["single_boxes_per_level"][-1]  # one self pair per lone leaf point
-    assert len(seen) == points  # no point pair twice
-    assert blocks + 2 * points + near + dropped == len(nodes) ** 2
-    assert points == sum(stats["point_pairs_per_level"])
-    assert near == stats["near_pairs"]
-    # The near field's leaf pairs off the stencil blocks, ordered and
-    # with the diagonal of a leaf paired with itself, are summed pair by
-    # pair: once per unordered pair of distinct points.
-    gemm = tot >= 64
+        blocks += int(np.sum(count[far[0]] * count[far[1]]))
+        tot = count[near[0]] * count[near[1]]
+        resolved.append(int(tot.sum()))
+        gemm = tot >= 64 if lvl == tree.L else np.zeros(len(tot), dtype=bool)
+        # The box with itself off the stencil: its diagonal is no pair.
+        diagonal += int(count[near[0][(near[0] == near[1]) & ~gemm]].sum())
+    stencil = int(tot[gemm].sum())
+    ragged = sum(resolved) - stencil
+    assert blocks + sum(resolved[:-1]) + stencil + int(tot[~gemm].sum()) == len(nodes) ** 2
+    assert stats["resolved_pairs_per_level"] == resolved and stats["near_pairs"] == sum(resolved)
     assert stats["near_gemm_blocks"] == int(np.count_nonzero(gemm))
-    ragged = int(tot[~gemm].sum())
     assert stats["near_ragged_pairs"] == ragged
-    itself = (colleagues[0] == colleagues[1]) & ~gemm
-    diagonal = int(count[colleagues[0][itself]].sum())
+    # Those summed pair by pair, ordered and with the diagonals, are
+    # summed once per unordered pair of distinct points.
     tgt = np.concatenate([t for t, _ in direct])
     src = np.concatenate([s for _, s in direct])
     assert np.all(tgt != src)
     key = np.minimum(tgt, src) * len(nodes) + np.maximum(tgt, src)
-    assert len(np.unique(key)) == len(key) == points + (ragged - diagonal) // 2
-    assert seen <= set(zip(tgt.tolist(), src.tolist()))
+    assert len(np.unique(key)) == len(key) == (ragged - diagonal) // 2
 
 
 def _exact_leaves():
@@ -653,18 +639,30 @@ def _large_leaf_load(name):
         return np.unique(np.vstack([np.column_stack([flat >> 13, flat & 8191]), cluster]), axis=0)
     if name == "one-leaf":  # FEW_POINTS points over a 2^31 extent
         return np.vstack([[0, 0], [(1 << 31) - 1, 5], rng.integers(0, 1 << 31, size=(FEW_POINTS - 2, 2))])
+    if name == "clustered":  # 2^12 draws from 20 clusters (sigma 50) on 2^20 x 2^20
+        centres = rng.integers(0, 1 << 20, size=(20, 2))
+        draws = centres[rng.integers(0, 20, size=1 << 12)] + np.round(rng.normal(0.0, 50.0, size=(1 << 12, 2)))
+        return np.unique(np.clip(draws, 0, (1 << 20) - 1).astype(np.int64), axis=0)
+    if name == "scatter":  # a full 32 x 32 block and 3072 points on 2^20 x 2^20
+        scattered = rng.integers(0, 1 << 20, size=(3072, 2))
+        return np.unique(np.vstack([grid_points(32) + (1 << 19), scattered]), axis=0)
     return with_full_leaf(rng.integers(0, 1 << 12, size=(500, 2)))  # "full-leaf"
 
 
-@pytest.mark.parametrize("name", ["uniform", "side-256", "exact", "exact-and-lone", "one-leaf", "full-leaf"])
+LARGE_LEAF_LOADS = ["uniform", "side-256", "exact", "exact-and-lone", "one-leaf", "full-leaf", "clustered", "scatter"]
+
+
+@pytest.mark.parametrize("name", LARGE_LEAF_LOADS)
 def test_large_leaves_match_direct(name):
     # The tree stops refining at the first level where no box holds more
-    # than FEW_POINTS points, or at side 8.  Leaves above side 8 form no
-    # stencil block: their near field is point pairs alone, and T_ofs and
-    # T_tfi read each point's unit expansion from the tables, carried up
-    # to the leaf from below it (by one step, or, for "side-256", by two,
-    # with boxes of several points at the table level), or from the leaf
-    # level's own table.
+    # than FEW_POINTS points, or at side 8, and a box above that level is a
+    # leaf once it and its active colleagues hold at most FEW_POINTS
+    # points.  Leaves above side 8 or above level L form no stencil block:
+    # their near field is point pairs alone, and T_ofs and T_tfi read each
+    # point's unit expansion from the tables, carried up to the leaf from
+    # below it (by one step, or, for "side-256", by two, with boxes of
+    # several points at the table level), or from the leaf level's own
+    # table.  "clustered" and "scatter" have leaves on several levels.
     pts = _large_leaf_load(name)
     q = rng_charges(len(pts), seed=41)
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
@@ -687,6 +685,8 @@ def test_large_leaves_match_direct(name):
         assert side == 16 and table_level == tree.L and tree.singles[tree.L] >= 256
     elif name == "one-leaf":
         assert tree.L == 0 and tree.root_side == 1 << 31
+    elif name == "clustered":
+        assert side == 16 and table_level == tree.L
     else:
         assert side == 8 and count.max() == 64
     ref = direct_sum(pts, q)
@@ -694,6 +694,11 @@ def test_large_leaves_match_direct(name):
         stats = {}
         u = fmm_apply(pts, q, eps=eps, stats=stats)
         assert np.max(np.abs(u - ref)) <= eps * np.abs(q).sum(), (eps, np.max(np.abs(u - ref)))
+        if name in ("clustered", "scatter"):
+            # Leaves on three levels or more, one of them below the table
+            # level and one above it.
+            leaf_levels = np.flatnonzero(stats["leaves_per_level"])
+            assert len(leaf_levels) >= 3 and leaf_levels[0] < table_level <= leaf_levels[-1]
         if side > 8:
             assert stats["near_gemm_blocks"] == 0
             assert stats["near_ragged_pairs"] == stats["near_pairs"] > 0
@@ -710,10 +715,10 @@ def rng_charges(n, seed=5):
 def chain_load():
     """Full 16 x 16 clusters on a 2**16 domain, each with four points at
     every distance 2^4..2^14 from it and a scatter of isolated points: the
-    points part from the clusters at every level, so their one-point
-    chains have their tops at every level.  The 1200 isolated points are
-    more one-point boxes at level 11 than its boxes have positions (1024),
-    so levels 11..13 read tables."""
+    points part from the clusters at every level, so they are leaves at
+    every level.  The 1200 isolated points are more one-point boxes at
+    level 11 than its boxes have positions (1024), so levels 11..13 read
+    tables."""
     rng = np.random.default_rng(13)
     parts = [rng.integers(0, 1 << 16, size=(1200, 2))]
     for corner in rng.integers(1 << 14, 3 << 14, size=(3, 2)) & ~7:
@@ -725,22 +730,18 @@ def chain_load():
     return np.unique(np.clip(np.vstack(parts), 0, (1 << 16) - 1), axis=0)
 
 
-def test_one_point_chains_match_direct():
-    # The downward pass folds a chain top's parent's incoming expansion at
-    # the parent's level l, with e_{p,l} read from the chain's table of l
-    # on the table levels, from the coarsest table and up by T_ofo above
-    # them.  Both kinds occur, at several parent levels each.
+def test_leaves_on_many_levels_match_direct():
+    # Points that part from the clusters at every level are leaves at
+    # every level: T_ofs and T_tfi read their unit expansions from the
+    # table of their leaf's level at and below the table level m, and
+    # from the table of m, carried up by T_ofo, above it.  Both kinds
+    # occur, at several levels each.
     pts = chain_load()
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     m = fmm.FmmRun(tree, 1e-10)._table_levels()
-    parents = []
-    for lvl in range(3, tree.L + 1):
-        single = np.diff(tree.ptr[lvl]) == 1
-        under_many = (np.diff(tree.ptr[lvl - 1]) > 1)[tree.parent_index[lvl]]
-        if np.any(single & under_many):
-            parents.append(lvl - 1)
-    below = [p for p in parents if p < m]
-    assert len(below) >= 3 and len(parents) - len(below) >= 2, (parents, m)
+    leaf_levels = [lvl for lvl, (_, leaf, _, _) in enumerate(level_lists(tree)) if leaf.any()]
+    above = [lvl for lvl in leaf_levels if lvl < m]
+    assert len(above) >= 3 and len(leaf_levels) - len(above) >= 2, (leaf_levels, m)
     q = rng_charges(len(pts))
     ref = direct_sum(pts, q)
     for eps in (1e-6, 1e-10):
@@ -755,7 +756,7 @@ def test_apply_twice_same_counters():
     q = rng_charges(len(tree.points))
     first = run.apply(q), run.counters()
     second = run.apply(q), run.counters()
-    assert first[1]["ifo_grid_levels"] and first[1]["single_boxes_per_level"][-1]
+    assert first[1]["ifo_grid_levels"] and len(np.flatnonzero(first[1]["leaves_per_level"])) >= 3
     assert first[0].tobytes() == second[0].tobytes()
     work = [{k: v for k, v in c.items() if not k.startswith("t_")} for _, c in (first, second)]
     assert work[0] == work[1]
@@ -868,17 +869,18 @@ def test_mixed_loads_match_direct(seed, with_targets):
     u = fmm_apply(pts, q, targets=targets, stats=stats)
     ref = direct_sum(pts, q, targets=targets)
     assert rel_l2(u, ref) <= 1e-9
-    # Point pairs, and T_ifo blocks with one and with no one-point box, at
-    # three levels or more each.
+    # Resolved pairs above level L, and T_ifo blocks of two leaves, of a
+    # leaf and a box of children, and of two such boxes, at three levels or
+    # more each.
     nodes = pts if targets is None else np.unique(np.vstack([pts, targets]), axis=0)
     tree = build_tree(nodes, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
-    kinds = {"single-single": 0, "mixed": 0, "multi-multi": 0}
-    for lvl, (_, (tgt, src, _), (ptgt, _)) in enumerate(level_lists(tree)):
-        multi = np.diff(tree.ptr[lvl]) > 1
-        n_multi = multi[tgt].astype(int) + multi[src]
-        kinds["single-single"] += len(ptgt) > 0
-        kinds["mixed"] += bool(np.any(n_multi == 1))
-        kinds["multi-multi"] += bool(np.any(n_multi == 2))
+    kinds = {"resolved": 0, "leaf-leaf": 0, "leaf-box": 0, "box-box": 0}
+    for lvl, (_, leaf, near, (tgt, src, _)) in enumerate(level_lists(tree)):
+        n_leaf = leaf[tgt].astype(int) + leaf[src]
+        kinds["resolved"] += lvl < tree.L and len(near[0]) > 0
+        kinds["leaf-leaf"] += bool(np.any(n_leaf == 2))
+        kinds["leaf-box"] += bool(np.any(n_leaf == 1))
+        kinds["box-box"] += bool(np.any(n_leaf == 0))
     assert min(kinds.values()) >= 3, kinds
     if targets is None:
         # The eps * sum |q| contract, on charges that cancel.
@@ -892,9 +894,12 @@ def test_mixed_loads_match_direct(seed, with_targets):
 def test_full_grid_has_no_point_pairs():
     stats = {}
     fmm_apply(grid_points(64), rng_charges(64 * 64), stats=stats)
-    assert stats["levels"] >= 4
-    assert stats["single_boxes_per_level"] == [0] * stats["levels"]
-    assert stats["point_pairs_per_level"] == [0] * stats["levels"]
+    # Every box above level L holds more than FEW_POINTS points: the leaves
+    # are the 64 boxes of level L, and all pairs summed directly are theirs.
+    levels = stats["levels"]
+    assert levels >= 4
+    assert stats["leaves_per_level"] == [0] * (levels - 1) + [64]
+    assert stats["resolved_pairs_per_level"] == [0] * (levels - 1) + [stats["near_pairs"]]
     assert stats["op_entries"] == 64 * 64 * stats["ranks_per_level"][-1] + stats["near_pairs"]
 
 
@@ -935,7 +940,7 @@ def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, pair = _forced(monkeypatch, "pair", pts, q, targets)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q, targets)
-    assert grid["single_boxes_per_level"] == [0] * grid["levels"]
+    assert grid["leaves_per_level"][:-1] == [0] * (grid["levels"] - 1)
     assert grid["ifo_grid_levels"] == list(range(2, grid["levels"]))
     assert pair["ifo_grid_levels"] == []
     assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
@@ -946,8 +951,9 @@ def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
 
 
 def test_level_with_a_one_point_box_takes_grid_ifo(monkeypatch):
-    # One 8 x 8 leaf of a 64 x 64 grid keeps one point: only the leaf
-    # level holds a one-point box, and it runs on the grid too.
+    # One 8 x 8 leaf of a 64 x 64 grid keeps one point: its colleagues are
+    # full, so it is a leaf of level L like the others, and it runs on the
+    # grid too.
     pts = grid_points(64)
     x, y = pts[:, 0], pts[:, 1]
     emptied = (x >= 16) & (x < 24) & (y >= 16) & (y < 24) & ((x != 19) | (y != 21))
@@ -956,9 +962,9 @@ def test_level_with_a_one_point_box_takes_grid_ifo(monkeypatch):
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
     u_pair, pair = _forced(monkeypatch, "pair", pts, q)
     levels = grid["levels"]
-    assert grid["single_boxes_per_level"] == [0] * (levels - 1) + [1]
+    assert grid["leaves_per_level"] == [0] * (levels - 1) + [64]
     assert grid["ifo_grid_levels"] == list(range(2, levels))
-    assert grid["point_pairs_per_level"] == [0] * levels
+    assert grid["resolved_pairs_per_level"] == [0] * (levels - 1) + [grid["near_pairs"]]
     assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
     assert np.max(np.abs(u_grid - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()
@@ -966,9 +972,11 @@ def test_level_with_a_one_point_box_takes_grid_ifo(monkeypatch):
 
 @pytest.mark.parametrize("name,chunk", [("sparse", None), ("sparse", 50_000), ("clustered", None)])
 def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
-    # Forced on, the grid run reaches the leaf level and holds the one-point
-    # boxes of every level; forced off, every level runs pair by pair.
-    # Both sides meet the direct sum at the eps * sum |q| contract.
+    # Forced on, every level from 2 runs on the grid, which holds the
+    # level's active boxes, the leaves above level L among them (most of
+    # them boxes of one point); forced off, every level runs pair by pair.
+    # The lists are the same: both sides agree, and meet the direct sum at
+    # the eps * sum |q| contract.
     pts = {"sparse": lambda: with_full_leaf(sparse_points()), "clustered": clustered_points}[name]()
     q = rng_charges(len(pts))
     if chunk is not None:
@@ -977,11 +985,10 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
     u_pair, pair = _forced(monkeypatch, "pair", pts, q)
     levels = grid["levels"]
     assert grid["ifo_grid_levels"] == list(range(2, levels)) and pair["ifo_grid_levels"] == []
-    assert sum(grid["single_boxes_per_level"][2:]) > 0
-    # No pair of one-point boxes is pruned: the grid reads every far box
-    # pair, and the leaf colleagues go to the near field.
-    assert grid["point_pairs_per_level"] == [0] * levels
-    assert sum(pair["point_pairs_per_level"]) > 0
+    assert len(np.flatnonzero(grid["leaves_per_level"][2:-1])) >= 2
+    for key in ("leaves_per_level", "ifo_pairs_per_level", "resolved_pairs_per_level"):
+        assert grid[key] == pair[key]
+    assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
     if chunk is not None:
         # The deepest levels hold more than a chunk: they fill in bands.
         k = grid["ranks_per_level"][-1]
@@ -998,15 +1005,12 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
     # two border rows, and a chunk of products holds fewer slots than a
     # parent row on the deeper levels; on the sparse load some bands hold
     # no occupied cell, border rows included.  Banding only regroups the
-    # products: the grid path matches the pair path on the loads of whole
-    # leaves.  On the sparse load the pair path sums one-point pairs point
-    # by point, so there the grid path is held to the same path at the
-    # default chunk, and both paths to the direct sum.
+    # products: the grid path matches the pair path, and on the sparse
+    # load both paths meet the direct sum.
     pts = with_full_leaf(sparse_points()) if kind == "sparse" else _grid_load(kind)[0]
     q = rng_charges(len(pts))
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, _ = _forced(monkeypatch, "pair", pts, q)
-    u_ref = _forced(monkeypatch, "grid", pts, q)[0] if kind == "sparse" else u_pair
     chunk = 600
     monkeypatch.setattr(fmm, "_CHUNK", chunk)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
@@ -1023,7 +1027,7 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
         parent_rows = set((tree.rel_sorted[tree.ptr[lvl][:-1], 0] // tree.side_of(lvl - 1)).tolist())
         empty_bands += sum(not parent_rows & {r - 1, r, r + 1} for r in range(1 << (lvl - 1)))
     assert (empty_bands > 0) == (kind == "sparse")
-    assert np.max(np.abs(u_grid - u_ref)) <= 1e-13 * np.max(np.abs(u_pair))
+    assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
     if kind == "sparse":
         ref = direct_sum(pts, q)
         for u in (u_grid, u_pair):
@@ -1031,12 +1035,12 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
 
 
 def test_grid_ifo_memory_is_banded():
-    # The leaf level of a uniform load: its whole padded grid would take
-    # (2^9 + 4)^2 k doubles, about 60 MB.  A band holds about _CHUNK
-    # entries, the chunk of products and its scratch buffer no more than a
-    # band's slots, and the index arrays a few per box; no neighbourhood of
-    # a chunk of parents is copied.  The level's charges, its kept incoming
-    # expansions and their rows are set up as the upward pass does.
+    # The leaf level of a uniform load, every box of it on the grid: its
+    # whole padded grid would take (2^9 + 4)^2 k doubles, about 60 MB.  A
+    # band holds about _CHUNK entries, the chunk of products and its
+    # scratch buffer no more than a band's slots, and the index arrays a
+    # few per box; no neighbourhood of a chunk of parents is copied.  The
+    # level's incoming expansions are held as the upward pass holds them.
     rng = np.random.default_rng(29)
     flat = rng.choice(1 << 24, size=1 << 14, replace=False)
     pts = with_full_leaf(np.column_stack([flat >> 12, flat & 4095]))
@@ -1048,28 +1052,18 @@ def test_grid_ifo_memory_is_banded():
     k = ops.skeleton.rank
     assert ops.t_ifo_grid.shape == (8, 4 * k, 4 * k)  # built before tracing
     n_boxes = len(tree.codes[lvl])
-    single = np.diff(tree.ptr[lvl]) == 1
-    assert 0 < np.count_nonzero(single) < n_boxes
+    assert n_boxes > 15000
     x = rng.standard_normal((n_boxes, k))
     xrow = np.arange(n_boxes)  # box b's expansion is row xrow[b] of x
-    q = rng.standard_normal(len(pts))
-    u = np.zeros(len(pts))
-    start = tree.ptr[lvl]
+    boxes = np.arange(n_boxes)
     tracemalloc.start()
-    charge = np.where(single, q[start[:-1]], 1.0)
-    row = np.cumsum(~single, dtype=np.int32) - 1
-    kept = np.zeros((n_boxes - np.count_nonzero(single), k))
-    seen = np.zeros(n_boxes, dtype=bool)
-    for boxes, inc in run._across_grid(lvl, x, xrow, charge):
-        seen[boxes] = True
-        one = single[boxes]
-        u[start[boxes[one]]] += np.einsum("ij,ij->i", x[xrow[boxes[one]]], inc[one])
-        kept[row[boxes[~one]]] = inc[~one]
+    inc = np.full((n_boxes, k), np.nan)
+    run._across_grid(lvl, x, xrow, boxes, inc)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8
-    assert seen.all()
-    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes + kept.nbytes, (peak, whole)
+    assert not np.isnan(inc).any()  # every box's row written
+    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes + inc.nbytes, (peak, whole)
     assert peak < whole / 6, (peak, whole)
 
 
@@ -1087,5 +1081,5 @@ def test_t_tfi_on_leaves_of_2_to_64_points(monkeypatch):
     q = rng_charges(len(pts))
     stats = {}
     u = fmm_apply(pts, q, stats=stats)
-    assert stats["levels"] == 4 and stats["single_boxes_per_level"] == [0] * 4
+    assert stats["levels"] == 4 and stats["leaves_per_level"] == [0, 0, 0, 64]
     assert np.max(np.abs(u - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()

@@ -3,7 +3,7 @@ import pytest
 
 from latticefmm import fmm
 from latticefmm.fmm import _MAX_LEAF_SIDE, _NEAR_OFFSETS, _by_code, fmm_apply, level_lists
-from latticefmm.tree import FEW_POINTS, INTERACTION_OFFSETS, build_tree, morton_decode
+from latticefmm.tree import FEW_POINTS, INTERACTION_OFFSETS, build_tree, morton_decode, morton_key
 
 from tree_reference import (
     K_IFO,
@@ -12,12 +12,11 @@ from tree_reference import (
     clustered_points,
     compute_lists,
     dump,
-    grid_run,
+    leaf_rule_lists,
     level_offset,
     locate_id,
-    reference_pairs,
+    pair_points,
     relative_ifo_offset,
-    single_point_pairs,
     sparse_points,
 )
 
@@ -208,40 +207,62 @@ LIST_TREES = {
 }
 
 
-def _check_lists(tree, levels, run):
-    """Check the lists of every level against the reference under the grid
-    run ``run``: same box pairs, each at its offset, and same point pairs,
-    none twice; a grid level's interactions are only their count."""
-    assert len(levels) == tree.L + 1
-    for level, (colleagues, interactions, (ptgt, psrc)) in enumerate(levels):
-        want_near, want_far, want_points = single_point_pairs(tree, level, run)
-        # Colleagues are target-major, as the next level reads them.
-        assert np.all(np.diff(colleagues[0]) >= 0)
-        grouped = _by_code(*colleagues, len(_NEAR_OFFSETS))
-        got_near = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
-        got_points = set(zip(tree.order[ptgt].tolist(), tree.order[psrc].tolist()))
-        assert len(colleagues[0]) == len(got_near) and got_near == want_near
-        if level in run:
+def _ids(tree, level, flags):
+    rx, ry = morton_decode(tree.codes[level][flags])
+    return {box_id(level, x, y) for x, y in zip(rx, ry)}
+
+
+def _check_lists(tree, levels, grid):
+    """Check the lists of every level against the brute-force leaf rule,
+    with the levels ``grid`` on the grid: same active boxes and leaves,
+    same resolved and interaction pairs, each at its offset; a grid
+    level's interactions are only their count.  Every leaf above level L
+    and each of its active colleagues hold at most F points."""
+    reference = leaf_rule_lists(tree)
+    few = min(tree.nleaf, FEW_POINTS)
+    assert len(levels) == len(reference)
+    for level, ((active, leaf, resolved, interactions), want) in enumerate(zip(levels, reference)):
+        want_active, want_leaves, want_resolved, want_far = want
+        assert _ids(tree, level, active) == want_active
+        assert _ids(tree, level, leaf) == want_leaves and not np.any(leaf & ~active)
+        # Resolved pairs are target-major, as the near field reads them.
+        assert np.all(np.diff(resolved[0]) >= 0)
+        grouped = _by_code(*resolved, len(_NEAR_OFFSETS))
+        got = _pairs_by_offset(tree, level, grouped, _NEAR_OFFSETS)
+        assert len(resolved[0]) == len(got) and got == want_resolved
+        if level in grid:
             assert interactions == len(want_far)
         else:
             got_far = _pairs_by_offset(tree, level, interactions, INTERACTION_OFFSETS)
             assert len(interactions[0]) == len(got_far) and got_far == want_far
-        assert len(ptgt) == len(got_points) and got_points == want_points
+        if level < tree.L:
+            count = np.diff(tree.ptr[level])
+            for b, c in want_resolved:
+                assert count[_slot(tree, b)] <= few and count[_slot(tree, c)] <= few
     return levels
+
+
+def _slot(tree, bid):
+    level, rx, ry = locate_id(tree, bid)
+    return int(np.searchsorted(tree.codes[level], morton_key(rx, ry)))
 
 
 @pytest.mark.parametrize("name", sorted(LIST_TREES))
 def test_level_lists_match_reference(name):
-    # The lists the FMM applies, every occupied box at every level against
-    # the definition under the single-point rule: same box pairs, each at
-    # its offset, and same point pairs, none twice.
+    # The lists the FMM applies, every active box at every level against
+    # the brute-force leaf rule: same active boxes and leaves, same
+    # resolved and interaction pairs, each at its offset.
     tree = LIST_TREES[name]()
-    levels = _check_lists(tree, list(level_lists(tree)), run=[])
+    levels = _check_lists(tree, list(level_lists(tree)), grid=[])
     assert tree.L == {"dense8": 3, "L0": 0, "L1": 1}.get(name, tree.L)
+    leaf_levels = [lvl for lvl, (_, leaf, _, _) in enumerate(levels) if leaf.any()]
     if name in ("sparse", "clustered"):
-        assert any(len(far[0]) for _, far, _ in levels[3:])
-    if name in ("sparse", "clustered", "dense8"):
-        assert any(len(points[0]) for _, _, points in levels)
+        # Leaves above level L (sparse: at levels 4 and 5 = L; clustered:
+        # at 2, 3, 4 and 11 = L), and T_ifo pairs below the first.
+        assert len(leaf_levels) >= {"sparse": 2, "clustered": 4}[name] and leaf_levels[0] < tree.L
+        assert any(len(far[0]) for _, _, _, far in levels[leaf_levels[0] + 1 :])
+    else:
+        assert leaf_levels == [tree.L]
 
 
 GRID_RUNS = [("dense8", 2), ("sparse", 6), ("sparse", 99), ("clustered", 4), ("clustered", 99)]
@@ -249,27 +270,25 @@ GRID_RUNS = [("dense8", 2), ("sparse", 6), ("sparse", 99), ("clustered", 4), ("c
 
 @pytest.mark.parametrize("name,last", GRID_RUNS)
 def test_level_lists_under_a_grid_run(name, last):
-    # The grid run 2..last (to the leaf level for 99).  One-point boxes
-    # stay box pairs inside it (sparse holds 1522 of them at levels 5-6,
-    # clustered 74 at levels 2-4), and point pairs start at the level below.
+    # The levels 2..last on the grid, and level L too: the grid levels need
+    # not form one run, since the grid holds the active boxes alone.  The
+    # grid changes no list but the interactions it only counts.
     tree = LIST_TREES[name]()
-    run = list(range(2, min(last, tree.L) + 1))
     asked = []
 
     def on_grid(lvl, n_far):
         asked.append((lvl, n_far))
-        return lvl <= last
+        return lvl <= last or lvl == tree.L
 
-    levels = _check_lists(tree, list(level_lists(tree, on_grid)), run)
-    # Asked level by level from 2 until the first no, and never again,
-    # each time with all the level's interaction pairs, one-point boxes
-    # included, counted before any pair is formed; that holds too at the
-    # level that ends the run, which then forms its far pairs.
-    assert [lvl for lvl, _ in asked] == list(range(2, min(last + 1, tree.L) + 1))
-    assert all(n_far == len(reference_pairs(tree, lvl)[1]) for lvl, n_far in asked)
-    assert all(isinstance(levels[lvl][1], int) for lvl in run)
-    if last < tree.L:
-        assert len(levels[last + 1][2][0]) > 0
+    levels = _check_lists(tree, list(level_lists(tree, on_grid)), [*range(2, last + 1), tree.L])
+    reference = leaf_rule_lists(tree)
+    # Asked once per level from 2, with the level's interaction pairs
+    # counted before any pair is formed.
+    assert [lvl for lvl, _ in asked] == list(range(2, len(levels)))
+    assert all(n_far == len(reference[lvl][3]) for lvl, n_far in asked)
+    assert all(isinstance(levels[lvl][3], int) for lvl in range(2, len(levels)) if lvl <= last or lvl == tree.L)
+    if last + 1 < tree.L:
+        assert not isinstance(levels[last + 1][3], int)
 
 
 @pytest.mark.parametrize("name", ["sparse", "clustered"])
@@ -278,13 +297,15 @@ def test_ifo_pairs_per_level_brute_count(name):
     stats = {}
     fmm_apply(pts, np.ones(len(pts)), nleaf=4, stats=stats)
     tree = build_tree(pts, nleaf=4, max_leaf_side=_MAX_LEAF_SIDE)
-    run = grid_run(tree, fmm._IFO_GRID_PAIRS_PER_CELL)
-    assert stats["ifo_grid_levels"] == run
-    brute = [single_point_pairs(tree, level, run) for level in range(tree.L + 1)]
-    assert stats["ifo_pairs_per_level"] == [len(far) for _, far, _ in brute]
-    assert stats["point_pairs_per_level"] == [len(points) for _, _, points in brute]
+    brute = leaf_rule_lists(tree)
+    grid = [lvl for lvl, (_, _, _, far) in enumerate(brute) if lvl >= 2 and len(far) >= fmm._IFO_GRID_PAIRS_PER_CELL * 4**lvl]
+    assert stats["ifo_grid_levels"] == grid
+    assert stats["ifo_pairs_per_level"] == [0, 0] + [len(far) for _, _, _, far in brute[2:]]
+    assert stats["leaves_per_level"] == [len(leaves) for _, leaves, _, _ in brute]
+    assert stats["resolved_pairs_per_level"] == [pair_points(tree, near) for _, _, near, _ in brute]
+    assert stats["upward_rows_per_level"] == [0, 0] + [len(active) for active, _, _, _ in brute[2:]]
     assert stats["boxes_per_level"] == [len(c) for c in tree.codes]
-    assert sum(stats["ifo_pairs_per_level"]) > 0 and sum(stats["point_pairs_per_level"]) > 0
+    assert sum(stats["ifo_pairs_per_level"]) > 0 and sum(stats["resolved_pairs_per_level"][: tree.L]) > 0
 
 
 def test_list_symmetry(dense8):

@@ -2,9 +2,9 @@
 
 This is the definitional form of the geometry that ``latticefmm.fmm``
 evaluates in batches (``fmm.level_lists`` derives each level's colleague
-and interaction pairs from the parent level's colleagues, and applies the
-single-point rule below the run of grid levels); the tests use it as their
-reference.
+and interaction pairs from the parent level's colleagues of two non-leaf
+boxes, and chooses the leaves box by box); the tests use it, and
+``leaf_rule_lists`` for the leaf rule, as their reference.
 
 Boxes are numbered breadth-first from 1 (the root).  Within a level, ids
 follow Morton order with x varying fastest, so the four children of a box
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from latticefmm.tree import INTERACTION_OFFSETS, QuadTree, morton_decode, morton_key
+from latticefmm.tree import FEW_POINTS, INTERACTION_OFFSETS, QuadTree, morton_decode, morton_key
 
 K_IFO = len(INTERACTION_OFFSETS)
 _OFFSET_INDEX = {d: i + 1 for i, d in enumerate(INTERACTION_OFFSETS)}
@@ -163,16 +163,16 @@ def reference_pairs(tree: QuadTree, level: int):
 
 
 def sparse_points():
-    """2000 distinct points spread over 2^14 x 2^14: one-point boxes from
-    level 5 down."""
+    """2000 distinct points spread over 2^14 x 2^14: boxes of a few points
+    from level 5 down."""
     rng = np.random.default_rng(11)
     return np.unique(rng.integers(0, 1 << 14, size=(2000, 2)), axis=0)
 
 
 def clustered_points():
     """A full 16 x 16 block plus 60 isolated points: most siblings of the
-    isolated points' boxes are empty, at every level, and one-point boxes
-    appear from level 2."""
+    isolated points' boxes are empty, at every level, and boxes of one
+    point appear from level 2."""
     rng = np.random.default_rng(5)
     far = rng.integers(0, 4096, size=(60, 2))
     xs, ys = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
@@ -180,62 +180,49 @@ def clustered_points():
     return np.unique(np.vstack([block, far]), axis=0)
 
 
-def grid_run(tree: QuadTree, pairs_per_cell: float) -> list:
-    """The run of grid levels: levels 2, 3, ... in turn, while a level's
-    interaction pairs, those of one-point boxes included, number at least
-    ``pairs_per_cell`` per cell of its 2^l x 2^l box grid.  Inside the run
-    no pair is pruned, so a level's pairs are all of ``reference_pairs``."""
-    run = []
-    for level in range(2, tree.L + 1):
-        if len(reference_pairs(tree, level)[1]) < pairs_per_cell * 4**level:
-            break
-        run.append(level)
-    return run
+def leaf_rule_lists(tree: QuadTree) -> list:
+    """The leaf rule box by box: per level 0..L, (active, leaves, resolved,
+    interactions) as sets of box ids and of (target id, source id) pairs.
 
-
-def single_point_pairs(tree: QuadTree, level: int, run=()):
-    """(colleagues, interactions, points) at one level under the single-point
-    rule, from ``reference_pairs``, below the run of grid levels ``run``
-    (levels 2..G, or empty).
-
-    On levels 0, 1 and those of the run every pair is a box pair.  From the
-    first level below the run (level 2 if the run is empty), a pair of two
-    one-point boxes leaves the box lists.  It is a point pair, (target
-    point, source point) as indices into the original point array, taken
-    once for both orders, from the box of lower id, if the boxes differ
-    and the pair was not already one at the level above: the level is the
-    first below the run, or one of the two parents holds more than one
-    point.
+    The root is active, and a box below it is active when its parent is an
+    active box that is not a leaf.  An active box is a leaf at level L, or
+    when it and each active box among its neighbours hold at most
+    F = min(nleaf, ``FEW_POINTS``) points.  The resolved pairs are the
+    colleague pairs of ``reference_pairs`` (the box itself included) of two
+    active boxes that hold a leaf; the interactions are its interaction
+    pairs of two active boxes.
     """
-    assert list(run) == list(range(2, 2 + len(run))), run
-    colleagues, interactions = reference_pairs(tree, level)
-    first = 2 + len(run)
-    if level < first:
-        return colleagues, interactions, set()
-    lone = {}
+    few = min(tree.nleaf, FEW_POINTS)
+    out = []
+    active = {box_id(0, 0, 0)}
+    for level in range(tree.L + 1):
+        colleagues, interactions = reference_pairs(tree, level)
+        size = {b: len(box_by_id(tree, b).point_index) for b in active}
 
-    def point(bid):  # the point of a one-point box, else None
-        if bid not in lone:
-            idx = box_by_id(tree, bid).point_index
-            lone[bid] = int(idx[0]) if len(idx) == 1 else None
-        return lone[bid]
+        def crowded(b):
+            _, rx, ry = locate_id(tree, b)
+            return any(size[c] > few for c in neighbor_ids(level, rx, ry) + [b] if c in active)
 
-    def parent(bid):
-        _, rx, ry = locate_id(tree, bid)
-        return box_id(level - 1, rx // 2, ry // 2)
+        leaves = {b for b in active if level == tree.L or not crowded(b)}
+        resolved = {(b, c) for b, c in colleagues if b in active and c in active and (b in leaves or c in leaves)}
+        far = {(b, c) for b, c in interactions if b in active and c in active}
+        out.append((active, leaves, resolved, far))
+        occupied = set()
+        if level < tree.L:
+            rx, ry = morton_decode(tree.codes[level + 1])
+            occupied = {box_id(level + 1, x, y) for x, y in zip(rx, ry)}
+        active = {c for b in active - leaves for c in box_by_id(tree, b).children if c in occupied}
+    return out
 
-    points = set()
-    kept = []
-    for pairs in (colleagues, interactions):
-        keep = set()
-        for b, c in pairs:
-            pb, pc = point(b), point(c)
-            if pb is None or pc is None:
-                keep.add((b, c))
-            elif b < c and (level == first or point(parent(b)) is None or point(parent(c)) is None):
-                points.add((pb, pc))
-        kept.append(keep)
-    return kept[0], kept[1], points
+
+def pair_points(tree: QuadTree, pairs) -> int:
+    """Ordered point pairs of a set of (target id, source id) box pairs."""
+    size = {}
+    for pair in pairs:
+        for b in pair:
+            if b not in size:
+                size[b] = len(box_by_id(tree, b).point_index)
+    return sum(size[b] * size[c] for b, c in pairs)
 
 
 def lists_for(tree: QuadTree, bid: int) -> BoxLists:
