@@ -464,8 +464,9 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
     above tol, and further cycles only repeat that.  The basis and the
     Hessenberg matrix start at min(restart, 8) steps and double as a cycle
     needs them, so a solve that converges in a few steps holds a few basis
-    vectors, not restart + 1.  Returns (x, info): info is 0 on convergence,
-    else the number of cycles run (maxiter, or fewer after a stall).
+    vectors, not restart + 1; the basis grows in place, so only one is
+    ever held.  Returns (x, info): info is 0 on convergence, else the
+    number of cycles run (maxiter, or fewer after a stall).
     """
     if restart < 1 or maxiter < 1:
         raise ValueError(f"restart {restart} and maxiter {maxiter} must be positive")
@@ -487,7 +488,11 @@ def gmres(matvec, b, tol, restart, maxiter, callback=None):
         for j in range(restart):
             if j == size:  # the workspace is full: double it, up to restart
                 size = min(2 * size, restart)
-                basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
+                # Grown in place (a realloc: the rows are kept, the new
+                # ones zero), so the old and the new basis are never held
+                # at once.  The resize must see no view of the basis.
+                del v
+                basis.resize((size + 1, len(b)), refcheck=False)
                 hess = np.pad(hess, (0, size - len(hess)))
             w = matvec(basis[j])
             w_norm = np.linalg.norm(w)

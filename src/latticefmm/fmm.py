@@ -62,7 +62,9 @@ d = 2 D + q_c - q_b (q the quadrant's (x, y) bits).  Pairs with
 work is proportional to the pairs that exist, and a grid level (below)
 forms only its colleague pairs: its interaction pairs are counted on the
 mask of children found, before any pair is formed, and never formed.  The
-lists of all levels are built before the upward pass, which applies T_ifo.
+lists of all levels are built first.  The near field then sums the
+resolved pairs, and they are dropped before any expansion is formed; the
+upward pass, which applies T_ifo, and the downward pass follow.
 
 T_ifo takes one of two paths per level.  A level whose interaction pairs
 fill its 2^l x 2^l box grid well (``_IFO_GRID_PAIRS_PER_CELL``) runs on
@@ -76,8 +78,12 @@ offset: eight GEMMs per chunk of parents, each reading the grid in place
 (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys. 227, 2008).  Its
 pairs are only counted, and the grid is filled in bands of parent rows,
 so a band and a chunk of products hold about ``_CHUNK`` entries each.
-Every other level applies its pairs grouped by offset, one GEMM per
-offset.
+On a grid level T_ofo forms the parents' outgoing expansions first, and
+each box's incoming expansion is then written over its outgoing one, as
+a band copies every row it reads before it writes any: a grid level holds
+one array of expansions, not two.  Every other level applies its pairs
+grouped by offset, one GEMM per offset, into incoming expansions of their
+own, and its parents are formed after.
 
 Only active boxes are touched, except by the grid path; all per-level
 work is batched into dense matrix products over Morton-sorted arrays.
@@ -135,10 +141,12 @@ _IFO_GRID_PAIRS_PER_CELL = 8
 # scratch buffer of the chunk's size), and the point pairs summed at once,
 # near field included.  They bound those temporaries, except that a grid
 # band holds at least one parent row and its two border rows.  On the
-# 16384 uniform points above (leaves of side 256, L = 6), grid T_ifo at
-# the leaf level sets the traced peak of a call: 5.8 MB at 2^16 entries
-# (0.5 MB), 8.6 MB at 2^17, 4.5 MB at 2^15, all at one speed (2 cores,
-# 21 alternating warm calls in one process).  On 2^16 uniform points on
+# 16384 uniform points above (leaves of side 256, L = 6), with grid T_ifo
+# written in place, the traced peak of a call is 4.28 MB at 2^16 entries
+# (0.5 MB) and at 2^15, set by T_ofs at the leaf level, which
+# ``_SUB_CHUNK`` bounds; 2^17 puts it in grid T_ifo at the leaf level, at
+# 5.78 MB.  The three ran at 57 / 55 / 56 ms (2 cores, 21 alternating
+# warm calls in one process).  On 2^16 uniform points on
 # 2^10 x 2^10 (side-8 leaves of about four points, whose near field is
 # mostly point pairs), 2^15 ran 17 % slower and 2^17 no faster, at 12.9 /
 # 13.3 / 15.9 MB for 2^15 / 2^16 / 2^17.  Each level of a full 128^2 grid
@@ -498,15 +506,17 @@ class FmmRun:
         for lo in range(0, len(tgt), _CHUNK):
             t, s = tgt[lo : lo + _CHUNK], src[lo : lo + _CHUNK]
             dx = x.take(t)
-            dx -= x.take(s)
-            dy = y.take(t)
+            dy = x.take(s)
+            dx -= dy
+            y.take(t, out=dy, mode="clip")
             dy -= y.take(s)
             w = phi(dx, dy)
             del dx, dy
             wq = q_sorted.take(s)
             wq *= w
             np.add.at(u, t, wq)
-            w *= q_sorted.take(t)
+            q_sorted.take(t, out=wq, mode="clip")
+            w *= wq
             np.add.at(u, s, w)
 
     def _leaf_points(self, lvl, leaves):
@@ -581,42 +591,56 @@ class FmmRun:
         level.
 
         ``x`` holds one level's outgoing expansions, box b's in row
-        ``xrow[b]``: first those of its leaves, in slot order (T_ofs), then
-        those of its other active boxes, formed from their children's at
-        the level below (T_ofo), which is dropped once they are.  T_ifo
-        turns them into incoming expansions, on the grid (``_across_grid``)
-        or pair by pair (``_across``), in the same rows.
+        ``xrow[b]`` (``_outgoing``).  Level l - 1's are formed from them,
+        and T_ifo turns them into incoming expansions, in the same rows.
+        On the grid (``_across_grid``) level l - 1 comes first, and T_ifo
+        writes each box's incoming expansion over its outgoing one, so a
+        grid level holds one array of expansions.  Pair by pair
+        (``_across``) the incoming expansions are summed into an array of
+        their own, and level l - 1 follows, so that it is not held through
+        the level's T_ifo; the outgoing ones are dropped once it is formed.
         """
         clock = time.perf_counter
         incoming = {}
-        x = xrow = None
+        parents = self._outgoing(q_sorted, levels, self.tree.L, None)
         for lvl in range(self.tree.L, 1, -1):
-            t0 = clock()
-            active, leaf = levels[lvl]
-            n_leaf = int(np.count_nonzero(leaf))
-            up = np.empty((int(np.count_nonzero(active)), self._ops(lvl).skeleton.rank))
-            row = self._leaf_expansions(q_sorted, lvl, leaf, up[:n_leaf])
-            if x is not None:
-                merged = self._merge_up(lvl + 1, x, xrow, active & ~leaf, up[n_leaf:])
-                row = np.where(leaf, row, merged + n_leaf)
-                del merged
-            # Held no longer than its level: forming the next level by T_ofo
-            # sets the traced peak of a call.
-            x, xrow = up, row
-            del up, row
-            t1 = clock()
-            self.up_seconds[lvl] += t1 - t0
-            self.upward_rows[lvl] = len(x)
-            inc = np.zeros_like(x)
+            x, xrow = parents
+            parents = None
             pairs = ifo.pop(lvl)
+            if pairs is None and lvl > 2:
+                parents = self._outgoing(q_sorted, levels, lvl - 1, (x, xrow))
+            t0 = clock()
             if pairs is None:
-                self._across_grid(lvl, x, xrow, np.flatnonzero(active), inc)
+                self._across_grid(lvl, x, xrow, np.flatnonzero(levels[lvl][0]))
+                inc = x
             else:
+                inc = np.zeros_like(x)
                 self._across(lvl, x, xrow, pairs, inc)
             incoming[lvl] = inc, xrow
             del pairs, inc
-            self.ifo_seconds[lvl] += clock() - t1
+            self.ifo_seconds[lvl] += clock() - t0
+            if parents is None and lvl > 2:
+                parents = self._outgoing(q_sorted, levels, lvl - 1, (x, xrow))
+            del x
         return incoming
+
+    def _outgoing(self, q_sorted, levels, lvl, children):
+        """The outgoing expansions of the active boxes at ``lvl`` as (x,
+        xrow), box b's in row ``xrow[b]`` of x: first those of its leaves,
+        in slot order (T_ofs), then those of its other active boxes, formed
+        from their children's (T_ofo), which ``children`` holds as (x,
+        xrow) of level ``lvl + 1`` (None at level L)."""
+        t0 = time.perf_counter()
+        active, leaf = levels[lvl]
+        n_leaf = int(np.count_nonzero(leaf))
+        x = np.empty((int(np.count_nonzero(active)), self._ops(lvl).skeleton.rank))
+        row = self._leaf_expansions(q_sorted, lvl, leaf, x[:n_leaf])
+        if children is not None:
+            merged = self._merge_up(lvl + 1, *children, active & ~leaf, x[n_leaf:])
+            row = np.where(leaf, row, merged + n_leaf)
+        self.up_seconds[lvl] += time.perf_counter() - t0
+        self.upward_rows[lvl] = len(x)
+        return x, row
 
     def _leaf_expansions(self, q_sorted, lvl, need, out):
         """T_ofs: the outgoing expansion of each leaf at ``lvl`` flagged in
@@ -694,11 +718,11 @@ class FmmRun:
                 # Each target has one source per offset: rows are distinct.
                 inc[xrow[tgt[lo : lo + _ROW_CHUNK]]] += np.take(x, xrow[s], axis=0) @ t_ifo[d].T
 
-    def _across_grid(self, lvl, x, xrow, boxes, inc):
+    def _across_grid(self, lvl, x, xrow, boxes):
         """T_ifo at one level on its dense 2^l x 2^l box grid, eight GEMMs
-        per chunk of parents: writes into row ``xrow[b]`` of ``inc`` the
-        incoming expansion of each box b of ``boxes``, the level's active
-        ones, whose outgoing expansions are rows ``xrow[b]`` of ``x``.
+        per chunk of parents: each box b of ``boxes``, the level's active
+        ones, has its outgoing expansion in row ``xrow[b]`` of ``x``, and
+        its incoming expansion is written over it.
 
         The grid is held parent-major: slot (px + 1) w + py + 1, with
         w = 2^(l-1) + 2, holds the four children of the parent (px, py) at
@@ -717,7 +741,11 @@ class FmmRun:
         so a band and a chunk of products hold about ``_CHUNK`` entries
         each (one band of the whole grid on smaller levels).  A band starts
         from the last one's last two rows, so each box is scattered once,
-        in pieces of ``_ROW_CHUNK``.
+        in pieces of ``_ROW_CHUNK``, by the first band that reads it, and
+        written by the band that holds it as a target, that band or the
+        next, after the band's scatters: so the box's incoming expansion
+        goes over its outgoing one.  A chunk's output rows are gathered
+        into the scratch buffer, free once the eight products are summed.
         """
         tree = self.tree
         w_d = self._ops(lvl).t_ifo_grid
@@ -769,7 +797,9 @@ class FmmRun:
                 for shift, w in zip(shifts[1:], w_d[1:]):
                     np.matmul(band[s + shift : s + shift + m], w, out=scratch[:m])
                     out[:m] += scratch[:m]
-                inc[rows[t:end]] = np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0)
+                gathered = scratch.reshape(-1, k)[: end - t]
+                np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0, out=gathered, mode="clip")
+                x[rows[t:end]] = gathered
                 t = end
 
     def _sub_boxes(self, pts, lvl, top_row):
@@ -951,10 +981,14 @@ class FmmRun:
         """Add the resolved pairs of every level into ``u``: their ragged
         leaf pairs point pair by point pair (``_near_slice``), then the
         well-filled ones of stencil leaves by ``_near_stencil``.  The pairs
-        are read in slices of ``_ROW_CHUNK`` * 16, which bounds every array
-        formed per box pair."""
+        are read in slices of ``_ROW_CHUNK`` * 4, which bounds every array
+        formed per box pair, and on loads of a few points per leaf the
+        point pairs summed at once.  On 16384 uniform points on 16384^2,
+        slices of ``_ROW_CHUNK`` * 16 / 8 / 4 / 2 put the near field's
+        traced peak at 4.92 / 4.53 / 3.17 / 2.38 MB, 1.05 MB of it held
+        before; from * 4 down the call's peak, 4.28 MB, lies in T_ofs."""
         self.near_pairs = self.near_gemm_blocks = self.near_ragged_pairs = 0
-        step = _ROW_CHUNK * 16
+        step = _ROW_CHUNK * 4
         xy = self._columns()
         gemm = []
         for lvl, pairs in enumerate(resolved):
@@ -1004,8 +1038,8 @@ class FmmRun:
         lo = 0
         while lo < len(n):
             hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
-            tgt, src = _run_pairs(a[lo:hi], b[lo:hi], ct[lo:hi], cs[lo:hi], same[lo:hi])
-            self._point_pairs(tgt, src, xy, q_sorted, u)
+            # The last chunk's pairs are dropped before the next are formed.
+            self._point_pairs(*_run_pairs(a[lo:hi], b[lo:hi], ct[lo:hi], cs[lo:hi], same[lo:hi]), xy, q_sorted, u)
             lo = hi
 
     def _near_stencil(self, q_sorted, stencil_pairs, u):
@@ -1068,15 +1102,18 @@ class FmmRun:
         self.resolved_pairs_per_level = [0] * n_levels
         u_sorted = np.zeros(len(q_sorted))
         levels, ifo, resolved = self._lists()
+        # The near field first, so that its lists are dropped before the
+        # far field's expansions are formed.
+        t0 = clock()
+        self._near_field(q_sorted, resolved, u_sorted)
+        del resolved
+        self.times["t_near"] += clock() - t0
         if self.chain is not None:
             incoming = self._up_and_across(q_sorted, levels, ifo)
             self._down(levels, incoming, u_sorted)
         self.times["t_upward"] = sum(self.up_seconds)
         self.times["t_ifo"] = sum(self.ifo_seconds)
         self.times["t_downward"] = sum(self.down_seconds)
-        t1 = clock()
-        self._near_field(q_sorted, resolved, u_sorted)
-        self.times["t_near"] += clock() - t1
         out = np.empty_like(u_sorted)
         out[tree.order] = u_sorted
         return out

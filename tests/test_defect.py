@@ -743,6 +743,28 @@ def test_gmres_matches_scipy(system, monkeypatch):
     assert info != 0
 
 
+def test_gmres_grows_one_basis():
+    # A cycle of 160 steps on a diagonal operator (condition number 400)
+    # doubles the workspace from 8 steps up to 160, the last time from its
+    # 129-row basis: grown in place, the traced peak is one basis of 161
+    # rows of n and the Hessenberg matrix (twice, as it grows) with a few
+    # n-vectors; with both bases held it read 314 rows' worth.  The product
+    # that ends the cycle meets its last estimated residual, so the rows
+    # kept their values as the basis grew.
+    n, restart = 2000, 160
+    d = np.linspace(1.0, 400.0, n)
+    b = np.random.default_rng(0).standard_normal(n)
+    hist = []
+    tracemalloc.start()
+    x, info = defect.gmres(lambda v: d * v, b, 1e-12, restart, maxiter=1, callback=hist.append)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert info == 1 and len(hist) == restart
+    assert peak <= 8 * ((restart + 1) * n + 2 * restart**2 + 8 * n), peak / (8 * n)
+    residual = np.linalg.norm(b - d * x) / np.linalg.norm(b)
+    assert abs(residual - hist[-1]) <= 1e-3 * hist[-1]
+
+
 def test_gmres_path_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(defect, "_DENSE_BAR_LIMIT", 0)
     with pytest.raises(RuntimeError, match="did not converge"):

@@ -782,21 +782,28 @@ def test_unit_tables_built_once(monkeypatch):
 
 
 def test_traced_peak_per_point():
-    # The warm call traced, in bytes per point:
-    # * 2^13 uniform points on 2^13 x 2^13, about one per leaf: 673-676
-    #   (seeds 0-3); 754-761 while ``apply`` held two int64 maps of each
+    # The warm call traced, in bytes per point (seeds 0-3):
+    # * 2^13 uniform points on 2^13 x 2^13, about one per leaf: 446-448;
+    #   490 while each grid level held its outgoing and its incoming
+    #   expansions at once and the near field's lists were held through
+    #   the far field, 754-761 while ``apply`` held two int64 maps of each
     #   point's leaf and stencil place through every pass and the near
-    #   field returned fresh N-vectors; 1234-1239 with every one-point
-    #   chain's top expansion held to the downward pass and no tables.
+    #   field returned fresh N-vectors.
+    # * 2^14 uniform points on 2^14 x 2^14, the benchmark's ``random``
+    #   load: 261-262 (4.29 MB), in T_ofs at the leaf level; 330-333 (5.43
+    #   MB) with both arrays of expansions, in grid T_ifo at level 6.
     # * 2^16 uniform points on 2^10 x 2^10, about four per leaf, where the
-    #   near field's point pairs take about two thirds of the call: 203;
-    #   233 with those maps, 487 with the point pairs in chunks of 2^22.
-    # * A full 128 x 128 grid, all in stencil blocks: 105.5; 137.8 with
+    #   near field's point pairs take about two thirds of the call: 163;
+    #   209 with both arrays, 233 with those maps, 487 with the point pairs
+    #   in chunks of 2^22.
+    # * A full 128 x 128 grid, all in stencil blocks: 106; 137.8 with
     #   those maps.
-    # Sampled targets meet the direct sum at eps * sum |q|.
+    # The bounds are 1.1 times the figures, the grid's 1.04.  Sampled
+    # targets meet the direct sum at eps * sum |q|.
     g = np.arange(128)
     grid = np.column_stack([np.repeat(g, 128), np.tile(g, 128)])
-    for n, side, bound in ((1 << 13, 1 << 13, 690), (1 << 16, 1 << 10, 210), (128 * 128, None, 110)):
+    cases = ((1 << 13, 1 << 13, 495), (1 << 14, 1 << 14, 288), (1 << 16, 1 << 10, 180), (128 * 128, None, 110))
+    for n, side, bound in cases:
         rng = np.random.default_rng(0)
         if side is None:
             pts = grid
@@ -837,11 +844,11 @@ def test_fmm_apply_leaves_numpy_ma_unloaded():
     subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
-def test_same_bytes_at_one_and_two_blas_threads():
+def test_same_bytes_at_one_two_and_three_blas_threads():
     # 2^15 uniform points on 2^15 x 2^15 run T_ifo on the grid at levels
     # 2-7 with k = 35, where grid products of up to 4 k rows changed about
     # one potential in ten between one and two BLAS threads (see
-    # ``fmm._BLAS_SPLIT_MNK``).
+    # ``fmm._BLAS_SPLIT_MNK``).  Three threads split the rows three ways.
     code = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -854,11 +861,11 @@ def test_same_bytes_at_one_and_two_blas_threads():
     )
     src = os.path.dirname(os.path.dirname(fmm.__file__))
     digests = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         digests.append(run.stdout.split()[-1])
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]
 
 
 @pytest.mark.parametrize("seed,with_targets", MIXED)
@@ -935,13 +942,19 @@ def _forced(monkeypatch, path, pts, q, targets=None):
 def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
     pts, targets = _grid_load(kind)
     q = rng_charges(len(pts))
-    # Small chunks, so the grid path reads its parents in several.
-    monkeypatch.setattr(fmm, "_CHUNK", 50_000)
+    # Small chunks, so that levels 3 and 4 fill in bands of two or three
+    # parent rows: each band's incoming expansions are written over
+    # outgoing ones, beside the rows the next band reads.
+    monkeypatch.setattr(fmm, "_CHUNK", 5000)
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, pair = _forced(monkeypatch, "pair", pts, q, targets)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q, targets)
     assert grid["leaves_per_level"][:-1] == [0] * (grid["levels"] - 1)
     assert grid["ifo_grid_levels"] == list(range(2, grid["levels"]))
+    # Parent rows per band (``_across_grid``) at the deeper levels.
+    for lvl in (3, 4):
+        half, k = 1 << (lvl - 1), grid["ranks_per_level"][lvl]
+        assert 2 <= fmm._CHUNK // ((half + 2) * 4 * k) - 2 < half
     assert pair["ifo_grid_levels"] == []
     assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
@@ -1040,7 +1053,8 @@ def test_grid_ifo_memory_is_banded():
     # band holds about _CHUNK entries, the chunk of products and its
     # scratch buffer no more than a band's slots, and the index arrays a
     # few per box; no neighbourhood of a chunk of parents is copied.  The
-    # level's incoming expansions are held as the upward pass holds them.
+    # incoming expansions are written over the outgoing ones: no array of
+    # the level's size is formed.
     rng = np.random.default_rng(29)
     flat = rng.choice(1 << 24, size=1 << 14, replace=False)
     pts = with_full_leaf(np.column_stack([flat >> 12, flat & 4095]))
@@ -1054,16 +1068,16 @@ def test_grid_ifo_memory_is_banded():
     n_boxes = len(tree.codes[lvl])
     assert n_boxes > 15000
     x = rng.standard_normal((n_boxes, k))
-    xrow = np.arange(n_boxes)  # box b's expansion is row xrow[b] of x
+    outgoing = x.copy()
+    xrow = rng.permutation(n_boxes)  # box b's expansion is row xrow[b] of x
     boxes = np.arange(n_boxes)
     tracemalloc.start()
-    inc = np.full((n_boxes, k), np.nan)
-    run._across_grid(lvl, x, xrow, boxes, inc)
+    run._across_grid(lvl, x, xrow, boxes)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8
-    assert not np.isnan(inc).any()  # every box's row written
-    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes + inc.nbytes, (peak, whole)
+    assert np.all((x != outgoing).any(axis=1))  # every box's row written
+    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes, (peak, whole)
     assert peak < whole / 6, (peak, whole)
 
 
