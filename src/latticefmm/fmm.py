@@ -37,7 +37,10 @@ one step up: each point's table row is gathered once per pass, into its
 box's row in that order, the carry is one GEMM per place, and T_ofs adds
 each place's products into the boxes one step up, which are distinct
 within a place, while T_tfi carries the incoming expansions down the
-same steps (``_sum_expansions``, ``_fold_expansions``).
+same steps (``_sum_expansions``, ``_fold_expansions``).  Each pass holds
+one chunk of those rows at a time, and forms the index arrays of its
+points for a run of a few chunks at a time (``_SUB_CHUNK``,
+``_POINT_RUN``).
 
 The near field is the resolved pairs of every level.  Every direct pair
 is summed once for both orders: phi(x_t - x_s) is evaluated once and
@@ -74,10 +77,12 @@ pattern among its active boxes, which is all the grid holds.  The grid is
 held parent-major, a parent's four children in one row, and a parent's
 children's incoming expansions are the sum over its eight neighbouring
 parents of that parent's row times one fixed (4 k x 4 k) operator per
-offset: eight GEMMs per chunk of parents, each reading the grid in place
-(batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys. 227, 2008).  Its
-pairs are only counted, and the grid is filled in bands of parent rows,
-so a band and a chunk of products hold about ``_CHUNK`` entries each.
+offset: eight GEMMs per band of parent rows, each reading the grid in
+place (batched M2L, Coulaud, Fortin & Roman, J. Comput. Phys. 227, 2008).
+Its pairs are only counted, and the grid is filled in bands of parent
+rows, one chunk of products each, which with their scratch buffer hold
+about a quarter of the level's expansions, or 8 k slots where that is
+more (``_band_rows``).
 On a grid level T_ofo forms the parents' outgoing expansions first, and
 each box's incoming expansion is then written over its outgoing one, as
 a band copies every row it reads before it writes any: a grid level holds
@@ -136,44 +141,48 @@ _MAX_LEAF_SIDE = MAX_ANCHOR_SIDE
 # against 179 ms; 0.40 against 2.16 s, measured at 36 blocks per cell).
 _IFO_GRID_PAIRS_PER_CELL = 8
 
-# Entries per chunk of every batched step: the stencil products of T_ofs
-# and T_tfi, the bands and chunks of products of grid T_ifo (which adds a
-# scratch buffer of the chunk's size), and the point pairs summed at once,
-# near field included.  They bound those temporaries, except that a grid
-# band holds at least one parent row and its two border rows.  On the
-# 16384 uniform points above (leaves of side 256, L = 6), with grid T_ifo
-# written in place, the traced peak of a call is 4.28 MB at 2^16 entries
-# (0.5 MB) and at 2^15, set by T_ofs at the leaf level, which
-# ``_SUB_CHUNK`` bounds; 2^17 puts it in grid T_ifo at the leaf level, at
-# 5.78 MB.  The three ran at 57 / 55 / 56 ms (2 cores, 21 alternating
-# warm calls in one process).  On 2^16 uniform points on
-# 2^10 x 2^10 (side-8 leaves of about four points, whose near field is
-# mostly point pairs), 2^15 ran 17 % slower and 2^17 no faster, at 12.9 /
-# 13.3 / 15.9 MB for 2^15 / 2^16 / 2^17.  Each level of a full 128^2 grid
-# fills one band.  On 2^18 uniform points on 2^11 x 2^11 (9.3 million
-# near-field point pairs, when each was summed for one order), chunks of
-# 2^16 point pairs rather than 2^22 took the near field from 0.72-0.96 to
-# 0.42-0.61 s (2 cores, ten warm calls) and the traced peak of a call from
-# 128 to 56 MB.
+# Entries per chunk of the stencil products of T_ofs and T_tfi, and twice
+# the point pairs summed at once (``FmmRun._ragged_pairs``).  Grid T_ifo
+# sizes its bands by the level instead (``_band_rows``).  On 2^16 uniform
+# points on 2^10 x 2^10 (side-8 leaves of about four points, whose near
+# field is mostly point pairs), 2^15 ran 17 % slower and 2^17 no faster,
+# at 12.9 / 13.3 / 15.9 MB for 2^15 / 2^16 / 2^17, when the grid's bands
+# and the point pairs at once were both this many.  On 2^18 uniform points
+# on 2^11 x 2^11 (9.3 million near-field point pairs, when each was summed
+# for one order), chunks of 2^16 point pairs rather than 2^22 took the
+# near field from 0.72-0.96 to 0.42-0.61 s (2 cores, ten warm calls) and
+# the traced peak of a call from 128 to 56 MB.
 _CHUNK = 1 << 16
 
 # Rows per chunk of the gathers and products over expansion rows (T_ofo,
-# T_ifo pair by pair): 1024 rows of k ~ 35 doubles, 0.29 MB.  Against 1024
-# rows, 512 gave the same traced peak on the 16384 uniform points above and
-# ran the call 9 % slower, 2048 rows 6 % slower at a 0.6 MB higher peak
-# (21 alternating warm calls each).
+# T_ifi, T_ifo pair by pair, the table rows of T_tfi): 1024 rows of k ~ 35
+# doubles, 0.29 MB.  Against 1024 rows, 512 gave the same traced peak on
+# 16384 uniform points on 16384^2 and ran the call 9 % slower, 2048 rows
+# 6 % slower at a 0.6 MB higher peak (21 alternating warm calls each).
 _ROW_CHUNK = _CHUNK // 64
 
 # Points per chunk of the rows of leaves off the stencil on their way up
-# from the tables (``FmmRun._sub_boxes``).  On the 16384 uniform points
-# above, with T_ofs and T_tfi timed against the per-point carry they
-# replaced in one process, chunks of 2048 points ran them at 0.86 and
-# 0.85 of its time, 4096 at 0.86 and 0.86, and 8192 at 1.36 and 1.31.
+# from the tables (``FmmRun._sub_boxes``): a chunk holds its boxes' rows at
+# the table level, about 0.55 MB at k = 35 on the 16384 uniform points
+# above (leaves of side 256, L = 6, about one point per box at the table
+# level), and goes before the next chunk's are formed; T_ofs holding two
+# at once set that load's traced peak, 4.28 MB.  With T_ofs and T_tfi
+# timed against the per-point carry they replaced in one process, chunks
+# of 2048 points ran them at 0.86 and 0.85 of its time, 4096 at 0.86 and
+# 0.86, and 8192 at 1.36 and 1.31.
 _SUB_CHUNK = 2 * _ROW_CHUNK
 
 # Points per run of those rows whose index arrays (``FmmRun._sub_boxes``,
-# a few arrays of the run's size) are formed at once.
-_POINT_RUN = _CHUNK // 4
+# about 40 bytes a point) are formed at once: four chunks, and never a
+# level's.  On the 16384 uniform points above, T_ofs and T_tfi at the leaf
+# level peaked at 3.05 / 3.21 / 3.55 and 3.11 / 3.23 / 3.50 MB at runs of
+# 2 / 4 / 8 chunks; from four down the call's peak, 3.33-3.35 MB, lies in
+# grid T_ifo at levels 5 and 6.  On 2^16 points on a circle of radius 2^17 - 1 (``tests/ab_fmm.py``
+# ``circle``, leaves of about eight points) T_ofs and T_tfi took 23.8 /
+# 22.7 / 22.2 and 15.9 / 15.3 / 14.4 ms, the call 91.3 / 90.9 / 87.9 ms,
+# against 21.6, 14.2 and 89.5 ms with the index arrays of the level and
+# two chunks at once (2 cores, 21 alternating warm calls in one process).
+_POINT_RUN = 4 * _SUB_CHUNK
 
 
 # Grid T_ifo's products are (n, 4 k) @ (4 k, 4 k).  The OpenBLAS build
@@ -184,11 +193,35 @@ _POINT_RUN = _CHUNK // 4
 # potential in ten changed in its last bits between one and two threads on
 # 2^15 uniform points (n = 52-140 at k = 35, 46-148 at k = 37, none for
 # even k).  With n > 4 k it splits the rows and every entry is as on one
-# thread, so ``_across_grid`` runs such a product at 4 k + 1 rows, which
-# read zeros or discarded slots; only small levels and band ends are
-# padded.  The window belongs to this build: test_fmm's thread-count test
-# guards it.
+# thread, whatever the rows around it, so ``_across_grid`` runs such a
+# product on a window of 4 k + 1 slots that holds its own: slots of the
+# band's rows either side, discarded, or, on a band too small for that,
+# zero rows below its end.  The window belongs to this build: test_fmm's
+# thread-count test guards it.
 _BLAS_SPLIT_MNK = 10**6
+
+
+def _band_rows(half, width, k, entries):
+    """Parent rows per band of grid T_ifo (``FmmRun._across_grid``) on a
+    level of ``half`` parent rows, ``width`` slots a row with its border,
+    rank k and ``entries`` entries of expansions: the most whose band (its
+    rows and two border rows), chunk of products and scratch buffer (one
+    band's slots each) hold a quarter of ``entries``, but at least the
+    fewest whose chunk holds 8 k slots.  ``_across_grid`` splits the rows
+    evenly into bands of at most that many.
+
+    Each band costs eight GEMMs, and a threaded GEMM a fixed wait for its
+    second thread, so few large bands run fastest.  At level 6 of 16384
+    uniform points on 16384^2 (k = 35, 4006 boxes, 1.12 MB of expansions)
+    bands of 5 / 8 / 11 rows took 5.3 / 4.7 / 4.6 ms at a traced peak of
+    0.72 / 1.07 / 1.41 MB in the call, and at level 6 of a full 512^2 grid
+    (k = 28) bands of 4 / 8 / 16 rows 3.8 / 3.1 / 3.0 ms: this rule gives 8
+    and 7.  At level 8 of 2^18 uniform points on 2^18 x 2^18 (64350
+    boxes, 18 MB) bands of 2^16 entries took one row each, 124 ms and 2.1
+    MB, and bands of 8 rows 72-80 ms and 4.9 MB (2 cores, median of 9
+    calls)."""
+    most = (entries // 4 // (width * 4 * k) - 2) // 3
+    return max(1, min(half, max(most, -(-8 * k // width))))
 
 
 def _child_codes():
@@ -544,9 +577,9 @@ class FmmRun:
         and T_tfi: yields (lo, hi, pts, count), the chunk's leaves lo..hi-1
         counted among the flagged ones and their points as ``_leaf_points``
         gives them.  Stencil leaves come ``_CHUNK`` / s^2 to a chunk; any
-        other, of at most 64 points, in runs of about ``_POINT_RUN``
-        points, a run ending before the leaf whose points pass a multiple
-        of that.  Nothing per point outlives its chunk."""
+        other, of at most 64 points, in runs of as many whole leaves as
+        hold at most ``_POINT_RUN`` points.  Nothing per point outlives
+        its chunk."""
         leaves = np.flatnonzero(need)
         if lvl == self.stencil_level:
             chunk = max(1, _CHUNK // (self.leaf_side * self.leaf_side))
@@ -554,10 +587,13 @@ class FmmRun:
         else:
             start = self.tree.ptr[lvl]
             end = np.cumsum(start[leaves + 1] - start[leaves])
-            bounds = [0, *np.flatnonzero(np.diff(end // _POINT_RUN)) + 1, len(leaves)]
+            bounds = [0]
+            while bounds[-1] < len(leaves):
+                lo = bounds[-1]
+                bounds.append(max(lo + 1, int(np.searchsorted(end, (end[lo - 1] if lo else 0) + _POINT_RUN, side="right"))))
+            del end
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                yield (lo, hi, *self._leaf_points(lvl, leaves[lo:hi]))
+            yield (lo, hi, *self._leaf_points(lvl, leaves[lo:hi]))
 
     def _table_levels(self):
         """The coarsest level m whose unit expansions are read from the
@@ -660,7 +696,8 @@ class FmmRun:
                 np.matmul(dense, interp.T, out=out[lo:hi])
         else:
             for lo, hi, pts, count in self._leaf_chunks(lvl, need):
-                self._sum_expansions(pts, q_sorted[pts], lvl, np.repeat(np.arange(hi - lo), count), out[lo:hi])
+                self._sum_expansions(pts, q_sorted[pts], lvl, count, out[lo:hi])
+            self._carries.clear()
         return np.cumsum(need, dtype=np.int32) - 1
 
     def _merge_up(self, lvl, x, xrow, need, up):
@@ -720,7 +757,7 @@ class FmmRun:
 
     def _across_grid(self, lvl, x, xrow, boxes):
         """T_ifo at one level on its dense 2^l x 2^l box grid, eight GEMMs
-        per chunk of parents: each box b of ``boxes``, the level's active
+        per band of parent rows: each box b of ``boxes``, the level's active
         ones, has its outgoing expansion in row ``xrow[b]`` of ``x``, and
         its incoming expansion is written over it.
 
@@ -736,16 +773,21 @@ class FmmRun:
         from one row's last slot to the next row's first read zeros.  The
         interaction list of an active box is exactly the parity pattern
         these operators encode, restricted to the active boxes, and the
-        other cells are zero.  The grid is filled in bands of parent rows,
-        each with the row either side that its parents' neighbours reach,
-        so a band and a chunk of products hold about ``_CHUNK`` entries
-        each (one band of the whole grid on smaller levels).  A band starts
-        from the last one's last two rows, so each box is scattered once,
-        in pieces of ``_ROW_CHUNK``, by the first band that reads it, and
+        other cells are zero.  The grid is filled in bands of parent rows
+        (``_band_rows``), each with the row either side that its parents'
+        neighbours reach, and a band's slots are one chunk of products: so
+        the band, the chunk and its scratch buffer hold about a quarter of
+        the level's expansions, or 8 k slots of products where that is more
+        (one band of the whole grid on smaller levels).  On 16384 uniform
+        points on 16384^2 this sets the call's traced peak, 3.35 MB at
+        level 5 and 3.31 MB at level 6, about 1.05 MB above what each
+        holds on entry.  A band starts from the last one's last two rows, so each
+        box is scattered once, by the first band that reads it, and
         written by the band that holds it as a target, that band or the
         next, after the band's scatters: so the box's incoming expansion
-        goes over its outgoing one.  A chunk's output rows are gathered
-        into the scratch buffer, free once the eight products are summed.
+        goes over its outgoing one.  Rows of x pass through the scratch
+        buffer on their way in, and the chunk's output rows on their way
+        out, once the eight products are summed.
         """
         tree = self.tree
         w_d = self._ops(lvl).t_ifo_grid
@@ -763,64 +805,76 @@ class FmmRun:
         cell = cell[order]
         rows = xrow[boxes[order]]
         del order
-        band_rows = max(1, min(half, _CHUNK // (width * 4 * k) - 2))
-        chunk = max(1, min(_CHUNK // (4 * k), band_rows * width))
+        # The rows split evenly: bands of band_rows or band_rows - 1 rows.
+        n_bands = -(-half // _band_rows(half, width, k, x.size))
+        tops = [half * i // n_bands for i in range(n_bands + 1)]
+        band_rows = -(-half // n_bands)
+        slots = band_rows * width
         # Threaded products of odd k are run at 4 k + 1 rows or more (see
-        # ``_BLAS_SPLIT_MNK``); the band's zero rows below its end feed them.
-        floor = 4 * k + 1 if k % 2 and chunk * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else 0
-        band = np.zeros(((band_rows + 2) * width + floor, 4 * k))
+        # ``_BLAS_SPLIT_MNK``): a window of that many slots that holds the
+        # chunk, within the band's target rows if every band's are long
+        # enough, else reaching into zero rows below the band's end.
+        floor = 4 * k + 1 if k % 2 and slots * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else 0
+        pad = floor if (half // n_bands) * width - 2 < floor else 0
+        band = np.zeros(((band_rows + 2) * width + pad, 4 * k))
         cell_rows = band.reshape(-1, k)
         shifts = [dx * width + dy for dx, dy in GRID_PARENT_OFFSETS]
-        out = np.empty((max(chunk, floor), 4 * k))
+        out = np.empty((max(slots, floor), 4 * k))
         scratch = np.empty_like(out)
+        gathered = scratch.reshape(-1, k)  # rows of x on their way in or out
         done = 0  # the boxes scattered so far, in ``cell`` order
-        for first in range(0, half, band_rows):
+        for first, last in zip(tops[:-1], tops[1:]):
             base = first * width  # the slot at the band's row 0
             if first:
                 # The last band's last two rows are this band's first two.
                 for r in (0, 1):
-                    band[r * width : (r + 1) * width] = band[(band_rows + r) * width : (band_rows + r + 1) * width]
+                    band[r * width : (r + 1) * width] = band[(height + r) * width : (height + r + 1) * width]
                 band[2 * width :] = 0.0
-            t0, t1, c1 = np.searchsorted(cell, 4 * (base + width * np.array([1, band_rows + 1, band_rows + 2])))
-            for lo in range(done, c1, _ROW_CHUNK):
-                hi = min(lo + _ROW_CHUNK, c1)
-                cell_rows[cell[lo:hi] - 4 * base] = np.take(x, rows[lo:hi], axis=0)
+            height = last - first
+            limit = (height + 1) * width - 1  # past the band's last target slot
+            t0, t1, c1 = np.searchsorted(cell, 4 * (base + width * np.array([1, height + 1, height + 2])))
+            for lo in range(done, c1, len(gathered)):
+                hi = min(lo + len(gathered), c1)
+                np.take(x, rows[lo:hi], axis=0, out=gathered[: hi - lo], mode="clip")
+                cell_rows[cell[lo:hi] - 4 * base] = gathered[: hi - lo]
             done = c1
-            t = t0
-            while t < t1:
-                lo = cell[t] // 4
-                n = min(chunk, cell[t1 - 1] // 4 + 1 - lo)
-                end = t + int(np.searchsorted(cell[t:t1], 4 * (lo + n)))
-                s = lo - base
-                m = max(n, floor) if n * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else n  # rows multiplied
-                np.matmul(band[s + shifts[0] : s + shifts[0] + m], w_d[0], out=out[:m])
-                for shift, w in zip(shifts[1:], w_d[1:]):
-                    np.matmul(band[s + shift : s + shift + m], w, out=scratch[:m])
-                    out[:m] += scratch[:m]
-                gathered = scratch.reshape(-1, k)[: end - t]
-                np.take(out.reshape(-1, k), cell[t:end] - 4 * lo, axis=0, out=gathered, mode="clip")
-                x[rows[t:end]] = gathered
-                t = end
+            if t1 == t0:
+                continue
+            s = cell[t0] // 4 - base
+            n = cell[t1 - 1] // 4 + 1 - base - s
+            m = max(n, floor) if n * (4 * k) ** 2 >= _BLAS_SPLIT_MNK else n  # rows multiplied
+            s = s if pad else min(s, limit - m)
+            np.matmul(band[s + shifts[0] : s + shifts[0] + m], w_d[0], out=out[:m])
+            for shift, w in zip(shifts[1:], w_d[1:]):
+                np.matmul(band[s + shift : s + shift + m], w, out=scratch[:m])
+                out[:m] += scratch[:m]
+            got = gathered[: t1 - t0]
+            np.take(out.reshape(-1, k), cell[t0:t1] - 4 * (base + s), axis=0, out=got, mode="clip")
+            x[rows[t0:t1]] = got
 
-    def _sub_boxes(self, pts, lvl, top_row):
+    def _sub_boxes(self, pts, lvl, count):
         """The boxes of the points ``pts`` (ascending sorted indices, so in
         Morton order: a box's points are a run) on the way from the table
         level first = max(``lvl``, ``table_level``) up to ``lvl``, two
-        levels a step (``_carry``); ``top_row`` gives each point's row at
-        ``lvl``.  The points are taken in chunks of ``_SUB_CHUNK``, and a
-        box that a chunk's edge splits is a box on each side.
+        levels a step (``_carry``); ``pts`` holds whole leaves at ``lvl``,
+        ``count[i]`` points of the i-th.  The points are taken in chunks of
+        ``_SUB_CHUNK``, and a box that a chunk's edge splits is a box on
+        each side.
 
-        Returns (pos, row, steps): ``pos`` gives each point's row in the
-        table of ``first`` (its position in its box there), ``row`` its
-        box's row at ``first``, and ``steps`` goes from ``first`` up to ``lvl``,
-        one (level, top, lead, bounds, up_row) per step; a table at ``lvl``
-        itself makes one step to ``lvl`` with no carry.  At ``level`` the
-        boxes are held in rows ordered by chunk, then by the box's place in
-        its box at ``top`` (quadrant by quadrant, the coarser first):
-        ``lead`` gives each row's box's first point, the rows of chunk c
-        and place g are bounds[c G + g] up to bounds[c G + g + 1] (G
-        places), and ``up_row`` each row's box's row at ``top``, so that no
-        two rows of one chunk and place share a box at ``top``."""
+        Returns (pos, rest, rest_row, steps): ``pos`` gives each point's row
+        in the table of ``first`` (its position in its box there), ``rest``
+        the points (ascending, as indices into ``pts``) that are not their
+        box's first at ``first`` and ``rest_row`` their boxes' rows there,
+        and ``steps`` goes from ``first`` up to ``lvl``, one (level, top,
+        lead, bounds, up_row) per step; a table at ``lvl`` itself makes one
+        step to ``lvl`` with no carry.  At ``level`` the boxes are held in
+        rows ordered by chunk, then by the box's place in its box at
+        ``top`` (quadrant by quadrant, the coarser first): ``lead`` gives
+        each row's box's first point, the rows of chunk c and place g are
+        bounds[c G + g] up to bounds[c G + g + 1] (G places), and
+        ``up_row`` each row's box's row at ``top``, so that no two rows of
+        one chunk and place share a box at ``top``.  No other array per
+        point outlives the call."""
         tree = self.tree
         levels = [*range(max(lvl, self.table_level), lvl, -2), lvl]
         at = np.take(tree.rel_sorted, pts, axis=0)
@@ -831,15 +885,22 @@ class FmmRun:
         steps = []
         at_level = levels[0]
         for level, top in zip(levels, levels[1:] or levels):
-            at >>= at_level - level
-            at_level = level
+            if at_level > level:
+                at >>= at_level - level
+                at_level = level
             new = edge.copy()
             new[1:] |= at[1:, 0] != at[:-1, 0]
             new[1:] |= at[1:, 1] != at[:-1, 1]
             first = np.flatnonzero(new)
+            if not steps:
+                rest = np.flatnonzero(~new)
+            del new
             n_places = 4 ** (level - top)
-            corner = at[first] & (2 ** (level - top) - 1)
-            key = first // _SUB_CHUNK * n_places + _PLACE[corner[:, 0] * 4 + corner[:, 1]]
+            corner = np.take(at, first, axis=0)
+            corner &= 2 ** (level - top) - 1
+            key = first // _SUB_CHUNK
+            key *= n_places
+            key += np.take(_PLACE, corner[:, 0] * 4 + corner[:, 1])
             n_keys = ((len(pts) - 1) // _SUB_CHUNK + 1) * n_places
             order = np.argsort(key.astype(np.int16 if n_keys <= 2**15 else np.int64), kind="stable")
             bounds = np.zeros(n_keys + 1, dtype=np.int64)
@@ -847,41 +908,62 @@ class FmmRun:
             del corner, key
             row = np.empty_like(order)
             row[order] = np.arange(len(order))
-            box = np.cumsum(new) - 1
-            steps.append((level, top, first[order], bounds, row[box]))
-            del new, first, order, row, box
+            if steps:
+                self._up_rows(steps, prev, np.take(row, np.searchsorted(first, prev[0], side="right") - 1))
+            else:
+                # A box's other points follow its first.
+                rest_row = np.repeat(row, np.diff(first, append=len(pts)) - 1)
+            steps.append((level, top, np.take(first, order), bounds, None))
+            prev = first, order
+            del first, order, row
         del at, edge
-        # Each row's box's row at ``top``, read at its first point.
-        row = top_row
-        for j in range(len(steps) - 1, -1, -1):
-            level, top, lead, bounds, level_row = steps[j]
-            steps[j] = (level, top, lead, bounds, row[lead])
-            row = level_row
-        return pos, row, steps
+        self._up_rows(steps, prev, np.searchsorted(np.cumsum(count) - count, prev[0], side="right") - 1)
+        return pos, rest, rest_row, steps
 
-    def _sum_expansions(self, pts, w, lvl, top_row, out):
-        """T_ofs of leaves off the stencil: ``out`` (zeroed here), row
-        top_row[i], gets w_i e_{p,lvl} for each point p = pts[i]
-        (ascending).  Chunk by chunk of ``_sub_boxes``: each point's table
-        row is gathered once, times its w, into its box's row at the table
-        level (the first point of every box by one gather in row order, the
+    @staticmethod
+    def _up_rows(steps, prev, box_row):
+        """Set the last step's ``up_row`` from ``box_row``, the row at its
+        ``top`` of each of its boxes in point order; ``prev`` holds those
+        boxes' first points and the order of their rows."""
+        level, top, lead, bounds, _ = steps[-1]
+        steps[-1] = (level, top, lead, bounds, np.take(box_row, prev[1]))
+
+    def _sum_expansions(self, pts, w, lvl, count, out):
+        """T_ofs of leaves off the stencil: ``out`` (zeroed here) gets
+        w_i e_{p,lvl} for each point p = pts[i] (ascending, whole leaves,
+        ``count[j]`` points of the leaf of row j) in its leaf's row.
+
+        Chunk by chunk of ``_sub_boxes``: each point's table row is
+        gathered once, times its w, into its box's row at the table level
+        (the first point of every box by one gather in row order, the
         others rank by rank); each step up is one GEMM per place, added
-        into the rows at ``top``, which are distinct within a place."""
-        pos, row, steps = self._sub_boxes(pts, lvl, top_row)
+        into the rows at ``top``, which are distinct within a place.  A
+        chunk's arrays go before the next chunk's are formed."""
+        pos, rest, rest_row, steps = self._sub_boxes(pts, lvl, count)
         table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
-        rest = np.flatnonzero(row[1:] == row[:-1]) + 1  # not its box's first point
-        rank = rest - steps[0][2][row[rest]]
+        # The other points by chunk, then by their rank in their box: one
+        # rank of one chunk adds to distinct rows.
+        rank = rest - np.take(steps[0][2], rest_row)
+        n_ranks = int(rank.max(initial=0)) + 1
+        n_keys = ((len(pts) - 1) // _SUB_CHUNK + 1) * n_ranks
+        key = rest // _SUB_CHUNK * n_ranks + rank
+        order = np.argsort(key.astype(np.int16 if n_keys <= 2**15 else np.int64), kind="stable")
+        by_rank = [0, *np.cumsum(np.bincount(key, minlength=n_keys)).tolist()]
+        del rank, key
+        rest = np.take(rest, order)
+        rest_pos, rest_w, rest_row = np.take(pos, rest), np.take(w, rest), np.take(rest_row, order)
+        del rest, order
         out[...] = 0.0
-        for c, p0 in enumerate(range(0, len(pts), _SUB_CHUNK)):
+        for c in range((len(pts) - 1) // _SUB_CHUNK + 1):
             groups = [_chunk_groups(step, c) for step in steps]
             lo = groups[0][0]
             lead = steps[0][2][lo : groups[0][-1]]
             x = np.take(table, pos[lead], axis=0)
             x *= w[lead, None]
-            r0, r1 = np.searchsorted(rest, (p0, p0 + _SUB_CHUNK))
-            for r in range(1, int(rank[r0:r1].max(initial=0)) + 1):
-                p = rest[r0:r1][rank[r0:r1] == r]
-                x[row[p] - lo] += np.take(table, pos[p], axis=0) * w[p, None]
+            for group in range(c * n_ranks + 1, (c + 1) * n_ranks):
+                r0, r1 = by_rank[group], by_rank[group + 1]
+                if r1 > r0:
+                    x[rest_row[r0:r1] - lo] += np.take(table, rest_pos[r0:r1], axis=0) * rest_w[r0:r1, None]
             for j, (level, top, _, _, up_row) in enumerate(steps):
                 carry = self._carry(level, top) if top < level else None
                 if j + 1 < len(steps):
@@ -890,21 +972,25 @@ class FmmRun:
                 else:
                     up, up_lo = out, 0
                 for g, (g0, g1) in enumerate(zip(groups[j][:-1], groups[j][1:])):
-                    if g1 > g0:
-                        y = x[g0 - lo : g1 - lo]
-                        up[up_row[g0:g1] - up_lo] += y if carry is None else y @ carry[g].T
+                    if g1 > g0 and carry is None:
+                        up[up_row[g0:g1] - up_lo] += x[g0 - lo : g1 - lo]
+                    elif g1 > g0:
+                        up[up_row[g0:g1] - up_lo] += x[g0 - lo : g1 - lo] @ carry[g].T
+                # The chunk's rows go before the next chunk's are formed.
                 x, lo = up, up_lo
 
-    def _fold_expansions(self, pts, inc, lvl, top_row, u):
-        """T_tfi of leaves off the stencil: u_p += e_{p,lvl} .
-        inc[top_row[i]] for each point p = pts[i] (ascending).  Chunk by
-        chunk of ``_sub_boxes``, the incoming expansions are carried down
-        its steps to the table level (T_ifi, one GEMM per place), and each
-        point's table row is gathered once, in its box's row order for the
-        first point of each box."""
-        pos, row, steps = self._sub_boxes(pts, lvl, top_row)
+    def _fold_expansions(self, pts, inc, lvl, count, u):
+        """T_tfi of leaves off the stencil: u_p += e_{p,lvl} . inc[j] for
+        each point p = pts[i] (ascending, whole leaves, ``count[j]`` points
+        of the leaf of row j) of the leaf of row j.
+
+        Chunk by chunk of ``_sub_boxes``, the incoming expansions are
+        carried down its steps to the table level (T_ifi, one GEMM per
+        place), and each point's table row is gathered once, in its box's
+        row order for the first point of each box.  A chunk's arrays go
+        before the next chunk's are formed."""
+        pos, rest, rest_row, steps = self._sub_boxes(pts, lvl, count)
         table = self.chain.unit_table(self.tree.side_of(steps[0][0]))
-        rest = np.flatnonzero(row[1:] == row[:-1]) + 1
         for c, p0 in enumerate(range(0, len(pts), _SUB_CHUNK)):
             v, lo = inc, 0
             for step in reversed(steps):
@@ -917,23 +1003,29 @@ class FmmRun:
                     down = np.empty((group[-1] - group[0], carry.shape[2]))
                     for g, (g0, g1) in enumerate(zip(group[:-1], group[1:])):
                         if g1 > g0:
-                            y = np.take(v, up_row[g0:g1] - lo, axis=0)
-                            np.matmul(y, carry[g], out=down[g0 - group[0] : g1 - group[0]])
-                    v = down
+                            np.matmul(np.take(v, up_row[g0:g1] - lo, axis=0), carry[g], out=down[g0 - group[0] : g1 - group[0]])
+                    # Held as v alone, so that it goes before the next
+                    # chunk's rows are formed.
+                    v, down = down, None
                 lo = group[0]
+            # The table rows are gathered ``_ROW_CHUNK`` at a time.
             lead = steps[0][2][lo : lo + len(v)]
-            u[pts[lead]] += np.einsum("ij,ij->i", np.take(table, pos[lead], axis=0), v)
+            for r in range(0, len(v), _ROW_CHUNK):
+                p = lead[r : r + _ROW_CHUNK]
+                u[pts[p]] += np.einsum("ij,ij->i", np.take(table, pos[p], axis=0), v[r : r + _ROW_CHUNK])
             r0, r1 = np.searchsorted(rest, (p0, p0 + _SUB_CHUNK))
-            if r1 > r0:
-                p = rest[r0:r1]
-                e = np.take(table, pos[p], axis=0)
-                u[pts[p]] += np.einsum("ij,ij->i", e, np.take(v, row[p] - lo, axis=0))
+            for r in range(r0, r1, _ROW_CHUNK):
+                r2 = min(r + _ROW_CHUNK, r1)
+                p = rest[r:r2]
+                u[pts[p]] += np.einsum("ij,ij->i", np.take(table, pos[p], axis=0), np.take(v, rest_row[r:r2] - lo, axis=0))
 
     def _carry(self, level, top):
         """T_ofo from ``level`` up to ``top``, one or two levels above: the
         (4^(level - top), k_top, k_level) products of the T_ofo blocks, one
         per place of a box at ``level`` in its box at ``top``, quadrant by
-        quadrant, the coarser one first.  Formed once per run."""
+        quadrant, the coarser one first.  Formed once per level and pass,
+        T_ofs or T_tfi, and dropped after it, so that it is not held
+        between the two."""
         key = (level, top)
         if key not in self._carries:
             t_ofo = self._ops(level - 1).t_ofo
@@ -962,9 +1054,11 @@ class FmmRun:
                 child_inc, child_row = incoming[lvl + 1]
                 for qd in range(4):
                     kids = np.flatnonzero(levels[lvl + 1][0] & (quad == qd))
-                    if len(kids):
-                        # T_ifi is T_ofo transposed; row-vector form keeps it direct.
-                        child_inc[child_row[kids]] += np.take(inc, row[parent[kids]], axis=0) @ t_ofo[qd]
+                    # T_ifi is T_ofo transposed; row-vector form keeps it
+                    # direct.  Siblings of one quadrant have distinct rows.
+                    for lo in range(0, len(kids), _ROW_CHUNK):
+                        c = kids[lo : lo + _ROW_CHUNK]
+                        child_inc[child_row[c]] += np.take(inc, row[parent[c]], axis=0) @ t_ofo[qd]
             # The leaves' rows come first, in slot order.
             leaf = levels[lvl][1]
             if lvl == self.stencil_level:
@@ -974,21 +1068,26 @@ class FmmRun:
                     u[pts] += np.take(inc[lo:hi] @ interp, cell)
             else:
                 for lo, hi, pts, count in self._leaf_chunks(lvl, leaf):
-                    self._fold_expansions(pts, inc[lo:hi], lvl, np.repeat(np.arange(hi - lo), count), u)
+                    self._fold_expansions(pts, inc[lo:hi], lvl, count, u)
+                self._carries.clear()
             self.down_seconds[lvl] += clock() - t0
 
     def _near_field(self, q_sorted, resolved, u):
         """Add the resolved pairs of every level into ``u``: their ragged
         leaf pairs point pair by point pair (``_near_slice``), then the
         well-filled ones of stencil leaves by ``_near_stencil``.  The pairs
-        are read in slices of ``_ROW_CHUNK`` * 4, which bounds every array
-        formed per box pair, and on loads of a few points per leaf the
-        point pairs summed at once.  On 16384 uniform points on 16384^2,
-        slices of ``_ROW_CHUNK`` * 16 / 8 / 4 / 2 put the near field's
-        traced peak at 4.92 / 4.53 / 3.17 / 2.38 MB, 1.05 MB of it held
-        before; from * 4 down the call's peak, 4.28 MB, lies in T_ofs."""
+        are read in slices of ``_ROW_CHUNK`` * 16 box pairs, which bounds
+        every array formed per box pair, and their point pairs are summed
+        in chunks of at most ``_CHUNK`` / 2 (``_ragged_pairs``).  On 16384
+        uniform points on 16384^2 (about four points per leaf, eight point
+        pairs per box pair) slices of ``_ROW_CHUNK`` * 4 came to about
+        2^15 point pairs each, and the same chunks from slices of * 16 ran
+        the near field at the same speed and at a 0.4 MB higher peak, but
+        chunks of ``_CHUNK`` 1.3 times as slow; on 2^16 uniform points on
+        2^10 x 2^10 slices of * 16 ran it 6 % faster (2 cores, 15
+        alternating warm calls)."""
         self.near_pairs = self.near_gemm_blocks = self.near_ragged_pairs = 0
-        step = _ROW_CHUNK * 4
+        step = _ROW_CHUNK * 16
         xy = self._columns()
         gemm = []
         for lvl, pairs in enumerate(resolved):
@@ -1006,7 +1105,8 @@ class FmmRun:
     def _near_slice(self, lvl, colleagues, xy, q_sorted, u):
         """The near field of one slice of the resolved pairs at ``lvl``:
         sums its ragged pairs into ``u`` (``_ragged_pairs``) and returns its
-        stencil pairs as (tgt, src, code)."""
+        stencil pairs as (tgt, src, code).  Only the ragged pairs' arrays
+        are held while their point pairs are summed."""
         tgt, src, code = colleagues
         start = self.tree.ptr[lvl]
         ct, cs = start[tgt + 1] - start[tgt], start[src + 1] - start[src]
@@ -1017,27 +1117,31 @@ class FmmRun:
         gemm = tot >= self.leaf_side**2 if lvl == self.stencil_level else np.zeros(len(tot), dtype=bool)
         self.near_gemm_blocks += int(np.count_nonzero(gemm))
         self.near_ragged_pairs += int(tot.sum()) - int(tot[gemm].sum())
+        stencil = tgt[gemm], src[gemm], code[gemm]
         # Every other pair once for both orders (the pairs are symmetric):
         # from its lower slot, or the box with itself.
         pick = np.flatnonzero(~gemm & (tgt <= src))
-        t, c = tgt[pick], src[pick]
+        del tot, gemm
+        ct, cs, t, c = ct[pick], cs[pick], tgt[pick], src[pick]
+        del pick
+        same = t == c
         a, b = start[t].astype(np.intp), start[c].astype(np.intp)
-        self._ragged_pairs(a, b, ct[pick], cs[pick], t == c, xy, q_sorted, u)
-        return tgt[gemm], src[gemm], code[gemm]
+        del t, c
+        self._ragged_pairs(a, b, ct, cs, same, xy, q_sorted, u)
+        return stencil
 
     def _ragged_pairs(self, a, b, ct, cs, same, xy, q_sorted, u):
         """Sum the point pairs of box pairs by ``_point_pairs``, each
         unordered pair once: the ct points from sorted index ``a`` against
         the cs from ``b``, or, where ``same``, the ct points of one box
         against each other (i < j).  The pairs are formed in chunks of whole
-        box pairs of up to ``_CHUNK`` point pairs (a box pair has at most
-        64^2) by ``_run_pairs``."""
-        n = np.where(same, (ct * (ct - 1)) >> 1, ct * cs)
-        end = np.cumsum(n)
-        first = end - n  # each box pair's first point pair
+        box pairs of up to ``_CHUNK`` / 2 point pairs (a box pair has at
+        most 64^2) by ``_run_pairs``."""
+        end = np.cumsum(np.where(same, (ct * (ct - 1)) >> 1, ct * cs))
         lo = 0
-        while lo < len(n):
-            hi = max(int(np.searchsorted(end, first[lo] + _CHUNK, side="right")), lo + 1)
+        while lo < len(end):
+            done = end[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(end, done + _CHUNK // 2, side="right")), lo + 1)
             # The last chunk's pairs are dropped before the next are formed.
             self._point_pairs(*_run_pairs(a[lo:hi], b[lo:hi], ct[lo:hi], cs[lo:hi], same[lo:hi]), xy, q_sorted, u)
             lo = hi

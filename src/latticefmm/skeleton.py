@@ -61,6 +61,7 @@ def interpolative_decomposition(a: np.ndarray, eps: float):
     m, n = r.shape
     perm = np.arange(n)
     thresh = eps * eps * np.einsum("ij,ij->", r, r)
+    update = np.empty_like(r)  # the rank-1 update of each step, in its corner
     k = 0
     while k < min(m, n):
         # Before step k the trailing block is r[k:, k:] itself, so its
@@ -71,15 +72,21 @@ def interpolative_decomposition(a: np.ndarray, eps: float):
         if col_sq.sum() <= thresh:
             break
         j = k + int(np.argmax(col_sq))
-        r[:, [k, j]] = r[:, [j, k]]
-        perm[[k, j]] = perm[[j, k]]
-        # Reflect rows k: so column k becomes (alpha, 0, ..., 0).
+        if j != k:
+            col = r[:, k].copy()
+            r[:, k] = r[:, j]
+            r[:, j] = col
+            perm[k], perm[j] = perm[j], perm[k]
+        # Reflect rows k: so column k becomes (alpha, 0, ..., 0).  The
+        # update's entries are single products, as np.outer forms them.
         norm = np.sqrt(col_sq[j - k])
         alpha = -norm if r[k, k] >= 0 else norm
         v = r[k:, k].copy()
         v[0] -= alpha
         rest = r[k:, k + 1 :]
-        rest -= np.outer(v * (2.0 / (v @ v)), v @ rest)
+        outer = update[: m - k, : n - k - 1]
+        np.einsum("i,j->ij", v * (2.0 / (v @ v)), v @ rest, out=outer)
+        rest -= outer
         r[k, k] = alpha
         r[k + 1 :, k] = 0.0
         k += 1

@@ -53,11 +53,14 @@ bytes, as the benchmark's ``peak_mb``):
   the shared arrays no earlier case of the run built, so per-case figures
   need each case in its own run; ``shared`` tells the two apart.
 * --holders traces one more warm call per side with every ``FmmRun``
-  method wrapped, and prints the methods (each with its level, if it takes
-  one) that were running, outermost first, when the call's traced peak was
-  reached, with the memory held on entry to the innermost.  A generator
-  method counts only while it runs a step, not while its caller holds a
-  step's output.  ``crack`` does not reach ``FmmRun`` and is skipped.
+  method wrapped, and prints the call's three highest peak sites: a site
+  is the innermost method running (with its level, if it takes one), and
+  its peak the highest traced memory reached while it ran innermost.  Each
+  line gives the methods then running, outermost first, and the memory
+  held on entry to the innermost.  Several sites can lie close together,
+  so that lowering one only exposes the next.  A generator method counts
+  only while it runs a step, not while its caller holds a step's output.
+  ``crack`` does not reach ``FmmRun`` and is skipped.
 
 Set OPENBLAS_NUM_THREADS as the benchmark does (it pins BLAS to at most two
 threads).
@@ -137,26 +140,27 @@ def make_inputs(workload: str, seed: int) -> dict:
 
 
 class Holders:
-    """Which ``FmmRun`` methods were running when the traced peak of a call
-    was reached.  Use it as a context manager around the call, with
-    tracemalloc running.
+    """The peak sites of a call to ``FmmRun`` methods.  Use it as a context
+    manager around the call, with tracemalloc running.
 
     Every method of the class is wrapped, and generator methods around each
-    step of their generators.  At each entry and exit the traced peak is
-    read: if it grew since the last reading, it was reached in between,
-    inside the methods then on the stack."""
+    step of their generators.  At each entry and exit the traced peak since
+    the last reading is read, charged to the method then innermost (with its
+    level), and reset: each site keeps the highest peak charged to it, with
+    the stack at that peak."""
 
     def __init__(self, cls):
         self.cls = cls
         self.saved = {}
         self.stack = [("fmm_apply", None, 0)]
-        self.last_peak = 0
-        self.at_peak = list(self.stack)
+        self.sites = {}  # (name, level): (peak, stack at the peak)
 
     def _check(self):
         peak = tracemalloc.get_traced_memory()[1]
-        if peak > self.last_peak:
-            self.last_peak, self.at_peak = peak, list(self.stack)
+        tracemalloc.reset_peak()
+        site = self.stack[-1][:2]
+        if peak > self.sites.get(site, (0,))[0]:
+            self.sites[site] = (peak, list(self.stack))
 
     def _enter(self, name, level):
         self._check()
@@ -206,10 +210,13 @@ class Holders:
             setattr(self.cls, name, method)
         self._check()
 
-    def report(self) -> str:
-        where = " > ".join(name if level is None else f"{name} level {level}" for name, level, _ in self.at_peak[1:])
-        held = self.at_peak[-1][2]
-        return f"peak {self.last_peak / 1e6:.3f} MB in {where or 'fmm_apply'}, {held / 1e6:.3f} MB held on entry"
+    def report(self, n: int = 3) -> list[str]:
+        """One line for each of the ``n`` highest sites, highest first."""
+        lines = []
+        for peak, stack in sorted(self.sites.values(), key=lambda site: site[0], reverse=True)[:n]:
+            where = " > ".join(name if level is None else f"{name} level {level}" for name, level, _ in stack[1:])
+            lines.append(f"peak {peak / 1e6:.3f} MB in {where or 'fmm_apply'}, {stack[-1][2] / 1e6:.3f} MB held on entry")
+        return lines
 
 
 def main() -> int:
@@ -291,7 +298,8 @@ def main() -> int:
                     with Holders(lf["fmm"].FmmRun) as holders:
                         call(lf)
                     tracemalloc.stop()
-                    print(f"  {k}: {holders.report()}", flush=True)
+                    for i, line in enumerate(holders.report()):
+                        print(f"  {k}: " if i == 0 else "     ", line, sep="", flush=True)
     return 0
 
 

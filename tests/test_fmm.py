@@ -783,26 +783,31 @@ def test_unit_tables_built_once(monkeypatch):
 
 def test_traced_peak_per_point():
     # The warm call traced, in bytes per point (seeds 0-3):
-    # * 2^13 uniform points on 2^13 x 2^13, about one per leaf: 446-448;
-    #   490 while each grid level held its outgoing and its incoming
+    # * 2^13 uniform points on 2^13 x 2^13, about one per leaf: 282-283,
+    #   in the near field; 446-448 with its point pairs in chunks of 2^16, 490
+    #   while each grid level held its outgoing and its incoming
     #   expansions at once and the near field's lists were held through
     #   the far field, 754-761 while ``apply`` held two int64 maps of each
     #   point's leaf and stencil place through every pass and the near
     #   field returned fresh N-vectors.
     # * 2^14 uniform points on 2^14 x 2^14, the benchmark's ``random``
-    #   load: 261-262 (4.29 MB), in T_ofs at the leaf level; 330-333 (5.43
-    #   MB) with both arrays of expansions, in grid T_ifo at level 6.
+    #   load: 202-203 (3.32 MB), in T_tfi at the leaf level; 261-262 (4.29
+    #   MB) with the level's index arrays and two chunks of table rows
+    #   at once, in T_ofs at the leaf level;
+    #   330-333 (5.43 MB) with both arrays of expansions, in grid T_ifo at
+    #   level 6.
     # * 2^16 uniform points on 2^10 x 2^10, about four per leaf, where the
-    #   near field's point pairs take about two thirds of the call: 163;
-    #   209 with both arrays, 233 with those maps, 487 with the point pairs
-    #   in chunks of 2^22.
+    #   near field's point pairs take about two thirds of the call: 156-157,
+    #   in building the lists; 163 with T_ifi from each level in one product
+    #   per quadrant, 209 with both arrays, 233 with those maps, 487 with
+    #   the point pairs in chunks of 2^22.
     # * A full 128 x 128 grid, all in stencil blocks: 106; 137.8 with
     #   those maps.
     # The bounds are 1.1 times the figures, the grid's 1.04.  Sampled
     # targets meet the direct sum at eps * sum |q|.
     g = np.arange(128)
     grid = np.column_stack([np.repeat(g, 128), np.tile(g, 128)])
-    cases = ((1 << 13, 1 << 13, 495), (1 << 14, 1 << 14, 288), (1 << 16, 1 << 10, 180), (128 * 128, None, 110))
+    cases = ((1 << 13, 1 << 13, 312), (1 << 14, 1 << 14, 224), (1 << 16, 1 << 10, 173), (128 * 128, None, 110))
     for n, side, bound in cases:
         rng = np.random.default_rng(0)
         if side is None:
@@ -819,6 +824,56 @@ def test_traced_peak_per_point():
         assert peak <= bound * n, (n, peak / n)
         sample = rng.choice(n, 64, replace=False)
         assert np.max(np.abs(u[sample] - direct_sum(pts, q, pts[sample]))) <= 1e-10 * np.abs(q).sum()
+
+
+def _leaf_pass_peaks(monkeypatch, pts):
+    """The most traced memory each of ``_sum_expansions`` and
+    ``_fold_expansions`` (T_ofs and T_tfi off the stencil) adds above what
+    is held on its entry, over the calls of one warm ``fmm_apply``."""
+    extra = {}
+    q = rng_charges(len(pts))
+    fmm_apply(pts, q)
+    with monkeypatch.context() as patch:
+        for name in ("_sum_expansions", "_fold_expansions"):
+            method = getattr(fmm.FmmRun, name)
+
+            def traced(self, *args, _method=method, _name=name):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _method(self, *args)
+                extra[_name] = max(extra.get(_name, 0), tracemalloc.get_traced_memory()[1] - held)
+
+            patch.setattr(fmm.FmmRun, name, traced)
+        tracemalloc.start()
+        fmm_apply(pts, q)
+        tracemalloc.stop()
+    return extra
+
+
+def test_leaf_pass_holds_one_chunk(monkeypatch):
+    # About four points per leaf of side 128, off the stencil, with chunks
+    # of 64 points in runs of four chunks.  Twice the chunks over the same
+    # load (chunks of 32), and twice the load in twice the area (the same
+    # leaves, tables and carries, twice the chunks): neither pass holds
+    # more.  Each chunk's arrays go before the next chunk's are formed, and
+    # the index arrays are formed per run of chunks, not per level.
+    rng = np.random.default_rng(7)
+    flat = rng.choice(1 << 24, size=1 << 12, replace=False)
+    one = np.column_stack([flat >> 12, flat & 4095])
+    two = np.vstack([one, one + (4096, 0)])
+    for pts in (one, two):
+        tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
+        assert tree.side_of(tree.L) == 128
+    peaks = []
+    for sub, pts in ((64, one), (32, one), (64, two)):
+        monkeypatch.setattr(fmm, "_SUB_CHUNK", sub)
+        monkeypatch.setattr(fmm, "_POINT_RUN", 4 * sub)
+        peaks.append(_leaf_pass_peaks(monkeypatch, pts))
+    base = peaks[0]
+    assert sorted(base) == ["_fold_expansions", "_sum_expansions"]
+    for more in peaks[1:]:
+        for name, peak in base.items():
+            assert more[name] <= peak * 1.05 + 4096, (name, peak, more[name])
 
 
 def test_fmm_apply_leaves_numpy_ma_unloaded():
@@ -942,19 +997,17 @@ def _forced(monkeypatch, path, pts, q, targets=None):
 def test_grid_ifo_matches_pair_ifo(monkeypatch, kind):
     pts, targets = _grid_load(kind)
     q = rng_charges(len(pts))
-    # Small chunks, so that levels 3 and 4 fill in bands of two or three
-    # parent rows: each band's incoming expansions are written over
-    # outgoing ones, beside the rows the next band reads.
+    # Small chunks, and levels 3 and 4 in bands of two and three parent
+    # rows (of four and eight, split evenly): each band's incoming
+    # expansions are written over outgoing ones, beside the rows the next
+    # band reads.
     monkeypatch.setattr(fmm, "_CHUNK", 5000)
+    monkeypatch.setattr(fmm, "_band_rows", lambda half, width, k, entries: min(half, 3))
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, pair = _forced(monkeypatch, "pair", pts, q, targets)
     u_grid, grid = _forced(monkeypatch, "grid", pts, q, targets)
     assert grid["leaves_per_level"][:-1] == [0] * (grid["levels"] - 1)
-    assert grid["ifo_grid_levels"] == list(range(2, grid["levels"]))
-    # Parent rows per band (``_across_grid``) at the deeper levels.
-    for lvl in (3, 4):
-        half, k = 1 << (lvl - 1), grid["ranks_per_level"][lvl]
-        assert 2 <= fmm._CHUNK // ((half + 2) * 4 * k) - 2 < half
+    assert grid["ifo_grid_levels"] == list(range(2, grid["levels"])) == [2, 3, 4]
     assert pair["ifo_grid_levels"] == []
     assert grid["ifo_pairs_per_level"] == pair["ifo_pairs_per_level"]
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
@@ -983,8 +1036,8 @@ def test_level_with_a_one_point_box_takes_grid_ifo(monkeypatch):
     assert np.max(np.abs(u_grid - direct_sum(pts, q))) <= 1e-10 * np.abs(q).sum()
 
 
-@pytest.mark.parametrize("name,chunk", [("sparse", None), ("sparse", 50_000), ("clustered", None)])
-def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
+@pytest.mark.parametrize("name,rows", [("sparse", None), ("sparse", 2), ("clustered", None)])
+def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, rows):
     # Forced on, every level from 2 runs on the grid, which holds the
     # level's active boxes, the leaves above level L among them (most of
     # them boxes of one point); forced off, every level runs pair by pair.
@@ -992,8 +1045,8 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
     # the eps * sum |q| contract.
     pts = {"sparse": lambda: with_full_leaf(sparse_points()), "clustered": clustered_points}[name]()
     q = rng_charges(len(pts))
-    if chunk is not None:
-        monkeypatch.setattr(fmm, "_CHUNK", chunk)
+    if rows is not None:
+        monkeypatch.setattr(fmm, "_band_rows", lambda half, width, k, entries: min(half, rows))
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
     u_pair, pair = _forced(monkeypatch, "pair", pts, q)
     levels = grid["levels"]
@@ -1002,10 +1055,9 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
     for key in ("leaves_per_level", "ifo_pairs_per_level", "resolved_pairs_per_level"):
         assert grid[key] == pair[key]
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
-    if chunk is not None:
-        # The deepest levels hold more than a chunk: they fill in bands.
-        k = grid["ranks_per_level"][-1]
-        assert ((1 << (levels - 1)) + 4) ** 2 * k > 4 * chunk
+    if rows is not None:
+        # The deeper levels fill in bands.
+        assert levels - 1 >= 4
     ref = direct_sum(pts, q)
     for u in (u_grid, u_pair):
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(q).sum()
@@ -1014,32 +1066,43 @@ def test_one_point_boxes_on_the_grid_match_direct(monkeypatch, name, chunk):
 
 @pytest.mark.parametrize("kind", ["full", "holes", "sparse"])
 def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
-    # With a small _CHUNK every grid band holds one parent row and its
-    # two border rows, and a chunk of products holds fewer slots than a
-    # parent row on the deeper levels; on the sparse load some bands hold
-    # no occupied cell, border rows included.  Banding only regroups the
-    # products: the grid path matches the pair path, and on the sparse
-    # load both paths meet the direct sum.
+    # Every grid band holds one parent row and its two border rows; on the
+    # sparse load some bands hold no occupied cell, border rows included.
+    _grid_ifo_in_bands(monkeypatch, kind, 1)
+
+
+@pytest.mark.parametrize("kind", ["full", "holes", "sparse"])
+def test_grid_ifo_in_three_row_bands(monkeypatch, kind):
+    # Bands of at most three rows, split evenly: on the sparse load the
+    # deeper levels' threaded products of fewer than 4 k + 1 slots read a
+    # window of that many within the band's rows, not zero rows below its
+    # end.
+    _grid_ifo_in_bands(monkeypatch, kind, 3)
+
+
+def _grid_ifo_in_bands(monkeypatch, kind, rows):
+    """Grid T_ifo in bands of ``rows`` parent rows only regroups the
+    products: the grid path matches the pair path, and on the sparse load
+    both paths meet the direct sum."""
     pts = with_full_leaf(sparse_points()) if kind == "sparse" else _grid_load(kind)[0]
     q = rng_charges(len(pts))
     monkeypatch.setattr(skeleton, "_chain_memo", {})
     u_pair, _ = _forced(monkeypatch, "pair", pts, q)
-    chunk = 600
-    monkeypatch.setattr(fmm, "_CHUNK", chunk)
+    monkeypatch.setattr(fmm, "_band_rows", lambda half, width, k, entries: min(half, rows))
     u_grid, grid = _forced(monkeypatch, "grid", pts, q)
     k = grid["ranks_per_level"]
     levels = grid["ifo_grid_levels"]
     assert levels == list(range(2, grid["levels"]))
-    # One parent row per band at every grid level, and rows split into
-    # chunks at some.
-    assert all(chunk // (((1 << (lvl - 1)) + 2) * 4 * k[lvl]) <= 3 for lvl in levels)
-    assert any(chunk // (4 * k[lvl]) < 1 << (lvl - 1) for lvl in levels)
     tree = build_tree(pts, nleaf=64, max_leaf_side=_MAX_LEAF_SIDE)
     empty_bands = 0
     for lvl in levels:
         parent_rows = set((tree.rel_sorted[tree.ptr[lvl][:-1], 0] // tree.side_of(lvl - 1)).tolist())
         empty_bands += sum(not parent_rows & {r - 1, r, r + 1} for r in range(1 << (lvl - 1)))
     assert (empty_bands > 0) == (kind == "sparse")
+    if kind == "sparse" and rows == 3:
+        # The shortest band's slots, of bands split evenly.
+        half = [1 << (lvl - 1) for lvl in levels]
+        assert any(h // -(-h // 3) * (h + 2) - 2 >= 4 * k[lvl] + 1 for h, lvl in zip(half, levels))
     assert np.max(np.abs(u_grid - u_pair)) <= 1e-13 * np.max(np.abs(u_pair))
     if kind == "sparse":
         ref = direct_sum(pts, q)
@@ -1049,10 +1112,12 @@ def test_grid_ifo_in_one_row_bands(monkeypatch, kind):
 
 def test_grid_ifo_memory_is_banded():
     # The leaf level of a uniform load, every box of it on the grid: its
-    # whole padded grid would take (2^9 + 4)^2 k doubles, about 60 MB.  A
-    # band holds about _CHUNK entries, the chunk of products and its
-    # scratch buffer no more than a band's slots, and the index arrays a
-    # few per box; no neighbourhood of a chunk of parents is copied.  The
+    # whole padded grid would take (2^9 + 4)^2 k doubles, about 60 MB.  The
+    # band, the chunk of products and its scratch buffer hold a quarter of
+    # the level's expansions or, in the fewest rows whose chunk holds 8 k
+    # slots (one here), three such rows and two more of the grid; the rows
+    # of x pass through the scratch buffer, and the index arrays take a few
+    # per box; no neighbourhood of a chunk of parents is copied.  The
     # incoming expansions are written over the outgoing ones: no array of
     # the level's size is formed.
     rng = np.random.default_rng(29)
@@ -1076,8 +1141,11 @@ def test_grid_ifo_memory_is_banded():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     whole = ((1 << lvl) + 4) ** 2 * k * 8
+    width = (1 << (lvl - 1)) + 2
+    rows = fmm._band_rows(width - 2, width, k, x.size)
+    assert rows == 1 and 8 * k <= width
     assert np.all((x != outgoing).any(axis=1))  # every box's row written
-    assert peak <= 8 * fmm._CHUNK + 128 * n_boxes, (peak, whole)
+    assert peak <= max(x.nbytes // 4, (3 * rows + 2) * width * 4 * k * 8) + 48 * n_boxes, (peak, whole)
     assert peak < whole / 6, (peak, whole)
 
 

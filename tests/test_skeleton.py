@@ -16,7 +16,7 @@ from latticefmm.skeleton import (
     shared_chain,
 )
 from latticefmm.tree import INTERACTION_OFFSETS
-from skeleton_reference import reference_id
+from skeleton_reference import householder_id, reference_id
 
 
 def far_targets(side, rng, n=150):
@@ -89,6 +89,25 @@ def test_id_matches_pivoted_qr_reference(eps):
         err = np.linalg.norm(a - a[:, idx] @ t)
         assert err <= eps * np.linalg.norm(a), (side, err)
         assert np.array_equal(t[:, idx], np.eye(idx.size))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-13])
+def test_id_matches_first_numpy_loop_bit_for_bit(eps):
+    # The proxy matrices of a chain from side 8 to 4096, a low-rank and a
+    # full-rank random matrix, and a zero column: the same pivots and the
+    # same interpolation matrix, bit for bit, as the loop first written.
+    chain = OperatorChain(eps, 8)
+    chain.ensure(4096)
+    mats = [kernel_matrix(proxy_points(side), chain_candidates(chain, side)) for side in sorted(chain.ops)]
+    rng = np.random.default_rng(5)
+    mats.append(rng.standard_normal((40, 12)) @ rng.standard_normal((12, 60)))
+    mats.append(np.column_stack([rng.standard_normal((30, 20)), np.zeros(30)]))
+    assert len(mats) == 12
+    for a in mats:
+        idx, t = interpolative_decomposition(a, eps)
+        ref_idx, ref_t = householder_id(a, eps)
+        assert np.array_equal(idx, ref_idx) and idx.dtype == ref_idx.dtype
+        assert np.array_equal(t, ref_t)
 
 
 def test_proxy_points_on_boundary():
